@@ -15,15 +15,25 @@
 //!    reachable host calls within the granted capabilities, and a proven
 //!    minimum fuel that fits the budget — all before any code runs;
 //! 5. instantiation under the sandbox policy.
+//!
+//! Steps 1 and 2 are about *this download* and run on every deployment.
+//! Steps 3 and 4 are a pure function of (the bytes step 1 just hashed, the
+//! sandbox policy), so their result is looked up in — or, the first time,
+//! computed into — the [`AdmissionCache`] the client shares with its
+//! [`Testbed`](crate::testbed::Testbed)'s other clients, and only reached
+//! once 1 and 2 have passed. Step 5 is per client again: the fuel budget is
+//! checked against the cached proof and a fresh sandbox is built around the
+//! shared code.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use fractal_crypto::sign::TrustStore;
+use fractal_crypto::Digest;
 use fractal_pads::runtime::PadRuntime;
 use fractal_protocols::ProtocolId;
-use fractal_vm::verify::verify_module;
-use fractal_vm::{analyze_module, SandboxPolicy, SignedModule};
+use fractal_vm::{AdmissionCache, Module, ModuleError, SandboxPolicy, SignedModule};
 
 use crate::error::FractalError;
 use crate::meta::{AppId, ClientEnv, NtwkMeta, PadId, PadMeta};
@@ -49,6 +59,12 @@ pub struct ClientStats {
     pub pads_deployed: u64,
     /// PADs rejected by the acceptance gauntlet.
     pub pads_rejected: u64,
+    /// Deployments whose verification + analysis came from the admission
+    /// cache (digest and signature were still checked).
+    pub admission_hits: u64,
+    /// Deployments that ran verification + analysis themselves and filled
+    /// the cache (a refused module counts under `pads_rejected` only).
+    pub admission_misses: u64,
 }
 
 /// Pre-bound telemetry handles mirroring [`ClientStats`] plus the PAD
@@ -60,6 +76,8 @@ struct ClientTelemetry {
     negotiations: fractal_telemetry::Counter,
     pads_deployed: fractal_telemetry::Counter,
     pads_rejected: fractal_telemetry::Counter,
+    admission_hits: fractal_telemetry::Counter,
+    admission_misses: fractal_telemetry::Counter,
     download_bytes: fractal_telemetry::Counter,
     gauntlet_ns: fractal_telemetry::Histogram,
 }
@@ -71,6 +89,8 @@ impl ClientTelemetry {
             negotiations: bundle.counter("fractal_client_negotiations_total"),
             pads_deployed: bundle.counter("fractal_client_pads_deployed_total"),
             pads_rejected: bundle.counter("fractal_client_pads_rejected_total"),
+            admission_hits: bundle.counter("fractal_client_admission_hits_total"),
+            admission_misses: bundle.counter("fractal_client_admission_misses_total"),
             download_bytes: bundle.counter("fractal_client_pad_download_bytes_total"),
             gauntlet_ns: bundle.histogram("fractal_client_gauntlet_ns"),
             bundle: bundle.clone(),
@@ -89,6 +109,7 @@ pub struct FractalClient {
     protocol_cache: HashMap<AppId, Vec<PadMeta>>,
     deployed: HashMap<PadId, PadRuntime>,
     content_cache: HashMap<u32, CachedContent>,
+    admission: Arc<AdmissionCache>,
     stats: ClientStats,
     tele: ClientTelemetry,
 }
@@ -105,8 +126,19 @@ impl core::fmt::Debug for FractalClient {
 
 impl FractalClient {
     /// Creates a client in the given environment with the given trust
-    /// anchors.
+    /// anchors. It admits PADs through a cache of its own; clients made by
+    /// a [`Testbed`](crate::testbed::Testbed) share the testbed's.
     pub fn new(env: ClientEnv, trust: TrustStore) -> FractalClient {
+        Self::admitting_through(Arc::new(AdmissionCache::new()), env, trust)
+    }
+
+    /// [`FractalClient::new`], admitting PADs through a shared `admission`
+    /// cache.
+    pub(crate) fn admitting_through(
+        admission: Arc<AdmissionCache>,
+        env: ClientEnv,
+        trust: TrustStore,
+    ) -> FractalClient {
         FractalClient {
             env,
             trust,
@@ -114,6 +146,7 @@ impl FractalClient {
             protocol_cache: HashMap::new(),
             deployed: HashMap::new(),
             content_cache: HashMap::new(),
+            admission,
             stats: ClientStats::default(),
             tele: ClientTelemetry::bind(&fractal_telemetry::Telemetry::global()),
         }
@@ -177,22 +210,7 @@ impl FractalClient {
     pub fn deploy_pad(&mut self, meta: &PadMeta, wire_bytes: &[u8]) -> Result<(), FractalError> {
         self.tele.download_bytes.add(wire_bytes.len() as u64);
         let t0 = self.tele.bundle.now_ns();
-        let result = (|| {
-            let signed = SignedModule::from_wire(wire_bytes)?;
-            let module = signed.open(&meta.digest, &self.trust)?; // digest + signature
-            verify_module(&module)?; // structural verification
-                                     // Abstract interpretation: stack/capability proof obligations,
-                                     // plus the fuel-feasibility check, all before instantiation.
-            let analysis = analyze_module(&module, &self.policy)?;
-            if analysis.module_min_fuel > self.policy.max_fuel {
-                return Err(FractalError::PadInfeasible {
-                    min_fuel: analysis.module_min_fuel,
-                    budget: self.policy.max_fuel,
-                });
-            }
-            let runtime = PadRuntime::new(module, self.policy.clone())?;
-            Ok::<PadRuntime, FractalError>(runtime)
-        })();
+        let result = self.admit_and_instantiate(&meta.digest, wire_bytes);
         self.tele.gauntlet_ns.record(self.tele.bundle.now_ns().saturating_sub(t0));
         match result {
             Ok(runtime) => {
@@ -207,6 +225,42 @@ impl FractalClient {
                 Err(e)
             }
         }
+    }
+
+    /// The gauntlet proper; see the module docs for the order and for what
+    /// is per deployment and what is shared.
+    fn admit_and_instantiate(
+        &mut self,
+        advertised: &Digest,
+        wire_bytes: &[u8],
+    ) -> Result<PadRuntime, FractalError> {
+        let signed = SignedModule::from_wire(wire_bytes)?;
+        let digest = signed.digest();
+        if digest != *advertised {
+            return Err(ModuleError::DigestMismatch.into());
+        }
+        self.trust.verify(&signed.bytes, &signed.signature).map_err(ModuleError::from)?;
+
+        // Parse, structural verification, abstract interpretation (stack
+        // and capability proof obligations) and predecoding: once per
+        // (digest, policy), shared from then on.
+        let policy = &self.policy;
+        let (analyzed, hit) = self.admission.get_or_admit(&digest, policy, || {
+            Ok::<_, FractalError>(Module::from_bytes(&signed.bytes)?.analyzed(policy)?)
+        })?;
+        if hit {
+            self.stats.admission_hits += 1;
+            self.tele.admission_hits.inc();
+        } else {
+            self.stats.admission_misses += 1;
+            self.tele.admission_misses.inc();
+        }
+
+        let min_fuel = analyzed.analysis.module_min_fuel;
+        if min_fuel > self.policy.max_fuel {
+            return Err(FractalError::PadInfeasible { min_fuel, budget: self.policy.max_fuel });
+        }
+        Ok(PadRuntime::from_analyzed(analyzed, self.policy.clone())?)
     }
 
     /// Decodes a server payload with a deployed PAD (mobile code, in the

@@ -5,9 +5,12 @@
 //! Used by the integration tests, the examples, and the figure harness so
 //! they all exercise the same assembly code path.
 
+use std::sync::Arc;
+
 use fractal_crypto::sign::{Signer, SignerRegistry, TrustStore};
 use fractal_pads::Catalog;
 use fractal_protocols::ProtocolId;
+use fractal_vm::AdmissionCache;
 
 use crate::client::FractalClient;
 use crate::meta::AppId;
@@ -29,6 +32,12 @@ pub struct Testbed {
     pub app_id: AppId,
     /// The operator's signer (for publishing more PADs).
     pub signer: Signer,
+    /// The admission cache every client this testbed makes deploys
+    /// through — the untrusting ones too, whose deployments never get as
+    /// far as consulting it. Per testbed, not per process: two testbeds
+    /// (a scenario run twice) must not see each other's state. Starts
+    /// empty and fills on first deployment.
+    pub admission: Arc<AdmissionCache>,
     registry: SignerRegistry,
 }
 
@@ -65,15 +74,14 @@ impl Testbed {
         proxy.register_app(&meta);
 
         let server = ApplicationServer::new(app_id, protocols, mode);
-        Testbed { proxy, server, pad_repo, app_id, signer, registry }
+        let admission = Arc::new(AdmissionCache::new());
+        Testbed { proxy, server, pad_repo, app_id, signer, admission, registry }
     }
 
     /// Creates a client of the given class with the operator's trust
     /// anchors installed.
     pub fn client(&self, class: ClientClass) -> FractalClient {
-        let mut trust = TrustStore::new();
-        self.registry.export_trust(&mut trust);
-        FractalClient::new(class.env(), trust)
+        self.client_with_env(class.env())
     }
 
     /// Creates a client for an arbitrary environment (e.g. the mixed
@@ -82,12 +90,16 @@ impl Testbed {
     pub fn client_with_env(&self, env: crate::meta::ClientEnv) -> FractalClient {
         let mut trust = TrustStore::new();
         self.registry.export_trust(&mut trust);
-        FractalClient::new(env, trust)
+        FractalClient::admitting_through(Arc::clone(&self.admission), env, trust)
     }
 
     /// Creates a client that trusts nobody (for security failure tests).
     pub fn untrusting_client(&self, class: ClientClass) -> FractalClient {
-        FractalClient::new(class.env(), TrustStore::new())
+        FractalClient::admitting_through(
+            Arc::clone(&self.admission),
+            class.env(),
+            TrustStore::new(),
+        )
     }
 
     /// Builds a reactor over this testbed's proxy/server/PAD-repo trio that

@@ -161,6 +161,93 @@ fn threaded_reactors_share_one_server_and_proxy() {
     assert_eq!(stats.cache_misses, DISTINCT);
 }
 
+/// Eight threads of fresh clients deploy the four case-study PADs through
+/// the testbed's one admission cache, released together onto a cold cache.
+/// Each PAD must be analysed exactly once — whoever wins the race — and
+/// every client must end up exactly where the serial run puts it: same
+/// acceptance, same decoded bytes.
+#[test]
+fn racing_deployers_share_one_admission_cache() {
+    use fractal_core::presets::{pad_id, pad_overhead};
+    use fractal_core::server::codec_for;
+    use fractal_protocols::ProtocolId;
+    use fractal_vm::SignedModule;
+
+    const THREADS: usize = 8;
+    const DEPLOYS: usize = 64;
+    const PADS: [ProtocolId; 4] = ProtocolId::PAPER_FOUR;
+
+    let page = |i: usize| -> Vec<u8> {
+        format!("client {i}: {}", "negotiated, downloaded, admitted. ".repeat(20 + i % 7))
+            .into_bytes()
+    };
+    let pad_of = |tb: &Testbed, p: ProtocolId| -> (PadMeta, Vec<u8>) {
+        let wire = tb.pad_repo.get(pad_id(p)).expect("case-study PAD is published");
+        let meta = PadMeta {
+            id: pad_id(p),
+            protocol: p,
+            size: wire.len() as u32,
+            overhead: pad_overhead(p),
+            digest: SignedModule::from_wire(&wire).unwrap().digest(),
+            url: String::new(),
+            parent: None,
+            children: vec![],
+        };
+        (meta, wire.to_vec())
+    };
+    // One client's whole story: deploy PAD `(t + i) % 4`, decode a page.
+    let deploy_and_decode = |tb: &Testbed, t: usize, i: usize| -> (Vec<u8>, u64) {
+        let protocol = PADS[(t + i) % PADS.len()];
+        let (meta, wire) = pad_of(tb, protocol);
+        let mut client = tb.client_with_env(env(i));
+        client.deploy_pad(&meta, &wire).expect("genuine PADs are admitted");
+        let payload = codec_for(protocol).encode(&[], &page(i));
+        let decoded = client.decode_content(meta.id, i as u32, &payload).expect("decodes");
+        (decoded, client.stats().admission_misses)
+    };
+
+    let serial_tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let serial: Vec<Vec<Vec<u8>>> = (0..THREADS)
+        .map(|t| (0..DEPLOYS).map(|i| deploy_and_decode(&serial_tb, t, i).0).collect())
+        .collect();
+    assert_eq!(serial_tb.admission.len(), PADS.len());
+
+    let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let start = std::sync::Barrier::new(THREADS);
+    let results: Vec<(Vec<Vec<u8>>, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (tb, start, deploy_and_decode) = (&tb, &start, &deploy_and_decode);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut misses = 0;
+                    let decoded = (0..DEPLOYS)
+                        .map(|i| {
+                            let (bytes, missed) = deploy_and_decode(tb, t, i);
+                            misses += missed;
+                            bytes
+                        })
+                        .collect();
+                    (decoded, misses)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("deployer thread")).collect()
+    });
+
+    let analyses: u64 = results.iter().map(|(_, misses)| misses).sum();
+    assert_eq!(analyses, PADS.len() as u64, "each PAD is proven once, whoever gets there first");
+    assert_eq!(tb.admission.len(), PADS.len());
+    for (t, (decoded, _)) in results.iter().enumerate() {
+        assert_eq!(decoded, &serial[t], "thread {t} diverged from the serial run");
+    }
+    for (t, row) in serial.iter().enumerate() {
+        for (i, bytes) in row.iter().enumerate() {
+            assert_eq!(bytes, &page(i), "serial run, thread slot {t}, client {i}");
+        }
+    }
+}
+
 /// The epoch-versioned server under a live writer: reader threads run
 /// full INP sessions pinned to version 1 of a page while the main thread
 /// keeps publishing successor versions of that same page. The version

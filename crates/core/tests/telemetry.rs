@@ -94,6 +94,9 @@ fn client_registry_mirrors_client_stats_and_pad_costs() {
     );
     assert_eq!(snap.counters["fractal_client_pads_deployed_total"], stats.pads_deployed);
     assert_eq!(snap.counters["fractal_client_pads_rejected_total"], stats.pads_rejected);
+    assert_eq!(snap.counters["fractal_client_admission_hits_total"], stats.admission_hits);
+    assert_eq!(snap.counters["fractal_client_admission_misses_total"], stats.admission_misses);
+    assert_eq!(stats.admission_hits + stats.admission_misses, stats.pads_deployed);
     assert_eq!(snap.counters["fractal_client_pad_download_bytes_total"], wire_total + 64);
     // One gauntlet run per deploy attempt, timed by the virtual clock.
     let gauntlet = &snap.histograms["fractal_client_gauntlet_ns"];

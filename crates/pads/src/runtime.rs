@@ -20,7 +20,9 @@
 //! ..  .. end         output region (8-byte aligned; capacity = the rest)
 //! ```
 
-use fractal_vm::{Machine, Module, SandboxPolicy, Trap};
+use std::sync::Arc;
+
+use fractal_vm::{AnalyzedModule, Machine, Module, SandboxPolicy, Trap};
 
 /// Scratch area reserved at the bottom of linear memory.
 const SCRATCH: usize = 64;
@@ -89,11 +91,22 @@ impl PadRuntime {
     /// cannot prove — e.g. recursion whose shared-stack bound exceeds the
     /// policy — still deploy, on the fully checked path.
     pub fn new(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        let machine = match module.clone().analyzed(&policy) {
-            Ok(analyzed) => Machine::new_analyzed(analyzed, policy)?,
-            Err(_) => Machine::new(module, policy)?,
-        };
-        Ok(PadRuntime { machine })
+        match AnalyzedModule::analyze(module, &policy) {
+            Ok(analyzed) => PadRuntime::from_analyzed(Arc::new(analyzed), policy),
+            Err((module, _)) => PadRuntime::new_checked(module, policy),
+        }
+    }
+
+    /// Instantiates around an already admitted module: the per-session half
+    /// of a deployment. Code, proof and predecoded ops stay in the shared
+    /// bundle; the instance gets its own memory, stacks, fuel and log, and
+    /// runs under `policy` (the fast path only if the proven stack bound
+    /// fits it, as in [`PadRuntime::new`]).
+    pub fn from_analyzed(
+        analyzed: Arc<AnalyzedModule>,
+        policy: SandboxPolicy,
+    ) -> Result<PadRuntime, PadError> {
+        Ok(PadRuntime { machine: Machine::new_analyzed(analyzed, policy)? })
     }
 
     /// Instantiates on the fully checked interpreter path, skipping the
@@ -362,6 +375,20 @@ mod tests {
         for p in ProtocolId::ALL {
             assert!(runtime(p).is_fast_path(), "{p} fell back to the checked path");
         }
+    }
+
+    #[test]
+    fn hand_built_module_with_wild_data_segment_is_refused_not_panicked() {
+        use fractal_vm::module::DataSegment;
+        let signer = SignerRegistry::new().provision("rt-test");
+        let mut module = open_unchecked(&build_pad(ProtocolId::Direct, &signer));
+        let offset = module.memory_bytes() as u32 - 1;
+        module.data.push(DataSegment { offset, bytes: vec![1, 2] });
+        let expected = PadError::Trap(Trap::OutOfBounds { addr: offset as u64, len: 2 });
+        // `new_checked` skips the verifier entirely; `new` analyses first.
+        let policy = SandboxPolicy::for_pads();
+        assert_eq!(PadRuntime::new_checked(module.clone(), policy.clone()).unwrap_err(), expected);
+        assert_eq!(PadRuntime::new(module, policy).unwrap_err(), expected);
     }
 
     #[test]

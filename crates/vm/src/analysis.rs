@@ -442,6 +442,10 @@ pub enum BinKind {
 
 /// A module that has passed structural verification *and* abstract
 /// interpretation, bundled with its predecoded fast-path code.
+///
+/// Immutable once built, so one bundle behind an `Arc` serves any number
+/// of [`Machine`](crate::machine::Machine) instances: each instance owns
+/// its memory, stacks, fuel and log, and only borrows code and proof.
 #[derive(Debug)]
 pub struct AnalyzedModule {
     /// The verified module.
@@ -454,10 +458,18 @@ pub struct AnalyzedModule {
 
 impl AnalyzedModule {
     /// Verifies and analyzes `module` under `policy`, predecoding the fast
-    /// path on success.
-    pub fn analyze(module: Module, policy: &SandboxPolicy) -> Result<AnalyzedModule, VerifyError> {
-        verify_module(&module)?;
-        let analysis = analyze_module(&module, policy)?;
+    /// path on success. The passes only read the module, so a refusal
+    /// hands it back beside the reason — a caller with a fallback (the
+    /// checked interpreter) needs no defensive clone.
+    pub fn analyze(
+        module: Module,
+        policy: &SandboxPolicy,
+    ) -> Result<AnalyzedModule, (Module, VerifyError)> {
+        let proof = verify_module(&module).and_then(|()| analyze_module(&module, policy));
+        let analysis = match proof {
+            Ok(analysis) => analysis,
+            Err(e) => return Err((module, e)),
+        };
         let fast = module
             .functions
             .iter()

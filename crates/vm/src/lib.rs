@@ -19,7 +19,9 @@
 //!   sandbox requirement: bounded memory, bounded value/call stacks,
 //!   deterministic fuel metering, and a capability policy over host calls;
 //! * a **signed module container** ([`module`]) carrying the SHA-1 digest
-//!   and HMAC code signature checked against the client's trust store.
+//!   and HMAC code signature checked against the client's trust store;
+//! * an **admission cache** ([`admission`]) so the verifier and analyzer
+//!   run once per distinct PAD, not once per session that deploys it.
 //!
 //! The VM is deliberately small but real: every client-side protocol decode
 //! in the reproduction's experiments runs through this interpreter.
@@ -36,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod analysis;
 pub mod asm;
 pub mod bytecode;
@@ -47,6 +50,7 @@ pub mod module;
 pub mod sandbox;
 pub mod verify;
 
+pub use admission::AdmissionCache;
 pub use analysis::{
     analyze_module, proven, AbsVal, AnalysisClaims, AnalyzedModule, ClaimSite, InsnFacts, Lint,
     LintConfig, LintLevel, ModuleAnalysis,

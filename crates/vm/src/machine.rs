@@ -2,13 +2,17 @@
 //!
 //! A [`Machine`] is one *instance* of a module: its own memory (initialized
 //! from the module's data segments), its own fuel budget, and its own log
-//! buffer. The embedding writes inputs into memory with
+//! buffer. Code is not per instance: machines built from an admitted
+//! `Arc<AnalyzedModule>` all execute the one shared copy of the module, its
+//! proof and its predecoded ops. The embedding writes inputs into memory with
 //! [`Machine::write_memory`], invokes an exported entry point with
 //! [`Machine::call`], and reads results back with [`Machine::read_memory`].
 //!
 //! Every memory access is bounds-checked; every instruction charges fuel;
 //! bulk operations charge proportionally to the bytes they move. There is no
 //! `unsafe` anywhere in this crate.
+
+use std::sync::Arc;
 
 use fractal_crypto::sha1::Sha1;
 
@@ -66,10 +70,10 @@ struct AuditSite {
     operands: Vec<(i64, i64)>,
 }
 
-/// Claims-auditor state: everything the analyzer promised about this
-/// module, plus what checked execution has observed so far.
+/// Claims-auditor state: the analyzer's per-site promises rekeyed for
+/// lookup (the module-level ones are read from the shared proof), plus
+/// what checked execution has observed so far.
 struct AuditState {
-    claims: AnalysisClaims,
     sites: std::collections::HashMap<(usize, usize), AuditSite>,
     audited: u64,
     violations: Vec<AuditViolation>,
@@ -94,9 +98,33 @@ struct Frame {
     locals_base: usize,
 }
 
+/// What an instance executes: a bare module it owns (checked path only), or
+/// an admitted bundle — module, proof, predecoded ops — it shares with every
+/// other instance of the same PAD.
+enum Program {
+    Bare(Module),
+    Admitted(Arc<AnalyzedModule>),
+}
+
+impl Program {
+    fn module(&self) -> &Module {
+        match self {
+            Program::Bare(module) => module,
+            Program::Admitted(analyzed) => &analyzed.module,
+        }
+    }
+
+    fn claims(&self) -> Option<&AnalysisClaims> {
+        match self {
+            Program::Bare(_) => None,
+            Program::Admitted(analyzed) => Some(&analyzed.analysis.claims),
+        }
+    }
+}
+
 /// An instantiated module ready to execute.
 pub struct Machine {
-    module: Module,
+    program: Program,
     policy: SandboxPolicy,
     memory: Vec<u8>,
     stack: Vec<i64>,
@@ -105,9 +133,10 @@ pub struct Machine {
     fuel: u64,
     fuel_used_total: u64,
     log: Vec<u8>,
-    /// Predecoded code when the abstract interpreter proved the per-op
-    /// stack checks redundant (see [`AnalyzedModule`]).
-    fast: Option<Vec<Vec<FastOp>>>,
+    /// Whether calls run the program's predecoded code: the abstract
+    /// interpreter proved the per-op stack checks redundant under this
+    /// instance's policy (see [`AnalyzedModule`]).
+    fast: bool,
     /// Claims-auditor state; present only on machines built with
     /// [`Machine::new_audited`]. Boxed to keep the common case small.
     audit: Option<Box<AuditState>>,
@@ -118,27 +147,40 @@ impl core::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("memory", &self.memory.len())
             .field("fuel", &self.fuel)
-            .field("functions", &self.module.functions.len())
+            .field("functions", &self.program.module().functions.len())
             .finish()
     }
 }
 
 impl Machine {
     /// Instantiates `module` under `policy`. Fails if the module declares
-    /// more memory than the policy allows.
+    /// more memory than the policy allows, or a data segment outside it.
     pub fn new(module: Module, policy: SandboxPolicy) -> Result<Machine, Trap> {
+        Machine::instantiate(Program::Bare(module), policy)
+    }
+
+    /// Everything that is per instance: linear memory initialized from the
+    /// data segments, empty stacks, a full fuel budget, an empty log.
+    fn instantiate(program: Program, policy: SandboxPolicy) -> Result<Machine, Trap> {
+        let module = program.module();
         let mem_bytes = module.memory_bytes();
         if mem_bytes > policy.max_memory {
             return Err(Trap::OutOfBounds { addr: mem_bytes as u64, len: 0 });
         }
         let mut memory = vec![0u8; mem_bytes];
         for seg in &module.data {
+            // The container parser bounds segments, but `Module`'s fields
+            // are public and a hand-built one reaches here unparsed.
             let start = seg.offset as usize;
-            memory[start..start + seg.bytes.len()].copy_from_slice(&seg.bytes);
+            let dst = start
+                .checked_add(seg.bytes.len())
+                .and_then(|end| memory.get_mut(start..end))
+                .ok_or(Trap::OutOfBounds { addr: start as u64, len: seg.bytes.len() as u64 })?;
+            dst.copy_from_slice(&seg.bytes);
         }
         let fuel = policy.max_fuel;
         Ok(Machine {
-            module,
+            program,
             policy,
             memory,
             stack: Vec::with_capacity(64),
@@ -147,22 +189,28 @@ impl Machine {
             fuel,
             fuel_used_total: 0,
             log: Vec::new(),
-            fast: None,
+            fast: false,
             audit: None,
         })
     }
 
-    /// Instantiates an analyzed module. When the proven whole-machine stack
-    /// bound fits within `policy.max_stack`, execution uses the predecoded
-    /// fast path (no per-op decode, stack checks demoted to debug
-    /// assertions); otherwise the instance falls back to the checked
-    /// interpreter. Fuel accounting is identical on both paths.
-    pub fn new_analyzed(analyzed: AnalyzedModule, policy: SandboxPolicy) -> Result<Machine, Trap> {
-        let AnalyzedModule { module, analysis, fast } = analyzed;
-        let mut machine = Machine::new(module, policy)?;
-        if analysis.stack_bound <= machine.policy.max_stack {
-            machine.stack.reserve(analysis.stack_bound);
-            machine.fast = Some(fast);
+    /// Instantiates an analyzed module; pass an `Arc` to share one admitted
+    /// bundle among many instances (nothing in it is copied). When the
+    /// proven whole-machine stack bound fits within `policy.max_stack`,
+    /// execution uses the predecoded fast path (no per-op decode, stack
+    /// checks demoted to debug assertions); otherwise the instance falls
+    /// back to the checked interpreter. Fuel accounting is identical on
+    /// both paths.
+    pub fn new_analyzed(
+        analyzed: impl Into<Arc<AnalyzedModule>>,
+        policy: SandboxPolicy,
+    ) -> Result<Machine, Trap> {
+        let analyzed = analyzed.into();
+        let stack_bound = analyzed.analysis.stack_bound;
+        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
+        if stack_bound <= machine.policy.max_stack {
+            machine.stack.reserve(stack_bound);
+            machine.fast = true;
         }
         Ok(machine)
     }
@@ -177,28 +225,26 @@ impl Machine {
     /// Discrepancies are **analyzer soundness bugs**; they are collected
     /// (capped) in [`Machine::audit_violations`] rather than trapping, so a
     /// differential harness can compare full executions.
-    pub fn new_audited(analyzed: AnalyzedModule, policy: SandboxPolicy) -> Result<Machine, Trap> {
-        let AnalyzedModule { module, analysis, fast: _ } = analyzed;
-        let mut machine = Machine::new(module, policy)?;
-        let mut sites = std::collections::HashMap::new();
-        for s in &analysis.claims.sites {
-            sites.insert(
-                (s.func, s.at),
-                AuditSite { proven: s.proven, operands: s.operands.clone() },
-            );
-        }
-        machine.audit = Some(Box::new(AuditState {
-            claims: analysis.claims,
-            sites,
-            audited: 0,
-            violations: Vec::new(),
-        }));
+    pub fn new_audited(
+        analyzed: impl Into<Arc<AnalyzedModule>>,
+        policy: SandboxPolicy,
+    ) -> Result<Machine, Trap> {
+        let analyzed = analyzed.into();
+        let sites = analyzed
+            .analysis
+            .claims
+            .sites
+            .iter()
+            .map(|s| ((s.func, s.at), AuditSite { proven: s.proven, operands: s.operands.clone() }))
+            .collect();
+        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
+        machine.audit = Some(Box::new(AuditState { sites, audited: 0, violations: Vec::new() }));
         Ok(machine)
     }
 
     /// Whether this instance runs the predecoded fast path.
     pub fn is_fast_path(&self) -> bool {
-        self.fast.is_some()
+        self.fast
     }
 
     /// How many analyzer claims the auditor has checked so far (0 when the
@@ -261,8 +307,9 @@ impl Machine {
     /// Invokes the exported function `entry` with `args`, running to
     /// completion. Returns the function's result value.
     pub fn call(&mut self, entry: &str, args: &[i64]) -> Result<i64, Trap> {
-        let func = self.module.find(entry).ok_or_else(|| Trap::NoSuchEntry(entry.to_string()))?;
-        let decl = &self.module.functions[func];
+        let module = self.program.module();
+        let func = module.find(entry).ok_or_else(|| Trap::NoSuchEntry(entry.to_string()))?;
+        let decl = &module.functions[func];
         if decl.n_args as usize != args.len() {
             return Err(Trap::ArityMismatch { expected: decl.n_args, got: args.len() });
         }
@@ -281,7 +328,7 @@ impl Machine {
             Some(a) => (a.audited, a.violations.len()),
             None => (0, 0),
         };
-        let result = if self.fast.is_some() { self.run_fast() } else { self.run() };
+        let result = if self.fast { self.run_fast() } else { self.run() };
         if result.is_err() {
             // Leave state consistent for inspection but do not allow resume.
             self.frames.clear();
@@ -289,8 +336,8 @@ impl Machine {
         // Fuel lower bounds are claimed for *successful* completions only:
         // a trap can legitimately cut a run short of the static minimum.
         if result.is_ok() {
-            if let Some(audit) = self.audit.as_mut() {
-                if let Some(&claimed) = audit.claims.entry_min_fuel.get(func) {
+            if let (Some(audit), Some(claims)) = (self.audit.as_mut(), self.program.claims()) {
+                if let Some(&claimed) = claims.entry_min_fuel.get(func) {
                     audit.audited += 1;
                     let observed = self.fuel_used_total - fuel_before;
                     if claimed == u64::MAX {
@@ -306,7 +353,7 @@ impl Machine {
         if fractal_telemetry::enabled() {
             let m = vm_metrics();
             m.fuel_consumed.add(self.fuel_used_total - fuel_before);
-            if self.fast.is_some() {
+            if self.fast {
                 m.calls_fast.inc();
             } else {
                 m.calls_checked.inc();
@@ -371,14 +418,16 @@ impl Machine {
 
     fn local_slot(&self, idx: u8) -> Result<usize, Trap> {
         let frame = self.frames.last().ok_or(Trap::Wedged)?;
-        let decl = &self.module.functions[frame.func];
-        let count = decl.n_args as usize + decl.n_locals as usize;
-        let i = idx as usize;
-        if i >= count {
+        // The running frame's args + locals are the tail of the arena
+        // (`enter` appends exactly them, `ret` truncates back), so the
+        // arena's length bounds the index without a trip to the function
+        // table — which may sit behind a shared `Arc`.
+        let slot = frame.locals_base + idx as usize;
+        if slot >= self.locals.len() {
             // Verifier rejects this statically; runtime check is defensive.
             return Err(Trap::Wedged);
         }
-        Ok(frame.locals_base + i)
+        Ok(slot)
     }
 
     /// The main dispatch loop.
@@ -387,7 +436,7 @@ impl Machine {
             let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
             let func = frame.func;
             let pc = frame.pc;
-            let code = &self.module.functions[func].code;
+            let code = &self.program.module().functions[func].code;
             if pc >= code.len() {
                 // Implicit return at end of body (verifier guarantees a
                 // terminator, this is defensive).
@@ -601,7 +650,8 @@ impl Machine {
 
         if let Op::HostCall(id) = *op {
             audit.audited += 1;
-            if id >= 8 || audit.claims.required_hosts & (1u8 << id) == 0 {
+            let claimed = self.program.claims().map_or(0, |c| c.required_hosts);
+            if id >= 8 || claimed & (1u8 << id) == 0 {
                 audit.record(AuditViolation::UnclaimedHostCall { id });
             }
         }
@@ -778,11 +828,16 @@ impl Machine {
     /// assertions licensed by the abstract interpreter. Fuel charges match
     /// the checked loop instruction for instruction.
     fn run_fast(&mut self) -> Result<i64, Trap> {
+        // One refcount bump per entry call keeps the shared code borrowed
+        // across the loop's `&mut self` steps, so dispatch indexes it
+        // directly instead of reaching through `self` on every op.
+        let Program::Admitted(analyzed) = &self.program else { return Err(Trap::Wedged) };
+        let analyzed = Arc::clone(analyzed);
+        let fast = &analyzed.fast;
         loop {
             let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
             let func = frame.func;
             let pc = frame.pc;
-            let fast = self.fast.as_ref().expect("fast path has code");
             let code = &fast[func];
             if pc >= code.len() {
                 // Defensive, as in the checked loop.
@@ -957,7 +1012,7 @@ impl Machine {
         // pc currently points at the *next* instruction; offsets are
         // relative to it. The verifier guarantees targets are valid.
         let target = frame.pc as i64 + rel as i64;
-        let code_len = self.module.functions[frame.func].code.len() as i64;
+        let code_len = self.program.module().functions[frame.func].code.len() as i64;
         if target < 0 || target > code_len {
             return Err(Trap::Wedged);
         }
@@ -969,7 +1024,7 @@ impl Machine {
         if self.frames.len() >= self.policy.max_call_depth {
             return Err(Trap::CallDepthExceeded);
         }
-        let decl = self.module.functions.get(callee).ok_or(Trap::Wedged)?;
+        let decl = self.program.module().functions.get(callee).ok_or(Trap::Wedged)?;
         let n_args = decl.n_args as usize;
         let n_locals = decl.n_locals as usize;
         if self.stack.len() < n_args {
@@ -1515,5 +1570,53 @@ mod tests {
                 ret
         "#;
         assert_eq!(run(src, "main", &[-1, 56]), Ok(0xFF));
+    }
+
+    #[test]
+    fn out_of_range_data_segment_is_a_trap_not_a_panic() {
+        use crate::module::DataSegment;
+        // `Module::from_bytes` bounds segments; a hand-built module (public
+        // fields) reaches instantiation without that check.
+        let one_page = crate::module::PAGE_SIZE as u32;
+        for (offset, len) in [(one_page - 2, 4), (one_page, 1), (u32::MAX, 8)] {
+            let mut module = assemble(".memory 1\n.func main args=0 locals=0\n ret\n").unwrap();
+            module.data.push(DataSegment { offset, bytes: vec![0xAB; len] });
+            let err = Machine::new(module, SandboxPolicy::default()).unwrap_err();
+            assert_eq!(err, Trap::OutOfBounds { addr: offset as u64, len: len as u64 });
+        }
+        // The last byte of memory is still a legal destination.
+        let mut module = assemble(".memory 1\n.func main args=0 locals=0\n ret\n").unwrap();
+        module.data.push(DataSegment { offset: one_page - 1, bytes: vec![0xAB] });
+        let m = Machine::new(module, SandboxPolicy::default()).unwrap();
+        assert_eq!(m.read_memory(one_page as usize - 1, 1).unwrap(), [0xAB]);
+    }
+
+    #[test]
+    fn instances_of_one_admitted_module_share_code_not_state() {
+        let src = r#"
+            .memory 1
+            .func bump args=0 locals=0
+                push 0
+                push 0
+                load8
+                push 1
+                add
+                store8
+                push 0
+                load8
+                ret
+        "#;
+        let policy = SandboxPolicy::default();
+        let shared = Arc::new(assemble(src).unwrap().analyzed(&policy).unwrap());
+        let mut a = Machine::new_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
+        let mut b = Machine::new_analyzed(Arc::clone(&shared), policy).unwrap();
+        assert!(a.is_fast_path() && b.is_fast_path());
+        assert_eq!(a.call("bump", &[]), Ok(1));
+        assert_eq!(a.call("bump", &[]), Ok(2));
+        // `b` never saw `a`'s stores, and spent only its own fuel.
+        assert_eq!(b.call("bump", &[]), Ok(1));
+        assert_eq!(a.fuel_used(), 2 * b.fuel_used());
+        // Two instances plus this handle: nothing was cloned out of the Arc.
+        assert_eq!(Arc::strong_count(&shared), 3);
     }
 }

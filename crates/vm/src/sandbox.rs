@@ -3,8 +3,10 @@
 
 use crate::host::HostId;
 
-/// Limits applied to one module instance.
-#[derive(Clone, Debug)]
+/// Limits applied to one module instance. `Eq + Hash` because the policy
+/// is half of an [`AdmissionCache`](crate::admission::AdmissionCache) key:
+/// a proof obtained under one policy says nothing under another.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SandboxPolicy {
     /// Maximum linear memory the instance may declare, in bytes. Modules
     /// declaring more fail instantiation.

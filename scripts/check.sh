@@ -3,7 +3,7 @@
 # Run from the repository root before sending a change out for review.
 #
 #   scripts/check.sh          # everything, including the release-build
-#                             # throughput smoke gate
+#                             # smoke gates and the benchmark's quick suite
 #   scripts/check.sh --quick  # fmt + clippy + tier-1 tests only (skips the
 #                             # release throughput build; what you want in
 #                             # an edit-test loop or a time-boxed CI lane)
@@ -36,6 +36,29 @@ on_exit() {
 }
 trap on_exit EXIT
 
+# guarded <hint> <cmd...>: run an (already built) smoke binary under a 120 s
+# backstop, so a true deadlock is a fast red run with a diagnostic instead
+# of a CI job hanging for hours. <hint> says what a timeout most likely
+# means for this gate. Build before calling — cold compiles legitimately
+# take minutes and must not be metered. `timeout` is coreutils; a host
+# without it runs unguarded.
+guarded() {
+    hint="$1"
+    shift
+    if ! command -v timeout >/dev/null 2>&1; then
+        "$@"
+        return
+    fi
+    # Capture the real exit status: inside `if ! cmd`, `$?` is the status of
+    # the negated condition (always 0 in the branch), not of `cmd` itself.
+    status=0
+    timeout 120 "$@" || status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "$CURRENT_STEP: no completion within 120 s — $hint" >&2
+    fi
+    return "$status"
+}
+
 step "cargo fmt --check"
 cargo fmt --all --check
 
@@ -57,7 +80,7 @@ cargo run -q -p fractal-vm --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm
 
 if [ "$QUICK" -eq 1 ]; then
-    echo "All checks passed (--quick: skipped telemetry matrix + throughput/scenario/introspection smoke gates)."
+    echo "All checks passed (--quick: skipped telemetry matrix + throughput/scenario/introspection smoke gates + benchmark)."
     trap - EXIT
     exit 0
 fi
@@ -82,30 +105,10 @@ step "throughput smoke (concurrent engine + reactor + transport + republish gate
 # trickles `&self` publishes into the shared server while the reactor
 # pass re-runs, and the binary aborts on any decision divergence, a
 # latest_version going backwards, an unreclaimed epoch generation, or a
-# p99 blow-up against the quiet pass. The
-# timeout is the backstop for a true deadlock (e.g. a lock cycle in the
-# sharded proxy): rather than hanging CI for hours, the gate fails in
-# ≤ 120 s with a diagnostic. `timeout` is coreutils; if the host lacks
-# it, run unguarded.
-SMOKE="cargo run -q --release -p fractal-bench --bin throughput -- --smoke"
-if command -v timeout >/dev/null 2>&1; then
-    # Build first (unmetered — cold compiles legitimately take minutes),
-    # then meter only the run itself.
-    cargo build -q --release -p fractal-bench --bin throughput
-    # Capture the real exit status: inside `if ! cmd`, `$?` is the status of
-    # the negated condition (always 0 in the branch), not of `cmd` itself.
-    status=0
-    timeout 120 $SMOKE || status=$?
-    if [ "$status" -ne 0 ]; then
-        if [ "$status" -eq 124 ]; then
-            echo "throughput smoke DEADLOCKED: no completion within 120 s —" >&2
-            echo "suspect a reactor stall or a lock cycle in the sharded proxy" >&2
-        fi
-        exit "$status"
-    fi
-else
-    $SMOKE
-fi
+# p99 blow-up against the quiet pass.
+cargo build -q --release -p fractal-bench --bin throughput
+guarded "suspect a reactor stall or a lock cycle in the sharded proxy" \
+    ./target/release/throughput --smoke
 
 step "c100k smoke (sharded reactors over live loopback TCP)"
 # A few hundred concurrent kernel-socket sessions dealt across 2 reactor
@@ -116,21 +119,9 @@ step "c100k smoke (sharded reactors over live loopback TCP)"
 # oracle. A quiet shard aborts with a typed InpError::Stalled naming the
 # stuck sessions; the timeout is only the backstop for a bug in that very
 # stall detector.
-C100K="cargo run -q --release -p fractal-bench --bin c100k -- --smoke"
-if command -v timeout >/dev/null 2>&1; then
-    cargo build -q --release -p fractal-bench --bin c100k
-    status=0
-    timeout 120 $C100K || status=$?
-    if [ "$status" -ne 0 ]; then
-        if [ "$status" -eq 124 ]; then
-            echo "c100k smoke DEADLOCKED: no completion within 120 s —" >&2
-            echo "the shard stall detector itself failed to fire" >&2
-        fi
-        exit "$status"
-    fi
-else
-    $C100K
-fi
+cargo build -q --release -p fractal-bench --bin c100k
+guarded "the shard stall detector itself failed to fire" \
+    ./target/release/c100k --smoke
 
 step "introspection smoke (flight recorder + live /metrics plane)"
 # The same c100k smoke with the HTTP introspection sidecar attached
@@ -138,19 +129,8 @@ step "introspection smoke (flight recorder + live /metrics plane)"
 # by scraping its own /metrics and /healthz over the kernel socket and
 # asserts the wire bytes equal the in-process merged snapshot exactly —
 # a drift between the live plane and the registry exits nonzero here.
-INTRO="./target/release/c100k --smoke --introspect 0"
-if command -v timeout >/dev/null 2>&1; then
-    status=0
-    timeout 120 $INTRO || status=$?
-    if [ "$status" -ne 0 ]; then
-        if [ "$status" -eq 124 ]; then
-            echo "introspection smoke HUNG: the plane or the stall detector wedged" >&2
-        fi
-        exit "$status"
-    fi
-else
-    $INTRO
-fi
+guarded "the introspection plane or the stall detector wedged" \
+    ./target/release/c100k --smoke --introspect 0
 
 step "benchdiff self-check (committed baselines diff clean against themselves)"
 # Identity must be a fixed point: diffing a committed BENCH_*.json against
@@ -173,19 +153,8 @@ for scenario in burst_arrivals lossy_link partition_recovery \
                 handoff_renegotiation cache_stampede pad_rollout_rollback \
                 live_republish; do
     step "scenarios smoke ($scenario)"
-    SCEN="./target/release/scenarios --smoke --scenario $scenario"
-    if command -v timeout >/dev/null 2>&1; then
-        status=0
-        timeout 120 $SCEN || status=$?
-        if [ "$status" -ne 0 ]; then
-            if [ "$status" -eq 124 ]; then
-                echo "scenario $scenario HUNG: the stall detector never fired" >&2
-            fi
-            exit "$status"
-        fi
-    else
-        $SCEN
-    fi
+    guarded "the stall detector never fired" \
+        ./target/release/scenarios --smoke --scenario "$scenario"
 done
 
 step "BENCH_throughput.json carries per-link transport rows"
@@ -213,6 +182,18 @@ for key in '"republish"' '"publishes_per_sec"' '"divergent_decisions": 0'; do
         exit 1
     fi
 done
+
+step "benchmark (self-tests + quick suite against this tree's crates)"
+# benchmark/ is a package of its own with path dependencies on crates/*, so
+# neither the workspace build nor tier-1 compiles it: a refactor can break
+# the API surface it declares (PadRuntime::new, FractalClient::deploy_pad,
+# Testbed::client_with_env, ...) without turning anything above red. The
+# self-tests build it against this tree and check the harness; the quick
+# suite then runs all four workloads at smoke size, untraced and traced,
+# and exits nonzero if any session fails its correctness check. Its
+# numbers are a smoke test, not a measurement.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick
 
 # The full workspace suite (cargo test -q --workspace) additionally runs the
 # figure-regeneration tier; see CHANGES.md for the known calibration baseline

@@ -26,6 +26,20 @@ fn meta_for(artifact: &fractal::pads::PadArtifact, id: PadId) -> PadMeta {
     }
 }
 
+/// `PadMeta` for a hand-signed module, advertised honestly.
+fn meta_for_signed(signed: &SignedModule, id: PadId) -> PadMeta {
+    PadMeta {
+        id,
+        protocol: ProtocolId::Direct,
+        size: signed.wire_len() as u32,
+        overhead: pad_overhead(ProtocolId::Direct),
+        digest: signed.digest(),
+        url: String::new(),
+        parent: None,
+        children: vec![],
+    }
+}
+
 #[test]
 fn bit_flips_anywhere_in_the_artifact_are_rejected() {
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
@@ -68,16 +82,7 @@ fn signed_but_malformed_bytecode_is_rejected_by_verifier() {
     // Corrupt the code *before* signing: a wild jump.
     module.functions[0].code = vec![0x03, 0xFF, 0x00, 0x00, 0x00]; // Jmp +255
     let signed = SignedModule::sign(&module, &tb.signer);
-    let meta = PadMeta {
-        id: PadId(77),
-        protocol: ProtocolId::Direct,
-        size: signed.wire_len() as u32,
-        overhead: pad_overhead(ProtocolId::Direct),
-        digest: signed.digest(),
-        url: String::new(),
-        parent: None,
-        children: vec![],
-    };
+    let meta = meta_for_signed(&signed, PadId(77));
     let mut client = tb.client(ClientClass::DesktopLan);
     let err = client.deploy_pad(&meta, &signed.to_wire()).unwrap_err();
     assert!(matches!(err, FractalError::PadUnverifiable(_)), "{err:?}");
@@ -166,16 +171,7 @@ fn deploy_hostile(src: &str, tweak: impl FnOnce(&mut FractalClient)) -> FractalE
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let module = assemble(src).unwrap_or_else(|e| panic!("hostile source must assemble: {e}"));
     let signed = SignedModule::sign(&module, &tb.signer);
-    let meta = PadMeta {
-        id: PadId(99),
-        protocol: ProtocolId::Direct,
-        size: signed.wire_len() as u32,
-        overhead: pad_overhead(ProtocolId::Direct),
-        digest: signed.digest(),
-        url: String::new(),
-        parent: None,
-        children: vec![],
-    };
+    let meta = meta_for_signed(&signed, PadId(99));
     let mut client = tb.client(ClientClass::DesktopLan);
     tweak(&mut client);
     let err = client.deploy_pad(&meta, &signed.to_wire()).unwrap_err();
@@ -310,6 +306,178 @@ mod analyzer_soundness {
                 }
             }
         }
+    }
+}
+
+mod warm_admission_cache {
+    //! The admission cache shares *proofs*; it must not share *trust*.
+    //! Every attack here is mounted on a testbed whose cache already holds
+    //! the genuine PAD — the state in which a shortcut would pay.
+
+    use std::sync::Arc;
+
+    use super::*;
+    use fractal::pads::artifact::open_unchecked;
+    use fractal::pads::{PadArtifact, PadRuntime};
+    use fractal::protocols::DiffCodec;
+    use fractal::vm::{HostId, ModuleError};
+
+    /// A testbed on which a trusting client has deployed the genuine
+    /// `protocol` PAD, so its proof is cached under the default policy.
+    fn warmed(protocol: ProtocolId) -> (Testbed, PadArtifact, PadMeta, Vec<u8>) {
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        let artifact = build_pad(protocol, &tb.signer);
+        let meta = meta_for(&artifact, pad_id(protocol));
+        let wire = artifact.signed.to_wire();
+        let mut first = tb.client(ClientClass::LaptopWlan);
+        first.deploy_pad(&meta, &wire).unwrap();
+        assert_eq!((first.stats().admission_misses, first.stats().admission_hits), (1, 0));
+        assert_eq!(tb.admission.len(), 1);
+        (tb, artifact, meta, wire)
+    }
+
+    #[test]
+    fn a_second_trusting_client_hits_and_still_decodes() {
+        let (tb, _, meta, wire) = warmed(ProtocolId::Gzip);
+        let mut client = tb.client(ClientClass::PdaBluetooth);
+        client.deploy_pad(&meta, &wire).unwrap();
+        assert_eq!((client.stats().admission_misses, client.stats().admission_hits), (0, 1));
+        assert_eq!(tb.admission.len(), 1);
+        let page = b"the same proof, a sandbox of its own ".repeat(40);
+        let payload = fractal::protocols::gzip::Gzip.encode(&[], &page);
+        assert_eq!(client.decode_content(meta.id, 1, &payload).unwrap(), page);
+    }
+
+    #[test]
+    fn untrusting_client_is_refused_before_the_cache_is_consulted() {
+        let (tb, _, meta, wire) = warmed(ProtocolId::Gzip);
+        let mut client = tb.untrusting_client(ClientClass::LaptopWlan);
+        let err = client.deploy_pad(&meta, &wire).unwrap_err();
+        assert!(matches!(err, FractalError::PadRejected(ModuleError::Signature(_))), "{err:?}");
+        assert!(!client.is_deployed(meta.id));
+        let stats = client.stats();
+        assert_eq!(stats.pads_rejected, 1);
+        assert_eq!((stats.admission_hits, stats.admission_misses), (0, 0));
+    }
+
+    #[test]
+    fn one_flipped_byte_is_refused_and_leaves_the_cache_alone() {
+        let (tb, _, meta, wire) = warmed(ProtocolId::Gzip);
+        for pos in [0, 10, 30, wire.len() / 2, wire.len() - 1] {
+            let mut tampered = wire.clone();
+            tampered[pos] ^= 0x40;
+            let mut client = tb.client(ClientClass::LaptopWlan);
+            let err = client.deploy_pad(&meta, &tampered).unwrap_err();
+            assert!(matches!(err, FractalError::PadRejected(_)), "flip at {pos}: {err:?}");
+            assert_eq!(client.stats().admission_hits, 0, "flip at {pos} reached the cache");
+            assert_eq!(tb.admission.len(), 1, "flip at {pos} changed the cache");
+        }
+    }
+
+    #[test]
+    fn wrong_advertised_digest_is_a_mismatch_even_for_cached_bytes() {
+        let (tb, _, mut meta, wire) = warmed(ProtocolId::Gzip);
+        meta.digest = fractal::crypto::sha1::sha1(b"what the proxy never advertised");
+        let mut client = tb.client(ClientClass::LaptopWlan);
+        let err = client.deploy_pad(&meta, &wire).unwrap_err();
+        assert_eq!(err, FractalError::PadRejected(ModuleError::DigestMismatch));
+        assert_eq!(client.stats().admission_hits, 0);
+    }
+
+    #[test]
+    fn a_proof_under_the_default_policy_does_not_admit_under_a_tighter_one() {
+        let (tb, _, meta, wire) = warmed(ProtocolId::Bitmap);
+        let mut client = tb.client(ClientClass::PdaBluetooth);
+        client.policy = SandboxPolicy::for_pads().with_hosts(&[HostId::Abort, HostId::Log]);
+        let err = client.deploy_pad(&meta, &wire).unwrap_err();
+        assert!(
+            matches!(err, FractalError::PadUnverifiable(VerifyError::CapabilityViolation { .. })),
+            "{err:?}"
+        );
+        assert!(!client.is_deployed(meta.id));
+        assert_eq!(client.stats().admission_hits, 0, "policy must be part of the key");
+        assert_eq!(tb.admission.len(), 1, "a refusal is never cached");
+    }
+
+    #[test]
+    fn fuel_feasibility_is_judged_per_client() {
+        let (tb, _, meta, wire) = warmed(ProtocolId::Gzip);
+        let mut client = tb.client(ClientClass::LaptopWlan);
+        client.policy = SandboxPolicy::for_pads().with_fuel(3);
+        let err = client.deploy_pad(&meta, &wire).unwrap_err();
+        assert!(matches!(err, FractalError::PadInfeasible { budget: 3, .. }), "{err:?}");
+        assert!(!client.is_deployed(meta.id));
+        assert_eq!(client.stats().pads_rejected, 1);
+    }
+
+    #[test]
+    fn a_module_the_verifier_refuses_is_never_cached() {
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        let mut module = assemble(".memory 1\n.func decode args=6 locals=0\n ret\n").unwrap();
+        module.functions[0].code = vec![0x03, 0xFF, 0x00, 0x00, 0x00]; // Jmp +255
+        let signed = SignedModule::sign(&module, &tb.signer);
+        let meta = meta_for_signed(&signed, PadId(77));
+        // The same client twice, then a fresh one: every offer is
+        // re-examined and re-refused.
+        let mut client = tb.client(ClientClass::DesktopLan);
+        for attempt in 1..=2 {
+            let err = client.deploy_pad(&meta, &signed.to_wire()).unwrap_err();
+            assert!(matches!(err, FractalError::PadUnverifiable(_)), "{err:?}");
+            assert_eq!(client.stats().pads_rejected, attempt);
+            assert!(tb.admission.is_empty());
+        }
+        assert!(tb.client(ClientClass::LaptopWlan).deploy_pad(&meta, &signed.to_wire()).is_err());
+        assert!(tb.admission.is_empty());
+    }
+
+    #[test]
+    fn instances_of_one_admitted_pad_do_not_share_linear_memory() {
+        let (tb, artifact, ..) = warmed(ProtocolId::Gzip);
+        let policy = SandboxPolicy::for_pads();
+        let shared = Arc::new(open_unchecked(&artifact).analyzed(&policy).unwrap());
+        let mut a = PadRuntime::from_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
+        let mut b = PadRuntime::from_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
+        drop(tb);
+
+        let pages: Vec<Vec<u8>> = (1..=4u8)
+            .map(|k| format!("page {k}: {}", "adaptation ".repeat(50 * k as usize)).into_bytes())
+            .collect();
+        let payloads: Vec<_> =
+            pages.iter().map(|p| fractal::protocols::gzip::Gzip.encode(&[], p)).collect();
+
+        // Interleave: a and b always hold different payloads in memory.
+        for i in 0..pages.len() {
+            let j = (i + 1) % pages.len();
+            assert_eq!(a.decode(&[], &payloads[i]).unwrap(), pages[i]);
+            assert_eq!(b.decode(&[], &payloads[j]).unwrap(), pages[j]);
+        }
+        // Each spent exactly what a private instance spends on the same work.
+        let mut fresh_a = PadRuntime::new(open_unchecked(&artifact), policy.clone()).unwrap();
+        let mut fresh_b = PadRuntime::new(open_unchecked(&artifact), policy).unwrap();
+        for i in 0..pages.len() {
+            fresh_a.decode(&[], &payloads[i]).unwrap();
+            fresh_b.decode(&[], &payloads[(i + 1) % pages.len()]).unwrap();
+        }
+        assert_eq!(a.fuel_used(), fresh_a.fuel_used());
+        assert_eq!(b.fuel_used(), fresh_b.fuel_used());
+    }
+
+    #[test]
+    fn more_signed_modules_than_slots_never_overfill_the_cache() {
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        let slots = tb.admission.capacity();
+        let mut client = tb.client(ClientClass::DesktopLan);
+        for k in 0..slots as u64 + 8 {
+            let src = format!(".memory 1\n.func decode args=6 locals=0\n push {k}\n ret\n");
+            let signed = SignedModule::sign(&assemble(&src).unwrap(), &tb.signer);
+            let meta = meta_for_signed(&signed, PadId(1000 + k));
+            client.deploy_pad(&meta, &signed.to_wire()).unwrap();
+            assert!(tb.admission.len() <= slots, "{} slots after {k} modules", tb.admission.len());
+        }
+        assert_eq!(tb.admission.len(), slots);
+        assert_eq!(client.stats().admission_misses, slots as u64 + 8);
+        // Evicted modules stay deployed: a running instance owns its Arc.
+        assert!(client.is_deployed(PadId(1000)));
     }
 }
 
