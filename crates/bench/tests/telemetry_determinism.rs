@@ -1,11 +1,11 @@
 //! Determinism suite (`--features telemetry`): reactor batches recording
-//! into per-batch registries and tracers under virtual clocks produce
-//! byte-identical merged snapshots and span traces at 1, 2, 4, and 8
-//! worker threads.
+//! into per-batch registries and flight-recorder journals under virtual
+//! clocks produce byte-identical merged snapshots and phase traces at 1,
+//! 2, 4, and 8 worker threads.
 //!
 //! The recipe mirrors the throughput bin's discipline: each work unit is a
 //! pure function of its index (own testbed, own registry, own clock, own
-//! tracer), the work-stealing driver only decides *where* an index runs,
+//! journal), the work-stealing driver only decides *where* an index runs,
 //! and aggregation folds results in index order. Under that discipline the
 //! scheduler cannot leak into the numbers — which is exactly the claim the
 //! tentpole makes about `fractal-telemetry`.
@@ -19,7 +19,7 @@ use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, PHASE_METRICS};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_core::ClientClass;
-use fractal_telemetry::{Registry, Snapshot, Telemetry, Tracer, VirtualClock};
+use fractal_telemetry::{Journal, Registry, Snapshot, Telemetry, VirtualClock};
 
 /// Batches per run — enough to keep every worker in the 8-thread sweep
 /// stealing, small enough for a test binary.
@@ -33,12 +33,12 @@ fn page(item: usize, id: u32) -> Vec<u8> {
 }
 
 /// One self-contained work unit: a fresh testbed and a single-threaded
-/// reactor recording into a per-batch registry and tracer over a virtual
+/// reactor recording into a per-batch registry and journal over a virtual
 /// clock whose tick also depends only on the index. Returns the batch's
-/// snapshot and its rendered span tree.
+/// snapshot and its rendered journal (one line per phase transition).
 fn batch(item: usize) -> (Snapshot, String) {
     let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(7 + item as u64));
-    let tracer = Arc::new(Tracer::new(bundle.clock()));
+    let journal = Arc::new(Journal::new(256).with_clock(bundle.clock()));
 
     let mut tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let spare = Testbed::case_study(AdaptiveContentMode::Reactive).proxy;
@@ -48,7 +48,7 @@ fn batch(item: usize) -> (Snapshot, String) {
     }
 
     let cfg =
-        ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle).tracer(Arc::clone(&tracer));
+        ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle).journal(Arc::clone(&journal));
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     for s in 0..SESSIONS {
         let class = ClientClass::ALL[(item + s) % 3];
@@ -58,7 +58,7 @@ fn batch(item: usize) -> (Snapshot, String) {
     let report = reactor.run().expect("batch sessions complete");
     assert_eq!(report.failed, 0);
 
-    (bundle.snapshot(), format!("== batch {item} ==\n{}", tracer.render()))
+    (bundle.snapshot(), format!("== batch {item} ==\n{}", journal.snapshot().render()))
 }
 
 /// Runs all batches on `threads` workers and aggregates in index order.
@@ -76,8 +76,11 @@ fn sweep_at(threads: usize) -> (Snapshot, String) {
 #[test]
 fn snapshots_and_traces_identical_at_every_thread_count() {
     let (baseline_snap, baseline_trace) = sweep_at(1);
-    assert!(!baseline_trace.is_empty());
-    assert!(!baseline_trace.contains("dur=open"), "every span must close once the reactor drains");
+    assert_eq!(
+        baseline_trace.matches("kind=phase:Done\n").count(),
+        BATCHES * SESSIONS,
+        "every session's phase chain must close once the reactor drains:\n{baseline_trace}"
+    );
     for &threads in &THREAD_SWEEP[1..] {
         let (snap, trace) = sweep_at(threads);
         assert_eq!(snap, baseline_snap, "snapshot diverged at {threads} threads");

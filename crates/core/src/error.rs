@@ -113,25 +113,22 @@ impl From<PadError> for FractalError {
 
 /// The unified error surface of the event-driven INP stack.
 ///
-/// The endpoint state machines ([`ProtocolViolation`]), the session state
-/// machine ([`SessionError`]), the byte transport ([`TransportError`] /
-/// [`FrameError`]), and the reactor's stall diagnostic ([`ReactorStalled`])
-/// each keep their own precise type — but callers of the
+/// The INP core's state machines ([`SessionError`], client and service
+/// side alike), the byte transport ([`TransportError`] / [`FrameError`]),
+/// and the reactor's stall diagnostic ([`ReactorStalled`]) each keep
+/// their own precise type — but callers of the
 /// [`Reactor`](crate::reactor::Reactor) should not have to triple-match.
 /// Everything that crosses the reactor's public signatures (including
 /// [`InpSession::error`](crate::reactor::InpSession::error)) converges
 /// here via `From`.
 ///
-/// [`ProtocolViolation`]: crate::endpoint::ProtocolViolation
 /// [`SessionError`]: crate::reactor::SessionError
 /// [`TransportError`]: crate::transport::TransportError
 /// [`FrameError`]: crate::transport::FrameError
 /// [`ReactorStalled`]: crate::reactor::ReactorStalled
 #[derive(Clone, PartialEq, Debug)]
 pub enum InpError {
-    /// An endpoint state machine rejected a message (Figure 4 order).
-    Protocol(crate::endpoint::ProtocolViolation),
-    /// The session state machine failed.
+    /// The INP core failed or rejected a message (Figure 4 order).
     Session(crate::reactor::SessionError),
     /// The byte transport failed (e.g. closed mid-session).
     Transport(crate::transport::TransportError),
@@ -144,7 +141,6 @@ pub enum InpError {
 impl core::fmt::Display for InpError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            InpError::Protocol(e) => write!(f, "protocol violation: {e}"),
             InpError::Session(e) => write!(f, "session error: {e}"),
             InpError::Transport(e) => write!(f, "transport error: {e}"),
             InpError::Frame(e) => write!(f, "framing error: {e}"),
@@ -154,12 +150,6 @@ impl core::fmt::Display for InpError {
 }
 
 impl std::error::Error for InpError {}
-
-impl From<crate::endpoint::ProtocolViolation> for InpError {
-    fn from(e: crate::endpoint::ProtocolViolation) -> Self {
-        InpError::Protocol(e)
-    }
-}
 
 impl From<crate::reactor::SessionError> for InpError {
     fn from(e: crate::reactor::SessionError) -> Self {

@@ -16,11 +16,12 @@
 //!   search all root→leaf paths for the cheapest);
 //! * [`inp`] — the Interactive Negotiation Protocol of Figure 4, messages
 //!   and wire formats;
-//! * [`endpoint`] — the INP state machines that enforce Figure 4's message
-//!   order on both ends (the "protocol integrity" of the INP header);
-//! * [`reactor`] — the event-driven INP endpoint: per-session state
-//!   machines ([`reactor::InpSession`]) multiplexed by a poll-based
-//!   [`reactor::Reactor`] over one shared proxy + server pair;
+//! * [`reactor`] — event-driven INP: the sans-IO protocol core
+//!   ([`reactor::InpSession`] on the client side, [`reactor::InpService`]
+//!   on the service side — together the "protocol integrity" of the INP
+//!   header, Figure 4's message order enforced on both ends) under a
+//!   poll-based [`reactor::Reactor`] multiplexing many sessions over one
+//!   shared proxy + server pair;
 //! * [`fault`] — seeded fault injection over any transport pair: loss,
 //!   duplication, reorder, corruption, transient partitions, hard link
 //!   drops — each logged deterministically;
@@ -54,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod endpoint;
 pub mod epoch;
 pub mod error;
 pub mod fault;

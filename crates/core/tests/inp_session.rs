@@ -1,13 +1,17 @@
-//! Exhaustive transition coverage for the event-driven [`InpSession`]
-//! state machine: every phase × every message kind either advances the
-//! protocol or returns a typed [`SessionError`] — never a panic, and a
-//! rejected message never corrupts the phase.
+//! Exhaustive transition coverage for both halves of the sans-IO INP
+//! core: on the client side ([`InpSession`]) every phase × every message
+//! kind, on the service side ([`InpService`] + [`ServiceConn`]) every
+//! connection state × every message kind, either advances the protocol or
+//! returns a typed [`SessionError`] — never a panic, and a rejected
+//! message never corrupts the receiver's state.
 
 use bytes::Bytes;
 use fractal_core::inp::InpMessage;
 use fractal_core::meta::{AppId, PadId, PadMeta};
 use fractal_core::presets::ClientClass;
-use fractal_core::reactor::{InpSession, SessionError, SessionPhase};
+use fractal_core::reactor::{
+    encode_app_payload, InpService, InpSession, ServiceConn, SessionError, SessionPhase,
+};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_protocols::ProtocolId;
@@ -31,6 +35,15 @@ impl Fixture {
         Fixture { tb, pads }
     }
 
+    fn init_req(&self) -> InpMessage {
+        InpMessage::InitReq { app_id: self.tb.app_id, payload: b"req".to_vec() }
+    }
+
+    fn cli_meta_rep(&self) -> InpMessage {
+        let env = CLASS.env();
+        InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk }
+    }
+
     fn pad_meta_rep(&self) -> InpMessage {
         InpMessage::PadMetaRep { pads: self.pads.clone() }
     }
@@ -48,22 +61,39 @@ impl Fixture {
 
     /// One representative message per wire kind (9 kinds).
     fn all_kinds(&self) -> Vec<InpMessage> {
-        let env = CLASS.env();
         vec![
-            InpMessage::InitReq { app_id: self.tb.app_id, payload: b"req".to_vec() },
+            self.init_req(),
             InpMessage::InitRep,
             InpMessage::CliMetaReq,
-            InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk },
+            self.cli_meta_rep(),
             self.pad_meta_rep(),
             InpMessage::PadDownloadReq { pad_id: self.pads[0].id },
             self.pad_download_rep(),
             InpMessage::AppReq {
                 app_id: self.tb.app_id,
                 protocols: vec![self.pads[0].protocol],
-                payload: vec![],
+                payload: encode_app_payload(CONTENT_ID, None, 0),
             },
             self.app_rep(),
         ]
+    }
+
+    fn service(&self) -> InpService<'_> {
+        InpService { proxy: &self.tb.proxy, server: &self.tb.server, pad_repo: &self.tb.pad_repo }
+    }
+
+    /// A fresh service-side connection driven with real messages up to
+    /// the named state.
+    fn conn_at(&self, state: &str) -> ServiceConn {
+        let mut conn = ServiceConn::new();
+        for msg in [self.init_req(), self.cli_meta_rep()] {
+            if conn.state_name() == state {
+                break;
+            }
+            self.service().on_message(&mut conn, &msg).unwrap();
+        }
+        assert_eq!(conn.state_name(), state);
+        conn
     }
 
     /// A fresh session driven with real messages up to `phase`.
@@ -287,4 +317,138 @@ fn errors_display_useful_diagnostics() {
     assert!(SessionError::UnexpectedPad(PadId(4)).to_string().contains('4'));
     assert!(SessionError::WrongContent { expected: 1, got: 2 }.to_string().contains("expected 1"));
     assert_eq!(AppId(1), fx.tb.app_id);
+}
+
+/// The service side of the same discipline. The proxy leg advances on
+/// exactly one kind per state (`Cli_META_REP` before `INIT_REQ`, a second
+/// `INIT_REQ`, anything after `PAD_META_REP` are all rejected); PAD
+/// downloads and application requests are served in every state without
+/// moving it; kinds only a service ever sends are rejected everywhere.
+#[test]
+fn every_connection_state_times_every_message_kind() {
+    let fx = Fixture::new();
+    let matrix = [
+        ("AwaitInit", "INIT_REQ", "AwaitMetaRep", 2),
+        ("AwaitMetaRep", "Cli_META_REP", "Negotiated", 1),
+        ("Negotiated", "(nothing)", "Negotiated", 0),
+    ];
+    for (state, advances_on, next, replies) in matrix {
+        for msg in fx.all_kinds() {
+            let mut conn = fx.conn_at(state);
+            let result = fx.service().on_message(&mut conn, &msg);
+            let at = format!("{state} × {}", msg.name());
+            match msg.name() {
+                name if name == advances_on => {
+                    assert_eq!(result.expect(&at).len(), replies, "{at}");
+                    assert_eq!(conn.state_name(), next, "{at}");
+                }
+                "PAD_DOWNLOAD_REQ" | "APP_REQ" => {
+                    assert_eq!(result.expect(&at).len(), 1, "{at}");
+                    assert_eq!(conn.state_name(), state, "{at}: serving must not move the state");
+                }
+                name => {
+                    assert_eq!(
+                        result.expect_err(&at),
+                        SessionError::UnexpectedMessage { phase: state, message: name }
+                    );
+                    assert_eq!(conn.state_name(), state, "{at}: rejection must not move the state");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unknown_pad_download_req_is_pad_unavailable() {
+    let fx = Fixture::new();
+    let mut conn = ServiceConn::new();
+    let err = fx
+        .service()
+        .on_message(&mut conn, &InpMessage::PadDownloadReq { pad_id: PadId(999) })
+        .unwrap_err();
+    assert_eq!(err, SessionError::Fractal(fractal_core::FractalError::PadUnavailable(PadId(999))));
+}
+
+#[test]
+fn garbage_app_req_payload_is_a_typed_wire_error() {
+    let fx = Fixture::new();
+    let mut conn = fx.conn_at("Negotiated");
+    let garbage = InpMessage::AppReq {
+        app_id: fx.tb.app_id,
+        protocols: vec![fx.pads[0].protocol],
+        payload: vec![0xDE, 0xAD],
+    };
+    let err = fx.service().on_message(&mut conn, &garbage).unwrap_err();
+    assert!(matches!(err, SessionError::Fractal(fractal_core::FractalError::Wire(_))), "{err:?}");
+    assert_eq!(conn.state_name(), "Negotiated");
+}
+
+/// After a handoff rewind the connection awaits a fresh `INIT_REQ`, and
+/// the old generation's negotiation frames still on the wire are dropped
+/// (no reply, no error, no state change) — while kinds a client never
+/// sends stay typed rejections.
+#[test]
+fn rewound_connection_drops_stale_negotiation_frames() {
+    let fx = Fixture::new();
+    let (init_req, cli_meta_rep) = (&fx.init_req(), &fx.cli_meta_rep());
+    for state in ["AwaitInit", "AwaitMetaRep", "Negotiated"] {
+        let mut conn = fx.conn_at(state);
+        conn.rewind();
+        assert_eq!(conn.state_name(), "AwaitInit", "rewound from {state}");
+        // The old generation's Cli_META_REP arrives before the new INIT_REQ.
+        assert!(fx.service().on_message(&mut conn, cli_meta_rep).unwrap().is_empty());
+        assert_eq!(conn.state_name(), "AwaitInit");
+        assert_eq!(fx.service().on_message(&mut conn, init_req).unwrap().len(), 2);
+        // ... and so does a second INIT_REQ behind the one that was served.
+        assert!(fx.service().on_message(&mut conn, init_req).unwrap().is_empty());
+        assert_eq!(conn.state_name(), "AwaitMetaRep");
+        assert!(matches!(
+            fx.service().on_message(&mut conn, &InpMessage::InitRep),
+            Err(SessionError::UnexpectedMessage { .. })
+        ));
+        // The exchange then completes normally.
+        assert_eq!(fx.service().on_message(&mut conn, cli_meta_rep).unwrap().len(), 1);
+        assert_eq!(conn.state_name(), "Negotiated");
+    }
+}
+
+/// Drives the complete Figure 4 exchange between the two halves of the
+/// core over serialized bytes, with no reactor and no transport: the core
+/// is usable on its own.
+#[test]
+fn full_exchange_between_the_two_halves_over_serialized_bytes() {
+    let fx = Fixture::new();
+    let mut session = fx.session_at(SessionPhase::Init, false);
+    let mut conn = ServiceConn::new();
+    assert!(InpMessage::from_bytes(b"garbage").is_err(), "malformed bytes never reach the core");
+
+    let mut to_service = session.start().unwrap();
+    let mut deliveries = 0;
+    while !to_service.is_empty() {
+        let mut to_client = Vec::new();
+        for msg in to_service.drain(..) {
+            let on_wire = InpMessage::from_bytes(&msg.to_bytes()).unwrap();
+            to_client.extend(fx.service().on_message(&mut conn, &on_wire).unwrap());
+        }
+        for msg in to_client {
+            // The negotiated PADs are gated on the phase: unknown until
+            // PAD_META_REP has been processed.
+            assert_eq!(
+                session.negotiated().is_some(),
+                session.phase().index() >= SessionPhase::PadDownload.index(),
+            );
+            let on_wire = InpMessage::from_bytes(&msg.to_bytes()).unwrap();
+            to_service.extend(session.on_message(&on_wire).unwrap());
+            deliveries += 1;
+        }
+    }
+    // INIT_REP, Cli_META_REQ, PAD_META_REP, PAD_DOWNLOAD_REP, APP_REP.
+    assert_eq!(deliveries, 5);
+    assert_eq!(session.phase(), SessionPhase::Done);
+    assert_eq!(conn.state_name(), "Negotiated");
+    assert_eq!(session.negotiated().unwrap(), fx.pads.as_slice());
+    assert_eq!(
+        session.client().cached_content(CONTENT_ID).unwrap().bytes,
+        fx.tb.server.content(CONTENT_ID, 0).unwrap()
+    );
 }

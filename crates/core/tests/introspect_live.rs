@@ -13,7 +13,7 @@ use fractal_core::introspect::{
     http_get, parse_prometheus, response_body, IntrospectServer, IntrospectSource,
 };
 use fractal_core::presets::ClientClass;
-use fractal_core::reactor::{InpSession, ReactorConfig};
+use fractal_core::reactor::{InpSession, ReactorConfig, TRANSPORT_QUEUE_METRIC};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::shard::ShardedReactor;
 use fractal_core::testbed::Testbed;
@@ -66,12 +66,16 @@ fn live_scrapes_are_monotonic_and_final_scrape_reconciles_exactly() {
         assert!(resp.starts_with("HTTP/1.0 200 OK\r\n"), "{resp}");
     }
 
-    // Monotonicity: no series ever decreases between consecutive scrapes
-    // (gauges excluded — peak_in_flight legitimately tracks a maximum,
-    // which is also non-decreasing here, so check everything).
+    // Monotonicity: no series ever decreases between consecutive scrapes.
+    // The one exception is the queue-depth gauge, a level that drains as
+    // the run progresses (peak_in_flight is a gauge too, but tracks a
+    // maximum, so it is checked like everything else).
     let mut last: HashMap<String, f64> = HashMap::new();
     for (i, resp) in scrapes.iter().enumerate() {
         for (name, value) in parse_prometheus(response_body(resp)) {
+            if name.starts_with(TRANSPORT_QUEUE_METRIC) {
+                continue;
+            }
             if let Some(prev) = last.get(&name) {
                 assert!(value >= *prev, "scrape {i}: {name} went backwards ({prev} -> {value})");
             }

@@ -8,6 +8,7 @@ use fractal_core::meta::{
 use fractal_core::overhead::OverheadModel;
 use fractal_core::pat::Pat;
 use fractal_core::ratio::Ratios;
+use fractal_core::reactor::{decode_app_payload, encode_app_payload};
 use fractal_core::search::search;
 use fractal_net::link::LinkKind;
 use fractal_protocols::ProtocolId;
@@ -55,6 +56,25 @@ proptest! {
     #[test]
     fn inp_parser_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
         let _ = InpMessage::from_bytes(&bytes);
+    }
+
+    /// `APP_REQ` payload parsing is total on arbitrary bytes: a value or a
+    /// typed error, never a panic.
+    #[test]
+    fn app_payload_parser_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+        let _ = decode_app_payload(&bytes);
+    }
+
+    /// `decode_app_payload ∘ encode_app_payload = id`.
+    #[test]
+    fn app_payload_round_trips(
+        content_id in any::<u32>(),
+        (holds, held) in (any::<bool>(), any::<u32>()),
+        want in any::<u32>(),
+    ) {
+        let have = holds.then_some(held);
+        let bytes = encode_app_payload(content_id, have, want);
+        prop_assert_eq!(decode_app_payload(&bytes), Ok((content_id, have, want)));
     }
 
     /// AppMeta parsing is total on arbitrary bytes.

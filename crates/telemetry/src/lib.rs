@@ -10,7 +10,6 @@
 //!   associative, deterministic snapshot merge;
 //! - [`registry`] — a sharded `&self` name→handle map, snapshots rendered
 //!   as a Prometheus text page or as JSON for embedding in `BENCH_*.json`;
-//! - [`span`] — nested span traces over a pluggable clock;
 //! - [`journal`] — the flight recorder: per-shard bounded ring-buffer
 //!   event journals with a deterministic, associative snapshot merge
 //!   and a per-session `tail` query;
@@ -26,7 +25,7 @@
 //! Consumers instrument unconditionally; a disabled build compiles every
 //! recording call to nothing (no dynamic dispatch, no branches — the
 //! cheapest possible "off"). The real modules are always compiled and
-//! tested either way, and plain-data types (snapshots, clocks, tracers)
+//! tested either way, and plain-data types (snapshots, clocks, journals)
 //! are never gated, so diagnostics like stalled-session phase timings
 //! work in every build.
 //!
@@ -42,13 +41,11 @@ pub mod metrics;
 #[cfg(not(feature = "enabled"))]
 mod noop;
 pub mod registry;
-pub mod span;
 
 pub use clock::{Clock, MonotonicClock, NullClock, SharedClock, VirtualClock};
 pub use journal::{Event, Journal, JournalSnapshot, KindId, SessionJournal};
 pub use metrics::HistogramSnapshot;
 pub use registry::{Registry, Snapshot};
-pub use span::{SpanId, Tracer};
 
 /// Whether this build records telemetry. `const`, so `if
 /// fractal_telemetry::enabled() { … }` costs nothing when off.

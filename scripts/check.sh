@@ -4,9 +4,10 @@
 #
 #   scripts/check.sh          # everything, including the release-build
 #                             # smoke gates and the benchmark's quick suite
-#   scripts/check.sh --quick  # fmt + clippy + tier-1 tests only (skips the
-#                             # release throughput build; what you want in
-#                             # an edit-test loop or a time-boxed CI lane)
+#   scripts/check.sh --quick  # fmt + unsafe audit + clippy + tier-1 tests
+#                             # only (skips the release throughput build;
+#                             # what you want in an edit-test loop or a
+#                             # time-boxed CI lane)
 #
 # On failure the script exits nonzero and names the step that failed, so a
 # red CI run points at the culprit without scrolling.
@@ -61,6 +62,19 @@ guarded() {
 
 step "cargo fmt --check"
 cargo fmt --all --check
+
+# DESIGN.md §7 says every `unsafe` block, fn, impl and extern lives in the
+# poll(2)/rlimit bindings; this makes that a checked claim. `deny(unsafe_code)`
+# already covers fractal-core; the grep also covers the crates and shims
+# that carry no such attribute.
+step "unsafe confined to crates/core/src/sys.rs"
+stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crates src shims \
+    | grep -v '^crates/core/src/sys\.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "unsafe code outside crates/core/src/sys.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
 
 # The default build is the NO-telemetry build: every recording call must
 # compile to a zero-sized no-op and stay clippy-clean without the feature.
