@@ -22,7 +22,7 @@
 //!   per client environment, computed before any sockets exist);
 //! * **telemetry reconciliation** — each shard's registry must agree
 //!   exactly with its reactor report, and the merged snapshot with the
-//!   aggregate (when built with `--features telemetry`).
+//!   aggregate.
 //!
 //! Results land as the `"c100k"` section of `BENCH_throughput.json`
 //! (spliced in next to the thread-sweep results; `--smoke` skips the
@@ -52,7 +52,7 @@ mod imp {
 
     use fractal_bench::bench_env::BenchEnv;
     use fractal_bench::fig9a::client_env;
-    use fractal_bench::report::{render_table, upsert_top_level};
+    use fractal_bench::report::{print_phase_latencies, render_table, upsert_top_level};
     use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
     use fractal_core::meta::PadMeta;
     use fractal_core::reactor::{InpSession, ReactorConfig, PHASE_METRICS};
@@ -88,28 +88,9 @@ mod imp {
     struct Row {
         shards: usize,
         sessions_per_sec: f64,
-        /// Per-phase (p50 ns, p99 ns) in [`PHASE_METRICS`] order; `None`
-        /// when telemetry is compiled out.
-        phase_ns: Option<[(u64, u64); 5]>,
+        /// Per-phase (p50 ns, p99 ns) in [`PHASE_METRICS`] order.
+        phase_ns: [(u64, u64); 5],
         polls: u64,
-    }
-
-    /// Prints the merged per-phase latency distribution for one row.
-    fn print_phase_latencies(shards: usize, snap: &Snapshot) {
-        if !fractal_telemetry::enabled() {
-            return;
-        }
-        println!("  INP phase latency at {shards} shard(s) (merged over shards):");
-        for name in PHASE_METRICS {
-            if let Some(h) = snap.histograms.get(name) {
-                println!(
-                    "    {name:<36} p50 {:>12} ns   p99 {:>12} ns   n={}",
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.count
-                );
-            }
-        }
     }
 
     /// The `"c100k"` JSON member spliced into `BENCH_throughput.json`.
@@ -123,34 +104,25 @@ mod imp {
         v.push_str("    \"decisions_identical_with_serial_oracle\": true,\n");
         v.push_str("    \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
-            let phases = match &r.phase_ns {
-                None => "null".to_string(),
-                Some(per) => {
-                    let members: Vec<String> = PHASE_METRICS
-                        .iter()
-                        .zip(per.iter())
-                        .map(|(name, &(p50, p99))| {
-                            let short = name.strip_prefix("fractal_inp_phase_ns_").unwrap_or(name);
-                            format!("\"{short}\": {{\"p50_ns\": {p50}, \"p99_ns\": {p99}}}")
-                        })
-                        .collect();
-                    format!("{{{}}}", members.join(", "))
-                }
-            };
+            let phases: Vec<String> = PHASE_METRICS
+                .iter()
+                .zip(r.phase_ns.iter())
+                .map(|(name, &(p50, p99))| {
+                    let short = name.strip_prefix("fractal_inp_phase_ns_").unwrap_or(name);
+                    format!("\"{short}\": {{\"p50_ns\": {p50}, \"p99_ns\": {p99}}}")
+                })
+                .collect();
             v.push_str(&format!(
                 "      {{\"shards\": {}, \"sessions_per_sec\": {:.0}, \
-                 \"peak_in_flight\": {n_sessions}, \"polls\": {}, \"phase_ns\": {phases}}}{}\n",
+                 \"peak_in_flight\": {n_sessions}, \"polls\": {}, \"phase_ns\": {{{}}}}}{}\n",
                 r.shards,
                 r.sessions_per_sec,
                 r.polls,
+                phases.join(", "),
                 if i + 1 < rows.len() { "," } else { "" }
             ));
         }
-        if telem.is_empty() {
-            v.push_str("    ],\n    \"telemetry\": null\n  }");
-        } else {
-            v.push_str(&format!("    ],\n    \"telemetry\": {}\n  }}", telem.to_json("    ")));
-        }
+        v.push_str(&format!("    ],\n    \"telemetry\": {}\n  }}", telem.to_json("    ")));
         v
     }
 
@@ -246,12 +218,10 @@ mod imp {
             outcome.reconcile().expect("per-shard telemetry must reconcile with reports");
 
             let merged = outcome.merged_snapshot();
-            print_phase_latencies(shards, &merged);
-            let phase_ns = fractal_telemetry::enabled().then(|| {
-                std::array::from_fn(|i| {
-                    let h = &merged.histograms[PHASE_METRICS[i]];
-                    (h.quantile(0.50), h.quantile(0.99))
-                })
+            print_phase_latencies(&format!("{shards} shard(s) (merged over shards)"), &merged);
+            let phase_ns = std::array::from_fn(|i| {
+                let h = &merged.histograms[PHASE_METRICS[i]];
+                (h.quantile(0.50), h.quantile(0.99))
             });
             last_snapshot = outcome.labeled_snapshot();
 
@@ -296,16 +266,13 @@ mod imp {
         let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
-                let (p50, p99) = match &r.phase_ns {
-                    // Sessioning is the longest phase — the headline pair.
-                    Some(per) => (format!("{}", per[4].0 / 1_000), format!("{}", per[4].1 / 1_000)),
-                    None => ("-".into(), "-".into()),
-                };
+                // Sessioning is the longest phase — the headline pair.
+                let (p50, p99) = r.phase_ns[4];
                 vec![
                     r.shards.to_string(),
                     format!("{:.0}", r.sessions_per_sec),
-                    p50,
-                    p99,
+                    (p50 / 1_000).to_string(),
+                    (p99 / 1_000).to_string(),
                     r.polls.to_string(),
                 ]
             })
@@ -318,11 +285,6 @@ mod imp {
             "\n{n_sessions} live-socket sessions per row, peak in-flight = {n_sessions} at every \
              shard count; decisions identical with the serial oracle: yes"
         );
-        if !fractal_telemetry::enabled() {
-            println!(
-                "(telemetry feature off: rebuild with --features telemetry for phase latency)"
-            );
-        }
 
         if smoke {
             println!("(--smoke: not writing BENCH_throughput.json)");

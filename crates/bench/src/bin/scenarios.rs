@@ -50,7 +50,7 @@ use fractal_core::error::InpError;
 use fractal_core::fault::{FaultKind, FaultLog, FaultPlan};
 use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
 use fractal_core::meta::{ClientEnv, PadMeta};
-use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, SessionPhase};
+use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport, SessionPhase};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_core::transport::{LoopbackTransport, SimLinkTransport};
@@ -172,23 +172,19 @@ fn run_bundle() -> (Telemetry, fractal_telemetry::SharedClock, Arc<Journal>) {
     (tele, clock, journal)
 }
 
-/// Asserts the run bundle's reactor counters agree with the accumulated
-/// reactor reports — the telemetry-reconciliation leg of the contract.
-fn reconcile(snap: &Snapshot, completed: usize, failed: usize) {
-    if !fractal_telemetry::enabled() {
-        return;
-    }
-    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert_eq!(
-        counter("fractal_reactor_completed_total"),
-        completed as u64,
-        "telemetry disagrees with reactor reports on completions"
-    );
-    assert_eq!(
-        counter("fractal_reactor_failed_total"),
-        failed as u64,
-        "telemetry disagrees with reactor reports on failures"
-    );
+/// The telemetry-reconciliation leg of the contract: every scenario's run
+/// bundle must agree with its reactor report(s)
+/// ([`ReactorReport::reconcile`]).
+const RECONCILE: &str = "telemetry disagrees with the reactor reports";
+
+/// Folds one wave's report into the scenario total, the way the shared
+/// run bundle sees consecutive reactors: counters add, the peak gauge
+/// keeps the maximum.
+fn add_wave(total: &mut ReactorReport, wave: ReactorReport) {
+    total.completed += wave.completed;
+    total.failed += wave.failed;
+    total.polls += wave.polls;
+    total.peak_in_flight = total.peak_in_flight.max(wave.peak_in_flight);
 }
 
 fn testbed_with_pages() -> Testbed {
@@ -256,7 +252,7 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         decision_fp = fold(decision_fp, fp);
     }
     let snap = bundle.snapshot();
-    reconcile(&snap, n, 0);
+    report.reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: n,
         completed: n,
@@ -358,7 +354,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         );
     }
     let snap = bundle.snapshot();
-    reconcile(&snap, completed, failed);
+    reactor.report().reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: n,
         completed,
@@ -419,7 +415,7 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
     }
     assert!(healed > 0, "no session ever saw its partition heal");
     let snap = bundle.snapshot();
-    reconcile(&snap, n, 0);
+    report.reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: n,
         completed: n,
@@ -505,7 +501,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
         decision_fp = fold(decision_fp, fp);
     }
     let snap = bundle.snapshot();
-    reconcile(&snap, n, 0);
+    report.reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: n,
         completed: n,
@@ -549,6 +545,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
     let before = tb.proxy.stats();
     assert_eq!((before.cache_hits, before.cache_misses), (0, 0), "scenario proxy must be cold");
     let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut total = ReactorReport::default();
     for wave in 0..2 {
         let cfg = ReactorConfig::new()
             .clock(Arc::clone(&clock))
@@ -570,6 +567,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
         let report =
             reactor.run().map_err(|e| fail(format!("stampede wave {wave} stalled: {e}")))?;
         assert_eq!((report.completed, report.failed), (n, 0), "stampede wave {wave} broke");
+        add_wave(&mut total, report);
         for (i, s) in reactor.into_sessions().iter().enumerate() {
             let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
             assert_eq!(fp, oracle[i], "wave {wave} session {i} diverged from the oracle");
@@ -584,7 +582,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
     assert_eq!(stats.cache_hits, n as u64, "wave two must be answered entirely from cache");
 
     let snap = bundle.snapshot();
-    reconcile(&snap, 2 * n, 0);
+    total.reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: 2 * n,
         completed: 2 * n,
@@ -626,7 +624,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
     let mut clients: Vec<fractal_core::client::FractalClient> =
         (0..n).map(|i| tb.client_with_env(client_env(i))).collect();
     let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
-    let mut completed = 0usize;
+    let mut total = ReactorReport::default();
     // (wave, version to request, bytes that version must decode to)
     let waves: [(&str, u32, &[u8]); 3] =
         [("rollout-base", 0, &v0_bytes), ("rollout", 1, &v1_bytes), ("rollback", 2, &v0_bytes)];
@@ -650,7 +648,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         }
         let report = reactor.run().map_err(|e| fail(format!("{label} wave stalled: {e}")))?;
         assert_eq!((report.completed, report.failed), (n, 0), "{label} wave broke sessions");
-        completed += report.completed;
+        add_wave(&mut total, report);
         for (i, session) in reactor.into_sessions().into_iter().enumerate() {
             if w == 0 {
                 let fp = fingerprint(session.negotiated().expect("cold session negotiated"));
@@ -674,7 +672,8 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         assert_eq!(stats.protocol_cache_hits, 2, "client {i} missed its protocol cache");
     }
     let snap = bundle.snapshot();
-    reconcile(&snap, completed, 0);
+    total.reconcile(&snap).expect(RECONCILE);
+    let completed = total.completed;
     Ok(Outcome {
         sessions: completed,
         completed,
@@ -772,7 +771,7 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     assert_eq!(epoch.live, 1, "superseded generations must be reclaimed: {epoch:?}");
 
     let snap = bundle.snapshot();
-    reconcile(&snap, n, 0);
+    report.reconcile(&snap).expect(RECONCILE);
     Ok(Outcome {
         sessions: n,
         completed: n,
@@ -823,11 +822,7 @@ fn row_json(env: &BenchEnv, o: &Outcome) -> String {
         v.push_str(&format!("      \"{k}\": {val},\n"));
     }
     v.push_str("      \"runs\": 2, \"deterministic_across_runs\": true,\n");
-    if o.telemetry.is_empty() {
-        v.push_str("      \"telemetry\": null\n    }");
-    } else {
-        v.push_str(&format!("      \"telemetry\": {}\n    }}", o.telemetry.to_json("      ")));
-    }
+    v.push_str(&format!("      \"telemetry\": {}\n    }}", o.telemetry.to_json("      ")));
     v
 }
 
@@ -910,9 +905,7 @@ fn main() {
                 // run died.
                 report.push_str("\n== telemetry snapshot of the failing pass ==\n");
                 if f.telemetry.is_empty() {
-                    report.push_str(
-                        "(empty: telemetry feature compiled out, or failure before first record)\n",
-                    );
+                    report.push_str("(empty: failure before first record)\n");
                 } else {
                     report.push_str(&f.telemetry.render_prometheus());
                 }

@@ -45,10 +45,9 @@
 //! `BENCH_throughput.json` (skipped under `--smoke`, the CI gate mode,
 //! which also trims the sweep to 1–2 threads).
 //!
-//! Built with `--features telemetry`, every pass also records into the
-//! process-global registry: each reactor pass prints its p50/p99 INP
-//! phase latencies (from a snapshot diff around the pass, so passes don't
-//! bleed into each other), the final registry snapshot is embedded under
+//! Every pass also records into the process-global registry: each reactor
+//! pass prints its p50/p99 INP phase latencies (from a snapshot diff
+//! around the pass, so passes don't bleed into each other), the final registry snapshot is embedded under
 //! the `"telemetry"` key of `BENCH_throughput.json`, and the run aborts
 //! unless the registry's cache/memo counters reconcile *exactly* with
 //! [`ProxyStats`] — the registry is the source of truth, the struct
@@ -60,7 +59,7 @@ use std::time::{Duration, Instant};
 use fractal_bench::bench_env::BenchEnv;
 use fractal_bench::fig9a::client_env;
 use fractal_bench::parallel::{self, THREAD_SWEEP};
-use fractal_bench::report::render_table;
+use fractal_bench::report::{print_phase_latencies, render_table};
 use fractal_bench::workbench::WORKLOAD_SEED;
 use fractal_core::meta::PadMeta;
 use fractal_core::presets::ClientClass;
@@ -262,26 +261,6 @@ fn reactor_pass(
     (rate, per_batch.into_iter().flatten().collect())
 }
 
-/// Prints the per-pass p50/p99 of every INP phase histogram from `pass`
-/// (a snapshot diff covering exactly one reactor pass). No-op when the
-/// telemetry feature is off — the diff is empty then.
-fn print_phase_latencies(threads: usize, pass: &Snapshot) {
-    if !fractal_telemetry::enabled() {
-        return;
-    }
-    println!("  INP phase latency at {threads} thread(s):");
-    for name in PHASE_METRICS {
-        if let Some(h) = pass.histograms.get(name) {
-            println!(
-                "    {name:<36} p50 {:>12} ns   p99 {:>12} ns   n={}",
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.count
-            );
-        }
-    }
-}
-
 /// Aborts unless the registry mirrors [`ProxyStats`] exactly: cache
 /// hit/miss counters match 1:1, and memo hits + misses partition the
 /// misses (every proxy-cache miss runs `compute` exactly once). Also
@@ -358,8 +337,8 @@ struct Republish {
     publishes_per_sec: f64,
     reader_sessions: usize,
     reader_sessions_per_sec: f64,
-    /// Worst per-phase p99 ratio vs the quiet pass (`None` when the
-    /// telemetry feature is off or a quiet histogram was empty).
+    /// Worst per-phase p99 ratio vs the quiet pass (`None` only if every
+    /// quiet phase p99 read 0 ns).
     p99_ratio: Option<f64>,
     /// The server's epoch generation counter after the pass.
     server_generation: u64,
@@ -551,11 +530,7 @@ fn write_json(
         republish.p99_ratio.map_or("null".into(), |r| format!("{r:.3}"))
     ));
     out.push_str(&format!("    \"server_generation\": {}\n  }},\n", republish.server_generation));
-    if telem.is_empty() {
-        out.push_str("  \"telemetry\": null\n}\n");
-    } else {
-        out.push_str(&format!("  \"telemetry\": {}\n}}\n", telem.to_json("  ")));
-    }
+    out.push_str(&format!("  \"telemetry\": {}\n}}\n", telem.to_json("  ")));
     std::fs::write(path, out).expect("write benchmark JSON");
 }
 
@@ -627,7 +602,7 @@ fn main() {
             "reactor decisions diverged from the serial oracle at {threads} threads"
         );
         let pass_diff = Telemetry::global().snapshot().diff(&before_pass);
-        print_phase_latencies(threads, &pass_diff);
+        print_phase_latencies(&format!("{threads} thread(s)"), &pass_diff);
         // The widest sweep entry's diff is the quiet baseline the
         // live-republish pass compares its p99s against (last wins:
         // the sweep ascends).
@@ -739,11 +714,7 @@ fn main() {
     );
 
     let telem = Telemetry::global().snapshot();
-    if fractal_telemetry::enabled() {
-        reconcile_telemetry(&tb, &telem);
-    } else {
-        println!("(telemetry feature off: rebuild with --features telemetry to record metrics)");
-    }
+    reconcile_telemetry(&tb, &telem);
 
     if smoke {
         println!("(--smoke: not writing BENCH_throughput.json)");

@@ -1,7 +1,6 @@
-//! Determinism suite (`--features telemetry`): reactor batches recording
-//! into per-batch registries and flight-recorder journals under virtual
-//! clocks produce byte-identical merged snapshots and phase traces at 1,
-//! 2, 4, and 8 worker threads.
+//! Determinism suite: reactor batches recording into per-batch registries
+//! and flight-recorder journals under virtual clocks produce byte-identical
+//! merged snapshots and phase traces at 1, 2, 4, and 8 worker threads.
 //!
 //! The recipe mirrors the throughput bin's discipline: each work unit is a
 //! pure function of its index (own testbed, own registry, own clock, own
@@ -9,8 +8,6 @@
 //! and aggregation folds results in index order. Under that discipline the
 //! scheduler cannot leak into the numbers — which is exactly the claim the
 //! tentpole makes about `fractal-telemetry`.
-
-#![cfg(feature = "telemetry")]
 
 use std::sync::Arc;
 

@@ -68,8 +68,7 @@ pub struct ClientStats {
 }
 
 /// Pre-bound telemetry handles mirroring [`ClientStats`] plus the PAD
-/// acceptance costs (download bytes, gauntlet wall time). Zero-sized
-/// no-ops unless the `telemetry` feature is on.
+/// acceptance costs (download bytes, gauntlet wall time).
 struct ClientTelemetry {
     bundle: fractal_telemetry::Telemetry,
     protocol_cache_hits: fractal_telemetry::Counter,

@@ -442,17 +442,12 @@ mod tests {
             source.merged_snapshot().render_prometheus(),
             "scrape must reconcile exactly with the in-process snapshot"
         );
-        if fractal_telemetry::enabled() {
-            let series = parse_prometheus(response_body(&scraped));
-            assert!(series.iter().any(|(n, v)| n == "fractal_demo_total" && *v == 41.0));
-        }
+        let series = parse_prometheus(response_body(&scraped));
+        assert!(series.iter().any(|(n, v)| n == "fractal_demo_total" && *v == 41.0));
     }
 
     #[test]
     fn retire_folds_into_baseline_and_keeps_counters_monotonic() {
-        if !fractal_telemetry::enabled() {
-            return;
-        }
         let source = IntrospectSource::new();
         let (tele, journal) = bundle();
         tele.counter("fractal_runs_total").inc();

@@ -76,8 +76,7 @@ pub struct ProxyStats {
 type Key = (ClientEnv, AppId);
 
 /// Pre-bound telemetry handles: one registry lookup per name at proxy
-/// construction, zero lookups on the hot path. With the `telemetry`
-/// feature off these are zero-sized no-ops and every call compiles away.
+/// construction, zero lookups on the hot path.
 struct ProxyTelemetry {
     bundle: fractal_telemetry::Telemetry,
     cache_hits: fractal_telemetry::Counter,

@@ -88,10 +88,10 @@ pub const PHASE_METRICS: [&str; SessionPhase::TIMED] = [
 /// `writable()` budget, summed over the reactor's live sessions.
 pub const TRANSPORT_QUEUE_METRIC: &str = "fractal_transport_queue_depth";
 
-/// Pre-bound reactor metrics (no-ops unless the `telemetry` feature is
-/// on): per-phase latency histograms plus the [`ReactorReport`] counters,
-/// so the registry is the single source of truth for what the report
-/// struct summarizes.
+/// Pre-bound reactor metrics: per-phase latency histograms plus the
+/// [`ReactorReport`] counters, so the registry is the single source of
+/// truth for what the report struct summarizes
+/// ([`ReactorReport::reconcile`] checks exactly that).
 struct ReactorTelemetry {
     phase_ns: [fractal_telemetry::Histogram; SessionPhase::TIMED],
     completed: fractal_telemetry::Counter,
@@ -217,18 +217,20 @@ pub struct Reactor<'a> {
     /// deliveries surface as [`FrameError::Corrupt`](crate::transport::FrameError::Corrupt).
     checksums: bool,
     polls: u64,
+    /// Running count of live (non-terminal) sessions: `+1` per spawn, `−1`
+    /// where [`sync_phase`](Self::sync_phase) observes the terminal
+    /// transition. What [`in_flight`](Self::in_flight) returns.
+    live: usize,
     peak_in_flight: usize,
     /// Running total of [`queued_frames`](Self::queued_frames), kept where
     /// frames are queued, flushed and cleared — what the backpressure
     /// gauge is fed from.
     tx_frames: usize,
-    /// Time source for per-phase accounting. Never feature-gated: stall
-    /// diagnostics carry real timings in every build.
+    /// Time source for per-phase accounting and stall diagnostics.
     clock: SharedClock,
     tele: ReactorTelemetry,
     /// Flight recorder shared by every session this reactor drives
-    /// (normally the shard's journal). Never feature-gated: like the
-    /// clock, stall causality must work in every build.
+    /// (normally the shard's journal).
     journal: Option<(Arc<Journal>, JournalKinds)>,
 }
 
@@ -265,6 +267,7 @@ impl<'a> Reactor<'a> {
             profile: config.transport,
             checksums: config.frame_checksums,
             polls: 0,
+            live: 0,
             peak_in_flight: 0,
             tx_frames: 0,
             clock: config.clock.unwrap_or_else(MonotonicClock::shared),
@@ -319,8 +322,9 @@ impl<'a> Reactor<'a> {
         });
         self.send(id, CLIENT, &opening);
         self.ready.push_back(id);
+        self.live += 1;
         self.sync_phase(id);
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight());
+        self.peak_in_flight = self.peak_in_flight.max(self.live);
         self.tele.peak_in_flight.set_max(self.peak_in_flight as i64);
         id
     }
@@ -381,6 +385,7 @@ impl<'a> Reactor<'a> {
             handle.record(kinds.phases[phase.index()]);
         }
         if phase.is_terminal() {
+            self.live -= 1;
             slot.times.done_us = Some(wire_now);
             match phase {
                 SessionPhase::Done => self.tele.completed.inc(),
@@ -393,7 +398,7 @@ impl<'a> Reactor<'a> {
 
     /// Number of live (non-terminal) sessions.
     pub fn in_flight(&self) -> usize {
-        self.slots.iter().filter(|s| !s.session.phase().is_terminal()).count()
+        self.live
     }
 
     /// Maximum number of simultaneously live sessions seen so far.
@@ -441,6 +446,10 @@ impl<'a> Reactor<'a> {
         }
         self.sync_phase(id);
         debug_assert_eq!(self.tx_frames, self.queued_frames());
+        debug_assert_eq!(
+            self.live,
+            self.slots.iter().filter(|s| !s.session.phase().is_terminal()).count()
+        );
         self.tele.queue_depth.set(self.tx_frames as i64);
         self.enqueue_ready(id);
         Some(id)

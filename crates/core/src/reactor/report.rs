@@ -2,11 +2,12 @@
 //! milestones, and the typed stall diagnostic.
 
 use fractal_telemetry::journal::Event;
+use fractal_telemetry::Snapshot;
 
 use super::SessionId;
 
 /// Progress summary of a completed [`Reactor::run`](super::Reactor::run).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorReport {
     /// Sessions that reached `Done`.
     pub completed: usize,
@@ -16,6 +17,35 @@ pub struct ReactorReport {
     pub polls: u64,
     /// Maximum number of simultaneously live (non-terminal) sessions.
     pub peak_in_flight: usize,
+}
+
+impl ReactorReport {
+    /// Checks that a registry snapshot tells the same story as this
+    /// report: the `fractal_reactor_{completed,failed,polls}_total`
+    /// counters and the `fractal_reactor_peak_in_flight` gauge must match
+    /// exactly. `snap` must cover exactly the reactor(s) the report
+    /// summarizes (a private bundle, or a before/after diff).
+    pub fn reconcile(&self, snap: &Snapshot) -> Result<(), String> {
+        let pairs = [
+            ("fractal_reactor_completed_total", self.completed as u64),
+            ("fractal_reactor_failed_total", self.failed as u64),
+            ("fractal_reactor_polls_total", self.polls),
+        ];
+        for (name, want) in pairs {
+            let got = snap.counters.get(name).copied().unwrap_or(0);
+            if got != want {
+                return Err(format!("{name} = {got}, report says {want}"));
+            }
+        }
+        let peak = snap.gauges.get("fractal_reactor_peak_in_flight").copied().unwrap_or(0);
+        if peak != self.peak_in_flight as i64 {
+            return Err(format!(
+                "peak_in_flight gauge = {peak}, report says {}",
+                self.peak_in_flight
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// One stuck session in a [`ReactorStalled`] report: which phase it died

@@ -544,3 +544,12 @@ fn journal_recording_is_optional_and_absent_by_default() {
     assert_eq!(err.stuck[0].id, id);
     assert!(err.stuck[0].recent.is_empty(), "no journal ⇒ no causal tail");
 }
+
+#[test]
+fn report_reconcile_rejects_a_registry_that_recorded_nothing() {
+    let empty = fractal_telemetry::Snapshot::default();
+    let report = ReactorReport { completed: 2, failed: 0, polls: 9, peak_in_flight: 2 };
+    let err = report.reconcile(&empty).unwrap_err();
+    assert!(err.contains("fractal_reactor_completed_total = 0, report says 2"), "{err}");
+    assert!(ReactorReport::default().reconcile(&empty).is_ok(), "nothing ran, nothing recorded");
+}

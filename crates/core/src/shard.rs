@@ -116,7 +116,7 @@ impl ShardedOutcome {
     /// its full deal live at once (admission completes before driving), so
     /// the sum is the true process-wide concurrent-session peak.
     pub fn aggregate_report(&self) -> ReactorReport {
-        let mut agg = ReactorReport { completed: 0, failed: 0, polls: 0, peak_in_flight: 0 };
+        let mut agg = ReactorReport::default();
         for s in &self.shards {
             agg.completed += s.report.completed;
             agg.failed += s.report.failed;
@@ -161,40 +161,15 @@ impl ShardedOutcome {
     }
 
     /// Cross-checks per-shard telemetry against per-shard reports, and the
-    /// merged snapshot against the aggregate report: `completed`/`failed`/
-    /// `polls` counters and the `peak_in_flight` gauge must match exactly,
-    /// shard by shard and in total. No-op `Ok` when the `telemetry`
-    /// feature is compiled out (the registries are then empty by design).
+    /// merged snapshot against the aggregate report
+    /// ([`ReactorReport::reconcile`]), shard by shard and in total.
     pub fn reconcile(&self) -> Result<(), String> {
-        if !fractal_telemetry::enabled() {
-            return Ok(());
-        }
-        let check = |snap: &Snapshot, report: &ReactorReport, who: &str| -> Result<(), String> {
-            let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-            let pairs = [
-                ("fractal_reactor_completed_total", report.completed as u64),
-                ("fractal_reactor_failed_total", report.failed as u64),
-                ("fractal_reactor_polls_total", report.polls),
-            ];
-            for (name, want) in pairs {
-                let got = counter(name);
-                if got != want {
-                    return Err(format!("{who}: {name} = {got}, report says {want}"));
-                }
-            }
-            let peak = snap.gauges.get("fractal_reactor_peak_in_flight").copied().unwrap_or(0);
-            if peak != report.peak_in_flight as i64 {
-                return Err(format!(
-                    "{who}: peak_in_flight gauge = {peak}, report says {}",
-                    report.peak_in_flight
-                ));
-            }
-            Ok(())
-        };
         for s in &self.shards {
-            check(&s.snapshot, &s.report, &format!("shard {}", s.shard))?;
+            s.report.reconcile(&s.snapshot).map_err(|e| format!("shard {}: {e}", s.shard))?;
         }
-        check(&self.merged_snapshot(), &self.aggregate_report(), "merged")
+        self.aggregate_report()
+            .reconcile(&self.merged_snapshot())
+            .map_err(|e| format!("merged: {e}"))
     }
 
     /// Every session, restored to the caller's original spawn order (the
@@ -572,9 +547,6 @@ mod tests {
 
     #[test]
     fn merged_and_labeled_snapshots_cover_every_shard() {
-        if !fractal_telemetry::enabled() {
-            return;
-        }
         let tb = testbed_with_pages(8);
         let sessions: Vec<InpSession> = (0..8)
             .map(|i| InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, i, 0))

@@ -1,12 +1,10 @@
-//! Feature-gated reconciliation (`--features telemetry`): the VM's analysis
-//! histogram, the clients' admission-miss counters and the number of
-//! distinct `(digest, policy)` pairs deployed are one number.
+//! Admission reconciliation: the VM's analysis histogram, the clients'
+//! admission-miss counters and the number of distinct `(digest, policy)`
+//! pairs deployed are one number.
 //!
 //! The VM records into the process-global registry, so this file holds a
 //! single test: alone in its binary, nothing else moves the global series
 //! between the two snapshots.
-
-#![cfg(feature = "telemetry")]
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -87,11 +87,9 @@ fn live_scrapes_are_monotonic_and_final_scrape_reconciles_exactly() {
     // merged snapshot, rendered identically.
     let final_body = response_body(scrapes.last().unwrap()).to_string();
     assert_eq!(final_body, source.merged_snapshot().render_prometheus());
-    if fractal_telemetry::enabled() {
-        let series: HashMap<String, f64> = parse_prometheus(&final_body).into_iter().collect();
-        assert_eq!(series["fractal_reactor_completed_total"], N as f64);
-        assert_eq!(series["fractal_reactor_failed_total"], 0.0);
-    }
+    let series: HashMap<String, f64> = parse_prometheus(&final_body).into_iter().collect();
+    assert_eq!(series["fractal_reactor_completed_total"], N as f64);
+    assert_eq!(series["fractal_reactor_failed_total"], 0.0);
 
     // The retired journals survive the shard threads: every session's
     // terminal phase is queryable post-mortem.

@@ -1,10 +1,8 @@
-//! Feature-gated integration tests (`--features telemetry`): the live
-//! registry mirrors the existing struct counters *exactly*, the five INP
-//! phase histograms fill, and instrumented components can be rebound to
-//! local registries — which is what keeps these tests race-free against
-//! everything else recording into the process-global bundle.
-
-#![cfg(feature = "telemetry")]
+//! Registry reconciliation tests: the live registry mirrors the existing
+//! struct counters *exactly*, the five INP phase histograms fill, and
+//! instrumented components can be rebound to local registries — which is
+//! what keeps these tests race-free against everything else recording into
+//! the process-global bundle.
 
 use std::sync::Arc;
 

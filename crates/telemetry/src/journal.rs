@@ -297,7 +297,7 @@ impl SessionJournal {
 }
 
 /// Plain-data copy of a journal's retained events — mergeable across
-/// shards, never feature-gated.
+/// shards.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct JournalSnapshot {
     /// Retained events in canonical `(session, seq, t_ns, kind)` order.

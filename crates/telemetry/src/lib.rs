@@ -17,20 +17,14 @@
 //!   benches, a deterministic [`VirtualClock`] in tests so traces come out
 //!   byte-identical at any thread count.
 //!
-//! # Feature gating
+//! # One build configuration
 //!
-//! The crate root re-exports *handle* types (`Counter`, `Gauge`,
-//! `Histogram`, `Telemetry`) that are the real implementations when the
-//! `enabled` feature is on and zero-sized no-ops when it is off.
-//! Consumers instrument unconditionally; a disabled build compiles every
-//! recording call to nothing (no dynamic dispatch, no branches — the
-//! cheapest possible "off"). The real modules are always compiled and
-//! tested either way, and plain-data types (snapshots, clocks, journals)
-//! are never gated, so diagnostics like stalled-session phase timings
-//! work in every build.
-//!
-//! Sites that must skip *work* (e.g. computing a delta before recording
-//! it) can branch on [`enabled()`], a `const fn` the optimizer folds away.
+//! Recording is always on: the crate-root `Counter`, `Gauge`,
+//! `Histogram` and `Telemetry` *are* the types from [`metrics`] and
+//! [`registry`], there is no cargo feature and no no-op variant, so every
+//! build — tier-1, `check.sh`, CI, `benchmark/` — runs the same
+//! instrumented code and every reconciliation test asserts in it.
+//! DESIGN.md §4.9 records the measurement that retired the gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,25 +32,9 @@
 pub mod clock;
 pub mod journal;
 pub mod metrics;
-#[cfg(not(feature = "enabled"))]
-mod noop;
 pub mod registry;
 
 pub use clock::{Clock, MonotonicClock, NullClock, SharedClock, VirtualClock};
 pub use journal::{Event, Journal, JournalSnapshot, KindId, SessionJournal};
-pub use metrics::HistogramSnapshot;
-pub use registry::{Registry, Snapshot};
-
-/// Whether this build records telemetry. `const`, so `if
-/// fractal_telemetry::enabled() { … }` costs nothing when off.
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
-#[cfg(feature = "enabled")]
-pub use metrics::{Counter, Gauge, Histogram};
-#[cfg(feature = "enabled")]
-pub use registry::Telemetry;
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{Counter, Gauge, Histogram, Telemetry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use registry::{Registry, Snapshot, Telemetry};

@@ -989,8 +989,8 @@ pub fn analyze_module(
     module: &Module,
     policy: &SandboxPolicy,
 ) -> Result<ModuleAnalysis, VerifyError> {
-    let started_ns =
-        fractal_telemetry::enabled().then(|| fractal_telemetry::Telemetry::global().now_ns());
+    let bundle = fractal_telemetry::Telemetry::global();
+    let started_ns = bundle.now_ns();
     let n = module.functions.len();
     let mut cfgs: Vec<FuncCfg> = module.functions.iter().map(build_cfg).collect();
     let sccs = call_sccs(module);
@@ -1160,12 +1160,10 @@ pub fn analyze_module(
     }
     claims.module_min_fuel = module_min_fuel;
 
-    if let Some(t0) = started_ns {
-        let m = analysis_metrics();
-        m.analysis_ns.record(fractal_telemetry::Telemetry::global().now_ns().saturating_sub(t0));
-        m.proven_ops.add(claims.proven_ops as u64);
-        m.lints.add(functions.iter().map(|f| f.lints.len() as u64).sum());
-    }
+    let m = analysis_metrics();
+    m.analysis_ns.record(bundle.now_ns().saturating_sub(started_ns));
+    m.proven_ops.add(claims.proven_ops as u64);
+    m.lints.add(functions.iter().map(|f| f.lints.len() as u64).sum());
 
     Ok(ModuleAnalysis { functions, module_min_fuel, stack_bound, claims })
 }

@@ -31,9 +31,8 @@ const SHA1_BYTES_PER_FUEL: u64 = 4;
 
 /// Process-wide VM metrics, bound lazily to the global telemetry bundle.
 /// Machines are constructed deep inside PAD runtimes with no telemetry
-/// handle to thread through, so the VM records globally — and only when
-/// the `telemetry` feature is on (see the `enabled()` guard in
-/// [`Machine::call`]).
+/// handle to thread through, so the VM records globally (once per
+/// [`Machine::call`], never per instruction).
 struct VmMetrics {
     fuel_consumed: fractal_telemetry::Counter,
     calls_fast: fractal_telemetry::Counter,
@@ -348,20 +347,16 @@ impl Machine {
                 }
             }
         }
-        // `enabled()` is const: the whole block folds away in builds
-        // without the telemetry feature.
-        if fractal_telemetry::enabled() {
-            let m = vm_metrics();
-            m.fuel_consumed.add(self.fuel_used_total - fuel_before);
-            if self.fast {
-                m.calls_fast.inc();
-            } else {
-                m.calls_checked.inc();
-            }
-            if let Some(a) = &self.audit {
-                m.claims_audited.add(a.audited - audited_before);
-                m.audit_violations.add((a.violations.len() - violations_before) as u64);
-            }
+        let m = vm_metrics();
+        m.fuel_consumed.add(self.fuel_used_total - fuel_before);
+        if self.fast {
+            m.calls_fast.inc();
+        } else {
+            m.calls_checked.inc();
+        }
+        if let Some(a) = &self.audit {
+            m.claims_audited.add(a.audited - audited_before);
+            m.audit_violations.add((a.violations.len() - violations_before) as u64);
         }
         result
     }

@@ -5,9 +5,10 @@
 #   scripts/check.sh          # everything, including the release-build
 #                             # smoke gates and the benchmark's quick suite
 #   scripts/check.sh --quick  # fmt + unsafe audit + clippy + tier-1 tests
-#                             # only (skips the release throughput build;
-#                             # what you want in an edit-test loop or a
-#                             # time-boxed CI lane)
+#                             # only (skips the crate test suites and the
+#                             # release throughput build; what you want
+#                             # in an edit-test loop or a time-boxed CI
+#                             # lane)
 #
 # On failure the script exits nonzero and names the step that failed, so a
 # red CI run points at the culprit without scrolling.
@@ -76,13 +77,20 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-# The default build is the NO-telemetry build: every recording call must
-# compile to a zero-sized no-op and stay clippy-clean without the feature.
-step "cargo clippy --all-targets -- -D warnings (no-telemetry build)"
+# One build configuration (recording is always on), so one lint pass and
+# one test pass cover everything the smoke gates below run.
+step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "cargo test -q (tier-1: root package)"
-cargo test -q
+# Tier-1 is the root package. The full run adds the telemetry, core and
+# bench crate suites in the same invocation: registry reconciliation,
+# admission telemetry and the thread-count determinism suite live there.
+step "cargo test -q (tier-1: root package; full run adds the telemetry/core/bench crates)"
+if [ "$QUICK" -eq 1 ]; then
+    cargo test -q
+else
+    cargo test -q -p fractal -p fractal-telemetry -p fractal-core -p fractal-bench
+fi
 
 # The shipped PADs must come out of the analyzer lint-clean: fasmlint
 # exits nonzero on any deny-level lint (certain divide-by-zero, certain
@@ -94,18 +102,10 @@ cargo run -q -p fractal-vm --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm
 
 if [ "$QUICK" -eq 1 ]; then
-    echo "All checks passed (--quick: skipped telemetry matrix + throughput/scenario/introspection smoke gates + benchmark)."
+    echo "All checks passed (--quick: skipped crate test suites + throughput/scenario/introspection smoke gates + benchmark)."
     trap - EXIT
     exit 0
 fi
-
-step "cargo clippy --features telemetry (recording build)"
-cargo clippy -p fractal-telemetry --all-targets --all-features -- -D warnings
-cargo clippy -p fractal-core -p fractal-bench --all-targets --features telemetry -- -D warnings
-
-step "cargo test --features telemetry (registry reconciliation + determinism suites)"
-cargo test -q -p fractal-telemetry --all-features
-cargo test -q -p fractal-core -p fractal-bench --features telemetry
 
 step "throughput smoke (concurrent engine + reactor + transport + republish gate)"
 # Runs the 1- and 2-thread negotiation/session/reactor passes with the
@@ -175,7 +175,7 @@ step "BENCH_throughput.json carries per-link transport rows"
 # The committed full-sweep results must include the transport pass: one
 # row per simulated link profile with its mean negotiation time. A missing
 # row means the sweep predates the transport layer (regenerate with
-# `cargo run --release -p fractal-bench --features telemetry --bin throughput`).
+# `cargo run --release -p fractal-bench --bin throughput`).
 for link in LAN WLAN Bluetooth; do
     if ! grep -q "\"link\": \"$link\"" BENCH_throughput.json; then
         echo "BENCH_throughput.json has no transport row for $link" >&2

@@ -23,7 +23,7 @@
 //! | [`cdn`] | origin + edge servers, proximity routing, deployments |
 //! | [`net`] | the deterministic network simulator (links, queues, topology) |
 //! | [`crypto`] | SHA-1, HMAC, code signing, Rabin fingerprints |
-//! | [`telemetry`] | deterministic metrics + tracing (enable the `telemetry` feature to record) |
+//! | [`telemetry`] | deterministic metrics + flight-recorder journals (always recording) |
 //! | [`workload`] | the synthetic 75-page medical-imaging workload |
 //!
 //! ## Quickstart

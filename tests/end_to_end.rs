@@ -2,12 +2,16 @@
 //! download from the CDN substrate, verification, sandboxed deployment,
 //! adapted transfer, mobile-code decode — across crates.
 
+use std::sync::Arc;
+
 use fractal::core::presets::ClientClass;
+use fractal::core::reactor::{InpSession, ReactorConfig, PHASE_METRICS};
 use fractal::core::server::AdaptiveContentMode;
 use fractal::core::session::run_session;
 use fractal::core::testbed::Testbed;
 use fractal::net::time::SimDuration;
 use fractal::protocols::ProtocolId;
+use fractal::telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
 use fractal::workload::mutate::EditProfile;
 use fractal::workload::PageSet;
 
@@ -160,4 +164,42 @@ fn five_protocol_testbed_with_extension() {
     // With five leaves the negotiation still runs and picks something
     // feasible; the extension protocol must at least be deployable.
     assert!(ProtocolId::ALL.contains(&report.protocol));
+}
+
+/// One 16-session reactor batch recording into a private registry under a
+/// virtual clock; returns the registry's snapshot after checking it against
+/// the reactor's own report.
+fn recorded_reactor_batch() -> Snapshot {
+    const SESSIONS: u32 = 16;
+    let pages = PageSet::new(13, PAGES);
+    let mut tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    publish_pages(&mut tb, &pages);
+
+    let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(5));
+    let mut reactor =
+        tb.reactor_with(ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle));
+    for i in 0..SESSIONS {
+        let class = ClientClass::ALL[i as usize % ClientClass::ALL.len()];
+        reactor.spawn(InpSession::new(tb.client(class), tb.app_id, i % PAGES, 0));
+    }
+    let report = reactor.run().expect("loopback sessions complete");
+    assert_eq!((report.completed, report.failed), (SESSIONS as usize, 0));
+    assert_eq!(report.peak_in_flight, SESSIONS as usize);
+
+    let snap = bundle.snapshot();
+    report.reconcile(&snap).expect("registry must tell the report's story");
+    snap
+}
+
+#[test]
+fn reactor_batch_records_into_its_registry_in_every_build() {
+    // Recording has no off switch: a registry that stays empty (a no-op
+    // handle, a gated probe) fails here, in tier-1.
+    let snap = recorded_reactor_batch();
+    for name in PHASE_METRICS {
+        let h = snap.histograms.get(name).unwrap_or_else(|| panic!("{name} never registered"));
+        assert!(!h.is_empty(), "{name} must be non-empty after a full batch");
+    }
+    // Virtual time makes the rendered snapshot a pure function of the run.
+    assert_eq!(snap.to_json(""), recorded_reactor_batch().to_json(""));
 }
