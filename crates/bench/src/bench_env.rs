@@ -3,9 +3,11 @@
 //! A benchmark number without its host and commit is unreproducible: the
 //! capacity knees depend on core count, the throughput speedups on both.
 //! [`BenchEnv::capture`] records the machine and the exact source revision
-//! once, and [`BenchEnv::json_fields`] emits them in the common JSON shape
-//! so `BENCH_throughput.json` and `BENCH_capacity.json` stay comparable
-//! across CI runs and laptops.
+//! once, and [`BenchEnv::members`] yields them as the common object
+//! members so `BENCH_throughput.json` and `BENCH_capacity.json` stay
+//! comparable across CI runs and laptops.
+
+use crate::json::Json;
 
 /// Host and revision the benchmark ran on, plus the I/O configuration the
 /// numbers were measured under.
@@ -69,18 +71,19 @@ impl BenchEnv {
         self
     }
 
-    /// The provenance lines every `BENCH_*.json` carries, indented for
-    /// the top-level object.
-    pub fn json_fields(&self) -> String {
-        let mut fields = format!(
-            "  \"host_cpus\": {},\n  \"git_sha\": \"{}\",\n  \"reactor_shards\": {},\n  \
-             \"transport\": \"{}\",\n",
-            self.host_cpus, self.git_sha, self.reactor_shards, self.transport
-        );
+    /// The provenance members every `BENCH_*.json` object carries, in
+    /// their fixed order.
+    pub fn members(&self) -> Vec<(&'static str, Json)> {
+        let mut members = vec![
+            ("host_cpus", self.host_cpus.into()),
+            ("git_sha", self.git_sha.as_str().into()),
+            ("reactor_shards", self.reactor_shards.into()),
+            ("transport", self.transport.as_str().into()),
+        ];
         if let Some((name, seed)) = &self.scenario {
-            fields.push_str(&format!("  \"scenario\": \"{name}\",\n  \"fault_seed\": {seed},\n"));
+            members.extend([("scenario", name.as_str().into()), ("fault_seed", (*seed).into())]);
         }
-        fields
+        members
     }
 }
 
@@ -107,30 +110,24 @@ mod tests {
     }
 
     #[test]
-    fn json_fields_are_valid_object_members() {
+    fn members_carry_the_stamp_in_order() {
         let env = BenchEnv::capture().with_shards(4).with_transport("tcp-loopback");
         let env = BenchEnv { host_cpus: 8, git_sha: "abc123".into(), ..env };
-        let fields = env.json_fields();
-        assert!(fields.contains("\"host_cpus\": 8,"));
-        assert!(fields.contains("\"git_sha\": \"abc123\","));
-        assert!(fields.contains("\"reactor_shards\": 4,"));
-        assert!(fields.contains("\"transport\": \"tcp-loopback\","));
-        // Splices into `{\n<fields>...}` without breaking the object.
-        let doc = format!("{{\n{fields}  \"bench\": \"x\"\n}}");
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert_eq!(
+            Json::object(env.members()).emit(),
+            "{\n  \"host_cpus\": 8,\n  \"git_sha\": \"abc123\",\n  \"reactor_shards\": 4,\n  \
+             \"transport\": \"tcp-loopback\"\n}\n"
+        );
     }
 
     #[test]
     fn scenario_stamp_carries_name_and_seed() {
         let plain = BenchEnv::capture();
         assert!(plain.scenario.is_none());
-        assert!(!plain.json_fields().contains("fault_seed"));
-        let stamped = plain.with_scenario("lossy_link", 0xC0FFEE);
-        let fields = stamped.json_fields();
-        assert!(fields.contains("\"scenario\": \"lossy_link\","));
-        assert!(fields.contains(&format!("\"fault_seed\": {},", 0xC0FFEE)));
-        let doc = format!("{{\n{fields}  \"bench\": \"x\"\n}}");
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert_eq!(plain.members().len(), 4);
+        let stamped = Json::object(plain.with_scenario("lossy_link", 0xC0FFEE).members());
+        assert_eq!(stamped.get("scenario"), Some(&Json::Str("lossy_link".into())));
+        assert_eq!(stamped.get("fault_seed"), Some(&Json::Int(0xC0FFEE)));
     }
 
     #[test]

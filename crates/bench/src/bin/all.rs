@@ -1,103 +1,47 @@
-//! Runs every table and figure in sequence (the full evaluation).
+//! The figure printer: every table and figure of the evaluation, in
+//! sequence or one at a time.
+//!
+//! ```text
+//! all                    every section at its default page count
+//! all <n_pages>          every section at <n_pages> workload pages
+//! all <name> [n_pages]   one section; an unknown name lists the valid ones, exit 2
+//! ```
+
+use fractal_bench::{ablate, capacity, fig10, fig11, fig9a, fig9b, headline, table1};
+
+/// Section name, its printer, and its default workload page count.
+type Section = (&'static str, fn(u32), u32);
+
+const SECTIONS: [Section; 10] = [
+    ("table1", table1::print, 75),
+    ("fig9a", fig9a::print, 75),
+    ("fig9b", fig9b::print, 75),
+    ("fig10", fig10::print, 75),
+    ("fig11", fig11::print, 75),
+    ("headline", headline::print, 75),
+    ("capacity", capacity::print, 75),
+    ("ablate_ratio", ablate::print_ratio, 75),
+    ("ablate_rho", ablate::print_rho, 75),
+    ("ablate_entropy", ablate::print_entropy, 20),
+];
 
 fn main() {
-    let n_pages: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(75);
-
-    section("TABLE 1");
-    for r in fractal_bench::table1::run() {
-        println!(
-            "{:<28} {:<48} {:>6} bytes  {}",
-            r.row.name, r.row.function, r.artifact_bytes, r.digest_short
-        );
-    }
-
-    section("FIGURE 9(a)");
-    for p in fractal_bench::fig9a::run_sweep(true) {
-        println!(
-            "clients {:>4}  mean negotiation {:>9.2} ms  (cache hits {})",
-            p.clients,
-            p.mean_negotiation.as_millis_f64(),
-            p.cache_hits
-        );
-    }
-
-    section("FIGURE 9(b)");
-    for p in fractal_bench::fig9b::run_sweep() {
-        println!(
-            "clients {:>4}  centralized {:>10.2} ms  distributed {:>8.2} ms",
-            p.clients,
-            p.centralized.as_millis_f64(),
-            p.distributed.as_millis_f64()
-        );
-    }
-
-    section("FIGURE 10");
-    for (i, panel) in fractal_bench::fig10::run_all(n_pages).into_iter().enumerate() {
-        println!(
-            "panel ({}): {} {}",
-            ['a', 'b', 'c', 'd'][i],
-            panel.class,
-            if panel.with_server_compute { "(with server compute)" } else { "(without)" }
-        );
-        for c in &panel.cells {
-            println!(
-                "  {:<22} server {:>9.2} ms   client {:>9.2} ms",
-                c.protocol.name(),
-                c.server_compute.as_millis_f64(),
-                c.client_compute.as_millis_f64()
-            );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let pages = |ix: usize| args.get(ix).and_then(|s| s.parse::<u32>().ok());
+    match args.first() {
+        Some(name) if pages(0).is_none() => match SECTIONS.iter().find(|s| s.0 == name) {
+            Some(&(_, print, default)) => print(pages(1).unwrap_or(default)),
+            None => {
+                let names: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
+                eprintln!("unknown section {name:?}; one of: {}", names.join(" "));
+                std::process::exit(2);
+            }
+        },
+        _ => {
+            for (name, print, default) in SECTIONS {
+                println!("\n=== {name} {}", "=".repeat(60usize.saturating_sub(name.len())));
+                print(pages(0).unwrap_or(default));
+            }
         }
-        println!("  adaptive pick: {}", panel.adaptive_pick);
     }
-
-    section("FIGURE 11");
-    let fig = fractal_bench::fig11::run(n_pages);
-    println!("(a) bytes per protocol:");
-    for (p, b) in fig.bytes_per_protocol() {
-        println!("  {:<22} {:>8.1} KB", p.name(), b as f64 / 1024.0);
-    }
-    println!("(b) adaptive picks with server compute:");
-    for (class, p) in &fig.picks_with {
-        println!("  {:<24} -> {}", class.name(), p.name());
-    }
-    println!("(c) adaptive picks without server compute:");
-    for (class, p) in &fig.picks_without {
-        println!("  {:<24} -> {}", class.name(), p.name());
-    }
-
-    section("HEADLINE");
-    for c in fractal_bench::headline::run(n_pages) {
-        println!(
-            "{:<24} adaptive({}) {:>7.3}s  vs none {:>4.0}%  vs static {:>4.0}%",
-            c.class.name(),
-            c.picked.name(),
-            c.adaptive.total.as_secs_f64(),
-            c.vs_none() * 100.0,
-            c.vs_fixed() * 100.0
-        );
-    }
-
-    section("CAPACITY (extension)");
-    for (p, knee) in fractal_bench::capacity::knee_per_protocol() {
-        println!(
-            "{:<22} server {:>6.1} ms/page   sustains {:>5} rps",
-            p.name(),
-            fractal_bench::capacity::service_time(p).as_millis_f64(),
-            if knee >= 120.0 { ">120".to_string() } else { format!("{knee:.0}") }
-        );
-    }
-
-    section("ABLATIONS");
-    let r = fractal_bench::ablate::ratio_ablation();
-    println!(
-        "ratio matrices: full model {} / linear model {} (infeasible: {})",
-        r.with_ratios, r.linear_only, r.linear_picked_infeasible
-    );
-    for p in fractal_bench::ablate::rho_sweep() {
-        println!("rho {:.1}: laptop {} / PDA {}", p.rho, p.laptop_pick.name(), p.pda_pick.name());
-    }
-}
-
-fn section(name: &str) {
-    println!("\n=== {name} {}", "=".repeat(60usize.saturating_sub(name.len())));
 }

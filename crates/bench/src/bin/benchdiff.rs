@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Loads both documents with the repo's own JSON reader
-//! ([`fractal_bench::diff`]), aligns every numeric series by its
-//! flattened key (rows matched by `shards`/`threads`/`link`/`scenario`
+//! ([`fractal_bench::json`]), aligns every numeric series by its
+//! flattened key (rows matched by `shards`/`threads`/`link`/`protocol`/…
 //! identity, not position), prints the per-metric delta table, and exits
 //! nonzero when any gated series — `*_per_sec`, higher-is-better — fell
 //! more than the tolerance (default 50%, sized for 1-CPU shared CI
@@ -15,7 +15,8 @@
 //! reports without failing; `--only <substr>` restricts gating (not
 //! reporting) to matching keys.
 
-use fractal_bench::diff::{direction, DiffReport, Direction, Json};
+use fractal_bench::diff::{direction, DiffReport, Direction};
+use fractal_bench::json::Json;
 use fractal_bench::report::render_table;
 
 fn usage() -> ! {

@@ -25,8 +25,9 @@
 //!   aggregate.
 //!
 //! Results land as the `"c100k"` section of `BENCH_throughput.json`
-//! (spliced in next to the thread-sweep results; `--smoke` skips the
-//! write and trims to a few hundred sessions on 2 shards — the CI gate).
+//! (spliced in next to the thread-sweep results; `--smoke` builds and
+//! reads back the spliced document but skips the write, and trims to a
+//! few hundred sessions on 2 shards — the CI gate).
 //!
 //! On a single-CPU host the shard sweep measures scheduling and dispatch
 //! overhead, not parallel speedup — N shard threads time-slicing one core
@@ -52,9 +53,10 @@ mod imp {
 
     use fractal_bench::bench_env::BenchEnv;
     use fractal_bench::fig9a::client_env;
-    use fractal_bench::report::{print_phase_latencies, render_table, upsert_top_level};
+    use fractal_bench::fingerprint;
+    use fractal_bench::json::Json;
+    use fractal_bench::report::{print_phase_latencies, render_table};
     use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
-    use fractal_core::meta::PadMeta;
     use fractal_core::reactor::{InpSession, ReactorConfig, PHASE_METRICS};
     use fractal_core::server::AdaptiveContentMode;
     use fractal_core::shard::ShardedReactor;
@@ -77,14 +79,6 @@ mod imp {
     /// wakeup margins).
     const FD_HEADROOM: u64 = 64;
 
-    /// Order-sensitive FNV fold over an adaptation decision (pad ids +
-    /// protocols) — the identity checked against the serial oracle.
-    fn fingerprint(pads: &[PadMeta]) -> u64 {
-        pads.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, p| {
-            (h ^ p.id.0 ^ ((p.protocol as u64) << 32)).wrapping_mul(0x100_0000_01b3)
-        })
-    }
-
     struct Row {
         shards: usize,
         sessions_per_sec: f64,
@@ -93,37 +87,32 @@ mod imp {
         polls: u64,
     }
 
-    /// The `"c100k"` JSON member spliced into `BENCH_throughput.json`.
-    fn section_json(n_sessions: usize, env: &BenchEnv, rows: &[Row], telem: &Snapshot) -> String {
-        let mut v = String::from("{\n");
-        v.push_str(&format!("    \"sessions\": {n_sessions},\n"));
-        v.push_str(&format!("    \"host_cpus\": {},\n", env.host_cpus));
-        v.push_str(&format!("    \"git_sha\": \"{}\",\n", env.git_sha));
-        v.push_str(&format!("    \"reactor_shards\": {},\n", env.reactor_shards));
-        v.push_str(&format!("    \"transport\": \"{}\",\n", env.transport));
-        v.push_str("    \"decisions_identical_with_serial_oracle\": true,\n");
-        v.push_str("    \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let phases: Vec<String> = PHASE_METRICS
-                .iter()
-                .zip(r.phase_ns.iter())
-                .map(|(name, &(p50, p99))| {
+    /// The `"c100k"` member spliced into `BENCH_throughput.json`.
+    fn section(n_sessions: usize, env: &BenchEnv, rows: &[Row], telem: &Snapshot) -> Json {
+        let rows: Vec<Json> = rows
+            .iter()
+            .map(|r| {
+                let phases = PHASE_METRICS.iter().zip(r.phase_ns).map(|(name, (p50, p99))| {
                     let short = name.strip_prefix("fractal_inp_phase_ns_").unwrap_or(name);
-                    format!("\"{short}\": {{\"p50_ns\": {p50}, \"p99_ns\": {p99}}}")
-                })
-                .collect();
-            v.push_str(&format!(
-                "      {{\"shards\": {}, \"sessions_per_sec\": {:.0}, \
-                 \"peak_in_flight\": {n_sessions}, \"polls\": {}, \"phase_ns\": {{{}}}}}{}\n",
-                r.shards,
-                r.sessions_per_sec,
-                r.polls,
-                phases.join(", "),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        v.push_str(&format!("    ],\n    \"telemetry\": {}\n  }}", telem.to_json("    ")));
-        v
+                    (short, Json::object([("p50_ns", p50.into()), ("p99_ns", p99.into())]))
+                });
+                Json::object([
+                    ("shards", r.shards.into()),
+                    ("sessions_per_sec", Json::rounded(r.sessions_per_sec, 0)),
+                    ("peak_in_flight", n_sessions.into()),
+                    ("polls", r.polls.into()),
+                    ("phase_ns", Json::object(phases)),
+                ])
+            })
+            .collect();
+        let mut section = vec![("sessions", n_sessions.into())];
+        section.extend(env.members());
+        section.extend([
+            ("decisions_identical_with_serial_oracle", Json::Bool(true)),
+            ("rows", Json::Arr(rows)),
+            ("telemetry", telem.into()),
+        ]);
+        Json::object(section)
     }
 
     pub fn main() {
@@ -286,15 +275,9 @@ mod imp {
              shard count; decisions identical with the serial oracle: yes"
         );
 
-        if smoke {
-            println!("(--smoke: not writing BENCH_throughput.json)");
-            return;
-        }
         let path = "BENCH_throughput.json";
-        let existing = std::fs::read_to_string(path).unwrap_or_default();
-        let section = section_json(n_sessions, &env, &rows, &last_snapshot);
-        std::fs::write(path, upsert_top_level(&existing, "c100k", &section))
-            .expect("write benchmark JSON");
-        println!("spliced \"c100k\" section into {path}");
+        let mut doc = Json::load(path).unwrap_or_else(|e| panic!("{e}"));
+        doc.insert("c100k", section(n_sessions, &env, &rows, &last_snapshot));
+        doc.save(path, smoke);
     }
 }

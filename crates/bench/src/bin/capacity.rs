@@ -1,56 +1,28 @@
 //! System-capacity extension: server throughput knee per protocol.
 
 use fractal_bench::bench_env::BenchEnv;
-use fractal_bench::capacity::{knee_per_protocol_threads, run_point, service_time};
-use fractal_bench::report::render_table;
+use fractal_bench::capacity::{knee_per_protocol_threads, print, service_time};
+use fractal_bench::json::Json;
 
 fn main() {
-    println!("System capacity: server compute queue (2 workers, 2.8 GHz), 135 KB pages\n");
-
-    let knees = knee_per_protocol_threads(2);
-    let rows: Vec<Vec<String>> = knees
-        .iter()
-        .map(|&(p, knee)| {
-            vec![
-                p.name().to_string(),
-                format!("{:.1}", service_time(p).as_millis_f64()),
-                if knee >= 120.0 { ">120".into() } else { format!("{knee:.0}") },
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&["protocol", "server ms/page", "max sustainable rps"], &rows));
-
-    println!("\nsojourn under load (vary-sized blocking):");
-    for rps in [2.0, 5.0, 8.0, 12.0] {
-        let p = run_point(fractal_protocols::ProtocolId::VaryBlock, rps, 200);
-        println!(
-            "  {:>5.1} rps  mean sojourn {:>10}  {}",
-            rps,
-            p.mean_sojourn.to_string(),
-            if p.saturated { "SATURATED" } else { "ok" }
-        );
-    }
-    println!(
-        "\nReactive vary-sized blocking caps the whole server at a handful of\n\
-         requests/second — the capacity argument behind proactive adaptive\n\
-         content and behind disqualifying Vary in Figure 10."
-    );
+    print(0);
 
     // No bytes cross a wire here — the capacity knees come out of the
     // server-side queueing model; the stamp says so explicitly.
     let env = BenchEnv::capture().with_transport("queueing-model");
-    let mut json = format!("{{\n  \"bench\": \"capacity\",\n{}  \"knees\": [\n", env.json_fields());
-    for (i, (p, knee)) in knees.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"protocol\": \"{}\", \"server_ms_per_page\": {:.1}, \
-             \"max_sustainable_rps\": {:.0}}}{}\n",
-            p.name(),
-            service_time(*p).as_millis_f64(),
-            knee,
-            if i + 1 < knees.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_capacity.json", json).expect("write benchmark JSON");
-    println!("\nwrote BENCH_capacity.json");
+    let knees = knee_per_protocol_threads(2)
+        .into_iter()
+        .map(|(p, knee)| {
+            Json::object([
+                ("protocol", p.name().into()),
+                ("server_ms_per_page", Json::rounded(service_time(p).as_millis_f64(), 1)),
+                ("max_sustainable_rps", Json::rounded(knee, 0)),
+            ])
+        })
+        .collect();
+    let mut doc = vec![("bench", "capacity".into())];
+    doc.extend(env.members());
+    doc.push(("knees", Json::Arr(knees)));
+    println!();
+    Json::object(doc).save("BENCH_capacity.json", false);
 }

@@ -37,7 +37,8 @@
 //! Results land as the `"scenarios"` section of `BENCH_scenarios.json`,
 //! one member per scenario, each row stamped with the scenario name and
 //! fault seed so any row can be replayed. `--smoke` trims the population
-//! and skips the write (the CI gate); `--long` is the 10× soak behind
+//! and builds and reads back the document without writing it (the CI
+//! gate); `--long` is the 10× soak behind
 //! `workflow_dispatch`. An *unexpected* stall writes `STALL_<name>.txt`
 //! with the stuck-session phase report and exits nonzero.
 
@@ -45,11 +46,13 @@ use std::sync::{Arc, OnceLock};
 
 use fractal_bench::bench_env::BenchEnv;
 use fractal_bench::fig9a::client_env;
-use fractal_bench::report::{get_top_level, render_table, upsert_top_level};
+use fractal_bench::json::Json;
+use fractal_bench::report::render_table;
+use fractal_bench::{fingerprint, fold, FNV_OFFSET};
 use fractal_core::error::InpError;
 use fractal_core::fault::{FaultKind, FaultLog, FaultPlan};
 use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
-use fractal_core::meta::{ClientEnv, PadMeta};
+use fractal_core::meta::ClientEnv;
 use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport, SessionPhase};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
@@ -91,19 +94,6 @@ const FULL: Scale = Scale { sessions: 192, levels: 6 };
 /// The `workflow_dispatch` long soak: 10× the full population.
 const LONG: Scale = Scale { sessions: 1920, levels: 6 };
 
-/// Order-sensitive FNV fold over an adaptation decision (pad ids +
-/// protocols) — the identity compared between runs and with the oracle.
-fn fingerprint(pads: &[PadMeta]) -> u64 {
-    pads.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, p| {
-        (h ^ p.id.0 ^ ((p.protocol as u64) << 32)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
-/// Folds one more value into an order-sensitive FNV accumulator.
-fn fold(acc: u64, v: u64) -> u64 {
-    (acc ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
 /// Everything observable about one scenario run. Two runs under the same
 /// seed must compare equal, field for field — including the merged
 /// telemetry snapshot — or the scenario is nondeterministic and fails.
@@ -122,8 +112,8 @@ struct Outcome {
     /// Fold of completed sessions' decision fingerprints, in session
     /// order (checked against the serial oracle inside each scenario).
     decision_fp: u64,
-    /// Scenario-specific row members, already JSON-formatted.
-    extras: Vec<(&'static str, String)>,
+    /// Scenario-specific row members.
+    extras: Vec<(&'static str, u64)>,
     telemetry: Snapshot,
     /// The run's flight-recorder snapshot: phase transitions, handoffs,
     /// and injected faults on one causal stream per session. Part of the
@@ -245,7 +235,7 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let report = reactor.run().map_err(|e| fail(format!("burst_arrivals stalled: {e}")))?;
     assert_eq!((report.completed, report.failed), (n, 0), "bursty admission broke sessions");
 
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
         let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
         assert_eq!(fp, oracle[i], "burst arrival order changed decision for session {i}");
@@ -261,10 +251,7 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         fault_events: 0,
         fault_fp: 0,
         decision_fp,
-        extras: vec![
-            ("cascade_slots", counts.len().to_string()),
-            ("peak_wave", peak_wave.to_string()),
-        ],
+        extras: vec![("cascade_slots", counts.len() as u64), ("peak_wave", peak_wave as u64)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -310,7 +297,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     }
 
     let (mut completed, mut failed, mut stuck) = (0usize, 0usize, 0usize);
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     for &id in &ids {
         let s = reactor.session(id);
         match s.phase() {
@@ -334,7 +321,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     assert!(completed > 0, "the fault mix starved every single session");
 
     let mut fault_events = 0u64;
-    let mut fault_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut fault_fp = FNV_OFFSET;
     let mut corruptions = 0u64;
     for log in &logs {
         let events = log.events();
@@ -363,7 +350,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         fault_events,
         fault_fp,
         decision_fp,
-        extras: vec![("corruptions_injected", corruptions.to_string())],
+        extras: vec![("corruptions_injected", corruptions)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -396,14 +383,14 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
     let report = reactor.run().map_err(|e| fail(format!("partition never healed: {e}")))?;
     assert_eq!((report.completed, report.failed), (n, 0), "partitioned sessions must recover");
 
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
         let fp = fingerprint(s.negotiated().expect("recovered session negotiated"));
         assert_eq!(fp, oracle[i], "partition recovery changed decision for session {i}");
         decision_fp = fold(decision_fp, fp);
     }
     let mut fault_events = 0u64;
-    let mut fault_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut fault_fp = FNV_OFFSET;
     let mut healed = 0usize;
     for log in &logs {
         let events = log.events();
@@ -424,7 +411,7 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
         fault_events,
         fault_fp,
         decision_fp,
-        extras: vec![("sessions_healed", healed.to_string())],
+        extras: vec![("sessions_healed", healed as u64)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -480,7 +467,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
     let report = reactor.run().map_err(|e| fail(format!("post-handoff stall: {e}")))?;
     assert_eq!((report.completed, report.failed), (n, 0), "handoff broke sessions");
 
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     for (i, &id) in ids.iter().enumerate() {
         let s = reactor.session(id);
         let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
@@ -510,7 +497,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
         fault_events: 0,
         fault_fp: 0,
         decision_fp,
-        extras: vec![("handoffs", handoffs.to_string())],
+        extras: vec![("handoffs", handoffs as u64)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -544,7 +531,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
 
     let before = tb.proxy.stats();
     assert_eq!((before.cache_hits, before.cache_misses), (0, 0), "scenario proxy must be cold");
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     let mut total = ReactorReport::default();
     for wave in 0..2 {
         let cfg = ReactorConfig::new()
@@ -591,10 +578,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
         fault_events: 0,
         fault_fp: 0,
         decision_fp,
-        extras: vec![
-            ("cache_misses", stats.cache_misses.to_string()),
-            ("cache_hits", stats.cache_hits.to_string()),
-        ],
+        extras: vec![("cache_misses", stats.cache_misses), ("cache_hits", stats.cache_hits)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -623,7 +607,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
 
     let mut clients: Vec<fractal_core::client::FractalClient> =
         (0..n).map(|i| tb.client_with_env(client_env(i))).collect();
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     let mut total = ReactorReport::default();
     // (wave, version to request, bytes that version must decode to)
     let waves: [(&str, u32, &[u8]); 3] =
@@ -682,7 +666,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         fault_events: 0,
         fault_fp: 0,
         decision_fp,
-        extras: vec![("waves", "3".into()), ("republishes", "2".into())],
+        extras: vec![("waves", 3), ("republishes", 2)],
         telemetry: snap,
         journal: journal.snapshot(),
     })
@@ -744,7 +728,7 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let report = reactor.run().map_err(|e| fail(format!("live_republish stalled: {e}")))?;
     assert_eq!((report.completed, report.failed), (n, 0), "republish bursts broke sessions");
 
-    let mut decision_fp = 0xcbf2_9ce4_8422_2325_u64;
+    let mut decision_fp = FNV_OFFSET;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
         let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
         assert_eq!(fp, oracle[i], "republish bursts changed decision for session {i}");
@@ -781,10 +765,10 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         fault_fp: 0,
         decision_fp,
         extras: vec![
-            ("publish_bursts", bursts.len().to_string()),
-            ("peak_burst", peak_burst.to_string()),
-            ("republishes", published.to_string()),
-            ("server_generation", generation.to_string()),
+            ("publish_bursts", bursts.len() as u64),
+            ("peak_burst", peak_burst as u64),
+            ("republishes", published),
+            ("server_generation", generation),
         ],
         telemetry: snap,
         journal: journal.snapshot(),
@@ -804,26 +788,26 @@ fn run_scenario(name: &str, scale: &Scale, seed: u64) -> Result<Outcome, Box<Fai
     }
 }
 
-/// The JSON row for one scenario, stamped with provenance + scenario +
-/// seed via [`BenchEnv::json_fields`] (reindented one level down).
-fn row_json(env: &BenchEnv, o: &Outcome) -> String {
-    let mut v = String::from("{\n");
-    v.push_str(&env.json_fields().replace("\n  ", "\n      ").replacen("  ", "      ", 1));
-    v.push_str(&format!(
-        "      \"sessions\": {}, \"completed\": {}, \"failed\": {}, \"stuck\": {},\n",
-        o.sessions, o.completed, o.failed, o.stuck
-    ));
-    v.push_str(&format!(
-        "      \"fault_events\": {}, \"fault_fingerprint\": \"{:#018x}\",\n",
-        o.fault_events, o.fault_fp
-    ));
-    v.push_str(&format!("      \"decision_fingerprint\": \"{:#018x}\",\n", o.decision_fp));
-    for (k, val) in &o.extras {
-        v.push_str(&format!("      \"{k}\": {val},\n"));
-    }
-    v.push_str("      \"runs\": 2, \"deterministic_across_runs\": true,\n");
-    v.push_str(&format!("      \"telemetry\": {}\n    }}", o.telemetry.to_json("      ")));
-    v
+/// The row for one scenario, stamped with provenance + scenario + seed
+/// via [`BenchEnv::members`].
+fn row(env: &BenchEnv, o: &Outcome) -> Json {
+    let mut row = env.members();
+    row.extend([
+        ("sessions", o.sessions.into()),
+        ("completed", o.completed.into()),
+        ("failed", o.failed.into()),
+        ("stuck", o.stuck.into()),
+        ("fault_events", o.fault_events.into()),
+        ("fault_fingerprint", format!("{:#018x}", o.fault_fp).as_str().into()),
+        ("decision_fingerprint", format!("{:#018x}", o.decision_fp).as_str().into()),
+    ]);
+    row.extend(o.extras.iter().map(|&(k, v)| (k, v.into())));
+    row.extend([
+        ("runs", 2u64.into()),
+        ("deterministic_across_runs", Json::Bool(true)),
+        ("telemetry", (&o.telemetry).into()),
+    ]);
+    Json::object(row)
 }
 
 fn main() {
@@ -883,7 +867,7 @@ fn main() {
         None => SCENARIOS.to_vec(),
     };
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut sections: Vec<(String, String)> = Vec::new();
+    let mut sections: Vec<(&str, Json)> = Vec::new();
     let mut failures = 0usize;
     for name in selected {
         let seed = BASE_SEED + SCENARIOS.iter().position(|s| *s == name).unwrap() as u64;
@@ -936,7 +920,7 @@ fn main() {
             _ => "loopback",
         };
         let stamped = BenchEnv::capture().with_transport(transport).with_scenario(name, seed);
-        sections.push((name.to_string(), row_json(&stamped, &outcome)));
+        sections.push((name, row(&stamped, &outcome)));
     }
 
     println!(
@@ -951,21 +935,15 @@ fn main() {
          telemetry identical; injected faults terminated in typed errors or recovery, never hangs"
     );
 
-    if smoke {
-        println!("(--smoke: not writing BENCH_scenarios.json)");
-    } else if !sections.is_empty() {
+    if !sections.is_empty() {
         let path = "BENCH_scenarios.json";
-        let mut doc = std::fs::read_to_string(path).unwrap_or_default();
-        let mut section = get_top_level(&doc, "scenarios").unwrap_or_default();
-        for (name, row) in &sections {
-            section = upsert_top_level(&section, name, row);
+        let mut doc = Json::load(path).unwrap_or_else(|e| panic!("{e}"));
+        let mut section = doc.get("scenarios").cloned().unwrap_or(Json::Obj(Vec::new()));
+        for (name, row) in sections {
+            section.insert(name, row);
         }
-        doc = upsert_top_level(&doc, "scenarios", &section);
-        std::fs::write(path, doc).expect("write benchmark JSON");
-        println!(
-            "spliced {} scenario row(s) into the \"scenarios\" section of {path}",
-            sections.len()
-        );
+        doc.insert("scenarios", section);
+        doc.save(path, smoke);
     }
     // With the sidecar up, close the loop over real TCP: the quiescent
     // scrape must reconcile exactly with the in-process merged snapshot.

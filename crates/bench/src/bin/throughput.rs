@@ -42,8 +42,9 @@
 //! Every adaptation decision — direct negotiations and reactor sessions
 //! alike — is fingerprinted and compared against the single-thread serial
 //! oracle; the run aborts on any divergence. Results land in
-//! `BENCH_throughput.json` (skipped under `--smoke`, the CI gate mode,
-//! which also trims the sweep to 1–2 threads).
+//! `BENCH_throughput.json` (under `--smoke`, the CI gate mode, the
+//! document is built and read back but not written, and the sweep is
+//! trimmed to 1–2 threads).
 //!
 //! Every pass also records into the process-global registry: each reactor
 //! pass prints its p50/p99 INP phase latencies (from a snapshot diff
@@ -58,10 +59,11 @@ use std::time::{Duration, Instant};
 
 use fractal_bench::bench_env::BenchEnv;
 use fractal_bench::fig9a::client_env;
+use fractal_bench::fingerprint;
+use fractal_bench::json::Json;
 use fractal_bench::parallel::{self, THREAD_SWEEP};
 use fractal_bench::report::{print_phase_latencies, render_table};
 use fractal_bench::workbench::WORKLOAD_SEED;
-use fractal_core::meta::PadMeta;
 use fractal_core::presets::ClientClass;
 use fractal_core::reactor::{InpSession, Reactor, PHASE_METRICS};
 use fractal_core::server::AdaptiveContentMode;
@@ -109,14 +111,6 @@ struct Row {
     bytes_per_sec: f64,
     reactor_sessions_per_sec: f64,
     speedup: f64,
-}
-
-/// Order-sensitive FNV fold over an adaptation decision (pad ids +
-/// protocols) — the identity checked across thread counts.
-fn fingerprint(pads: &[PadMeta]) -> u64 {
-    pads.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, p| {
-        (h ^ p.id.0 ^ ((p.protocol as u64) << 32)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// Times `n` negotiations over the mixed-client stream on `n_threads`
@@ -474,64 +468,63 @@ fn republish_pass(
     }
 }
 
-fn write_json(
-    path: &str,
+/// The `BENCH_throughput.json` document for one finished sweep.
+fn document(
     rows: &[Row],
     transport: &[TransportRow],
     republish: &Republish,
     n_negotiations: usize,
     env: &BenchEnv,
     telem: &Snapshot,
-) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"throughput\",\n");
-    out.push_str("  \"workload\": \"fig9a-mixed-clients\",\n");
-    out.push_str(&format!("  \"negotiations\": {n_negotiations},\n"));
-    out.push_str(&env.json_fields());
-    out.push_str(&format!("  \"reactor_sessions_in_flight\": {REACTOR_BATCH},\n"));
-    out.push_str("  \"decisions_identical_across_threads\": true,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"negotiations_per_sec\": {:.0}, \
-             \"bytes_per_sec\": {:.0}, \"reactor_sessions_per_sec\": {:.0}, \
-             \"speedup\": {:.3}}}{}\n",
-            r.threads,
-            r.negotiations_per_sec,
-            r.bytes_per_sec,
-            r.reactor_sessions_per_sec,
-            r.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"links\": [\n");
-    for (i, t) in transport.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"link\": \"{}\", \"sessions\": {}, \"negotiation_ms\": {:.3}, \
-             \"session_ms\": {:.3}}}{}\n",
-            t.link,
-            t.sessions,
-            t.negotiation_ms,
-            t.session_ms,
-            if i + 1 < transport.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"republish\": {\n");
-    out.push_str(&format!("    \"publishes\": {},\n", republish.publishes));
-    out.push_str(&format!("    \"publishes_per_sec\": {:.0},\n", republish.publishes_per_sec));
-    out.push_str(&format!("    \"reader_sessions\": {},\n", republish.reader_sessions));
-    out.push_str(&format!(
-        "    \"reader_sessions_per_sec\": {:.0},\n",
-        republish.reader_sessions_per_sec
-    ));
-    out.push_str("    \"divergent_decisions\": 0,\n");
-    out.push_str(&format!(
-        "    \"p99_ratio\": {},\n",
-        republish.p99_ratio.map_or("null".into(), |r| format!("{r:.3}"))
-    ));
-    out.push_str(&format!("    \"server_generation\": {}\n  }},\n", republish.server_generation));
-    out.push_str(&format!("  \"telemetry\": {}\n}}\n", telem.to_json("  ")));
-    std::fs::write(path, out).expect("write benchmark JSON");
+) -> Json {
+    let rows: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            Json::object([
+                ("threads", r.threads.into()),
+                ("negotiations_per_sec", Json::rounded(r.negotiations_per_sec, 0)),
+                ("bytes_per_sec", Json::rounded(r.bytes_per_sec, 0)),
+                ("reactor_sessions_per_sec", Json::rounded(r.reactor_sessions_per_sec, 0)),
+                ("speedup", Json::rounded(r.speedup, 3)),
+            ])
+        })
+        .collect();
+    let links: Vec<Json> = transport
+        .iter()
+        .map(|t| {
+            Json::object([
+                ("link", t.link.into()),
+                ("sessions", t.sessions.into()),
+                ("negotiation_ms", Json::rounded(t.negotiation_ms, 3)),
+                ("session_ms", Json::rounded(t.session_ms, 3)),
+            ])
+        })
+        .collect();
+    let republish = Json::object([
+        ("publishes", republish.publishes.into()),
+        ("publishes_per_sec", Json::rounded(republish.publishes_per_sec, 0)),
+        ("reader_sessions", republish.reader_sessions.into()),
+        ("reader_sessions_per_sec", Json::rounded(republish.reader_sessions_per_sec, 0)),
+        // The pass aborts on any divergence, so a document only exists at 0.
+        ("divergent_decisions", 0u64.into()),
+        ("p99_ratio", republish.p99_ratio.map_or(Json::Null, |r| Json::rounded(r, 3))),
+        ("server_generation", republish.server_generation.into()),
+    ]);
+    let mut doc = vec![
+        ("bench", "throughput".into()),
+        ("workload", "fig9a-mixed-clients".into()),
+        ("negotiations", n_negotiations.into()),
+    ];
+    doc.extend(env.members());
+    doc.extend([
+        ("reactor_sessions_in_flight", REACTOR_BATCH.into()),
+        ("decisions_identical_across_threads", Json::Bool(true)),
+        ("rows", Json::Arr(rows)),
+        ("links", Json::Arr(links)),
+        ("republish", republish),
+        ("telemetry", telem.into()),
+    ]);
+    Json::object(doc)
 }
 
 fn main() {
@@ -716,10 +709,6 @@ fn main() {
     let telem = Telemetry::global().snapshot();
     reconcile_telemetry(&tb, &telem);
 
-    if smoke {
-        println!("(--smoke: not writing BENCH_throughput.json)");
-    } else {
-        write_json("BENCH_throughput.json", &rows, &transport_rows, &repub, n_neg, &env, &telem);
-        println!("wrote BENCH_throughput.json");
-    }
+    document(&rows, &transport_rows, &repub, n_neg, &env, &telem)
+        .save("BENCH_throughput.json", smoke);
 }

@@ -9,7 +9,7 @@
 //!
 //! Results land in `BENCH_vm_dispatch.json` with the standard provenance
 //! stamp. Under `--smoke` (the CI gate mode) the pass counts are trimmed
-//! and no JSON is written.
+//! and the document is built and read back but not written.
 //!
 //! **Caveat for CI numbers:** single-CPU runners time-share the
 //! measurement thread, so treat absolute MB/s there as noise-bounded;
@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use fractal_bench::bench_env::BenchEnv;
+use fractal_bench::json::Json;
 use fractal_bench::report::render_table;
 use fractal_core::server::codec_for;
 use fractal_crypto::sign::SignerRegistry;
@@ -111,11 +112,12 @@ fn main() {
             format!("{mbs_fast:.2}"),
             format!("{speedup:.3}x"),
         ]);
-        json_rows.push(format!(
-            "    {{\"workload\": \"{}\", \"checked_mbs\": {mbs_checked:.3}, \
-             \"fast_mbs\": {mbs_fast:.3}, \"speedup\": {speedup:.4}}}",
-            w.name
-        ));
+        json_rows.push(Json::object([
+            ("workload", w.name.as_str().into()),
+            ("checked_mbs", Json::rounded(mbs_checked, 3)),
+            ("fast_mbs", Json::rounded(mbs_fast, 3)),
+            ("speedup", Json::rounded(speedup, 4)),
+        ]));
     }
 
     println!("vm dispatch paths (decode MB/s, best of {passes} passes x {reps} reps)");
@@ -126,17 +128,15 @@ fn main() {
         env.host_cpus
     );
 
-    if smoke {
-        println!("(--smoke: not writing BENCH_vm_dispatch.json)");
-        return;
-    }
-    let json = format!(
-        "{{\n{}  \"note\": \"speedup = analyzed fast path vs checked interpreter; on 1-CPU \
-         CI runners absolute MB/s is noise-bounded, compare speedup\",\n  \"rows\": [\n{}\n  \
-         ]\n}}\n",
-        env.json_fields(),
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_vm_dispatch.json", json).expect("write BENCH_vm_dispatch.json");
-    println!("wrote BENCH_vm_dispatch.json");
+    let mut doc = env.members();
+    doc.extend([
+        (
+            "note",
+            "speedup = analyzed fast path vs checked interpreter; on 1-CPU CI runners absolute \
+             MB/s is noise-bounded, compare speedup"
+                .into(),
+        ),
+        ("rows", Json::Arr(json_rows)),
+    ]);
+    Json::object(doc).save("BENCH_vm_dispatch.json", smoke);
 }

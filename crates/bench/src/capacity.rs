@@ -18,6 +18,7 @@ use fractal_net::time::{SimDuration, SimTime};
 use fractal_protocols::ProtocolId;
 
 use crate::parallel;
+use crate::report::render_table;
 
 /// Server CPU in MHz (matches `OverheadModel::paper`).
 const SERVER_CPU_MHZ: f64 = 2800.0;
@@ -61,14 +62,9 @@ pub fn run_point(protocol: ProtocolId, offered_rps: f64, n_requests: usize) -> C
     CapacityPoint { protocol, offered_rps, mean_sojourn, saturated }
 }
 
-/// Sweeps offered load for every case-study protocol; returns, per
-/// protocol, the highest offered load that did not saturate.
-pub fn knee_per_protocol() -> Vec<(ProtocolId, f64)> {
-    knee_per_protocol_threads(1)
-}
-
-/// The knee sweep with one worker per protocol (each protocol's load ramp
-/// is an independent pure computation).
+/// Sweeps offered load for every case-study protocol on `n_threads`
+/// workers (each protocol's load ramp is an independent pure computation);
+/// returns, per protocol, the highest offered load that did not saturate.
 pub fn knee_per_protocol_threads(n_threads: usize) -> Vec<(ProtocolId, f64)> {
     parallel::run_indexed(n_threads, ProtocolId::PAPER_FOUR.len(), |idx| {
         let p = ProtocolId::PAPER_FOUR[idx];
@@ -86,13 +82,47 @@ pub fn knee_per_protocol_threads(n_threads: usize) -> Vec<(ProtocolId, f64)> {
     })
 }
 
+/// Prints the per-protocol capacity knees and the sojourn curve of
+/// vary-sized blocking under rising load.
+pub fn print(_n_pages: u32) {
+    println!("System capacity: server compute queue (2 workers, 2.8 GHz), 135 KB pages\n");
+
+    let rows: Vec<Vec<String>> = knee_per_protocol_threads(2)
+        .iter()
+        .map(|&(p, knee)| {
+            vec![
+                p.name().to_string(),
+                format!("{:.1}", service_time(p).as_millis_f64()),
+                if knee >= 120.0 { ">120".into() } else { format!("{knee:.0}") },
+            ]
+        })
+        .collect();
+    println!("{}", render_table(&["protocol", "server ms/page", "max sustainable rps"], &rows));
+
+    println!("\nsojourn under load (vary-sized blocking):");
+    for rps in [2.0, 5.0, 8.0, 12.0] {
+        let p = run_point(ProtocolId::VaryBlock, rps, 200);
+        println!(
+            "  {:>5.1} rps  mean sojourn {:>10}  {}",
+            rps,
+            p.mean_sojourn.to_string(),
+            if p.saturated { "SATURATED" } else { "ok" }
+        );
+    }
+    println!(
+        "\nReactive vary-sized blocking caps the whole server at a handful of\n\
+         requests/second — the capacity argument behind proactive adaptive\n\
+         content and behind disqualifying Vary in Figure 10."
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn vary_saturates_first() {
-        let knees = knee_per_protocol();
+        let knees = knee_per_protocol_threads(1);
         let knee = |p: ProtocolId| knees.iter().find(|(q, _)| *q == p).unwrap().1;
         // Direct has no server compute: never saturates in the sweep.
         assert!(knee(ProtocolId::Direct) >= knee(ProtocolId::Gzip));
@@ -105,7 +135,7 @@ mod tests {
 
     #[test]
     fn parallel_knees_are_byte_identical_to_serial() {
-        let serial = knee_per_protocol();
+        let serial = knee_per_protocol_threads(1);
         for threads in [2, 4] {
             assert_eq!(knee_per_protocol_threads(threads), serial, "threads = {threads}");
         }

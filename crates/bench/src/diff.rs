@@ -1,18 +1,18 @@
 //! Bench trend tooling: load two `BENCH_*.json` documents, align their
 //! numeric series, and gate on regressions.
 //!
-//! The bench JSON is written by the repo's own textual splicers
-//! ([`report`](crate::report)), so this module carries the matching
-//! reader: a dependency-free recursive-descent JSON parser, a flattener
-//! that turns nested sections and row arrays into stable `(key, value)`
-//! series, and a direction-aware comparator. `--bin benchdiff` is the
-//! CLI; CI runs it against the committed baseline.
+//! The documents are read with the same [`json`](crate::json) module
+//! that wrote them; this module is a flattener that turns nested sections
+//! and row arrays into stable `(key, value)` series, and a
+//! direction-aware comparator. `--bin benchdiff` is the CLI; CI runs it
+//! against the committed baseline.
 //!
 //! Flattening rules, chosen so keys survive row reordering:
 //!
 //! * object members nest with `.` (`c100k.sessions`);
 //! * array elements are keyed by their identifying member —
-//!   `threads`, `shards`, `link`, `scenario`, or `label` — so
+//!   `threads`, `shards`, `link`, `scenario`, `label`, `protocol`, or
+//!   `workload` — so
 //!   `c100k.rows[shards=2].sessions_per_sec` names the same series in
 //!   both files even if the sweep order changed (positional index is
 //!   the fallback);
@@ -28,227 +28,7 @@
 
 use std::fmt;
 
-// ---------------------------------------------------------------------------
-// A minimal JSON reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Object member order is preserved (the bench
-/// documents are splicer-maintained, so order is meaningful to humans).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, held as `f64` (bench values fit comfortably).
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, members in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses a complete JSON document (trailing whitespace allowed).
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Member lookup on an object; `None` on other variants.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number in this value, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'s> {
-    bytes: &'s [u8],
-    pos: usize,
-}
-
-impl<'s> Parser<'s> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched: copy the
-                    // raw bytes until the next ASCII quote/backslash.
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid utf-8 in string")?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => return Err(format!("expected , or }} got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected , or ] got {other:?} at {}", self.pos)),
-            }
-        }
-    }
-}
+use crate::json::Json;
 
 // ---------------------------------------------------------------------------
 // Flattening
@@ -256,7 +36,8 @@ impl<'s> Parser<'s> {
 
 /// Members that identify an array row — checked in order; the first one
 /// present keys the row.
-const ROW_KEYS: [&str; 5] = ["threads", "shards", "link", "scenario", "label"];
+const ROW_KEYS: [&str; 7] =
+    ["threads", "shards", "link", "scenario", "label", "protocol", "workload"];
 
 /// Subtrees that are reconciliation artifacts, not trend series.
 const SKIP_SUBTREES: [&str; 1] = ["telemetry"];
@@ -270,8 +51,11 @@ pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
 }
 
 fn walk(v: &Json, path: String, out: &mut Vec<(String, f64)>) {
+    if let Some(n) = v.as_f64() {
+        out.push((path, n));
+        return;
+    }
     match v {
-        Json::Num(n) => out.push((path, *n)),
         Json::Obj(members) => {
             for (k, child) in members {
                 if SKIP_SUBTREES.contains(&k.as_str()) {
@@ -286,6 +70,7 @@ fn walk(v: &Json, path: String, out: &mut Vec<(String, f64)>) {
                 let tag = ROW_KEYS.iter().find_map(|rk| {
                     item.get(rk).map(|id| match id {
                         Json::Str(s) => format!("{rk}={s}"),
+                        Json::Int(n) => format!("{rk}={n}"),
                         Json::Num(n) => format!("{rk}={n}"),
                         _ => format!("{rk}?"),
                     })
@@ -419,20 +204,12 @@ mod tests {
         "links": [
             {"link": "WLAN", "negotiation_ms": 8.5}
         ],
+        "knees": [
+            {"protocol": "Gzip", "max_sustainable_rps": 32},
+            {"protocol": "Bitmap", "max_sustainable_rps": 96}
+        ],
         "telemetry": {"counters": {"noise_total": 9}}
     }"#;
-
-    #[test]
-    fn parser_handles_the_bench_grammar() {
-        let doc = Json::parse(BASE).expect("parses");
-        assert_eq!(doc.get("negotiations").and_then(Json::as_f64), Some(1000.0));
-        assert_eq!(doc.get("bench"), Some(&Json::Str("throughput".into())));
-        let escaped = Json::parse(r#"{"a{b": "x\"y\n", "n": -3.5e2}"#).unwrap();
-        assert_eq!(escaped.get("a{b"), Some(&Json::Str("x\"y\n".into())));
-        assert_eq!(escaped.get("n").and_then(Json::as_f64), Some(-350.0));
-        assert!(Json::parse("{\"a\": 1,}").is_err(), "trailing comma rejected");
-        assert!(Json::parse("[1, 2] tail").is_err(), "trailing garbage rejected");
-    }
 
     #[test]
     fn flatten_keys_rows_by_identity_and_skips_telemetry() {
@@ -458,6 +235,15 @@ mod tests {
             r#"{"shards": 2, "sessions_per_sec": 110, "polls": 5000},
             {"shards": 1, "sessions_per_sec": 200, "polls": 5000}"#,
         );
+        // BENCH_capacity.json's rows carry no shard/thread count: they are
+        // keyed by protocol (BENCH_vm_dispatch.json's by workload).
+        let reordered = reordered.replace(
+            r#"{"protocol": "Gzip", "max_sustainable_rps": 32},
+            {"protocol": "Bitmap", "max_sustainable_rps": 96}"#,
+            r#"{"protocol": "Bitmap", "max_sustainable_rps": 96},
+            {"protocol": "Gzip", "max_sustainable_rps": 32}"#,
+        );
+        assert_ne!(reordered.find("Bitmap"), BASE.find("Bitmap"), "the knees did swap");
         let report =
             DiffReport::compare(&Json::parse(BASE).unwrap(), &Json::parse(&reordered).unwrap());
         assert!(report.only_base.is_empty() && report.only_fresh.is_empty());

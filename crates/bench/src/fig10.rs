@@ -10,6 +10,7 @@ use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
+use crate::report::{ms, render_table};
 use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
 
 /// One panel of the figure: every protocol measured for one class, plus
@@ -48,6 +49,41 @@ pub fn run_all(n_pages: u32) -> Vec<Panel> {
         run_panel(ClientClass::PdaBluetooth, true, n_pages),
         run_panel(ClientClass::PdaBluetooth, false, n_pages),
     ]
+}
+
+/// Prints Figure 10, panels (a)–(d).
+pub fn print(n_pages: u32) {
+    println!("Figure 10: computing overhead (server + client) per protocol");
+    println!("workload: {n_pages} pages, warm sessions, localized edits\n");
+
+    for (i, panel) in run_all(n_pages).into_iter().enumerate() {
+        let label = ["(a)", "(b)", "(c)", "(d)"][i];
+        let mode = if panel.with_server_compute {
+            "with server-side computing"
+        } else {
+            "without server-side computing (proactive)"
+        };
+        println!("panel {label}: {} — {mode}", panel.class);
+        let rows: Vec<Vec<String>> = panel
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    c.protocol.name().to_string(),
+                    ms(c.server_compute),
+                    ms(c.client_compute),
+                    ms(c.server_compute + c.client_compute),
+                ]
+            })
+            .collect();
+        println!(
+            "{}",
+            render_table(&["protocol", "server (ms)", "client (ms)", "total compute (ms)"], &rows)
+        );
+        println!("negotiated (adaptive) protocol: {}\n", panel.adaptive_pick);
+    }
+    println!("paper expectation: vary-sized blocking's server compute dominates (a)-(c);");
+    println!("panel (d) PDA adaptive pick flips from Bitmap to Vary-sized blocking.");
 }
 
 #[cfg(test)]

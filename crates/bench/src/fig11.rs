@@ -11,6 +11,7 @@ use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
+use crate::report::{kb, render_table, secs};
 use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
 
 /// The full figure: one matrix of cells per panel.
@@ -85,6 +86,47 @@ impl Figure11 {
             .find(|c| c.class == class && c.protocol == protocol)
             .expect("cell exists")
     }
+}
+
+/// Prints Figure 11: (a) bytes transferred, (b) total time with
+/// server-side computing, (c) total time without.
+pub fn print(n_pages: u32) {
+    println!("Figure 11 over {n_pages} pages (warm sessions, localized edits)\n");
+    let fig = run(n_pages);
+
+    println!("(a) bytes transferred per page (mean, up + down)");
+    let rows: Vec<Vec<String>> = fig
+        .bytes_per_protocol()
+        .into_iter()
+        .map(|(p, b)| vec![p.name().to_string(), kb(b)])
+        .collect();
+    println!("{}", render_table(&["protocol", "KB"], &rows));
+    println!("paper expectation: Direct most, Vary-sized least, Gzip/Bitmap between\n");
+
+    for (label, with_server) in [
+        ("(b) total time WITH server-side computing (s)", true),
+        ("(c) total time WITHOUT server-side computing (s)", false),
+    ] {
+        println!("{label}");
+        let mut rows = Vec::new();
+        for p in ProtocolId::PAPER_FOUR {
+            let mut row = vec![p.name().to_string()];
+            for class in ClientClass::ALL {
+                let cell =
+                    if with_server { fig.cell_with(class, p) } else { fig.cell_without(class, p) };
+                row.push(secs(cell.total));
+            }
+            rows.push(row);
+        }
+        println!("{}", render_table(&["protocol", "Desktop/LAN", "Laptop/WLAN", "PDA/BT"], &rows));
+        let picks = if with_server { &fig.picks_with } else { &fig.picks_without };
+        for (class, p) in picks {
+            println!("  adaptive pick for {class}: {p}");
+        }
+        println!();
+    }
+    println!("paper expectation: winners Direct/Gzip/Bitmap with server computing;");
+    println!("PDA winner becomes Vary-sized blocking without it.");
 }
 
 #[cfg(test)]

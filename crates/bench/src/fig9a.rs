@@ -20,6 +20,7 @@ use fractal_net::queue::{FifoQueue, Job};
 use fractal_net::time::{SimDuration, SimTime};
 
 use crate::parallel;
+use crate::report::{ms, render_table};
 
 /// Negotiation workers at the proxy.
 const PROXY_WORKERS: usize = 4;
@@ -147,6 +148,26 @@ pub fn run_sweep_threads(cache_enabled: bool, n_threads: usize) -> Vec<Point> {
         let k = idx + 1;
         run_point(k * 20, cache_enabled, 9 + k as u64)
     })
+}
+
+/// Prints Figure 9(a): average negotiation time vs. number of clients,
+/// with the cache-disabled ablation below it.
+pub fn print(_n_pages: u32) {
+    println!("Figure 9(a): average negotiation time vs number of clients (one proxy)");
+    println!("paper expectation: stays in a relatively stable range, with fluctuations\n");
+
+    let rows: Vec<Vec<String>> = run_sweep(true)
+        .into_iter()
+        .map(|p| vec![p.clients.to_string(), ms(p.mean_negotiation), p.cache_hits.to_string()])
+        .collect();
+    println!("{}", render_table(&["clients", "mean negotiation (ms)", "cache hits"], &rows));
+
+    println!("ablation: adaptation cache disabled");
+    let rows: Vec<Vec<String>> = run_sweep(false)
+        .into_iter()
+        .map(|p| vec![p.clients.to_string(), ms(p.mean_negotiation)])
+        .collect();
+    println!("{}", render_table(&["clients", "mean negotiation (ms)"], &rows));
 }
 
 #[cfg(test)]

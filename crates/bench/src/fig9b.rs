@@ -15,6 +15,7 @@ use fractal_net::time::{SimDuration, SimTime};
 use fractal_net::topology::{NodeId, Position, Topology};
 
 use crate::parallel;
+use crate::report::{ms, render_table};
 
 /// Edge servers in the distributed deployment (the paper used "some nodes
 /// from PlanetLab").
@@ -118,6 +119,29 @@ pub fn run_sweep() -> Vec<Point> {
 /// workers.
 pub fn run_sweep_threads(n_threads: usize) -> Vec<Point> {
     parallel::run_indexed(n_threads, 15, |idx| run_point_fresh((idx + 1) * 20))
+}
+
+/// Prints Figure 9(b): average PAD retrieval time, centralized vs.
+/// distributed PAD servers.
+pub fn print(_n_pages: u32) {
+    println!("Figure 9(b): average PAD retrieval time vs number of simultaneous clients");
+    println!("paper expectation: centralized climbs rapidly; distributed stays flat\n");
+
+    let rows: Vec<Vec<String>> = run_sweep()
+        .into_iter()
+        .map(|p| {
+            vec![
+                p.clients.to_string(),
+                ms(p.centralized),
+                ms(p.distributed),
+                format!("{:.1}x", p.centralized.as_secs_f64() / p.distributed.as_secs_f64()),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["clients", "centralized (ms)", "distributed (ms)", "ratio"], &rows)
+    );
 }
 
 #[cfg(test)]

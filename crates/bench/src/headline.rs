@@ -15,6 +15,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::parallel;
+use crate::report::{render_table, secs};
 use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
 
 /// The comparison for one client class.
@@ -81,6 +82,43 @@ pub fn run_threads(n_pages: u32, n_threads: usize) -> Vec<Comparison> {
             picked: chunk[2].1,
         })
         .collect()
+}
+
+/// Prints the headline comparison: adaptive Fractal vs. no adaptation and
+/// vs. static adaptation.
+pub fn print(n_pages: u32) {
+    println!("Headline comparison over {n_pages} pages (warm sessions)\n");
+
+    let rows: Vec<Vec<String>> = run(n_pages)
+        .into_iter()
+        .map(|c| {
+            vec![
+                c.class.name().to_string(),
+                secs(c.none.total),
+                secs(c.fixed.total),
+                secs(c.adaptive.total),
+                c.picked.name().to_string(),
+                format!("{:.0}%", c.vs_none() * 100.0),
+                format!("{:.0}%", c.vs_fixed() * 100.0),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "client",
+                "none (s)",
+                "static/vary (s)",
+                "adaptive (s)",
+                "picked",
+                "vs none",
+                "vs static"
+            ],
+            &rows
+        )
+    );
+    println!("\npaper claim: for some clients −41% vs no adaptation, −14% vs static.");
 }
 
 #[cfg(test)]

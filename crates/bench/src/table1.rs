@@ -5,6 +5,8 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_pads::catalog::{table1, Table1Row};
 
+use crate::report::render_table;
+
 /// A Table-1 row augmented with the built artifact's vitals.
 #[derive(Clone, Debug)]
 pub struct BuiltRow {
@@ -41,6 +43,27 @@ pub fn run() -> Vec<BuiltRow> {
             }
         })
         .collect()
+}
+
+/// Prints Table 1 with live artifact vitals.
+pub fn print(_n_pages: u32) {
+    println!("Table 1: functions and implementations of the PADs\n");
+    let rows: Vec<Vec<String>> = run()
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.row.name.to_string(),
+                r.row.function.to_string(),
+                r.row.implementation.to_string(),
+                r.artifact_bytes.to_string(),
+                r.digest_short,
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(&["PAD name", "Function", "Implementation", "bytes", "digest"], &rows)
+    );
 }
 
 #[cfg(test)]

@@ -84,7 +84,6 @@ fn snapshots_and_traces_identical_at_every_thread_count() {
         assert_eq!(trace, baseline_trace, "trace diverged at {threads} threads");
         // Rendered artifacts are byte-identical too, not just structurally.
         assert_eq!(snap.render_prometheus(), baseline_snap.render_prometheus());
-        assert_eq!(snap.to_json(""), baseline_snap.to_json(""));
     }
 }
 

@@ -9,7 +9,8 @@
 //!   [`Histogram`](metrics::Histogram)s with lock-free recording and
 //!   associative, deterministic snapshot merge;
 //! - [`registry`] — a sharded `&self` name→handle map, snapshots rendered
-//!   as a Prometheus text page or as JSON for embedding in `BENCH_*.json`;
+//!   as a Prometheus text page (the bench crate builds its `BENCH_*.json`
+//!   members from the snapshot's public maps);
 //! - [`journal`] — the flight recorder: per-shard bounded ring-buffer
 //!   event journals with a deterministic, associative snapshot merge
 //!   and a per-session `tail` query;

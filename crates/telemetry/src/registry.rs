@@ -8,10 +8,10 @@
 //! concurrent component construction doesn't convoy on a single mutex.
 //!
 //! [`Snapshot`] is the plain-data view: `BTreeMap`s keyed by name, so
-//! every rendering (Prometheus text page, JSON for `BENCH_*.json`) is
-//! deterministically ordered, and [`Snapshot::merge`] is bucket-wise
-//! addition — associative, commutative, and therefore safe to fold across
-//! per-work-unit registries in any grouping.
+//! the Prometheus text page (and anything a consumer builds by walking
+//! the maps) is deterministically ordered, and [`Snapshot::merge`] is
+//! bucket-wise addition — associative, commutative, and therefore safe to
+//! fold across per-work-unit registries in any grouping.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -257,52 +257,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Renders a JSON object (no trailing newline), with `indent` as the
-    /// leading whitespace of nested lines — shaped for embedding into the
-    /// hand-rolled `BENCH_*.json` writers. Metric names are escaped:
-    /// labeled series ([`Snapshot::labeled`]) carry literal quotes in
-    /// their `{key="value"}` suffix, which must not terminate the JSON
-    /// key.
-    pub fn to_json(&self, indent: &str) -> String {
-        let esc = |k: &str| k.replace('\\', "\\\\").replace('"', "\\\"");
-        let pad = format!("{indent}  ");
-        let mut parts: Vec<String> = Vec::new();
-
-        let counters: Vec<String> =
-            self.counters.iter().map(|(k, v)| format!("{pad}  \"{}\": {v}", esc(k))).collect();
-        parts.push(format!("{pad}\"counters\": {{\n{}\n{pad}}}", counters.join(",\n")));
-
-        let gauges: Vec<String> =
-            self.gauges.iter().map(|(k, v)| format!("{pad}  \"{}\": {v}", esc(k))).collect();
-        parts.push(format!("{pad}\"gauges\": {{\n{}\n{pad}}}", gauges.join(",\n")));
-
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<String> = (0..BUCKETS)
-                    .filter(|&i| h.buckets[i] > 0)
-                    .map(|i| format!("[{}, {}]", bucket_upper(i), h.buckets[i]))
-                    .collect();
-                format!(
-                    "{pad}  \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                     \"p50\": {}, \"p99\": {}, \"buckets\": [{}]}}",
-                    esc(k),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    buckets.join(", ")
-                )
-            })
-            .collect();
-        parts.push(format!("{pad}\"histograms\": {{\n{}\n{pad}}}", hists.join(",\n")));
-
-        format!("{{\n{}\n{indent}}}", parts.join(",\n"))
-    }
 }
 
 /// The bundle instrumented components hold: where to register metrics and
@@ -463,34 +417,6 @@ mod tests {
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("lat_ns_sum 301\n"));
         assert!(text.contains("lat_ns_count 2\n"));
-    }
-
-    #[test]
-    fn json_rendering_is_balanced_and_sorted() {
-        let t = local();
-        t.counter("b").add(1);
-        t.counter("a").add(2);
-        t.histogram("h").record(5);
-        let json = t.snapshot().to_json("  ");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.find("\"a\": 2").unwrap() < json.find("\"b\": 1").unwrap());
-        assert!(json.contains("\"count\": 1"));
-        // Identical snapshots render identically (byte determinism).
-        assert_eq!(json, t.snapshot().to_json("  "));
-    }
-
-    #[test]
-    fn json_escapes_labeled_metric_names() {
-        let t = local();
-        t.counter("done_total").add(4);
-        t.histogram("lat_ns").record(9);
-        let json = t.snapshot().labeled("shard", "0").to_json("  ");
-        // The literal quotes of the `{shard="0"}` suffix must arrive
-        // escaped, or the embedding BENCH_*.json stops being JSON.
-        assert!(json.contains("\"done_total{shard=\\\"0\\\"}\": 4"), "{json}");
-        assert!(json.contains("\"lat_ns{shard=\\\"0\\\"}\": {"), "{json}");
-        assert!(!json.contains("{shard=\"0\"}\":"), "unescaped name survived: {json}");
     }
 
     #[test]

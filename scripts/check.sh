@@ -119,7 +119,10 @@ step "throughput smoke (concurrent engine + reactor + transport + republish gate
 # trickles `&self` publishes into the shared server while the reactor
 # pass re-runs, and the binary aborts on any decision divergence, a
 # latest_version going backwards, an unreclaimed epoch generation, or a
-# p99 blow-up against the quiet pass.
+# p99 blow-up against the quiet pass. Like every bench smoke below, it
+# then builds its BENCH_*.json document, emits it, parses it back and
+# asserts equality (only the write is skipped), so a malformed document
+# fails here and not in a 15-minute full sweep.
 cargo build -q --release -p fractal-bench --bin throughput
 guarded "suspect a reactor stall or a lock cycle in the sharded proxy" \
     ./target/release/throughput --smoke
@@ -147,13 +150,14 @@ guarded "the introspection plane or the stall detector wedged" \
     ./target/release/c100k --smoke --introspect 0
 
 step "benchdiff self-check (committed baselines diff clean against themselves)"
-# Identity must be a fixed point: diffing a committed BENCH_*.json against
+# Identity must be a fixed point: diffing each committed BENCH_*.json against
 # itself has to align every series and report zero regressions. Catches
 # row-identity or flattening bugs in the diff tool before CI relies on it
 # to gate real regressions.
 cargo build -q --release -p fractal-bench --bin benchdiff
-./target/release/benchdiff BENCH_throughput.json BENCH_throughput.json >/dev/null
-./target/release/benchdiff BENCH_scenarios.json  BENCH_scenarios.json  >/dev/null
+for f in BENCH_*.json; do
+    ./target/release/benchdiff "$f" "$f" >/dev/null
+done
 
 # Each adversity scenario at --smoke scale, one named step per scenario
 # so a red run says WHICH one broke. Every scenario runs twice in-process
