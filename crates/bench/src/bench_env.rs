@@ -1,11 +1,11 @@
 //! Provenance stamp shared by every `BENCH_*.json` writer.
 //!
 //! A benchmark number without its host and commit is unreproducible: the
-//! capacity knees depend on core count, the throughput speedups on both.
+//! capacity knees depend on core count, the interpreter speedups on both.
 //! [`BenchEnv::capture`] records the machine and the exact source revision
 //! once, and [`BenchEnv::members`] yields them as the common object
-//! members so `BENCH_throughput.json` and `BENCH_capacity.json` stay
-//! comparable across CI runs and laptops.
+//! members so every `BENCH_*.json` stays comparable across CI runs and
+//! laptops.
 
 use crate::json::Json;
 
@@ -17,11 +17,9 @@ pub struct BenchEnv {
     /// Git commit: `GITHUB_SHA` in CI, `git rev-parse HEAD` locally,
     /// `"unknown"` outside a checkout.
     pub git_sha: String,
-    /// Reactor shards driving the sessions (1 = the serial reactor).
-    pub reactor_shards: usize,
     /// Transport the bytes crossed: `"loopback"` (in-memory ring),
-    /// `"simlink"` (simulated links), `"tcp-loopback"` (real kernel
-    /// sockets), or a combination.
+    /// `"simlink"` (simulated links), `"queueing-model"` (no bytes move),
+    /// or a combination.
     pub transport: String,
     /// Adversity scenario this row came from, with the fault seed that
     /// drove it — `None` outside the scenario soak driver. A scenario row
@@ -30,9 +28,8 @@ pub struct BenchEnv {
 }
 
 impl BenchEnv {
-    /// Captures the current host and revision. Defaults to the serial
-    /// single-shard reactor over the in-memory loopback transport; benches
-    /// that drive something else override via [`BenchEnv::with_shards`] /
+    /// Captures the current host and revision. Defaults to the in-memory
+    /// loopback transport; benches that drive something else override via
     /// [`BenchEnv::with_transport`].
     pub fn capture() -> BenchEnv {
         let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -42,19 +39,7 @@ impl BenchEnv {
             .map(|s| s.trim().to_string())
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".into());
-        BenchEnv {
-            host_cpus,
-            git_sha,
-            reactor_shards: 1,
-            transport: "loopback".into(),
-            scenario: None,
-        }
-    }
-
-    /// Stamps the number of reactor shards the bench drove.
-    pub fn with_shards(mut self, shards: usize) -> BenchEnv {
-        self.reactor_shards = shards;
-        self
+        BenchEnv { host_cpus, git_sha, transport: "loopback".into(), scenario: None }
     }
 
     /// Stamps the transport kind the session bytes crossed.
@@ -77,7 +62,6 @@ impl BenchEnv {
         let mut members = vec![
             ("host_cpus", self.host_cpus.into()),
             ("git_sha", self.git_sha.as_str().into()),
-            ("reactor_shards", self.reactor_shards.into()),
             ("transport", self.transport.as_str().into()),
         ];
         if let Some((name, seed)) = &self.scenario {
@@ -111,12 +95,11 @@ mod tests {
 
     #[test]
     fn members_carry_the_stamp_in_order() {
-        let env = BenchEnv::capture().with_shards(4).with_transport("tcp-loopback");
+        let env = BenchEnv::capture().with_transport("simlink");
         let env = BenchEnv { host_cpus: 8, git_sha: "abc123".into(), ..env };
         assert_eq!(
             Json::object(env.members()).emit(),
-            "{\n  \"host_cpus\": 8,\n  \"git_sha\": \"abc123\",\n  \"reactor_shards\": 4,\n  \
-             \"transport\": \"tcp-loopback\"\n}\n"
+            "{\n  \"host_cpus\": 8,\n  \"git_sha\": \"abc123\",\n  \"transport\": \"simlink\"\n}\n"
         );
     }
 
@@ -124,16 +107,14 @@ mod tests {
     fn scenario_stamp_carries_name_and_seed() {
         let plain = BenchEnv::capture();
         assert!(plain.scenario.is_none());
-        assert_eq!(plain.members().len(), 4);
+        assert_eq!(plain.members().len(), 3);
         let stamped = Json::object(plain.with_scenario("lossy_link", 0xC0FFEE).members());
         assert_eq!(stamped.get("scenario"), Some(&Json::Str("lossy_link".into())));
         assert_eq!(stamped.get("fault_seed"), Some(&Json::Int(0xC0FFEE)));
     }
 
     #[test]
-    fn capture_defaults_to_serial_loopback() {
-        let env = BenchEnv::capture();
-        assert_eq!(env.reactor_shards, 1);
-        assert_eq!(env.transport, "loopback");
+    fn capture_defaults_to_loopback() {
+        assert_eq!(BenchEnv::capture().transport, "loopback");
     }
 }

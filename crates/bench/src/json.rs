@@ -3,7 +3,7 @@
 //!
 //! Every `BENCH_*.json` is built as a [`Json`] value by a pure function,
 //! written by [`Json::emit`], read back by [`Json::parse`], and edited
-//! (`--bin c100k` adding its section to the throughput sweep's file) with
+//! (`--bin scenarios` replacing one scenario's row) with
 //! [`Json::insert`] on the parsed value — so writer, editor and reader
 //! cannot disagree about escaping or nesting. [`Json::save`] proves that
 //! on every document before it reaches disk, `--smoke` runs included.
@@ -75,15 +75,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number in this value, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -426,12 +417,12 @@ mod tests {
 
     #[test]
     fn parser_handles_the_bench_grammar() {
-        let doc = Json::parse(r#"{"bench": "throughput", "negotiations": 1000}"#).expect("parses");
+        let doc = Json::parse(r#"{"bench": "capacity", "negotiations": 1000}"#).expect("parses");
         assert_eq!(doc.get("negotiations"), Some(&Json::Int(1000)));
-        assert_eq!(doc.get("bench"), Some(&Json::Str("throughput".into())));
+        assert_eq!(doc.get("bench"), Some(&Json::Str("capacity".into())));
         let escaped = Json::parse(r#"{"a{b": "x\"y\n", "n": -3.5e2}"#).unwrap();
         assert_eq!(escaped.get("a{b"), Some(&Json::Str("x\"y\n".into())));
-        assert_eq!(escaped.get("n").and_then(Json::as_f64), Some(-350.0));
+        assert_eq!(escaped.get("n"), Some(&Json::Num(-350.0)));
         assert!(Json::parse("{\"a\": 1,}").is_err(), "trailing comma rejected");
         assert!(Json::parse("[1, 2] tail").is_err(), "trailing garbage rejected");
     }
@@ -447,15 +438,15 @@ mod tests {
     #[test]
     fn emitter_spelling_is_what_check_sh_greps_for() {
         let doc = Json::object([
-            ("links", Json::Arr(vec![Json::object([("link", "LAN".into())])])),
-            ("republish", Json::object([("divergent_decisions", 0u64.into())])),
+            ("rows", Json::Arr(vec![Json::object([("git_sha", "abc123".into())])])),
+            ("scenarios", Json::object([("stuck", 0u64.into())])),
             ("buckets", Json::Arr(vec![Json::Arr(vec![1u64.into(), Json::Num(2.5)])])),
             ("empty", Json::Obj(Vec::new())),
         ]);
         assert_eq!(
             doc.emit(),
-            "{\n  \"links\": [\n    {\n      \"link\": \"LAN\"\n    }\n  ],\n  \"republish\": \
-             {\n    \"divergent_decisions\": 0\n  },\n  \"buckets\": [\n    [1, 2.5]\n  ],\n  \"empty\": {}\n}\n"
+            "{\n  \"rows\": [\n    {\n      \"git_sha\": \"abc123\"\n    }\n  ],\n  \"scenarios\": \
+             {\n    \"stuck\": 0\n  },\n  \"buckets\": [\n    [1, 2.5]\n  ],\n  \"empty\": {}\n}\n"
         );
     }
 }

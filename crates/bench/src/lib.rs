@@ -29,7 +29,6 @@ use fractal_core::meta::PadMeta;
 pub mod ablate;
 pub mod bench_env;
 pub mod capacity;
-pub mod diff;
 pub mod fig10;
 pub mod fig11;
 pub mod fig9a;
@@ -50,8 +49,8 @@ pub fn fold(acc: u64, v: u64) -> u64 {
 }
 
 /// Order-sensitive FNV fold over an adaptation decision (pad ids +
-/// protocols) — the identity the throughput, c100k and scenario drivers
-/// compare across thread counts, shard counts, runs and the serial oracle.
+/// protocols) — the identity the scenario driver compares across runs and
+/// against the serial oracle.
 pub fn fingerprint(pads: &[PadMeta]) -> u64 {
     pads.iter().fold(FNV_OFFSET, |h, p| fold(h, p.id.0 ^ ((p.protocol as u64) << 32)))
 }

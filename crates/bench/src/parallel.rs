@@ -1,10 +1,10 @@
-//! Work-stealing parallel driver for the experiment harness.
+//! Parallel driver for the experiment harness.
 //!
 //! Every figure reduces to "evaluate a pure function at indices `0..n` and
 //! aggregate in index order". [`run_indexed`] fans those indices out to a
-//! pool of scoped worker threads over a work-stealing deque (a shared
-//! [`Injector`] feeding per-worker LIFO deques with FIFO stealing), then
-//! merges the per-worker result batches back into index order.
+//! pool of scoped worker threads that claim the next unevaluated index
+//! from one shared atomic counter, then merges the per-worker result
+//! batches back into index order.
 //!
 //! ## Determinism
 //!
@@ -15,9 +15,8 @@
 //! their jitter streams serially and hand the closure a slice (see
 //! `fig9a`), keeping the draw order independent of scheduling.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 /// Evaluates `f(i)` for `i in 0..n_items` on `n_threads` workers and
 /// returns the results in index order.
@@ -33,22 +32,19 @@ where
         return (0..n_items).map(f).collect();
     }
 
-    let injector = Injector::new();
-    for i in 0..n_items {
-        injector.push(i);
-    }
-    let locals: Vec<Worker<usize>> = (0..n_threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<usize>> = locals.iter().map(Worker::stealer).collect();
-
+    let next = AtomicUsize::new(0);
     // Each worker accumulates (index, result) pairs privately and merges
     // them under one short lock at exit.
     let merged: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_items));
     std::thread::scope(|scope| {
-        for (me, local) in locals.iter().enumerate() {
-            let (f, injector, stealers, merged) = (&f, &injector, &stealers, &merged);
-            scope.spawn(move || {
+        for _ in 0..n_threads {
+            scope.spawn(|| {
                 let mut batch: Vec<(usize, T)> = Vec::new();
-                while let Some(i) = local.pop().or_else(|| find_task(injector, stealers, me)) {
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_items {
+                        break;
+                    }
                     batch.push((i, f(i)));
                 }
                 merged.lock().unwrap_or_else(|e| e.into_inner()).extend(batch);
@@ -62,32 +58,7 @@ where
     pairs.into_iter().map(|(_, t)| t).collect()
 }
 
-/// One steal attempt: the shared injector first, then siblings, retrying
-/// transient races until every queue reports empty.
-fn find_task(injector: &Injector<usize>, stealers: &[Stealer<usize>], me: usize) -> Option<usize> {
-    loop {
-        match injector.steal() {
-            Steal::Success(i) => return Some(i),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    for (other, stealer) in stealers.iter().enumerate() {
-        if other == me {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                Steal::Success(i) => return Some(i),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
-}
-
-/// Thread counts exercised by the throughput bin and the benches.
+/// Thread counts the determinism suite sweeps.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 #[cfg(test)]

@@ -46,23 +46,6 @@ pub fn kb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 
-/// Prints the p50/p99/count of every INP phase histogram in `snap`
-/// (normally a snapshot diff covering exactly one pass), under a heading
-/// naming where it was measured ("2 thread(s)", "4 shard(s) …").
-pub fn print_phase_latencies(at: &str, snap: &fractal_telemetry::Snapshot) {
-    println!("  INP phase latency at {at}:");
-    for name in fractal_core::reactor::PHASE_METRICS {
-        if let Some(h) = snap.histograms.get(name) {
-            println!(
-                "    {name:<36} p50 {:>12} ns   p99 {:>12} ns   n={}",
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.count
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

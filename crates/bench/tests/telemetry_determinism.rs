@@ -1,13 +1,14 @@
 //! Determinism suite: reactor batches recording into per-batch registries
 //! and flight-recorder journals under virtual clocks produce byte-identical
-//! merged snapshots and phase traces at 1, 2, 4, and 8 worker threads.
+//! merged snapshots, phase traces and simulated wire times at 1, 2, 4, and
+//! 8 worker threads.
 //!
-//! The recipe mirrors the throughput bin's discipline: each work unit is a
-//! pure function of its index (own testbed, own registry, own clock, own
-//! journal), the work-stealing driver only decides *where* an index runs,
-//! and aggregation folds results in index order. Under that discipline the
-//! scheduler cannot leak into the numbers — which is exactly the claim the
-//! tentpole makes about `fractal-telemetry`.
+//! Each work unit is a pure function of its index (own testbed, own
+//! registry, own clock, own journal, own simulated link), the parallel
+//! driver only decides *where* an index runs, and aggregation folds
+//! results in index order. Under that discipline the scheduler cannot leak
+//! into the numbers — neither `fractal-telemetry`'s, nor the per-session
+//! wire clocks of the LAN / WLAN / Bluetooth `SimLinkTransport` pairs.
 
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, PHASE_METRICS};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_core::ClientClass;
+use fractal_net::LinkKind;
 use fractal_telemetry::{Journal, Registry, Snapshot, Telemetry, VirtualClock};
 
 /// Batches per run — enough to keep every worker in the 8-thread sweep
@@ -23,6 +25,8 @@ use fractal_telemetry::{Journal, Registry, Snapshot, Telemetry, VirtualClock};
 const BATCHES: usize = 5;
 /// Event-driven sessions multiplexed inside one batch's reactor.
 const SESSIONS: usize = 3;
+/// Simulated link every session of a batch crosses, rotated by batch index.
+const LINKS: [LinkKind; 3] = [LinkKind::Lan, LinkKind::Wlan, LinkKind::Bluetooth];
 
 fn page(item: usize, id: u32) -> Vec<u8> {
     let seed = (item as u8).wrapping_mul(31).wrapping_add(id as u8 + 1);
@@ -31,8 +35,10 @@ fn page(item: usize, id: u32) -> Vec<u8> {
 
 /// One self-contained work unit: a fresh testbed and a single-threaded
 /// reactor recording into a per-batch registry and journal over a virtual
-/// clock whose tick also depends only on the index. Returns the batch's
-/// snapshot and its rendered journal (one line per phase transition).
+/// clock whose tick also depends only on the index, every session behind
+/// its own simulated link. Returns the batch's snapshot and its trace: the
+/// rendered journal (one line per phase transition), then each session's
+/// simulated negotiation and completion times on the wire.
 fn batch(item: usize) -> (Snapshot, String) {
     let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(7 + item as u64));
     let journal = Arc::new(Journal::new(256).with_clock(bundle.clock()));
@@ -44,18 +50,34 @@ fn batch(item: usize) -> (Snapshot, String) {
         tb.server.publish(id, page(item, id));
     }
 
-    let cfg =
-        ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle).journal(Arc::clone(&journal));
+    let link = LINKS[item % LINKS.len()];
+    let cfg = ReactorConfig::new()
+        .transport(link)
+        .clock(bundle.clock())
+        .telemetry(&bundle)
+        .journal(Arc::clone(&journal));
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
-    for s in 0..SESSIONS {
-        let class = ClientClass::ALL[(item + s) % 3];
-        let client = tb.client(class).with_telemetry(&bundle);
-        reactor.spawn(InpSession::new(client, tb.app_id, s as u32, 0));
-    }
+    let ids: Vec<_> = (0..SESSIONS)
+        .map(|s| {
+            let class = ClientClass::ALL[(item + s) % 3];
+            let client = tb.client(class).with_telemetry(&bundle);
+            reactor.spawn(InpSession::new(client, tb.app_id, s as u32, 0))
+        })
+        .collect();
     let report = reactor.run().expect("batch sessions complete");
     assert_eq!(report.failed, 0);
 
-    (bundle.snapshot(), format!("== batch {item} ==\n{}", journal.snapshot().render()))
+    let mut trace = format!("== batch {item} over {link:?} ==\n{}", journal.snapshot().render());
+    for id in ids {
+        let t = reactor.transport_times(id);
+        let negotiated_us = t.negotiated_us.expect("cold sessions negotiate on the wire");
+        let done_us = t.done_us.expect("sessions finish on the wire");
+        assert!(0 < negotiated_us && negotiated_us < done_us, "batch {item} session {id}: {t:?}");
+        trace.push_str(&format!(
+            "wire session={id} negotiated_us={negotiated_us} done_us={done_us}\n"
+        ));
+    }
+    (bundle.snapshot(), trace)
 }
 
 /// Runs all batches on `threads` workers and aggregates in index order.

@@ -44,8 +44,8 @@
 //! The value is cloned per publish, so `T` should be a structure of
 //! refcounted leaves ([`Bytes`](bytes::Bytes) payloads, `Arc`'d PATs):
 //! the clone copies the *index*, never the payloads. Publish cost is
-//! O(entries), not O(bytes) — the measured trade in
-//! `BENCH_throughput.json`'s `"republish"` section.
+//! O(entries), not O(bytes) — the measured trade is the benchmark's
+//! `republish_mixed` workload (`core.server.publish_us_p50/p99`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

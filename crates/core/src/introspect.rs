@@ -1,7 +1,7 @@
 //! Live introspection plane: `/metrics`, `/healthz`, `/journal`, and
 //! `/stalls` over plain HTTP/1.0, served from the repo's own event loop.
 //!
-//! A c100k run is opaque from the outside: its telemetry registries are
+//! A sharded run is opaque from the outside: its telemetry registries are
 //! per-shard and private, and its flight recorders live on the shard
 //! threads. This module inverts that without giving up the share-nothing
 //! layout. The [`ShardedReactor`](crate::shard::ShardedReactor) builds

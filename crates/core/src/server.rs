@@ -161,8 +161,8 @@ impl ApplicationServer {
     }
 
     /// The snapshot generation currently being served (0 until the first
-    /// publish; +1 per publish). Monotonic — the throughput bench asserts
-    /// it against `latest_version` during the live-republish pass.
+    /// publish; +1 per publish). Monotonic — the `live_republish` scenario
+    /// stamps it into its `BENCH_scenarios.json` row.
     pub fn generation(&self) -> u64 {
         self.state.generation()
     }

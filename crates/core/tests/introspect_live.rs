@@ -1,8 +1,9 @@
 //! Live introspection over a real sharded run: scrape `/metrics` from a
-//! sidecar HTTP server **while** the c100k-style workload is in flight,
+//! sidecar HTTP server **while** live-socket sessions are in flight,
 //! then pin the two acceptance properties — counters are monotonic
 //! across scrapes, and the final scrape reconciles byte-for-byte with
-//! the in-process merged snapshot.
+//! the in-process merged snapshot — at 64 sessions, and again with more
+//! connections held open than the listen backlog and the default fd limit.
 #![cfg(unix)]
 
 use std::collections::HashMap;
@@ -12,10 +13,12 @@ use std::time::Duration;
 use fractal_core::introspect::{
     http_get, parse_prometheus, response_body, IntrospectServer, IntrospectSource,
 };
+use fractal_core::meta::PadMeta;
 use fractal_core::presets::ClientClass;
 use fractal_core::reactor::{InpSession, ReactorConfig, TRANSPORT_QUEUE_METRIC};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::shard::ShardedReactor;
+use fractal_core::sys::raise_nofile_limit;
 use fractal_core::testbed::Testbed;
 
 fn testbed_with_pages(n: u32) -> Testbed {
@@ -97,6 +100,57 @@ fn live_scrapes_are_monotonic_and_final_scrape_reconciles_exactly() {
     assert!(response_body(&journal).contains("kind=phase:Done"), "{journal}");
     let stalls = http_get(addr, "/stalls").expect("stalls scrape");
     assert!(response_body(&stalls).contains("# stalls=0"), "{stalls}");
+}
+
+/// A population past the listen backlog (128) and past the default soft
+/// fd limit (1024, two sockets per session), all held open at once: the
+/// soft limit is raised toward the hard cap and the population shrunk to
+/// what the cap allows, admission finishes before any shard pumps, and
+/// the run still reconciles — with its reports, the serial oracle and the
+/// live plane.
+#[test]
+fn held_connections_past_the_backlog_and_the_default_fd_limit() {
+    /// File descriptors beyond this test's session sockets: listener,
+    /// stdio, the introspection plane, and the 64-session test above
+    /// running beside it in this binary.
+    const FD_HEADROOM: u64 = 256;
+    let mut n = 640usize;
+    let needed = 2 * n as u64 + FD_HEADROOM;
+    let in_force = raise_nofile_limit(needed).unwrap_or(needed);
+    if in_force < needed {
+        n = ((in_force - FD_HEADROOM) / 2) as usize;
+    }
+
+    let tb = testbed_with_pages(1);
+    // Serial oracle: the proxy's direct decision per client class, taken
+    // before a single socket exists.
+    let oracle: Vec<Vec<PadMeta>> = ClientClass::ALL
+        .iter()
+        .map(|class| tb.proxy.negotiate(tb.app_id, class.env()).unwrap())
+        .collect();
+    let sessions: Vec<InpSession> = (0..n)
+        .map(|i| InpSession::new(tb.client(ClientClass::ALL[i % 3]), tb.app_id, 0, 0))
+        .collect();
+
+    let source = IntrospectSource::new();
+    let server = IntrospectServer::spawn(0, source.clone()).expect("bind ephemeral");
+    let cfg = ReactorConfig::new().introspect(source.clone());
+    let outcome = ShardedReactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, 2, cfg)
+        .run(sessions)
+        .expect("no held session may stall");
+
+    let agg = outcome.aggregate_report();
+    assert_eq!((agg.completed, agg.failed), (n, 0));
+    assert_eq!(agg.peak_in_flight, n, "all {n} sessions live at once (summed shard peaks)");
+    outcome.reconcile().expect("per-shard telemetry reconciles with the reports");
+
+    let scrape = http_get(server.addr(), "/metrics").expect("final scrape");
+    assert!(scrape.starts_with("HTTP/1.0 200 OK\r\n"), "{scrape}");
+    assert_eq!(response_body(&scrape), source.merged_snapshot().render_prometheus());
+
+    for (i, s) in outcome.into_sessions().iter().enumerate() {
+        assert_eq!(s.negotiated().expect("negotiated"), oracle[i % 3].as_slice(), "session {i}");
+    }
 }
 
 #[test]

@@ -179,8 +179,7 @@ impl Histogram {
     }
 }
 
-/// Plain-data image of a histogram; the unit of merging, diffing, and
-/// rendering.
+/// Plain-data image of a histogram; the unit of merging and rendering.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_index`]).
@@ -224,25 +223,6 @@ impl HistogramSnapshot {
         self.count = self.count.wrapping_add(other.count);
         self.sum = self.sum.wrapping_add(other.sum);
         self.max = self.max.max(other.max);
-    }
-
-    /// The samples recorded since `earlier` (a prefix snapshot of the same
-    /// histogram): bucket-wise subtraction. `min`/`max` cannot be
-    /// reconstructed for the interval, so they are bounded from the later
-    /// snapshot.
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut d = HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-        };
-        if d.count == 0 {
-            d.min = 0;
-            d.max = 0;
-        }
-        d
     }
 
     /// Quantile estimate, `q` in `[0, 1]`: walks the cumulative bucket
@@ -349,20 +329,5 @@ mod tests {
         let mut m = s.clone();
         m.merge(&s);
         assert_eq!(m, s);
-    }
-
-    #[test]
-    fn diff_recovers_an_interval() {
-        let h = Histogram::detached();
-        h.record(5);
-        h.record(9);
-        let before = h.snapshot();
-        h.record(100);
-        h.record(200);
-        let after = h.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 300);
-        assert_eq!(d.buckets.iter().sum::<u64>(), 2);
     }
 }

@@ -211,22 +211,6 @@ impl Snapshot {
         }
     }
 
-    /// The activity since `earlier` (a prefix snapshot of the same
-    /// registry): counters and histogram buckets subtract; gauges keep the
-    /// later level.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let mut d = self.clone();
-        for (k, v) in &mut d.counters {
-            *v = v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0));
-        }
-        for (k, v) in &mut d.histograms {
-            if let Some(e) = earlier.histograms.get(k) {
-                *v = v.diff(e);
-            }
-        }
-        d
-    }
-
     /// Renders the Prometheus text exposition format (counters and gauges
     /// as single samples, histograms as cumulative `_bucket{le=…}` series
     /// plus `_sum`/`_count`).
@@ -383,22 +367,6 @@ mod tests {
         assert_eq!(m.counters["only2"], 9);
         assert_eq!(m.histograms["h"].count, 2);
         assert_eq!(m.histograms["h"].sum, 68);
-    }
-
-    #[test]
-    fn diff_recovers_pass_activity() {
-        let t = local();
-        let c = t.counter("c");
-        let h = t.histogram("h");
-        c.add(5);
-        h.record(8);
-        let before = t.snapshot();
-        c.add(2);
-        h.record(32);
-        let d = t.snapshot().diff(&before);
-        assert_eq!(d.counters["c"], 2);
-        assert_eq!(d.histograms["h"].count, 1);
-        assert_eq!(d.histograms["h"].sum, 32);
     }
 
     #[test]

@@ -101,10 +101,10 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
-    /// The shard-count invariance the c100k plane claims: partition the
-    /// same per-session event streams round-robin across 1/2/4/8
-    /// journals (one per "shard", each on its own pinned clock), merge,
-    /// and the result is byte-identical regardless of shard count.
+    /// The shard-count invariance the introspection plane claims:
+    /// partition the same per-session event streams round-robin across
+    /// 1/2/4/8 journals (one per "shard", each on its own pinned clock),
+    /// merge, and the result is byte-identical regardless of shard count.
     #[test]
     fn merged_journal_invariant_to_shard_count(stream in events()) {
         let mut merged: Vec<JournalSnapshot> = Vec::new();
