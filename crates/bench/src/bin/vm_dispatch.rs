@@ -1,11 +1,13 @@
-//! Interpreter dispatch-path microbenchmark: what the range pass buys.
+//! Interpreter dispatch-path microbenchmark: what admission buys at run time.
 //!
 //! Runs every shipped PAD decode workload on the fully **checked**
-//! interpreter and on the **analyzed fast path** (stack checks discharged,
-//! branches pre-resolved, and — new with the range pass — div/rem and
-//! load/store ops proven safe dispatched through their unchecked `FastOp`
-//! variants). Reports MB/s per path and the speedup, after asserting the
-//! two paths agree on output *and* fuel, byte for byte.
+//! interpreter and on the **analyzed fast path**: stack checks discharged,
+//! branches pre-resolved, div/rem and load/store ops the range pass proved
+//! safe dispatched through their unchecked `FastOp` variants, and hot op
+//! runs (`local.get·local.get·geu·jmpif`, `local.get·push·add·local.set`,
+//! …) fused into one superinstruction each, charged op for op. Reports
+//! MB/s per path and the speedup, after asserting the two paths agree on
+//! output *and* fuel, byte for byte.
 //!
 //! Results land in `BENCH_vm_dispatch.json` with the standard provenance
 //! stamp. Under `--smoke` (the CI gate mode) the pass counts are trimmed

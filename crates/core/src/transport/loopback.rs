@@ -88,9 +88,13 @@ impl Transport for LoopbackTransport {
             return if closed { Err(TransportError::Closed) } else { Ok(0) };
         }
         let n = buf.len().min(inbound.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = inbound.pop_front().expect("length checked");
-        }
+        // The ring's content is at most two runs: up to the end of the
+        // allocation, then from its start.
+        let (front, back) = inbound.as_slices();
+        let k = n.min(front.len());
+        buf[..k].copy_from_slice(&front[..k]);
+        buf[k..n].copy_from_slice(&back[..n - k]);
+        inbound.drain(..n);
         Ok(n)
     }
 
@@ -120,6 +124,30 @@ mod tests {
         assert_eq!(service.recv(&mut rest).unwrap(), 7);
         assert_eq!(&rest[..7], b"o world");
         assert_eq!(service.recv(&mut rest).unwrap(), 0, "drained");
+    }
+
+    #[test]
+    fn loopback_partial_reads_across_the_ring_wrap_point() {
+        // At most 64 bytes are ever queued, so 2000 bytes of interleaved
+        // sends and short reads walk the ring's head around its allocation
+        // many times and reads straddle the wrap point at varying offsets;
+        // the bytes must still come out in the order they went in.
+        let TransportPair { mut client, mut service } = LoopbackTransport::pair(64);
+        let sent: Vec<u8> = (0..2000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let (mut tx, mut got) = (0, Vec::new());
+        let mut round = 0usize;
+        while got.len() < sent.len() {
+            round += 1;
+            let want = (round * 7 % 23 + 1).min(sent.len() - tx);
+            tx += client.send(&sent[tx..tx + want]).unwrap();
+            let mut buf = [0u8; 16];
+            let take = round * 5 % 16 + 1;
+            let n = service.recv(&mut buf[..take]).unwrap();
+            assert_eq!(n, take.min(tx - got.len()), "round {round}");
+            assert_eq!(service.readable(), tx - got.len() - n);
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got, sent);
     }
 
     #[test]

@@ -91,7 +91,8 @@ struct Frame {
     /// Function index executing.
     func: usize,
     /// Program counter within that function's code: a byte offset on the
-    /// checked path, an instruction index on the fast path.
+    /// checked path, an instruction index on the fast path (where it is
+    /// current only while the frame is suspended in a call).
     pc: usize,
     /// Base of this frame's locals in the locals arena.
     locals_base: usize,
@@ -411,18 +412,47 @@ impl Machine {
         Ok(())
     }
 
-    fn local_slot(&self, idx: u8) -> Result<usize, Trap> {
-        let frame = self.frames.last().ok_or(Trap::Wedged)?;
-        // The running frame's args + locals are the tail of the arena
-        // (`enter` appends exactly them, `ret` truncates back), so the
-        // arena's length bounds the index without a trip to the function
-        // table — which may sit behind a shared `Arc`.
-        let slot = frame.locals_base + idx as usize;
-        if slot >= self.locals.len() {
-            // Verifier rejects this statically; runtime check is defensive.
-            return Err(Trap::Wedged);
+    /// `memcopy`: charges for `len` bytes, then moves them (memmove
+    /// semantics). Shared by both dispatch loops, like the two below.
+    fn mem_copy(&mut self, dst: i64, src: i64, len: i64) -> Result<(), Trap> {
+        self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
+        let (s, send) = self.mem_range(src, len)?;
+        let (d, _) = self.mem_range(dst, len)?;
+        self.memory.copy_within(s..send, d);
+        Ok(())
+    }
+
+    /// `memfill`: charges for `len` bytes, then sets them to `byte`.
+    fn mem_fill(&mut self, dst: i64, byte: i64, len: i64) -> Result<(), Trap> {
+        self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
+        let (d, end) = self.mem_range(dst, len)?;
+        self.memory[d..end].fill(byte as u8);
+        Ok(())
+    }
+
+    /// `lzcopy`: charges for `len` bytes, then copies them front to back,
+    /// so a destination that starts inside the source repeats the
+    /// `dst - src` bytes between them — the LZ match semantics.
+    fn lz_copy(&mut self, dst: i64, src: i64, len: i64) -> Result<(), Trap> {
+        self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
+        let (s, send) = self.mem_range(src, len)?;
+        let (d, _) = self.mem_range(dst, len)?;
+        let n = send - s;
+        if s >= d {
+            self.memory.copy_within(s..send, d);
+            return Ok(());
         }
-        Ok(slot)
+        // The first `dist` bytes do not overlap their source. From then on
+        // `d..d + done` holds whole repeats of them, so each pass doubles it.
+        let dist = d - s;
+        let mut done = n.min(dist);
+        self.memory.copy_within(s..s + done, d);
+        while done < n {
+            let chunk = done.min(n - done);
+            self.memory.copy_within(d..d + chunk, d + done);
+            done += chunk;
+        }
+        Ok(())
     }
 
     /// The main dispatch loop.
@@ -431,6 +461,7 @@ impl Machine {
             let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
             let func = frame.func;
             let pc = frame.pc;
+            let base = frame.locals_base;
             let code = &self.program.module().functions[func].code;
             if pc >= code.len() {
                 // Implicit return at end of body (verifier guarantees a
@@ -479,19 +510,16 @@ impl Machine {
                 Op::PushI32(v) => self.push(v as i64)?,
                 Op::PushI64(v) => self.push(v)?,
                 Op::LocalGet(n) => {
-                    let slot = self.local_slot(n)?;
-                    let v = self.locals[slot];
+                    let v = self.local(base, n)?;
                     self.push(v)?;
                 }
                 Op::LocalSet(n) => {
-                    let slot = self.local_slot(n)?;
                     let v = self.pop()?;
-                    self.locals[slot] = v;
+                    self.set_local(base, n, v)?;
                 }
                 Op::LocalTee(n) => {
-                    let slot = self.local_slot(n)?;
                     let v = *self.stack.last().ok_or(Trap::StackUnderflow)?;
-                    self.locals[slot] = v;
+                    self.set_local(base, n, v)?;
                 }
                 Op::Drop => {
                     self.pop()?;
@@ -593,37 +621,19 @@ impl Machine {
                     let len = self.pop()?;
                     let src = self.pop()?;
                     let dst = self.pop()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (s, _) = self.mem_range(src, len)?;
-                    let (d, _) = self.mem_range(dst, len)?;
-                    self.memory.copy_within(s..s + len as usize, d);
+                    self.mem_copy(dst, src, len)?;
                 }
                 Op::MemFill => {
                     let len = self.pop()?;
                     let byte = self.pop()?;
                     let dst = self.pop()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (d, end) = self.mem_range(dst, len)?;
-                    self.memory[d..end].fill(byte as u8);
+                    self.mem_fill(dst, byte, len)?;
                 }
                 Op::LzCopy => {
                     let len = self.pop()?;
                     let src = self.pop()?;
                     let dst = self.pop()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (s, _) = self.mem_range(src, len)?;
-                    let (d, _) = self.mem_range(dst, len)?;
-                    let n = len as usize;
-                    if d >= s + n || s >= d {
-                        // Disjoint (or src ahead): plain copy.
-                        self.memory.copy_within(s..s + n, d);
-                    } else {
-                        // Overlapping with dst after src: byte-forward
-                        // replication, the LZ match semantics.
-                        for i in 0..n {
-                            self.memory[d + i] = self.memory[s + i];
-                        }
-                    }
+                    self.lz_copy(dst, src, len)?;
                 }
                 Op::MemSize => {
                     let size = self.memory.len() as i64;
@@ -776,8 +786,9 @@ impl Machine {
         self.stack.push(v);
     }
 
-    /// Shared semantics for [`FastOp::Bin`]; mirrors the per-op closures of
-    /// the checked loop exactly.
+    /// Shared semantics for [`FastOp::Bin`] and the fused runs; mirrors the
+    /// per-op closures of the checked loop exactly.
+    #[inline]
     fn eval_bin(k: BinKind, a: i64, b: i64) -> Result<i64, Trap> {
         Ok(match k {
             BinKind::Add => a.wrapping_add(b),
@@ -818,53 +829,107 @@ impl Machine {
         })
     }
 
+    /// Reads local `n` of the frame whose locals start at `base`. The
+    /// running frame's args + locals are the tail of the arena (`enter`
+    /// appends exactly them, `ret` truncates back), so the arena's length
+    /// bounds the index without a trip to the function table — which may
+    /// sit behind a shared `Arc`. The verifier rejects an out-of-range
+    /// index statically; a miss here is a wedge.
+    #[inline]
+    fn local(&self, base: usize, n: u8) -> Result<i64, Trap> {
+        self.locals.get(base + n as usize).copied().ok_or(Trap::Wedged)
+    }
+
+    /// Writes local `n`; see [`Machine::local`].
+    #[inline]
+    fn set_local(&mut self, base: usize, n: u8, v: i64) -> Result<(), Trap> {
+        *self.locals.get_mut(base + n as usize).ok_or(Trap::Wedged)? = v;
+        Ok(())
+    }
+
+    /// Charges the `n` ops of a fused run that follow its first (the
+    /// dispatch loop charged that one). With fewer than `n` left the run
+    /// ends where the plain ops would have: each remaining unit bought one
+    /// more op, none of which the embedding can observe, and the next
+    /// found the tank empty.
+    #[inline]
+    fn charge_tail(&mut self, n: u64) -> Result<(), Trap> {
+        if self.fuel < n {
+            self.fuel_used_total += self.fuel;
+            self.fuel = 0;
+            return Err(Trap::FuelExhausted);
+        }
+        self.fuel -= n;
+        self.fuel_used_total += n;
+        Ok(())
+    }
+
+    /// The running frame's code, pc and locals base, which the fast loop
+    /// keeps in locals between calls and returns.
+    fn fast_frame<'a>(
+        &self,
+        fast: &'a [Vec<FastOp>],
+    ) -> Result<(&'a [FastOp], usize, usize), Trap> {
+        let frame = self.frames.last().ok_or(Trap::Wedged)?;
+        let code = fast.get(frame.func).ok_or(Trap::Wedged)?;
+        Ok((code, frame.pc, frame.locals_base))
+    }
+
     /// The fast dispatch loop: predecoded instructions, `pc` counts
     /// instructions rather than bytes, and stack-safety checks are debug
-    /// assertions licensed by the abstract interpreter. Fuel charges match
-    /// the checked loop instruction for instruction.
+    /// assertions licensed by the abstract interpreter. A slot is a plain
+    /// op or a fused run of them (see [`FastOp`]); either way fuel is
+    /// charged op for op, so every run — completed, trapped or out of fuel
+    /// — ends at the same `fuel_used` as on the checked loop.
     fn run_fast(&mut self) -> Result<i64, Trap> {
         // One refcount bump per entry call keeps the shared code borrowed
         // across the loop's `&mut self` steps, so dispatch indexes it
         // directly instead of reaching through `self` on every op.
         let Program::Admitted(analyzed) = &self.program else { return Err(Trap::Wedged) };
         let analyzed = Arc::clone(analyzed);
-        let fast = &analyzed.fast;
+        let fast = analyzed.fast.as_slice();
+        // The frame record is only read back here and after `call`/`ret`;
+        // `pc` is stored into it only when a `call` suspends the frame.
+        let (mut code, mut pc, mut base) = self.fast_frame(fast)?;
         loop {
-            let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
-            let func = frame.func;
-            let pc = frame.pc;
-            let code = &fast[func];
-            if pc >= code.len() {
+            let Some(&op) = code.get(pc) else {
                 // Defensive, as in the checked loop.
                 if self.ret()? {
                     return Ok(self.stack.pop().unwrap_or(0));
                 }
+                (code, pc, base) = self.fast_frame(fast)?;
                 continue;
-            }
-            let op = code[pc];
-            self.frames.last_mut().expect("frame").pc = pc + 1;
+            };
+            // The slot's first (or only) op; a fused arm steps over and
+            // charges the rest.
+            pc += 1;
             self.charge(1)?;
 
             match op {
                 FastOp::Halt => return Ok(self.stack.pop().unwrap_or(0)),
                 FastOp::Nop => {}
                 FastOp::Unreachable => return Err(Trap::Unreachable),
-                FastOp::Jmp(t) => self.frames.last_mut().expect("frame").pc = t as usize,
+                FastOp::Jmp(t) => pc = t as usize,
                 FastOp::JmpIf(t) => {
                     if self.pop_fast()? != 0 {
-                        self.frames.last_mut().expect("frame").pc = t as usize;
+                        pc = t as usize;
                     }
                 }
                 FastOp::JmpIfZ(t) => {
                     if self.pop_fast()? == 0 {
-                        self.frames.last_mut().expect("frame").pc = t as usize;
+                        pc = t as usize;
                     }
                 }
-                FastOp::Call(idx) => self.enter(idx as usize)?,
+                FastOp::Call(idx) => {
+                    self.frames.last_mut().ok_or(Trap::Wedged)?.pc = pc;
+                    self.enter(idx as usize)?;
+                    (code, pc, base) = self.fast_frame(fast)?;
+                }
                 FastOp::Ret => {
                     if self.ret()? {
                         return Ok(self.stack.pop().unwrap_or(0));
                     }
+                    (code, pc, base) = self.fast_frame(fast)?;
                 }
                 FastOp::HostCall(id) => {
                     if let Some(abort_code) = self.host_call(id)? {
@@ -873,19 +938,16 @@ impl Machine {
                 }
                 FastOp::Push(v) => self.push_fast(v),
                 FastOp::LocalGet(n) => {
-                    let slot = self.local_slot(n)?;
-                    let v = self.locals[slot];
+                    let v = self.local(base, n)?;
                     self.push_fast(v);
                 }
                 FastOp::LocalSet(n) => {
-                    let slot = self.local_slot(n)?;
                     let v = self.pop_fast()?;
-                    self.locals[slot] = v;
+                    self.set_local(base, n, v)?;
                 }
                 FastOp::LocalTee(n) => {
-                    let slot = self.local_slot(n)?;
                     let v = *self.stack.last().ok_or(Trap::Wedged)?;
-                    self.locals[slot] = v;
+                    self.set_local(base, n, v)?;
                 }
                 FastOp::Drop => {
                     self.pop_fast()?;
@@ -965,38 +1027,126 @@ impl Machine {
                     let len = self.pop_fast()?;
                     let src = self.pop_fast()?;
                     let dst = self.pop_fast()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (s, _) = self.mem_range(src, len)?;
-                    let (d, _) = self.mem_range(dst, len)?;
-                    self.memory.copy_within(s..s + len as usize, d);
+                    self.mem_copy(dst, src, len)?;
                 }
                 FastOp::MemFill => {
                     let len = self.pop_fast()?;
                     let byte = self.pop_fast()?;
                     let dst = self.pop_fast()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (d, end) = self.mem_range(dst, len)?;
-                    self.memory[d..end].fill(byte as u8);
+                    self.mem_fill(dst, byte, len)?;
                 }
                 FastOp::LzCopy => {
                     let len = self.pop_fast()?;
                     let src = self.pop_fast()?;
                     let dst = self.pop_fast()?;
-                    self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
-                    let (s, _) = self.mem_range(src, len)?;
-                    let (d, _) = self.mem_range(dst, len)?;
-                    let n = len as usize;
-                    if d >= s + n || s >= d {
-                        self.memory.copy_within(s..s + n, d);
-                    } else {
-                        for i in 0..n {
-                            self.memory[d + i] = self.memory[s + i];
-                        }
-                    }
+                    self.lz_copy(dst, src, len)?;
                 }
                 FastOp::MemSize => {
                     let size = self.memory.len() as i64;
                     self.push_fast(size);
+                }
+
+                // Fused runs. `fuse_at` admits only operators that cannot
+                // trap, so `eval_bin`'s `?` never fires after the charge.
+                FastOp::GetGetBin(a, b, k) => {
+                    pc += 2;
+                    self.charge_tail(2)?;
+                    let r = Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)?;
+                    self.push_fast(r);
+                }
+                FastOp::GetGetBinSet(a, b, k, d) => {
+                    pc += 3;
+                    self.charge_tail(3)?;
+                    let r = Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)?;
+                    self.set_local(base, d, r)?;
+                }
+                FastOp::GetGetBinJmpIf(a, b, k, t) => {
+                    pc += 3;
+                    self.charge_tail(3)?;
+                    if Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)? != 0 {
+                        pc = t as usize;
+                    }
+                }
+                FastOp::GetImmBin(a, v, k) => {
+                    pc += 2;
+                    self.charge_tail(2)?;
+                    let r = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
+                    self.push_fast(r);
+                }
+                FastOp::GetImmBinBin(a, v, k, k2) => {
+                    pc += 3;
+                    self.charge_tail(3)?;
+                    let x = self.pop_fast()?;
+                    let y = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
+                    let r = Self::eval_bin(k2, x, y)?;
+                    self.push_fast(r);
+                }
+                FastOp::GetImmBinSet(a, v, k, d) => {
+                    pc += 3;
+                    self.charge_tail(3)?;
+                    let r = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
+                    self.set_local(base, d, r)?;
+                }
+                FastOp::GetImmBinJmpIf(a, v, k, t) => {
+                    pc += 3;
+                    self.charge_tail(3)?;
+                    if Self::eval_bin(k, self.local(base, a)?, v as i64)? != 0 {
+                        pc = t as usize;
+                    }
+                }
+                FastOp::GetBinJmpIf(a, k, t) => {
+                    pc += 2;
+                    self.charge_tail(2)?;
+                    let x = self.pop_fast()?;
+                    if Self::eval_bin(k, x, self.local(base, a)?)? != 0 {
+                        pc = t as usize;
+                    }
+                }
+                FastOp::ImmBinSet(v, k, d) => {
+                    pc += 2;
+                    self.charge_tail(2)?;
+                    let x = self.pop_fast()?;
+                    let r = Self::eval_bin(k, x, v as i64)?;
+                    self.set_local(base, d, r)?;
+                }
+                FastOp::BinSet(k, d) => {
+                    pc += 1;
+                    self.charge_tail(1)?;
+                    let y = self.pop_fast()?;
+                    let x = self.pop_fast()?;
+                    let r = Self::eval_bin(k, x, y)?;
+                    self.set_local(base, d, r)?;
+                }
+                FastOp::BinJmpIf(k, t) => {
+                    pc += 1;
+                    self.charge_tail(1)?;
+                    let y = self.pop_fast()?;
+                    let x = self.pop_fast()?;
+                    if Self::eval_bin(k, x, y)? != 0 {
+                        pc = t as usize;
+                    }
+                }
+                FastOp::GetLoadSet(a, width, d) => {
+                    // The load can trap mid-run, but it only reads: look
+                    // first, and a trap is charged as far as the load.
+                    match self.load(self.local(base, a)?, width as usize) {
+                        Ok(v) => {
+                            pc += 2;
+                            self.charge_tail(2)?;
+                            self.set_local(base, d, v)?;
+                        }
+                        Err(trap) => {
+                            self.charge_tail(1)?;
+                            return Err(trap);
+                        }
+                    }
+                }
+                FastOp::GetEqzJmpIf(a, t) => {
+                    pc += 2;
+                    self.charge_tail(2)?;
+                    if self.local(base, a)? == 0 {
+                        pc = t as usize;
+                    }
                 }
             }
         }
@@ -1300,6 +1450,30 @@ mod tests {
                 ret
         "#;
         assert_eq!(run(src, "main", &[]), Ok(0xAB));
+
+        // Against the byte-at-a-time definition, for distances around the
+        // doubling stride's first steps and for len on either side of dist.
+        let src = r#"
+            .memory 1
+            .func lz args=3 locals=0
+                local.get 0
+                local.get 1
+                local.get 2
+                lzcopy
+                push 0
+                ret
+        "#;
+        let seed: Vec<u8> = (1..=64).collect();
+        for (dist, len) in [(1, 8), (2, 9), (3, 10), (3, 3), (5, 3), (7, 100), (64, 1)] {
+            let mut m = Machine::new(assemble(src).unwrap(), SandboxPolicy::default()).unwrap();
+            m.write_memory(100, &seed).unwrap();
+            let mut expect = m.read_memory(0, 400).unwrap().to_vec();
+            for i in 0..len {
+                expect[100 + dist + i] = expect[100 + i];
+            }
+            m.call("lz", &[(100 + dist) as i64, 100, len as i64]).unwrap();
+            assert_eq!(m.read_memory(0, 400).unwrap(), expect, "dist={dist} len={len}");
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@ use fractal_protocols::fixedblock::FixedBlock;
 use fractal_protocols::gzip::Gzip;
 use fractal_protocols::varyblock::{ChunkParams, VaryBlock};
 use fractal_protocols::{DiffCodec, ProtocolId};
+use std::sync::Arc;
+
 use fractal_vm::asm::assemble;
-use fractal_vm::verify::verify_module;
-use fractal_vm::{Machine, SandboxPolicy};
+use fractal_vm::{AnalyzedModule, Machine, Module, SandboxPolicy};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
         };
         out.push_str(&format!("    push {c}\n"));
     };
-    match rng.below(14) {
+    match rng.below(16) {
         0 => {
             push_const(rng, out);
             h + 1
@@ -183,6 +184,51 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
             out.push_str("    memsize\n");
             h + 1
         }
+        13 => {
+            // Compare-and-skip over a height-neutral op: every fused run
+            // that ends in `jmpif`, entered at its head on this path.
+            const CMPS: [&str; 8] = ["eq", "ne", "ltu", "lts", "gtu", "gts", "leu", "geu"];
+            let cmp = CMPS[rng.below(8) as usize];
+            let (a, b) = (rng.below(nlocals as u64), rng.below(nlocals as u64));
+            let c = CONSTS[rng.below(CONSTS.len() as u64) as usize];
+            match rng.below(5) {
+                0 => out.push_str(&format!("    local.get {a}\n    local.get {b}\n    {cmp}\n")),
+                1 => out.push_str(&format!("    local.get {a}\n    push {c}\n    {cmp}\n")),
+                2 => out.push_str(&format!("    local.get {a}\n    eqz\n")),
+                3 => out.push_str(&format!("    memsize\n    local.get {a}\n    {cmp}\n")),
+                _ => out
+                    .push_str(&format!("    memsize\n    push {c}\n    dup\n    add\n    {cmp}\n")),
+            }
+            // `out.len()` only grows, so the label is unique.
+            let label = format!("skip{}", out.len());
+            out.push_str(&format!("    jmpif {label}\n    memsize\n    local.set {b}\n{label}:\n"));
+            h
+        }
+        14 => {
+            // Straight-line fused runs: load through a local (in bounds three
+            // times in four, so the trap inside `get·load·set` runs too),
+            // the scaled-index idiom, and arithmetic into a local.
+            let (a, b) = (rng.below(nlocals as u64), rng.below(nlocals as u64));
+            let w = [8u32, 16, 32, 64][rng.below(4) as usize];
+            match rng.below(3) {
+                0 => {
+                    if rng.below(4) != 0 {
+                        let addr = rng.below(65536 - 8);
+                        out.push_str(&format!("    push {addr}\n    local.set {a}\n"));
+                    }
+                    out.push_str(&format!("    local.get {a}\n    load{w}\n    local.set {b}\n"));
+                }
+                1 => out.push_str(&format!(
+                    "    memsize\n    local.get {a}\n    push 2\n    shl\n    add\n    \
+                     push 65535\n    and\n    local.set {b}\n"
+                )),
+                _ => out.push_str(&format!(
+                    "    local.get {a}\n    local.get {b}\n    local.get {a}\n    local.get {b}\n    \
+                     xor\n    sub\n    local.set {a}\n"
+                )),
+            }
+            h
+        }
         _ => {
             // Unknown-operand arithmetic on an argument: keeps ⊤ intervals
             // flowing so the auditor also checks trivial claims.
@@ -280,51 +326,91 @@ fn emit_ret_height_zero(out: &mut String, h: &mut i32) {
 // The differential check itself.
 // ---------------------------------------------------------------------------
 
-/// Runs `src` on all three paths with the same arguments and asserts
-/// result, fuel, memory, log identity plus a clean audit.
-fn differential(src: &str, args: &[i64]) {
-    let module = assemble(src).unwrap_or_else(|e| panic!("generated module: {e}\n{src}"));
-    verify_module(&module).unwrap_or_else(|e| panic!("generated module: {e}\n{src}"));
-    let policy = || SandboxPolicy::default().with_fuel(1_000_000);
+/// A module and its admitted bundle, built once and run at many budgets.
+struct Subject {
+    module: Module,
+    analyzed: Arc<AnalyzedModule>,
+    /// Printed with every failed assertion: the source or the PAD's name.
+    what: String,
+}
 
-    let mut checked = Machine::new(module.clone(), policy()).expect("instantiate checked");
-    let analyzed = module.clone().analyzed(&policy()).unwrap_or_else(|e| panic!("{e}\n{src}"));
-    let mut fast = Machine::new_analyzed(analyzed, policy()).expect("instantiate fast");
-    let analyzed = module.clone().analyzed(&policy()).unwrap();
-    let mut audited = Machine::new_audited(analyzed, policy()).expect("instantiate audited");
+impl Subject {
+    fn new(module: Module, policy: &SandboxPolicy, what: String) -> Subject {
+        let analyzed = module.clone().analyzed(policy).unwrap_or_else(|e| panic!("{e}\n{what}"));
+        Subject { module, analyzed: Arc::new(analyzed), what }
+    }
 
-    let r_checked = checked.call("main", args);
-    let r_fast = fast.call("main", args);
-    let r_audited = audited.call("main", args);
+    fn assemble(src: &str) -> Subject {
+        let module = assemble(src).unwrap_or_else(|e| panic!("generated module: {e}\n{src}"));
+        Subject::new(module, &SandboxPolicy::default(), src.to_string())
+    }
 
-    assert_eq!(r_checked, r_fast, "checked vs fast result\n{src}");
-    assert_eq!(r_checked, r_audited, "checked vs audited result\n{src}");
-    assert_eq!(checked.fuel_used(), fast.fuel_used(), "fuel checked vs fast\n{src}");
-    assert_eq!(checked.fuel_used(), audited.fuel_used(), "fuel checked vs audited\n{src}");
-    let mem = checked.memory_len();
-    assert_eq!(
-        checked.read_memory(0, mem).unwrap(),
-        fast.read_memory(0, mem).unwrap(),
-        "memory checked vs fast\n{src}"
-    );
-    assert_eq!(
-        checked.read_memory(0, mem).unwrap(),
-        audited.read_memory(0, mem).unwrap(),
-        "memory checked vs audited\n{src}"
-    );
-    assert_eq!(checked.log_bytes(), fast.log_bytes(), "log differs\n{src}");
-    assert!(
-        audited.audit_violations().is_empty(),
-        "analyzer unsoundness: {:?}\nargs={args:?}\n{src}",
-        audited.audit_violations()
-    );
+    /// Writes `staged` into a checked, a fast and an audited machine built
+    /// under `policy`, calls `entry(args)` on each and asserts result (or
+    /// trap kind), fuel, memory and log identical plus a clean audit.
+    /// Returns the fuel the call used.
+    fn differential(
+        &self,
+        policy: &SandboxPolicy,
+        staged: &[(usize, &[u8])],
+        entry: &str,
+        args: &[i64],
+    ) -> u64 {
+        let what = format!("fuel={} args={args:?}\n{}", policy.max_fuel, self.what);
+        let mut checked = Machine::new(self.module.clone(), policy.clone()).expect("checked");
+        let mut fast = Machine::new_analyzed(Arc::clone(&self.analyzed), policy.clone()).unwrap();
+        let mut audited = Machine::new_audited(Arc::clone(&self.analyzed), policy.clone()).unwrap();
+        assert!(fast.is_fast_path(), "should analyze onto the fast path\n{what}");
+        for machine in [&mut checked, &mut fast, &mut audited] {
+            for &(addr, bytes) in staged {
+                machine.write_memory(addr, bytes).expect("staged input fits");
+            }
+        }
+
+        let r_checked = checked.call(entry, args);
+        let r_fast = fast.call(entry, args);
+        let r_audited = audited.call(entry, args);
+
+        assert_eq!(r_checked, r_fast, "checked vs fast result\n{what}");
+        assert_eq!(r_checked, r_audited, "checked vs audited result\n{what}");
+        assert_eq!(checked.fuel_used(), fast.fuel_used(), "fuel checked vs fast\n{what}");
+        assert_eq!(checked.fuel_used(), audited.fuel_used(), "fuel checked vs audited\n{what}");
+        assert_eq!(
+            checked.fuel_remaining(),
+            fast.fuel_remaining(),
+            "fuel left checked vs fast\n{what}"
+        );
+        let mem = checked.memory_len();
+        assert!(
+            checked.read_memory(0, mem).unwrap() == fast.read_memory(0, mem).unwrap(),
+            "memory checked vs fast\n{what}"
+        );
+        assert!(
+            checked.read_memory(0, mem).unwrap() == audited.read_memory(0, mem).unwrap(),
+            "memory checked vs audited\n{what}"
+        );
+        assert_eq!(checked.log_bytes(), fast.log_bytes(), "log differs\n{what}");
+        assert!(
+            audited.audit_violations().is_empty(),
+            "analyzer unsoundness: {:?}\n{what}",
+            audited.audit_violations()
+        );
+        checked.fuel_used()
+    }
+}
+
+/// Runs `src`'s `main(args)` on all three paths under a budget of `fuel`.
+fn differential(src: &Subject, args: &[i64], fuel: u64) -> u64 {
+    src.differential(&SandboxPolicy::default().with_fuel(fuel), &[], "main", args)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// ≥256 generated modules: fast, checked, and audited execution agree
-    /// and the auditor confirms every static claim.
+    /// and the auditor confirms every static claim — at the full budget and
+    /// at every smaller one, so a run that exhausts its fuel anywhere
+    /// inside a fused op ends exactly where the plain ops would have.
     #[test]
     fn generated_modules_agree_across_paths(seed in any::<u64>(), raw0 in any::<i64>(), raw1 in any::<i64>()) {
         // Mix raw arguments with adversarial edge values.
@@ -332,9 +418,12 @@ proptest! {
         let pick = |rng: &mut Rng, raw: i64| {
             if rng.below(3) == 0 { CONSTS[rng.below(CONSTS.len() as u64) as usize] } else { raw }
         };
-        let a0 = pick(&mut rng, raw0);
-        let a1 = pick(&mut rng, raw1);
-        differential(&gen_module(seed), &[a0, a1]);
+        let args = [pick(&mut rng, raw0), pick(&mut rng, raw1)];
+        let subject = Subject::assemble(&gen_module(seed));
+        let full = differential(&subject, &args, 1_000_000);
+        for fuel in 0..full {
+            differential(&subject, &args, fuel);
+        }
     }
 }
 
@@ -405,6 +494,54 @@ fn shipped_pads_audit_clean_on_real_payloads() {
     let payload = Deflate.encode(&[], &new);
     pad_differential(&module, &[], &payload, "deflate genuine");
     pad_differential(&module, &[], &data(44, 700), "deflate garbage");
+}
+
+/// Budgets at which a run of `full` fuel is cut short: around every fused
+/// cost (2, 3 and 4, each ± 1), spread through the run at offsets that
+/// walk across the fused ops, and one unit short of finishing.
+fn sampled_budgets(full: u64) -> Vec<u64> {
+    let mut budgets: Vec<u64> = (0..=5).collect();
+    budgets.extend((1..=12).map(|k| full * k / 13 + k));
+    budgets.push(full.saturating_sub(1));
+    budgets.retain(|&b| b < full);
+    budgets
+}
+
+#[test]
+fn shipped_pads_agree_at_sampled_fuel_budgets() {
+    let signer = SignerRegistry::new().provision("differential-fuel");
+    let old = data(11, 3000);
+    let mut new = data(22, 3500);
+    new[..1500].copy_from_slice(&old[..1500]);
+
+    // (PAD, what the client holds, what the server sent): the five protocol
+    // PADs plus the DEFLATE extension PAD, six sources in all.
+    let mut subjects = Vec::new();
+    for p in ProtocolId::ALL {
+        let module = open_unchecked(&build_pad(p, &signer));
+        subjects.push((module, p.to_string(), old.clone(), native(p).encode(&old, &new).to_vec()));
+    }
+    let module = open_unchecked(&build_deflate_pad(&signer));
+    subjects.push((module, "deflate".into(), Vec::new(), Deflate.encode(&[], &new).to_vec()));
+
+    for (module, name, old, payload) in subjects {
+        let subject = Subject::new(module, &SandboxPolicy::for_pads(), name);
+        // `PadRuntime::decode`'s staging: old at 64, then the payload, then
+        // the output region, each 8-byte aligned.
+        let pay_base = (64 + old.len() + 7) & !7;
+        let out_base = (pay_base + payload.len() + 7) & !7;
+        let out_cap = subject.module.memory_bytes() - out_base;
+        let staged = [(64, old.as_slice()), (pay_base, payload.as_slice())];
+        let args = [64, old.len(), pay_base, payload.len(), out_base, out_cap].map(|v| v as i64);
+        let run = |fuel: u64| {
+            let policy = SandboxPolicy::for_pads().with_fuel(fuel);
+            subject.differential(&policy, &staged, "decode", &args)
+        };
+        let full = run(SandboxPolicy::for_pads().max_fuel);
+        for fuel in sampled_budgets(full) {
+            assert!(run(fuel) <= fuel, "{}: spent more than the budget", subject.what);
+        }
+    }
 }
 
 #[test]
