@@ -263,6 +263,11 @@ pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
         }
     }
 
+    // Every symbol costs at least one bit: refuse a header the payload
+    // cannot meet before reserving what it asks for.
+    if raw_len.div_ceil(8) > payload.len() - (4 + 128) {
+        return Err(CodecError::Truncated);
+    }
     let mut br = BitReader::new(&payload[4 + 128..]);
     let mut out = Vec::with_capacity(raw_len);
     while out.len() < raw_len {

@@ -19,8 +19,24 @@
 //! Distances are 1..=65535 back from the current output position; matches
 //! may overlap forward (distance < length), the classic LZ replication
 //! trick.
+//!
+//! ## Match finder scratch
+//!
+//! [`compress`] allocates nothing but its output. Its tables are one
+//! per-thread scratch of 384 KB, allocated on a thread's first call: `head`,
+//! 2^15 `u32`s holding `pos + 1` of the latest position per hash (0 = none,
+//! so clearing is one `fill(0)` per call), and `prev`, a ring of 65 536
+//! `u32`s indexed `pos % 65536` holding each position's predecessor in its
+//! chain. The ring is never cleared: chains start at `head`, so every link
+//! followed was written by this call, and the `MAX_DIST` break comes before
+//! `prev` is read, so a slot a later position has reused is never followed.
+//! Candidates that differ from the target at offset `best_len` are not
+//! extended and the rest are extended a word at a time; neither can change
+//! which match wins, and `tests/lz77_identity.rs` holds the stream byte for
+//! byte to the straightforward compressor this replaced.
 
 use crate::traits::CodecError;
+use std::cell::RefCell;
 
 /// Minimum match length worth encoding (a match token costs 3 bytes).
 pub const MIN_MATCH: usize = 4;
@@ -33,10 +49,17 @@ pub const MAX_LITERAL_RUN: usize = 128;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
+/// Slots in the `prev` ring: the first power of two above [`MAX_DIST`].
+const RING: usize = MAX_DIST + 1;
 /// How many chain links the match finder follows before giving up. Higher
 /// finds better matches but costs encode time (the server-side asymmetry
 /// the paper's Figure 10 shows).
 const MAX_CHAIN: usize = 64;
+
+thread_local! {
+    /// `head` then `prev`, allocated on a thread's first [`compress`].
+    static SCRATCH: RefCell<Vec<u32>> = RefCell::new(vec![0; HASH_SIZE + RING]);
+}
 
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {
@@ -45,79 +68,102 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of two equally long slices, compared a
+/// little-endian word at a time: the lowest set bit of the XOR is the first
+/// byte that differs.
+#[inline]
+fn match_len(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("chunks_exact(8)"));
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
+}
+
 /// Compresses `input` into the token stream format.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    assert!(input.len() < u32::MAX as usize, "raw_len and the match tables are 32-bit");
     let mut out = Vec::with_capacity(16 + input.len() / 2);
     out.extend_from_slice(&(input.len() as u32).to_le_bytes());
 
-    // head[h] = most recent position with hash h; prev[pos & mask] = chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; input.len().max(1)];
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        // Sized arrays let the hashed and masked indexing go unchecked.
+        let (head, prev) = scratch.split_at_mut(HASH_SIZE);
+        let head: &mut [u32; HASH_SIZE] = head.try_into().expect("scratch layout");
+        let prev: &mut [u32; RING] = prev.try_into().expect("scratch layout");
+        head.fill(0);
 
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
 
-    while pos < input.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
+        while pos < input.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
 
-        if pos + MIN_MATCH <= input.len() {
-            let h = hash4(&input[pos..]);
-            let mut candidate = head[h];
-            let mut chain = 0;
-            while candidate != usize::MAX && chain < MAX_CHAIN {
-                let dist = pos - candidate;
-                if dist > MAX_DIST {
-                    break;
-                }
-                // Extend the match.
+            if pos + MIN_MATCH <= input.len() {
                 let limit = (input.len() - pos).min(MAX_MATCH);
-                let mut len = 0;
-                while len < limit && input[candidate + len] == input[pos + len] {
-                    len += 1;
-                }
-                if len > best_len {
-                    best_len = len;
-                    best_dist = dist;
-                    if len == limit {
+                let target = &input[pos..pos + limit];
+                let h = hash4(target);
+                let mut link = head[h];
+                let mut chain = 0;
+                while link != 0 && chain < MAX_CHAIN {
+                    let candidate = link as usize - 1;
+                    let dist = pos - candidate;
+                    if dist > MAX_DIST {
                         break;
                     }
+                    // A longer match must agree at offset best_len (< limit).
+                    if input[candidate + best_len] == target[best_len] {
+                        let len = match_len(&input[candidate..candidate + limit], target);
+                        if len > best_len {
+                            best_len = len;
+                            best_dist = dist;
+                            if len == limit {
+                                break;
+                            }
+                        }
+                    }
+                    // dist <= MAX_DIST: only candidate + RING > pos could
+                    // have reused this slot.
+                    link = prev[candidate % RING];
+                    chain += 1;
                 }
-                candidate = prev[candidate];
-                chain += 1;
+                head_insert(head, prev, h, pos);
             }
-            head_insert(&mut head, &mut prev, input, pos);
-        }
 
-        if best_len >= MIN_MATCH {
-            flush_literals(&mut out, &input[literal_start..pos]);
-            // Emit the match token.
-            out.push(0x80 | ((best_len - MIN_MATCH) as u8));
-            out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-            // Index the skipped positions so later matches can reference
-            // them (bounded to keep encode cost linear-ish).
-            let end = pos + best_len;
-            let index_limit = (pos + 1 + 32).min(end);
-            for p in pos + 1..index_limit {
-                if p + MIN_MATCH <= input.len() {
-                    head_insert(&mut head, &mut prev, input, p);
+            if best_len >= MIN_MATCH {
+                flush_literals(&mut out, &input[literal_start..pos]);
+                // Emit the match token.
+                out.push(0x80 | ((best_len - MIN_MATCH) as u8));
+                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                // Index the skipped positions so later matches can reference
+                // them (bounded to keep encode cost linear-ish).
+                let end = pos + best_len;
+                let index_limit = (pos + 1 + 32).min(end);
+                for (p, w) in (pos + 1..index_limit).zip(input[pos + 1..].windows(MIN_MATCH)) {
+                    head_insert(head, prev, hash4(w), p);
                 }
+                pos = end;
+                literal_start = pos;
+            } else {
+                pos += 1;
             }
-            pos = end;
-            literal_start = pos;
-        } else {
-            pos += 1;
         }
-    }
-    flush_literals(&mut out, &input[literal_start..]);
+        flush_literals(&mut out, &input[literal_start..]);
+    });
     out
 }
 
 #[inline]
-fn head_insert(head: &mut [usize], prev: &mut [usize], input: &[u8], pos: usize) {
-    let h = hash4(&input[pos..]);
-    prev[pos] = head[h];
-    head[h] = pos;
+fn head_insert(head: &mut [u32; HASH_SIZE], prev: &mut [u32; RING], h: usize, pos: usize) {
+    prev[pos % RING] = head[h];
+    head[h] = pos as u32 + 1;
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
@@ -135,6 +181,12 @@ pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
         return Err(CodecError::Truncated);
     }
     let raw_len = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
+    // The densest token is a 3-byte match producing MAX_MATCH bytes, so a
+    // header declaring more than that per token cannot be met: refuse it
+    // before reserving what it asks for.
+    if raw_len.div_ceil(MAX_MATCH) > (payload.len() - 4).div_ceil(3) {
+        return Err(CodecError::Truncated);
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut pos = 4usize;
     while out.len() < raw_len {
@@ -153,10 +205,13 @@ pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
             if dist == 0 || dist > out.len() {
                 return Err(CodecError::BadFormat("match distance out of range"));
             }
+            // From `start` on the output repeats with period `dist`, so an
+            // overlapping match doubles what it can copy on every pass.
             let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let end = out.len() + len;
+            while out.len() < end {
+                let chunk = (out.len() - start).min(end - out.len());
+                out.extend_from_within(start..start + chunk);
             }
         }
     }
@@ -219,16 +274,32 @@ mod tests {
 
     #[test]
     fn overlapping_match_replication() {
-        // "abcabcabc…" forces dist=3 matches with len > dist.
-        let data: Vec<u8> = b"abc".iter().copied().cycle().take(5000).collect();
-        round_trip(&data);
+        // "abcabcabc…" forces dist=3 matches with len > dist; the shorter
+        // units dist 1 and 2, the longer one a non-power-of-two stride.
+        for unit in [&b"a"[..], b"ab", b"abc", b"abcdefg"] {
+            let data: Vec<u8> = unit.iter().copied().cycle().take(5000).collect();
+            round_trip(&data);
+            // Decoder alone: the unit as literals, then one match of every
+            // length back onto it, against the byte-at-a-time definition.
+            for len in MIN_MATCH..=MAX_MATCH {
+                let mut payload = ((unit.len() + len) as u32).to_le_bytes().to_vec();
+                payload.push(unit.len() as u8 - 1);
+                payload.extend_from_slice(unit);
+                payload.push(0x80 | (len - MIN_MATCH) as u8);
+                payload.extend_from_slice(&(unit.len() as u16).to_le_bytes());
+                assert_eq!(decompress(&payload).unwrap(), data[..unit.len() + len]);
+            }
+        }
     }
 
     #[test]
     fn long_matches_split_at_max_match() {
-        let mut data = vec![0u8; 1000];
-        data.extend_from_slice(&vec![0u8; MAX_MATCH * 3]);
-        round_trip(&data);
+        for dist in 1..=3u8 {
+            let data: Vec<u8> = (0..dist).cycle().take(1000 + MAX_MATCH * 3).collect();
+            let c = round_trip(&data);
+            // Header, `dist` literals, then one token per MAX_MATCH bytes.
+            assert!(c.len() <= 4 + 1 + dist as usize + 3 * data.len().div_ceil(MAX_MATCH));
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use fractal_protocols::direct::Direct;
 use fractal_protocols::fixedblock::FixedBlock;
 use fractal_protocols::gzip::Gzip;
 use fractal_protocols::varyblock::{ChunkParams, VaryBlock};
-use fractal_protocols::{lz77, recipe, DiffCodec};
+use fractal_protocols::{huffman, lz77, recipe, CodecError, DiffCodec};
 use proptest::prelude::*;
 
 fn codecs() -> Vec<Box<dyn DiffCodec>> {
@@ -111,6 +111,35 @@ proptest! {
         prop_assert!(c.len() <= 4 + data.len() + data.len() / 128 + 1);
     }
 
+    /// Any well-formed token stream — not only what `compress` emits —
+    /// decodes to what the byte-at-a-time definition says, overlapping
+    /// matches included; so the header bound refuses nothing a payload can
+    /// meet and the strided copy replicates as the per-byte one did.
+    #[test]
+    fn lz77_decodes_arbitrary_well_formed_streams(
+        ops in proptest::collection::vec((any::<bool>(), any::<u16>(), 0u8..128), 1..48)
+    ) {
+        let mut payload = vec![0u8; 4];
+        let mut expected: Vec<u8> = Vec::new();
+        for (is_match, d, c) in ops {
+            payload.push(c);
+            if is_match && !expected.is_empty() {
+                *payload.last_mut().unwrap() |= 0x80;
+                let dist = d as usize % expected.len().min(lz77::MAX_DIST) + 1;
+                payload.extend_from_slice(&(dist as u16).to_le_bytes());
+                for _ in 0..c as usize + lz77::MIN_MATCH {
+                    expected.push(expected[expected.len() - dist]);
+                }
+            } else {
+                let at = expected.len();
+                expected.extend((0..=c).map(|i| i.wrapping_mul(31) ^ d as u8));
+                payload.extend_from_slice(&expected[at..]);
+            }
+        }
+        payload[..4].copy_from_slice(&(expected.len() as u32).to_le_bytes());
+        prop_assert_eq!(lz77::decompress(&payload), Ok(expected));
+    }
+
     /// Recipe payloads constructed from arbitrary op lists apply correctly.
     #[test]
     fn recipe_apply_matches_construction(
@@ -160,5 +189,34 @@ proptest! {
             pos += c.len;
         }
         prop_assert_eq!(pos, data.len());
+    }
+}
+
+/// ROADMAP 3(b): a decoder reserves no more than its payload can produce.
+/// A `raw_len` header is attacker-chosen; four `FF` bytes used to reserve
+/// 4 GiB before the first token was looked at.
+#[test]
+fn lz77_refuses_a_header_the_payload_cannot_meet() {
+    assert_eq!(lz77::decompress(&[0xFF; 4]), Err(CodecError::Truncated));
+    // One literal, then ten full-length matches onto it: eleven tokens.
+    let mut payload = vec![0, 0, 0, 0, 0x00, b'z'];
+    payload.extend_from_slice(&[0xFF, 1, 0].repeat(10));
+    let produced = 1 + 10 * lz77::MAX_MATCH;
+    payload[..4].copy_from_slice(&(produced as u32).to_le_bytes());
+    assert_eq!(lz77::decompress(&payload), Ok(vec![b'z'; produced]));
+    // Eleven tokens cannot make 11 × MAX_MATCH + 1 bytes.
+    payload[..4].copy_from_slice(&(11 * lz77::MAX_MATCH as u32 + 1).to_le_bytes());
+    assert_eq!(lz77::decompress(&payload), Err(CodecError::Truncated));
+}
+
+#[test]
+fn huffman_refuses_a_header_the_payload_cannot_meet() {
+    // One symbol, 1-bit codes: 16 symbols fill the two payload bytes.
+    let mut c = huffman::compress(&[b'a'; 16]);
+    assert_eq!(c.len(), 4 + 128 + 2);
+    assert_eq!(huffman::decompress(&c), Ok(vec![b'a'; 16]));
+    for declared in [17u32, u32::MAX] {
+        c[..4].copy_from_slice(&declared.to_le_bytes());
+        assert_eq!(huffman::decompress(&c), Err(CodecError::Truncated), "declared {declared}");
     }
 }

@@ -4,7 +4,8 @@
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-git_sha check on
 #                             # the committed BENCH_*.json, clippy, tier-1
-#                             # + telemetry/vm/pads/core/bench crate tests,
+#                             # + telemetry/vm/pads/core/bench/protocols/
+#                             # crypto crate tests,
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
@@ -100,19 +101,21 @@ step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Tier-1 is the root package. The full run adds the telemetry, vm, pads,
-# core and bench crate suites in the same invocation: registry
+# core, bench, protocols and crypto crate suites in the same invocation: registry
 # reconciliation, admission telemetry, decision identity across threads and
 # shards, the held-connection run over live TCP and the thread-count
 # determinism suite live there (DESIGN.md has the property → test table),
 # and so does everything that holds the interpreter's fast path to the
 # checked one: the VM unit tests, its property tests and the three-way
-# differential harness with its fuel sweep.
-step "cargo test -q (tier-1: root package; full run adds the telemetry/vm/pads/core/bench crates)"
+# differential harness with its fuel sweep. The codecs' round-trip and
+# decoder-robustness properties (crates/protocols/tests/prop.rs) and the
+# SHA-1/HMAC vectors gate here too.
+step "cargo test -q (tier-1: root package; full run adds the telemetry/vm/pads/core/bench/protocols/crypto crates)"
 if [ "$QUICK" -eq 1 ]; then
     cargo test -q
 else
     cargo test -q -p fractal -p fractal-telemetry -p fractal-vm -p fractal-pads \
-        -p fractal-core -p fractal-bench
+        -p fractal-core -p fractal-bench -p fractal-protocols -p fractal-crypto
 fi
 
 # The shipped PADs must come out of the analyzer lint-clean: fasmlint
