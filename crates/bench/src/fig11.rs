@@ -137,7 +137,19 @@ mod tests {
     fn figure11_shape_holds() {
         let fig = run(3);
 
-        // Panel (a): byte ordering Direct > {Gzip, Bitmap} > Vary.
+        // Panel (a): the per-protocol byte means, exactly — payload plus
+        // the APP_REQ the protocol really sends plus the PAD's upstream
+        // message — so byte accounting cannot drift unnoticed; then the
+        // ordering Direct > {Gzip, Bitmap} > Vary.
+        assert_eq!(
+            fig.bytes_per_protocol(),
+            [
+                (ProtocolId::Direct, 135_339),
+                (ProtocolId::Gzip, 47_612),
+                (ProtocolId::Bitmap, 17_664),
+                (ProtocolId::VaryBlock, 15_492),
+            ]
+        );
         let bytes: std::collections::HashMap<_, _> = fig.bytes_per_protocol().into_iter().collect();
         assert!(bytes[&ProtocolId::Direct] > bytes[&ProtocolId::Gzip]);
         assert!(bytes[&ProtocolId::Direct] > bytes[&ProtocolId::Bitmap]);

@@ -47,32 +47,9 @@ pub fn measure_protocol(
     n_pages: u32,
     mode: AdaptiveContentMode,
 ) -> CellReport {
-    let pages = PageSet::new(WORKLOAD_SEED, n_pages);
-    let tb = Testbed::with_protocols(&[protocol], mode);
-    let link = class.link();
-    let mut client = tb.client(class);
-
-    let mut reports: Vec<SessionReport> = Vec::with_capacity(n_pages as usize);
-    for page in 0..n_pages {
-        let v0 = pages.original(page).to_bytes();
-        let v1 = pages.version(page, 1, EditProfile::Localized).to_bytes();
-        tb.server.publish(page, v0.clone());
-        tb.server.publish(page, v1);
-        // Warm the client with version 0 without counting that transfer.
-        client.store_content(page, 0, v0);
-        let report = run_session(
-            &mut client,
-            &tb.proxy,
-            &tb.server,
-            &tb.pad_repo,
-            &link,
-            tb.app_id,
-            page,
-            1,
-        )
-        .expect("session succeeds");
+    let reports = run_pages(&Testbed::with_protocols(&[protocol], mode), class, n_pages);
+    for report in &reports {
         assert_eq!(report.protocol, protocol, "forced PAT must pick {protocol}");
-        reports.push(report);
     }
     aggregate(class, protocol, &reports)
 }
@@ -85,36 +62,33 @@ pub fn measure_adaptive(
     mode: AdaptiveContentMode,
     exclude_server_compute: bool,
 ) -> (CellReport, ProtocolId) {
-    let pages = PageSet::new(WORKLOAD_SEED, n_pages);
     let mut tb = Testbed::case_study(mode);
     if exclude_server_compute {
         tb.proxy.set_mode(fractal_core::overhead::ServerComputeMode::Exclude);
     }
-    let link = class.link();
-    let mut client = tb.client(class);
-
-    let mut reports = Vec::with_capacity(n_pages as usize);
-    for page in 0..n_pages {
-        let v0 = pages.original(page).to_bytes();
-        let v1 = pages.version(page, 1, EditProfile::Localized).to_bytes();
-        tb.server.publish(page, v0.clone());
-        tb.server.publish(page, v1);
-        client.store_content(page, 0, v0);
-        let report = run_session(
-            &mut client,
-            &tb.proxy,
-            &tb.server,
-            &tb.pad_repo,
-            &link,
-            tb.app_id,
-            page,
-            1,
-        )
-        .expect("session succeeds");
-        reports.push(report);
-    }
+    let reports = run_pages(&tb, class, n_pages);
     let picked = reports[0].protocol;
     (aggregate(class, picked, &reports), picked)
+}
+
+/// The page loop both measurements share: one client of `class` on `tb`,
+/// each page published at versions 0 and 1, the client warmed with
+/// version 0 (that transfer is not counted) and fetching version 1.
+fn run_pages(tb: &Testbed, class: ClientClass, n_pages: u32) -> Vec<SessionReport> {
+    let pages = PageSet::new(WORKLOAD_SEED, n_pages);
+    let link = class.link();
+    let mut client = tb.client(class);
+    (0..n_pages)
+        .map(|page| {
+            let v0 = pages.original(page).to_bytes();
+            let v1 = pages.version(page, 1, EditProfile::Localized).to_bytes();
+            tb.server.publish(page, v0.clone());
+            tb.server.publish(page, v1);
+            client.store_content(page, 0, v0);
+            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, page, 1)
+                .expect("session succeeds")
+        })
+        .collect()
 }
 
 fn aggregate(class: ClientClass, protocol: ProtocolId, reports: &[SessionReport]) -> CellReport {

@@ -36,8 +36,9 @@
 //! * [`client`] — the Fractal client: protocol cache, PAD download,
 //!   verification (digest + code signature + static verification),
 //!   sandboxed deployment (§3.3, §3.5);
-//! * [`session`] — the end-to-end session runner over the simulated
-//!   network, producing the measurements behind Figures 9–11;
+//! * [`session`] — the link-model driver over the INP core: one session
+//!   run to completion with every message priced, producing the
+//!   measurements behind Figures 10 and 11; and the PAD repository;
 //! * [`presets`] — the experimental platform of Figure 7 (Desktop/LAN,
 //!   Laptop/WLAN, PDA/Bluetooth) and the calibrated cost table;
 //! * [`sys`] — the narrow `poll(2)`/rlimit OS bindings behind the

@@ -122,28 +122,40 @@ impl OverheadModel {
         }
 
         let goodput_bytes_per_s = self.rho * client.ntwk.bandwidth_kbps as f64 * 1000.0 / 8.0;
-        let content_mb = content_bytes as f64 / 1_000_000.0;
 
         let pad_download_s = pad.size as f64 / goodput_bytes_per_s;
         let server_compute_s = match self.mode {
-            ServerComputeMode::Include => {
-                beta * pad.overhead.server_ms_per_mb
-                    * content_mb
-                    * (STD_CPU_MHZ / self.server_cpu_mhz)
-                    / 1000.0
-            }
+            ServerComputeMode::Include => self.server_compute_s(pad, client, content_bytes),
             ServerComputeMode::Exclude => 0.0,
         };
-        let client_compute_s = alpha
-            * beta
-            * pad.overhead.client_ms_per_mb
-            * content_mb
-            * (STD_CPU_MHZ / client.dev.cpu_mhz as f64)
-            / 1000.0;
+        let client_compute_s = self.client_compute_s(pad, client, content_bytes);
         let traffic_s =
             gamma * pad.overhead.traffic_ratio * content_bytes as f64 / goodput_bytes_per_s;
 
         Some(OverheadBreakdown { pad_download_s, server_compute_s, client_compute_s, traffic_s })
+    }
+
+    /// Equation 3's server-compute term in seconds, whatever
+    /// [`mode`](Self::mode) says: the session driver charges it whenever
+    /// the server really encoded on request.
+    pub fn server_compute_s(&self, pad: &PadMeta, client: &ClientEnv, content_bytes: u64) -> f64 {
+        let beta = self.ratios.os.get(pad.id, client.dev.os);
+        let content_mb = content_bytes as f64 / 1_000_000.0;
+        beta * pad.overhead.server_ms_per_mb * content_mb * (STD_CPU_MHZ / self.server_cpu_mhz)
+            / 1000.0
+    }
+
+    /// Equation 3's client-compute term in seconds.
+    pub fn client_compute_s(&self, pad: &PadMeta, client: &ClientEnv, content_bytes: u64) -> f64 {
+        let alpha = self.ratios.cpu.get(pad.id, client.dev.cpu);
+        let beta = self.ratios.os.get(pad.id, client.dev.os);
+        let content_mb = content_bytes as f64 / 1_000_000.0;
+        alpha
+            * beta
+            * pad.overhead.client_ms_per_mb
+            * content_mb
+            * (STD_CPU_MHZ / client.dev.cpu_mhz as f64)
+            / 1000.0
     }
 }
 

@@ -1,11 +1,7 @@
 //! Event-driven INP: one sans-IO protocol core, multiplexed by a
 //! poll-based reactor over byte-stream transports.
 //!
-//! The paper's Figure 4 exchange used to be driven as a synchronous call
-//! chain (`run_session`): one client at a time walks negotiation, PAD
-//! download, and the application exchange to completion. That shape cannot
-//! overlap sessions — the sharded proxy scales but the drive loop
-//! serializes. Here the whole exchange is inverted into events, in two
+//! The paper's Figure 4 exchange is implemented once, as events, in two
 //! layers:
 //!
 //! * **The core** (`session.rs`, `service.rs`) is messages in, messages
@@ -31,7 +27,10 @@
 //!   stop, or fan out (one reactor per worker thread — all workers sharing
 //!   the same server and proxy, which both serve through `&self`;
 //!   [`ShardedReactor`](crate::shard::ShardedReactor) is that driver over
-//!   kernel sockets).
+//!   kernel sockets). The third driver,
+//!   [`run_session`](crate::session::run_session), runs one session to
+//!   completion with no transport at all and prices each message on a
+//!   link model — the figure harness.
 //!
 //! Frames that don't fit the peer's window queue per session (their depth
 //! is the `fractal_transport_queue_depth` gauge); over a
@@ -216,12 +215,13 @@ pub struct Reactor<'a> {
     /// Checked framing: frames carry a weak-sum trailer and corrupted
     /// deliveries surface as [`FrameError::Corrupt`](crate::transport::FrameError::Corrupt).
     checksums: bool,
-    polls: u64,
     /// Running count of live (non-terminal) sessions: `+1` per spawn, `−1`
     /// where [`sync_phase`](Self::sync_phase) observes the terminal
     /// transition. What [`in_flight`](Self::in_flight) returns.
     live: usize,
-    peak_in_flight: usize,
+    /// The running summary [`report`](Self::report) returns: `completed` /
+    /// `failed` move at that same transition, `polls` per delivery.
+    report: ReactorReport,
     /// Running total of [`queued_frames`](Self::queued_frames), kept where
     /// frames are queued, flushed and cleared — what the backpressure
     /// gauge is fed from.
@@ -266,9 +266,8 @@ impl<'a> Reactor<'a> {
             ready: VecDeque::new(),
             profile: config.transport,
             checksums: config.frame_checksums,
-            polls: 0,
             live: 0,
-            peak_in_flight: 0,
+            report: ReactorReport::default(),
             tx_frames: 0,
             clock: config.clock.unwrap_or_else(MonotonicClock::shared),
             tele,
@@ -324,8 +323,8 @@ impl<'a> Reactor<'a> {
         self.ready.push_back(id);
         self.live += 1;
         self.sync_phase(id);
-        self.peak_in_flight = self.peak_in_flight.max(self.live);
-        self.tele.peak_in_flight.set_max(self.peak_in_flight as i64);
+        self.report.peak_in_flight = self.report.peak_in_flight.max(self.live);
+        self.tele.peak_in_flight.set_max(self.report.peak_in_flight as i64);
         id
     }
 
@@ -387,9 +386,12 @@ impl<'a> Reactor<'a> {
         if phase.is_terminal() {
             self.live -= 1;
             slot.times.done_us = Some(wire_now);
-            match phase {
-                SessionPhase::Done => self.tele.completed.inc(),
-                _ => self.tele.failed.inc(),
+            if phase == SessionPhase::Done {
+                self.report.completed += 1;
+                self.tele.completed.inc();
+            } else {
+                self.report.failed += 1;
+                self.tele.failed.inc();
             }
         }
         slot.last_phase = phase;
@@ -403,7 +405,7 @@ impl<'a> Reactor<'a> {
 
     /// Maximum number of simultaneously live sessions seen so far.
     pub fn peak_in_flight(&self) -> usize {
-        self.peak_in_flight
+        self.report.peak_in_flight
     }
 
     /// Frames queued for `id` (both directions) that have not fully
@@ -472,7 +474,7 @@ impl<'a> Reactor<'a> {
         // Wire → session: drain the client end, deliver at most ONE frame.
         self.slots[id].legs[CLIENT].pull()?;
         if let Some(msg) = self.slots[id].legs[CLIENT].rx.next_frame()? {
-            self.polls += 1;
+            self.report.polls += 1;
             self.tele.polls.inc();
             match self.slots[id].session.on_message(&msg) {
                 Ok(replies) => {
@@ -611,12 +613,9 @@ impl<'a> Reactor<'a> {
     /// front-end) that pump via [`poll`](Self::poll) directly.
     pub fn report(&self) -> ReactorReport {
         let in_phase = |p| self.slots.iter().filter(|s| s.session.phase() == p).count();
-        ReactorReport {
-            completed: in_phase(SessionPhase::Done),
-            failed: in_phase(SessionPhase::Failed),
-            polls: self.polls,
-            peak_in_flight: self.peak_in_flight,
-        }
+        debug_assert_eq!(self.report.completed, in_phase(SessionPhase::Done));
+        debug_assert_eq!(self.report.failed, in_phase(SessionPhase::Failed));
+        self.report
     }
 
     /// Builds the protocol-stuck diagnostic for every live session —

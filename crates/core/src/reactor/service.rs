@@ -39,6 +39,8 @@ pub struct ServiceConn {
     /// pre-handoff generation may still be in flight and are dropped
     /// instead of failing the connection.
     tolerates_stale: bool,
+    /// What `server.respond` reported for the last APP_REP.
+    computed_on_request: bool,
     /// Attached by the reactor so silently-tolerated stale deliveries
     /// leave a trace.
     pub(super) stale_trace: StaleTrace,
@@ -58,6 +60,14 @@ impl ServiceConn {
             ConnState::AwaitMetaRep(_) => "AwaitMetaRep",
             ConnState::Negotiated => "Negotiated",
         }
+    }
+
+    /// Whether the last `APP_REP` was encoded on the request path (`false`:
+    /// served from the proactive store, or no `APP_REQ` served yet). The
+    /// server's mode alone does not say: a proactive server still encodes
+    /// on request for a version pair it did not pre-compute.
+    pub fn computed_on_request(&self) -> bool {
+        self.computed_on_request
     }
 
     /// Rewinds the connection to await a fresh INIT_REQ — the service side
@@ -120,6 +130,7 @@ impl InpService<'_> {
                     decode_app_payload(payload).map_err(FractalError::Wire)?;
                 let protocol = *protocols.first().ok_or(FractalError::NoFeasiblePath)?;
                 let resp = self.server.respond(content_id, have, want, protocol)?;
+                conn.computed_on_request = resp.computed_on_request;
                 Ok(vec![InpMessage::AppRep {
                     content_id,
                     version: want,

@@ -2,6 +2,8 @@
 //! application exchange as a state machine. Messages in, messages out —
 //! the driver above it owns the byte streams and the time source.
 
+use std::borrow::BorrowMut;
+
 use fractal_telemetry::journal::{KindId, SessionJournal};
 
 use crate::client::FractalClient;
@@ -174,13 +176,15 @@ pub(super) fn record_stale_drop(trace: &StaleTrace) {
 
 /// One negotiation/session as an event-driven state machine (client side).
 ///
-/// Owns its [`FractalClient`], so PAD deployment, the protocol cache, and
-/// content decoding all run against real client state; the transport is
-/// whatever delivers [`InpMessage`]s to [`on_message`](Self::on_message) —
-/// normally a [`Reactor`](super::Reactor) pumping a framed byte stream.
+/// Holds its [`FractalClient`] — owned, or lent as `&mut FractalClient` by
+/// a driver whose caller keeps the client — so PAD deployment, the protocol
+/// cache, and content decoding all run against real client state; the
+/// transport is whatever delivers [`InpMessage`]s to
+/// [`on_message`](Self::on_message) — normally a
+/// [`Reactor`](super::Reactor) pumping a framed byte stream.
 #[derive(Debug)]
-pub struct InpSession {
-    client: FractalClient,
+pub struct InpSession<C = FractalClient> {
+    client: C,
     app_id: AppId,
     content_id: u32,
     want_version: u32,
@@ -201,10 +205,10 @@ pub struct InpSession {
     pub(super) stale_trace: StaleTrace,
 }
 
-impl InpSession {
+impl<C: BorrowMut<FractalClient>> InpSession<C> {
     /// Creates a session that will fetch `content_id` at `want_version`
     /// from `app_id`.
-    pub fn new(client: FractalClient, app_id: AppId, content_id: u32, want_version: u32) -> Self {
+    pub fn new(client: C, app_id: AppId, content_id: u32, want_version: u32) -> Self {
         InpSession {
             client,
             app_id,
@@ -251,13 +255,19 @@ impl InpSession {
         (!self.pads.is_empty()).then_some(self.pads.as_slice())
     }
 
-    /// Read access to the owned client (content cache, stats).
+    /// Read access to the client (content cache, stats).
     pub fn client(&self) -> &FractalClient {
-        &self.client
+        self.client.borrow()
+    }
+
+    /// The client, for what a driver runs on it beside the exchange (the
+    /// figure harness's upstream protocol message).
+    pub fn client_mut(&mut self) -> &mut FractalClient {
+        self.client.borrow_mut()
     }
 
     /// Takes the client back out of a finished session.
-    pub fn into_client(self) -> FractalClient {
+    pub fn into_client(self) -> C {
         self.client
     }
 
@@ -269,7 +279,7 @@ impl InpSession {
         if self.phase != SessionPhase::Init {
             return Err(SessionError::AlreadyStarted);
         }
-        if let Some(pads) = self.client.cached_protocols(self.app_id) {
+        if let Some(pads) = self.client.borrow_mut().cached_protocols(self.app_id) {
             self.pads = pads;
             return self.after_negotiation();
         }
@@ -292,11 +302,11 @@ impl InpSession {
             }
             (SessionPhase::MetaExchange, InpMessage::CliMetaReq) if self.init_acked => {
                 self.phase = SessionPhase::PathSearch;
-                let env = self.client.probe();
+                let env = self.client.borrow().probe();
                 Ok(vec![InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk }])
             }
             (SessionPhase::PathSearch, InpMessage::PadMetaRep { pads }) => {
-                self.client.remember_protocols(self.app_id, pads);
+                self.client.borrow_mut().remember_protocols(self.app_id, pads);
                 self.pads = pads.clone();
                 self.after_negotiation()
             }
@@ -310,7 +320,7 @@ impl InpSession {
                     return Err(SessionError::UnexpectedPad(*pad_id));
                 };
                 let pad = self.pending.remove(at);
-                if let Err(e) = self.client.deploy_pad(&pad, bytes) {
+                if let Err(e) = self.client.borrow_mut().deploy_pad(&pad, bytes) {
                     return self.fail(SessionError::Fractal(e));
                 }
                 if self.pending.is_empty() {
@@ -336,11 +346,12 @@ impl InpSession {
                     });
                 }
                 let pad_id = self.pads[0].id;
-                let decoded = match self.client.decode_content(pad_id, *content_id, payload) {
-                    Ok(d) => d,
-                    Err(e) => return self.fail(SessionError::Fractal(e)),
-                };
-                self.client.store_content(*content_id, *version, decoded);
+                let decoded =
+                    match self.client.borrow_mut().decode_content(pad_id, *content_id, payload) {
+                        Ok(d) => d,
+                        Err(e) => return self.fail(SessionError::Fractal(e)),
+                    };
+                self.client.borrow_mut().store_content(*content_id, *version, decoded);
                 self.phase = SessionPhase::Done;
                 Ok(Vec::new())
             }
@@ -370,7 +381,7 @@ impl InpSession {
                 message: "HANDOFF",
             });
         }
-        self.client.handoff(ntwk);
+        self.client.borrow_mut().handoff(ntwk);
         self.pads.clear();
         self.pending.clear();
         self.init_acked = false;
@@ -401,7 +412,7 @@ impl InpSession {
             return self.fail(SessionError::Fractal(FractalError::NoFeasiblePath));
         }
         self.pending =
-            self.pads.iter().filter(|p| !self.client.is_deployed(p.id)).cloned().collect();
+            self.pads.iter().filter(|p| !self.client.borrow().is_deployed(p.id)).cloned().collect();
         if self.pending.is_empty() {
             self.app_request()
         } else {
@@ -413,7 +424,7 @@ impl InpSession {
     /// Emits `APP_REQ` and enters `Sessioning`.
     fn app_request(&mut self) -> Result<Vec<InpMessage>, SessionError> {
         self.phase = SessionPhase::Sessioning;
-        let have = self.client.cached_content(self.content_id).map(|c| c.version);
+        let have = self.client.borrow().cached_content(self.content_id).map(|c| c.version);
         Ok(vec![InpMessage::AppReq {
             app_id: self.app_id,
             protocols: self.pads.iter().map(|p| p.protocol).collect(),

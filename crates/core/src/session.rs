@@ -1,12 +1,13 @@
-//! The end-to-end session runner: the full Figure 4 sequence over the
-//! simulated network, producing the per-session measurements behind
-//! Figures 10 and 11.
+//! The link-model session driver behind Figures 10 and 11, and the PAD
+//! repository sessions download from.
 //!
-//! Every step really happens — INP messages are built and parsed, PADs are
-//! verified and deployed, the server encoder runs, and the client decodes
-//! with the sandboxed FVM module — while *time* is charged from the
-//! calibrated overhead model and link parameters, so results are exact and
-//! reproducible.
+//! [`run_session`] is a driver over the sans-IO INP core, like
+//! [`Reactor`](crate::reactor::Reactor) and
+//! [`ShardedReactor`](crate::shard::ShardedReactor), so every step really
+//! happens — messages are built and parsed, PADs verified and deployed,
+//! the server encodes, the sandboxed FVM module decodes — while *time* is
+//! charged from the calibrated link and overhead model instead of read off
+//! a clock: results are exact and reproducible.
 
 use std::collections::HashMap;
 
@@ -18,9 +19,10 @@ use fractal_protocols::{ProtocolId, Traffic};
 use crate::client::FractalClient;
 use crate::error::FractalError;
 use crate::inp::InpMessage;
-use crate::meta::{AppId, PadId, PadMeta};
+use crate::meta::{AppId, PadId};
 use crate::overhead::STD_CPU_MHZ;
 use crate::proxy::AdaptationProxy;
+use crate::reactor::{InpService, InpSession, ServiceConn, SessionError, SessionPhase};
 use crate::server::ApplicationServer;
 
 /// Where clients download PADs from in the uncontended sessions of
@@ -125,16 +127,20 @@ impl SessionReport {
     pub fn total(&self) -> SimDuration {
         self.pad_retrieval + self.server_compute + self.client_compute + self.transmission
     }
-
-    /// Total including negotiation (the client-perceived session time).
-    pub fn total_with_negotiation(&self) -> SimDuration {
-        self.negotiation + self.total()
-    }
 }
 
 /// Runs one full client session for `content_id` at version
 /// `want_version`, negotiating (or reusing) the protocol, downloading and
 /// deploying PADs as needed, and transferring + decoding the content.
+///
+/// The exchange is the core's: an [`InpSession`] on the lent client and an
+/// [`InpService`] connection, each message handed across in order. The
+/// driver prices it. What the session emits in one phase, and every reply,
+/// goes into that phase's bucket at `link.transfer_time` of its wire
+/// length, plus the proxy's service time behind `CLI_META_REP` and the
+/// gauntlet per PAD download. The protocol's own upstream message (Bitmap
+/// digests, fixed-block signatures) is built by the deployed mobile code
+/// and counted beside `APP_REQ`, not sent: the server does not read it.
 #[allow(clippy::too_many_arguments)] // one parameter per party in Figure 4
 pub fn run_session(
     client: &mut FractalClient,
@@ -146,127 +152,104 @@ pub fn run_session(
     content_id: u32,
     want_version: u32,
 ) -> Result<SessionReport, FractalError> {
-    // --- Negotiation (Figure 4, top half) -----------------------------
-    let (pads, negotiation, cached) = negotiate(client, proxy, link, app_id)?;
-    let protocol = pads.first().map(|p| p.protocol).ok_or(FractalError::NoFeasiblePath)?;
+    let service = InpService { proxy, server, pad_repo };
+    let mut conn = ServiceConn::new();
+    let mut session = InpSession::new(client, app_id, content_id, want_version);
+    let env = session.client().probe();
+    // Verification + instantiation cost per PAD, linear-model scaled.
+    let gauntlet = SimDuration::millis(1).scale(STD_CPU_MHZ / env.dev.cpu_mhz as f64);
 
-    // --- PAD download + deploy ----------------------------------------
-    let mut pad_retrieval = SimDuration::ZERO;
-    for pad in &pads {
-        if client.is_deployed(pad.id) {
-            continue;
+    let (mut negotiation, mut pad_retrieval, mut transmission) =
+        (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO);
+    let mut traffic = Traffic::default();
+    let mut upstream = session.start().map_err(framework)?;
+    let negotiation_cached = session.phase() != SessionPhase::MetaExchange;
+    while !upstream.is_empty() {
+        let phase = session.phase();
+        let bucket = match phase {
+            SessionPhase::PadDownload => &mut pad_retrieval,
+            SessionPhase::Sessioning => &mut transmission,
+            _ => &mut negotiation,
+        };
+        let mut next = Vec::new();
+        for msg in &upstream {
+            let sent = msg.wire_len() as u64;
+            *bucket += link.transfer_time(sent);
+            match phase {
+                SessionPhase::PathSearch => {
+                    *bucket += proxy.service_time(app_id, proxy.cached(app_id, &env));
+                }
+                SessionPhase::PadDownload => *bucket += gauntlet,
+                SessionPhase::Sessioning => {
+                    traffic.upstream = sent;
+                    let pad = &session.negotiated().expect("APP_REQ follows negotiation")[0];
+                    let (pad_id, protocol) = (pad.id, pad.protocol);
+                    let built = session.client_mut().upstream_message(pad_id, protocol, content_id);
+                    if let Some(built) = built? {
+                        *bucket += link.transfer_time(built.len() as u64);
+                        traffic.upstream += built.len() as u64;
+                    }
+                }
+                _ => {}
+            }
+            let replies = service.on_message(&mut conn, msg).map_err(framework)?;
+            let received = replies.iter().map(priced_len).sum();
+            *bucket += link.transfer_time(received);
+            if phase == SessionPhase::Sessioning {
+                traffic.downstream = received;
+            }
+            for reply in &replies {
+                next.extend(session.on_message(reply).map_err(framework)?);
+            }
         }
-        let wire = pad_repo.get(pad.id).ok_or(FractalError::PadUnavailable(pad.id))?;
-        let req = InpMessage::PadDownloadReq { pad_id: pad.id };
-        let rep = InpMessage::PadDownloadRep { pad_id: pad.id, bytes: wire.clone() };
-        pad_retrieval += link.transfer_time(req.wire_len() as u64);
-        pad_retrieval += link.transfer_time(rep.wire_len() as u64);
-        client.deploy_pad(pad, &wire)?;
-        // Verification + instantiation cost, linear-model scaled.
-        pad_retrieval += SimDuration::millis(1).scale(STD_CPU_MHZ / client.env.dev.cpu_mhz as f64);
+        upstream = next;
     }
 
-    // --- Application exchange (APP_REQ … session) ----------------------
-    let have = client.cached_content(content_id).map(|c| c.version);
-
-    let pad_id = pads[0].id;
-    // Upstream protocol message (Bitmap digests / fixed-block signatures),
-    // built by the deployed mobile code.
-    let upstream_msg = client.upstream_message(pad_id, protocol, content_id)?;
-
-    let app_req = InpMessage::AppReq {
-        app_id,
-        protocols: pads.iter().map(|p| p.protocol).collect(),
-        payload: content_id.to_le_bytes().to_vec(),
-    };
-    let mut upstream_bytes = app_req.wire_len() as u64;
-    let mut transmission = link.transfer_time(upstream_bytes);
-    if let Some(msg) = &upstream_msg {
-        upstream_bytes += msg.len() as u64;
-        transmission += link.transfer_time(msg.len() as u64);
-    }
-
-    // Server encodes (really runs the codec).
-    let response = server.respond(content_id, have, want_version, protocol)?;
-    let payload_len = response.payload.len() as u64;
-    transmission += link.transfer_time(payload_len);
-
-    // Client decodes through the sandboxed FVM module.
-    let decoded = client.decode_content(pad_id, content_id, &response.payload)?;
+    // The oracle: what the mobile code decoded is what was published.
     let expected = server.content(content_id, want_version).expect("published version");
-    assert_eq!(decoded, expected, "mobile-code decode must reproduce the content");
-    client.store_content(content_id, want_version, decoded);
+    let stored = session.client().cached_content(content_id).expect("a finished session stored");
+    assert_eq!(stored.bytes, expected, "mobile-code decode must reproduce the content");
 
-    // --- Compute charging (Equation 3 terms with measured traffic) -----
-    let model = proxy.model();
-    let content_mb = expected.len() as f64 / 1_000_000.0;
-    let over = &pads[0].overhead;
-    let alpha = model.ratios.cpu.get(pad_id, client.env.dev.cpu);
-    let beta = model.ratios.os.get(pad_id, client.env.dev.os);
-    let server_compute = if response.computed_on_request {
-        SimDuration::from_secs_f64(
-            beta * over.server_ms_per_mb * content_mb * (STD_CPU_MHZ / model.server_cpu_mhz)
-                / 1000.0,
-        )
+    // Equation 3's compute terms at the measured content size.
+    let pad = &session.negotiated().expect("a finished session negotiated")[0];
+    let content_bytes = expected.len() as u64;
+    let server_compute = if conn.computed_on_request() {
+        SimDuration::from_secs_f64(proxy.model().server_compute_s(pad, &env, content_bytes))
     } else {
         // Proactive store lookup.
         SimDuration::micros(50)
     };
-    let client_compute = SimDuration::from_secs_f64(
-        alpha
-            * beta
-            * over.client_ms_per_mb
-            * content_mb
-            * (STD_CPU_MHZ / client.env.dev.cpu_mhz as f64)
-            / 1000.0,
-    );
+    let client_compute =
+        SimDuration::from_secs_f64(proxy.model().client_compute_s(pad, &env, content_bytes));
 
     Ok(SessionReport {
-        protocol,
+        protocol: pad.protocol,
         negotiation,
-        negotiation_cached: cached,
+        negotiation_cached,
         pad_retrieval,
         server_compute,
         client_compute,
         transmission,
-        traffic: Traffic { upstream: upstream_bytes, downstream: payload_len },
+        traffic,
     })
 }
 
-/// The negotiation half: protocol-cache check, else the four-leg INP
-/// exchange with the adaptation proxy.
-fn negotiate(
-    client: &mut FractalClient,
-    proxy: &AdaptationProxy,
-    link: &Link,
-    app_id: AppId,
-) -> Result<(Vec<PadMeta>, SimDuration, bool), FractalError> {
-    if let Some(pads) = client.cached_protocols(app_id) {
-        return Ok((pads, SimDuration::ZERO, true));
+/// The bytes a reply is priced at: its wire length, except `APP_REP`,
+/// which counts as the encoded payload it carries.
+fn priced_len(reply: &InpMessage) -> u64 {
+    match reply {
+        InpMessage::AppRep { payload, .. } => payload.len() as u64,
+        other => other.wire_len() as u64,
     }
+}
 
-    let env = client.probe();
-    let was_cached_at_proxy = proxy.cached(app_id, &env);
-    let pads = proxy.negotiate(app_id, env)?;
-
-    // Build the real messages to account the real wire bytes.
-    let init_req = InpMessage::InitReq { app_id, payload: b"app-request".to_vec() };
-    let init_rep = InpMessage::InitRep;
-    let meta_req = InpMessage::CliMetaReq;
-    let meta_rep = InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk };
-    let pads_rep = InpMessage::PadMetaRep { pads: pads.clone() };
-    // Round-trip sanity: the proxy must be able to parse what we send.
-    debug_assert_eq!(InpMessage::from_bytes(&meta_rep.to_bytes()).as_ref(), Ok(&meta_rep));
-
-    let mut t = SimDuration::ZERO;
-    t += link.transfer_time(init_req.wire_len() as u64);
-    t += link.transfer_time((init_rep.wire_len() + meta_req.wire_len()) as u64);
-    t += link.transfer_time(meta_rep.wire_len() as u64);
-    t += proxy.service_time(app_id, was_cached_at_proxy);
-    t += link.transfer_time(pads_rep.wire_len() as u64);
-
-    client.remember_protocols(app_id, &pads);
-    Ok((pads, t, false))
+/// Both halves of the core are fed in Figure 4's order, so the only
+/// rejection either returns is a framework failure.
+fn framework(e: SessionError) -> FractalError {
+    match e {
+        SessionError::Fractal(e) => e,
+        other => unreachable!("in-order driver rejected: {other}"),
+    }
 }
 
 #[cfg(test)]
@@ -357,5 +340,112 @@ mod tests {
             run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, 7, 0)
                 .unwrap_err();
         assert!(matches!(err, FractalError::PadUnavailable(_)));
+    }
+
+    /// The whole report, field for field, for each case-study protocol on
+    /// the PDA: a charge that moves to another bucket, a dropped latency
+    /// term or a miscounted byte fails here by name. (`pad_retrieval`
+    /// follows the shipped PAD artifacts' wire sizes.)
+    #[test]
+    fn pda_reports_are_pinned_cold_then_warm() {
+        use ProtocolId::{Bitmap, Direct, Gzip, VaryBlock};
+        // (negotiation, pad_retrieval, server, client, transmission) in
+        // µs, then (upstream, downstream) bytes; cold row, warm row.
+        type Row = ([u64; 5], [u64; 2]);
+        let pinned: [(ProtocolId, Row, Row); 4] = [
+            (
+                Direct,
+                ([82_382, 42_743, 0, 250, 593_651], [29, 40_000]),
+                ([0, 0, 0, 250, 593_706], [33, 40_000]),
+            ),
+            (
+                Gzip,
+                ([82_354, 45_980, 3_571, 16_500, 70_277], [29, 2_160]),
+                ([0, 0, 3_571, 16_500, 70_567], [33, 2_177]),
+            ),
+            (
+                Bitmap,
+                ([82_382, 48_193, 857, 143_000, 613_970], [37, 40_015]),
+                ([0, 0, 857, 143_000, 91_314], [201, 2_063]),
+            ),
+            (
+                VaryBlock,
+                ([82_354, 46_270, 85_714, 148_500, 593_776], [29, 40_009]),
+                ([0, 0, 85_714, 148_500, 97_607], [33, 4_132]),
+            ),
+        ];
+        let link = ClientClass::PdaBluetooth.link();
+        for (protocol, cold, warm) in pinned {
+            let tb = Testbed::with_protocols(&[protocol], AdaptiveContentMode::Reactive);
+            let v0 = content(3, 40_000);
+            let mut v1 = v0.clone();
+            v1[100] ^= 0xFF;
+            tb.server.publish(7, v0);
+            tb.server.publish(7, v1);
+            let mut client = tb.client(ClientClass::PdaBluetooth);
+            for (want, ([negotiation, pad, server, client_us, tx], [up, down])) in
+                [(0, cold), (1, warm)]
+            {
+                let report = run_session(
+                    &mut client,
+                    &tb.proxy,
+                    &tb.server,
+                    &tb.pad_repo,
+                    &link,
+                    tb.app_id,
+                    7,
+                    want,
+                )
+                .unwrap();
+                let expected = SessionReport {
+                    protocol,
+                    negotiation: SimDuration::micros(negotiation),
+                    negotiation_cached: want == 1,
+                    pad_retrieval: SimDuration::micros(pad),
+                    server_compute: SimDuration::micros(server),
+                    client_compute: SimDuration::micros(client_us),
+                    transmission: SimDuration::micros(tx),
+                    traffic: Traffic { upstream: up, downstream: down },
+                };
+                assert_eq!(report, expected, "{protocol} want v{want}");
+            }
+        }
+    }
+
+    /// A PAD the client refuses fails the session with the gauntlet's own
+    /// error, and the client the caller lent comes back usable: the
+    /// negotiation is remembered, nothing is deployed, the refusal counted.
+    #[test]
+    fn gauntlet_failure_leaves_the_lent_client_intact() {
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        tb.server.publish(7, content(4, 5_000));
+        let class = ClientClass::PdaBluetooth;
+        let mut client = tb.untrusting_client(class);
+        let err = run_session(
+            &mut client,
+            &tb.proxy,
+            &tb.server,
+            &tb.pad_repo,
+            &class.link(),
+            tb.app_id,
+            7,
+            0,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FractalError::PadRejected(fractal_vm::ModuleError::Signature(
+                    fractal_crypto::sign::VerifyError::UntrustedSigner(_)
+                ))
+            ),
+            "{err:?}"
+        );
+        let pads = client.cached_protocols(tb.app_id).expect("negotiation was remembered");
+        assert_eq!(pads[0].protocol, ProtocolId::Bitmap);
+        assert!(!client.is_deployed(pads[0].id));
+        assert!(client.cached_content(7).is_none());
+        let stats = client.stats();
+        assert_eq!((stats.negotiations, stats.pads_deployed, stats.pads_rejected), (1, 0, 1));
     }
 }

@@ -383,6 +383,41 @@ fn garbage_app_req_payload_is_a_typed_wire_error() {
     assert_eq!(conn.state_name(), "Negotiated");
 }
 
+/// `computed_on_request` says what the server did for the last `APP_REP`,
+/// which its mode alone does not: a proactive server serves the pairs it
+/// pre-computed (cold, and one version back) from its store and encodes
+/// any other pair on request; a reactive one always encodes.
+#[test]
+fn computed_on_request_follows_the_server_not_its_mode() {
+    let app_req = |tb: &Testbed, have, want| InpMessage::AppReq {
+        app_id: tb.app_id,
+        protocols: vec![ProtocolId::Gzip],
+        payload: encode_app_payload(CONTENT_ID, have, want),
+    };
+    for (mode, cold, one_back, two_back) in [
+        (AdaptiveContentMode::Proactive, false, false, true),
+        (AdaptiveContentMode::Reactive, true, true, true),
+    ] {
+        let tb = Testbed::case_study(mode);
+        for fill in [1u8, 2, 3] {
+            tb.server.publish(CONTENT_ID, vec![fill; 4_000]);
+        }
+        let service = InpService { proxy: &tb.proxy, server: &tb.server, pad_repo: &tb.pad_repo };
+        let mut conn = ServiceConn::new();
+        assert!(!conn.computed_on_request(), "nothing served yet");
+        for (have, want, expected) in
+            [(None, 0, cold), (Some(1), 2, one_back), (Some(0), 2, two_back), (None, 2, cold)]
+        {
+            service.on_message(&mut conn, &app_req(&tb, have, want)).unwrap();
+            assert_eq!(
+                conn.computed_on_request(),
+                expected,
+                "{mode:?}: have {have:?}, want {want}"
+            );
+        }
+    }
+}
+
 /// After a handoff rewind the connection awaits a fresh `INIT_REQ`, and
 /// the old generation's negotiation frames still on the wire are dropped
 /// (no reply, no error, no state change) — while kinds a client never

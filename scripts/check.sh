@@ -2,14 +2,15 @@
 # Repo-wide hygiene gate: formatting, lints, and the full test suite.
 # Run from the repository root before sending a change out for review.
 #
-#   scripts/check.sh          # fmt, unsafe audit, one-git_sha check on
-#                             # the committed BENCH_*.json, clippy, tier-1
+#   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
+#                             # one-git_sha check on the committed
+#                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/pads/core/bench/protocols/
 #                             # crypto crate tests,
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + unsafe audit + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + both audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -81,6 +82,24 @@ stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crate
     | grep -v '^crates/core/src/sys\.rs:' || true)
 if [ -n "$stray" ]; then
     echo "unsafe code outside crates/core/src/sys.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# DESIGN.md §8: Figure 4 is walked by the sans-IO core and nothing else;
+# `session::run_session`, `Reactor` and `ShardedReactor` only carry what the
+# core emits. A client-side request built (or taken apart field by field)
+# anywhere else in fractal-core is a second walk growing back. Allowed:
+# the codec and its tests, the core and its drivers' tests, and the one
+# sample frame of the framer's test module. `{ .. }` patterns are not
+# constructions and pass.
+step "client-side INP requests built only in inp.rs, reactor/ and framer.rs's tests"
+stray=$(grep -rnE 'InpMessage::(InitReq|CliMetaRep|PadDownloadReq|AppReq)[[:space:]]*\{' \
+        --include='*.rs' crates/core/src \
+    | grep -vE '\{[[:space:]]*\.\.[[:space:]]*\}' \
+    | grep -vE '^crates/core/src/(inp\.rs|reactor/[^:]*|transport/framer\.rs):' || true)
+if [ -n "$stray" ]; then
+    echo "client-side INP request constructed outside the protocol core:" >&2
     echo "$stray" >&2
     exit 1
 fi
