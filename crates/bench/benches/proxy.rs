@@ -9,7 +9,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 
 fn bench_proxy(c: &mut Criterion) {
-    // Cold: fresh proxy per iteration, cache and path-search memo empty.
+    // Cold: fresh proxy per iteration, adaptation cache empty.
     c.bench_function("proxy_negotiate_cold", |b| {
         b.iter_batched(
             || Testbed::case_study(AdaptiveContentMode::Reactive),
@@ -18,7 +18,7 @@ fn bench_proxy(c: &mut Criterion) {
         )
     });
 
-    // Cached: warm proxy, pure stripe read-lock fast path.
+    // Cached: warm proxy, pure read-lock fast path.
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let proxy = &tb.proxy;
     proxy.negotiate(tb.app_id, client_env(0)).unwrap();

@@ -1,6 +1,6 @@
 //! Criterion: absolute cost of the always-on telemetry on the hot paths.
 //!
-//! `telemetry_negotiate_cached` is the stripe read-lock fast path, where
+//! `telemetry_negotiate_cached` is the read-lock fast path, where
 //! one mirrored cache-hit counter weighs the most relative to the work;
 //! the other three price the primitives themselves. The last off-vs-on
 //! pair measured before the recording gate was deleted (164 → 168 ns

@@ -8,20 +8,18 @@
 //!
 //! * **Readers pin a generation.** [`Epoch::pin`] hands back a
 //!   [`Pinned<T>`] — a refcounted handle to one immutable snapshot. The
-//!   read-side critical section is a single `Arc` clone under a
-//!   lane-striped read lock ([`LANES`] stripes; each reader thread sticks
-//!   to one lane, so readers never contend with each other on a lock
-//!   word, and a publisher holds each lane's write lock only for the
-//!   duration of one pointer store). Everything the reader does with the
-//!   snapshot afterwards is lock-free: the generation it pinned is
-//!   immutable forever.
+//!   read-side critical section is a single `Arc` clone under a read
+//!   lock that a publisher write-holds only for the duration of one
+//!   pointer store. Everything the reader does with the snapshot
+//!   afterwards is lock-free: the generation it pinned is immutable
+//!   forever.
 //! * **Writers copy off-path and swap.** [`Epoch::publish_with`] clones
 //!   the current value *outside* any reader-visible lock, applies the
-//!   mutation to the private successor, then installs it lane by lane.
-//!   Readers that raced the swap keep serving their pinned generation to
-//!   completion — exactly RCU's grace-period contract, with the grace
-//!   period delegated to `Arc`: a retired generation is reclaimed when
-//!   its last pinned reader drops it.
+//!   mutation to the private successor, then swaps it in. Readers that
+//!   raced the swap keep serving their pinned generation to completion —
+//!   exactly RCU's grace-period contract, with the grace period delegated
+//!   to `Arc`: a retired generation is reclaimed when its last pinned
+//!   reader drops it.
 //! * **Retired generations fold into telemetry.** The way
 //!   [`IntrospectSource`](crate::introspect::IntrospectSource) folds
 //!   retired shards into its baseline, a reclaimed generation folds into
@@ -32,14 +30,14 @@
 //!
 //! ## Why RCU over striping
 //!
-//! The content store could instead be lock-striped like the proxy's
-//! adaptation cache — but striping only shards *contention*; every read
-//! still takes a lock that a writer can hold while it encodes, and a
-//! multi-entry operation (publish + proactive precompute) would need
-//! consistent multi-stripe locking. A snapshot swap gives every reader a
-//! *consistent whole-store view* for the price of one refcount, makes
-//! torn version chains structurally impossible, and keeps the writer's
-//! critical section independent of how much work the publish does.
+//! The content store could instead be lock-striped — but striping only
+//! shards *contention*; every read still takes a lock that a writer can
+//! hold while it encodes, and a multi-entry operation (publish +
+//! proactive precompute) would need consistent multi-stripe locking. A
+//! snapshot swap gives every reader a *consistent whole-store view* for
+//! the price of one refcount, makes torn version chains structurally
+//! impossible, and keeps the writer's critical section independent of how
+//! much work the publish does.
 //!
 //! The value is cloned per publish, so `T` should be a structure of
 //! refcounted leaves ([`Bytes`](bytes::Bytes) payloads, `Arc`'d PATs):
@@ -47,25 +45,10 @@
 //! O(entries), not O(bytes) — the measured trade is the benchmark's
 //! `republish_mixed` workload (`core.server.publish_us_p50/p99`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-
-/// Number of read lanes. Each reader thread is assigned one lane round-
-/// robin at first use; a publisher visits all of them. Power of two so
-/// the assignment is a mask.
-pub const LANES: usize = 8;
-
-/// Process-wide lane dealer: thread → lane, assigned once per thread.
-static NEXT_LANE: AtomicUsize = AtomicUsize::new(0);
-
-fn reader_lane() -> usize {
-    thread_local! {
-        static LANE: usize = NEXT_LANE.fetch_add(1, Ordering::Relaxed) & (LANES - 1);
-    }
-    LANE.with(|l| *l)
-}
 
 /// Counters shared by an [`Epoch`] and every generation it ever
 /// published, so reclamation (which happens on whatever thread drops the
@@ -159,7 +142,7 @@ pub struct EpochStats {
 /// [`publish_with`](Self::publish_with) is the write path (copy the
 /// current value off-path, mutate the private copy, swap it in).
 pub struct Epoch<T> {
-    lanes: Vec<RwLock<Arc<Generation<T>>>>,
+    current: RwLock<Arc<Generation<T>>>,
     /// Serializes publishers so each successor is built from the latest
     /// generation — readers never touch this lock.
     writer: Mutex<()>,
@@ -182,7 +165,7 @@ impl<T> Epoch<T> {
         });
         let first = Arc::new(Generation { value, number: 0, shared: Arc::clone(&shared) });
         Epoch {
-            lanes: (0..LANES).map(|_| RwLock::new(Arc::clone(&first))).collect(),
+            current: RwLock::new(first),
             writer: Mutex::new(()),
             shared,
             tele_published: bundle.counter("fractal_epoch_publishes_total"),
@@ -191,35 +174,33 @@ impl<T> Epoch<T> {
 
     /// Pins the current generation: a consistent, immutable snapshot the
     /// caller can hold for as long as it likes without ever blocking a
-    /// publisher. The critical section is one `Arc` clone under this
-    /// thread's lane read lock.
+    /// publisher. The critical section is one `Arc` clone under the read
+    /// lock.
     pub fn pin(&self) -> Pinned<T> {
-        let lane = &self.lanes[reader_lane()];
-        Pinned { generation: Arc::clone(&lane.read()) }
+        Pinned { generation: Arc::clone(&self.current.read()) }
     }
 
     /// Publishes a successor generation: clones the current value *off*
-    /// the read path, applies `mutate` to the private copy, then installs
-    /// it lane by lane. Readers pinned to older generations keep serving
-    /// them; new pins observe the successor. Concurrent publishers are
-    /// serialized (each successor builds on the latest generation).
+    /// the read path, applies `mutate` to the private copy, then swaps it
+    /// in. Readers pinned to older generations keep serving them; new pins
+    /// observe the successor. Concurrent publishers are serialized (each
+    /// successor builds on the latest generation).
     pub fn publish_with<R>(&self, mutate: impl FnOnce(&mut T) -> R) -> R
     where
         T: Clone,
     {
         let _exclusive = self.writer.lock();
-        // Under the writer lock every lane holds the same generation;
-        // lane 0 is as current as any.
-        let current = Arc::clone(&self.lanes[0].read());
+        let current = self.pin().generation;
         let mut next = current.value.clone();
         let result = mutate(&mut next);
         let number = current.number + 1;
         drop(current);
         let successor =
             Arc::new(Generation { value: next, number, shared: Arc::clone(&self.shared) });
-        for lane in &self.lanes {
-            *lane.write() = Arc::clone(&successor);
-        }
+        // The write lock is held for the pointer store only: the retired
+        // generation (and whatever `T` it frees) drops after the guard.
+        let retired = std::mem::replace(&mut *self.current.write(), successor);
+        drop(retired);
         self.shared.published.fetch_add(1, Ordering::Relaxed);
         self.tele_published.inc();
         self.shared.tele_live.set(self.shared.live() as i64);
@@ -228,7 +209,7 @@ impl<T> Epoch<T> {
 
     /// The current generation number (0 until the first publish).
     pub fn generation(&self) -> u64 {
-        self.lanes[reader_lane()].read().number
+        self.current.read().number
     }
 
     /// Publication / reclamation accounting.
@@ -249,7 +230,7 @@ impl<T: Clone + Default> Default for Epoch<T> {
 
 impl<T: core::fmt::Debug> core::fmt::Debug for Epoch<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let current = self.lanes[reader_lane()].read();
+        let current = self.pin().generation;
         f.debug_struct("Epoch")
             .field("generation", &current.number)
             .field("stats", &self.stats())

@@ -14,32 +14,18 @@
 //!
 //! ## Concurrency model
 //!
-//! Every traffic-path operation takes `&self`: the proxy is a concurrent
-//! service, shareable across worker threads behind an `Arc`, and that now
-//! includes reconfiguration. The PAT table is epoch-versioned
-//! ([`crate::epoch`]): [`negotiate`](AdaptationProxy::negotiate) pins one
-//! immutable table generation wait-free, and
-//! [`push_app_metas`](AdaptationProxy::push_app_metas) publishes a
-//! successor table off-path — pushes run concurrently with live
-//! negotiations. The adaptation cache and the path-search memo are split
-//! into [`SHARDS`] lock-striped `RwLock` shards keyed by the hash of
-//! `(ClientEnv, AppId)`, and counters are atomics. Misses take the
-//! shard's write lock for the (microsecond-scale) path search, which
-//! makes the hit/miss accounting *exact*: each distinct key misses
-//! exactly once no matter how many threads race on it — the concurrency
-//! suite in `tests/concurrency.rs` pins this down.
-//!
-//! Cache and memo entries are **generation-tagged**: each carries the
-//! per-app PAT generation it was computed against, validated on every
-//! hit. A push installs the new PAT (bumping the app's generation) and
-//! then sweeps the shards — so a racing negotiation that pinned the old
-//! table can at worst insert an entry tagged with the old generation
-//! *after* the sweep, and that entry is detected as stale on its next
-//! lookup instead of being served. The sweep is pure reclamation; the
-//! tags carry correctness.
+//! Every traffic-path operation takes `&self`. A negotiation pins one
+//! immutable generation of the PAT table ([`crate::epoch`]); each
+//! application in it owns its tree *and* the cache of decisions priced on
+//! that tree. A miss holds that application's cache write lock across the
+//! search (double-checked), so each distinct environment misses exactly
+//! once however many threads race on it (`tests/concurrency.rs`). A push
+//! publishes a successor table in which the pushed applications start with
+//! an empty cache: a negotiation that pinned the superseded table can only
+//! fill the superseded cache, which no later pin reaches and which is freed
+//! with the last pin.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,15 +37,11 @@ use crate::error::FractalError;
 use crate::meta::{AppId, AppMeta, ClientEnv, PadMeta};
 use crate::overhead::{OverheadModel, ServerComputeMode};
 use crate::pat::Pat;
-use crate::search::{search, AdaptationPath};
+use crate::search::search;
 
 /// `Std` content size used during negotiation (Equation 1's "fixed size of
 /// traffic, 1MB in our implementation").
 pub const STD_CONTENT_BYTES: u64 = 1_000_000;
-
-/// Number of lock stripes in the adaptation cache and path-search memo.
-/// Power of two so the shard index is a mask of the key hash.
-pub const SHARDS: usize = 16;
 
 /// Counters for Figure 9(a) and the ablations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -72,9 +54,6 @@ pub struct ProxyStats {
     pub app_pushes: u64,
 }
 
-/// Cache/memo key: the client environment plus the application.
-type Key = (ClientEnv, AppId);
-
 /// Pre-bound telemetry handles: one registry lookup per name at proxy
 /// construction, zero lookups on the hot path.
 struct ProxyTelemetry {
@@ -82,8 +61,6 @@ struct ProxyTelemetry {
     cache_hits: fractal_telemetry::Counter,
     cache_misses: fractal_telemetry::Counter,
     app_pushes: fractal_telemetry::Counter,
-    memo_hits: fractal_telemetry::Counter,
-    memo_misses: fractal_telemetry::Counter,
     nodes_expanded: fractal_telemetry::Counter,
     paths_examined: fractal_telemetry::Counter,
     search_ns: fractal_telemetry::Histogram,
@@ -95,8 +72,6 @@ impl ProxyTelemetry {
             cache_hits: bundle.counter("fractal_proxy_cache_hits_total"),
             cache_misses: bundle.counter("fractal_proxy_cache_misses_total"),
             app_pushes: bundle.counter("fractal_proxy_app_pushes_total"),
-            memo_hits: bundle.counter("fractal_search_memo_hits_total"),
-            memo_misses: bundle.counter("fractal_search_memo_misses_total"),
             nodes_expanded: bundle.counter("fractal_search_nodes_expanded_total"),
             paths_examined: bundle.counter("fractal_search_paths_examined_total"),
             search_ns: bundle.histogram("fractal_search_time_ns"),
@@ -105,51 +80,25 @@ impl ProxyTelemetry {
     }
 }
 
-/// One lock-striped shard pair: the distribution manager's PADMeta cache
-/// and the negotiation manager's path-search memo share striping so a key
-/// touches exactly one lock of each kind. Every entry is tagged with the
-/// per-app PAT generation it was computed against; a hit with a stale tag
-/// is a miss (see the module docs on the push/negotiate race).
-#[derive(Default)]
-struct Shard {
-    /// Adaptation cache: key → (PAT generation, client-view PADMeta list).
-    cache: RwLock<HashMap<Key, (u64, Vec<PadMeta>)>>,
-    /// Path-search memo: key → (PAT generation, raw search result), so
-    /// repeated DFS over the same tree is O(1) even when the adaptation
-    /// cache is disabled or has been invalidated for unrelated reasons.
-    memo: RwLock<HashMap<Key, (u64, AdaptationPath)>>,
-}
-
-/// One application's entry in the epoch-versioned PAT table: the tree
-/// plus the generation it was installed at (bumped per re-push; the tag
-/// that cache/memo entries are validated against).
-#[derive(Clone)]
-struct PatEntry {
-    generation: u64,
+/// One application as of one `AppMeta` push: its PAT and the adaptation
+/// cache of decisions computed on that PAT. A re-push replaces the whole
+/// state, so a cached decision cannot outlive the tree it was priced on.
+struct AppState {
     pat: Arc<Pat>,
+    /// Client environment → client-view `PADMeta` list.
+    cache: RwLock<HashMap<ClientEnv, Vec<PadMeta>>>,
 }
 
-/// The negotiation manager's PAT table, published as one epoch snapshot:
-/// a pinned reader sees every application's tree at a consistent instant,
-/// even mid-batch-push. Cloning copies the index; the trees are `Arc`'d.
-#[derive(Clone, Default)]
-struct PatTable {
-    pats: HashMap<AppId, PatEntry>,
-}
-
-fn shard_index(client: &ClientEnv, app_id: AppId) -> usize {
-    // Fixed-key hasher so the stripe assignment is deterministic across
-    // runs (the per-instance RandomState of std's HashMap would not be).
-    let mut h = std::hash::DefaultHasher::new();
-    (client, app_id).hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
-}
+/// The negotiation manager's table, published as one epoch snapshot: a
+/// pinned reader sees every application at a consistent instant, even
+/// mid-batch-push. Cloning copies the index; applications a push does not
+/// name keep their state (tree and cache) across generations.
+type PatTable = HashMap<AppId, Arc<AppState>>;
 
 /// The adaptation proxy.
 pub struct AdaptationProxy {
     pats: Epoch<PatTable>,
     model: OverheadModel,
-    shards: [Shard; SHARDS],
     cache_enabled: bool,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -159,9 +108,10 @@ pub struct AdaptationProxy {
 
 impl core::fmt::Debug for AdaptationProxy {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let entries: usize = self.shards.iter().map(|s| s.cache.read().len()).sum();
+        let table = self.pats.pin();
+        let entries: usize = table.values().map(|app| app.cache.read().len()).sum();
         f.debug_struct("AdaptationProxy")
-            .field("apps", &self.pats.pin().pats.len())
+            .field("apps", &table.len())
             .field("cache_entries", &entries)
             .field("stats", &self.stats())
             .finish()
@@ -174,7 +124,6 @@ impl AdaptationProxy {
         AdaptationProxy {
             pats: Epoch::new(PatTable::default()),
             model,
-            shards: std::array::from_fn(|_| Shard::default()),
             cache_enabled: true,
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
@@ -183,7 +132,8 @@ impl AdaptationProxy {
         }
     }
 
-    /// Disables the adaptation cache (ablation).
+    /// Disables the adaptation cache (ablation): every negotiation runs
+    /// the path search.
     pub fn with_cache_disabled(mut self) -> AdaptationProxy {
         self.cache_enabled = false;
         self
@@ -198,9 +148,9 @@ impl AdaptationProxy {
     }
 
     /// Receives an `AppMeta` push from an application server, (re)building
-    /// that application's PAT and invalidating affected cache and memo
-    /// entries. Takes `&self` — pushes run concurrently with live
-    /// negotiations (see the module docs).
+    /// that application's PAT and so invalidating its cached decisions.
+    /// Takes `&self` — pushes run concurrently with live negotiations (see
+    /// the module docs).
     pub fn push_app_meta(&self, meta: &AppMeta) {
         self.push_app_metas(std::slice::from_ref(meta));
     }
@@ -210,50 +160,35 @@ impl AdaptationProxy {
     /// push for that app; returns `true` if the application was new,
     /// `false` if this re-registered (and so reconfigured) a known one.
     pub fn register_app(&self, meta: &AppMeta) -> bool {
-        let known = self.pats.pin().pats.contains_key(&meta.app_id);
+        let known = self.pats.pin().contains_key(&meta.app_id);
         self.push_app_meta(meta);
         !known
     }
 
     /// Receives a batch of `AppMeta` pushes at once, `&self`, concurrent
-    /// with negotiations. The successor PAT table is published first
-    /// (bumping each affected app's generation), then the stale cache and
-    /// memo entries are swept. The sweep is batched: the affected app-id
-    /// set is computed once, then each shard's cache and memo are swept in
-    /// **one** write-lock acquisition each — 2·[`SHARDS`] lock operations
-    /// total, independent of how many applications reconfigure. A
-    /// negotiation racing the sweep can at worst re-insert an entry tagged
-    /// with the superseded generation, which every lookup rejects.
+    /// with negotiations: one successor table in which every pushed
+    /// application has a fresh tree and an empty cache, however many
+    /// applications reconfigure.
     pub fn push_app_metas(&self, metas: &[AppMeta]) {
         if metas.is_empty() {
             return;
         }
         self.pats.publish_with(|table| {
             for meta in metas {
-                let generation = table.pats.get(&meta.app_id).map_or(0, |e| e.generation) + 1;
                 let pat = Arc::new(Pat::from_app_meta(meta));
-                table.pats.insert(meta.app_id, PatEntry { generation, pat });
+                table.insert(meta.app_id, Arc::new(AppState { pat, cache: RwLock::default() }));
             }
         });
-        let affected: Vec<AppId> = metas.iter().map(|m| m.app_id).collect();
-        for shard in &self.shards {
-            shard.cache.write().retain(|(_, app), _| !affected.contains(app));
-            shard.memo.write().retain(|(_, app), _| !affected.contains(app));
-        }
         self.app_pushes.fetch_add(metas.len() as u64, Ordering::Relaxed);
         self.tele.app_pushes.add(metas.len() as u64);
     }
 
     /// Switches the server-compute mode (reactive ↔ proactive adaptive
-    /// content). Clears the cache and memo: cached decisions embed the old
-    /// mode.
+    /// content). Clears the cache: cached decisions embed the old mode.
     pub fn set_mode(&mut self, mode: ServerComputeMode) {
         if self.model.mode != mode {
             self.model.mode = mode;
-            for shard in &self.shards {
-                shard.cache.write().clear();
-                shard.memo.write().clear();
-            }
+            self.clear_adaptation_state();
         }
     }
 
@@ -271,7 +206,7 @@ impl AdaptationProxy {
     /// harness). A refcounted handle to the tree in the current table
     /// generation — stable even if a push lands right after.
     pub fn pat(&self, app_id: AppId) -> Option<Arc<Pat>> {
-        self.pats.pin().pats.get(&app_id).map(|e| Arc::clone(&e.pat))
+        self.pats.pin().get(&app_id).map(|app| Arc::clone(&app.pat))
     }
 
     /// The heart of the negotiation: answers `Cli_META_REP` with the
@@ -282,80 +217,57 @@ impl AdaptationProxy {
         app_id: AppId,
         client: ClientEnv,
     ) -> Result<Vec<PadMeta>, FractalError> {
-        // Pin one PAT-table generation for the whole negotiation: the tree
-        // we search and the generation we tag the result with can't be
-        // torn apart by a concurrent push.
+        // Pin one table generation for the whole negotiation: the tree we
+        // search and the cache we fill belong to the same push.
         let table = self.pats.pin();
-        let entry = table.pats.get(&app_id).ok_or(FractalError::UnknownApp(app_id))?;
+        let app = table.get(&app_id).ok_or(FractalError::UnknownApp(app_id))?;
         if !self.cache_enabled {
-            let pads = self.compute(entry, app_id, &client)?;
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.tele.cache_misses.inc();
-            return Ok(pads);
+            return self.search_counted(&app.pat, &client);
         }
 
-        let key = (client, app_id);
-        let shard = &self.shards[shard_index(&client, app_id)];
-        if let Some((generation, hit)) = shard.cache.read().get(&key) {
-            if *generation == entry.generation {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.tele.cache_hits.inc();
-                return Ok(hit.clone());
-            }
+        let hit = |pads: &Vec<PadMeta>| {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.tele.cache_hits.inc();
+            pads.clone()
+        };
+        if let Some(pads) = app.cache.read().get(&client) {
+            return Ok(hit(pads));
         }
         // Double-checked under the write lock: a racing thread may have
         // filled the entry between our read and write acquisition. Holding
-        // the stripe's write lock across the search keeps the accounting
-        // exact — one miss per distinct key, everything else a hit.
-        let mut guard = shard.cache.write();
-        if let Some((generation, hit)) = guard.get(&key) {
-            if *generation == entry.generation {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.tele.cache_hits.inc();
-                return Ok(hit.clone());
-            }
+        // the write lock across the search keeps the accounting exact —
+        // one miss per distinct environment, everything else a hit.
+        let mut cache = app.cache.write();
+        if let Some(pads) = cache.get(&client) {
+            return Ok(hit(pads));
         }
-        let pads = self.compute(entry, app_id, &client)?;
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.tele.cache_misses.inc();
-
-        // Distribution manager: cache update with the client views, tagged
-        // with the PAT generation they were computed against.
-        guard.insert(key, (entry.generation, pads.clone()));
+        let pads = self.search_counted(&app.pat, &client)?;
+        cache.insert(client, pads.clone());
         Ok(pads)
     }
 
-    /// Runs (or recalls) the path search and materializes client views.
-    fn compute(
-        &self,
-        entry: &PatEntry,
-        app_id: AppId,
-        client: &ClientEnv,
-    ) -> Result<Vec<PadMeta>, FractalError> {
-        let key = (*client, app_id);
-        let shard = &self.shards[shard_index(client, app_id)];
-        if let Some((generation, path)) = shard.memo.read().get(&key) {
-            if *generation == entry.generation {
-                self.tele.memo_hits.inc();
-                return Ok(materialize(&entry.pat, path));
-            }
-        }
+    /// One counted miss: the negotiation manager's path search, then the
+    /// distribution manager's client views (links hidden) of the result.
+    fn search_counted(&self, pat: &Pat, client: &ClientEnv) -> Result<Vec<PadMeta>, FractalError> {
         let t0 = self.tele.bundle.now_ns();
-        let path = search(&entry.pat, &self.model, client, STD_CONTENT_BYTES)?;
+        let path = search(pat, &self.model, client, STD_CONTENT_BYTES)?;
         self.tele.search_ns.record(self.tele.bundle.now_ns().saturating_sub(t0));
-        self.tele.memo_misses.inc();
         self.tele.nodes_expanded.add(u64::from(path.nodes_marked));
         self.tele.paths_examined.add(u64::from(path.paths_examined));
-        let pads = materialize(&entry.pat, &path);
-        shard.memo.write().insert(key, (entry.generation, path));
-        Ok(pads)
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.tele.cache_misses.inc();
+        Ok(path
+            .pads
+            .iter()
+            .map(|id| pat.meta(*id).expect("path ids resolve").client_view())
+            .collect())
     }
 
     /// Estimated proxy service time for one negotiation — used by the
     /// Figure 9(a) capacity simulation. Cache hits are one table lookup;
     /// misses pay the path search, linear in PAT size.
     pub fn service_time(&self, app_id: AppId, cache_hit: bool) -> SimDuration {
-        let nodes = self.pats.pin().pats.get(&app_id).map_or(0, |e| e.pat.len()) as u64;
+        let nodes = self.pats.pin().get(&app_id).map_or(0, |app| app.pat.len()) as u64;
         if cache_hit {
             SimDuration::micros(40)
         } else {
@@ -363,32 +275,22 @@ impl AdaptationProxy {
         }
     }
 
-    /// Clears the adaptation cache **and** the path-search memo on a
-    /// shared proxy (`&self`): the next negotiation for any key pays the
-    /// full cold path search again. Benchmarks call this between timed
-    /// passes so each pass starts cold and rows measure path-search
-    /// scaling rather than cache hits. Counters are left untouched —
-    /// recomputed entries count as fresh misses.
+    /// Clears the adaptation cache on a shared proxy (`&self`): the next
+    /// negotiation for any key pays the full cold path search again.
+    /// Benchmarks call this between timed passes so each pass starts cold
+    /// and rows measure path-search scaling rather than cache hits.
+    /// Counters are left untouched — recomputed entries count as fresh
+    /// misses.
     pub fn clear_adaptation_state(&self) {
-        for shard in &self.shards {
-            shard.cache.write().clear();
-            shard.memo.write().clear();
+        for app in self.pats.pin().values() {
+            app.cache.write().clear();
         }
     }
 
-    /// Whether the cache currently holds a *live* entry for
-    /// `(client, app)` — an entry tagged with a superseded PAT generation
-    /// does not count, exactly as `negotiate` would refuse to serve it.
+    /// Whether the cache currently holds an entry for `(client, app)` —
+    /// exactly when `negotiate` would answer it as a hit.
     pub fn cached(&self, app_id: AppId, client: &ClientEnv) -> bool {
-        let table = self.pats.pin();
-        let Some(entry) = table.pats.get(&app_id) else {
-            return false;
-        };
-        self.shards[shard_index(client, app_id)]
-            .cache
-            .read()
-            .get(&(*client, app_id))
-            .is_some_and(|(generation, _)| *generation == entry.generation)
+        self.pats.pin().get(&app_id).is_some_and(|app| app.cache.read().contains_key(client))
     }
 
     /// Counters (a consistent-enough snapshot of the atomics).
@@ -401,11 +303,6 @@ impl AdaptationProxy {
     }
 }
 
-/// Distribution manager: client views (links hidden) for a search result.
-fn materialize(pat: &Pat, path: &AdaptationPath) -> Vec<PadMeta> {
-    path.pads.iter().map(|id| pat.meta(*id).expect("path ids resolve").client_view()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,14 +311,17 @@ mod tests {
     use fractal_crypto::sha1::sha1;
     use fractal_protocols::ProtocolId;
 
-    fn proxy_with_case_study() -> AdaptationProxy {
+    fn case_study_meta(app_id: AppId) -> AppMeta {
         let artifacts: Vec<_> = ProtocolId::PAPER_FOUR
             .iter()
             .map(|&p| (p, sha1(p.slug().as_bytes()), 2000u32))
             .collect();
-        let meta = case_study_app_meta(AppId(1), &artifacts);
+        case_study_app_meta(app_id, &artifacts)
+    }
+
+    fn proxy_with_case_study() -> AdaptationProxy {
         let proxy = AdaptationProxy::new(OverheadModel::paper(paper_ratios()));
-        proxy.push_app_meta(&meta);
+        proxy.push_app_meta(&case_study_meta(AppId(1)));
         proxy
     }
 
@@ -478,7 +378,7 @@ mod tests {
         proxy.clear_adaptation_state();
         assert!(!proxy.cached(AppId(1), &env));
         // The recomputed decision is identical, and it was a real
-        // recomputation: a second miss, not a hit or a memo recall.
+        // recomputation: a second miss, not a hit.
         let second = proxy.negotiate(AppId(1), env).unwrap();
         assert_eq!(first, second);
         let stats = proxy.stats();
@@ -577,16 +477,18 @@ mod tests {
     }
 
     #[test]
-    fn memo_survives_cache_ablation() {
-        // With the adaptation cache disabled, the path-search memo still
-        // makes repeated negotiations O(1) — and the answers stay equal.
-        let proxy = proxy_with_case_study().with_cache_disabled();
+    fn cache_disabled_searches_every_time() {
+        let bundle = fractal_telemetry::Telemetry::new(
+            Arc::new(fractal_telemetry::Registry::new()),
+            fractal_telemetry::NullClock::shared(),
+        );
+        let proxy = proxy_with_case_study().with_cache_disabled().with_telemetry(&bundle);
         let env = ClientClass::PdaBluetooth.env();
         let a = proxy.negotiate(AppId(1), env).unwrap();
         let b = proxy.negotiate(AppId(1), env).unwrap();
         assert_eq!(a, b);
-        // Both count as misses (the ablation measures "no result cache").
-        assert_eq!(proxy.stats().cache_misses, 2);
+        assert!(!proxy.cached(AppId(1), &env), "the ablation stores nothing");
+        assert_eq!(bundle.snapshot().histograms["fractal_search_time_ns"].count, 2);
     }
 
     #[test]
@@ -603,32 +505,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_generation_entry_is_not_served() {
+    fn a_negotiation_that_pinned_the_old_table_cannot_fill_the_new_cache() {
         // The push/negotiate race, replayed deterministically: a
-        // negotiation that pinned the pre-push PAT table can insert its
-        // result *after* the push's sweep. The entry lands tagged with the
-        // superseded generation — simulate exactly that insert and check
-        // that every read path treats it as a miss, not a hit.
+        // negotiation pins the table, a push lands, and only then does the
+        // negotiation fill the cache of the state it pinned.
         let proxy = proxy_with_case_study();
         let env = ClientClass::PdaBluetooth.env();
         let stale = proxy.negotiate(AppId(1), env).unwrap();
 
-        let artifacts: Vec<_> = ProtocolId::PAPER_FOUR
-            .iter()
-            .map(|&p| (p, sha1(p.slug().as_bytes()), 2000u32))
-            .collect();
-        proxy.push_app_meta(&case_study_app_meta(AppId(1), &artifacts));
-
-        // The racing thread's late insert: generation 1 entry, after the
-        // sweep, while the live table is at generation 2.
-        let shard = &proxy.shards[shard_index(&env, AppId(1))];
-        shard.cache.write().insert((env, AppId(1)), (1, stale.clone()));
-        assert!(!proxy.cached(AppId(1), &env), "stale tag must not count as cached");
+        let pinned = proxy.pats.pin();
+        proxy.push_app_meta(&case_study_meta(AppId(1)));
+        pinned[&AppId(1)].cache.write().insert(env, stale.clone());
+        assert!(!proxy.cached(AppId(1), &env), "the late fill went to the superseded state");
 
         let fresh = proxy.negotiate(AppId(1), env).unwrap();
         assert_eq!(fresh, stale, "same meta ⇒ same decision, but recomputed");
-        assert_eq!(proxy.stats().cache_misses, 2, "the stale entry was not served");
-        assert!(proxy.cached(AppId(1), &env), "recompute re-tags with the live generation");
+        assert_eq!(proxy.stats().cache_misses, 2, "the late fill was not served");
+        assert!(proxy.cached(AppId(1), &env));
+    }
+
+    #[test]
+    fn a_superseded_app_state_is_freed_with_its_last_pin() {
+        let proxy = proxy_with_case_study();
+        let env = ClientClass::PdaBluetooth.env();
+        proxy.negotiate(AppId(1), env).unwrap();
+        let pinned = proxy.pats.pin();
+        let superseded = Arc::downgrade(&pinned[&AppId(1)]);
+        proxy.push_app_meta(&case_study_meta(AppId(1)));
+        assert!(superseded.upgrade().is_some(), "the pin keeps its generation alive");
+        drop(pinned);
+        assert!(superseded.upgrade().is_none(), "tree and cache went with the last pin");
     }
 
     #[test]

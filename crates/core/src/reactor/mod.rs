@@ -200,7 +200,7 @@ struct Slot {
 /// [`Transport`] pair.
 ///
 /// All three services are taken by shared reference: the proxy negotiates
-/// through `&self` (lock-striped shards), the server serves through
+/// through `&self` (per-application cache locks), the server serves through
 /// `&self` (read-only between `publish` calls), and the repository is a
 /// read-only map — so any number of reactors on any number of threads can
 /// drive sessions against the *same* pair, which is exactly how the

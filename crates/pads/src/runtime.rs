@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use fractal_vm::{AnalyzedModule, Machine, Module, SandboxPolicy, Trap};
+use fractal_vm::{AnalyzedModule, Machine, Module, SandboxPolicy, Trap, VerifyError};
 
 /// Scratch area reserved at the bottom of linear memory.
 const SCRATCH: usize = 64;
@@ -34,6 +34,9 @@ fn align8(x: usize) -> usize {
 /// Errors surfaced by running a PAD.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PadError {
+    /// The verifier or the analyser refused the module: nothing was
+    /// instantiated.
+    Refused(VerifyError),
     /// The machine trapped (sandbox violation, fuel exhaustion, …).
     Trap(Trap),
     /// The module returned a negative status code
@@ -53,6 +56,7 @@ pub enum PadError {
 impl core::fmt::Display for PadError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            PadError::Refused(e) => write!(f, "PAD refused: {e}"),
             PadError::Trap(t) => write!(f, "PAD trapped: {t}"),
             PadError::Status(code) => write!(f, "PAD returned error status {code}"),
             PadError::InputsTooLarge { required, available } => {
@@ -71,6 +75,12 @@ impl From<Trap> for PadError {
     }
 }
 
+impl From<VerifyError> for PadError {
+    fn from(e: VerifyError) -> Self {
+        PadError::Refused(e)
+    }
+}
+
 /// A deployed PAD: an instantiated sandboxed module plus the calling
 /// conventions of the Fractal PAD ABI.
 pub struct PadRuntime {
@@ -84,24 +94,19 @@ impl core::fmt::Debug for PadRuntime {
 }
 
 impl PadRuntime {
-    /// Instantiates a verified module under `policy`.
-    ///
-    /// Runs the abstract interpreter first; modules it proves safe execute
-    /// on the interpreter's fast path (no per-op stack checks). Modules it
-    /// cannot prove — e.g. recursion whose shared-stack bound exceeds the
-    /// policy — still deploy, on the fully checked path.
+    /// Admits `module` under `policy` and instantiates it on the
+    /// interpreter's fast path (no per-op stack checks) — the admission
+    /// rule of the client's gauntlet: a module the verifier or the abstract
+    /// interpreter cannot prove safe is [`PadError::Refused`], not run.
     pub fn new(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        match AnalyzedModule::analyze(module, &policy) {
-            Ok(analyzed) => PadRuntime::from_analyzed(Arc::new(analyzed), policy),
-            Err((module, _)) => PadRuntime::new_checked(module, policy),
-        }
+        PadRuntime::from_analyzed(Arc::new(module.analyzed(&policy)?), policy)
     }
 
     /// Instantiates around an already admitted module: the per-session half
     /// of a deployment. Code, proof and predecoded ops stay in the shared
     /// bundle; the instance gets its own memory, stacks, fuel and log, and
-    /// runs under `policy` (the fast path only if the proven stack bound
-    /// fits it, as in [`PadRuntime::new`]).
+    /// runs under `policy`, which the proven stack bound must fit
+    /// ([`Trap::StackOverflow`] otherwise).
     pub fn from_analyzed(
         analyzed: Arc<AnalyzedModule>,
         policy: SandboxPolicy,
@@ -110,8 +115,8 @@ impl PadRuntime {
     }
 
     /// Instantiates on the fully checked interpreter path, skipping the
-    /// analyzer — the path [`PadRuntime::new`] falls back to. Exposed so
-    /// benchmarks and tests can compare the two paths directly.
+    /// verifier and the analyzer: the reference the differential tests and
+    /// `vm_dispatch` hold the fast path to. Nothing deploys through it.
     pub fn new_checked(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
         Ok(PadRuntime { machine: Machine::new(module, policy)? })
     }
@@ -123,8 +128,7 @@ impl PadRuntime {
     /// [`PadRuntime::audit_violations`] — each one is an analyzer
     /// soundness bug. Used by the differential trust harness.
     pub fn new_audited(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        let analyzed = module.analyzed(&policy).map_err(|_| PadError::Trap(Trap::Wedged))?;
-        Ok(PadRuntime { machine: Machine::new_audited(analyzed, policy)? })
+        Ok(PadRuntime { machine: Machine::new_audited(module.analyzed(&policy)?, policy)? })
     }
 
     /// Claim violations the auditor has observed (empty unless built with
@@ -389,6 +393,23 @@ mod tests {
         let policy = SandboxPolicy::for_pads();
         assert_eq!(PadRuntime::new_checked(module.clone(), policy.clone()).unwrap_err(), expected);
         assert_eq!(PadRuntime::new(module, policy).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn a_module_the_analyser_refuses_is_refused_with_its_reason() {
+        // Structurally valid, but pops an empty stack: the checked loop
+        // would run it into a trap; deployment must not get that far.
+        let src = ".memory 1\n.func decode args=0 locals=0\n drop\n ret\n";
+        let module = fractal_vm::assemble(src).unwrap();
+        let policy = SandboxPolicy::for_pads();
+        for build in [PadRuntime::new, PadRuntime::new_audited] {
+            let err = build(module.clone(), policy.clone()).unwrap_err();
+            assert!(
+                matches!(err, PadError::Refused(VerifyError::StackUnderflow { .. })),
+                "{err:?}"
+            );
+        }
+        assert!(PadRuntime::new_checked(module, policy).is_ok(), "the oracle still loads it");
     }
 
     #[test]

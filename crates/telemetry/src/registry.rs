@@ -1,11 +1,10 @@
-//! The sharded metrics registry and its deterministic snapshots.
+//! The metrics registry and its deterministic snapshots.
 //!
 //! A [`Registry`] maps metric names to live handles. Registration
-//! (get-or-create) takes one stripe lock; *recording* never does — callers
-//! bind handles once at construction and update atomics from then on. The
-//! name map is striped the same way the adaptation proxy stripes its
-//! cache: a fixed-key hash picks one of [`REGISTRY_SHARDS`] locks, so
-//! concurrent component construction doesn't convoy on a single mutex.
+//! (get-or-create) takes the name map's lock — shared when the name is
+//! already bound, which is every bind after a component's first instance;
+//! *recording* never does — callers bind handles once at construction and
+//! update atomics from then on.
 //!
 //! [`Snapshot`] is the plain-data view: `BTreeMap`s keyed by name, so
 //! the Prometheus text page (and anything a consumer builds by walking
@@ -14,16 +13,12 @@
 //! fold across per-work-unit registries in any grouping.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::clock::{MonotonicClock, SharedClock};
 use crate::metrics::{bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-
-/// Number of name-map stripes.
-pub const REGISTRY_SHARDS: usize = 8;
 
 #[derive(Clone)]
 enum Metric {
@@ -42,40 +37,22 @@ impl Metric {
     }
 }
 
-#[derive(Default)]
-struct Shard {
-    metrics: RwLock<BTreeMap<String, Metric>>,
-}
-
-fn shard_index(name: &str) -> usize {
-    // Fixed-key hasher: stripe assignment deterministic across runs.
-    let mut h = std::hash::DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) & (REGISTRY_SHARDS - 1)
-}
-
 /// The registry: named counters, gauges, and histograms behind `&self`.
+#[derive(Default)]
 pub struct Registry {
-    shards: [Shard; REGISTRY_SHARDS],
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
+    metrics: RwLock<BTreeMap<String, Metric>>,
 }
 
 impl core::fmt::Debug for Registry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let n: usize = self.shards.iter().map(|s| s.metrics.read().len()).sum();
-        f.debug_struct("Registry").field("metrics", &n).finish()
+        f.debug_struct("Registry").field("metrics", &self.metrics.read().len()).finish()
     }
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
-        Registry { shards: std::array::from_fn(|_| Shard::default()) }
+        Registry::default()
     }
 
     fn get_or_register<T: Clone>(
@@ -85,12 +62,11 @@ impl Registry {
         unwrap: fn(&Metric) -> Option<T>,
         fresh: fn() -> T,
     ) -> T {
-        let shard = &self.shards[shard_index(name)];
-        if let Some(m) = shard.metrics.read().get(name) {
+        if let Some(m) = self.metrics.read().get(name) {
             return unwrap(m)
                 .unwrap_or_else(|| panic!("metric '{name}' already registered as a {}", m.kind()));
         }
-        let mut guard = shard.metrics.write();
+        let mut guard = self.metrics.write();
         if let Some(m) = guard.get(name) {
             return unwrap(m)
                 .unwrap_or_else(|| panic!("metric '{name}' already registered as a {}", m.kind()));
@@ -144,18 +120,16 @@ impl Registry {
     /// (exact once recording threads are quiescent).
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for shard in &self.shards {
-            for (name, metric) in shard.metrics.read().iter() {
-                match metric {
-                    Metric::Counter(c) => {
-                        snap.counters.insert(name.clone(), c.get());
-                    }
-                    Metric::Gauge(g) => {
-                        snap.gauges.insert(name.clone(), g.get());
-                    }
-                    Metric::Histogram(h) => {
-                        snap.histograms.insert(name.clone(), h.snapshot());
-                    }
+        for (name, metric) in self.metrics.read().iter() {
+            match metric {
+                Metric::Counter(c) => {
+                    snap.counters.insert(name.clone(), c.get());
+                }
+                Metric::Gauge(g) => {
+                    snap.gauges.insert(name.clone(), g.get());
+                }
+                Metric::Histogram(h) => {
+                    snap.histograms.insert(name.clone(), h.snapshot());
                 }
             }
         }
@@ -336,6 +310,41 @@ mod tests {
         let t = local();
         t.counter("x");
         t.histogram("x");
+    }
+
+    #[test]
+    fn racing_registrations_of_one_name_share_one_cell() {
+        // Eight threads released together get-or-register the same 32
+        // names (each name always as the same kind) and bump what they
+        // got. A lost registration would strand increments in a cell the
+        // map no longer holds; a kind check misfiring under the race would
+        // panic a worker, which `scope` re-raises.
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 50;
+        let t = local();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        for i in 0..32 {
+                            match i % 3 {
+                                0 => t.counter(&format!("c{i}")).inc(),
+                                1 => t.gauge(&format!("g{i}")).add(1),
+                                _ => t.histogram(&format!("h{i}")).record(1),
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let snap = t.snapshot();
+        assert_eq!(snap.counters.len() + snap.gauges.len() + snap.histograms.len(), 32);
+        let expected = THREADS as u64 * ROUNDS;
+        assert!(snap.counters.values().all(|&v| v == expected));
+        assert!(snap.gauges.values().all(|&v| v == expected as i64));
+        assert!(snap.histograms.values().all(|h| h.count == expected));
     }
 
     #[test]

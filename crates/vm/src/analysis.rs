@@ -493,18 +493,10 @@ pub struct AnalyzedModule {
 
 impl AnalyzedModule {
     /// Verifies and analyzes `module` under `policy`, predecoding the fast
-    /// path on success. The passes only read the module, so a refusal
-    /// hands it back beside the reason — a caller with a fallback (the
-    /// checked interpreter) needs no defensive clone.
-    pub fn analyze(
-        module: Module,
-        policy: &SandboxPolicy,
-    ) -> Result<AnalyzedModule, (Module, VerifyError)> {
-        let proof = verify_module(&module).and_then(|()| analyze_module(&module, policy));
-        let analysis = match proof {
-            Ok(analysis) => analysis,
-            Err(e) => return Err((module, e)),
-        };
+    /// path on success.
+    pub fn analyze(module: Module, policy: &SandboxPolicy) -> Result<AnalyzedModule, VerifyError> {
+        verify_module(&module)?;
+        let analysis = analyze_module(&module, policy)?;
         let fast = module
             .functions
             .iter()

@@ -133,10 +133,6 @@ pub struct Machine {
     fuel: u64,
     fuel_used_total: u64,
     log: Vec<u8>,
-    /// Whether calls run the program's predecoded code: the abstract
-    /// interpreter proved the per-op stack checks redundant under this
-    /// instance's policy (see [`AnalyzedModule`]).
-    fast: bool,
     /// Claims-auditor state; present only on machines built with
     /// [`Machine::new_audited`]. Boxed to keep the common case small.
     audit: Option<Box<AuditState>>,
@@ -189,29 +185,28 @@ impl Machine {
             fuel,
             fuel_used_total: 0,
             log: Vec::new(),
-            fast: false,
             audit: None,
         })
     }
 
     /// Instantiates an analyzed module; pass an `Arc` to share one admitted
-    /// bundle among many instances (nothing in it is copied). When the
-    /// proven whole-machine stack bound fits within `policy.max_stack`,
-    /// execution uses the predecoded fast path (no per-op decode, stack
-    /// checks demoted to debug assertions); otherwise the instance falls
-    /// back to the checked interpreter. Fuel accounting is identical on
-    /// both paths.
+    /// bundle among many instances (nothing in it is copied). Execution
+    /// uses the predecoded fast path (no per-op decode, stack checks
+    /// demoted to debug assertions), which is sound only while the proven
+    /// whole-machine stack bound fits `policy.max_stack`: a proof made
+    /// under a roomier policy is refused with [`Trap::StackOverflow`].
+    /// Fuel accounting is identical to the checked path's.
     pub fn new_analyzed(
         analyzed: impl Into<Arc<AnalyzedModule>>,
         policy: SandboxPolicy,
     ) -> Result<Machine, Trap> {
         let analyzed = analyzed.into();
         let stack_bound = analyzed.analysis.stack_bound;
-        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
-        if stack_bound <= machine.policy.max_stack {
-            machine.stack.reserve(stack_bound);
-            machine.fast = true;
+        if stack_bound > policy.max_stack {
+            return Err(Trap::StackOverflow);
         }
+        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
+        machine.stack.reserve(stack_bound);
         Ok(machine)
     }
 
@@ -242,9 +237,11 @@ impl Machine {
         Ok(machine)
     }
 
-    /// Whether this instance runs the predecoded fast path.
+    /// Whether this instance runs the predecoded fast path: it was built
+    /// by [`Machine::new_analyzed`]. [`Machine::new`] and
+    /// [`Machine::new_audited`] run the checked reference loop.
     pub fn is_fast_path(&self) -> bool {
-        self.fast
+        matches!(self.program, Program::Admitted(_)) && self.audit.is_none()
     }
 
     /// How many analyzer claims the auditor has checked so far (0 when the
@@ -328,7 +325,7 @@ impl Machine {
             Some(a) => (a.audited, a.violations.len()),
             None => (0, 0),
         };
-        let result = if self.fast { self.run_fast() } else { self.run() };
+        let result = if self.is_fast_path() { self.run_fast() } else { self.run() };
         if result.is_err() {
             // Leave state consistent for inspection but do not allow resume.
             self.frames.clear();
@@ -350,7 +347,7 @@ impl Machine {
         }
         let m = vm_metrics();
         m.fuel_consumed.add(self.fuel_used_total - fuel_before);
-        if self.fast {
+        if self.is_fast_path() {
             m.calls_fast.inc();
         } else {
             m.calls_checked.inc();
@@ -1787,5 +1784,19 @@ mod tests {
         assert_eq!(a.fuel_used(), 2 * b.fuel_used());
         // Two instances plus this handle: nothing was cloned out of the Arc.
         assert_eq!(Arc::strong_count(&shared), 3);
+    }
+
+    #[test]
+    fn a_proof_whose_stack_bound_exceeds_the_instance_policy_is_refused() {
+        let src =
+            ".memory 1\n.func three args=0 locals=0\n push 1\n push 2\n push 3\n add\n add\n ret\n";
+        let roomy = SandboxPolicy::default();
+        let shared = Arc::new(assemble(src).unwrap().analyzed(&roomy).unwrap());
+        assert_eq!(shared.analysis.stack_bound, 3);
+        let tight = SandboxPolicy { max_stack: 2, ..roomy.clone() };
+        let refused = Machine::new_analyzed(Arc::clone(&shared), tight).map(|_| ());
+        assert_eq!(refused, Err(Trap::StackOverflow));
+        let exact = SandboxPolicy { max_stack: 3, ..roomy };
+        assert_eq!(Machine::new_analyzed(shared, exact).unwrap().call("three", &[]), Ok(6));
     }
 }

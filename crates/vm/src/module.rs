@@ -171,7 +171,7 @@ impl Module {
         self,
         policy: &crate::sandbox::SandboxPolicy,
     ) -> Result<crate::analysis::AnalyzedModule, crate::error::VerifyError> {
-        crate::analysis::AnalyzedModule::analyze(self, policy).map_err(|(_, e)| e)
+        crate::analysis::AnalyzedModule::analyze(self, policy)
     }
 }
 

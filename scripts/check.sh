@@ -3,14 +3,15 @@
 # Run from the repository root before sending a change out for review.
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
-#                             # one-git_sha check on the committed
+#                             # no-stripe-by-hash and unused-dependency
+#                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/pads/core/bench/protocols/
 #                             # crypto crate tests,
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + both audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all four audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -103,6 +104,18 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
+
+# The proxy cache, `Epoch` and the metrics registry are one lock per
+# structure; the stripe-by-hash they replaced began with a fixed-key
+# hasher picking a lock. Catch it growing back where it grew before.
+step "no stripe-by-hash (DefaultHasher) in crates/core/src or crates/telemetry/src"
+if grep -rn 'DefaultHasher' --include='*.rs' crates/core/src crates/telemetry/src; then
+    echo "DefaultHasher in fractal-core / fractal-telemetry (see the step's comment)" >&2
+    exit 1
+fi
+
+step "every declared dependency is named by a source file of its crate"
+scripts/unused_deps.sh
 
 # scripts/regen.sh rewrites all three BENCH_*.json from one checkout. A
 # mix of stamps means one file was regenerated alone and the others
