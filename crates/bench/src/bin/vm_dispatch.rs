@@ -1,11 +1,11 @@
 //! Interpreter dispatch-path microbenchmark: what admission buys at run time.
 //!
 //! Runs every shipped PAD decode workload on the fully **checked**
-//! interpreter and on the **analyzed fast path**: stack checks discharged,
-//! branches pre-resolved, div/rem and load/store ops the range pass proved
-//! safe dispatched through their unchecked `FastOp` variants, and hot op
-//! runs (`local.get·local.get·geu·jmpif`, `local.get·push·add·local.set`,
-//! …) fused into one superinstruction each, charged op for op. Reports
+//! interpreter and on the **analyzed fast path**: the register form, in
+//! which operand-stack slots are frame registers, branches are
+//! pre-resolved and a run such as `local.get·local.get·geu·jmpif` or
+//! `local.get·push·add·local.set` is one three-address slot, charged op
+//! for op. Reports
 //! MB/s per path and the speedup, after asserting the two paths agree on
 //! output *and* fuel, byte for byte.
 //!

@@ -241,7 +241,8 @@ impl FractalClient {
         self.trust.verify(&signed.bytes, &signed.signature).map_err(ModuleError::from)?;
 
         // Parse, structural verification, abstract interpretation (stack
-        // and capability proof obligations) and predecoding: once per
+        // and capability proof obligations) and translation to register
+        // form: once per
         // (digest, policy), shared from then on.
         let policy = &self.policy;
         let (analyzed, hit) = self.admission.get_or_admit(&digest, policy, || {

@@ -148,61 +148,68 @@ impl InpMessage {
 
     /// Serializes header + body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Writer::new();
+        self.to_bytes_with_room(0)
+    }
+
+    /// [`to_bytes`](Self::to_bytes) into an allocation with `room` spare
+    /// bytes behind the message, which is where checked framing puts its
+    /// trailer. The bytes are written once, in place: the header goes
+    /// first with its length left open, and is patched when the body is in.
+    pub(crate) fn to_bytes_with_room(&self, room: usize) -> Vec<u8> {
+        let wire_len = self.wire_len();
+        let mut out = Writer(Vec::with_capacity(wire_len + room));
+        // Header layout: magic(3) version(1) type(1) len(3: u24).
+        out.bytes(&MAGIC);
+        out.u8(INP_VERSION);
+        out.u8(self.msg_type());
+        out.bytes(&[0u8; 3]);
         match self {
             InpMessage::InitReq { app_id, payload } => {
-                body.u32(app_id.0);
-                body.u32(payload.len() as u32);
-                body.bytes(payload);
+                out.u32(app_id.0);
+                out.u32(payload.len() as u32);
+                out.bytes(payload);
             }
             InpMessage::InitRep | InpMessage::CliMetaReq => {}
             InpMessage::CliMetaRep { dev, ntwk } => {
-                dev.encode(&mut body);
-                ntwk.encode(&mut body);
+                dev.encode(&mut out);
+                ntwk.encode(&mut out);
             }
             InpMessage::PadMetaRep { pads } => {
-                body.u16(pads.len() as u16);
+                out.u16(pads.len() as u16);
                 for p in pads {
-                    p.encode(&mut body);
+                    p.encode(&mut out);
                 }
             }
             InpMessage::PadDownloadReq { pad_id } => {
-                body.u64(pad_id.0);
+                out.u64(pad_id.0);
             }
             InpMessage::PadDownloadRep { pad_id, bytes } => {
-                body.u64(pad_id.0);
-                body.u32(bytes.len() as u32);
-                body.bytes(bytes);
+                out.u64(pad_id.0);
+                out.u32(bytes.len() as u32);
+                out.bytes(bytes);
             }
             InpMessage::AppReq { app_id, protocols, payload } => {
-                body.u32(app_id.0);
-                body.u16(protocols.len() as u16);
+                out.u32(app_id.0);
+                out.u16(protocols.len() as u16);
                 for p in protocols {
-                    body.u16(p.wire_id());
+                    out.u16(p.wire_id());
                 }
-                body.u32(payload.len() as u32);
-                body.bytes(payload);
+                out.u32(payload.len() as u32);
+                out.bytes(payload);
             }
             InpMessage::AppRep { content_id, version, protocol, payload } => {
-                body.u32(*content_id);
-                body.u32(*version);
-                body.u16(protocol.wire_id());
-                body.u32(payload.len() as u32);
-                body.bytes(payload);
+                out.u32(*content_id);
+                out.u32(*version);
+                out.u16(protocol.wire_id());
+                out.u32(payload.len() as u32);
+                out.bytes(payload);
             }
         }
-        let mut out = Vec::with_capacity(HEADER_LEN + body.0.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(INP_VERSION);
-        out.push(self.msg_type());
-        out.extend_from_slice(&[0u8; 3]); // reserved/padding to 8-byte header… length below
-                                          // Header layout: magic(3) version(1) type(1) len(3: u24).
-        let len = body.0.len() as u32;
+        let mut out = out.0;
+        debug_assert_eq!(out.len(), wire_len, "{}: wire_len miscounts", self.name());
+        let len = (out.len() - HEADER_LEN) as u32;
         assert!(len < 1 << 24, "INP body too large");
-        out[5] = (len & 0xFF) as u8;
-        out[6] = ((len >> 8) & 0xFF) as u8;
-        out[7] = ((len >> 16) & 0xFF) as u8;
-        out.extend_from_slice(&body.0);
+        out[5..HEADER_LEN].copy_from_slice(&len.to_le_bytes()[..3]);
         out
     }
 
@@ -273,9 +280,25 @@ impl InpMessage {
         Ok(msg)
     }
 
-    /// Wire size (for traffic accounting in the session runner).
+    /// Wire size (for traffic accounting in the session runner, and the
+    /// one allocation [`to_bytes`](Self::to_bytes) makes): header plus what
+    /// each variant's body encodes to, counted without encoding it.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        let body = match self {
+            InpMessage::InitReq { payload, .. } => 4 + 4 + payload.len(),
+            InpMessage::InitRep | InpMessage::CliMetaReq => 0,
+            InpMessage::CliMetaRep { .. } => DevMeta::WIRE_LEN + NtwkMeta::WIRE_LEN,
+            InpMessage::PadMetaRep { pads } => {
+                2 + pads.iter().map(PadMeta::wire_len).sum::<usize>()
+            }
+            InpMessage::PadDownloadReq { .. } => 8,
+            InpMessage::PadDownloadRep { bytes, .. } => 8 + 4 + bytes.len(),
+            InpMessage::AppReq { protocols, payload, .. } => {
+                4 + 2 + 2 * protocols.len() + 4 + payload.len()
+            }
+            InpMessage::AppRep { payload, .. } => 4 + 4 + 2 + 4 + payload.len(),
+        };
+        HEADER_LEN + body
     }
 }
 
@@ -341,6 +364,49 @@ mod tests {
             let back = InpMessage::from_bytes(&bytes).unwrap();
             assert_eq!(back, msg, "{}", msg.name());
         }
+    }
+
+    #[test]
+    fn wire_len_counts_what_to_bytes_writes() {
+        let mut parent_and_children = sample_pad();
+        parent_and_children.parent = Some(PadId(1));
+        parent_and_children.children = vec![PadId(8), PadId(9)];
+        for size in [0usize, 1, 4096, 200 * 1024] {
+            let payload = vec![0x5A; size];
+            let messages = [
+                InpMessage::InitReq { app_id: AppId(1), payload: payload.clone() },
+                InpMessage::InitRep,
+                InpMessage::CliMetaReq,
+                all_messages().remove(3),
+                InpMessage::PadMetaRep { pads: vec![] },
+                InpMessage::PadMetaRep {
+                    pads: vec![sample_pad(), parent_and_children.clone(), sample_pad()],
+                },
+                InpMessage::PadDownloadReq { pad_id: PadId(5) },
+                InpMessage::PadDownloadRep { pad_id: PadId(5), bytes: payload.clone().into() },
+                InpMessage::AppReq {
+                    app_id: AppId(1),
+                    protocols: ProtocolId::ALL.to_vec(),
+                    payload: payload.clone(),
+                },
+                InpMessage::AppRep {
+                    content_id: 7,
+                    version: 3,
+                    protocol: ProtocolId::Gzip,
+                    payload: payload.clone().into(),
+                },
+            ];
+            for msg in messages {
+                let bytes = msg.to_bytes();
+                assert_eq!(msg.wire_len(), bytes.len(), "{} at {size}", msg.name());
+                assert_eq!(bytes.capacity(), bytes.len(), "{}: one exact allocation", msg.name());
+            }
+        }
+        assert_eq!(sample_pad().wire_len(), {
+            let mut w = Writer::new();
+            sample_pad().encode(&mut w);
+            w.0.len()
+        });
     }
 
     #[test]

@@ -17,6 +17,11 @@ pub const MAX_FRAME_BODY: usize = 1 << 20;
 /// in-flight corruption is always caught, never silently decoded.
 pub const CHECKSUM_TRAILER_LEN: usize = 4;
 
+/// What [`Framer::pull`] reads at a time while it does not yet know how
+/// long the frame is; a frame with more than this still to come is
+/// received in place.
+const RECV_CHUNK: usize = 4096;
+
 /// Length-prefixed frame reassembly over the INP header.
 ///
 /// The INP header *is* the length prefix — magic, version, message type,
@@ -30,7 +35,12 @@ pub const CHECKSUM_TRAILER_LEN: usize = 4;
 /// buffer grows to meet them.
 #[derive(Debug)]
 pub struct Framer {
+    /// Reassembly storage. `buf[..filled]` has arrived; the rest, when
+    /// there is any, is room for the remainder of a large frame that
+    /// [`pull`](Self::pull) receives into, so its bytes land where they
+    /// are parsed from.
     buf: Vec<u8>,
+    filled: usize,
     max_body: usize,
     checksum: bool,
 }
@@ -49,7 +59,7 @@ impl Framer {
 
     /// A framer rejecting bodies longer than `max_body`.
     pub fn with_max_body(max_body: usize) -> Framer {
-        Framer { buf: Vec::new(), max_body, checksum: false }
+        Framer { buf: Vec::new(), filled: 0, max_body, checksum: false }
     }
 
     /// Switches this framer to checked framing: every frame must carry a
@@ -70,7 +80,7 @@ impl Framer {
     /// the weak-sum trailer a [`with_checksum`](Self::with_checksum)
     /// framer verifies on receipt.
     pub fn frame_checked(msg: &InpMessage) -> Vec<u8> {
-        let mut bytes = msg.to_bytes();
+        let mut bytes = msg.to_bytes_with_room(CHECKSUM_TRAILER_LEN);
         let sum = fractal_crypto::checksum::weak_sum(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
@@ -78,40 +88,82 @@ impl Framer {
 
     /// Appends received bytes to the reassembly buffer.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
+        self.filled = self.buf.len();
+    }
+
+    /// Bytes of checksum behind every frame in this framer's mode.
+    fn trailer_len(&self) -> usize {
+        if self.checksum {
+            CHECKSUM_TRAILER_LEN
+        } else {
+            0
+        }
+    }
+
+    /// Bytes still to come of the frame whose header is buffered, trailer
+    /// included; `0` without a header, or with one [`next_frame`] is about
+    /// to refuse (so a hostile length reserves nothing).
+    ///
+    /// [`next_frame`]: Self::next_frame
+    fn rest_of_frame(&self) -> usize {
+        let Some(header) = self.buf[..self.filled].get(..HEADER_LEN) else { return 0 };
+        match inp::header_info(header) {
+            Ok((_, len)) if len <= self.max_body => {
+                (HEADER_LEN + len + self.trailer_len()).saturating_sub(self.filled)
+            }
+            _ => 0,
+        }
     }
 
     /// Drains every currently-readable byte of `t` into the buffer;
-    /// returns how many arrived.
+    /// returns how many arrived. Once a header declares a frame longer
+    /// than a chunk, the storage is sized for all of it and `recv` writes
+    /// straight into it. Until then, and for short frames, bytes come
+    /// through a stack chunk: room held in every idle framer instead
+    /// would be resident memory per connection.
     pub fn pull(&mut self, t: &mut dyn Transport) -> Result<usize, TransportError> {
-        let mut chunk = [0u8; 4096];
         let mut total = 0;
         loop {
-            let n = t.recv(&mut chunk)?;
+            let rest = self.rest_of_frame();
+            let n = if rest > RECV_CHUNK {
+                let end = self.filled + rest;
+                if self.buf.len() < end {
+                    self.buf.resize(end, 0);
+                }
+                let n = t.recv(&mut self.buf[self.filled..end])?;
+                self.filled += n;
+                n
+            } else {
+                let mut chunk = [0u8; RECV_CHUNK];
+                let n = t.recv(&mut chunk)?;
+                self.push(&chunk[..n]);
+                n
+            };
             if n == 0 {
                 return Ok(total);
             }
-            self.buf.extend_from_slice(&chunk[..n]);
             total += n;
         }
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.filled
     }
 
     /// Whether [`next_frame`](Self::next_frame) would make progress right
     /// now — a complete frame is buffered, or the buffered prefix is
     /// already known-bad (an error is progress too: it must be surfaced).
     pub fn frame_ready(&self) -> bool {
-        if self.buf.len() < HEADER_LEN {
+        if self.filled < HEADER_LEN {
             return false;
         }
-        let trailer = if self.checksum { CHECKSUM_TRAILER_LEN } else { 0 };
+        let trailer = self.trailer_len();
         match inp::header_info(&self.buf[..HEADER_LEN]) {
             Err(_) => true,
-            Ok((_, len)) => len > self.max_body || self.buf.len() >= HEADER_LEN + len + trailer,
+            Ok((_, len)) => len > self.max_body || self.filled >= HEADER_LEN + len + trailer,
         }
     }
 
@@ -119,7 +171,7 @@ impl Framer {
     /// only a partial frame. A framing error is unrecoverable: the byte
     /// stream has no resync points.
     pub fn next_frame(&mut self) -> Result<Option<InpMessage>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
+        if self.filled < HEADER_LEN {
             return Ok(None);
         }
         let (_, len) =
@@ -128,8 +180,8 @@ impl Framer {
             return Err(FrameError::Oversized { len, max: self.max_body });
         }
         let frame_len = HEADER_LEN + len;
-        let trailer = if self.checksum { CHECKSUM_TRAILER_LEN } else { 0 };
-        if self.buf.len() < frame_len + trailer {
+        let trailer = self.trailer_len();
+        if self.filled < frame_len + trailer {
             return Ok(None);
         }
         if self.checksum {
@@ -143,12 +195,14 @@ impl Framer {
         }
         let msg = InpMessage::from_bytes(&self.buf[..frame_len]).map_err(FrameError::Malformed)?;
         self.buf.drain(..frame_len + trailer);
+        self.filled -= frame_len + trailer;
         Ok(Some(msg))
     }
 
     /// Discards all buffered bytes (session teardown).
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.filled = 0;
     }
 }
 
@@ -311,6 +365,46 @@ mod tests {
         framer.push(&frame[frame.len() - 1..]);
         assert!(framer.frame_ready());
         assert_eq!(framer.next_frame(), Ok(Some(msg(16))));
+    }
+
+    #[test]
+    fn pull_receives_a_large_frame_in_place_across_partial_reads() {
+        // 200 KB through a 1000-byte ring: hundreds of partial reads, the
+        // storage sized once from the header, and a second frame behind.
+        let big = InpMessage::AppRep {
+            content_id: 1,
+            version: 2,
+            protocol: fractal_protocols::ProtocolId::Gzip,
+            payload: (0..200 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>().into(),
+        };
+        let TransportPair { mut client, mut service } = LoopbackTransport::pair(1000);
+        let mut q = SendQueue::new();
+        q.push(Framer::frame_checked(&big));
+        q.push(Framer::frame_checked(&msg(3)));
+        let mut framer = Framer::new().with_checksum();
+        let mut got = Vec::new();
+        while !q.is_empty() || framer.buffered() > 0 {
+            q.flush(client.as_mut()).unwrap();
+            framer.pull(service.as_mut()).unwrap();
+            if framer.rest_of_frame() > RECV_CHUNK {
+                assert_eq!(framer.buf.len(), big.wire_len() + CHECKSUM_TRAILER_LEN);
+            }
+            while let Some(m) = framer.next_frame().unwrap() {
+                got.push(m);
+            }
+        }
+        assert_eq!(got, [big, msg(3)]);
+    }
+
+    #[test]
+    fn pull_reserves_nothing_for_a_length_it_will_refuse() {
+        let TransportPair { mut client, mut service } = LoopbackTransport::pair(64);
+        let header = &Framer::frame(&msg(100_000))[..HEADER_LEN];
+        assert_eq!(client.send(header).unwrap(), HEADER_LEN);
+        let mut framer = Framer::with_max_body(64);
+        assert_eq!(framer.pull(service.as_mut()).unwrap(), HEADER_LEN);
+        assert!(framer.buf.len() <= HEADER_LEN + RECV_CHUNK);
+        assert!(matches!(framer.next_frame(), Err(FrameError::Oversized { .. })));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl PadRuntime {
     }
 
     /// Instantiates around an already admitted module: the per-session half
-    /// of a deployment. Code, proof and predecoded ops stay in the shared
+    /// of a deployment. Code, proof and register-form slots stay in the shared
     /// bundle; the instance gets its own memory, stacks, fuel and log, and
     /// runs under `policy`, which the proven stack bound must fit
     /// ([`Trap::StackOverflow`] otherwise).

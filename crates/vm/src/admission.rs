@@ -1,6 +1,7 @@
 //! The admission cache: prove a PAD safe once, instantiate it many times.
 //!
-//! Structural verification, abstract interpretation and predecoding are
+//! Structural verification, abstract interpretation and translation to
+//! register form are
 //! pure functions of *(module bytes, sandbox policy)*. PADs are
 //! content-addressed by the SHA-1 their `PADMeta` advertises, so an
 //! embedding that has just checked that digest (and the code signature —

@@ -21,11 +21,10 @@
 //!   never return, surfaced by `fvm-lint` and the annotated disassembler.
 //!
 //! An accepted analysis also licenses the interpreter's *fast path*
-//! ([`AnalyzedModule`]): bytecode is predecoded into [`FastOp`]s with
-//! branch targets resolved to instruction indices, the per-op stack checks
-//! become debug assertions because the dataflow has already proven they
-//! cannot fire, and the hot runs of plain ops are fused into one
-//! superinstruction each (`fuse`) at no change in fuel.
+//! ([`AnalyzedModule`]): because every instruction's stack height is a
+//! proven constant, the operand stack becomes frame registers and the
+//! bytecode is translated once into three-address [`Slot`]s ([`reg`]), one
+//! per source statement where the code allows, at no change in fuel.
 //!
 //! ## Soundness notes
 //!
@@ -51,8 +50,10 @@ use crate::sandbox::SandboxPolicy;
 use crate::verify::verify_module;
 
 pub mod range;
+pub mod reg;
 
 pub use range::{proven, AbsVal, InsnFacts};
+pub use reg::{RegFunction, Slot, SlotOp};
 
 /// Fuel cost floor for one instruction (every op charges at least this).
 const BASE_COST: u64 = 1;
@@ -352,131 +353,8 @@ fn mask_to_hosts(mask: u8) -> Vec<HostId> {
     HostId::ALL.into_iter().filter(|h| mask & (1 << h.id()) != 0).collect()
 }
 
-/// A predecoded instruction for the fast interpreter path. Branch targets
-/// are absolute instruction indices; small push variants are folded; the
-/// variants after `MemSize` each stand for a run of the ones before it.
-#[derive(Clone, Copy, Debug)]
-pub enum FastOp {
-    /// See [`Op::Halt`].
-    Halt,
-    /// See [`Op::Nop`].
-    Nop,
-    /// See [`Op::Unreachable`].
-    Unreachable,
-    /// Unconditional jump to an instruction index.
-    Jmp(u32),
-    /// Pop; jump to the index when non-zero.
-    JmpIf(u32),
-    /// Pop; jump to the index when zero.
-    JmpIfZ(u32),
-    /// See [`Op::Call`].
-    Call(u16),
-    /// See [`Op::Ret`].
-    Ret,
-    /// See [`Op::HostCall`].
-    HostCall(u8),
-    /// All push widths decode to one i64 constant.
-    Push(i64),
-    /// See [`Op::LocalGet`].
-    LocalGet(u8),
-    /// See [`Op::LocalSet`].
-    LocalSet(u8),
-    /// See [`Op::LocalTee`].
-    LocalTee(u8),
-    /// See [`Op::Drop`].
-    Drop,
-    /// See [`Op::Dup`].
-    Dup,
-    /// See [`Op::Swap`].
-    Swap,
-    /// Binary arithmetic/comparison op, dispatched by [`Op`] kind.
-    Bin(BinKind),
-    /// A division/remainder whose divisor (and, for `divs`, overflow
-    /// case) the range pass proved safe: the zero/overflow branch is
-    /// demoted to a defensive wedge check.
-    BinNz(BinKind),
-    /// See [`Op::Eqz`].
-    Eqz,
-    /// Load of the given width in bytes.
-    Load(u8),
-    /// Load whose address range the range pass proved in bounds: skips
-    /// the sign/overflow checks of the checked `mem_range`.
-    LoadF(u8),
-    /// Store of the given width in bytes.
-    Store(u8),
-    /// Store with statically proven bounds, like [`FastOp::LoadF`].
-    StoreF(u8),
-    /// See [`Op::MemCopy`].
-    MemCopy,
-    /// See [`Op::MemFill`].
-    MemFill,
-    /// See [`Op::LzCopy`].
-    LzCopy,
-    /// See [`Op::MemSize`].
-    MemSize,
-
-    // Fused runs, written by `fuse` into the slot of the run's first op.
-    // Each behaves exactly like the plain ops it is named after, executed
-    // in order, and costs one fuel per op. `Bin` here is never a
-    // division or remainder, and immediates are `Push` constants that
-    // fit an `i32` (which keeps this enum at 16 bytes).
-    /// `local.get a · local.get b · bin`.
-    GetGetBin(u8, u8, BinKind),
-    /// `local.get a · local.get b · bin · local.set d`.
-    GetGetBinSet(u8, u8, BinKind, u8),
-    /// `local.get a · local.get b · bin · jmpif t`.
-    GetGetBinJmpIf(u8, u8, BinKind, u32),
-    /// `local.get a · push v · bin`.
-    GetImmBin(u8, i32, BinKind),
-    /// `local.get a · push v · bin · bin`, the scaled-index idiom
-    /// `base + (i << 2)` of table lookups.
-    GetImmBinBin(u8, i32, BinKind, BinKind),
-    /// `local.get a · push v · bin · local.set d`.
-    GetImmBinSet(u8, i32, BinKind, u8),
-    /// `local.get a · push v · bin · jmpif t`.
-    GetImmBinJmpIf(u8, i32, BinKind, u32),
-    /// `local.get a · bin · jmpif t`.
-    GetBinJmpIf(u8, BinKind, u32),
-    /// `push v · bin · local.set d`.
-    ImmBinSet(i32, BinKind, u8),
-    /// `bin · local.set d`.
-    BinSet(BinKind, u8),
-    /// `bin · jmpif t`.
-    BinJmpIf(BinKind, u32),
-    /// `local.get a · load width · local.set d`.
-    GetLoadSet(u8, u8, u8),
-    /// `local.get a · eqz · jmpif t`.
-    GetEqzJmpIf(u8, u32),
-}
-
-/// Binary operator selector for [`FastOp::Bin`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
-pub enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    DivU,
-    DivS,
-    RemU,
-    And,
-    Or,
-    Xor,
-    Shl,
-    ShrU,
-    ShrS,
-    Eq,
-    Ne,
-    LtU,
-    LtS,
-    GtU,
-    GtS,
-    LeU,
-    GeU,
-}
-
 /// A module that has passed structural verification *and* abstract
-/// interpretation, bundled with its predecoded fast-path code.
+/// interpretation, bundled with its fast-path code in register form.
 ///
 /// Immutable once built, so one bundle behind an `Arc` serves any number
 /// of [`Machine`](crate::machine::Machine) instances: each instance owns
@@ -487,23 +365,24 @@ pub struct AnalyzedModule {
     pub module: Module,
     /// The proof object.
     pub analysis: ModuleAnalysis,
-    /// Per-function predecoded code, indexed like `module.functions`.
-    pub(crate) fast: Vec<Vec<FastOp>>,
+    /// Per-function register-form code, indexed like `module.functions`.
+    pub(crate) fast: Vec<RegFunction>,
 }
 
 impl AnalyzedModule {
-    /// Verifies and analyzes `module` under `policy`, predecoding the fast
+    /// Verifies and analyzes `module` under `policy`, translating the fast
     /// path on success.
     pub fn analyze(module: Module, policy: &SandboxPolicy) -> Result<AnalyzedModule, VerifyError> {
         verify_module(&module)?;
         let analysis = analyze_module(&module, policy)?;
-        let fast = module
-            .functions
-            .iter()
-            .zip(&analysis.functions)
-            .map(|(f, fa)| fuse(&predecode(f, fa)))
-            .collect();
+        let fast = reg::translate(&module, &analysis)?;
         Ok(AnalyzedModule { module, analysis, fast })
+    }
+
+    /// The fast path's slot table for function `func`: one [`Slot`] per
+    /// instruction, in instruction order.
+    pub fn slots(&self, func: usize) -> &[Slot] {
+        &self.fast[func].code
     }
 }
 
@@ -1199,141 +1078,6 @@ fn calls_self(cfg: &FuncCfg, f: usize) -> bool {
     cfg.insns.iter().any(|i| matches!(i.op, Op::Call(c) if c as usize == f))
 }
 
-/// Predecodes one verified, analyzed function into fast-path form,
-/// spending range-pass proofs on unchecked op variants.
-fn predecode(func: &Function, fa: &FunctionAnalysis) -> Vec<FastOp> {
-    let mut index_of = vec![u32::MAX; func.code.len() + 1];
-    for (i, insn) in fa.insns.iter().enumerate() {
-        index_of[insn.at] = i as u32;
-    }
-    fa.insns
-        .iter()
-        .enumerate()
-        .map(|(i, insn)| {
-            let target = |rel: i32| index_of[(insn.next as i64 + rel as i64) as usize];
-            let proven = fa.ranges.get(i).map(|f| f.proven).unwrap_or(0);
-            let div_safe = |k: BinKind, need: u8| {
-                if proven & need == need {
-                    FastOp::BinNz(k)
-                } else {
-                    FastOp::Bin(k)
-                }
-            };
-            let load = |w: u8| {
-                if proven & proven::MEM_IN_BOUNDS != 0 {
-                    FastOp::LoadF(w)
-                } else {
-                    FastOp::Load(w)
-                }
-            };
-            let store = |w: u8| {
-                if proven & proven::MEM_IN_BOUNDS != 0 {
-                    FastOp::StoreF(w)
-                } else {
-                    FastOp::Store(w)
-                }
-            };
-            match insn.op {
-                Op::Halt => FastOp::Halt,
-                Op::Nop => FastOp::Nop,
-                Op::Unreachable => FastOp::Unreachable,
-                Op::Jmp(rel) => FastOp::Jmp(target(rel)),
-                Op::JmpIf(rel) => FastOp::JmpIf(target(rel)),
-                Op::JmpIfZ(rel) => FastOp::JmpIfZ(target(rel)),
-                Op::Call(idx) => FastOp::Call(idx),
-                Op::Ret => FastOp::Ret,
-                Op::HostCall(id) => FastOp::HostCall(id),
-                Op::PushI8(v) => FastOp::Push(v as i64),
-                Op::PushI32(v) => FastOp::Push(v as i64),
-                Op::PushI64(v) => FastOp::Push(v),
-                Op::LocalGet(n) => FastOp::LocalGet(n),
-                Op::LocalSet(n) => FastOp::LocalSet(n),
-                Op::LocalTee(n) => FastOp::LocalTee(n),
-                Op::Drop => FastOp::Drop,
-                Op::Dup => FastOp::Dup,
-                Op::Swap => FastOp::Swap,
-                Op::Add => FastOp::Bin(BinKind::Add),
-                Op::Sub => FastOp::Bin(BinKind::Sub),
-                Op::Mul => FastOp::Bin(BinKind::Mul),
-                Op::DivU => div_safe(BinKind::DivU, proven::DIV_NONZERO),
-                Op::DivS => div_safe(BinKind::DivS, proven::DIV_NONZERO | proven::DIV_NO_OVERFLOW),
-                Op::RemU => div_safe(BinKind::RemU, proven::DIV_NONZERO),
-                Op::And => FastOp::Bin(BinKind::And),
-                Op::Or => FastOp::Bin(BinKind::Or),
-                Op::Xor => FastOp::Bin(BinKind::Xor),
-                Op::Shl => FastOp::Bin(BinKind::Shl),
-                Op::ShrU => FastOp::Bin(BinKind::ShrU),
-                Op::ShrS => FastOp::Bin(BinKind::ShrS),
-                Op::Eq => FastOp::Bin(BinKind::Eq),
-                Op::Ne => FastOp::Bin(BinKind::Ne),
-                Op::LtU => FastOp::Bin(BinKind::LtU),
-                Op::LtS => FastOp::Bin(BinKind::LtS),
-                Op::GtU => FastOp::Bin(BinKind::GtU),
-                Op::GtS => FastOp::Bin(BinKind::GtS),
-                Op::LeU => FastOp::Bin(BinKind::LeU),
-                Op::GeU => FastOp::Bin(BinKind::GeU),
-                Op::Eqz => FastOp::Eqz,
-                Op::Load8 => load(1),
-                Op::Load16 => load(2),
-                Op::Load32 => load(4),
-                Op::Load64 => load(8),
-                Op::Store8 => store(1),
-                Op::Store16 => store(2),
-                Op::Store32 => store(4),
-                Op::Store64 => store(8),
-                Op::MemCopy => FastOp::MemCopy,
-                Op::MemFill => FastOp::MemFill,
-                Op::LzCopy => FastOp::LzCopy,
-                Op::MemSize => FastOp::MemSize,
-            }
-        })
-        .collect()
-}
-
-/// The longest fused run that starts at `run[0]`, if one does. Every
-/// component but the last is infallible and touches only the operand
-/// stack and the locals, so a run that ends early — out of fuel — has
-/// changed nothing the embedding can read. (`GetLoadSet`'s load sits in
-/// the middle; the interpreter evaluates it, a pure read, before it
-/// charges.) That is why `bin` stops at the operators that cannot trap.
-fn fuse_at(run: &[FastOp]) -> Option<FastOp> {
-    use FastOp::*;
-    let total = |k: BinKind| !matches!(k, BinKind::DivU | BinKind::DivS | BinKind::RemU);
-    let imm = |v: i64| i32::try_from(v).is_ok();
-    Some(match *run {
-        [LocalGet(a), LocalGet(b), Bin(k), LocalSet(d), ..] if total(k) => GetGetBinSet(a, b, k, d),
-        [LocalGet(a), LocalGet(b), Bin(k), JmpIf(t), ..] if total(k) => GetGetBinJmpIf(a, b, k, t),
-        [LocalGet(a), LocalGet(b), Bin(k), ..] if total(k) => GetGetBin(a, b, k),
-        [LocalGet(a), Push(v), Bin(k), LocalSet(d), ..] if total(k) && imm(v) => {
-            GetImmBinSet(a, v as i32, k, d)
-        }
-        [LocalGet(a), Push(v), Bin(k), JmpIf(t), ..] if total(k) && imm(v) => {
-            GetImmBinJmpIf(a, v as i32, k, t)
-        }
-        [LocalGet(a), Push(v), Bin(k), Bin(k2), ..] if total(k) && total(k2) && imm(v) => {
-            GetImmBinBin(a, v as i32, k, k2)
-        }
-        [LocalGet(a), Push(v), Bin(k), ..] if total(k) && imm(v) => GetImmBin(a, v as i32, k),
-        [LocalGet(a), Bin(k), JmpIf(t), ..] if total(k) => GetBinJmpIf(a, k, t),
-        [LocalGet(a), Load(w) | LoadF(w), LocalSet(d), ..] => GetLoadSet(a, w, d),
-        [LocalGet(a), Eqz, JmpIf(t), ..] => GetEqzJmpIf(a, t),
-        [Push(v), Bin(k), LocalSet(d), ..] if total(k) && imm(v) => ImmBinSet(v as i32, k, d),
-        [Bin(k), LocalSet(d), ..] if total(k) => BinSet(k, d),
-        [Bin(k), JmpIf(t), ..] if total(k) => BinJmpIf(k, t),
-        _ => return None,
-    })
-}
-
-/// Superinstruction pass over one predecoded function. The table stays
-/// 1:1 with instruction indices: slot `i` becomes the longest fused run
-/// that starts at `i` and keeps its plain op when none does. The slots a
-/// run covers are decided the same way, never blanked, so a branch into
-/// the middle of a run executes the ops from there on, and there is one
-/// table, with no unfused twin.
-fn fuse(plain: &[FastOp]) -> Vec<FastOp> {
-    (0..plain.len()).map(|i| fuse_at(&plain[i..]).unwrap_or(plain[i])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1775,150 +1519,6 @@ mod tests {
         assert!(fast.is_fast_path());
         fast.call("work", &[25]).unwrap();
         assert_eq!(checked.fuel_used(), fast.fuel_used());
-    }
-
-    /// Runs `entry(args)` checked and fast at the full budget and at every
-    /// smaller one; asserts outcome and fuel identical, returns them.
-    fn both_paths(src: &str, entry: &str, args: &[i64]) -> (Result<i64, crate::Trap>, u64) {
-        let module = assemble(src).unwrap();
-        let analyzed =
-            std::sync::Arc::new(module.clone().analyzed(&SandboxPolicy::default()).unwrap());
-        let run = |fuel: u64| {
-            let policy = SandboxPolicy::default().with_fuel(fuel);
-            let mut checked = Machine::new(module.clone(), policy.clone()).unwrap();
-            let mut fast = Machine::new_analyzed(analyzed.clone(), policy).unwrap();
-            assert!(fast.is_fast_path());
-            let outcome = checked.call(entry, args);
-            assert_eq!(outcome, fast.call(entry, args), "fuel={fuel} args={args:?}");
-            assert_eq!(checked.fuel_used(), fast.fuel_used(), "fuel={fuel} args={args:?}");
-            (outcome, checked.fuel_used())
-        };
-        let full = run(10_000);
-        for fuel in 0..full.1 {
-            assert_eq!(run(fuel), (Err(crate::Trap::FuelExhausted), fuel));
-        }
-        full
-    }
-
-    #[test]
-    fn fast_op_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<FastOp>(), 16);
-    }
-
-    #[test]
-    fn a_branch_into_a_fused_run_executes_the_ops_from_there() {
-        // `head` starts the run get·get·add·set; the two side entries land
-        // on its second and third op with the operands the skipped ops
-        // would have pushed.
-        let src = r#"
-            .memory 1
-            .func main args=2 locals=1
-                local.get 0
-                push 1
-                eq
-                jmpif enter_second
-                local.get 0
-                push 2
-                eq
-                jmpif enter_third
-            head:
-                local.get 1
-            second:
-                local.get 1
-            third:
-                add
-                local.set 2
-                local.get 2
-                ret
-            enter_second:
-                push 100
-                jmp second
-            enter_third:
-                push 100
-                push 7
-                jmp third
-        "#;
-        let analyzed = assemble(src).unwrap().analyzed(&SandboxPolicy::default()).unwrap();
-        let code = &analyzed.fast[0];
-        let head = 8;
-        assert!(matches!(code[head], FastOp::GetGetBinSet(1, 1, BinKind::Add, 2)), "{code:?}");
-        // The covered slots keep what runs from them: a plain op, and the
-        // shorter run that starts at the third.
-        assert!(matches!(code[head + 1], FastOp::LocalGet(1)), "{code:?}");
-        assert!(matches!(code[head + 2], FastOp::BinSet(BinKind::Add, 2)), "{code:?}");
-        assert!(matches!(code[head + 3], FastOp::LocalSet(2)), "{code:?}");
-        assert!(code.iter().any(|op| matches!(op, FastOp::Jmp(t) if *t as usize == head + 1)));
-        assert!(code.iter().any(|op| matches!(op, FastOp::Jmp(t) if *t as usize == head + 2)));
-
-        assert_eq!(both_paths(src, "main", &[0, 21]).0, Ok(42));
-        assert_eq!(both_paths(src, "main", &[1, 21]).0, Ok(121));
-        assert_eq!(both_paths(src, "main", &[2, 21]).0, Ok(107));
-    }
-
-    #[test]
-    fn a_trapping_operator_is_left_out_of_the_run_around_it() {
-        let src = r#"
-            .memory 1
-            .func main args=2 locals=1
-                local.get 0
-                local.get 1
-                divu
-                local.set 2
-                local.get 2
-                ret
-        "#;
-        let analyzed = assemble(src).unwrap().analyzed(&SandboxPolicy::default()).unwrap();
-        let code = &analyzed.fast[0];
-        assert!(
-            matches!(
-                code[..3],
-                [FastOp::LocalGet(0), FastOp::LocalGet(1), FastOp::Bin(BinKind::DivU)]
-            ),
-            "{code:?}"
-        );
-        // Three ops were charged when the division trapped, on both paths.
-        assert_eq!(both_paths(src, "main", &[5, 0]), (Err(crate::Trap::DivideByZero), 3));
-        assert_eq!(both_paths(src, "main", &[6, 2]), (Ok(3), 6));
-    }
-
-    #[test]
-    fn a_load_that_traps_inside_a_run_is_charged_up_to_the_load() {
-        let src = r#"
-            .memory 1
-            .func main args=1 locals=1
-                local.get 0
-                load8
-                local.set 1
-                local.get 1
-                ret
-        "#;
-        let analyzed = assemble(src).unwrap().analyzed(&SandboxPolicy::default()).unwrap();
-        assert!(matches!(analyzed.fast[0][0], FastOp::GetLoadSet(0, 1, 1)));
-        let (outcome, fuel) = both_paths(src, "main", &[65536]);
-        assert!(matches!(outcome, Err(crate::Trap::OutOfBounds { .. })));
-        assert_eq!(fuel, 2);
-        assert_eq!(both_paths(src, "main", &[0]), (Ok(0), 5));
-    }
-
-    #[test]
-    fn the_gzip_pad_fuses_its_loop_header() {
-        // A predecode change that stops fusing should fail here, not in a
-        // benchmark.
-        let module = assemble(include_str!("../../pads/fasm/gzip.fasm")).unwrap();
-        let decode = module.find("decode").unwrap();
-        let analyzed = module.analyzed(&SandboxPolicy::for_pads()).unwrap();
-        let code = &analyzed.fast[decode];
-        // The loop header is where the back edges land: `out >= out_end`.
-        let header = code
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| match *op {
-                FastOp::Jmp(t) if (t as usize) < i => Some(t as usize),
-                _ => None,
-            })
-            .min()
-            .expect("decode loops");
-        assert!(matches!(code[header], FastOp::GetGetBinJmpIf(9, 10, BinKind::GeU, _)), "{code:?}");
     }
 
     #[test]

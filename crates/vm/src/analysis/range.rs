@@ -16,10 +16,11 @@
 //! memory operations whose entire address range is proven inside linear
 //! memory, and host calls whose argument contract is satisfied. Each
 //! discharged check is recorded as a per-pc proven-safe fact
-//! ([`InsnFacts::proven`]); the predecoder spends the proof on unchecked
-//! [`FastOp`](super::FastOp) variants, and the claims auditor
+//! ([`InsnFacts::proven`]) that lints, the annotated disassembly and the
+//! claims ledger report, and the claims auditor
 //! ([`crate::machine::Machine::new_audited`]) re-checks every fact against
-//! observed execution.
+//! observed execution. (The fast path keeps every run-time check: its
+//! speed comes from the stack-height proof, see [`super::reg`].)
 //!
 //! The pass also surfaces *certain-trap* lints — a divisor that is
 //! provably always zero, an access provably always out of bounds — and the

@@ -2,7 +2,9 @@
 //!
 //! Assembles, verifies, and analyzes each input, then renders the
 //! annotated disassembly (stack heights, value ranges, proven-safe facts,
-//! fuel bounds, capabilities) and enforces lint severity levels.
+//! fuel bounds, capabilities, and beside each instruction the register-form
+//! slot the fast path dispatches from there with the number of source ops
+//! it covers) and enforces lint severity levels.
 //!
 //! ```text
 //! fasmlint [--strict] [--quiet] [--out DIR] FILE.fasm...
@@ -19,11 +21,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fractal_vm::analysis::{analyze_module, LintConfig, LintLevel};
+use fractal_vm::analysis::{LintConfig, LintLevel};
 use fractal_vm::asm::assemble;
-use fractal_vm::disasm::disassemble_annotated;
+use fractal_vm::disasm::disassemble_admitted;
 use fractal_vm::sandbox::SandboxPolicy;
-use fractal_vm::verify::verify_module;
 
 struct Args {
     strict: bool,
@@ -66,15 +67,16 @@ fn parse_args() -> Result<Args, String> {
 fn lint_file(path: &Path, args: &Args, config: &LintConfig) -> Result<(usize, usize), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let module = assemble(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-    verify_module(&module).map_err(|e| format!("{}: {e}", path.display()))?;
-    // Lint under the permissive default policy: severity is about code
-    // quality; capability gating happens at load time against the
-    // deployment policy.
-    let analysis = analyze_module(&module, &SandboxPolicy::default())
+    // Admit (verify, analyze, translate) under the permissive default
+    // policy: severity is about code quality; capability gating happens at
+    // load time against the deployment policy.
+    let admitted = module
+        .analyzed(&SandboxPolicy::default())
         .map_err(|e| format!("{}: {e}", path.display()))?;
+    let (module, analysis) = (&admitted.module, &admitted.analysis);
 
-    let annotated = disassemble_annotated(&module, &analysis)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let annotated =
+        disassemble_admitted(&admitted).map_err(|e| format!("{}: {e}", path.display()))?;
     if !args.quiet {
         println!("; ==== {} ====", path.display());
         println!("{annotated}");

@@ -7,7 +7,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::analysis::{FunctionAnalysis, LintConfig, LintLevel, ModuleAnalysis};
+use crate::analysis::{
+    AnalyzedModule, FunctionAnalysis, LintConfig, LintLevel, ModuleAnalysis, RegFunction,
+};
 use crate::bytecode::Op;
 use crate::error::ModuleError;
 use crate::host::HostId;
@@ -15,20 +17,7 @@ use crate::module::{Function, Module};
 
 /// Disassembles a whole module into assembler-compatible text.
 pub fn disassemble(module: &Module) -> Result<String, ModuleError> {
-    let mut out = String::new();
-    out.push_str(&format!(".memory {}\n", module.mem_pages));
-    for seg in &module.data {
-        out.push_str(&format!(
-            ".data {} hex:{}\n",
-            seg.offset,
-            fractal_crypto::hex::encode(&seg.bytes)
-        ));
-    }
-    for (idx, f) in module.functions.iter().enumerate() {
-        out.push('\n');
-        out.push_str(&disassemble_function(module, idx, f, None)?);
-    }
-    Ok(out)
+    render(module, None, None)
 }
 
 /// Disassembles with `fvm-lint` annotations: each instruction line carries
@@ -39,6 +28,24 @@ pub fn disassemble(module: &Module) -> Result<String, ModuleError> {
 pub fn disassemble_annotated(
     module: &Module,
     analysis: &ModuleAnalysis,
+) -> Result<String, ModuleError> {
+    render(module, Some(analysis), None)
+}
+
+/// [`disassemble_annotated`] for an admitted module, with what the fast
+/// path executes: each instruction line also carries its index and the
+/// register-form slot that starts there (`@12: br.geu r9, r10 -> @57 x4`
+/// — `xN` is how many source instructions the slot stands for, `@N` an
+/// instruction index), so a PAD's loop can be read as it is dispatched.
+pub fn disassemble_admitted(analyzed: &AnalyzedModule) -> Result<String, ModuleError> {
+    render(&analyzed.module, Some(&analyzed.analysis), Some(&analyzed.fast))
+}
+
+/// The module as `.fasm` text, annotated with whatever is known about it.
+fn render(
+    module: &Module,
+    analysis: Option<&ModuleAnalysis>,
+    fast: Option<&[RegFunction]>,
 ) -> Result<String, ModuleError> {
     let mut out = String::new();
     out.push_str(&format!(".memory {}\n", module.mem_pages));
@@ -51,7 +58,9 @@ pub fn disassemble_annotated(
     }
     for (idx, f) in module.functions.iter().enumerate() {
         out.push('\n');
-        out.push_str(&disassemble_function(module, idx, f, analysis.functions.get(idx))?);
+        let fa = analysis.and_then(|a| a.functions.get(idx));
+        let slots = fast.and_then(|fast| fast.get(idx));
+        out.push_str(&disassemble_function(module, f, fa, slots)?);
     }
     Ok(out)
 }
@@ -95,9 +104,9 @@ fn proven_names(p: u8) -> String {
 
 fn disassemble_function(
     module: &Module,
-    _idx: usize,
     f: &Function,
     fa: Option<&FunctionAnalysis>,
+    slots: Option<&RegFunction>,
 ) -> Result<String, ModuleError> {
     // Pass 1: find branch targets to name labels.
     let mut targets: BTreeSet<usize> = BTreeSet::new();
@@ -127,6 +136,14 @@ fn disassemble_function(
             "    ; max_height={} exit={} min_fuel={} hosts={}\n",
             fa.max_height, exit, fuel, hosts
         ));
+        if let Some(slots) = slots {
+            out.push_str(&format!(
+                "    ; registers: r0..r{} args+locals, r{}..r{} stack\n",
+                slots.first_stack.saturating_sub(1),
+                slots.first_stack,
+                slots.frame.saturating_sub(1)
+            ));
+        }
         let config = LintConfig::default();
         for lint in &fa.lints {
             match config.level_for(lint) {
@@ -228,6 +245,9 @@ fn disassemble_function(
                                 facts.operands.iter().map(|v| v.to_string()).collect();
                             out.push_str(&format!(" stack={}", ops.join(",")));
                         }
+                    }
+                    if let Some(slot) = slots.and_then(|s| s.code.get(insn_idx)) {
+                        out.push_str(&format!(" @{insn_idx}: {slot}"));
                     }
                 }
                 None => out.push_str(&format!("{:pad$}; unreachable", "")),
@@ -362,6 +382,23 @@ mod pad_round_trips {
 
     /// The annotated (fasmlint) rendering stays assembler-compatible: its
     /// comments are ignored on re-assembly and the bytecode round-trips.
+    #[test]
+    fn admitted_disassembly_names_each_slot_and_still_reassembles() {
+        let src = include_str!("../../pads/fasm/gzip.fasm");
+        let policy = crate::sandbox::SandboxPolicy::for_pads();
+        let admitted = assemble(src).unwrap().analyzed(&policy).unwrap();
+        let text = disassemble_admitted(&admitted).unwrap();
+        assert!(text.contains("; registers: r0..r13 args+locals, r14..r16 stack"), "{text}");
+        // The loop header: four source ops, one compare-and-branch slot.
+        let header = text.lines().find(|l| l.contains("br.geu r9, r10")).expect("loop header");
+        assert!(
+            header.trim_start().starts_with("local.get 9") && header.ends_with("x4"),
+            "{header}"
+        );
+        let again = assemble(&text).expect("annotations are comments");
+        assert_eq!(again.functions[0].code, admitted.module.functions[0].code);
+    }
+
     #[test]
     fn shipped_pads_annotated_round_trip() {
         use crate::analysis::analyze_module;

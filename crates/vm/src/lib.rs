@@ -21,7 +21,10 @@
 //! * a **signed module container** ([`module`]) carrying the SHA-1 digest
 //!   and HMAC code signature checked against the client's trust store;
 //! * an **admission cache** ([`admission`]) so the verifier and analyzer
-//!   run once per distinct PAD, not once per session that deploys it.
+//!   run once per distinct PAD, not once per session that deploys it;
+//! * a **register form** ([`analysis::reg`]) the analyzer's proof licenses:
+//!   admitted code runs as three-address slots over frame registers, one
+//!   dispatch per source statement, at the checked interpreter's exact fuel.
 //!
 //! The VM is deliberately small but real: every client-side protocol decode
 //! in the reproduction's experiments runs through this interpreter.
@@ -57,7 +60,7 @@ pub use analysis::{
 };
 pub use asm::assemble;
 pub use bytecode::Op;
-pub use disasm::{disassemble, disassemble_annotated};
+pub use disasm::{disassemble, disassemble_admitted, disassemble_annotated};
 pub use error::{AsmError, AuditViolation, ModuleError, Trap, VerifyError};
 pub use host::HostId;
 pub use machine::Machine;

@@ -4,7 +4,7 @@
 //! from the module's data segments), its own fuel budget, and its own log
 //! buffer. Code is not per instance: machines built from an admitted
 //! `Arc<AnalyzedModule>` all execute the one shared copy of the module, its
-//! proof and its predecoded ops. The embedding writes inputs into memory with
+//! proof and its register-form code. The embedding writes inputs into memory with
 //! [`Machine::write_memory`], invokes an exported entry point with
 //! [`Machine::call`], and reads results back with [`Machine::read_memory`].
 //!
@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use fractal_crypto::sha1::Sha1;
 
-use crate::analysis::{proven, AnalysisClaims, AnalyzedModule, BinKind, FastOp};
+use crate::analysis::reg::truth;
+use crate::analysis::{proven, AnalysisClaims, AnalyzedModule, RegFunction, Slot, SlotOp};
 use crate::bytecode::Op;
 use crate::error::{AuditViolation, Trap};
 use crate::host::{weak_sum, HostId};
@@ -99,7 +100,7 @@ struct Frame {
 }
 
 /// What an instance executes: a bare module it owns (checked path only), or
-/// an admitted bundle — module, proof, predecoded ops — it shares with every
+/// an admitted bundle — module, proof, register-form code — it shares with every
 /// other instance of the same PAD.
 enum Program {
     Bare(Module),
@@ -127,7 +128,13 @@ pub struct Machine {
     program: Program,
     policy: SandboxPolicy,
     memory: Vec<u8>,
+    /// The operand stack of the checked loop. The fast path keeps operands
+    /// in registers and only marshals host-call arguments through here.
     stack: Vec<i64>,
+    /// The locals arena: each frame's arguments and locals, innermost
+    /// last. On the fast path it is the register file — a frame's window
+    /// continues with its stack registers, and a callee's window opens
+    /// over the caller's outgoing arguments.
     locals: Vec<i64>,
     frames: Vec<Frame>,
     fuel: u64,
@@ -191,8 +198,8 @@ impl Machine {
 
     /// Instantiates an analyzed module; pass an `Arc` to share one admitted
     /// bundle among many instances (nothing in it is copied). Execution
-    /// uses the predecoded fast path (no per-op decode, stack checks
-    /// demoted to debug assertions), which is sound only while the proven
+    /// uses the register-form fast path (no per-op decode, no operand
+    /// stack), which is sound only while the proven
     /// whole-machine stack bound fits `policy.max_stack`: a proof made
     /// under a roomier policy is refused with [`Trap::StackOverflow`].
     /// Fuel accounting is identical to the checked path's.
@@ -205,9 +212,7 @@ impl Machine {
         if stack_bound > policy.max_stack {
             return Err(Trap::StackOverflow);
         }
-        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
-        machine.stack.reserve(stack_bound);
-        Ok(machine)
+        Machine::instantiate(Program::Admitted(analyzed), policy)
     }
 
     /// Instantiates an analyzed module in **claims-auditor** mode: the
@@ -237,7 +242,7 @@ impl Machine {
         Ok(machine)
     }
 
-    /// Whether this instance runs the predecoded fast path: it was built
+    /// Whether this instance runs the register-form fast path: it was built
     /// by [`Machine::new_analyzed`]. [`Machine::new`] and
     /// [`Machine::new_audited`] run the checked reference loop.
     pub fn is_fast_path(&self) -> bool {
@@ -411,6 +416,7 @@ impl Machine {
 
     /// `memcopy`: charges for `len` bytes, then moves them (memmove
     /// semantics). Shared by both dispatch loops, like the two below.
+    #[inline(never)]
     fn mem_copy(&mut self, dst: i64, src: i64, len: i64) -> Result<(), Trap> {
         self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
         let (s, send) = self.mem_range(src, len)?;
@@ -420,6 +426,7 @@ impl Machine {
     }
 
     /// `memfill`: charges for `len` bytes, then sets them to `byte`.
+    #[inline(never)]
     fn mem_fill(&mut self, dst: i64, byte: i64, len: i64) -> Result<(), Trap> {
         self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
         let (d, end) = self.mem_range(dst, len)?;
@@ -430,6 +437,7 @@ impl Machine {
     /// `lzcopy`: charges for `len` bytes, then copies them front to back,
     /// so a destination that starts inside the source repeats the
     /// `dst - src` bytes between them — the LZ match semantics.
+    #[inline(never)]
     fn lz_copy(&mut self, dst: i64, src: i64, len: i64) -> Result<(), Trap> {
         self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
         let (s, send) = self.mem_range(src, len)?;
@@ -766,63 +774,17 @@ impl Machine {
         self.push(r)
     }
 
-    /// Fast-path pop: the analyzer proved the operand exists, so the check
-    /// is a debug assertion (the release fallback still cannot read out of
-    /// bounds, it just reports a wedged machine).
+    /// `divu`, `divs` and `remu` on the fast path, with the checked loop's
+    /// trap conditions.
     #[inline]
-    fn pop_fast(&mut self) -> Result<i64, Trap> {
-        debug_assert!(!self.stack.is_empty(), "analysis guarantees operands");
-        self.stack.pop().ok_or(Trap::Wedged)
-    }
-
-    /// Fast-path push: the analyzer proved the whole-machine stack bound
-    /// fits the policy, so the limit check is a debug assertion.
-    #[inline]
-    fn push_fast(&mut self, v: i64) {
-        debug_assert!(self.stack.len() < self.policy.max_stack, "analysis bounds the stack");
-        self.stack.push(v);
-    }
-
-    /// Shared semantics for [`FastOp::Bin`] and the fused runs; mirrors the
-    /// per-op closures of the checked loop exactly.
-    #[inline]
-    fn eval_bin(k: BinKind, a: i64, b: i64) -> Result<i64, Trap> {
-        Ok(match k {
-            BinKind::Add => a.wrapping_add(b),
-            BinKind::Sub => a.wrapping_sub(b),
-            BinKind::Mul => a.wrapping_mul(b),
-            BinKind::DivU => {
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                ((a as u64) / (b as u64)) as i64
-            }
-            BinKind::DivS => {
-                if b == 0 || (a == i64::MIN && b == -1) {
-                    return Err(Trap::DivideByZero);
-                }
-                a / b
-            }
-            BinKind::RemU => {
-                if b == 0 {
-                    return Err(Trap::DivideByZero);
-                }
-                ((a as u64) % (b as u64)) as i64
-            }
-            BinKind::And => a & b,
-            BinKind::Or => a | b,
-            BinKind::Xor => a ^ b,
-            BinKind::Shl => a.wrapping_shl(b as u32),
-            BinKind::ShrU => ((a as u64).wrapping_shr(b as u32)) as i64,
-            BinKind::ShrS => a.wrapping_shr(b as u32),
-            BinKind::Eq => (a == b) as i64,
-            BinKind::Ne => (a != b) as i64,
-            BinKind::LtU => ((a as u64) < (b as u64)) as i64,
-            BinKind::LtS => (a < b) as i64,
-            BinKind::GtU => ((a as u64) > (b as u64)) as i64,
-            BinKind::GtS => (a > b) as i64,
-            BinKind::LeU => ((a as u64) <= (b as u64)) as i64,
-            BinKind::GeU => ((a as u64) >= (b as u64)) as i64,
+    fn divide(op: SlotOp, a: i64, b: i64) -> Result<i64, Trap> {
+        if b == 0 || (op == SlotOp::DivS && a == i64::MIN && b == -1) {
+            return Err(Trap::DivideByZero);
+        }
+        Ok(match op {
+            SlotOp::DivU => ((a as u64) / (b as u64)) as i64,
+            SlotOp::DivS => a / b,
+            _ => ((a as u64) % (b as u64)) as i64,
         })
     }
 
@@ -844,309 +806,326 @@ impl Machine {
         Ok(())
     }
 
-    /// Charges the `n` ops of a fused run that follow its first (the
-    /// dispatch loop charged that one). With fewer than `n` left the run
-    /// ends where the plain ops would have: each remaining unit bought one
-    /// more op, none of which the embedding can observe, and the next
-    /// found the tank empty.
+    /// Folds what the fast loop charged to its own copy of the tank since
+    /// the last call back into the machine's counters.
     #[inline]
-    fn charge_tail(&mut self, n: u64) -> Result<(), Trap> {
-        if self.fuel < n {
-            self.fuel_used_total += self.fuel;
-            self.fuel = 0;
-            return Err(Trap::FuelExhausted);
+    fn settle(&mut self, fuel: u64) {
+        self.fuel_used_total += self.fuel - fuel;
+        self.fuel = fuel;
+    }
+
+    /// A slot the tank cannot pay for in full. The run ends where the
+    /// plain ops would have: every unit left bought one more op, none of
+    /// which the embedding can observe, and the next found the tank empty
+    /// — unless the last unit bought a main op that traps, in which case
+    /// that trap is how the run ended.
+    #[cold]
+    #[inline(never)]
+    fn starved(&mut self, slot: &Slot, win: &[i64]) -> Trap {
+        let left = self.fuel;
+        self.fuel_used_total += left;
+        self.fuel = 0;
+        if slot.tail > 0 && left == (slot.n - slot.tail) as u64 {
+            let reg = |r: usize| win.get(r).copied().unwrap_or(0);
+            let (a, b) = (reg(slot.a as usize), slot.b as usize);
+            let main = match slot.op {
+                SlotOp::DivU | SlotOp::DivS | SlotOp::RemU => Self::divide(slot.op, a, reg(b)),
+                SlotOp::Load8 => self.load(a, 1),
+                SlotOp::Load16 => self.load(a, 2),
+                SlotOp::Load32 => self.load(a, 4),
+                SlotOp::Load64 => self.load(a, 8),
+                _ => Ok(0),
+            };
+            if let Err(trap) = main {
+                return trap;
+            }
         }
-        self.fuel -= n;
-        self.fuel_used_total += n;
+        Trap::FuelExhausted
+    }
+
+    /// `call` on the fast path: the callee's window opens at `base`, where
+    /// the caller has already left the arguments. Suspends the caller at
+    /// `ret_pc`, makes room for the window and zeroes the callee's locals.
+    #[inline(never)]
+    fn enter_window(
+        &mut self,
+        callee: &RegFunction,
+        func: usize,
+        regs: &mut Vec<i64>,
+        base: usize,
+        ret_pc: usize,
+    ) -> Result<(), Trap> {
+        if self.frames.len() >= self.policy.max_call_depth {
+            return Err(Trap::CallDepthExceeded);
+        }
+        self.frames.last_mut().ok_or(Trap::Wedged)?.pc = ret_pc;
+        if regs.len() < base + callee.frame {
+            regs.resize(base + callee.frame, 0);
+        }
+        regs[base + callee.n_args..base + callee.first_stack].fill(0);
+        self.frames.push(Frame { func, pc: 0, locals_base: base });
         Ok(())
     }
 
-    /// The running frame's code, pc and locals base, which the fast loop
-    /// keeps in locals between calls and returns.
-    fn fast_frame<'a>(
-        &self,
-        fast: &'a [Vec<FastOp>],
-    ) -> Result<(&'a [FastOp], usize, usize), Trap> {
-        let frame = self.frames.last().ok_or(Trap::Wedged)?;
-        let code = fast.get(frame.func).ok_or(Trap::Wedged)?;
-        Ok((code, frame.pc, frame.locals_base))
+    /// `ret` from a called frame on the fast path: the `count` results at
+    /// `first` slide down to the start of the window, where the arguments
+    /// were and where the caller's stack registers expect them. Returns
+    /// the caller's function, resume pc and window base.
+    #[inline(never)]
+    fn leave_window(
+        &mut self,
+        win: &mut [i64],
+        first: usize,
+        count: usize,
+    ) -> Result<(usize, usize, usize), Trap> {
+        if first + count > win.len() {
+            return Err(Trap::Wedged);
+        }
+        win.copy_within(first..first + count, 0);
+        self.frames.pop();
+        let caller = self.frames.last().ok_or(Trap::Wedged)?;
+        Ok((caller.func, caller.pc, caller.locals_base))
     }
 
-    /// The fast dispatch loop: predecoded instructions, `pc` counts
-    /// instructions rather than bytes, and stack-safety checks are debug
-    /// assertions licensed by the abstract interpreter. A slot is a plain
-    /// op or a fused run of them (see [`FastOp`]); either way fuel is
-    /// charged op for op, so every run — completed, trapped or out of fuel
-    /// — ends at the same `fuel_used` as on the checked loop.
+    /// `halt` at frame-relative height `height`: the top of the stack the
+    /// frames share, which on the fast path is the highest stack register
+    /// in use in the innermost frame that has one; `0` when none does.
+    #[cold]
+    #[inline(never)]
+    fn halted(&self, funcs: &[RegFunction], regs: &[i64], height: usize) -> i64 {
+        // A suspended frame's stack ends where its callee's window begins.
+        let mut callee_base = None;
+        for frame in self.frames.iter().rev() {
+            let first_stack = frame.locals_base + funcs[frame.func].first_stack;
+            let height = callee_base.map_or(height, |base: usize| base.saturating_sub(first_stack));
+            if height > 0 {
+                return regs.get(first_stack + height - 1).copied().unwrap_or(0);
+            }
+            callee_base = Some(frame.locals_base);
+        }
+        0
+    }
+
+    /// A host call on the fast path. The shared body takes its operands
+    /// from, and leaves its result on, `self.stack`, which the fast loop
+    /// otherwise never touches: `args` go there and `args[0]`, the stack
+    /// register the result belongs in, takes what comes back.
+    #[inline(never)]
+    fn host_call_regs(&mut self, id: u8, args: &mut [i64]) -> Result<Option<i64>, Trap> {
+        self.stack.clear();
+        self.stack.extend_from_slice(args);
+        let aborted = self.host_call(id)?;
+        if let (Some(slot), Some(v)) = (args.first_mut(), self.stack.pop()) {
+            *slot = v;
+        }
+        Ok(aborted)
+    }
+
+    /// The fast dispatch loop, over the register form of [`analysis::reg`]:
+    /// `pc` counts instructions, operands are registers of the running
+    /// frame's window or immediates, and nothing is pushed or popped. A
+    /// slot stands for one source op or a run of them and is charged op
+    /// for op, so every call — completed, trapped or out of fuel — ends at
+    /// the same `fuel_used` as on the checked loop.
+    ///
+    /// [`analysis::reg`]: crate::analysis::reg
+    #[inline(never)]
     fn run_fast(&mut self) -> Result<i64, Trap> {
         // One refcount bump per entry call keeps the shared code borrowed
-        // across the loop's `&mut self` steps, so dispatch indexes it
-        // directly instead of reaching through `self` on every op.
+        // across the loop's `&mut self` steps.
         let Program::Admitted(analyzed) = &self.program else { return Err(Trap::Wedged) };
         let analyzed = Arc::clone(analyzed);
-        let fast = analyzed.fast.as_slice();
-        // The frame record is only read back here and after `call`/`ret`;
-        // `pc` is stored into it only when a `call` suspends the frame.
-        let (mut code, mut pc, mut base) = self.fast_frame(fast)?;
-        loop {
-            let Some(&op) = code.get(pc) else {
-                // Defensive, as in the checked loop.
-                if self.ret()? {
-                    return Ok(self.stack.pop().unwrap_or(0));
+        let funcs = analyzed.fast.as_slice();
+        let entry = self.frames.last().ok_or(Trap::Wedged)?.func;
+        let entry = funcs.get(entry).ok_or(Trap::Wedged)?;
+        // The register file is the locals arena, which `call` has filled
+        // with the entry frame's arguments and zeroed locals. The loop owns
+        // it, and its copy of the tank, until it exits.
+        let mut regs = std::mem::take(&mut self.locals);
+        regs.resize(entry.frame, 0);
+        let mut fuel = self.fuel;
+        let mut code = entry.code.as_slice();
+        let mut win = &mut regs[..];
+        let mut pc = 0usize;
+
+        // A register read or write; the translator only names registers
+        // inside the window, so a miss is a wedge.
+        macro_rules! get {
+            ($r:expr) => {
+                match win.get($r as usize) {
+                    Some(&v) => v,
+                    None => break Err(Trap::Wedged),
                 }
-                (code, pc, base) = self.fast_frame(fast)?;
-                continue;
             };
-            // The slot's first (or only) op; a fused arm steps over and
-            // charges the rest.
-            pc += 1;
-            self.charge(1)?;
-
-            match op {
-                FastOp::Halt => return Ok(self.stack.pop().unwrap_or(0)),
-                FastOp::Nop => {}
-                FastOp::Unreachable => return Err(Trap::Unreachable),
-                FastOp::Jmp(t) => pc = t as usize,
-                FastOp::JmpIf(t) => {
-                    if self.pop_fast()? != 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::JmpIfZ(t) => {
-                    if self.pop_fast()? == 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::Call(idx) => {
-                    self.frames.last_mut().ok_or(Trap::Wedged)?.pc = pc;
-                    self.enter(idx as usize)?;
-                    (code, pc, base) = self.fast_frame(fast)?;
-                }
-                FastOp::Ret => {
-                    if self.ret()? {
-                        return Ok(self.stack.pop().unwrap_or(0));
-                    }
-                    (code, pc, base) = self.fast_frame(fast)?;
-                }
-                FastOp::HostCall(id) => {
-                    if let Some(abort_code) = self.host_call(id)? {
-                        return Err(Trap::HostAbort(abort_code));
-                    }
-                }
-                FastOp::Push(v) => self.push_fast(v),
-                FastOp::LocalGet(n) => {
-                    let v = self.local(base, n)?;
-                    self.push_fast(v);
-                }
-                FastOp::LocalSet(n) => {
-                    let v = self.pop_fast()?;
-                    self.set_local(base, n, v)?;
-                }
-                FastOp::LocalTee(n) => {
-                    let v = *self.stack.last().ok_or(Trap::Wedged)?;
-                    self.set_local(base, n, v)?;
-                }
-                FastOp::Drop => {
-                    self.pop_fast()?;
-                }
-                FastOp::Dup => {
-                    let v = *self.stack.last().ok_or(Trap::Wedged)?;
-                    self.push_fast(v);
-                }
-                FastOp::Swap => {
-                    let n = self.stack.len();
-                    debug_assert!(n >= 2, "analysis guarantees operands");
-                    if n < 2 {
-                        return Err(Trap::Wedged);
-                    }
-                    self.stack.swap(n - 1, n - 2);
-                }
-                FastOp::Bin(k) => {
-                    let b = self.pop_fast()?;
-                    let a = self.pop_fast()?;
-                    let r = Self::eval_bin(k, a, b)?;
-                    self.push_fast(r);
-                }
-                FastOp::BinNz(k) => {
-                    // The range pass proved the divisor nonzero (and for
-                    // DivS, that MIN/-1 cannot occur): `checked_*` folds the
-                    // trap conditions into one branch, with `Wedged` as the
-                    // defensive fallback should the proof ever be wrong.
-                    let b = self.pop_fast()?;
-                    let a = self.pop_fast()?;
-                    let r = match k {
-                        BinKind::DivU => {
-                            (a as u64).checked_div(b as u64).ok_or(Trap::Wedged)? as i64
-                        }
-                        BinKind::DivS => a.checked_div(b).ok_or(Trap::Wedged)?,
-                        BinKind::RemU => {
-                            (a as u64).checked_rem(b as u64).ok_or(Trap::Wedged)? as i64
-                        }
-                        _ => return Err(Trap::Wedged),
-                    };
-                    self.push_fast(r);
-                }
-                FastOp::Eqz => {
-                    let v = self.pop_fast()?;
-                    self.push_fast((v == 0) as i64);
-                }
-                FastOp::Load(width) => {
-                    let a = self.pop_fast()?;
-                    let v = self.load(a, width as usize)?;
-                    self.push_fast(v);
-                }
-                FastOp::Store(width) => {
-                    let v = self.pop_fast()?;
-                    let a = self.pop_fast()?;
-                    self.store(a, width as usize, v)?;
-                }
-                FastOp::LoadF(width) => {
-                    // Proven in bounds: skip the sign/overflow checks of
-                    // `mem_range` and go straight to a slice lookup
-                    // (`wrapping_add` keeps the index total; an inverted or
-                    // oversized range yields `None` → defensive `Wedged`).
-                    let addr = self.pop_fast()? as usize;
-                    let w = width as usize;
-                    let bytes = self.memory.get(addr..addr.wrapping_add(w)).ok_or(Trap::Wedged)?;
-                    let mut buf = [0u8; 8];
-                    buf[..w].copy_from_slice(bytes);
-                    self.push_fast(i64::from_le_bytes(buf));
-                }
-                FastOp::StoreF(width) => {
-                    let v = self.pop_fast()?;
-                    let addr = self.pop_fast()? as usize;
-                    let w = width as usize;
-                    let dst =
-                        self.memory.get_mut(addr..addr.wrapping_add(w)).ok_or(Trap::Wedged)?;
-                    dst.copy_from_slice(&v.to_le_bytes()[..w]);
-                }
-                FastOp::MemCopy => {
-                    let len = self.pop_fast()?;
-                    let src = self.pop_fast()?;
-                    let dst = self.pop_fast()?;
-                    self.mem_copy(dst, src, len)?;
-                }
-                FastOp::MemFill => {
-                    let len = self.pop_fast()?;
-                    let byte = self.pop_fast()?;
-                    let dst = self.pop_fast()?;
-                    self.mem_fill(dst, byte, len)?;
-                }
-                FastOp::LzCopy => {
-                    let len = self.pop_fast()?;
-                    let src = self.pop_fast()?;
-                    let dst = self.pop_fast()?;
-                    self.lz_copy(dst, src, len)?;
-                }
-                FastOp::MemSize => {
-                    let size = self.memory.len() as i64;
-                    self.push_fast(size);
-                }
-
-                // Fused runs. `fuse_at` admits only operators that cannot
-                // trap, so `eval_bin`'s `?` never fires after the charge.
-                FastOp::GetGetBin(a, b, k) => {
-                    pc += 2;
-                    self.charge_tail(2)?;
-                    let r = Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)?;
-                    self.push_fast(r);
-                }
-                FastOp::GetGetBinSet(a, b, k, d) => {
-                    pc += 3;
-                    self.charge_tail(3)?;
-                    let r = Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)?;
-                    self.set_local(base, d, r)?;
-                }
-                FastOp::GetGetBinJmpIf(a, b, k, t) => {
-                    pc += 3;
-                    self.charge_tail(3)?;
-                    if Self::eval_bin(k, self.local(base, a)?, self.local(base, b)?)? != 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::GetImmBin(a, v, k) => {
-                    pc += 2;
-                    self.charge_tail(2)?;
-                    let r = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
-                    self.push_fast(r);
-                }
-                FastOp::GetImmBinBin(a, v, k, k2) => {
-                    pc += 3;
-                    self.charge_tail(3)?;
-                    let x = self.pop_fast()?;
-                    let y = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
-                    let r = Self::eval_bin(k2, x, y)?;
-                    self.push_fast(r);
-                }
-                FastOp::GetImmBinSet(a, v, k, d) => {
-                    pc += 3;
-                    self.charge_tail(3)?;
-                    let r = Self::eval_bin(k, self.local(base, a)?, v as i64)?;
-                    self.set_local(base, d, r)?;
-                }
-                FastOp::GetImmBinJmpIf(a, v, k, t) => {
-                    pc += 3;
-                    self.charge_tail(3)?;
-                    if Self::eval_bin(k, self.local(base, a)?, v as i64)? != 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::GetBinJmpIf(a, k, t) => {
-                    pc += 2;
-                    self.charge_tail(2)?;
-                    let x = self.pop_fast()?;
-                    if Self::eval_bin(k, x, self.local(base, a)?)? != 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::ImmBinSet(v, k, d) => {
-                    pc += 2;
-                    self.charge_tail(2)?;
-                    let x = self.pop_fast()?;
-                    let r = Self::eval_bin(k, x, v as i64)?;
-                    self.set_local(base, d, r)?;
-                }
-                FastOp::BinSet(k, d) => {
-                    pc += 1;
-                    self.charge_tail(1)?;
-                    let y = self.pop_fast()?;
-                    let x = self.pop_fast()?;
-                    let r = Self::eval_bin(k, x, y)?;
-                    self.set_local(base, d, r)?;
-                }
-                FastOp::BinJmpIf(k, t) => {
-                    pc += 1;
-                    self.charge_tail(1)?;
-                    let y = self.pop_fast()?;
-                    let x = self.pop_fast()?;
-                    if Self::eval_bin(k, x, y)? != 0 {
-                        pc = t as usize;
-                    }
-                }
-                FastOp::GetLoadSet(a, width, d) => {
-                    // The load can trap mid-run, but it only reads: look
-                    // first, and a trap is charged as far as the load.
-                    match self.load(self.local(base, a)?, width as usize) {
-                        Ok(v) => {
-                            pc += 2;
-                            self.charge_tail(2)?;
-                            self.set_local(base, d, v)?;
-                        }
-                        Err(trap) => {
-                            self.charge_tail(1)?;
-                            return Err(trap);
-                        }
-                    }
-                }
-                FastOp::GetEqzJmpIf(a, t) => {
-                    pc += 2;
-                    self.charge_tail(2)?;
-                    if self.local(base, a)? == 0 {
-                        pc = t as usize;
-                    }
-                }
-            }
         }
+        macro_rules! set {
+            ($r:expr, $v:expr) => {{
+                let v = $v;
+                match win.get_mut($r as usize) {
+                    Some(reg) => *reg = v,
+                    None => break Err(Trap::Wedged),
+                }
+            }};
+        }
+        // A conditional jump on `e(r[a], y)`.
+        macro_rules! br {
+            ($s:ident, |$a:ident, $b:ident| $e:expr, $y:expr) => {{
+                let ($a, $b): (i64, i64) = (get!($s.a), $y);
+                if $e {
+                    pc = $s.t as usize;
+                }
+            }};
+        }
+        // Total arithmetic: `r[d] = e(r[a], y)`.
+        macro_rules! alu {
+            ($s:ident, |$a:ident, $b:ident| $e:expr, $y:expr) => {{
+                let ($a, $b): (i64, i64) = (get!($s.a), $y);
+                set!($s.d, $e)
+            }};
+        }
+        // A main op that may trap: the slot was charged through its
+        // consumer, which a trap never reaches.
+        macro_rules! main {
+            ($s:expr, $e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(trap) => {
+                        fuel += $s.tail as u64;
+                        break Err(trap);
+                    }
+                }
+            };
+        }
+        // A helper that charges fuel itself sees the machine's counters
+        // up to date and leaves the loop's copy stale.
+        macro_rules! charging {
+            ($e:expr) => {{
+                self.settle(fuel);
+                let outcome = $e;
+                fuel = self.fuel;
+                match outcome {
+                    Ok(v) => v,
+                    Err(trap) => break Err(trap),
+                }
+            }};
+        }
+
+        let outcome = loop {
+            let Some(s) = code.get(pc) else { break Err(Trap::Wedged) };
+            if fuel < s.n as u64 {
+                self.settle(fuel);
+                let trap = self.starved(s, win);
+                fuel = self.fuel;
+                break Err(trap);
+            }
+            fuel -= s.n as u64;
+            pc += s.n as usize;
+
+            match s.op {
+                SlotOp::Br => br!(s, |a, b| truth::holds(s.k, a, b), get!(s.b)),
+                SlotOp::BrI => br!(s, |a, b| truth::holds(s.k, a, b), s.b as i64),
+                SlotOp::BrEq => br!(s, |a, b| a == b, get!(s.b)),
+                SlotOp::BrNe => br!(s, |a, b| a != b, get!(s.b)),
+                SlotOp::BrLtU => br!(s, |a, b| (a as u64) < b as u64, get!(s.b)),
+                SlotOp::BrGeU => br!(s, |a, b| a as u64 >= b as u64, get!(s.b)),
+                SlotOp::BrEqI => br!(s, |a, b| a == b, s.b as i64),
+                SlotOp::BrNeI => br!(s, |a, b| a != b, s.b as i64),
+                SlotOp::BrLtUI => br!(s, |a, b| (a as u64) < b as u64, s.b as i64),
+                SlotOp::BrGeUI => br!(s, |a, b| a as u64 >= b as u64, s.b as i64),
+                SlotOp::BrGtUI => br!(s, |a, b| a as u64 > b as u64, s.b as i64),
+                SlotOp::BrLeUI => br!(s, |a, b| a as u64 <= b as u64, s.b as i64),
+                SlotOp::Cmp => set!(s.d, truth::holds(s.k, get!(s.a), get!(s.b)) as i64),
+                SlotOp::CmpI => set!(s.d, truth::holds(s.k, get!(s.a), s.b as i64) as i64),
+                SlotOp::Add => alu!(s, |a, b| a.wrapping_add(b), get!(s.b)),
+                SlotOp::AddI => alu!(s, |a, b| a.wrapping_add(b), s.b as i64),
+                SlotOp::Sub => alu!(s, |a, b| a.wrapping_sub(b), get!(s.b)),
+                SlotOp::SubI => alu!(s, |a, b| a.wrapping_sub(b), s.b as i64),
+                SlotOp::Mul => alu!(s, |a, b| a.wrapping_mul(b), get!(s.b)),
+                SlotOp::MulI => alu!(s, |a, b| a.wrapping_mul(b), s.b as i64),
+                SlotOp::And => alu!(s, |a, b| a & b, get!(s.b)),
+                SlotOp::AndI => alu!(s, |a, b| a & b, s.b as i64),
+                SlotOp::Or => alu!(s, |a, b| a | b, get!(s.b)),
+                SlotOp::OrI => alu!(s, |a, b| a | b, s.b as i64),
+                SlotOp::Xor => alu!(s, |a, b| a ^ b, get!(s.b)),
+                SlotOp::XorI => alu!(s, |a, b| a ^ b, s.b as i64),
+                SlotOp::Shl => alu!(s, |a, b| a.wrapping_shl(b as u32), get!(s.b)),
+                SlotOp::ShlI => alu!(s, |a, b| a.wrapping_shl(b as u32), s.b as i64),
+                SlotOp::ShrU => alu!(s, |a, b| (a as u64).wrapping_shr(b as u32) as i64, get!(s.b)),
+                SlotOp::ShrUI => {
+                    alu!(s, |a, b| (a as u64).wrapping_shr(b as u32) as i64, s.b as i64)
+                }
+                SlotOp::ShrS => alu!(s, |a, b| a.wrapping_shr(b as u32), get!(s.b)),
+                SlotOp::ShrSI => alu!(s, |a, b| a.wrapping_shr(b as u32), s.b as i64),
+                SlotOp::DivU | SlotOp::DivS | SlotOp::RemU => {
+                    set!(s.d, main!(s, Self::divide(s.op, get!(s.a), get!(s.b))))
+                }
+                SlotOp::Mov => set!(s.d, get!(s.a)),
+                SlotOp::Const => set!(s.d, s.b as i64),
+                SlotOp::Const64 => set!(s.d, s.wide()),
+                SlotOp::Load8 => set!(s.d, main!(s, self.load(get!(s.a), 1))),
+                SlotOp::Load16 => set!(s.d, main!(s, self.load(get!(s.a), 2))),
+                SlotOp::Load32 => set!(s.d, main!(s, self.load(get!(s.a), 4))),
+                SlotOp::Load64 => set!(s.d, main!(s, self.load(get!(s.a), 8))),
+                SlotOp::Store8 => main!(s, self.store(get!(s.a), 1, get!(s.b))),
+                SlotOp::Store16 => main!(s, self.store(get!(s.a), 2, get!(s.b))),
+                SlotOp::Store32 => main!(s, self.store(get!(s.a), 4, get!(s.b))),
+                SlotOp::Store64 => main!(s, self.store(get!(s.a), 8, get!(s.b))),
+                SlotOp::Jmp => pc = s.t as usize,
+                SlotOp::MemCopy => {
+                    charging!(self.mem_copy(get!(s.d), get!(s.a), get!(s.b)));
+                }
+                SlotOp::MemFill => {
+                    charging!(self.mem_fill(get!(s.d), get!(s.a), get!(s.b)));
+                }
+                SlotOp::LzCopy => {
+                    charging!(self.lz_copy(get!(s.d), get!(s.a), get!(s.b)));
+                }
+                SlotOp::Swap => {
+                    let (x, y) = (get!(s.a), get!(s.b));
+                    set!(s.a, y);
+                    set!(s.b, x);
+                }
+                SlotOp::Nop => {}
+                SlotOp::Host => {
+                    let first = s.a as usize;
+                    let Some(args) = win.get_mut(first..first + s.b as usize) else {
+                        break Err(Trap::Wedged);
+                    };
+                    if let Some(code) = charging!(self.host_call_regs(s.t as u8, args)) {
+                        break Err(Trap::HostAbort(code));
+                    }
+                }
+                SlotOp::Call => {
+                    let callee = s.t as usize;
+                    let Some(next) = funcs.get(callee) else { break Err(Trap::Wedged) };
+                    let base = self.frames.last().map_or(0, |f| f.locals_base) + s.a as usize;
+                    if let Err(trap) = self.enter_window(next, callee, &mut regs, base, pc) {
+                        break Err(trap);
+                    }
+                    (code, pc) = (next.code.as_slice(), 0);
+                    win = &mut regs[base..base + next.frame];
+                }
+                SlotOp::Ret => {
+                    let (first, count) = (s.a as usize, s.b as usize);
+                    if self.frames.len() == 1 {
+                        break Ok(if count > 0 { get!(first + count - 1) } else { 0 });
+                    }
+                    let (caller, resume, base) = match self.leave_window(win, first, count) {
+                        Ok(frame) => frame,
+                        Err(trap) => break Err(trap),
+                    };
+                    let Some(next) = funcs.get(caller) else { break Err(Trap::Wedged) };
+                    (code, pc) = (next.code.as_slice(), resume);
+                    win = &mut regs[base..base + next.frame];
+                }
+                SlotOp::Halt => break Ok(self.halted(funcs, &regs, s.a as usize)),
+                SlotOp::Unreachable => break Err(Trap::Unreachable),
+                SlotOp::Wedge => break Err(Trap::Wedged),
+            }
+        };
+        self.settle(fuel);
+        self.locals = regs;
+        outcome
     }
 
     fn branch(&mut self, rel: i32) -> Result<(), Trap> {
@@ -1798,5 +1777,348 @@ mod tests {
         assert_eq!(refused, Err(Trap::StackOverflow));
         let exact = SandboxPolicy { max_stack: 3, ..roomy };
         assert_eq!(Machine::new_analyzed(shared, exact).unwrap().call("three", &[]), Ok(6));
+    }
+
+    // --- the register form against the checked loop ----------------------
+
+    /// Runs `entry(args)` on the checked loop and on the fast path at the
+    /// full budget and at every smaller one; asserts outcome, fuel used,
+    /// fuel left, memory and log identical each time. Returns the full
+    /// run's outcome and fuel, and the slot table of function 0.
+    fn sweep(src: &str, entry: &str, args: &[i64]) -> (Result<i64, Trap>, u64, Vec<Slot>) {
+        let module = assemble(src).unwrap();
+        let analyzed = Arc::new(module.clone().analyzed(&SandboxPolicy::default()).unwrap());
+        let run = |fuel: u64| {
+            let policy = SandboxPolicy::default().with_fuel(fuel);
+            let mut checked = Machine::new(module.clone(), policy.clone()).unwrap();
+            let mut fast = Machine::new_analyzed(Arc::clone(&analyzed), policy).unwrap();
+            assert!(fast.is_fast_path());
+            let outcome = checked.call(entry, args);
+            let what = format!("fuel={fuel} args={args:?}");
+            assert_eq!(outcome, fast.call(entry, args), "{what}");
+            assert_eq!(checked.fuel_used(), fast.fuel_used(), "{what}");
+            assert_eq!(checked.fuel_remaining(), fast.fuel_remaining(), "{what}");
+            assert!(checked.memory == fast.memory, "memory differs, {what}");
+            assert_eq!(checked.log_bytes(), fast.log_bytes(), "{what}");
+            (outcome, checked.fuel_used())
+        };
+        let full = run(100_000);
+        for fuel in 0..full.1 {
+            let (outcome, used) = run(fuel);
+            assert!(outcome.is_err() && used <= fuel, "fuel={fuel}: {outcome:?} after {used}");
+        }
+        // With exactly what it used the run ends the same way: a trap in a
+        // run's main op is reached even though its consumer is unpaid.
+        assert_eq!(run(full.1), full);
+        (full.0, full.1, analyzed.slots(0).to_vec())
+    }
+
+    #[test]
+    fn a_local_overwritten_after_its_get_is_read_at_its_old_value() {
+        // `local.get 0` is on the stack when `local.set 0` overwrites the
+        // local; the `add` must see the value that was pushed.
+        let src = r#"
+            .memory 1
+            .func main args=1 locals=0
+                local.get 0
+                local.get 0
+                push 1
+                local.set 0
+                add
+                local.get 0
+                add
+                ret
+        "#;
+        let (outcome, fuel, slots) = sweep(src, "main", &[20]);
+        assert_eq!((outcome, fuel), (Ok(41), 8));
+        // The first get is materialised, and nothing folds across the set.
+        assert_eq!(slots[0].op, SlotOp::Mov);
+        assert_eq!((slots[2].op, slots[2].n, slots[2].d), (SlotOp::Const, 2, 0));
+        assert_eq!((slots[4].op, slots[4].n), (SlotOp::Add, 1));
+    }
+
+    #[test]
+    fn a_branch_into_a_run_executes_the_ops_from_there() {
+        // `head` starts the run get·get·add·set; the two side entries land
+        // on its second and third op with the operands the skipped ops
+        // would have pushed.
+        let src = r#"
+            .memory 1
+            .func main args=2 locals=1
+                local.get 0
+                push 1
+                eq
+                jmpif enter_second
+                local.get 0
+                push 2
+                eq
+                jmpif enter_third
+            head:
+                local.get 1
+            second:
+                local.get 1
+            third:
+                add
+                local.set 2
+                local.get 2
+                ret
+            enter_second:
+                push 100
+                jmp second
+            enter_third:
+                push 100
+                push 7
+                jmp third
+        "#;
+        let (outcome, _, slots) = sweep(src, "main", &[0, 21]);
+        assert_eq!(outcome, Ok(42));
+        assert_eq!(sweep(src, "main", &[1, 21]).0, Ok(121));
+        assert_eq!(sweep(src, "main", &[2, 21]).0, Ok(107));
+        let head = 8;
+        assert_eq!((slots[0].op, slots[0].n), (SlotOp::BrEqI, 4), "{}", slots[0]);
+        // One slot for the whole run, and the covered slots keep the
+        // (shorter) runs that start at them.
+        let show: Vec<String> = slots[head..head + 4].iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            show,
+            ["add r2, r1, r1 x4", "add r2, r3, r1 x3", "add r2, r3, r4 x2", "mov r2, r3"]
+        );
+        assert!(slots.iter().any(|s| s.op == SlotOp::Jmp && s.t as usize == head + 1));
+        assert!(slots.iter().any(|s| s.op == SlotOp::Jmp && s.t as usize == head + 2));
+    }
+
+    #[test]
+    fn a_trap_in_the_middle_of_a_run_ends_at_the_checked_loops_fuel() {
+        // A load out of bounds between its `local.get` and `local.set`.
+        let load = r#"
+            .memory 1
+            .func main args=1 locals=1
+                local.get 0
+                load8
+                local.set 1
+                local.get 1
+                ret
+        "#;
+        let (outcome, fuel, slots) = sweep(load, "main", &[65536]);
+        assert!(matches!(outcome, Err(Trap::OutOfBounds { .. })));
+        assert_eq!(fuel, 2);
+        assert_eq!((slots[0].op, slots[0].n, slots[0].tail), (SlotOp::Load8, 3, 1));
+        assert_eq!(sweep(load, "main", &[0]).1, 5);
+
+        // A division by zero, likewise; its operands fold, its trap does not.
+        let div = r#"
+            .memory 1
+            .func main args=2 locals=1
+                local.get 0
+                local.get 1
+                divu
+                local.set 2
+                local.get 2
+                ret
+        "#;
+        let (outcome, fuel, slots) = sweep(div, "main", &[5, 0]);
+        assert_eq!((outcome, fuel), (Err(Trap::DivideByZero), 3));
+        assert_eq!((slots[0].op, slots[0].n, slots[0].tail), (SlotOp::DivU, 4, 1));
+        assert_eq!(sweep(div, "main", &[6, 2]), (Ok(3), 6, slots));
+        assert_eq!(sweep(div, "main", &[i64::MIN, -1]).0, Ok(0));
+
+        // A bulk op that cannot pay for its bytes, and one out of bounds.
+        let copy = r#"
+            .memory 1
+            .func main args=3 locals=0
+                local.get 0
+                local.get 1
+                local.get 2
+                memcopy
+                push 9
+                ret
+        "#;
+        let (outcome, fuel, slots) = sweep(copy, "main", &[0, 4096, 800]);
+        assert_eq!((outcome, fuel), (Ok(9), 4 + 101 + 2));
+        assert_eq!((slots[0].op, slots[0].n), (SlotOp::MemCopy, 4));
+        let (outcome, fuel, _) = sweep(copy, "main", &[0, 65000, 800]);
+        assert!(matches!(outcome, Err(Trap::OutOfBounds { .. })));
+        assert_eq!(fuel, 4 + 101);
+    }
+
+    #[test]
+    fn calls_take_their_arguments_from_stack_registers_and_restore_the_window() {
+        let src = r#"
+            .memory 1
+            .func main args=2 locals=1
+                push 1000
+                local.get 0
+                local.get 1
+                push 3
+                mul
+                call mix
+                local.set 2
+                ; the operand under the arguments survived the call
+                local.get 2
+                add
+                local.get 0
+                add
+                ret
+            .func mix args=2 locals=2
+                ; locals start zeroed on every entry
+                local.get 2
+                local.get 3
+                add
+                jmpif bad
+                local.get 0
+                local.set 2
+                local.get 1
+                local.set 3
+                local.get 2
+                push 10
+                mul
+                local.get 3
+                add
+                ret
+            bad:
+                unreachable
+        "#;
+        // 1000 + (7 * 10 + 5 * 3) + 7
+        assert_eq!(sweep(src, "main", &[7, 5]).0, Ok(1092));
+    }
+
+    #[test]
+    fn recursion_runs_to_the_call_depth_limit_and_unwinds_exactly() {
+        let src = r#"
+            .memory 1
+            .func down args=1 locals=1
+                local.get 0
+                eqz
+                jmpif base
+                local.get 0
+                local.get 0
+                push 1
+                sub
+                call down
+                add
+                ret
+            base:
+                push 0
+                ret
+        "#;
+        let depth = SandboxPolicy::default().max_call_depth as i64;
+        // depth - 1 nested calls fit; one more does not.
+        let n = depth - 1;
+        assert_eq!(sweep(src, "down", &[n]).0, Ok(n * (n + 1) / 2));
+        assert_eq!(sweep(src, "down", &[depth]).0, Err(Trap::CallDepthExceeded));
+    }
+
+    #[test]
+    fn a_trap_in_a_callee_and_a_halt_below_an_empty_frame() {
+        let src = r#"
+            .memory 1
+            .func main args=1 locals=0
+                push 77
+                local.get 0
+                call inner
+                add
+                ret
+            .func inner args=1 locals=0
+                local.get 0
+                eqz
+                jmpif stop
+                local.get 0
+                load64
+                ret
+            stop:
+                ; frame-relative height 0: the result is main's 77
+                halt
+        "#;
+        assert_eq!(sweep(src, "main", &[0]).0, Ok(77));
+        assert_eq!(sweep(src, "main", &[8]).0, Ok(77));
+        assert!(matches!(sweep(src, "main", &[-8]).0, Err(Trap::OutOfBounds { .. })));
+        // The instance is reusable after the trap: windows start over.
+        let analyzed = assemble(src).unwrap().analyzed(&SandboxPolicy::default()).unwrap();
+        let mut m = Machine::new_analyzed(analyzed, SandboxPolicy::default()).unwrap();
+        assert!(m.call("main", &[-8]).is_err());
+        assert_eq!(m.call("main", &[0]), Ok(77));
+    }
+
+    #[test]
+    fn dup_swap_tee_and_drop_at_every_height() {
+        for height in 0..6 {
+            let mut src = String::from(".memory 1\n.func main args=2 locals=1\n");
+            for i in 0..height {
+                src.push_str(&format!("    push {}\n", 1000 + i));
+            }
+            src.push_str(
+                "    local.get 0\n    local.get 1\n    swap\n    dup\n    local.tee 2\n    drop\n    \
+                 sub\n    local.get 2\n    add\n",
+            );
+            for _ in 0..height {
+                src.push_str("    add\n");
+            }
+            src.push_str("    ret\n");
+            // (b - a) + a, plus what was underneath.
+            let under: i64 = (0..height).map(|i| 1000 + i).sum();
+            assert_eq!(sweep(&src, "main", &[3, 10]).0, Ok(10 + under), "height {height}");
+        }
+    }
+
+    #[test]
+    fn every_operator_and_comparison_matches_the_checked_loop() {
+        const OPS: [&str; 20] = [
+            "add", "sub", "mul", "and", "or", "xor", "shl", "shru", "shrs", "eq", "ne", "ltu",
+            "lts", "gtu", "gts", "leu", "geu", "divu", "divs", "remu",
+        ];
+        let values = [0i64, 1, -1, 7, 64, 65, i64::MAX, i64::MIN];
+        for op in OPS {
+            // Register and immediate forms, as a value and as a branch
+            // (`jmpif` and `jmpifz`).
+            let src = format!(
+                r#"
+                .memory 1
+                .func main args=2 locals=1
+                    local.get 0
+                    local.get 1
+                    {op}
+                    local.set 2
+                    local.get 0
+                    push 7
+                    {op}
+                    local.get 2
+                    add
+                    local.set 2
+                    local.get 0
+                    local.get 1
+                    {op}
+                    jmpif a
+                    local.get 2
+                    push 16
+                    add
+                    local.set 2
+                a:
+                    local.get 0
+                    push -1
+                    {op}
+                    jmpifz b
+                    local.get 2
+                    push 32
+                    add
+                    local.set 2
+                b:
+                    local.get 2
+                    ret
+            "#
+            );
+            let module = assemble(&src).unwrap();
+            let analyzed = Arc::new(module.clone().analyzed(&SandboxPolicy::default()).unwrap());
+            for a in values {
+                for b in values {
+                    let mut checked = Machine::new(module.clone(), SandboxPolicy::default());
+                    let checked = checked.as_mut().unwrap();
+                    let mut fast =
+                        Machine::new_analyzed(Arc::clone(&analyzed), SandboxPolicy::default())
+                            .unwrap();
+                    assert_eq!(checked.call("main", &[a, b]), fast.call("main", &[a, b]), "{op}");
+                    assert_eq!(checked.fuel_used(), fast.fuel_used(), "{op} {a} {b}");
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,9 @@
 //! log), and the auditor must find **zero** violations of the analyzer's
 //! static claims. The corpus is 256+ proptest-generated modules (built
 //! valid by construction from a seeded grammar, so they pass the verifier
-//! yet exercise div/rem, shifts, memory ops, host calls, loops, and calls)
+//! yet exercise div/rem, shifts, memory ops, host calls, loops, calls, and
+//! what the register translation could get wrong: a local overwritten under
+//! a pending operand, branches into the middle of a run, traps inside one)
 //! plus the six shipped PAD sources driven by real protocol encoders.
 
 use fractal_crypto::sign::SignerRegistry;
@@ -62,7 +64,7 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
         };
         out.push_str(&format!("    push {c}\n"));
     };
-    match rng.below(16) {
+    match rng.below(18) {
         0 => {
             push_const(rng, out);
             h + 1
@@ -185,8 +187,8 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
             h + 1
         }
         13 => {
-            // Compare-and-skip over a height-neutral op: every fused run
-            // that ends in `jmpif`, entered at its head on this path.
+            // Compare-and-skip over a height-neutral op: every run that
+            // ends in `jmpif`, entered at its head on this path.
             const CMPS: [&str; 8] = ["eq", "ne", "ltu", "lts", "gtu", "gts", "leu", "geu"];
             let cmp = CMPS[rng.below(8) as usize];
             let (a, b) = (rng.below(nlocals as u64), rng.below(nlocals as u64));
@@ -205,12 +207,12 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
             h
         }
         14 => {
-            // Straight-line fused runs: load through a local (in bounds three
+            // Straight-line runs: load through a local (in bounds three
             // times in four, so the trap inside `get·load·set` runs too),
             // the scaled-index idiom, and arithmetic into a local.
             let (a, b) = (rng.below(nlocals as u64), rng.below(nlocals as u64));
             let w = [8u32, 16, 32, 64][rng.below(4) as usize];
-            match rng.below(3) {
+            match rng.below(5) {
                 0 => {
                     if rng.below(4) != 0 {
                         let addr = rng.below(65536 - 8);
@@ -222,11 +224,67 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
                     "    memsize\n    local.get {a}\n    push 2\n    shl\n    add\n    \
                      push 65535\n    and\n    local.set {b}\n"
                 )),
+                // A division with both operands and its result folded in:
+                // it traps (an argument is often 0 or -1) in mid-run.
+                2 => {
+                    let op = ["divu", "divs", "remu"][rng.below(3) as usize];
+                    out.push_str(&format!(
+                        "    local.get {a}\n    local.get {b}\n    {op}\n    local.set {a}\n"
+                    ));
+                }
+                // A bulk op with three folded operands, in bounds or not,
+                // that the budget sweep starves at every unit.
+                3 => {
+                    let op = ["memcopy", "lzcopy", "memfill"][rng.below(3) as usize];
+                    let len = if rng.below(4) == 0 { 70000 } else { rng.below(300) };
+                    out.push_str(&format!(
+                        "    push {}\n    local.set {a}\n    push {len}\n    local.set {b}\n    \
+                         local.get {a}\n    local.get {a}\n    local.get {b}\n    {op}\n",
+                        rng.below(30000)
+                    ));
+                }
                 _ => out.push_str(&format!(
                     "    local.get {a}\n    local.get {b}\n    local.get {a}\n    local.get {b}\n    \
                      xor\n    sub\n    local.set {a}\n"
                 )),
             }
+            h
+        }
+        15 => {
+            // A local overwritten while its old value sits on the stack:
+            // the `add` reads what `local.get` pushed, not the local.
+            let a = rng.below(nlocals as u64);
+            out.push_str(&format!(
+                "    local.get {a}\n    local.get {a}\n    push {}\n    local.set {a}\n    add\n",
+                CONSTS[rng.below(CONSTS.len() as u64) as usize]
+            ));
+            h + 1
+        }
+        16 => {
+            // A branch into the second or the third op of the run
+            // `get · get · bin · set`, carrying stand-ins for what the
+            // skipped ops would have pushed.
+            let (a, b, c) =
+                (rng.below(nlocals as u64), rng.below(nlocals as u64), rng.below(nlocals as u64));
+            let skipped = 1 + rng.below(2) as usize;
+            let label = format!("into{}", out.len());
+            for _ in 0..skipped {
+                out.push_str(&format!("    push {}\n", rng.next() as i32));
+            }
+            out.push_str(&format!("    local.get {c}\n    jmpif {label}\n"));
+            out.push_str(&"    drop\n".repeat(skipped));
+            let ops = [format!("    local.get {a}\n"), format!("    local.get {b}\n")];
+            for (i, op) in ops.iter().enumerate() {
+                if i == skipped {
+                    out.push_str(&format!("{label}:\n"));
+                }
+                out.push_str(op);
+            }
+            if skipped == 2 {
+                out.push_str(&format!("{label}:\n"));
+            }
+            let bin = ["add", "sub", "xor", "ltu", "gts"][rng.below(5) as usize];
+            out.push_str(&format!("    {bin}\n    local.set {c}\n"));
             h
         }
         _ => {
@@ -284,12 +342,14 @@ fn emit_loop(rng: &mut Rng, out: &mut String, id: usize, counter: u64, nlocals: 
 fn gen_module(seed: u64) -> String {
     let mut rng = Rng::new(seed);
     let mut out = String::from(".memory 1\n");
+    // helper0 takes one argument and helper1 two, so a call's window
+    // opens one or two stack registers below the caller's top.
     let n_helpers = rng.below(3);
     for i in 0..n_helpers {
-        out.push_str(&format!("\n.func helper{i} args=1 locals=1\n"));
+        out.push_str(&format!("\n.func helper{i} args={} locals=1\n", i + 1));
         let mut h = 0i32;
         for _ in 0..(2 + rng.below(8)) {
-            h = emit_op(&mut rng, &mut out, h, 2);
+            h = emit_op(&mut rng, &mut out, h, i as u8 + 2);
         }
         emit_ret(&mut out, h);
     }
@@ -305,7 +365,11 @@ fn gen_module(seed: u64) -> String {
                 loops += 1;
             }
             1 if n_helpers > 0 && h >= 1 => {
-                out.push_str(&format!("    call helper{}\n", rng.below(n_helpers)));
+                let callee = rng.below(n_helpers);
+                if callee == 1 {
+                    out.push_str("    dup\n");
+                }
+                out.push_str(&format!("    call helper{callee}\n"));
             }
             _ => h = emit_op(&mut rng, &mut out, h, 5),
         }
@@ -410,7 +474,7 @@ proptest! {
     /// ≥256 generated modules: fast, checked, and audited execution agree
     /// and the auditor confirms every static claim — at the full budget and
     /// at every smaller one, so a run that exhausts its fuel anywhere
-    /// inside a fused op ends exactly where the plain ops would have.
+    /// inside a slot ends exactly where the plain ops would have.
     #[test]
     fn generated_modules_agree_across_paths(seed in any::<u64>(), raw0 in any::<i64>(), raw1 in any::<i64>()) {
         // Mix raw arguments with adversarial edge values.
@@ -421,7 +485,7 @@ proptest! {
         let args = [pick(&mut rng, raw0), pick(&mut rng, raw1)];
         let subject = Subject::assemble(&gen_module(seed));
         let full = differential(&subject, &args, 1_000_000);
-        for fuel in 0..full {
+        for fuel in 0..=full {
             differential(&subject, &args, fuel);
         }
     }
@@ -496,14 +560,14 @@ fn shipped_pads_audit_clean_on_real_payloads() {
     pad_differential(&module, &[], &data(44, 700), "deflate garbage");
 }
 
-/// Budgets at which a run of `full` fuel is cut short: around every fused
-/// cost (2, 3 and 4, each ± 1), spread through the run at offsets that
-/// walk across the fused ops, and one unit short of finishing.
+/// Budgets at which a run of `full` fuel is cut short: around every run
+/// length (2, 3 and 4, each ± 1), spread through the run at offsets that
+/// walk across the slots, one unit short of finishing, and exactly enough.
 fn sampled_budgets(full: u64) -> Vec<u64> {
     let mut budgets: Vec<u64> = (0..=5).collect();
     budgets.extend((1..=12).map(|k| full * k / 13 + k));
-    budgets.push(full.saturating_sub(1));
-    budgets.retain(|&b| b < full);
+    budgets.extend([full.saturating_sub(1), full]);
+    budgets.retain(|&b| b <= full);
     budgets
 }
 

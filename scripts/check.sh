@@ -3,7 +3,8 @@
 # Run from the repository root before sending a change out for review.
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
-#                             # no-stripe-by-hash and unused-dependency
+#                             # no-stripe-by-hash, one-fast-path and
+#                             # unused-dependency
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/pads/core/bench/protocols/
@@ -11,7 +12,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all four audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all five audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -114,6 +115,17 @@ if grep -rn 'DefaultHasher' --include='*.rs' crates/core/src crates/telemetry/sr
     exit 1
 fi
 
+# The fast path is one table of register-form slots per function
+# (crates/vm/src/analysis/reg.rs); the stack machine it replaced pushed and
+# popped through `push_fast`/`pop_fast` and fused runs with `fuse_at` into
+# `GetGetBin…` variants. Any of those names in the VM's sources is a second
+# fast path growing back.
+step "no stack-form fast path (fuse_at, push_fast, pop_fast, GetGetBin) in crates/vm/src"
+if grep -rnE 'fuse_at|push_fast|pop_fast|GetGetBin' --include='*.rs' crates/vm/src; then
+    echo "the stack-form fast path is named in crates/vm/src (see the step's comment)" >&2
+    exit 1
+fi
+
 step "every declared dependency is named by a source file of its crate"
 scripts/unused_deps.sh
 
@@ -137,9 +149,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # reconciliation, admission telemetry, decision identity across threads and
 # shards, the held-connection run over live TCP and the thread-count
 # determinism suite live there (DESIGN.md has the property → test table),
-# and so does everything that holds the interpreter's fast path to the
-# checked one: the VM unit tests, its property tests and the three-way
-# differential harness with its fuel sweep. The codecs' round-trip and
+# and so does everything that holds the interpreter's register-form fast
+# path to the checked loop: the VM unit tests, its property tests and the
+# three-way differential harness with its fuel sweep. The codecs' round-trip and
 # decoder-robustness properties (crates/protocols/tests/prop.rs) and the
 # SHA-1/HMAC vectors gate here too.
 step "cargo test -q (tier-1: root package; full run adds the telemetry/vm/pads/core/bench/protocols/crypto crates)"
@@ -154,7 +166,8 @@ fi
 # exits nonzero on any deny-level lint (certain divide-by-zero, certain
 # out-of-bounds, dead stores, ...). Runs in quick mode too — it is the
 # cheapest gate here and the one a hand-edited .fasm is most likely to
-# trip. Annotated disassembly lands in target/fasmlint for inspection.
+# trip. Annotated disassembly lands in target/fasmlint for inspection; each
+# instruction line names the register-form slot the fast path runs from it.
 step "fasmlint (shipped PAD sources)"
 cargo run -q -p fractal-vm --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm

@@ -1,11 +1,13 @@
 //! Offline stand-in for the `bytes` crate.
 //!
 //! Provides an immutable, cheaply-cloneable byte buffer backed by
-//! `Arc<[u8]>` plus a `[start, end)` view, which preserves the two
+//! `Arc<Vec<u8>>` plus a `[start, end)` view, which preserves the three
 //! properties the payload pipeline relies on: clones share the allocation
-//! (O(1)), and [`Bytes::slice`] hands out refcounted sub-views of one
-//! buffer without copying — recipe literals, PAD artifacts, and page
-//! content all stay slices of the buffer they were produced in.
+//! (O(1)), [`Bytes::slice`] hands out refcounted sub-views of one buffer
+//! without copying — recipe literals, PAD artifacts, and page content all
+//! stay slices of the buffer they were produced in — and `Bytes::from` a
+//! `Vec<u8>` takes the vector's allocation over instead of copying it
+//! (`Arc<[u8]>::from(Vec)` cannot: the counts sit in front of the bytes).
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +19,7 @@ use std::sync::Arc;
 /// view of a shared allocation).
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -30,7 +32,7 @@ impl Bytes {
 
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: data.into(), start: 0, end: data.len() }
+        Bytes::from(data.to_vec())
     }
 
     /// Number of bytes in the view.
@@ -137,7 +139,7 @@ impl std::hash::Hash for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Bytes { data: v.into(), start: 0, end }
+        Bytes { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -178,6 +180,15 @@ mod tests {
         assert_eq!(s[0], 9);
         let back: Vec<u8> = b.clone().into();
         assert_eq!(back, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_allocation() {
+        let v = vec![7u8; 200 * 1024];
+        let before = v.as_ptr();
+        let b: Bytes = v.into();
+        assert_eq!(b.as_ptr(), before);
+        assert_eq!(b.len(), 200 * 1024);
     }
 
     #[test]
