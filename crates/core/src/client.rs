@@ -21,9 +21,12 @@
 //! sandbox policy), so their result is looked up in — or, the first time,
 //! computed into — the [`AdmissionCache`] the client shares with its
 //! [`Testbed`](crate::testbed::Testbed)'s other clients, and only reached
-//! once 1 and 2 have passed. Step 5 is per client again: the fuel budget is
-//! checked against the cached proof and a fresh sandbox is built around the
-//! shared code.
+//! once 1 and 2 have passed; a module declaring more memory than the policy
+//! grants is refused there, so it is never stored. Step 5 is per client
+//! again: the fuel budget is checked against the cached proof and a sandbox
+//! is built around the shared code — checked out of the instances earlier
+//! deployments of the same admitted PAD have been dropped from, each wiped
+//! to what a new one holds, or allocated when none is idle.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,6 +68,9 @@ pub struct ClientStats {
     /// Deployments that ran verification + analysis themselves and filled
     /// the cache (a refused module counts under `pads_rejected` only).
     pub admission_misses: u64,
+    /// Deployments whose sandbox was checked out of the admitted module's
+    /// instance pool instead of allocated.
+    pub instances_recycled: u64,
 }
 
 /// Pre-bound telemetry handles mirroring [`ClientStats`] plus the PAD
@@ -77,6 +83,7 @@ struct ClientTelemetry {
     pads_rejected: fractal_telemetry::Counter,
     admission_hits: fractal_telemetry::Counter,
     admission_misses: fractal_telemetry::Counter,
+    instances_recycled: fractal_telemetry::Counter,
     download_bytes: fractal_telemetry::Counter,
     gauntlet_ns: fractal_telemetry::Histogram,
 }
@@ -90,6 +97,7 @@ impl ClientTelemetry {
             pads_rejected: bundle.counter("fractal_client_pads_rejected_total"),
             admission_hits: bundle.counter("fractal_client_admission_hits_total"),
             admission_misses: bundle.counter("fractal_client_admission_misses_total"),
+            instances_recycled: bundle.counter("fractal_client_instances_recycled_total"),
             download_bytes: bundle.counter("fractal_client_pad_download_bytes_total"),
             gauntlet_ns: bundle.histogram("fractal_client_gauntlet_ns"),
             bundle: bundle.clone(),
@@ -213,6 +221,10 @@ impl FractalClient {
         self.tele.gauntlet_ns.record(self.tele.bundle.now_ns().saturating_sub(t0));
         match result {
             Ok(runtime) => {
+                if runtime.is_recycled() {
+                    self.stats.instances_recycled += 1;
+                    self.tele.instances_recycled.inc();
+                }
                 self.deployed.insert(meta.id, runtime);
                 self.stats.pads_deployed += 1;
                 self.tele.pads_deployed.inc();
@@ -260,7 +272,7 @@ impl FractalClient {
         if min_fuel > self.policy.max_fuel {
             return Err(FractalError::PadInfeasible { min_fuel, budget: self.policy.max_fuel });
         }
-        Ok(PadRuntime::from_analyzed(analyzed, self.policy.clone())?)
+        Ok(PadRuntime::from_analyzed(analyzed)?)
     }
 
     /// Decodes a server payload with a deployed PAD (mobile code, in the

@@ -253,6 +253,28 @@ mod deflate_tests {
         assert_eq!(rt.decode(&[], &payload).unwrap(), content);
     }
 
+    /// The deflate PAD keeps its tables at the top of memory and its I/O at
+    /// the bottom, so the span it dirties is all 4 MiB whatever it touched
+    /// in between: its instance is freed at drop (wiping it would fault in
+    /// and pin the untouched middle), where the gzip PAD's is recycled.
+    #[test]
+    fn a_deflate_instance_is_freed_where_a_gzip_instance_is_recycled() {
+        use std::sync::Arc;
+        let signer = SignerRegistry::new().provision("deflate-test");
+        let redeployed_recycled = |artifact: PadArtifact, payload: &[u8]| {
+            let admitted =
+                Arc::new(open_unchecked(&artifact).analyzed(&SandboxPolicy::for_pads()).unwrap());
+            let mut first = PadRuntime::from_analyzed(Arc::clone(&admitted)).unwrap();
+            assert_eq!(first.decode(&[], payload).unwrap(), texty(4096));
+            drop(first);
+            PadRuntime::from_analyzed(admitted).unwrap().is_recycled()
+        };
+        let deflated = Deflate.encode(&[], &texty(4096));
+        assert!(!redeployed_recycled(build_deflate_pad(&signer), &deflated));
+        let gzipped = fractal_protocols::gzip::Gzip.encode(&[], &texty(4096));
+        assert!(redeployed_recycled(build_pad(ProtocolId::Gzip, &signer), &gzipped));
+    }
+
     #[test]
     fn vm_rejects_truncated_deflate_payloads() {
         let mut rt = runtime();

@@ -99,19 +99,16 @@ impl PadRuntime {
     /// rule of the client's gauntlet: a module the verifier or the abstract
     /// interpreter cannot prove safe is [`PadError::Refused`], not run.
     pub fn new(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        PadRuntime::from_analyzed(Arc::new(module.analyzed(&policy)?), policy)
+        PadRuntime::from_analyzed(Arc::new(module.analyzed(&policy)?))
     }
 
     /// Instantiates around an already admitted module: the per-session half
-    /// of a deployment. Code, proof and register-form slots stay in the shared
-    /// bundle; the instance gets its own memory, stacks, fuel and log, and
-    /// runs under `policy`, which the proven stack bound must fit
-    /// ([`Trap::StackOverflow`] otherwise).
-    pub fn from_analyzed(
-        analyzed: Arc<AnalyzedModule>,
-        policy: SandboxPolicy,
-    ) -> Result<PadRuntime, PadError> {
-        Ok(PadRuntime { machine: Machine::new_analyzed(analyzed, policy)? })
+    /// of a deployment. Code, proof, register-form slots and the policy
+    /// they were proven under stay in the shared bundle; the instance has
+    /// its own memory, stacks, fuel and log — a previous deployment's,
+    /// wiped, when one has been dropped ([`PadRuntime::is_recycled`]).
+    pub fn from_analyzed(analyzed: Arc<AnalyzedModule>) -> Result<PadRuntime, PadError> {
+        Ok(PadRuntime { machine: Machine::new_analyzed(analyzed)? })
     }
 
     /// Instantiates on the fully checked interpreter path, skipping the
@@ -128,7 +125,13 @@ impl PadRuntime {
     /// [`PadRuntime::audit_violations`] — each one is an analyzer
     /// soundness bug. Used by the differential trust harness.
     pub fn new_audited(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        Ok(PadRuntime { machine: Machine::new_audited(module.analyzed(&policy)?, policy)? })
+        Ok(PadRuntime { machine: Machine::new_audited(module.analyzed(&policy)?)? })
+    }
+
+    /// Whether the sandbox was checked out of the admitted module's pool
+    /// rather than allocated for this deployment.
+    pub fn is_recycled(&self) -> bool {
+        self.machine.is_recycled()
     }
 
     /// Claim violations the auditor has observed (empty unless built with

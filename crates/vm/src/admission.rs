@@ -8,8 +8,12 @@
 //! both stay per deployment, and both come *before* the lookup) can key the
 //! proof by `(digest, policy)` and share one [`AnalyzedModule`] between all
 //! the sessions that deploy the same PAD. What remains per session is
-//! [`Machine`](crate::machine::Machine) instantiation: fresh linear memory,
-//! stacks, fuel and log around the shared code.
+//! [`Machine`](crate::machine::Machine) instantiation: linear memory,
+//! stacks, fuel and log around the shared code — and since the bundle keeps
+//! the instances its dropped machines return, wiped, a deployment after the
+//! first checks those out instead of allocating them. That pool is a field
+//! of the bundle: evicting a slot here frees it with the proof, once the
+//! machines still running on it are gone.
 //!
 //! ## Concurrency
 //!
@@ -41,9 +45,10 @@ use crate::sandbox::SandboxPolicy;
 /// clients run them under, small enough that a lookup is a linear scan.
 const DEFAULT_CAPACITY: usize = 64;
 
+/// One admitted module under its key's digest; the key's other half is the
+/// policy the bundle itself records.
 struct Slot {
     digest: Digest,
-    policy: SandboxPolicy,
     analyzed: Arc<AnalyzedModule>,
 }
 
@@ -108,7 +113,7 @@ impl AdmissionCache {
         let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
         slots
             .iter()
-            .find(|s| s.digest == *digest && s.policy == *policy)
+            .find(|s| s.digest == *digest && s.analyzed.policy() == policy)
             .map(|s| Arc::clone(&s.analyzed))
     }
 
@@ -118,7 +123,8 @@ impl AdmissionCache {
     /// On a miss `admit` runs — once per key, however many threads race —
     /// and its bundle is stored and returned; its error is returned and
     /// nothing is stored. The caller vouches that `digest` is the SHA-1 of
-    /// the bytes `admit` analyses and that it has already accepted their
+    /// the bytes `admit` analyses — under `policy`, which the bundle records
+    /// and later lookups compare — and that it has already accepted their
     /// signature: the cache is a memo, not a gate.
     pub fn get_or_admit<E>(
         &self,
@@ -140,11 +146,7 @@ impl AdmissionCache {
         if slots.len() == self.capacity {
             slots.pop_front();
         }
-        slots.push_back(Slot {
-            digest: *digest,
-            policy: policy.clone(),
-            analyzed: Arc::clone(&analyzed),
-        });
+        slots.push_back(Slot { digest: *digest, analyzed: Arc::clone(&analyzed) });
         Ok((analyzed, false))
     }
 }

@@ -45,6 +45,7 @@ use std::collections::VecDeque;
 use crate::bytecode::Op;
 use crate::error::VerifyError;
 use crate::host::HostId;
+use crate::instance::InstancePool;
 use crate::module::{Function, Module};
 use crate::sandbox::SandboxPolicy;
 use crate::verify::verify_module;
@@ -354,11 +355,15 @@ fn mask_to_hosts(mask: u8) -> Vec<HostId> {
 }
 
 /// A module that has passed structural verification *and* abstract
-/// interpretation, bundled with its fast-path code in register form.
+/// interpretation, bundled with its fast-path code in register form and
+/// the policy all of it was established under.
 ///
-/// Immutable once built, so one bundle behind an `Arc` serves any number
-/// of [`Machine`](crate::machine::Machine) instances: each instance owns
-/// its memory, stacks, fuel and log, and only borrows code and proof.
+/// Code, proof and policy are immutable once built, so one bundle behind
+/// an `Arc` serves any number of [`Machine`](crate::machine::Machine)
+/// instances: each instance owns its memory, stacks, fuel and log, and only
+/// borrows the rest. What a dropped machine owned goes back into the
+/// bundle's instance pool for the next one (see `instance.rs`), so the pool
+/// lives exactly as long as the admission it belongs to.
 #[derive(Debug)]
 pub struct AnalyzedModule {
     /// The verified module.
@@ -367,16 +372,37 @@ pub struct AnalyzedModule {
     pub analysis: ModuleAnalysis,
     /// Per-function register-form code, indexed like `module.functions`.
     pub(crate) fast: Vec<RegFunction>,
+    /// The policy the proof holds under, and so the one instances run under.
+    policy: SandboxPolicy,
+    /// Instances returned by dropped machines.
+    pub(crate) pool: InstancePool,
 }
 
 impl AnalyzedModule {
     /// Verifies and analyzes `module` under `policy`, translating the fast
-    /// path on success.
+    /// path on success. A module declaring more memory than the policy
+    /// grants is refused here, before any of it is allocated, and so is one
+    /// whose call chains may stack more operands than `max_stack`: the fast
+    /// path counts no stack slots, so it runs only what is proven to fit.
     pub fn analyze(module: Module, policy: &SandboxPolicy) -> Result<AnalyzedModule, VerifyError> {
+        let declared = module.memory_bytes();
+        if declared > policy.max_memory {
+            return Err(VerifyError::MemoryLimit { declared, limit: policy.max_memory });
+        }
         verify_module(&module)?;
         let analysis = analyze_module(&module, policy)?;
+        if analysis.stack_bound > policy.max_stack {
+            let (bound, limit) = (analysis.stack_bound, policy.max_stack);
+            return Err(VerifyError::StackBound { bound, limit });
+        }
         let fast = reg::translate(&module, &analysis)?;
-        Ok(AnalyzedModule { module, analysis, fast })
+        let (policy, pool) = (policy.clone(), InstancePool::default());
+        Ok(AnalyzedModule { module, analysis, fast, policy, pool })
+    }
+
+    /// The policy the module was analyzed under.
+    pub fn policy(&self) -> &SandboxPolicy {
+        &self.policy
     }
 
     /// The fast path's slot table for function `func`: one [`Slot`] per
@@ -1082,6 +1108,7 @@ fn calls_self(cfg: &FuncCfg, f: usize) -> bool {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::error::Trap;
     use crate::machine::Machine;
 
     fn analyze_src(src: &str) -> Result<ModuleAnalysis, VerifyError> {
@@ -1419,6 +1446,56 @@ mod tests {
         assert_eq!(a.stack_bound, 3);
     }
 
+    /// The fast path counts no stack slots, so admission is where
+    /// `max_stack` binds a call chain: each frame below fits a limit of 2,
+    /// the chain needs 3.
+    #[test]
+    fn a_call_chain_whose_stack_bound_exceeds_the_policy_is_refused() {
+        let src = ".func main args=0 locals=0\n push 10\n push 20\n call leaf\n add\n ret\n\
+                   .func leaf args=1 locals=0\n local.get 0\n push 1\n add\n ret\n";
+        let module = assemble(src).unwrap();
+        let tight = SandboxPolicy { max_stack: 2, ..SandboxPolicy::default() };
+        let refused = module.clone().analyzed(&tight).unwrap_err();
+        assert_eq!(refused, VerifyError::StackBound { bound: 3, limit: 2 });
+        // Which is the limit the reference loop enforces slot by slot.
+        let mut checked = Machine::new(module.clone(), tight).unwrap();
+        assert_eq!(checked.call("main", &[]), Err(Trap::StackOverflow));
+
+        let exact = SandboxPolicy { max_stack: 3, ..SandboxPolicy::default() };
+        let mut fast = Machine::new_analyzed(module.analyzed(&exact).unwrap()).unwrap();
+        assert!(fast.is_fast_path());
+        assert_eq!(fast.call("main", &[]), Ok(31));
+    }
+
+    /// A recursive module is bounded by `max_call_depth` × its tallest
+    /// frame: under the PAD policy (64 deep, 1024 slots) a 16-slot frame is
+    /// the tallest that may recurse.
+    #[test]
+    fn a_recursive_module_is_held_to_depth_times_its_tallest_frame() {
+        let policy = SandboxPolicy::for_pads();
+        let admit = |frame: usize| assemble(&recursive_src(frame)).unwrap().analyzed(&policy);
+        let refused = admit(17).unwrap_err();
+        assert_eq!(refused, VerifyError::StackBound { bound: 64 * 17, limit: 1024 });
+
+        let admitted = admit(16).unwrap();
+        assert_eq!(admitted.analysis.stack_bound, 1024);
+        let mut fast = Machine::new_analyzed(admitted).unwrap();
+        let mut checked = Machine::new(assemble(&recursive_src(16)).unwrap(), policy).unwrap();
+        for depth in [0, 3, 63, 64] {
+            assert_eq!(fast.call("f", &[depth]), checked.call("f", &[depth]), "depth {depth}");
+        }
+    }
+
+    /// `f(n)` calls itself `n` deep; every frame first stacks `frame`
+    /// operands and drops them again.
+    fn recursive_src(frame: usize) -> String {
+        let (push, drop) = (" push 1\n".repeat(frame), " drop\n".repeat(frame));
+        format!(
+            ".func f args=1 locals=0\n local.get 0\n jmpifz base\n{push}{drop} local.get 0\n \
+             push 1\n sub\n call f\n ret\nbase:\n push 7\n ret\n"
+        )
+    }
+
     #[test]
     fn dead_store_lint_fires() {
         let a = analyze_src(
@@ -1478,7 +1555,7 @@ mod tests {
         let checked_module = assemble(src).unwrap();
         let mut checked = Machine::new(checked_module.clone(), SandboxPolicy::default()).unwrap();
         let analyzed = checked_module.analyzed(&SandboxPolicy::default()).unwrap();
-        let mut fast = Machine::new_analyzed(analyzed, SandboxPolicy::default()).unwrap();
+        let mut fast = Machine::new_analyzed(analyzed).unwrap();
         assert!(fast.is_fast_path());
         for n in [0i64, 1, 10, 1000] {
             let a = checked.call("sum", &[n]).unwrap();
@@ -1515,7 +1592,7 @@ mod tests {
         let mut checked = Machine::new(module.clone(), SandboxPolicy::default()).unwrap();
         checked.call("work", &[25]).unwrap();
         let analyzed = module.analyzed(&SandboxPolicy::default()).unwrap();
-        let mut fast = Machine::new_analyzed(analyzed, SandboxPolicy::default()).unwrap();
+        let mut fast = Machine::new_analyzed(analyzed).unwrap();
         assert!(fast.is_fast_path());
         fast.call("work", &[25]).unwrap();
         assert_eq!(checked.fuel_used(), fast.fuel_used());
@@ -1568,7 +1645,7 @@ mod tests {
         let claimed = a.claims.entry_min_fuel[0];
         assert!(claimed > BASE_COST, "cap should still have grown the bound: {claimed}");
         let analyzed = m.analyzed(&policy).unwrap();
-        let mut machine = Machine::new_audited(analyzed, SandboxPolicy::default()).unwrap();
+        let mut machine = Machine::new_audited(analyzed).unwrap();
         assert!(machine.call("spin", &[]).is_err(), "unbounded recursion must trap");
         assert!(machine.audit_violations().is_empty(), "{:?}", machine.audit_violations());
 
@@ -1601,7 +1678,7 @@ mod tests {
         // Run f1 all the way around the ring; the auditor cross-checks the
         // observed fuel against the claim.
         let analyzed = m.analyzed(&policy).unwrap();
-        let mut machine = Machine::new_audited(analyzed, SandboxPolicy::default()).unwrap();
+        let mut machine = Machine::new_audited(analyzed).unwrap();
         assert_eq!(machine.call("f1", &[19]), Ok(77));
         assert!(machine.fuel_used() >= claimed, "{} < {claimed}", machine.fuel_used());
         assert!(machine.audit_violations().is_empty(), "{:?}", machine.audit_violations());

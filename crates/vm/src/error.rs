@@ -188,6 +188,26 @@ pub enum VerifyError {
         /// The policy's `max_stack`.
         limit: usize,
     },
+    /// No single frame is too tall, but the proven bound on the operand
+    /// stack all frames of a call chain share exceeds the policy's
+    /// `max_stack` — for a recursive module, `max_call_depth` × its tallest
+    /// frame. The register form keeps operands in registers and counts no
+    /// stack slots, so a module is admitted only with this bound in hand.
+    StackBound {
+        /// The proven whole-machine bound
+        /// ([`ModuleAnalysis::stack_bound`](crate::analysis::ModuleAnalysis)).
+        bound: usize,
+        /// The policy's `max_stack`.
+        limit: usize,
+    },
+    /// Analysis: the module declares more linear memory than the sandbox
+    /// policy grants an instance.
+    MemoryLimit {
+        /// Bytes the module declares (`mem_pages` × 64 KiB).
+        declared: usize,
+        /// The policy's `max_memory`.
+        limit: usize,
+    },
 }
 
 impl core::fmt::Display for VerifyError {
@@ -224,6 +244,12 @@ impl core::fmt::Display for VerifyError {
             }
             VerifyError::StackLimit { func, at, height, limit } => {
                 write!(f, "fn {func}: stack height {height} at {at} exceeds limit {limit}")
+            }
+            VerifyError::StackBound { bound, limit } => {
+                write!(f, "call chains may stack {bound} operands, limit {limit}")
+            }
+            VerifyError::MemoryLimit { declared, limit } => {
+                write!(f, "module declares {declared} bytes of memory, policy grants {limit}")
             }
         }
     }

@@ -48,7 +48,9 @@ pub mod bytecode;
 pub mod disasm;
 pub mod error;
 pub mod host;
+mod instance;
 pub mod machine;
+mod memory;
 pub mod module;
 pub mod sandbox;
 pub mod verify;

@@ -4,7 +4,10 @@
 //! from the module's data segments), its own fuel budget, and its own log
 //! buffer. Code is not per instance: machines built from an admitted
 //! `Arc<AnalyzedModule>` all execute the one shared copy of the module, its
-//! proof and its register-form code. The embedding writes inputs into memory with
+//! proof and its register-form code, under the policy those were proven
+//! for — and take their memory and stacks from, and on `Drop` return them
+//! to, the pool that module keeps (`instance.rs`), wiped to what a new
+//! instance holds. The embedding writes inputs into memory with
 //! [`Machine::write_memory`], invokes an exported entry point with
 //! [`Machine::call`], and reads results back with [`Machine::read_memory`].
 //!
@@ -21,6 +24,7 @@ use crate::analysis::{proven, AnalysisClaims, AnalyzedModule, RegFunction, Slot,
 use crate::bytecode::Op;
 use crate::error::{AuditViolation, Trap};
 use crate::host::{weak_sum, HostId};
+use crate::instance::{Frame, Instance};
 use crate::module::Module;
 use crate::sandbox::SandboxPolicy;
 
@@ -87,37 +91,26 @@ impl AuditState {
     }
 }
 
-/// One call frame.
-struct Frame {
-    /// Function index executing.
-    func: usize,
-    /// Program counter within that function's code: a byte offset on the
-    /// checked path, an instruction index on the fast path (where it is
-    /// current only while the frame is suspended in a call).
-    pc: usize,
-    /// Base of this frame's locals in the locals arena.
-    locals_base: usize,
-}
-
-/// What an instance executes: a bare module it owns (checked path only), or
-/// an admitted bundle — module, proof, register-form code — it shares with every
-/// other instance of the same PAD.
+/// What an instance executes, and under which limits: a bare module it owns
+/// and the policy it was built with (checked path only), or an admitted
+/// bundle — module, proof, register-form code, the policy all three were
+/// proven under — it shares with every other instance of the same PAD.
 enum Program {
-    Bare(Module),
+    Bare(Module, SandboxPolicy),
     Admitted(Arc<AnalyzedModule>),
 }
 
 impl Program {
     fn module(&self) -> &Module {
         match self {
-            Program::Bare(module) => module,
+            Program::Bare(module, _) => module,
             Program::Admitted(analyzed) => &analyzed.module,
         }
     }
 
     fn claims(&self) -> Option<&AnalysisClaims> {
         match self {
-            Program::Bare(_) => None,
+            Program::Bare(..) => None,
             Program::Admitted(analyzed) => Some(&analyzed.analysis.claims),
         }
     }
@@ -126,20 +119,14 @@ impl Program {
 /// An instantiated module ready to execute.
 pub struct Machine {
     program: Program,
-    policy: SandboxPolicy,
-    memory: Vec<u8>,
-    /// The operand stack of the checked loop. The fast path keeps operands
-    /// in registers and only marshals host-call arguments through here.
-    stack: Vec<i64>,
-    /// The locals arena: each frame's arguments and locals, innermost
-    /// last. On the fast path it is the register file — a frame's window
-    /// continues with its stack registers, and a callee's window opens
-    /// over the caller's outgoing arguments.
-    locals: Vec<i64>,
-    frames: Vec<Frame>,
+    /// Memory, register file, frames, host-call stack and log. A machine
+    /// over an admitted module checks it out of that module's pool and
+    /// `Drop` returns it there.
+    inst: Instance,
+    /// Whether `inst` had a previous tenant.
+    recycled: bool,
     fuel: u64,
     fuel_used_total: u64,
-    log: Vec<u8>,
     /// Claims-auditor state; present only on machines built with
     /// [`Machine::new_audited`]. Boxed to keep the common case small.
     audit: Option<Box<AuditState>>,
@@ -148,71 +135,74 @@ pub struct Machine {
 impl core::fmt::Debug for Machine {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Machine")
-            .field("memory", &self.memory.len())
+            .field("memory", &self.inst.memory.len())
+            .field("dirty", &self.inst.memory.dirty())
+            .field("recycled", &self.recycled)
             .field("fuel", &self.fuel)
             .field("functions", &self.program.module().functions.len())
             .finish()
     }
 }
 
-impl Machine {
-    /// Instantiates `module` under `policy`. Fails if the module declares
-    /// more memory than the policy allows, or a data segment outside it.
-    pub fn new(module: Module, policy: SandboxPolicy) -> Result<Machine, Trap> {
-        Machine::instantiate(Program::Bare(module), policy)
+impl Drop for Machine {
+    fn drop(&mut self) {
+        if let Program::Admitted(analyzed) = &self.program {
+            analyzed.pool.put(std::mem::take(&mut self.inst), analyzed.policy().max_memory);
+        }
     }
+}
 
-    /// Everything that is per instance: linear memory initialized from the
-    /// data segments, empty stacks, a full fuel budget, an empty log.
-    fn instantiate(program: Program, policy: SandboxPolicy) -> Result<Machine, Trap> {
-        let module = program.module();
+impl Machine {
+    /// Instantiates `module` under `policy`, on the checked reference loop.
+    /// Fails if the module declares more memory than the policy allows, or
+    /// a data segment outside it.
+    pub fn new(module: Module, policy: SandboxPolicy) -> Result<Machine, Trap> {
         let mem_bytes = module.memory_bytes();
         if mem_bytes > policy.max_memory {
             return Err(Trap::OutOfBounds { addr: mem_bytes as u64, len: 0 });
         }
-        let mut memory = vec![0u8; mem_bytes];
-        for seg in &module.data {
+        Machine::instantiate(Program::Bare(module, policy), Instance::new(mem_bytes), false)
+    }
+
+    /// A machine over `inst`, which is all zeroes and empty: applies the
+    /// data segments and fills the tank.
+    fn instantiate(program: Program, mut inst: Instance, recycled: bool) -> Result<Machine, Trap> {
+        for seg in &program.module().data {
             // The container parser bounds segments, but `Module`'s fields
             // are public and a hand-built one reaches here unparsed.
             let start = seg.offset as usize;
-            let dst = start
+            let end = start
                 .checked_add(seg.bytes.len())
-                .and_then(|end| memory.get_mut(start..end))
+                .filter(|&end| end <= inst.memory.len())
                 .ok_or(Trap::OutOfBounds { addr: start as u64, len: seg.bytes.len() as u64 })?;
-            dst.copy_from_slice(&seg.bytes);
+            inst.memory.slice_mut(start..end).copy_from_slice(&seg.bytes);
         }
-        let fuel = policy.max_fuel;
-        Ok(Machine {
-            program,
-            policy,
-            memory,
-            stack: Vec::with_capacity(64),
-            locals: Vec::with_capacity(64),
-            frames: Vec::with_capacity(8),
-            fuel,
-            fuel_used_total: 0,
-            log: Vec::new(),
-            audit: None,
-        })
+        let mut machine =
+            Machine { program, inst, recycled, fuel: 0, fuel_used_total: 0, audit: None };
+        machine.refuel();
+        Ok(machine)
     }
 
     /// Instantiates an analyzed module; pass an `Arc` to share one admitted
     /// bundle among many instances (nothing in it is copied). Execution
     /// uses the register-form fast path (no per-op decode, no operand
-    /// stack), which is sound only while the proven
-    /// whole-machine stack bound fits `policy.max_stack`: a proof made
-    /// under a roomier policy is refused with [`Trap::StackOverflow`].
-    /// Fuel accounting is identical to the checked path's.
-    pub fn new_analyzed(
-        analyzed: impl Into<Arc<AnalyzedModule>>,
-        policy: SandboxPolicy,
-    ) -> Result<Machine, Trap> {
+    /// stack) under the policy the module was analyzed with:
+    /// [`AnalyzedModule::analyze`] refused it unless its whole-machine stack
+    /// bound fits that policy's `max_stack` and its declared memory the
+    /// `max_memory`, which is what lets this path count neither. Fuel
+    /// accounting is identical to the checked path's.
+    ///
+    /// The instance comes out of the module's pool when a machine over the
+    /// same `Arc` has been dropped before ([`Machine::is_recycled`]); it is
+    /// byte for byte what a first instance is, and this call then allocates
+    /// nothing.
+    pub fn new_analyzed(analyzed: impl Into<Arc<AnalyzedModule>>) -> Result<Machine, Trap> {
         let analyzed = analyzed.into();
-        let stack_bound = analyzed.analysis.stack_bound;
-        if stack_bound > policy.max_stack {
-            return Err(Trap::StackOverflow);
-        }
-        Machine::instantiate(Program::Admitted(analyzed), policy)
+        let (inst, recycled) = match analyzed.pool.take() {
+            Some(inst) => (inst, true),
+            None => (Instance::new(analyzed.module.memory_bytes()), false),
+        };
+        Machine::instantiate(Program::Admitted(analyzed), inst, recycled)
     }
 
     /// Instantiates an analyzed module in **claims-auditor** mode: the
@@ -225,10 +215,7 @@ impl Machine {
     /// Discrepancies are **analyzer soundness bugs**; they are collected
     /// (capped) in [`Machine::audit_violations`] rather than trapping, so a
     /// differential harness can compare full executions.
-    pub fn new_audited(
-        analyzed: impl Into<Arc<AnalyzedModule>>,
-        policy: SandboxPolicy,
-    ) -> Result<Machine, Trap> {
+    pub fn new_audited(analyzed: impl Into<Arc<AnalyzedModule>>) -> Result<Machine, Trap> {
         let analyzed = analyzed.into();
         let sites = analyzed
             .analysis
@@ -237,9 +224,24 @@ impl Machine {
             .iter()
             .map(|s| ((s.func, s.at), AuditSite { proven: s.proven, operands: s.operands.clone() }))
             .collect();
-        let mut machine = Machine::instantiate(Program::Admitted(analyzed), policy)?;
+        let mut machine = Machine::new_analyzed(analyzed)?;
         machine.audit = Some(Box::new(AuditState { sites, audited: 0, violations: Vec::new() }));
         Ok(machine)
+    }
+
+    /// The limits this instance runs under.
+    fn policy(&self) -> &SandboxPolicy {
+        match &self.program {
+            Program::Bare(_, policy) => policy,
+            Program::Admitted(analyzed) => analyzed.policy(),
+        }
+    }
+
+    /// Whether this instance's memory and stacks served an earlier machine
+    /// over the same admitted module (and were wiped when that one was
+    /// dropped) rather than being allocated for this one.
+    pub fn is_recycled(&self) -> bool {
+        self.recycled
     }
 
     /// Whether this instance runs the register-form fast path: it was built
@@ -263,7 +265,7 @@ impl Machine {
 
     /// Linear memory size in bytes.
     pub fn memory_len(&self) -> usize {
-        self.memory.len()
+        self.inst.memory.len()
     }
 
     /// Remaining fuel.
@@ -279,21 +281,30 @@ impl Machine {
     /// Refills fuel to the policy maximum (a fresh budget per entry call is
     /// the embedding's choice).
     pub fn refuel(&mut self) {
-        self.fuel = self.policy.max_fuel;
+        self.fuel = self.policy().max_fuel;
+    }
+
+    /// Test hook, not embedding API: lowers the remaining fuel to `fuel`
+    /// (never raises it), so the differential suites can starve one
+    /// admission at every budget instead of analyzing the module once per
+    /// budget. An embedding meters through the policy it admits under.
+    #[doc(hidden)]
+    pub fn limit_fuel(&mut self, fuel: u64) {
+        self.fuel = self.fuel.min(fuel);
     }
 
     /// Bytes captured from the module's `log` intrinsic.
     pub fn log_bytes(&self) -> &[u8] {
-        &self.log
+        &self.inst.log
     }
 
     /// Copies `bytes` into memory at `addr`.
     pub fn write_memory(&mut self, addr: usize, bytes: &[u8]) -> Result<(), Trap> {
         let end = addr
             .checked_add(bytes.len())
-            .filter(|&e| e <= self.memory.len())
+            .filter(|&e| e <= self.inst.memory.len())
             .ok_or(Trap::OutOfBounds { addr: addr as u64, len: bytes.len() as u64 })?;
-        self.memory[addr..end].copy_from_slice(bytes);
+        self.inst.memory.slice_mut(addr..end).copy_from_slice(bytes);
         Ok(())
     }
 
@@ -301,9 +312,9 @@ impl Machine {
     pub fn read_memory(&self, addr: usize, len: usize) -> Result<&[u8], Trap> {
         let end = addr
             .checked_add(len)
-            .filter(|&e| e <= self.memory.len())
+            .filter(|&e| e <= self.inst.memory.len())
             .ok_or(Trap::OutOfBounds { addr: addr as u64, len: len as u64 })?;
-        Ok(&self.memory[addr..end])
+        Ok(&self.inst.memory.bytes()[addr..end])
     }
 
     /// Invokes the exported function `entry` with `args`, running to
@@ -317,14 +328,14 @@ impl Machine {
         }
         // Reset transient state (memory persists across calls by design —
         // the embedding stages inputs there).
-        self.stack.clear();
-        self.locals.clear();
-        self.frames.clear();
+        self.inst.stack.clear();
+        self.inst.locals.clear();
+        self.inst.frames.clear();
 
         let locals_base = 0;
-        self.locals.extend_from_slice(args);
-        self.locals.extend(std::iter::repeat_n(0, decl.n_locals as usize));
-        self.frames.push(Frame { func, pc: 0, locals_base });
+        self.inst.locals.extend_from_slice(args);
+        self.inst.locals.extend(std::iter::repeat_n(0, decl.n_locals as usize));
+        self.inst.frames.push(Frame { func, pc: 0, locals_base });
         let fuel_before = self.fuel_used_total;
         let (audited_before, violations_before) = match &self.audit {
             Some(a) => (a.audited, a.violations.len()),
@@ -333,7 +344,7 @@ impl Machine {
         let result = if self.is_fast_path() { self.run_fast() } else { self.run() };
         if result.is_err() {
             // Leave state consistent for inspection but do not allow resume.
-            self.frames.clear();
+            self.inst.frames.clear();
         }
         // Fuel lower bounds are claimed for *successful* completions only:
         // a trap can legitimately cut a run short of the static minimum.
@@ -375,15 +386,15 @@ impl Machine {
     }
 
     fn push(&mut self, v: i64) -> Result<(), Trap> {
-        if self.stack.len() >= self.policy.max_stack {
+        if self.inst.stack.len() >= self.policy().max_stack {
             return Err(Trap::StackOverflow);
         }
-        self.stack.push(v);
+        self.inst.stack.push(v);
         Ok(())
     }
 
     fn pop(&mut self) -> Result<i64, Trap> {
-        self.stack.pop().ok_or(Trap::StackUnderflow)
+        self.inst.stack.pop().ok_or(Trap::StackUnderflow)
     }
 
     fn mem_range(&self, addr: i64, len: i64) -> Result<(usize, usize), Trap> {
@@ -393,7 +404,7 @@ impl Machine {
         }
         let (a, l) = (addr as usize, len as usize);
         let end = a.checked_add(l).ok_or_else(oob)?;
-        if end > self.memory.len() {
+        if end > self.inst.memory.len() {
             return Err(oob());
         }
         Ok((a, end))
@@ -401,7 +412,7 @@ impl Machine {
 
     fn load(&self, addr: i64, width: usize) -> Result<i64, Trap> {
         let (a, end) = self.mem_range(addr, width as i64)?;
-        let bytes = &self.memory[a..end];
+        let bytes = &self.inst.memory.bytes()[a..end];
         let mut buf = [0u8; 8];
         buf[..width].copy_from_slice(bytes);
         Ok(i64::from_le_bytes(buf))
@@ -410,7 +421,7 @@ impl Machine {
     fn store(&mut self, addr: i64, width: usize, value: i64) -> Result<(), Trap> {
         let (a, end) = self.mem_range(addr, width as i64)?;
         let bytes = value.to_le_bytes();
-        self.memory[a..end].copy_from_slice(&bytes[..width]);
+        self.inst.memory.slice_mut(a..end).copy_from_slice(&bytes[..width]);
         Ok(())
     }
 
@@ -421,7 +432,7 @@ impl Machine {
         self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
         let (s, send) = self.mem_range(src, len)?;
         let (d, _) = self.mem_range(dst, len)?;
-        self.memory.copy_within(s..send, d);
+        self.inst.memory.copy_within(s..send, d);
         Ok(())
     }
 
@@ -430,7 +441,7 @@ impl Machine {
     fn mem_fill(&mut self, dst: i64, byte: i64, len: i64) -> Result<(), Trap> {
         self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
         let (d, end) = self.mem_range(dst, len)?;
-        self.memory[d..end].fill(byte as u8);
+        self.inst.memory.slice_mut(d..end).fill(byte as u8);
         Ok(())
     }
 
@@ -444,17 +455,17 @@ impl Machine {
         let (d, _) = self.mem_range(dst, len)?;
         let n = send - s;
         if s >= d {
-            self.memory.copy_within(s..send, d);
+            self.inst.memory.copy_within(s..send, d);
             return Ok(());
         }
         // The first `dist` bytes do not overlap their source. From then on
         // `d..d + done` holds whole repeats of them, so each pass doubles it.
         let dist = d - s;
         let mut done = n.min(dist);
-        self.memory.copy_within(s..s + done, d);
+        self.inst.memory.copy_within(s..s + done, d);
         while done < n {
             let chunk = done.min(n - done);
-            self.memory.copy_within(d..d + chunk, d + done);
+            self.inst.memory.copy_within(d..d + chunk, d + done);
             done += chunk;
         }
         Ok(())
@@ -463,7 +474,7 @@ impl Machine {
     /// The main dispatch loop.
     fn run(&mut self) -> Result<i64, Trap> {
         loop {
-            let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
+            let frame = self.inst.frames.last_mut().ok_or(Trap::Wedged)?;
             let func = frame.func;
             let pc = frame.pc;
             let base = frame.locals_base;
@@ -472,7 +483,7 @@ impl Machine {
                 // Implicit return at end of body (verifier guarantees a
                 // terminator, this is defensive).
                 if self.ret()? {
-                    return Ok(self.stack.pop().unwrap_or(0));
+                    return Ok(self.inst.stack.pop().unwrap_or(0));
                 }
                 continue;
             }
@@ -482,11 +493,11 @@ impl Machine {
                 // reasoned about are still on the stack.
                 self.audit_check(func, pc, &op);
             }
-            self.frames.last_mut().expect("frame").pc = next;
+            self.inst.frames.last_mut().expect("frame").pc = next;
             self.charge(1)?;
 
             match op {
-                Op::Halt => return Ok(self.stack.pop().unwrap_or(0)),
+                Op::Halt => return Ok(self.inst.stack.pop().unwrap_or(0)),
                 Op::Nop => {}
                 Op::Unreachable => return Err(Trap::Unreachable),
                 Op::Jmp(rel) => self.branch(rel)?,
@@ -503,7 +514,7 @@ impl Machine {
                 Op::Call(idx) => self.enter(idx as usize)?,
                 Op::Ret => {
                     if self.ret()? {
-                        return Ok(self.stack.pop().unwrap_or(0));
+                        return Ok(self.inst.stack.pop().unwrap_or(0));
                     }
                 }
                 Op::HostCall(id) => {
@@ -523,22 +534,22 @@ impl Machine {
                     self.set_local(base, n, v)?;
                 }
                 Op::LocalTee(n) => {
-                    let v = *self.stack.last().ok_or(Trap::StackUnderflow)?;
+                    let v = *self.inst.stack.last().ok_or(Trap::StackUnderflow)?;
                     self.set_local(base, n, v)?;
                 }
                 Op::Drop => {
                     self.pop()?;
                 }
                 Op::Dup => {
-                    let v = *self.stack.last().ok_or(Trap::StackUnderflow)?;
+                    let v = *self.inst.stack.last().ok_or(Trap::StackUnderflow)?;
                     self.push(v)?;
                 }
                 Op::Swap => {
-                    let n = self.stack.len();
+                    let n = self.inst.stack.len();
                     if n < 2 {
                         return Err(Trap::StackUnderflow);
                     }
-                    self.stack.swap(n - 1, n - 2);
+                    self.inst.stack.swap(n - 1, n - 2);
                 }
                 Op::Add => self.binop(|a, b| Ok(a.wrapping_add(b)))?,
                 Op::Sub => self.binop(|a, b| Ok(a.wrapping_sub(b)))?,
@@ -641,7 +652,7 @@ impl Machine {
                     self.lz_copy(dst, src, len)?;
                 }
                 Op::MemSize => {
-                    let size = self.memory.len() as i64;
+                    let size = self.inst.memory.len() as i64;
                     self.push(size)?;
                 }
             }
@@ -655,8 +666,8 @@ impl Machine {
     fn audit_check(&mut self, func: usize, at: usize, op: &Op) {
         // Take the state out so `self` stays freely borrowable below.
         let Some(mut audit) = self.audit.take() else { return };
-        let n = self.stack.len();
-        let peek = |i: usize| -> Option<i64> { n.checked_sub(1 + i).map(|s| self.stack[s]) };
+        let n = self.inst.stack.len();
+        let peek = |i: usize| -> Option<i64> { n.checked_sub(1 + i).map(|s| self.inst.stack[s]) };
 
         if let Op::HostCall(id) = *op {
             audit.audited += 1;
@@ -796,13 +807,13 @@ impl Machine {
     /// index statically; a miss here is a wedge.
     #[inline]
     fn local(&self, base: usize, n: u8) -> Result<i64, Trap> {
-        self.locals.get(base + n as usize).copied().ok_or(Trap::Wedged)
+        self.inst.locals.get(base + n as usize).copied().ok_or(Trap::Wedged)
     }
 
     /// Writes local `n`; see [`Machine::local`].
     #[inline]
     fn set_local(&mut self, base: usize, n: u8, v: i64) -> Result<(), Trap> {
-        *self.locals.get_mut(base + n as usize).ok_or(Trap::Wedged)? = v;
+        *self.inst.locals.get_mut(base + n as usize).ok_or(Trap::Wedged)? = v;
         Ok(())
     }
 
@@ -855,15 +866,15 @@ impl Machine {
         base: usize,
         ret_pc: usize,
     ) -> Result<(), Trap> {
-        if self.frames.len() >= self.policy.max_call_depth {
+        if self.inst.frames.len() >= self.policy().max_call_depth {
             return Err(Trap::CallDepthExceeded);
         }
-        self.frames.last_mut().ok_or(Trap::Wedged)?.pc = ret_pc;
+        self.inst.frames.last_mut().ok_or(Trap::Wedged)?.pc = ret_pc;
         if regs.len() < base + callee.frame {
             regs.resize(base + callee.frame, 0);
         }
         regs[base + callee.n_args..base + callee.first_stack].fill(0);
-        self.frames.push(Frame { func, pc: 0, locals_base: base });
+        self.inst.frames.push(Frame { func, pc: 0, locals_base: base });
         Ok(())
     }
 
@@ -882,8 +893,8 @@ impl Machine {
             return Err(Trap::Wedged);
         }
         win.copy_within(first..first + count, 0);
-        self.frames.pop();
-        let caller = self.frames.last().ok_or(Trap::Wedged)?;
+        self.inst.frames.pop();
+        let caller = self.inst.frames.last().ok_or(Trap::Wedged)?;
         Ok((caller.func, caller.pc, caller.locals_base))
     }
 
@@ -895,7 +906,7 @@ impl Machine {
     fn halted(&self, funcs: &[RegFunction], regs: &[i64], height: usize) -> i64 {
         // A suspended frame's stack ends where its callee's window begins.
         let mut callee_base = None;
-        for frame in self.frames.iter().rev() {
+        for frame in self.inst.frames.iter().rev() {
             let first_stack = frame.locals_base + funcs[frame.func].first_stack;
             let height = callee_base.map_or(height, |base: usize| base.saturating_sub(first_stack));
             if height > 0 {
@@ -907,15 +918,15 @@ impl Machine {
     }
 
     /// A host call on the fast path. The shared body takes its operands
-    /// from, and leaves its result on, `self.stack`, which the fast loop
+    /// from, and leaves its result on, `self.inst.stack`, which the fast loop
     /// otherwise never touches: `args` go there and `args[0]`, the stack
     /// register the result belongs in, takes what comes back.
     #[inline(never)]
     fn host_call_regs(&mut self, id: u8, args: &mut [i64]) -> Result<Option<i64>, Trap> {
-        self.stack.clear();
-        self.stack.extend_from_slice(args);
+        self.inst.stack.clear();
+        self.inst.stack.extend_from_slice(args);
         let aborted = self.host_call(id)?;
-        if let (Some(slot), Some(v)) = (args.first_mut(), self.stack.pop()) {
+        if let (Some(slot), Some(v)) = (args.first_mut(), self.inst.stack.pop()) {
             *slot = v;
         }
         Ok(aborted)
@@ -936,12 +947,12 @@ impl Machine {
         let Program::Admitted(analyzed) = &self.program else { return Err(Trap::Wedged) };
         let analyzed = Arc::clone(analyzed);
         let funcs = analyzed.fast.as_slice();
-        let entry = self.frames.last().ok_or(Trap::Wedged)?.func;
+        let entry = self.inst.frames.last().ok_or(Trap::Wedged)?.func;
         let entry = funcs.get(entry).ok_or(Trap::Wedged)?;
         // The register file is the locals arena, which `call` has filled
         // with the entry frame's arguments and zeroed locals. The loop owns
         // it, and its copy of the tank, until it exits.
-        let mut regs = std::mem::take(&mut self.locals);
+        let mut regs = std::mem::take(&mut self.inst.locals);
         regs.resize(entry.frame, 0);
         let mut fuel = self.fuel;
         let mut code = entry.code.as_slice();
@@ -1098,7 +1109,7 @@ impl Machine {
                 SlotOp::Call => {
                     let callee = s.t as usize;
                     let Some(next) = funcs.get(callee) else { break Err(Trap::Wedged) };
-                    let base = self.frames.last().map_or(0, |f| f.locals_base) + s.a as usize;
+                    let base = self.inst.frames.last().map_or(0, |f| f.locals_base) + s.a as usize;
                     if let Err(trap) = self.enter_window(next, callee, &mut regs, base, pc) {
                         break Err(trap);
                     }
@@ -1107,7 +1118,7 @@ impl Machine {
                 }
                 SlotOp::Ret => {
                     let (first, count) = (s.a as usize, s.b as usize);
-                    if self.frames.len() == 1 {
+                    if self.inst.frames.len() == 1 {
                         break Ok(if count > 0 { get!(first + count - 1) } else { 0 });
                     }
                     let (caller, resume, base) = match self.leave_window(win, first, count) {
@@ -1124,12 +1135,12 @@ impl Machine {
             }
         };
         self.settle(fuel);
-        self.locals = regs;
+        self.inst.locals = regs;
         outcome
     }
 
     fn branch(&mut self, rel: i32) -> Result<(), Trap> {
-        let frame = self.frames.last_mut().ok_or(Trap::Wedged)?;
+        let frame = self.inst.frames.last_mut().ok_or(Trap::Wedged)?;
         // pc currently points at the *next* instruction; offsets are
         // relative to it. The verifier guarantees targets are valid.
         let target = frame.pc as i64 + rel as i64;
@@ -1142,37 +1153,37 @@ impl Machine {
     }
 
     fn enter(&mut self, callee: usize) -> Result<(), Trap> {
-        if self.frames.len() >= self.policy.max_call_depth {
+        if self.inst.frames.len() >= self.policy().max_call_depth {
             return Err(Trap::CallDepthExceeded);
         }
         let decl = self.program.module().functions.get(callee).ok_or(Trap::Wedged)?;
         let n_args = decl.n_args as usize;
         let n_locals = decl.n_locals as usize;
-        if self.stack.len() < n_args {
+        if self.inst.stack.len() < n_args {
             return Err(Trap::StackUnderflow);
         }
-        let locals_base = self.locals.len();
+        let locals_base = self.inst.locals.len();
         // Move args from stack into locals, preserving order (first arg is
         // deepest on the stack).
-        let split = self.stack.len() - n_args;
-        self.locals.extend_from_slice(&self.stack[split..]);
-        self.stack.truncate(split);
-        self.locals.extend(std::iter::repeat_n(0, n_locals));
-        self.frames.push(Frame { func: callee, pc: 0, locals_base });
+        let split = self.inst.stack.len() - n_args;
+        self.inst.locals.extend_from_slice(&self.inst.stack[split..]);
+        self.inst.stack.truncate(split);
+        self.inst.locals.extend(std::iter::repeat_n(0, n_locals));
+        self.inst.frames.push(Frame { func: callee, pc: 0, locals_base });
         Ok(())
     }
 
     /// Pops a frame. Returns true when the entry frame itself returned.
     fn ret(&mut self) -> Result<bool, Trap> {
-        let frame = self.frames.pop().ok_or(Trap::Wedged)?;
-        self.locals.truncate(frame.locals_base);
-        Ok(self.frames.is_empty())
+        let frame = self.inst.frames.pop().ok_or(Trap::Wedged)?;
+        self.inst.locals.truncate(frame.locals_base);
+        Ok(self.inst.frames.is_empty())
     }
 
     /// Dispatches a host call. Returns `Some(code)` when the module aborted.
     fn host_call(&mut self, id: u8) -> Result<Option<i64>, Trap> {
         let host = HostId::from_id(id).ok_or(Trap::UnknownHost(id))?;
-        if !self.policy.allows(host) {
+        if !self.policy().allows(host) {
             return Err(Trap::HostDenied(id));
         }
         match host {
@@ -1184,19 +1195,18 @@ impl Machine {
                 let (s, send) = self.mem_range(src, len)?;
                 let (d, _) = self.mem_range(dst, 20)?;
                 let mut h = Sha1::new();
-                h.update(&self.memory[s..send]);
+                h.update(&self.inst.memory.bytes()[s..send]);
                 let digest = h.finalize();
-                self.memory[d..d + 20].copy_from_slice(digest.as_bytes());
+                self.inst.memory.slice_mut(d..d + 20).copy_from_slice(digest.as_bytes());
                 self.push(0)?;
             }
             HostId::Log => {
                 let len = self.pop()?;
                 let ptr = self.pop()?;
                 let (p, end) = self.mem_range(ptr, len)?;
-                let room = self.policy.max_log_bytes.saturating_sub(self.log.len());
+                let room = self.policy().max_log_bytes.saturating_sub(self.inst.log.len());
                 let take = room.min(end - p);
-                let bytes = self.memory[p..p + take].to_vec();
-                self.log.extend_from_slice(&bytes);
+                self.inst.log.extend_from_slice(&self.inst.memory.bytes()[p..p + take]);
                 self.push(0)?;
             }
             HostId::Abort => {
@@ -1210,7 +1220,8 @@ impl Machine {
                 self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
                 let (ai, aend) = self.mem_range(a, len)?;
                 let (bi, bend) = self.mem_range(b, len)?;
-                let eq = self.memory[ai..aend] == self.memory[bi..bend];
+                let memory = self.inst.memory.bytes();
+                let eq = memory[ai..aend] == memory[bi..bend];
                 self.push(eq as i64)?;
             }
             HostId::WeakSum => {
@@ -1218,7 +1229,7 @@ impl Machine {
                 let src = self.pop()?;
                 self.charge(len.max(0) as u64 / COPY_BYTES_PER_FUEL + 1)?;
                 let (s, end) = self.mem_range(src, len)?;
-                let sum = weak_sum(&self.memory[s..end]);
+                let sum = weak_sum(&self.inst.memory.bytes()[s..end]);
                 self.push(sum as i64)?;
             }
         }
@@ -1753,8 +1764,8 @@ mod tests {
         "#;
         let policy = SandboxPolicy::default();
         let shared = Arc::new(assemble(src).unwrap().analyzed(&policy).unwrap());
-        let mut a = Machine::new_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
-        let mut b = Machine::new_analyzed(Arc::clone(&shared), policy).unwrap();
+        let mut a = Machine::new_analyzed(Arc::clone(&shared)).unwrap();
+        let mut b = Machine::new_analyzed(Arc::clone(&shared)).unwrap();
         assert!(a.is_fast_path() && b.is_fast_path());
         assert_eq!(a.call("bump", &[]), Ok(1));
         assert_eq!(a.call("bump", &[]), Ok(2));
@@ -1763,20 +1774,6 @@ mod tests {
         assert_eq!(a.fuel_used(), 2 * b.fuel_used());
         // Two instances plus this handle: nothing was cloned out of the Arc.
         assert_eq!(Arc::strong_count(&shared), 3);
-    }
-
-    #[test]
-    fn a_proof_whose_stack_bound_exceeds_the_instance_policy_is_refused() {
-        let src =
-            ".memory 1\n.func three args=0 locals=0\n push 1\n push 2\n push 3\n add\n add\n ret\n";
-        let roomy = SandboxPolicy::default();
-        let shared = Arc::new(assemble(src).unwrap().analyzed(&roomy).unwrap());
-        assert_eq!(shared.analysis.stack_bound, 3);
-        let tight = SandboxPolicy { max_stack: 2, ..roomy.clone() };
-        let refused = Machine::new_analyzed(Arc::clone(&shared), tight).map(|_| ());
-        assert_eq!(refused, Err(Trap::StackOverflow));
-        let exact = SandboxPolicy { max_stack: 3, ..roomy };
-        assert_eq!(Machine::new_analyzed(shared, exact).unwrap().call("three", &[]), Ok(6));
     }
 
     // --- the register form against the checked loop ----------------------
@@ -1790,15 +1787,17 @@ mod tests {
         let analyzed = Arc::new(module.clone().analyzed(&SandboxPolicy::default()).unwrap());
         let run = |fuel: u64| {
             let policy = SandboxPolicy::default().with_fuel(fuel);
-            let mut checked = Machine::new(module.clone(), policy.clone()).unwrap();
-            let mut fast = Machine::new_analyzed(Arc::clone(&analyzed), policy).unwrap();
+            let mut checked = Machine::new(module.clone(), policy).unwrap();
+            let mut fast = Machine::new_analyzed(Arc::clone(&analyzed)).unwrap();
+            fast.limit_fuel(fuel);
             assert!(fast.is_fast_path());
             let outcome = checked.call(entry, args);
             let what = format!("fuel={fuel} args={args:?}");
             assert_eq!(outcome, fast.call(entry, args), "{what}");
             assert_eq!(checked.fuel_used(), fast.fuel_used(), "{what}");
             assert_eq!(checked.fuel_remaining(), fast.fuel_remaining(), "{what}");
-            assert!(checked.memory == fast.memory, "memory differs, {what}");
+            let (m_checked, m_fast) = (checked.inst.memory.bytes(), fast.inst.memory.bytes());
+            assert!(m_checked == m_fast, "memory differs, {what}");
             assert_eq!(checked.log_bytes(), fast.log_bytes(), "{what}");
             (outcome, checked.fuel_used())
         };
@@ -2034,7 +2033,7 @@ mod tests {
         assert!(matches!(sweep(src, "main", &[-8]).0, Err(Trap::OutOfBounds { .. })));
         // The instance is reusable after the trap: windows start over.
         let analyzed = assemble(src).unwrap().analyzed(&SandboxPolicy::default()).unwrap();
-        let mut m = Machine::new_analyzed(analyzed, SandboxPolicy::default()).unwrap();
+        let mut m = Machine::new_analyzed(analyzed).unwrap();
         assert!(m.call("main", &[-8]).is_err());
         assert_eq!(m.call("main", &[0]), Ok(77));
     }
@@ -2112,9 +2111,7 @@ mod tests {
                 for b in values {
                     let mut checked = Machine::new(module.clone(), SandboxPolicy::default());
                     let checked = checked.as_mut().unwrap();
-                    let mut fast =
-                        Machine::new_analyzed(Arc::clone(&analyzed), SandboxPolicy::default())
-                            .unwrap();
+                    let mut fast = Machine::new_analyzed(Arc::clone(&analyzed)).unwrap();
                     assert_eq!(checked.call("main", &[a, b]), fast.call("main", &[a, b]), "{op}");
                     assert_eq!(checked.fuel_used(), fast.fuel_used(), "{op} {a} {b}");
                 }

@@ -378,6 +378,17 @@ fn gen_module(seed: u64) -> String {
     out
 }
 
+/// [`gen_module`] over four pages instead of one, for the tests that need a
+/// tenant's instance kept: every address the generator proves in bounds stays
+/// in the first page, so the dirty span stays under the half of memory past
+/// which the pool frees an instance rather than wipe it. The one length
+/// chosen to overrun one page is raised to overrun four.
+fn gen_roomy_module(seed: u64) -> String {
+    gen_module(seed)
+        .replacen(".memory 1\n", ".memory 4\n", 1)
+        .replace("    push 70000\n", "    push 270000\n")
+}
+
 /// Drops the stack to height zero (loop prologue).
 fn emit_ret_height_zero(out: &mut String, h: &mut i32) {
     while *h > 0 {
@@ -422,9 +433,13 @@ impl Subject {
     ) -> u64 {
         let what = format!("fuel={} args={args:?}\n{}", policy.max_fuel, self.what);
         let mut checked = Machine::new(self.module.clone(), policy.clone()).expect("checked");
-        let mut fast = Machine::new_analyzed(Arc::clone(&self.analyzed), policy.clone()).unwrap();
-        let mut audited = Machine::new_audited(Arc::clone(&self.analyzed), policy.clone()).unwrap();
+        let mut fast = Machine::new_analyzed(Arc::clone(&self.analyzed)).unwrap();
+        let mut audited = Machine::new_audited(Arc::clone(&self.analyzed)).unwrap();
         assert!(fast.is_fast_path(), "should analyze onto the fast path\n{what}");
+        // The admitted pair runs under the policy of the proof; `policy`
+        // differs from it in the budget alone.
+        fast.limit_fuel(policy.max_fuel);
+        audited.limit_fuel(policy.max_fuel);
         for machine in [&mut checked, &mut fast, &mut audited] {
             for &(addr, bytes) in staged {
                 machine.write_memory(addr, bytes).expect("staged input fits");
@@ -627,4 +642,282 @@ fn shipped_upstream_builders_audit_clean() {
         );
         assert!(audited.claims_audited() > 0);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Recycled ≡ fresh: an instance checked out of an admitted module's pool is
+// the instance a first checkout makes, whatever its previous tenant did.
+// ---------------------------------------------------------------------------
+
+/// Everything a run leaves observable.
+#[derive(PartialEq, Debug)]
+struct Observed {
+    result: Result<i64, fractal_vm::Trap>,
+    fuel_used: u64,
+    fuel_left: u64,
+    memory: Vec<u8>,
+    log: Vec<u8>,
+}
+
+fn whole_memory(machine: &Machine) -> Vec<u8> {
+    machine.read_memory(0, machine.memory_len()).unwrap().to_vec()
+}
+
+fn observe(machine: &mut Machine, entry: &str, args: &[i64]) -> Observed {
+    let result = machine.call(entry, args);
+    Observed {
+        result,
+        fuel_used: machine.fuel_used(),
+        fuel_left: machine.fuel_remaining(),
+        memory: whole_memory(machine),
+        log: machine.log_bytes().to_vec(),
+    }
+}
+
+/// One admission whose instances are used, dropped and checked out again,
+/// and what a never-used instance of its module holds. Tests that need an
+/// oracle build a second `Recycling` from the same source: two admissions
+/// share no pool.
+struct Recycling {
+    pooled: Arc<AnalyzedModule>,
+    /// What a never-used instance holds: zeroes and the data segments.
+    image: Vec<u8>,
+    what: String,
+}
+
+impl Recycling {
+    fn new(src: &str, policy: &SandboxPolicy) -> Recycling {
+        let module = assemble(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let pooled = Arc::new(module.clone().analyzed(policy).unwrap());
+        let never_used = Machine::new(module, policy.clone()).unwrap();
+        Recycling { pooled, image: whole_memory(&never_used), what: src.to_string() }
+    }
+
+    /// Checks an instance out and holds it to the never-used image.
+    fn checkout(&self, recycled: bool) -> Machine {
+        let machine = Machine::new_analyzed(Arc::clone(&self.pooled)).unwrap();
+        assert_eq!(machine.is_recycled(), recycled, "{}", self.what);
+        assert!(whole_memory(&machine) == self.image, "a checkout is not pristine\n{}", self.what);
+        assert_eq!((machine.fuel_used(), machine.log_bytes()), (0, &[][..]), "{}", self.what);
+        machine
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A tenant stages bytes, runs `main(first)` under a budget that cuts it
+    /// off at every possible unit (so it ends in a result, a trap inside a
+    /// bulk op or a division, or starvation anywhere), and is dropped. The
+    /// next tenant's `main(second)` must be, to the byte and the fuel unit,
+    /// the run a machine over a never-used instance makes.
+    #[test]
+    fn a_recycled_instance_runs_as_a_never_used_one(
+        seed in any::<u64>(),
+        raw in (any::<i64>(), any::<i64>(), any::<i64>(), any::<i64>()),
+    ) {
+        let mut rng = Rng::new(seed ^ 0x5DEECE66D);
+        let mut pick = |raw: i64| {
+            if rng.below(3) == 0 { CONSTS[rng.below(CONSTS.len() as u64) as usize] } else { raw }
+        };
+        let (first, second) = ([pick(raw.0), pick(raw.1)], [pick(raw.2), pick(raw.3)]);
+        let src = gen_roomy_module(seed);
+        let subject = Recycling::new(&src, &SandboxPolicy::default());
+        let junk = data(seed, 700);
+
+        // The oracle never shares a pool with the subject.
+        let oracle = Recycling::new(&src, &SandboxPolicy::default());
+        let expected = observe(&mut oracle.checkout(false), "main", &second);
+        let full = {
+            let mut tenant = oracle.checkout(true);
+            tenant.write_memory(40_000, &junk).unwrap();
+            let _ = tenant.call("main", &first);
+            tenant.fuel_used()
+        };
+
+        for budget in 0..=full {
+            let mut tenant = subject.checkout(budget > 0);
+            tenant.write_memory(40_000, &junk).unwrap();
+            tenant.limit_fuel(budget);
+            let _ = tenant.call("main", &first);
+            drop(tenant);
+            let mut next = subject.checkout(true);
+            prop_assert!(observe(&mut next, "main", &second) == expected, "budget {}\n{}", budget, src);
+        }
+    }
+}
+
+/// The ends the generator reaches only by chance, by name: stores and a
+/// result, a bulk copy that traps after earlier stores landed, the `sha1`
+/// host write, the log, `lzcopy`'s overlapping writes, and an embedder that
+/// only ever calls `write_memory`.
+#[test]
+fn every_way_a_tenant_can_end_leaves_a_pristine_instance() {
+    let src = r#"
+        .memory 4
+        .data 16 str:"segment"
+        .func stores args=1 locals=0
+            push 70000
+            local.get 0
+            store64
+            push 131071
+            push 0xEE
+            store8
+            push 70000
+            load64
+            ret
+        .func copy_out_of_bounds args=0 locals=0
+            push 9000
+            push 0x55
+            push 300
+            memfill
+            push 262000
+            push 9000
+            push 300
+            memcopy
+            push 1
+            ret
+        .func digest args=0 locals=0
+            push 16
+            push 7
+            push 50000
+            host sha1
+            drop
+            push 16
+            push 7
+            host log
+            drop
+            push 50000
+            load8
+            ret
+        .func repeat args=0 locals=0
+            push 100000
+            push 0xAB
+            store8
+            push 100001
+            push 100000
+            push 5000
+            lzcopy
+            push 104999
+            load8
+            ret
+    "#;
+    let subject = Recycling::new(src, &SandboxPolicy::default());
+    let ends: [(&str, &[i64]); 4] =
+        [("stores", &[-2]), ("copy_out_of_bounds", &[]), ("digest", &[]), ("repeat", &[])];
+    let mut recycled = false;
+    for (entry, args) in ends {
+        // What the entry does on a first instance…
+        let oracle = Recycling::new(src, &SandboxPolicy::default());
+        let expected = observe(&mut oracle.checkout(false), entry, args);
+        assert!(expected.memory != subject.image, "{entry} wrote nothing");
+        // …it does on one every earlier entry has run on and been dropped from.
+        let mut tenant = subject.checkout(recycled);
+        assert_eq!(observe(&mut tenant, entry, args), expected, "{entry}");
+        recycled = true;
+    }
+    assert!(matches!(
+        observe(&mut subject.checkout(true), "copy_out_of_bounds", &[]).result,
+        Err(fractal_vm::Trap::OutOfBounds { .. })
+    ));
+    // An embedder that writes and never calls.
+    let mut tenant = subject.checkout(true);
+    tenant.write_memory(131_072 - 3, b"end").unwrap();
+    tenant.write_memory(0, b"start").unwrap();
+    drop(tenant);
+    subject.checkout(true);
+}
+
+#[test]
+fn an_instance_returned_on_another_thread_is_checked_out_pristine_on_this_one() {
+    let subject = Recycling::new(&gen_roomy_module(7), &SandboxPolicy::default());
+    let mut tenant = subject.checkout(false);
+    let junk = data(9, 4000);
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            tenant.write_memory(1000, &junk).unwrap();
+            let _ = tenant.call("main", &[3, -1]);
+            // Dropped here: the pool is the module's, not the thread's.
+        });
+    });
+    subject.checkout(true);
+}
+
+/// `dirty(n)` fills the first `n` bytes of a 64 KiB memory.
+const DIRTIER: &str = r#"
+    .memory 1
+    .func dirty args=1 locals=0
+        push 0
+        push 0xAA
+        local.get 0
+        memfill
+        push 0
+        ret
+"#;
+
+fn dirtied(subject: &Recycling, len: i64, recycled: bool) -> Machine {
+    let mut tenant = subject.checkout(recycled);
+    assert_eq!(tenant.call("dirty", &[len]), Ok(0));
+    tenant
+}
+
+#[test]
+fn an_instance_that_dirtied_most_of_its_memory_is_freed_not_scrubbed() {
+    // The default policy grants 16 MiB: the pool's budget is nowhere near.
+    let subject = Recycling::new(DIRTIER, &SandboxPolicy::default());
+    drop(dirtied(&subject, 65536, false));
+    drop(dirtied(&subject, 32769, false));
+    // Half the memory is the most a kept instance may have to be wiped of.
+    drop(dirtied(&subject, 32768, false));
+    subject.checkout(true);
+}
+
+#[test]
+fn the_pool_retains_less_than_the_policy_grants_an_instance() {
+    // A policy sized to the module: 64 KiB.
+    let subject = Recycling::new(DIRTIER, &SandboxPolicy::default().with_memory(65536));
+    // Three live at once, 30 000 bytes each: the first two returned fit
+    // under 64 KiB, the third does not.
+    let live = [
+        dirtied(&subject, 30_000, false),
+        dirtied(&subject, 30_000, false),
+        dirtied(&subject, 30_000, false),
+    ];
+    drop(live);
+    let again = [subject.checkout(true), subject.checkout(true), subject.checkout(false)];
+    drop(again);
+    // Returned clean, all three fit.
+    let again = [subject.checkout(true), subject.checkout(true), subject.checkout(true)];
+    drop(again);
+}
+
+#[test]
+fn an_evicted_admission_frees_its_pool_with_it() {
+    use fractal_vm::AdmissionCache;
+    let constant = |k: usize| {
+        assemble(&format!(".memory 1\n.func main args=0 locals=0\n push {k}\n ret\n")).unwrap()
+    };
+    let cache = AdmissionCache::new();
+    let policy = SandboxPolicy::default();
+    let admit = |k: usize| {
+        let module = constant(k);
+        cache
+            .get_or_admit(&module.digest(), &policy, || module.clone().analyzed(&policy))
+            .unwrap()
+            .0
+    };
+    let admitted = admit(0);
+    let watch = Arc::downgrade(&admitted);
+    // Fill its pool: two instances used and returned.
+    let pair = [Machine::new_analyzed(Arc::clone(&admitted)), Machine::new_analyzed(admitted)];
+    drop(pair);
+    assert!(Machine::new_analyzed(watch.upgrade().expect("the cache holds it"))
+        .unwrap()
+        .is_recycled());
+    // Push it out of the cache. Nothing else holds the admission, so it —
+    // and the pool inside it — is gone: no sweep, no second owner.
+    for k in 1..=cache.capacity() {
+        admit(k);
+    }
+    assert!(watch.upgrade().is_none(), "an evicted admission outlived its last machine");
 }

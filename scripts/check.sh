@@ -3,16 +3,17 @@
 # Run from the repository root before sending a change out for review.
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
-#                             # no-stripe-by-hash, one-fast-path and
-#                             # unused-dependency
+#                             # no-stripe-by-hash, one-fast-path,
+#                             # one-memory-type and unused-dependency
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/pads/core/bench/protocols/
-#                             # crypto crate tests,
+#                             # crypto crate tests, the instance-recycling
+#                             # suite again in release,
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all five audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all six audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -78,12 +79,13 @@ cargo fmt --all --check
 # DESIGN.md §7 says every `unsafe` block, fn, impl and extern lives in the
 # poll(2)/rlimit bindings; this makes that a checked claim. `deny(unsafe_code)`
 # already covers fractal-core; the grep also covers the crates and shims
-# that carry no such attribute.
-step "unsafe confined to crates/core/src/sys.rs"
+# that carry no such attribute. The one exception is a test binary: the
+# counting `GlobalAlloc` of crates/vm/tests/alloc.rs, which no library links.
+step "unsafe confined to crates/core/src/sys.rs (and the counting allocator of crates/vm/tests/alloc.rs)"
 stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crates src shims \
-    | grep -v '^crates/core/src/sys\.rs:' || true)
+    | grep -vE '^crates/(core/src/sys|vm/tests/alloc)\.rs:' || true)
 if [ -n "$stray" ]; then
-    echo "unsafe code outside crates/core/src/sys.rs:" >&2
+    echo "unsafe code outside crates/core/src/sys.rs and crates/vm/tests/alloc.rs:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -126,6 +128,11 @@ if grep -rnE 'fuse_at|push_fast|pop_fast|GetGetBin' --include='*.rs' crates/vm/s
     exit 1
 fi
 
+# A recycled sandbox is a fresh one only while every write to linear memory
+# is recorded in the span the scrub zeroes; the script says what it greps.
+step "instance memory allocated and written only in crates/vm/src/memory.rs"
+scripts/one_memory_type.sh
+
 step "every declared dependency is named by a source file of its crate"
 scripts/unused_deps.sh
 
@@ -160,6 +167,17 @@ if [ "$QUICK" -eq 1 ]; then
 else
     cargo test -q -p fractal -p fractal-telemetry -p fractal-vm -p fractal-pads \
         -p fractal-core -p fractal-bench -p fractal-protocols -p fractal-crypto
+fi
+
+# The debug run above had the pool's whole-buffer zero scan live on every
+# machine any suite dropped (a `debug_assert!`). Release is what deploys:
+# there the recycled-≡-fresh suite, the allocation count and tier-1's
+# isolation probe are what stand between a forgotten span update and the
+# next tenant.
+if [ "$QUICK" -eq 0 ]; then
+    step "instance recycling in release (recycled ≡ fresh, no allocation on a pool hit, isolation)"
+    cargo test -q --release -p fractal-vm --test differential --test alloc
+    cargo test -q --release --test security
 fi
 
 # The shipped PADs must come out of the analyzer lint-clean: fasmlint

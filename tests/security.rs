@@ -287,7 +287,7 @@ mod analyzer_soundness {
             // uphold it.
             if let Ok(analyzed) = module.clone().analyzed(&policy) {
                 let min_fuel = analyzed.analysis.functions[0].min_fuel;
-                let mut fast = Machine::new_analyzed(analyzed, policy.clone()).unwrap();
+                let mut fast = Machine::new_analyzed(analyzed).unwrap();
                 let fast_res = fast.call("f", &[]);
                 let mut checked = Machine::new(module, policy).unwrap();
                 let checked_res = checked.call("f", &[]);
@@ -435,8 +435,8 @@ mod warm_admission_cache {
         let (tb, artifact, ..) = warmed(ProtocolId::Gzip);
         let policy = SandboxPolicy::for_pads();
         let shared = Arc::new(open_unchecked(&artifact).analyzed(&policy).unwrap());
-        let mut a = PadRuntime::from_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
-        let mut b = PadRuntime::from_analyzed(Arc::clone(&shared), policy.clone()).unwrap();
+        let mut a = PadRuntime::from_analyzed(Arc::clone(&shared)).unwrap();
+        let mut b = PadRuntime::from_analyzed(Arc::clone(&shared)).unwrap();
         drop(tb);
 
         let pages: Vec<Vec<u8>> = (1..=4u8)
@@ -479,6 +479,104 @@ mod warm_admission_cache {
         // Evicted modules stay deployed: a running instance owns its Arc.
         assert!(client.is_deployed(PadId(1000)));
     }
+}
+
+/// A PAD that lets its caller look at what its sandbox held on arrival:
+/// `decode` answers with the 32 KB window at 0x10000 as it finds it, then
+/// stashes the payload there. Everything it touches lies in the lower half of
+/// its memory: an instance dirtied further than that is freed, not recycled.
+const PROBE_PAD: &str = r#"
+    .memory 4
+    .func decode args=6 locals=0
+        local.get 4
+        push 0x10000
+        push 0x8000
+        memcopy
+        push 0x10000
+        local.get 2
+        local.get 3
+        memcopy
+        push 0x8000
+        ret
+"#;
+
+#[test]
+fn a_recycled_sandbox_holds_none_of_the_previous_clients_bytes() {
+    let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let signed = SignedModule::sign(&assemble(PROBE_PAD).unwrap(), &tb.signer);
+    let meta = meta_for_signed(&signed, PadId(4242));
+    let wire = signed.to_wire();
+    let secret = b"client A's page: account 12345, balance 67890. ".repeat(100);
+
+    let mut a = tb.client(ClientClass::LaptopWlan);
+    a.deploy_pad(&meta, &wire).unwrap();
+    assert_eq!(a.stats().instances_recycled, 0);
+    let found = a.decode_content(meta.id, 1, &secret).unwrap();
+    assert!(found.iter().all(|&b| b == 0), "a first sandbox starts zeroed");
+    // The probe does see bytes that are there: A's second call finds its own.
+    let found = a.decode_content(meta.id, 1, &[]).unwrap();
+    assert_eq!(&found[..secret.len()], &secret[..]);
+    drop(a);
+
+    let mut b = tb.client(ClientClass::PdaBluetooth);
+    b.deploy_pad(&meta, &wire).unwrap();
+    assert_eq!(b.stats().instances_recycled, 1, "B runs in the sandbox A was dropped from");
+    let found = b.decode_content(meta.id, 1, &[]).unwrap();
+    assert_eq!(found.len(), 0x8000);
+    assert!(found.iter().all(|&b| b == 0), "B read bytes A left behind");
+}
+
+#[test]
+fn a_module_declaring_more_memory_than_the_policy_grants_is_refused_at_admission() {
+    let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    // 32 MiB: legal on the wire (the container allows 64), twice the policy.
+    let module = assemble(".memory 512\n.func decode args=6 locals=0\n push 0\n ret\n").unwrap();
+    let signed = SignedModule::sign(&module, &tb.signer);
+    let meta = meta_for_signed(&signed, PadId(4243));
+    let mut client = tb.client(ClientClass::DesktopLan);
+    let limit = client.policy.max_memory;
+    for attempt in 1..=2 {
+        let err = client.deploy_pad(&meta, &signed.to_wire()).unwrap_err();
+        let refusal = VerifyError::MemoryLimit { declared: 512 * 65536, limit };
+        assert_eq!(err, FractalError::PadUnverifiable(refusal));
+        assert!(!client.is_deployed(meta.id));
+        assert_eq!(client.stats().pads_rejected, attempt);
+        assert_eq!(client.stats().admission_misses, 0);
+        assert!(tb.admission.is_empty(), "an over-limit module is never stored");
+    }
+    // The reference path, which admits nothing, still traps at instantiation.
+    let err = Machine::new(module, SandboxPolicy::for_pads()).unwrap_err();
+    assert_eq!(err, Trap::OutOfBounds { addr: 512 * 65536, len: 0 });
+}
+
+#[test]
+fn a_recursive_pad_whose_stack_bound_exceeds_the_policy_is_refused_at_admission() {
+    let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    // Each frame holds 20 operands across its recursive call and is 26 tall
+    // with the six arguments on top: no frame is too tall, but 64 of them
+    // (`max_call_depth`) may need 1664 slots of the policy's 1024. The fast
+    // path counts no slots, so the module may not reach it.
+    let src = format!(
+        ".memory 1\n.func decode args=6 locals=0\n local.get 0\n jmpifz base\n{} local.get 0\n \
+         push 1\n sub\n dup\n dup\n dup\n dup\n dup\n call decode\n{} ret\nbase:\n push 0\n ret\n",
+        " push 1\n".repeat(20),
+        " add\n".repeat(20),
+    );
+    let module = assemble(&src).unwrap();
+    let signed = SignedModule::sign(&module, &tb.signer);
+    let meta = meta_for_signed(&signed, PadId(4244));
+    let mut client = tb.client(ClientClass::DesktopLan);
+    let (bound, limit) = (client.policy.max_call_depth * 26, client.policy.max_stack);
+    let err = client.deploy_pad(&meta, &signed.to_wire()).unwrap_err();
+    assert_eq!(err, FractalError::PadUnverifiable(VerifyError::StackBound { bound, limit }));
+    assert!(!client.is_deployed(meta.id));
+    assert_eq!(client.stats().pads_rejected, 1);
+    assert!(tb.admission.is_empty(), "a module over its stack bound is never stored");
+    // The reference loop, which counts every slot, runs it and overflows 52
+    // frames down.
+    let mut checked = Machine::new(module, client.policy.clone()).unwrap();
+    assert_eq!(checked.call("decode", &[10, 0, 0, 0, 0, 0]), Ok(200));
+    assert_eq!(checked.call("decode", &[63, 0, 0, 0, 0, 0]), Err(Trap::StackOverflow));
 }
 
 #[test]
