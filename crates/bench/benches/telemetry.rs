@@ -2,7 +2,8 @@
 //!
 //! `telemetry_negotiate_cached` is the read-lock fast path, where
 //! one mirrored cache-hit counter weighs the most relative to the work;
-//! the other three price the primitives themselves. The last off-vs-on
+//! the other four price the primitives themselves, the flight recorder's
+//! `telemetry_journal_record` among them (DESIGN.md §4.14). The last off-vs-on
 //! pair measured before the recording gate was deleted (164 → 168 ns
 //! cached negotiate) is kept in DESIGN.md §4.9.
 
@@ -48,6 +49,16 @@ fn bench_telemetry(c: &mut Criterion) {
     // Snapshot cost — the once-per-pass read side, not a hot path, but it
     // bounds what embedding metrics into BENCH_*.json adds to a run.
     c.bench_function("telemetry_snapshot", |b| b.iter(|| black_box(bundle.snapshot())));
+
+    // Flight-recorder cost: one event through a session handle — the
+    // journal's lock, the session's seq lookup, one clock read and one
+    // ring slot (the ring is full after the first 4096, so every later
+    // record also retires the oldest event, as a long run does).
+    let journaled = bundle.clone().with_journal(4096);
+    let session = journaled.journal().expect("with_journal attaches one").session(7);
+    c.bench_function("telemetry_journal_record", |b| {
+        b.iter(|| session.record(black_box("phase:Sessioning")))
+    });
 }
 
 criterion_group!(benches, bench_telemetry);

@@ -58,7 +58,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_core::transport::{LoopbackTransport, SimLinkTransport};
 use fractal_net::LinkKind;
-use fractal_telemetry::journal::{Journal, JournalSnapshot};
+use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
 use fractal_workload::BurstCascade;
 
@@ -140,6 +140,12 @@ impl Failure {
             journal: JournalSnapshot::default(),
         })
     }
+
+    /// A failure carrying the failing pass's run bundle: its registry
+    /// and flight-recorder snapshots.
+    fn of(msg: String, bundle: &Telemetry) -> Box<Failure> {
+        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: bundle.journal_snapshot() })
+    }
 }
 
 /// The live introspection plane, when `--introspect` is up. Scenario
@@ -148,18 +154,17 @@ impl Failure {
 /// lifetime.
 static INTROSPECT: OnceLock<Arc<IntrospectSource>> = OnceLock::new();
 
-/// A fresh per-run telemetry bundle + flight recorder on a virtual
-/// clock: metric values and journal timestamps become pure functions of
-/// event order, so run-to-run snapshot equality is meaningful (and the
-/// reconciliation below exact).
-fn run_bundle() -> (Telemetry, fractal_telemetry::SharedClock, Arc<Journal>) {
-    let clock = VirtualClock::shared(1);
-    let tele = Telemetry::new(Arc::new(Registry::new()), Arc::clone(&clock));
-    let journal = Arc::new(Journal::new(4096).with_clock(Arc::clone(&clock)));
+/// A fresh per-run telemetry bundle with a flight recorder, on a virtual
+/// clock: phase timings, metric values and journal timestamps become
+/// pure functions of event order, so run-to-run snapshot equality is
+/// meaningful (and the reconciliation below exact).
+fn run_bundle() -> Telemetry {
+    let tele =
+        Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(1)).with_journal(4096);
     if let Some(src) = INTROSPECT.get() {
-        src.attach(tele.clone(), Arc::clone(&journal));
+        src.attach(tele.clone());
     }
-    (tele, clock, journal)
+    tele
 }
 
 /// The telemetry-reconciliation leg of the contract: every scenario's run
@@ -208,11 +213,9 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let oracle = oracle_decisions(n);
 
     let tb = testbed_with_pages();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
-    let cfg = ReactorConfig::new().clock(clock).telemetry(&bundle).journal(Arc::clone(&journal));
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let mut spawned = 0usize;
     for &wave in &counts {
@@ -253,7 +256,7 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         decision_fp,
         extras: vec![("cascade_slots", counts.len() as u64), ("peak_wave", peak_wave as u64)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -265,15 +268,9 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let n = scale.sessions;
     let plan = FaultPlan::new(seed).with_drop(20).with_dup(40).with_corrupt(30).with_reorder(60);
     let tb = testbed_with_pages();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
-    let cfg = ReactorConfig::new()
-        .frame_checksums()
-        .clock(clock)
-        .telemetry(&bundle)
-        .journal(Arc::clone(&journal));
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
+    let cfg = ReactorConfig::new().frame_checksums().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let mut logs: Vec<FaultLog> = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
@@ -281,9 +278,10 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         // The fault layer journals onto the same per-session stream the
         // reactor uses (session id = spawn order = slot id), so injected
         // faults interleave causally with phase transitions.
-        let (pair, log) = plan
-            .for_session(i as u64)
-            .wrap_pair_journaled(LoopbackTransport::pair(4096), journal.session(i as u64));
+        let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(
+            LoopbackTransport::pair(4096),
+            bundle.journal().expect("run bundles carry a journal").session(i as u64),
+        );
         logs.push(log);
         let session =
             InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
@@ -352,7 +350,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         decision_fp,
         extras: vec![("corruptions_injected", corruptions)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -364,17 +362,17 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
     let plan = FaultPlan::new(seed).with_partition(4, 20_000);
     let oracle = oracle_decisions(n);
     let tb = testbed_with_pages();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
-    let cfg = ReactorConfig::new().clock(clock).telemetry(&bundle).journal(Arc::clone(&journal));
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let mut logs = Vec::with_capacity(n);
     for i in 0..n {
         let inner = SimLinkTransport::pair(LinkKind::Wlan.link(), 4096);
-        let (pair, log) =
-            plan.for_session(i as u64).wrap_pair_journaled(inner, journal.session(i as u64));
+        let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(
+            inner,
+            bundle.journal().expect("run bundles carry a journal").session(i as u64),
+        );
         logs.push(log);
         let session =
             InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
@@ -413,7 +411,7 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
         decision_fp,
         extras: vec![("sessions_healed", healed as u64)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -425,11 +423,9 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
     let n = scale.sessions;
     let tb = testbed_with_pages();
     let oracle_tb = testbed_with_pages();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
-    let cfg = ReactorConfig::new().clock(clock).telemetry(&bundle).journal(Arc::clone(&journal));
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let mut handles = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
@@ -499,7 +495,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
         decision_fp,
         extras: vec![("handoffs", handoffs as u64)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -524,20 +520,15 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
             fingerprint(&oracle_tb.proxy.negotiate(oracle_tb.app_id, stampede_env(i)).unwrap())
         })
         .collect();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
 
     let before = tb.proxy.stats();
     assert_eq!((before.cache_hits, before.cache_misses), (0, 0), "scenario proxy must be cold");
     let mut decision_fp = FNV_OFFSET;
     let mut total = ReactorReport::default();
     for wave in 0..2 {
-        let cfg = ReactorConfig::new()
-            .clock(Arc::clone(&clock))
-            .telemetry(&bundle)
-            .journal(Arc::clone(&journal));
+        let cfg = ReactorConfig::new().telemetry(&bundle);
         let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
         for i in 0..n {
             // Wave-global journal labels: wave two's streams must not
@@ -580,7 +571,7 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
         decision_fp,
         extras: vec![("cache_misses", stats.cache_misses), ("cache_hits", stats.cache_hits)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -600,10 +591,8 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
     let oracle: Vec<u64> = (0..n)
         .map(|i| fingerprint(&oracle_tb.proxy.negotiate(oracle_tb.app_id, client_env(i)).unwrap()))
         .collect();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
 
     let mut clients: Vec<fractal_core::client::FractalClient> =
         (0..n).map(|i| tb.client_with_env(client_env(i))).collect();
@@ -619,10 +608,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
             let bytes = if *label == "rollback" { v0_bytes.clone() } else { v1_bytes.clone() };
             assert_eq!(tb.server.publish(content_id, bytes), *want);
         }
-        let cfg = ReactorConfig::new()
-            .clock(Arc::clone(&clock))
-            .telemetry(&bundle)
-            .journal(Arc::clone(&journal));
+        let cfg = ReactorConfig::new().telemetry(&bundle);
         let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
         for (i, client) in clients.drain(..).enumerate() {
             reactor.spawn(
@@ -668,7 +654,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         decision_fp,
         extras: vec![("waves", 3), ("republishes", 2)],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 
@@ -691,11 +677,9 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
 
     let tb = testbed_with_pages();
     let generation_before = tb.server.generation();
-    let (bundle, clock, journal) = run_bundle();
-    let fail = |msg: String| {
-        Box::new(Failure { msg, telemetry: bundle.snapshot(), journal: journal.snapshot() })
-    };
-    let cfg = ReactorConfig::new().clock(clock).telemetry(&bundle).journal(Arc::clone(&journal));
+    let bundle = run_bundle();
+    let fail = |msg: String| Failure::of(msg, &bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     for i in 0..n {
         let session =
@@ -771,7 +755,7 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
             ("server_generation", generation),
         ],
         telemetry: snap,
-        journal: journal.snapshot(),
+        journal: bundle.journal_snapshot(),
     })
 }
 

@@ -18,7 +18,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 use fractal_core::ClientClass;
 use fractal_net::LinkKind;
-use fractal_telemetry::{Journal, Registry, Snapshot, Telemetry, VirtualClock};
+use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
 
 /// Batches per run — enough to keep every worker in the 8-thread sweep
 /// stealing, small enough for a test binary.
@@ -40,8 +40,8 @@ fn page(item: usize, id: u32) -> Vec<u8> {
 /// rendered journal (one line per phase transition), then each session's
 /// simulated negotiation and completion times on the wire.
 fn batch(item: usize) -> (Snapshot, String) {
-    let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(7 + item as u64));
-    let journal = Arc::new(Journal::new(256).with_clock(bundle.clock()));
+    let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(7 + item as u64))
+        .with_journal(256);
 
     let mut tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let spare = Testbed::case_study(AdaptiveContentMode::Reactive).proxy;
@@ -51,11 +51,7 @@ fn batch(item: usize) -> (Snapshot, String) {
     }
 
     let link = LINKS[item % LINKS.len()];
-    let cfg = ReactorConfig::new()
-        .transport(link)
-        .clock(bundle.clock())
-        .telemetry(&bundle)
-        .journal(Arc::clone(&journal));
+    let cfg = ReactorConfig::new().transport(link).telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let ids: Vec<_> = (0..SESSIONS)
         .map(|s| {
@@ -67,7 +63,8 @@ fn batch(item: usize) -> (Snapshot, String) {
     let report = reactor.run().expect("batch sessions complete");
     assert_eq!(report.failed, 0);
 
-    let mut trace = format!("== batch {item} over {link:?} ==\n{}", journal.snapshot().render());
+    let mut trace =
+        format!("== batch {item} over {link:?} ==\n{}", bundle.journal_snapshot().render());
     for id in ids {
         let t = reactor.transport_times(id);
         let negotiated_us = t.negotiated_us.expect("cold sessions negotiate on the wire");

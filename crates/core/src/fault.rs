@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use fractal_telemetry::journal::{KindId, SessionJournal};
+use fractal_telemetry::journal::SessionJournal;
 
 use crate::transport::{Transport, TransportError, TransportPair};
 
@@ -69,30 +69,21 @@ pub enum FaultKind {
     LinkDropped,
 }
 
-/// Flight-recorder labels for the injected (non-`Delivered`) fault
-/// kinds, in [`fault_journal_ix`] order.
-const FAULT_KIND_LABELS: [&str; 7] = [
-    "fault:drop",
-    "fault:dup",
-    "fault:corrupt",
-    "fault:reorder",
-    "fault:partition",
-    "fault:heal",
-    "fault:link_drop",
-];
-
-/// Index of `kind` into [`FAULT_KIND_LABELS`]; `None` for `Delivered`
-/// (journaling every clean chunk would flood the ring with non-events).
-fn fault_journal_ix(kind: FaultKind) -> Option<usize> {
-    match kind {
-        FaultKind::Delivered => None,
-        FaultKind::Dropped => Some(0),
-        FaultKind::Duplicated => Some(1),
-        FaultKind::Corrupted { .. } => Some(2),
-        FaultKind::Reordered => Some(3),
-        FaultKind::PartitionStart => Some(4),
-        FaultKind::PartitionHeal => Some(5),
-        FaultKind::LinkDropped => Some(6),
+impl FaultKind {
+    /// The flight-recorder label of an injected fault; `None` for
+    /// `Delivered` (journaling every clean chunk would flood the ring with
+    /// non-events).
+    pub(crate) fn journal_label(self) -> Option<&'static str> {
+        match self {
+            FaultKind::Delivered => None,
+            FaultKind::Dropped => Some("fault:drop"),
+            FaultKind::Duplicated => Some("fault:dup"),
+            FaultKind::Corrupted { .. } => Some("fault:corrupt"),
+            FaultKind::Reordered => Some("fault:reorder"),
+            FaultKind::PartitionStart => Some("fault:partition"),
+            FaultKind::PartitionHeal => Some("fault:heal"),
+            FaultKind::LinkDropped => Some("fault:link_drop"),
+        }
     }
 }
 
@@ -232,14 +223,13 @@ impl FaultPlan {
         pair: TransportPair,
         journal: SessionJournal,
     ) -> (TransportPair, FaultLog) {
-        let kinds = std::array::from_fn(|i| journal.kind(FAULT_KIND_LABELS[i]));
-        self.wrap_pair_inner(pair, Some((journal, kinds)))
+        self.wrap_pair_inner(pair, Some(journal))
     }
 
     fn wrap_pair_inner(
         &self,
         pair: TransportPair,
-        journal: Option<(SessionJournal, [KindId; 7])>,
+        journal: Option<SessionJournal>,
     ) -> (TransportPair, FaultLog) {
         let total = self.drop_per_mille as u32
             + self.dup_per_mille as u32
@@ -308,17 +298,17 @@ struct FaultState {
     /// Index 0 = client→service, 1 = service→client.
     dirs: [DirState; 2],
     log: Vec<FaultEvent>,
-    /// Flight-recorder handle + pre-bound fault kinds, when the caller
-    /// wants injections on the session's causal stream.
-    journal: Option<(SessionJournal, [KindId; 7])>,
+    /// Flight-recorder handle, when the caller wants injections on the
+    /// session's causal stream.
+    journal: Option<SessionJournal>,
 }
 
 impl FaultState {
     /// Appends to the deterministic tape and, for actual faults, to the
     /// session's flight recorder.
     fn log_event(&mut self, ev: FaultEvent) {
-        if let (Some((journal, kinds)), Some(ix)) = (&self.journal, fault_journal_ix(ev.kind)) {
-            journal.record(kinds[ix]);
+        if let (Some(journal), Some(label)) = (&self.journal, ev.kind.journal_label()) {
+            journal.record(label);
         }
         self.log.push(ev);
     }
@@ -816,7 +806,7 @@ mod tests {
     fn journaled_wrap_mirrors_injected_faults_onto_the_flight_recorder() {
         use fractal_telemetry::{Journal, VirtualClock};
         use std::sync::Arc;
-        let journal = Arc::new(Journal::new(128).with_clock(VirtualClock::shared(1)));
+        let journal = Arc::new(Journal::new(128, VirtualClock::shared(1)));
         let plan = FaultPlan::new(7).with_drop(300).with_dup(200).with_corrupt(200);
         let (mut pair, log) =
             plan.wrap_pair_journaled(LoopbackTransport::pair(1 << 16), journal.session(42));

@@ -5,9 +5,10 @@
 //! per-shard and private, and its flight recorders live on the shard
 //! threads. This module inverts that without giving up the share-nothing
 //! layout. The [`ShardedReactor`](crate::shard::ShardedReactor) builds
-//! its per-shard registries and [`Journal`]s *before* the shard threads
-//! spawn, so the driver can [`attach`](IntrospectSource::attach) live
-//! handles to an [`IntrospectSource`]; a sidecar [`IntrospectServer`]
+//! its per-shard [`Telemetry`] bundles (registry + journal) *before* the
+//! shard threads spawn, so the driver can
+//! [`attach`](IntrospectSource::attach) live bundles to an
+//! [`IntrospectSource`]; a sidecar [`IntrospectServer`]
 //! thread then serves merged snapshots over loopback TCP while the run
 //! is in flight.
 //!
@@ -35,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use fractal_telemetry::journal::{Journal, JournalSnapshot};
+use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Snapshot, Telemetry};
 
 use crate::sys::{Interest, Poller};
@@ -46,8 +47,14 @@ use crate::transport::{TcpTransport, Transport, TransportError};
 const SERVE_SLICE: Duration = Duration::from_millis(50);
 
 /// Requests whose headers exceed this are answered `400` and closed —
-/// the plane serves `curl`, not the open internet.
+/// the plane serves `curl`, not the open internet. A connection stops
+/// reading once its buffer passes this, so a peer streaming a request
+/// with no header terminator costs at most one read chunk more.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Connections the sidecar serves at once; further ones wait in the
+/// listen backlog until a live one finishes.
+const MAX_CONNECTIONS: usize = 64;
 
 /// Poller token reserved for the listener (connections use their index).
 const LISTENER_TOKEN: usize = usize::MAX;
@@ -58,11 +65,12 @@ const LISTENER_TOKEN: usize = usize::MAX;
 
 /// The aggregation point between workload threads and the HTTP sidecar.
 ///
-/// Workloads [`attach`](Self::attach) live `(Telemetry, Journal)`
-/// bundles while a run is in flight and [`retire`](Self::retire) them
-/// when it completes; stall diagnostics are pushed as they happen. Every
-/// accessor merges `baseline ∪ live`, so scrapes see one continuous,
-/// monotonically growing series across run boundaries.
+/// Workloads [`attach`](Self::attach) live [`Telemetry`] bundles
+/// (registry plus, when attached, journal) while a run is in flight and
+/// [`retire`](Self::retire) them when it completes; stall diagnostics
+/// are pushed as they happen. Every accessor merges `baseline ∪ live`,
+/// so scrapes see one continuous, monotonically growing series across
+/// run boundaries.
 #[derive(Default)]
 pub struct IntrospectSource {
     inner: Mutex<SourceInner>,
@@ -74,8 +82,8 @@ struct SourceInner {
     baseline: Snapshot,
     /// Folded-in journals of every retired bundle.
     baseline_journal: JournalSnapshot,
-    /// Live bundles: `(id, telemetry, journal)`.
-    live: Vec<(u64, Telemetry, Arc<Journal>)>,
+    /// Live bundles: `(id, telemetry)`.
+    live: Vec<(u64, Telemetry)>,
     /// Rendered stall reports, in arrival order.
     stalls: Vec<String>,
     next_id: u64,
@@ -89,11 +97,11 @@ impl IntrospectSource {
 
     /// Registers a live bundle; the returned id names it to
     /// [`retire`](Self::retire).
-    pub fn attach(&self, tele: Telemetry, journal: Arc<Journal>) -> u64 {
+    pub fn attach(&self, tele: Telemetry) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.live.push((id, tele, journal));
+        inner.live.push((id, tele));
         id
     }
 
@@ -103,9 +111,9 @@ impl IntrospectSource {
     /// scrape counters monotonic across consecutive runs.
     pub fn retire(&self, id: u64) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(ix) = inner.live.iter().position(|(i, _, _)| *i == id) {
-            let (_, tele, journal) = inner.live.swap_remove(ix);
-            let (snap, jsnap) = (tele.snapshot(), journal.snapshot());
+        if let Some(ix) = inner.live.iter().position(|(i, _)| *i == id) {
+            let (_, tele) = inner.live.swap_remove(ix);
+            let (snap, jsnap) = (tele.snapshot(), tele.journal_snapshot());
             inner.baseline.merge(&snap);
             inner.baseline_journal.merge(&jsnap);
         }
@@ -115,7 +123,7 @@ impl IntrospectSource {
     pub fn merged_snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().unwrap();
         let mut merged = inner.baseline.clone();
-        for (_, tele, _) in &inner.live {
+        for (_, tele) in &inner.live {
             merged.merge(&tele.snapshot());
         }
         merged
@@ -125,8 +133,8 @@ impl IntrospectSource {
     pub fn merged_journal(&self) -> JournalSnapshot {
         let inner = self.inner.lock().unwrap();
         let mut merged = inner.baseline_journal.clone();
-        for (_, _, journal) in &inner.live {
-            merged.merge(&journal.snapshot());
+        for (_, tele) in &inner.live {
+            merged.merge(&tele.journal_snapshot());
         }
         merged
     }
@@ -168,7 +176,7 @@ impl Conn {
     fn pump(&mut self, source: &IntrospectSource) -> bool {
         if !self.responding {
             let mut buf = [0u8; 1024];
-            loop {
+            while self.inbuf.len() <= MAX_REQUEST_BYTES {
                 match self.transport.recv(&mut buf) {
                     Ok(0) => break,
                     Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
@@ -287,10 +295,11 @@ fn render_response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
 // Server
 // ---------------------------------------------------------------------------
 
-/// The HTTP/1.0 sidecar: one thread, one [`Poller`], bounded
-/// connections. Binds `127.0.0.1:<port>` (`0` picks an ephemeral port —
-/// read it back from [`addr`](Self::addr)). Dropping the server signals
-/// shutdown and joins the thread.
+/// The HTTP/1.0 sidecar: one thread, one [`Poller`], at most
+/// `MAX_CONNECTIONS` (64) connections at once. Binds `127.0.0.1:<port>`
+/// (`0` picks an ephemeral port — read it back from
+/// [`addr`](Self::addr)). Dropping the server signals shutdown and joins
+/// the thread.
 pub struct IntrospectServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -331,7 +340,7 @@ fn serve(listener: TcpListener, source: &IntrospectSource, shutdown: &AtomicBool
     let mut poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
-        loop {
+        while conns.len() < MAX_CONNECTIONS {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if let Ok(t) = TcpTransport::new(stream) {
@@ -345,7 +354,9 @@ fn serve(listener: TcpListener, source: &IntrospectSource, shutdown: &AtomicBool
         }
         conns.retain_mut(|c| c.pump(source));
         poller.clear();
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
+        if conns.len() < MAX_CONNECTIONS {
+            poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
+        }
         for (ix, c) in conns.iter().enumerate() {
             if let Some(fd) = c.transport.raw_fd() {
                 let interest = if c.responding { Interest::READ_WRITE } else { Interest::READ };
@@ -408,13 +419,11 @@ pub fn parse_prometheus(body: &str) -> Vec<(String, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractal_telemetry::{MonotonicClock, Registry, VirtualClock};
+    use fractal_telemetry::{Registry, VirtualClock};
 
-    fn bundle() -> (Telemetry, Arc<Journal>) {
-        let tele = Telemetry::new(Arc::new(Registry::new()), MonotonicClock::shared());
-        let journal =
-            Arc::new(Journal::new(64).with_clock(Arc::new(VirtualClock::starting_at(3, 0))));
-        (tele, journal)
+    fn bundle() -> Telemetry {
+        Telemetry::new(Arc::new(Registry::new()), Arc::new(VirtualClock::starting_at(3, 0)))
+            .with_journal(64)
     }
 
     #[test]
@@ -431,10 +440,10 @@ mod tests {
     #[test]
     fn metrics_scrape_equals_in_process_render() {
         let source = IntrospectSource::new();
-        let (tele, journal) = bundle();
+        let tele = bundle();
         tele.counter("fractal_demo_total").add(41);
         tele.gauge("fractal_demo_depth").set(7);
-        source.attach(tele, journal);
+        source.attach(tele);
         let server = IntrospectServer::spawn(0, source.clone()).expect("bind");
         let scraped = http_get(server.addr(), "/metrics").unwrap();
         assert_eq!(
@@ -449,30 +458,30 @@ mod tests {
     #[test]
     fn retire_folds_into_baseline_and_keeps_counters_monotonic() {
         let source = IntrospectSource::new();
-        let (tele, journal) = bundle();
+        let tele = bundle();
         tele.counter("fractal_runs_total").inc();
-        let id = source.attach(tele, journal);
+        let id = source.attach(tele);
         let before = source.merged_snapshot();
         assert_eq!(before.counters["fractal_runs_total"], 1);
         source.retire(id);
         let after = source.merged_snapshot();
         assert_eq!(after, before, "retirement must not change the merged view");
         // A second run on a fresh bundle keeps growing the same series.
-        let (tele2, journal2) = bundle();
+        let tele2 = bundle();
         tele2.counter("fractal_runs_total").inc();
-        source.attach(tele2, journal2);
+        source.attach(tele2);
         assert_eq!(source.merged_snapshot().counters["fractal_runs_total"], 2);
     }
 
     #[test]
     fn journal_route_serves_merged_events_and_session_tails() {
         let source = IntrospectSource::new();
-        let (tele, journal) = bundle();
-        let k = journal.kind("phase:MetaExchange");
-        journal.record(9, k);
-        journal.record(9, journal.kind("phase:Done"));
-        journal.record(2, k);
-        source.attach(tele, journal);
+        let tele = bundle();
+        let journal = tele.journal().unwrap();
+        journal.record(9, "phase:MetaExchange");
+        journal.record(9, "phase:Done");
+        journal.record(2, "phase:MetaExchange");
+        source.attach(tele);
         let server = IntrospectServer::spawn(0, source).expect("bind");
         let all = http_get(server.addr(), "/journal").unwrap();
         assert!(response_body(&all).contains("session=9 seq=1"), "{all}");
@@ -492,5 +501,29 @@ mod tests {
         let body = response_body(&resp);
         assert!(body.contains("1 stuck of 4"), "{body}");
         assert!(body.contains("# stalls=1"), "{body}");
+    }
+
+    #[test]
+    fn a_request_without_a_header_terminator_is_refused_at_the_cap() {
+        use std::io::Write;
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // The peer streams 1 MiB with no `\r\n\r\n`; the write ends
+        // (with an error) once the connection is closed under it.
+        let writer = std::thread::spawn(move || {
+            let _ = peer.write_all(&vec![b'a'; 1 << 20]);
+        });
+        // Wait until far more than the cap is buffered for the server end.
+        let mut probe = vec![0u8; 2 * MAX_REQUEST_BYTES];
+        while stream.peek(&mut probe).unwrap() < probe.len() {}
+        let mut conn = Conn::new(TcpTransport::new(stream).unwrap());
+        conn.transport.set_ready(true, true);
+        conn.pump(&IntrospectSource::default());
+        assert!(conn.responding, "one pump past the cap answers");
+        assert!(conn.outbuf.starts_with(b"HTTP/1.0 400"));
+        assert!(conn.inbuf.len() <= MAX_REQUEST_BYTES + 1024, "read {} bytes", conn.inbuf.len());
+        drop(conn);
+        writer.join().unwrap();
     }
 }

@@ -1,9 +1,7 @@
 //! [`ReactorConfig`]: every reactor knob in one builder.
 
+#[cfg(unix)]
 use std::sync::Arc;
-
-use fractal_telemetry::journal::Journal;
-use fractal_telemetry::SharedClock;
 
 use crate::transport::TransportProfile;
 
@@ -17,20 +15,16 @@ use crate::transport::TransportProfile;
 /// |---|---|---|
 /// | [`transport`](Self::transport) | pair builder for `spawn` | — (pairs come from the acceptor) |
 /// | [`frame_checksums`](Self::frame_checksums) | ✓ | ✓ (every shard) |
-/// | [`clock`](Self::clock) | ✓ | — (see `virtual_time`) |
-/// | [`telemetry`](Self::telemetry) | ✓ | — (per-shard registries) |
-/// | [`journal`](Self::journal) | ✓ | — (per-shard journals) |
+/// | [`telemetry`](Self::telemetry) | ✓ (registry, phase clock, journal) | — (per-shard bundles) |
 /// | [`stall_timeout`](Self::stall_timeout) | — (simulated-clock stall protocol) | ✓ |
-/// | [`virtual_time`](Self::virtual_time) | — (use `clock`) | ✓ |
-/// | [`journal_capacity`](Self::journal_capacity) | — (use `journal`) | ✓ |
+/// | [`virtual_time`](Self::virtual_time) | — (a bundle on a `VirtualClock`) | ✓ |
+/// | [`journal_capacity`](Self::journal_capacity) | — (`Telemetry::with_journal`) | ✓ |
 /// | [`introspect`](Self::introspect) | — | ✓ |
 #[derive(Default)]
 pub struct ReactorConfig {
     pub(crate) transport: TransportProfile,
     pub(crate) frame_checksums: bool,
-    pub(crate) clock: Option<SharedClock>,
     pub(crate) telemetry: Option<fractal_telemetry::Telemetry>,
-    pub(crate) journal: Option<Arc<Journal>>,
     pub(crate) stall_timeout: Option<std::time::Duration>,
     pub(crate) virtual_tick: Option<u64>,
     pub(crate) journal_capacity: Option<usize>,
@@ -39,8 +33,9 @@ pub struct ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// All defaults: loopback transport, unchecked framing, monotonic
-    /// clock, process-global telemetry, no journal/introspection.
+    /// All defaults: loopback transport, unchecked framing, the
+    /// process-global telemetry bundle (monotonic clock, no journal), no
+    /// introspection.
     pub fn new() -> ReactorConfig {
         ReactorConfig::default()
     }
@@ -65,28 +60,20 @@ impl ReactorConfig {
         self
     }
 
-    /// Replaces the per-phase accounting clock (tests use a
-    /// [`VirtualClock`](fractal_telemetry::VirtualClock) so timings are a
-    /// pure function of event order).
-    pub fn clock(mut self, clock: SharedClock) -> ReactorConfig {
-        self.clock = Some(clock);
-        self
-    }
-
-    /// Rebinds the reactor's metrics to an explicit telemetry bundle
-    /// (default: the process-global one).
+    /// Rebinds the reactor to an explicit telemetry bundle (default: the
+    /// process-global one). The reactor records its metrics to the
+    /// bundle's registry and times phases on the bundle's clock (tests
+    /// use a [`VirtualClock`](fractal_telemetry::VirtualClock) so timings
+    /// are a pure function of event order). When the bundle carries a
+    /// flight recorder
+    /// ([`Telemetry::with_journal`](fractal_telemetry::Telemetry::with_journal)),
+    /// every session journals its phase transitions, handoffs, tolerated
+    /// stale drops, and stall marks under its label
+    /// ([`InpSession::with_label`](super::InpSession::with_label), slot id
+    /// by default), and stall reports carry the last few causal events per
+    /// stuck session.
     pub fn telemetry(mut self, bundle: &fractal_telemetry::Telemetry) -> ReactorConfig {
         self.telemetry = Some(bundle.clone());
-        self
-    }
-
-    /// Attaches a flight recorder: every session journals its phase
-    /// transitions, handoffs, tolerated stale drops, and stall marks
-    /// under its label ([`InpSession::with_label`](super::InpSession::with_label), slot id by default).
-    /// Stall reports then carry the last few causal
-    /// events per stuck session.
-    pub fn journal(mut self, journal: Arc<Journal>) -> ReactorConfig {
-        self.journal = Some(journal);
         self
     }
 
@@ -97,13 +84,13 @@ impl ReactorConfig {
         self
     }
 
-    /// Puts every shard's telemetry *and* journal on its own
-    /// [`VirtualClock`](fractal_telemetry::VirtualClock) starting at 0
-    /// and advancing `tick` ns per reading, instead of real monotonic
-    /// time. With `tick == 0` the timeline is pinned: every recorded
-    /// timestamp is identical, so the merged journal becomes a pure
-    /// function of the per-session event streams — byte-identical at any
-    /// shard count.
+    /// Puts every shard's bundle — registry, phase clock *and* journal —
+    /// on its own [`VirtualClock`](fractal_telemetry::VirtualClock)
+    /// starting at 0 and advancing `tick` ns per reading, instead of real
+    /// monotonic time. With `tick == 0` the timeline is pinned: every
+    /// recorded timestamp and phase duration is identical, so the merged
+    /// journal and registry become pure functions of the per-session
+    /// event streams — byte-identical at any shard count.
     pub fn virtual_time(mut self, tick: u64) -> ReactorConfig {
         self.virtual_tick = Some(tick);
         self
@@ -118,9 +105,10 @@ impl ReactorConfig {
     }
 
     /// Publishes a sharded run to a live introspection plane: every
-    /// shard's registry + journal is attached before the shards spawn (so
-    /// `/metrics` sees the run mid-flight), retired when they join, and
-    /// stall diagnostics are pushed to `/stalls` as they surface.
+    /// shard's bundle (registry + journal) is attached before the shards
+    /// spawn (so `/metrics` sees the run mid-flight), retired when they
+    /// join, and stall diagnostics are pushed to `/stalls` as they
+    /// surface.
     #[cfg(unix)]
     pub fn introspect(mut self, source: Arc<crate::introspect::IntrospectSource>) -> ReactorConfig {
         self.introspect = Some(source);

@@ -45,8 +45,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use fractal_telemetry::journal::{Journal, KindId, SessionJournal};
-use fractal_telemetry::{MonotonicClock, SharedClock};
+use fractal_telemetry::journal::{Journal, SessionJournal};
+use fractal_telemetry::SharedClock;
 
 use crate::error::InpError;
 use crate::inp::InpMessage;
@@ -116,31 +116,6 @@ impl ReactorTelemetry {
 
 /// Events of causal history a stall report carries per stuck session.
 const STALL_TAIL_EVENTS: usize = 8;
-
-/// Pre-bound flight-recorder kind ids — one interning pass when the
-/// journal is attached, so the recording path never touches the label
-/// table.
-struct JournalKinds {
-    /// `phase:<name>` per [`SessionPhase::index`].
-    phases: [KindId; SessionPhase::ALL.len()],
-    /// `handoff` — a mid-session mobility renegotiation.
-    handoff: KindId,
-    /// `stale:drop` — a tolerated post-handoff stale delivery.
-    stale: KindId,
-    /// `stall:mark` — the session was named in a stall report.
-    stall: KindId,
-}
-
-impl JournalKinds {
-    fn bind(journal: &Journal) -> JournalKinds {
-        JournalKinds {
-            phases: SessionPhase::ALL.map(|p| journal.kind(&format!("phase:{}", p.name()))),
-            handoff: journal.kind("handoff"),
-            stale: journal.kind("stale:drop"),
-            stall: journal.kind("stall:mark"),
-        }
-    }
-}
 
 /// One end of a session's byte pipe with its framing state.
 struct Leg {
@@ -226,18 +201,19 @@ pub struct Reactor<'a> {
     /// frames are queued, flushed and cleared — what the backpressure
     /// gauge is fed from.
     tx_frames: usize,
-    /// Time source for per-phase accounting and stall diagnostics.
+    /// Time source for per-phase accounting and stall diagnostics: the
+    /// bundle's clock.
     clock: SharedClock,
     tele: ReactorTelemetry,
-    /// Flight recorder shared by every session this reactor drives
-    /// (normally the shard's journal).
-    journal: Option<(Arc<Journal>, JournalKinds)>,
+    /// Flight recorder shared by every session this reactor drives: the
+    /// bundle's journal, when it carries one (normally the shard's).
+    journal: Option<Arc<Journal>>,
 }
 
 impl<'a> Reactor<'a> {
     /// Creates a reactor over the shared service trio with every knob at
-    /// its [`ReactorConfig`] default (loopback transports, monotonic
-    /// clock, global telemetry).
+    /// its [`ReactorConfig`] default (loopback transports, the global
+    /// telemetry bundle and its monotonic clock).
     pub fn new(
         proxy: &'a AdaptationProxy,
         server: &'a ApplicationServer,
@@ -256,10 +232,7 @@ impl<'a> Reactor<'a> {
         pad_repo: &'a PadRepo,
         config: ReactorConfig,
     ) -> Reactor<'a> {
-        let tele = match &config.telemetry {
-            Some(bundle) => ReactorTelemetry::bind(bundle),
-            None => ReactorTelemetry::bind(&fractal_telemetry::Telemetry::global()),
-        };
+        let bundle = config.telemetry.unwrap_or_else(fractal_telemetry::Telemetry::global);
         Reactor {
             service: InpService { proxy, server, pad_repo },
             slots: Vec::new(),
@@ -269,12 +242,9 @@ impl<'a> Reactor<'a> {
             live: 0,
             report: ReactorReport::default(),
             tx_frames: 0,
-            clock: config.clock.unwrap_or_else(MonotonicClock::shared),
-            tele,
-            journal: config.journal.map(|j| {
-                let kinds = JournalKinds::bind(&j);
-                (j, kinds)
-            }),
+            clock: bundle.clock(),
+            tele: ReactorTelemetry::bind(&bundle),
+            journal: bundle.journal().cloned(),
         }
     }
 
@@ -298,13 +268,13 @@ impl<'a> Reactor<'a> {
         let spawned_at = self.clock.now_ns();
         let opening = session.start().unwrap_or_default();
         let mut conn = ServiceConn::new();
-        let journal = self.journal.as_ref().map(|(journal, kinds)| {
+        let journal = self.journal.as_ref().map(|journal| {
             let handle = journal.session(session.label().unwrap_or(id as u64));
             // Both halves of the core record their tolerated stale drops
             // on the same per-session stream.
-            session.stale_trace = Some((handle.clone(), kinds.stale));
-            conn.stale_trace = Some((handle.clone(), kinds.stale));
-            handle.record(kinds.phases[SessionPhase::Init.index()]);
+            session.stale_trace = Some(handle.clone());
+            conn.stale_trace = Some(handle.clone());
+            handle.record(SessionPhase::Init.journal_label());
             handle
         });
         let leg = |end| Leg { end, rx: self.rx_framer(), tx: SendQueue::new() };
@@ -380,8 +350,8 @@ impl<'a> Reactor<'a> {
             slot.phase_ns[slot.last_phase.index()] += spent;
             self.tele.phase_ns[slot.last_phase.index()].record(spent);
         }
-        if let (Some(handle), Some((_, kinds))) = (slot.journal.as_ref(), self.journal.as_ref()) {
-            handle.record(kinds.phases[phase.index()]);
+        if let Some(handle) = &slot.journal {
+            handle.record(phase.journal_label());
         }
         if phase.is_terminal() {
             self.live -= 1;
@@ -634,12 +604,12 @@ impl<'a> Reactor<'a> {
             .map(|(id, s)| {
                 // Mark the stall on the session's own event stream, then
                 // pull its recent causal history (the mark included).
-                let recent = match (s.journal.as_ref(), self.journal.as_ref()) {
-                    (Some(handle), Some((journal, kinds))) => {
-                        handle.record(kinds.stall);
-                        journal.tail(handle.session(), STALL_TAIL_EVENTS)
+                let recent = match &s.journal {
+                    Some(handle) => {
+                        handle.record("stall:mark");
+                        handle.tail(STALL_TAIL_EVENTS)
                     }
-                    _ => Vec::new(),
+                    None => Vec::new(),
                 };
                 StuckSession {
                     id,
@@ -671,8 +641,8 @@ impl<'a> Reactor<'a> {
         let opening = self.slots[id].session.renegotiate(ntwk)?;
         let slot = &mut self.slots[id];
         slot.conn.rewind();
-        if let (Some(handle), Some((_, kinds))) = (slot.journal.as_ref(), self.journal.as_ref()) {
-            handle.record(kinds.handoff);
+        if let Some(handle) = &slot.journal {
+            handle.record("handoff");
         }
         self.send(id, CLIENT, &opening);
         self.sync_phase(id);

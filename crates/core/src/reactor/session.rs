@@ -4,7 +4,7 @@
 
 use std::borrow::BorrowMut;
 
-use fractal_telemetry::journal::{KindId, SessionJournal};
+use fractal_telemetry::journal::SessionJournal;
 
 use crate::client::FractalClient;
 use crate::error::{FractalError, InpError, WireError};
@@ -34,8 +34,8 @@ pub enum SessionPhase {
 impl SessionPhase {
     /// The one phase table: all seven phases in protocol order, the
     /// [`TIMED`](Self::TIMED) non-terminal ones first. Per-phase arrays
-    /// (histograms, accumulated timings, flight-recorder kinds) are laid
-    /// out in this order and indexed by [`index`](Self::index).
+    /// (histograms, accumulated timings) are laid out in this order and
+    /// indexed by [`index`](Self::index).
     pub const ALL: [SessionPhase; 7] = [
         SessionPhase::Init,
         SessionPhase::MetaExchange,
@@ -70,6 +70,19 @@ impl SessionPhase {
             SessionPhase::Sessioning => "Sessioning",
             SessionPhase::Done => "Done",
             SessionPhase::Failed => "Failed",
+        }
+    }
+
+    /// The flight-recorder label of entering this phase: `phase:<name>`.
+    pub(crate) fn journal_label(self) -> &'static str {
+        match self {
+            SessionPhase::Init => "phase:Init",
+            SessionPhase::MetaExchange => "phase:MetaExchange",
+            SessionPhase::PathSearch => "phase:PathSearch",
+            SessionPhase::PadDownload => "phase:PadDownload",
+            SessionPhase::Sessioning => "phase:Sessioning",
+            SessionPhase::Done => "phase:Done",
+            SessionPhase::Failed => "phase:Failed",
         }
     }
 }
@@ -161,16 +174,15 @@ pub fn decode_app_payload(payload: &[u8]) -> Result<(u32, Option<u32>, u32), Wir
     Ok((content_id, have, want))
 }
 
-/// Where a tolerated post-handoff stale delivery leaves its trace: the
-/// session's flight-recorder handle plus the `stale:drop` kind. The
-/// driver attaches one to each side of a connection; `None` records
-/// nothing.
-pub(super) type StaleTrace = Option<(SessionJournal, KindId)>;
+/// Where a tolerated post-handoff stale delivery leaves its `stale:drop`
+/// trace: the session's flight-recorder handle. The driver attaches one
+/// to each side of a connection; `None` records nothing.
+pub(super) type StaleTrace = Option<SessionJournal>;
 
 /// Records one `stale:drop` event, if a journal is attached.
 pub(super) fn record_stale_drop(trace: &StaleTrace) {
-    if let Some((journal, kind)) = trace {
-        journal.record(*kind);
+    if let Some(journal) = trace {
+        journal.record("stale:drop");
     }
 }
 

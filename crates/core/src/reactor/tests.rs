@@ -28,6 +28,12 @@ fn testbed_with_pages(n: u32) -> Testbed {
     tb
 }
 
+/// A private bundle on a virtual clock advancing `tick` ns per read.
+fn virtual_bundle(tick: u64) -> fractal_telemetry::Telemetry {
+    use fractal_telemetry::{Registry, Telemetry, VirtualClock};
+    Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(tick))
+}
+
 #[test]
 fn one_session_completes_end_to_end() {
     let tb = testbed_with_pages(1);
@@ -270,9 +276,8 @@ fn lost_opening_is_reported_as_stall_not_hang() {
 
 #[test]
 fn stall_report_carries_deterministic_phase_timings_under_virtual_clock() {
-    use fractal_telemetry::VirtualClock;
     let tb = testbed_with_pages(1);
-    let mut reactor = tb.reactor_with(ReactorConfig::new().clock(VirtualClock::shared(100)));
+    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&virtual_bundle(100)));
     let id = reactor.spawn_on(
         InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0),
         lossy_pair(),
@@ -289,9 +294,8 @@ fn stall_report_carries_deterministic_phase_timings_under_virtual_clock() {
 
 #[test]
 fn phase_timings_cover_all_five_phases_for_a_cold_session() {
-    use fractal_telemetry::VirtualClock;
     let tb = testbed_with_pages(1);
-    let mut reactor = tb.reactor_with(ReactorConfig::new().clock(VirtualClock::shared(10)));
+    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&virtual_bundle(10)));
     let id = reactor.spawn(InpSession::new(tb.client(ClientClass::PdaBluetooth), tb.app_id, 0, 0));
     reactor.run().unwrap();
     let timings = reactor.phase_timings(id);
@@ -447,18 +451,15 @@ fn app_payload_round_trip() {
 
 #[test]
 fn journal_records_full_phase_chain_per_session_deterministically() {
-    use fractal_telemetry::VirtualClock;
     let run_once = || {
         let tb = testbed_with_pages(2);
-        let journal = Arc::new(Journal::new(256).with_clock(VirtualClock::shared(1)));
-        let mut reactor = tb.reactor_with(
-            ReactorConfig::new().clock(VirtualClock::shared(1)).journal(Arc::clone(&journal)),
-        );
+        let bundle = virtual_bundle(1).with_journal(256);
+        let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&bundle));
         for i in 0..2u32 {
             reactor.spawn(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, i, 0));
         }
         reactor.run().unwrap();
-        journal.snapshot()
+        bundle.journal_snapshot()
     };
     let snap = run_once();
     assert_eq!(snap.render(), run_once().render(), "same event order ⇒ byte-identical trace");
@@ -484,15 +485,15 @@ fn journal_records_full_phase_chain_per_session_deterministically() {
 #[test]
 fn journal_uses_caller_labels_and_marks_handoffs() {
     let tb = testbed_with_pages(1);
-    let journal = Arc::new(Journal::new(128));
-    let mut reactor = tb.reactor_with(ReactorConfig::new().journal(Arc::clone(&journal)));
+    let bundle = fractal_telemetry::Telemetry::global().with_journal(128);
+    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&bundle));
     let id = reactor.spawn(
         InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0).with_label(4711),
     );
     reactor.run_until(|r| r.session(id).phase() == SessionPhase::Sessioning).unwrap();
     reactor.handoff(id, ClientClass::PdaBluetooth.env().ntwk).unwrap();
     reactor.run().unwrap();
-    let tail = journal.tail(4711, 32);
+    let tail = bundle.journal().unwrap().tail(4711, 32);
     assert!(!tail.is_empty(), "events land under the caller's label");
     let kinds: Vec<&str> = tail.iter().map(|e| e.kind.as_str()).collect();
     assert!(kinds.contains(&"handoff"), "{kinds:?}");
@@ -506,12 +507,9 @@ fn journal_uses_caller_labels_and_marks_handoffs() {
 
 #[test]
 fn stall_report_carries_queue_depth_and_recent_events() {
-    use fractal_telemetry::VirtualClock;
     let tb = testbed_with_pages(1);
-    let journal = Arc::new(Journal::new(64).with_clock(VirtualClock::shared(1)));
-    let mut reactor = tb.reactor_with(
-        ReactorConfig::new().clock(VirtualClock::shared(100)).journal(Arc::clone(&journal)),
-    );
+    let bundle = virtual_bundle(100).with_journal(64);
+    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&bundle));
     let id = reactor.spawn_on(
         InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0),
         lossy_pair(),

@@ -27,16 +27,18 @@
 //! lock for a rebalancing win that a round-robin deal of thousands of
 //! statistically identical sessions doesn't need.
 //!
-//! Each shard records into its **own** telemetry registry and its own
-//! flight-recorder [`Journal`]; the outcome merges them with
+//! Each shard records into its **own** telemetry bundle — a private
+//! registry plus a flight-recorder
+//! [`Journal`](fractal_telemetry::Journal) on the shard's one clock;
+//! the outcome merges them with
 //! [`Snapshot::merge`] / [`JournalSnapshot::merge`] and can
 //! [`reconcile`](ShardedOutcome::reconcile) the merged counters against
 //! the aggregate [`ReactorReport`] — the cross-check that per-shard
 //! accounting neither dropped nor double-counted a session. Sessions are
 //! journal-labeled by their **spawn order** (gid), not their shard slot,
 //! so under a pinned [`VirtualClock`]
-//! ([`ReactorConfig::virtual_time`]) the merged
-//! journal is byte-identical at any shard count.
+//! ([`ReactorConfig::virtual_time`]) the merged journal and registry are
+//! byte-identical at any shard count.
 //!
 //! Stalls cannot rely on the simulated-clock protocol ([`Reactor::run`]'s
 //! device): a kernel socket has no `next_ready_at`. Instead a shard that
@@ -53,7 +55,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fractal_telemetry::journal::{Journal, JournalSnapshot, DEFAULT_JOURNAL_CAPACITY};
+use fractal_telemetry::journal::{JournalSnapshot, DEFAULT_JOURNAL_CAPACITY};
 use fractal_telemetry::{MonotonicClock, Registry, SharedClock, Snapshot, Telemetry, VirtualClock};
 
 use crate::error::InpError;
@@ -211,10 +213,9 @@ impl<'a> ShardedReactor<'a> {
     /// A sharded front-end configured by one [`ReactorConfig`]. The
     /// sharded driver reads `frame_checksums`, `stall_timeout`,
     /// `virtual_time`, `journal_capacity`, and `introspect`; per-shard
-    /// clocks, registries, and journals are built internally, so the
-    /// single-reactor knobs (`transport`, `clock`, `telemetry`,
-    /// `journal`, `tracer`) are ignored — see the knob table on
-    /// [`ReactorConfig`].
+    /// bundles (clock, registry, journal) are built internally, so the
+    /// single-reactor knobs (`transport`, `telemetry`) are ignored — see
+    /// the knob table on [`ReactorConfig`].
     pub fn with_config(
         proxy: &'a AdaptationProxy,
         server: &'a ApplicationServer,
@@ -237,17 +238,16 @@ impl<'a> ShardedReactor<'a> {
     }
 
     /// One shard's observability bundle: a private registry + a private
-    /// flight-recorder ring, both on the same clock. Built on the caller's
-    /// thread (before the shard spawns) so live handles can be attached to
-    /// an introspection plane while the run is in flight.
-    fn shard_bundle(&self) -> (Telemetry, Arc<Journal>) {
+    /// flight-recorder ring, both on the clock the shard's reactor times
+    /// its phases by. Built on the caller's thread (before the shard
+    /// spawns) so live handles can be attached to an introspection plane
+    /// while the run is in flight.
+    fn shard_bundle(&self) -> Telemetry {
         let clock: SharedClock = match self.virtual_tick {
             Some(tick) => Arc::new(VirtualClock::starting_at(0, tick)),
             None => MonotonicClock::shared(),
         };
-        let tele = Telemetry::new(Arc::new(Registry::new()), clock.clone());
-        let journal = Arc::new(Journal::new(self.journal_capacity).with_clock(clock));
-        (tele, journal)
+        Telemetry::new(Arc::new(Registry::new()), clock).with_journal(self.journal_capacity)
     }
 
     /// Runs every session to a terminal phase over live loopback TCP.
@@ -276,10 +276,9 @@ impl<'a> ShardedReactor<'a> {
         // Observability bundles are built up front, on this thread: live
         // registry/journal handles exist before any shard spawns, which is
         // what lets an introspection plane watch a run mid-flight.
-        let bundles: Vec<(Telemetry, Arc<Journal>)> =
-            (0..self.shards).map(|_| self.shard_bundle()).collect();
+        let bundles: Vec<Telemetry> = (0..self.shards).map(|_| self.shard_bundle()).collect();
         let attached: Vec<u64> = match &self.introspect {
-            Some(src) => bundles.iter().map(|(t, j)| src.attach(t.clone(), j.clone())).collect(),
+            Some(src) => bundles.iter().map(|t| src.attach(t.clone())).collect(),
             None => Vec::new(),
         };
 
@@ -291,9 +290,7 @@ impl<'a> ShardedReactor<'a> {
                 .into_iter()
                 .zip(bundles)
                 .enumerate()
-                .map(|(ix, (rx, (tele, journal)))| {
-                    scope.spawn(move || self.drive_shard(ix, rx, tele, journal))
-                })
+                .map(|(ix, (rx, tele))| scope.spawn(move || self.drive_shard(ix, rx, tele)))
                 .collect();
 
             // Driver: one nonblocking connect + registration per session.
@@ -362,9 +359,8 @@ impl<'a> ShardedReactor<'a> {
         shard: usize,
         rx: mpsc::Receiver<ShardItem>,
         tele: Telemetry,
-        journal: Arc<Journal>,
     ) -> Result<ShardOutcome, InpError> {
-        let mut cfg = ReactorConfig::new().telemetry(&tele).journal(journal.clone());
+        let mut cfg = ReactorConfig::new().telemetry(&tele);
         if self.frame_checksums {
             cfg = cfg.frame_checksums();
         }
@@ -409,7 +405,7 @@ impl<'a> ShardedReactor<'a> {
             shard,
             report,
             snapshot: tele.snapshot(),
-            journal: journal.snapshot(),
+            journal: tele.journal_snapshot(),
             sessions,
         })
     }
@@ -563,6 +559,7 @@ mod tests {
     fn merged_journal_is_byte_identical_across_shard_counts() {
         const N: u32 = 8;
         let mut renders: Vec<String> = Vec::new();
+        let mut registries: Vec<Snapshot> = Vec::new();
         for shards in [1usize, 2, 4, 8] {
             let tb = testbed_with_pages(N);
             let sessions: Vec<InpSession> = (0..N)
@@ -583,9 +580,18 @@ mod tests {
             assert_eq!(merged.sessions().len(), N as usize, "{shards} shards");
             assert_eq!(merged.dropped, 0, "{shards} shards: ring must not wrap");
             renders.push(merged.render());
+            // The shard reactors time phases on the same pinned clock, so
+            // the merged registry is deal-independent too.
+            registries.push(outcome.merged_snapshot());
         }
         for (i, other) in renders.iter().enumerate().skip(1) {
             assert_eq!(&renders[0], other, "shard count {} vs 1", [1, 2, 4, 8][i]);
+            assert_eq!(
+                registries[0],
+                registries[i],
+                "registry: shard count {} vs 1",
+                [1, 2, 4, 8][i]
+            );
         }
         // The render is substantive, not trivially equal-because-empty:
         // every session contributed its full phase chain.

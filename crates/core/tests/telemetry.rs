@@ -104,7 +104,7 @@ fn reactor_fills_all_five_phase_histograms_and_mirrors_the_report() {
     for id in 0..4u32 {
         tb.server.publish(id, content(id as u8 + 1, 8_000));
     }
-    let cfg = ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     for i in 0..4u32 {
         let class = ClientClass::ALL[i as usize % 3];
@@ -141,7 +141,6 @@ fn queue_depth_gauge_reconciles_with_per_session_pending_counts() {
     // the gauge is exercised at real depths, not just 0.
     let cfg = ReactorConfig::new()
         .transport(TransportProfile::Loopback { capacity: 48 })
-        .clock(bundle.clock())
         .telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let ids: Vec<_> = (0..3u32)
@@ -167,7 +166,7 @@ fn queue_depth_gauge_reconciles_with_per_session_pending_counts() {
 fn failed_session_counts_into_the_failed_counter() {
     let bundle = local_bundle();
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
-    let cfg = ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     reactor.spawn(InpSession::new(tb.client(ClientClass::DesktopLan), AppId(99), 0, 0));
     let report = reactor.run().unwrap();
@@ -209,7 +208,7 @@ fn prometheus_page_renders_the_whole_stack() {
     let bundle = local_bundle();
     let tb = testbed_bound_to(&bundle);
     tb.server.publish(0, content(1, 8_000));
-    let cfg = ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     reactor.spawn(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0));
     reactor.run().unwrap();

@@ -1,24 +1,23 @@
-//! The flight recorder: bounded, lock-free ring-buffer event journals.
+//! The flight recorder: bounded ring-buffer event journals behind one lock.
 //!
 //! Metrics answer *how much*; they cannot answer *what happened to
 //! session 4711 before it stalled*. The journal fills that gap: each
-//! reactor shard owns a [`Journal`], a fixed-capacity ring of
-//! [`Event`]s (`{ seq, t_ns, session, kind }`) recording phase
-//! transitions, fault injections, handoffs, stale-delivery drops, and
-//! stall marks. Recording is wait-free for the shard thread — one
-//! global-sequence `fetch_add` to claim a slot, one per-session
-//! `fetch_add` for the event's causal index, a seqlock-versioned slot
-//! write — and never allocates, so a journal can stay attached in the
-//! hot path within the repo's <5 % telemetry-overhead budget.
+//! reactor shard's [`Telemetry`](crate::Telemetry) bundle carries a
+//! [`Journal`], a fixed-capacity ring of [`Event`]s
+//! (`{ seq, t_ns, session, kind }`) recording phase transitions, fault
+//! injections, handoffs, stale-delivery drops, and stall marks. Kinds
+//! are `&'static str` labels (`phase:PadDownload`, `fault:drop`, …), so
+//! there is nothing to bind or intern before recording.
 //!
 //! # Consistency model
 //!
-//! A journal has **one writer** (its shard thread) and any number of
-//! concurrent readers (the introspection sidecar, a stall reporter).
-//! Every slot carries a seqlock version: the writer makes it odd,
-//! stores the fields, makes it even; a reader that observes an odd or
-//! changed version discards the slot instead of surfacing a torn
-//! event. Readers never block the writer.
+//! One `Mutex` guards the ring, the per-session `seq` counters and the
+//! `recorded` count, so any number of threads may record into and read
+//! from one journal: an event is claimed, stamped and stored in one
+//! critical section and a reader never sees it half-written. The traffic
+//! it serves is one writer per journal (the shard thread) and a reader
+//! only after the run, on a stall or on a scrape, so the lock is
+//! uncontended where it matters.
 //!
 //! # Determinism
 //!
@@ -32,27 +31,21 @@
 //! byte-identical at any shard count. Wall-clock journals trade that
 //! for real timestamps; the ordering stays deterministic per session.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 
-use crate::clock::{MonotonicClock, SharedClock};
+use crate::clock::SharedClock;
 
 /// Default ring capacity per journal (events retained per shard).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
-/// An interned event-kind label, bound once via [`Journal::kind`] so the
-/// recording path never touches the label table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct KindId(u32);
-
 /// One recorded event.
 ///
 /// `seq` is the per-session causal index (0 for the session's first
-/// event). `kind` is the interned label, e.g. `phase:PadDownload`,
-/// `fault:drop`, `handoff`, `stall:Sessioning`.
+/// event). `kind` is the label it was recorded under, e.g.
+/// `phase:PadDownload`, `fault:drop`, `handoff`, `stall:mark`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Event {
     /// Per-session event index, 0-based, gap-free per source stream.
@@ -61,7 +54,7 @@ pub struct Event {
     pub t_ns: u64,
     /// Session label (global session id when the caller sets one).
     pub session: u64,
-    /// Resolved kind label.
+    /// Kind label.
     pub kind: String,
 }
 
@@ -91,172 +84,120 @@ impl core::fmt::Display for Event {
     }
 }
 
-/// One seqlock-versioned ring slot. `ver == 0` means never written;
-/// odd means a write is in flight.
-struct Slot {
-    ver: AtomicU64,
-    gseq: AtomicU64,
-    seq: AtomicU64,
-    t_ns: AtomicU64,
-    session: AtomicU64,
-    kind: AtomicU64,
+/// An event as the ring holds it: the kind stays a static label until a
+/// reader copies the event out.
+#[derive(Clone, Copy)]
+struct Entry {
+    seq: u64,
+    t_ns: u64,
+    session: u64,
+    kind: &'static str,
 }
 
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            ver: AtomicU64::new(0),
-            gseq: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            t_ns: AtomicU64::new(0),
-            session: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-        }
+impl Entry {
+    fn event(&self) -> Event {
+        Event { seq: self.seq, t_ns: self.t_ns, session: self.session, kind: self.kind.to_string() }
     }
 }
 
-/// A bounded single-writer event ring (one per reactor shard).
+/// Everything the journal's lock guards.
+struct Ring {
+    /// Retained events in recording order, oldest first; never longer
+    /// than the journal's capacity.
+    entries: VecDeque<Entry>,
+    /// Next causal index per session label, so every recording path for
+    /// one session (reactor, fault layer) extends one gap-free stream.
+    next_seq: BTreeMap<u64, u64>,
+    /// Total events recorded over the journal's lifetime (retained or
+    /// overwritten).
+    recorded: u64,
+}
+
+/// A bounded event ring (one per reactor shard).
 pub struct Journal {
-    slots: Box<[Slot]>,
-    mask: usize,
-    /// Total events ever recorded; also the global slot allocator.
-    head: AtomicU64,
-    /// Interned kind labels; `KindId` indexes into this.
-    kinds: RwLock<Vec<String>>,
-    /// Per-session causal counters, shared with every handle for the
-    /// same session so fault-layer and reactor events interleave on one
-    /// gap-free stream.
-    sessions: RwLock<BTreeMap<u64, Arc<AtomicU64>>>,
+    ring: Mutex<Ring>,
+    capacity: usize,
     clock: SharedClock,
 }
 
 impl Journal {
     /// A journal retaining the last `capacity` events (rounded up to a
-    /// power of two, minimum 8), stamped by real monotonic time.
-    pub fn new(capacity: usize) -> Journal {
-        let cap = capacity.max(8).next_power_of_two();
+    /// power of two, minimum 8), stamped by `clock`. Components get one
+    /// through [`Telemetry::with_journal`](crate::Telemetry::with_journal),
+    /// which passes the bundle's own clock.
+    pub fn new(capacity: usize, clock: SharedClock) -> Journal {
+        let capacity = capacity.max(8).next_power_of_two();
         Journal {
-            slots: (0..cap).map(|_| Slot::empty()).collect(),
-            mask: cap - 1,
-            head: AtomicU64::new(0),
-            kinds: RwLock::new(Vec::new()),
-            sessions: RwLock::new(BTreeMap::new()),
-            clock: MonotonicClock::shared(),
+            ring: Mutex::new(Ring {
+                entries: VecDeque::with_capacity(capacity),
+                next_seq: BTreeMap::new(),
+                recorded: 0,
+            }),
+            capacity,
+            clock,
         }
-    }
-
-    /// The same journal stamped by `clock` — a fixed-timeline
-    /// [`VirtualClock`](crate::clock::VirtualClock) makes merged
-    /// snapshots byte-identical at any shard count.
-    pub fn with_clock(mut self, clock: SharedClock) -> Journal {
-        self.clock = clock;
-        self
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events recorded over the journal's lifetime (retained or
     /// overwritten).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.ring.lock().recorded
     }
 
-    /// Interns `label` and returns its id; repeated calls with the same
-    /// label return the same id. Bind kinds once at setup — recording
-    /// with a bound [`KindId`] never touches this table.
-    pub fn kind(&self, label: &str) -> KindId {
-        if let Some(i) = self.kinds.read().iter().position(|k| k == label) {
-            return KindId(i as u32);
-        }
-        let mut kinds = self.kinds.write();
-        if let Some(i) = kinds.iter().position(|k| k == label) {
-            return KindId(i as u32);
-        }
-        kinds.push(label.to_string());
-        KindId((kinds.len() - 1) as u32)
-    }
-
-    /// A recording handle for `session`. Handles for the same session
-    /// share one causal counter, so events recorded through any of them
-    /// form a single gap-free `seq` stream.
+    /// A recording handle for `session`. Every handle for the same
+    /// session extends one gap-free `seq` stream.
     pub fn session(self: &Arc<Journal>, session: u64) -> SessionJournal {
-        let seq = {
-            let sessions = self.sessions.read();
-            sessions.get(&session).cloned()
-        };
-        let seq = seq.unwrap_or_else(|| {
-            let mut sessions = self.sessions.write();
-            Arc::clone(sessions.entry(session).or_insert_with(|| Arc::new(AtomicU64::new(0))))
-        });
-        SessionJournal { journal: Arc::clone(self), session, seq }
+        SessionJournal { journal: Arc::clone(self), session }
     }
 
-    /// Records one event for `session` without a pre-bound handle —
-    /// convenience for cold paths (stall marking, tests).
-    pub fn record(self: &Arc<Journal>, session: u64, kind: KindId) {
-        self.session(session).record(kind);
-    }
-
-    /// The single-writer slot write. `seq` is the caller's per-session
-    /// causal index.
-    fn write(&self, session: u64, seq: u64, kind: KindId) {
-        let g = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(g as usize) & self.mask];
+    /// Records one `kind` event for `session`: claims the session's next
+    /// causal index, stamps it, and overwrites the oldest retained event
+    /// once the ring is full.
+    pub fn record(&self, session: u64, kind: &'static str) {
+        let mut ring = self.ring.lock();
+        let next = ring.next_seq.entry(session).or_insert(0);
+        let seq = *next;
+        *next += 1;
         let t_ns = self.clock.now_ns();
-        let v = slot.ver.load(Ordering::Relaxed);
-        slot.ver.store(v + 1, Ordering::Relaxed); // odd: write in flight
-        fence(Ordering::Release);
-        slot.gseq.store(g, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Relaxed);
-        slot.t_ns.store(t_ns, Ordering::Relaxed);
-        slot.session.store(session, Ordering::Relaxed);
-        slot.kind.store(kind.0 as u64, Ordering::Relaxed);
-        slot.ver.store(v + 2, Ordering::Release); // even: stable
+        if ring.entries.len() == self.capacity {
+            ring.entries.pop_front();
+        }
+        ring.entries.push_back(Entry { seq, t_ns, session, kind });
+        ring.recorded += 1;
     }
 
-    /// A consistent point-in-time copy of the retained events, in
-    /// canonical order. Slots with a write in flight are skipped, never
-    /// surfaced torn.
+    /// A point-in-time copy of the retained events, in canonical order.
     pub fn snapshot(&self) -> JournalSnapshot {
-        let kinds = self.kinds.read().clone();
-        let mut tagged: Vec<(u64, Event)> = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            for _ in 0..4 {
-                let v1 = slot.ver.load(Ordering::Acquire);
-                if v1 == 0 || v1 % 2 == 1 {
-                    break; // empty, or writer mid-flight: drop the slot
-                }
-                let gseq = slot.gseq.load(Ordering::Relaxed);
-                let seq = slot.seq.load(Ordering::Relaxed);
-                let t_ns = slot.t_ns.load(Ordering::Relaxed);
-                let session = slot.session.load(Ordering::Relaxed);
-                let kind = slot.kind.load(Ordering::Relaxed);
-                fence(Ordering::Acquire);
-                let v2 = slot.ver.load(Ordering::Relaxed);
-                if v1 != v2 {
-                    continue; // overwritten mid-read: retry
-                }
-                if let Some(label) = kinds.get(kind as usize) {
-                    tagged.push((gseq, Event { seq, t_ns, session, kind: label.clone() }));
-                }
-                break;
-            }
-        }
-        tagged.sort_by_key(|(g, _)| *g);
-        let recorded = self.recorded();
-        let events: Vec<Event> = tagged.into_iter().map(|(_, e)| e).collect();
-        let dropped = recorded - (events.len() as u64).min(recorded);
+        let ring = self.ring.lock();
+        let events: Vec<Event> = ring.entries.iter().map(Entry::event).collect();
+        let recorded = ring.recorded;
+        drop(ring);
+        let dropped = recorded - events.len() as u64;
         let mut snap = JournalSnapshot { events, recorded, dropped };
         snap.canonicalize();
         snap
     }
 
-    /// The last `n` retained events for `session`, oldest first.
+    /// The last `n` retained events for `session`, oldest first — read
+    /// off the ring under the lock, without copying the other sessions'
+    /// events.
     pub fn tail(&self, session: u64, n: usize) -> Vec<Event> {
-        self.snapshot().tail(session, n)
+        let ring = self.ring.lock();
+        let mut tail: Vec<Event> = ring
+            .entries
+            .iter()
+            .rev()
+            .filter(|e| e.session == session)
+            .take(n)
+            .map(Entry::event)
+            .collect();
+        tail.reverse();
+        tail
     }
 }
 
@@ -269,30 +210,22 @@ impl core::fmt::Debug for Journal {
     }
 }
 
-/// A per-session recording handle: wait-free, allocation-free.
+/// A per-session recording handle.
 #[derive(Clone, Debug)]
 pub struct SessionJournal {
     journal: Arc<Journal>,
     session: u64,
-    seq: Arc<AtomicU64>,
 }
 
 impl SessionJournal {
-    /// The session label this handle records under.
-    pub fn session(&self) -> u64 {
-        self.session
+    /// Records one `kind` event on this session's stream.
+    pub fn record(&self, kind: &'static str) {
+        self.journal.record(self.session, kind);
     }
 
-    /// Records one event: claims the next per-session causal index and
-    /// writes the slot.
-    pub fn record(&self, kind: KindId) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.journal.write(self.session, seq, kind);
-    }
-
-    /// Interns a label through the underlying journal (setup-time only).
-    pub fn kind(&self, label: &str) -> KindId {
-        self.journal.kind(label)
+    /// The last `n` retained events of this session, oldest first.
+    pub fn tail(&self, n: usize) -> Vec<Event> {
+        self.journal.tail(self.session, n)
     }
 }
 
@@ -373,19 +306,17 @@ mod tests {
     use crate::clock::VirtualClock;
 
     fn virtual_journal(cap: usize) -> Arc<Journal> {
-        Arc::new(Journal::new(cap).with_clock(VirtualClock::shared(1)))
+        Arc::new(Journal::new(cap, VirtualClock::shared(1)))
     }
 
     #[test]
     fn records_and_snapshots_in_causal_order() {
         let j = virtual_journal(64);
-        let phase = j.kind("phase:MetaExchange");
-        let fault = j.kind("fault:drop");
         let s5 = j.session(5);
         let s2 = j.session(2);
-        s5.record(phase);
-        s2.record(phase);
-        s5.record(fault);
+        s5.record("phase:MetaExchange");
+        s2.record("phase:MetaExchange");
+        s5.record("fault:drop");
         let snap = j.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap.recorded, 3);
@@ -406,10 +337,9 @@ mod tests {
         let j = virtual_journal(64);
         let a = j.session(9);
         let b = j.session(9);
-        let k = j.kind("x");
-        a.record(k);
-        b.record(k);
-        a.record(k);
+        a.record("x");
+        b.record("x");
+        a.record("x");
         let seqs: Vec<u64> = j.snapshot().tail(9, 10).iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
     }
@@ -417,10 +347,9 @@ mod tests {
     #[test]
     fn wraparound_keeps_newest_and_counts_dropped() {
         let j = virtual_journal(8);
-        let k = j.kind("tick");
         let s = j.session(1);
         for _ in 0..20 {
-            s.record(k);
+            s.record("tick");
         }
         let snap = j.snapshot();
         assert_eq!(snap.recorded, 20);
@@ -433,14 +362,16 @@ mod tests {
     #[test]
     fn tail_returns_last_n_oldest_first() {
         let j = virtual_journal(64);
-        let k = j.kind("e");
         let s = j.session(3);
         for _ in 0..5 {
-            s.record(k);
+            s.record("e");
         }
+        j.record(4, "other");
         let tail = j.tail(3, 2);
         assert_eq!(tail.len(), 2);
         assert_eq!((tail[0].seq, tail[1].seq), (3, 4));
+        assert_eq!(s.tail(2), tail, "the handle reads the same tail");
+        assert_eq!(j.tail(3, 16), j.snapshot().tail(3, 16), "ring scan ≡ snapshot tail");
         assert!(j.tail(99, 4).is_empty());
     }
 
@@ -448,11 +379,9 @@ mod tests {
     fn merge_is_commutative_and_counts_add() {
         let a = virtual_journal(16);
         let b = virtual_journal(16);
-        let ka = a.kind("p");
-        let kb = b.kind("q");
-        a.record(1, ka);
-        b.record(2, kb);
-        b.record(1, kb);
+        a.record(1, "p");
+        b.record(2, "q");
+        b.record(1, "q");
         let (sa, sb) = (a.snapshot(), b.snapshot());
         let mut ab = sa.clone();
         ab.merge(&sb);
@@ -464,38 +393,27 @@ mod tests {
     }
 
     #[test]
-    fn kind_interning_is_stable() {
-        let j = Arc::new(Journal::new(8));
-        let a = j.kind("alpha");
-        let b = j.kind("beta");
-        let a2 = j.kind("alpha");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn sessions_lists_distinct_ids() {
         let j = virtual_journal(32);
-        let k = j.kind("e");
         for id in [7u64, 3, 7, 11] {
-            j.record(id, k);
+            j.record(id, "e");
         }
         assert_eq!(j.snapshot().sessions(), vec![3, 7, 11]);
     }
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(Journal::new(0).capacity(), 8);
-        assert_eq!(Journal::new(100).capacity(), 128);
-        assert_eq!(Journal::new(4096).capacity(), 4096);
+        let cap = |n| Journal::new(n, VirtualClock::shared(1)).capacity();
+        assert_eq!(cap(0), 8);
+        assert_eq!(cap(100), 128);
+        assert_eq!(cap(4096), 4096);
     }
 
     #[test]
     fn render_carries_accounting_trailer() {
         let j = virtual_journal(8);
-        let k = j.kind("e");
         for _ in 0..12 {
-            j.session(1).record(k);
+            j.session(1).record("e");
         }
         let text = j.snapshot().render();
         assert!(text.contains("retained=8 recorded=12 dropped=4"), "{text}");

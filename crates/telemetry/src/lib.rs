@@ -11,9 +11,10 @@
 //! - [`registry`] — a sharded `&self` name→handle map, snapshots rendered
 //!   as a Prometheus text page (the bench crate builds its `BENCH_*.json`
 //!   members from the snapshot's public maps);
-//! - [`journal`] — the flight recorder: per-shard bounded ring-buffer
-//!   event journals with a deterministic, associative snapshot merge
-//!   and a per-session `tail` query;
+//! - [`journal`] — the flight recorder: per-shard bounded event rings
+//!   behind one lock, with a deterministic, associative snapshot merge
+//!   and a per-session `tail` query; a [`Telemetry`] bundle carries one
+//!   ([`Telemetry::with_journal`]) stamped by the bundle's own clock;
 //! - [`clock`] — the pluggable time sources: real monotonic time in
 //!   benches, a deterministic [`VirtualClock`] in tests so traces come out
 //!   byte-identical at any thread count.
@@ -36,6 +37,6 @@ pub mod metrics;
 pub mod registry;
 
 pub use clock::{Clock, MonotonicClock, NullClock, SharedClock, VirtualClock};
-pub use journal::{Event, Journal, JournalSnapshot, KindId, SessionJournal};
+pub use journal::{Event, Journal, JournalSnapshot, SessionJournal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot, Telemetry};

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::clock::{MonotonicClock, SharedClock};
+use crate::journal::{Journal, JournalSnapshot};
 use crate::metrics::{bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 
 #[derive(Clone)]
@@ -217,25 +218,41 @@ impl Snapshot {
     }
 }
 
-/// The bundle instrumented components hold: where to register metrics and
-/// how to read time. Cheap to clone (two `Arc`s).
+/// The bundle instrumented components hold: where to register metrics,
+/// how to read time, and — when one is attached — the flight recorder
+/// events are journaled to, stamped by that same clock. Cheap to clone
+/// (two or three `Arc`s).
 #[derive(Clone)]
 pub struct Telemetry {
     registry: Arc<Registry>,
     clock: SharedClock,
+    journal: Option<Arc<Journal>>,
 }
 
 impl core::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Telemetry").field("registry", &self.registry).finish()
+        f.debug_struct("Telemetry")
+            .field("registry", &self.registry)
+            .field("journal", &self.journal)
+            .finish()
     }
 }
 
 impl Telemetry {
     /// A telemetry bundle over an explicit registry and clock (tests use
-    /// per-work-unit registries and virtual clocks for determinism).
+    /// per-work-unit registries and virtual clocks for determinism), with
+    /// no flight recorder.
     pub fn new(registry: Arc<Registry>, clock: SharedClock) -> Telemetry {
-        Telemetry { registry, clock }
+        Telemetry { registry, clock, journal: None }
+    }
+
+    /// The same bundle with a flight recorder attached: a [`Journal`]
+    /// retaining the last `capacity` events, stamped by the bundle's own
+    /// clock — so a component's phase timings, metrics and journal read
+    /// one timeline.
+    pub fn with_journal(mut self, capacity: usize) -> Telemetry {
+        self.journal = Some(Arc::new(Journal::new(capacity, Arc::clone(&self.clock))));
+        self
     }
 
     /// The process-wide default: one shared registry, one monotonic clock.
@@ -282,6 +299,16 @@ impl Telemetry {
     /// Snapshot of the bundle's registry.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
+    }
+
+    /// The bundle's flight recorder, if one is attached.
+    pub fn journal(&self) -> Option<&Arc<Journal>> {
+        self.journal.as_ref()
+    }
+
+    /// Snapshot of the bundle's flight recorder (empty without one).
+    pub fn journal_snapshot(&self) -> JournalSnapshot {
+        self.journal.as_ref().map(|j| j.snapshot()).unwrap_or_default()
     }
 }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// A journal on a pinned virtual timeline: every event gets the same
 /// timestamp, so snapshots are pure functions of the event streams.
 fn pinned_journal(cap: usize) -> Arc<Journal> {
-    Arc::new(Journal::new(cap).with_clock(Arc::new(VirtualClock::starting_at(7, 0))))
+    Arc::new(Journal::new(cap, Arc::new(VirtualClock::starting_at(7, 0))))
 }
 
 const KINDS: [&str; 4] = ["phase:MetaExchange", "phase:PadDownload", "fault:drop", "handoff"];
@@ -21,8 +21,7 @@ const KINDS: [&str; 4] = ["phase:MetaExchange", "phase:PadDownload", "fault:drop
 /// Replays `events` (session, kind-index) through a single journal.
 fn replay(journal: &Arc<Journal>, events: &[(u64, u8)]) {
     for &(session, kind) in events {
-        let k = journal.kind(KINDS[kind as usize % KINDS.len()]);
-        journal.record(session, k);
+        journal.record(session, KINDS[kind as usize % KINDS.len()]);
     }
 }
 
@@ -40,10 +39,9 @@ proptest! {
     fn wraparound_retains_contiguous_newest(total in 0usize..200, cap_pow in 3u32..7) {
         let cap = 1usize << cap_pow;
         let j = pinned_journal(cap);
-        let k = j.kind("tick");
         let s = j.session(1);
         for _ in 0..total {
-            s.record(k);
+            s.record("tick");
         }
         let snap = j.snapshot();
         prop_assert_eq!(snap.recorded, total as u64);
@@ -114,8 +112,7 @@ proptest! {
                 // A session lives on exactly one shard, whichever the
                 // shard count: deal by session id.
                 let j = &journals[(session as usize) % shards];
-                let k = j.kind(KINDS[kind as usize % KINDS.len()]);
-                j.record(session, k);
+                j.record(session, KINDS[kind as usize % KINDS.len()]);
             }
             let mut snap = JournalSnapshot::default();
             for j in &journals {

@@ -3,7 +3,8 @@
 # Run from the repository root before sending a change out for review.
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
-#                             # no-stripe-by-hash, one-fast-path,
+#                             # no-stripe-by-hash, no-hand-chosen-ordering,
+#                             # one-fast-path,
 #                             # one-memory-type and unused-dependency
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
@@ -13,7 +14,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all six audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all seven audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -114,6 +115,23 @@ fi
 step "no stripe-by-hash (DefaultHasher) in crates/core/src or crates/telemetry/src"
 if grep -rn 'DefaultHasher' --include='*.rs' crates/core/src crates/telemetry/src; then
     echo "DefaultHasher in fractal-core / fractal-telemetry (see the step's comment)" >&2
+    exit 1
+fi
+
+# No workspace code depends on a hand-chosen memory ordering: atomics are
+# `Relaxed` counters, gauges and flags, and whatever needs happens-before
+# takes a lock (the flight recorder's seqlock, the last exception, became
+# one `Mutex` in PR 25). A new Acquire/Release/AcqRel/SeqCst or fence
+# arrives with its model test (ROADMAP item 4(b)) and an `^path:`
+# alternative in `ordering_allow`; the allow-list is empty today.
+ordering_allow='^$'
+step "no hand-chosen memory ordering (Acquire/Release/AcqRel/SeqCst, fence) in crates src shims tests"
+stray=$(grep -rnE 'Ordering::(Acquire|Release|AcqRel|SeqCst)|fence\(' --include='*.rs' \
+        crates src shims tests \
+    | grep -vE "$ordering_allow" || true)
+if [ -n "$stray" ]; then
+    echo "memory ordering stronger than Relaxed outside the allow-list (see the step's comment):" >&2
+    echo "$stray" >&2
     exit 1
 fi
 

@@ -176,8 +176,7 @@ fn recorded_reactor_batch() -> Snapshot {
     publish_pages(&mut tb, &pages);
 
     let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(5));
-    let mut reactor =
-        tb.reactor_with(ReactorConfig::new().clock(bundle.clock()).telemetry(&bundle));
+    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&bundle));
     for i in 0..SESSIONS {
         let class = ClientClass::ALL[i as usize % ClientClass::ALL.len()];
         reactor.spawn(InpSession::new(tb.client(class), tb.app_id, i % PAGES, 0));
