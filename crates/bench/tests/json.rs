@@ -106,10 +106,9 @@ proptest! {
     }
 }
 
-const COMMITTED: [(&str, &str); 3] = [
+const COMMITTED: [(&str, &str); 2] = [
     ("scenarios", include_str!("../../../BENCH_scenarios.json")),
     ("capacity", include_str!("../../../BENCH_capacity.json")),
-    ("vm_dispatch", include_str!("../../../BENCH_vm_dispatch.json")),
 ];
 
 #[test]

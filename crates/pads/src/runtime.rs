@@ -112,8 +112,8 @@ impl PadRuntime {
     }
 
     /// Instantiates on the fully checked interpreter path, skipping the
-    /// verifier and the analyzer: the reference the differential tests and
-    /// `vm_dispatch` hold the fast path to. Nothing deploys through it.
+    /// verifier and the analyzer: the reference the differential tests hold
+    /// the fast path to. Nothing deploys through it.
     pub fn new_checked(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
         Ok(PadRuntime { machine: Machine::new(module, policy)? })
     }

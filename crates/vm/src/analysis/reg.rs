@@ -31,15 +31,28 @@
 //! that starts there), so a branch into the middle of a run executes the
 //! ops from there on and there is one table per function.
 //!
+//! ## Superinstructions
+//!
+//! A last pass replaces slot `i` by one slot for it and the one or two it
+//! falls through to when they have one of five shapes, the gzip PAD's
+//! token loop (DESIGN.md §4.11): `add · br.ltu`, `mov · sub · br.ltu`,
+//! `load · add` stepping the load's address, `add · jmp` and
+//! `mov · sub · lzcopy`. A fused slot skips a write only to a stack
+//! register its last part pops, dead on both edges of a branch (they share
+//! one entry height) — the argument that lets a run skip its producers'
+//! registers, one slot further. The covered slots keep their own forms, so
+//! a branch into the second or third part runs the original slots.
+//!
 //! ## Fuel
 //!
 //! A slot records how many source ops it stands for ([`Slot::n`]) and is
 //! charged that many. Everything before the main op writes registers only,
 //! and only the main op can trap, so a run that starves part-way has done
-//! nothing the embedding can see; when exactly the consumer is unpaid
-//! ([`Slot::tail`]) the interpreter still evaluates a fallible main — a
-//! load or a division — so its trap wins over `FuelExhausted`, as it would
-//! op by op.
+//! nothing the embedding can see; when the tank holds at least what the
+//! ops through the main op cost (all but [`Slot::tail`]) the interpreter
+//! still evaluates a fallible main — a load or a division — so its trap
+//! wins over `FuelExhausted`, as it would op by op, and what the ops after
+//! it would have cost stays in the tank.
 
 use core::fmt;
 
@@ -274,6 +287,20 @@ pub enum SlotOp {
     MemFill,
     /// `lzcopy(dst r[d], src r[a], len r[b])`.
     LzCopy,
+    /// Jump to `t` when `r[d] <u r[a] + r[b]`.
+    BrLtUAdd,
+    /// Jump to `t` when `r[d] <u r[a] + b`.
+    BrLtUAddI,
+    /// Jump to `t` when `r[a] - r[b] <u r[d]`.
+    BrLtUSub,
+    /// `r[d] = mem8[r[a]]`, then `r[a] += b`.
+    Load8Inc,
+    /// `r[d] = mem16[r[a]]`, then `r[a] += b`.
+    Load16Inc,
+    /// `r[d] = r[a] + r[b]`, then jump to `t`.
+    AddJmp,
+    /// `lzcopy(dst r[d], src r[d] - r[a], len r[b])`.
+    LzCopySub,
 }
 
 /// One entry of a function's fast-path table: a source instruction, or a
@@ -285,8 +312,8 @@ pub struct Slot {
     /// Source instructions this slot stands for; it is charged this much
     /// fuel and steps the instruction index this far.
     pub n: u8,
-    /// How many of the `n` follow the main op (a folded `local.set`):
-    /// what a trap in the main op was charged too much.
+    /// How many of the `n` follow the main op (a folded `local.set`, a
+    /// fused increment): what a trap in the main op was charged too much.
     pub tail: u8,
     /// The comparison of `Cmp`/`CmpI`/`Br`/`BrI`, as a [`truth`] table.
     pub k: u8,
@@ -362,6 +389,13 @@ impl fmt::Display for Slot {
             SlotOp::MemCopy => write!(f, "memcopy r{d}, r{a}, r{b}"),
             SlotOp::MemFill => write!(f, "memfill r{d}, r{a}, r{b}"),
             SlotOp::LzCopy => write!(f, "lzcopy r{d}, r{a}, r{b}"),
+            SlotOp::BrLtUAdd => write!(f, "br.ltu r{d}, r{a}+r{b} -> @{t}"),
+            SlotOp::BrLtUAddI => write!(f, "br.ltu r{d}, r{a}+{b} -> @{t}"),
+            SlotOp::BrLtUSub => write!(f, "br.ltu r{a}-r{b}, r{d} -> @{t}"),
+            SlotOp::Load8Inc => write!(f, "load8 r{d}, [r{a}], r{a}+={b}"),
+            SlotOp::Load16Inc => write!(f, "load16 r{d}, [r{a}], r{a}+={b}"),
+            SlotOp::AddJmp => write!(f, "add r{d}, r{a}, r{b} -> @{t}"),
+            SlotOp::LzCopySub => write!(f, "lzcopy r{d}, r{d}-r{a}, r{b}"),
             _ => arith(f),
         }?;
         if self.n > 1 {
@@ -421,7 +455,11 @@ pub(crate) fn translate(
                 index_of[insn.at] = i as u32;
             }
             let tr = Translator { module, func, fa, index_of };
-            let code = (0..fa.insns.len()).map(|i| tr.slot_at(i)).collect();
+            let mut code: Vec<Slot> = (0..fa.insns.len()).map(|i| tr.slot_at(i)).collect();
+            // In index order: the slots a fused one reads are the originals.
+            for i in 0..code.len() {
+                code[i] = tr.superinstruction(&code, i).unwrap_or(code[i]);
+            }
             Ok(RegFunction { code, n_args: func.n_args as usize, first_stack, frame })
         })
         .collect()
@@ -621,6 +659,60 @@ impl Translator<'_> {
             _ => unreachable!("binary operators returned above"),
         }
     }
+
+    /// Whether register `r` is a stack register slot `j` pops: at or above
+    /// the height where `j` falls through, which its branch target shares.
+    fn popped_by(&self, code: &[Slot], j: usize, r: u16) -> bool {
+        let after = self.fa.insns.get(j + code[j].n as usize).and_then(|insn| insn.height);
+        after.is_some_and(|h| r >= self.stack(h as usize))
+    }
+
+    /// Slot `i` fused with the one or two slots it falls through to, when
+    /// they have one of the five shapes of the module doc and every write
+    /// the fused slot skips is to a stack register its last part pops.
+    fn superinstruction(&self, code: &[Slot], i: usize) -> Option<Slot> {
+        use SlotOp::*;
+        let (first, j) = (code[i], i + code[i].n as usize);
+        let second = *code.get(j)?;
+        let (n, s, t) = (first.n + second.n, first.d, second.d);
+        let fused = |op, tail, from: Slot| Slot { op, n, tail, ..from };
+        Some(match (first.op, second.op) {
+            (Add | AddI, BrLtU)
+                if second.b == s as i32 && second.a != s && self.popped_by(code, j, s) =>
+            {
+                let op = if first.op == Add { BrLtUAdd } else { BrLtUAddI };
+                Slot { d: second.a, t: second.t, ..fused(op, 0, first) }
+            }
+            (Load8 | Load16, AddI) if (t, second.a) == (first.a, first.a) && s != first.a => {
+                let op = if first.op == Load8 { Load8Inc } else { Load16Inc };
+                Slot { b: second.b, ..fused(op, first.tail + second.n, first) }
+            }
+            (Add, Jmp) => Slot { t: second.t, ..fused(AddJmp, 0, first) },
+            (Mov, Sub) => {
+                let k = j + second.n as usize;
+                let third = *code.get(k)?;
+                let dead = s != t
+                    && ![second.a, second.b as u16].contains(&s)
+                    && self.popped_by(code, k, s)
+                    && self.popped_by(code, k, t);
+                let n = n + third.n;
+                match third.op {
+                    BrLtU if dead && (third.a, third.b) == (t, s as i32) => {
+                        Slot { op: BrLtUSub, n, d: first.a, t: third.t, ..second }
+                    }
+                    LzCopy
+                        if dead
+                            && (third.d, third.a, first.a) == (s, t, second.a)
+                            && ![s, t].contains(&(third.b as u16)) =>
+                    {
+                        Slot { op: LzCopySub, n, d: first.a, a: second.b as u16, ..third }
+                    }
+                    _ => return None,
+                }
+            }
+            _ => return None,
+        })
+    }
 }
 
 /// The branch on comparison `k` of `(r[a], y)`, target left to the caller.
@@ -732,9 +824,9 @@ mod tests {
     }
 
     #[test]
-    fn the_gzip_loop_compiles_to_one_slot_per_statement() {
-        // A translation change that stops folding should fail here, not in
-        // a benchmark.
+    fn a_gzip_token_is_ten_dispatches_for_a_literal_and_thirteen_for_a_match() {
+        // A translation change that stops folding or fusing should fail
+        // here, not in a benchmark.
         let code = slots_of(include_str!("../../../pads/fasm/gzip.fasm"), "decode");
         // The loop header is where the back edges land: `out >= out_end`.
         let header = code
@@ -746,21 +838,37 @@ mod tests {
             .expect("decode loops");
         let done = code[header].t;
         assert_eq!(code[header].to_string(), format!("br.geu r9, r10 -> @{done} x4"));
-        // `c = mem[src]; src += 1; if c >= 0x80 goto match`.
-        let show: Vec<String> = [8, 11, 15].iter().map(|i| code[header + i].to_string()).collect();
-        let is_match = code[header + 15].t;
-        assert_eq!(
-            show,
-            [
-                "load8 r11, [r7] x3".to_string(),
-                "add r7, r7, 1 x4".to_string(),
-                format!("br.geu r11, 128 -> @{is_match} x4"),
-            ]
-        );
-        // `src + len > src_end` is two slots: the sum, then the branch
-        // with its right operand folded in.
-        assert_eq!(code[header + 23].to_string(), "add r14, r7, r12 x3");
-        assert!(code[header + 26].to_string().starts_with("br.ltu r8, r14 -> @"));
+        // One token, header to header: every branch to an exit (a block
+        // that returns) falls through, and `c >= 0x80` is taken for a match.
+        let token = |is_match: bool| {
+            let (mut pc, mut path, mut fuel) = (header, Vec::new(), 0);
+            loop {
+                let s = code[pc];
+                path.push(s.op);
+                fuel += s.n as u32;
+                pc += s.n as usize;
+                if matches!(s.op, SlotOp::Jmp | SlotOp::AddJmp) {
+                    assert_eq!(s.t as usize, header);
+                    return (path, fuel);
+                }
+                let exit = code.get(s.t as usize + 1).map(|s| s.op) == Some(SlotOp::Ret);
+                if s.to_string().starts_with("br.") && is_match && !exit {
+                    pc = s.t as usize;
+                }
+            }
+        };
+        let (literal, fuel) = token(false);
+        assert_eq!((literal.len(), fuel), (10, 48), "{literal:?}");
+        let (matched, fuel) = token(true);
+        assert_eq!((matched.len(), fuel), (13, 64), "{matched:?}");
+        use SlotOp::*;
+        for form in [Load8Inc, BrLtUAdd, AddJmp] {
+            assert!(literal.contains(&form), "{form:?} {literal:?}");
+        }
+        for form in [Load8Inc, BrLtUAddI, Load16Inc, BrLtUSub, BrLtUAdd, LzCopySub, AddJmp] {
+            assert!(matched.contains(&form), "{form:?} {matched:?}");
+        }
+        assert_eq!(code[header + 8].to_string(), "load8 r11, [r7], r7+=1 x7");
         // All three operands of the bulk copy fold into it.
         let copy = code.iter().find(|s| s.op == SlotOp::MemCopy).unwrap();
         assert_eq!(copy.to_string(), "memcopy r9, r7, r12 x4");

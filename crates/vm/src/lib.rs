@@ -23,8 +23,8 @@
 //! * an **admission cache** ([`admission`]) so the verifier and analyzer
 //!   run once per distinct PAD, not once per session that deploys it;
 //! * a **register form** ([`analysis::reg`]) the analyzer's proof licenses:
-//!   admitted code runs as three-address slots over frame registers, one
-//!   dispatch per source statement, at the checked interpreter's exact fuel.
+//!   admitted code runs as three-address slots over frame registers, at most
+//!   one dispatch per source statement, at the checked interpreter's exact fuel.
 //!
 //! The VM is deliberately small but real: every client-side protocol decode
 //! in the reproduction's experiments runs through this interpreter.

@@ -828,29 +828,30 @@ impl Machine {
     /// A slot the tank cannot pay for in full. The run ends where the
     /// plain ops would have: every unit left bought one more op, none of
     /// which the embedding can observe, and the next found the tank empty
-    /// — unless the last unit bought a main op that traps, in which case
-    /// that trap is how the run ended.
+    /// — unless the units left bought a main op that traps, in which case
+    /// that trap is how the run ended and the rest stays in the tank.
     #[cold]
     #[inline(never)]
     fn starved(&mut self, slot: &Slot, win: &[i64]) -> Trap {
         let left = self.fuel;
-        self.fuel_used_total += left;
-        self.fuel = 0;
-        if slot.tail > 0 && left == (slot.n - slot.tail) as u64 {
+        let through_main = (slot.n - slot.tail) as u64;
+        if slot.tail > 0 && left >= through_main {
             let reg = |r: usize| win.get(r).copied().unwrap_or(0);
             let (a, b) = (reg(slot.a as usize), slot.b as usize);
             let main = match slot.op {
                 SlotOp::DivU | SlotOp::DivS | SlotOp::RemU => Self::divide(slot.op, a, reg(b)),
-                SlotOp::Load8 => self.load(a, 1),
-                SlotOp::Load16 => self.load(a, 2),
+                SlotOp::Load8 | SlotOp::Load8Inc => self.load(a, 1),
+                SlotOp::Load16 | SlotOp::Load16Inc => self.load(a, 2),
                 SlotOp::Load32 => self.load(a, 4),
                 SlotOp::Load64 => self.load(a, 8),
                 _ => Ok(0),
             };
             if let Err(trap) = main {
+                self.settle(left - through_main);
                 return trap;
             }
         }
+        self.settle(0);
         Trap::FuelExhausted
     }
 
@@ -1007,6 +1008,14 @@ impl Machine {
                 }
             };
         }
+        // A load that then steps its address register (never `d`) by `b`.
+        macro_rules! load_inc {
+            ($s:ident, $width:expr) => {{
+                let addr = get!($s.a);
+                set!($s.d, main!($s, self.load(addr, $width)));
+                set!($s.a, addr.wrapping_add($s.b as i64))
+            }};
+        }
         // A helper that charges fuel itself sees the machine's counters
         // up to date and leaves the loop's copy stale.
         macro_rules! charging {
@@ -1090,6 +1099,25 @@ impl Machine {
                 }
                 SlotOp::LzCopy => {
                     charging!(self.lz_copy(get!(s.d), get!(s.a), get!(s.b)));
+                }
+                SlotOp::BrLtUAdd => {
+                    br!(s, |a, b| (get!(s.d) as u64) < a.wrapping_add(b) as u64, get!(s.b))
+                }
+                SlotOp::BrLtUAddI => {
+                    br!(s, |a, b| (get!(s.d) as u64) < a.wrapping_add(b) as u64, s.b as i64)
+                }
+                SlotOp::BrLtUSub => {
+                    br!(s, |a, b| (a.wrapping_sub(b) as u64) < get!(s.d) as u64, get!(s.b))
+                }
+                SlotOp::Load8Inc => load_inc!(s, 1),
+                SlotOp::Load16Inc => load_inc!(s, 2),
+                SlotOp::AddJmp => {
+                    set!(s.d, get!(s.a).wrapping_add(get!(s.b)));
+                    pc = s.t as usize;
+                }
+                SlotOp::LzCopySub => {
+                    let dst = get!(s.d);
+                    charging!(self.lz_copy(dst, dst.wrapping_sub(get!(s.a)), get!(s.b)));
                 }
                 SlotOp::Swap => {
                     let (x, y) = (get!(s.a), get!(s.b));
@@ -1806,9 +1834,12 @@ mod tests {
             let (outcome, used) = run(fuel);
             assert!(outcome.is_err() && used <= fuel, "fuel={fuel}: {outcome:?} after {used}");
         }
-        // With exactly what it used the run ends the same way: a trap in a
-        // run's main op is reached even though its consumer is unpaid.
-        assert_eq!(run(full.1), full);
+        // With what it used, and up to a whole slot more, the run ends the
+        // same way: a trap in a slot's main op is reached even though what
+        // follows it in the slot is unpaid.
+        for fuel in full.1..full.1 + 10 {
+            assert_eq!(run(fuel), full, "fuel={fuel}");
+        }
         (full.0, full.1, analyzed.slots(0).to_vec())
     }
 
@@ -1938,6 +1969,116 @@ mod tests {
         let (outcome, fuel, _) = sweep(copy, "main", &[0, 65000, 800]);
         assert!(matches!(outcome, Err(Trap::OutOfBounds { .. })));
         assert_eq!(fuel, 4 + 101);
+    }
+
+    #[test]
+    fn a_fused_slot_ends_where_its_parts_would_at_every_budget() {
+        // The five shapes, as gzip writes them.
+        let fused = r#"
+            .memory 1
+            .func main args=3 locals=2
+                local.get 0
+                load8
+                local.set 3
+                local.get 0
+                push 1
+                add
+                local.set 0
+                local.get 0
+                local.get 2
+                add
+                local.get 1
+                gtu
+                jmpif out
+                local.get 3
+                local.get 1
+                local.get 2
+                sub
+                gtu
+                jmpif out
+                local.get 1
+                local.get 1
+                local.get 2
+                sub
+                local.get 2
+                lzcopy
+                local.get 1
+                local.get 3
+                add
+                local.set 4
+                jmp out
+            out:
+                local.get 0
+                local.get 4
+                add
+                ret
+        "#;
+        let (outcome, fuel, slots) = sweep(fused, "main", &[100, 300, 7]);
+        // 34 ops, and one unit for the seven bytes `lzcopy` moves.
+        assert_eq!((outcome, fuel), (Ok(101 + 300), 34 + 1));
+        let show: Vec<String> = [0, 7, 13, 19, 25].iter().map(|&i| slots[i].to_string()).collect();
+        assert_eq!(
+            show,
+            [
+                "load8 r3, [r0], r0+=1 x7",
+                "br.ltu r1, r0+r2 -> @30 x6",
+                "br.ltu r1-r2, r3 -> @30 x6",
+                "lzcopy r1, r1-r2, r2 x6",
+                "add r4, r1, r3 -> @30 x5",
+            ]
+        );
+        assert_eq!((slots[0].n, slots[0].tail), (7, 5));
+        // The load traps with what it and its operand cost paid and the
+        // increment unpaid, at every budget from 2 to 6: 2 are used.
+        let (outcome, fuel, _) = sweep(fused, "main", &[65536, 300, 7]);
+        assert!(matches!(outcome, Err(Trap::OutOfBounds { .. })));
+        assert_eq!(fuel, 2);
+
+        // Near misses: the sum and the copies land in locals the code
+        // reads afterwards, so nothing fuses and every write happens.
+        let near = r#"
+            .memory 1
+            .func main args=2 locals=3
+                local.get 0
+                local.get 1
+                add
+                local.set 2
+                local.get 0
+                local.get 2
+                ltu
+                jmpif a
+            a:
+                local.get 1
+                local.set 3
+                local.get 0
+                local.get 1
+                sub
+                local.set 4
+                local.get 4
+                local.get 3
+                ltu
+                jmpif b
+            b:
+                local.get 2
+                local.get 3
+                add
+                local.get 4
+                add
+                ret
+        "#;
+        let (outcome, _, slots) = sweep(near, "main", &[5, 3]);
+        assert_eq!(outcome, Ok(8 + 3 + 2));
+        let show: Vec<String> = [0, 4, 8, 10, 14].iter().map(|&i| slots[i].to_string()).collect();
+        assert_eq!(
+            show,
+            [
+                "add r2, r0, r1 x4",
+                "br.ltu r0, r2 -> @8 x4",
+                "mov r3, r1 x2",
+                "sub r4, r0, r1 x4",
+                "br.ltu r4, r3 -> @18 x4",
+            ]
+        );
     }
 
     #[test]

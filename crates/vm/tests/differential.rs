@@ -64,7 +64,7 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
         };
         out.push_str(&format!("    push {c}\n"));
     };
-    match rng.below(18) {
+    match rng.below(19) {
         0 => {
             push_const(rng, out);
             h + 1
@@ -287,12 +287,102 @@ fn emit_op(rng: &mut Rng, out: &mut String, h: i32, nlocals: u8) -> i32 {
             out.push_str(&format!("    {bin}\n    local.set {c}\n"));
             h
         }
+        17 => {
+            emit_fusable(rng, out, nlocals);
+            h
+        }
         _ => {
             // Unknown-operand arithmetic on an argument: keeps ⊤ intervals
             // flowing so the auditor also checks trivial claims.
             out.push_str(&format!("    local.get {}\n", rng.below(nlocals as u64)));
             h + 1
         }
+    }
+}
+
+/// One of the five shapes the superinstruction pass fuses, or a near miss
+/// whose sum lands in a local (which must not fuse), height-neutral. It is
+/// entered at its head or, through a branch that carries stand-ins for
+/// what the skipped ops would have pushed, at its second or third slot.
+fn emit_fusable(rng: &mut Rng, out: &mut String, nlocals: u8) {
+    let mut local = || rng.below(nlocals as u64);
+    let (a, b, c, sel) = (local(), local(), local(), local());
+    let skip = format!("skip{}", out.len());
+    let branch = format!("jmpif {skip}");
+    let get = |n: u64| format!("local.get {n}");
+    let mut setup = String::new();
+    // The ops, and per later slot the op it starts at and the stack height
+    // there.
+    let (ops, entries): (Vec<String>, &[(usize, usize)]) = match rng.below(6) {
+        // add · br.ltu, register or immediate addend.
+        0 => {
+            let y = if rng.below(2) == 0 { get(b) } else { format!("push {}", rng.below(300)) };
+            let ops = vec![get(a), y, "add".into(), get(c), "gtu".into(), branch];
+            (ops, &[(3, 1)])
+        }
+        // mov · sub · br.ltu.
+        1 => (vec![get(a), get(b), get(c), "sub".into(), "gtu".into(), branch], &[(1, 1), (4, 2)]),
+        // load · add: in bounds three times in four; else at or past the
+        // end of memory, so the load traps with the increment unpaid.
+        2 => {
+            let w = [8, 16][rng.below(2) as usize];
+            let addr = if rng.below(4) != 0 { rng.below(65000) } else { 65535 + rng.below(2) };
+            setup = format!("    push {addr}\n    local.set {a}\n");
+            let k = [1, 2, -1, 300][rng.below(4) as usize];
+            let ops = [get(a), format!("load{w}"), format!("local.set {b}"), get(a)];
+            let ops = [&ops[..], &[format!("push {k}"), "add".into(), format!("local.set {a}")]];
+            (ops.concat(), &[(3, 0)])
+        }
+        // add · jmp.
+        3 => {
+            let ops = vec![get(a), get(b), "add".into(), format!("local.set {c}")];
+            ([ops, vec![format!("jmp {skip}")]].concat(), &[(4, 0)])
+        }
+        // mov · sub · lzcopy, in bounds unless the length is 70 000.
+        4 => {
+            let len = if rng.below(4) == 0 { 70000 } else { rng.below(300) };
+            let dst = 300 + rng.below(30000);
+            setup = format!(
+                "    push {dst}\n    local.set {a}\n    push {}\n    local.set {b}\n    \
+                 push {len}\n    local.set {c}\n",
+                1 + rng.below(300)
+            );
+            (vec![get(a), get(a), get(b), "sub".into(), get(c), "lzcopy".into()], &[(1, 1), (4, 2)])
+        }
+        // The sum in a local, which the branch reads and which outlives it.
+        _ => {
+            let ops = [get(a), get(b), "add".into(), format!("local.set {c}"), get(a), get(c)];
+            ([&ops[..], &["ltu".into(), branch]].concat(), &[(4, 0)])
+        }
+    };
+    out.push_str(&setup);
+    let (entry, held) = match rng.below(3) as usize {
+        0 => (0, 0),
+        i => entries[(i - 1).min(entries.len() - 1)],
+    };
+    let into = format!("into{}", out.len());
+    if entry > 0 {
+        for _ in 0..held {
+            out.push_str(&format!("    push {}\n", rng.below(30000)));
+        }
+        out.push_str(&format!("    local.get {sel}\n    jmpif {into}\n"));
+        out.push_str(&"    drop\n".repeat(held));
+    }
+    for (i, op) in ops.iter().enumerate() {
+        if i == entry && entry > 0 {
+            out.push_str(&format!("{into}:\n"));
+        }
+        out.push_str(&format!("    {op}\n"));
+    }
+    if !ops.last().is_some_and(|op| op.starts_with("jmp ")) {
+        out.push_str(&format!("    memsize\n    local.set {b}\n"));
+    }
+    out.push_str(&format!("{skip}:\n"));
+    // Every local the shape may have written goes to memory, so a write a
+    // fused slot wrongly skips shows even if nothing reads the local again.
+    let at = rng.below(30000) & !7;
+    for (i, n) in [a, b, c].into_iter().enumerate() {
+        out.push_str(&format!("    push {}\n    local.get {n}\n    store64\n", at + 8 * i as u64));
     }
 }
 
@@ -487,9 +577,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// ≥256 generated modules: fast, checked, and audited execution agree
-    /// and the auditor confirms every static claim — at the full budget and
-    /// at every smaller one, so a run that exhausts its fuel anywhere
-    /// inside a slot ends exactly where the plain ops would have.
+    /// and the auditor confirms every static claim — at the full budget, at
+    /// every smaller one and at up to a whole slot more, so a run that
+    /// exhausts its fuel anywhere inside a slot ends exactly where the
+    /// plain ops would have, and one that traps does so whatever the slot's
+    /// unpaid rest.
     #[test]
     fn generated_modules_agree_across_paths(seed in any::<u64>(), raw0 in any::<i64>(), raw1 in any::<i64>()) {
         // Mix raw arguments with adversarial edge values.
@@ -500,8 +592,169 @@ proptest! {
         let args = [pick(&mut rng, raw0), pick(&mut rng, raw1)];
         let subject = Subject::assemble(&gen_module(seed));
         let full = differential(&subject, &args, 1_000_000);
-        for fuel in 0..=full {
+        for fuel in 0..=full + 10 {
             differential(&subject, &args, fuel);
+        }
+    }
+}
+
+/// The generator reaches every shape the superinstruction pass fuses, so
+/// the budget sweep above runs each of them.
+#[test]
+fn the_generator_emits_every_fused_form() {
+    use fractal_vm::analysis::SlotOp::*;
+    let mut seen = Vec::new();
+    for seed in 0..256 {
+        let module = assemble(&gen_module(seed)).unwrap();
+        let functions = module.functions.len();
+        let analyzed = module.analyzed(&SandboxPolicy::default()).unwrap();
+        seen.extend((0..functions).flat_map(|f| analyzed.slots(f).iter().map(|s| s.op)));
+    }
+    for form in [BrLtUAdd, BrLtUAddI, BrLtUSub, Load8Inc, Load16Inc, AddJmp, LzCopySub] {
+        assert!(seen.contains(&form), "{form:?}");
+    }
+}
+
+/// Runs `main(args)` on all three paths at every budget up to a whole slot
+/// past what it uses; returns the outcome, the fuel used and function 0's
+/// slots as `fasmlint` prints them.
+fn sweep(src: &str, args: &[i64]) -> (Result<i64, fractal_vm::Trap>, u64, Vec<String>) {
+    let subject = Subject::assemble(src);
+    let full = differential(&subject, args, 1_000_000);
+    for fuel in 0..=full + 10 {
+        differential(&subject, args, fuel);
+    }
+    let outcome = Machine::new_analyzed(Arc::clone(&subject.analyzed)).unwrap().call("main", args);
+    (outcome, full, subject.analyzed.slots(0).iter().map(|s| s.to_string()).collect())
+}
+
+/// The five shapes as gzip writes them fuse and run as their parts, and
+/// near misses whose sum and copies land in locals read afterwards do not
+/// fuse: every write happens.
+#[test]
+fn fused_slots_and_their_near_misses_agree_at_every_budget() {
+    let fused = r#"
+        .memory 1
+        .func main args=3 locals=2
+            local.get 0
+            load8
+            local.set 3
+            local.get 0
+            push 1
+            add
+            local.set 0
+            local.get 0
+            local.get 2
+            add
+            local.get 1
+            gtu
+            jmpif out
+            local.get 3
+            local.get 1
+            local.get 2
+            sub
+            gtu
+            jmpif out
+            local.get 1
+            local.get 1
+            local.get 2
+            sub
+            local.get 2
+            lzcopy
+            local.get 1
+            local.get 3
+            add
+            local.set 4
+            jmp out
+        out:
+            local.get 0
+            local.get 4
+            add
+            ret
+    "#;
+    let (outcome, fuel, slots) = sweep(fused, &[100, 300, 7]);
+    // 34 ops, and one unit for the seven bytes `lzcopy` moves.
+    assert_eq!((outcome, fuel), (Ok(101 + 300), 34 + 1));
+    let show: Vec<&str> = [0, 7, 13, 19, 25].iter().map(|&i| slots[i].as_str()).collect();
+    assert_eq!(
+        show,
+        [
+            "load8 r3, [r0], r0+=1 x7",
+            "br.ltu r1, r0+r2 -> @30 x6",
+            "br.ltu r1-r2, r3 -> @30 x6",
+            "lzcopy r1, r1-r2, r2 x6",
+            "add r4, r1, r3 -> @30 x5",
+        ]
+    );
+    // The load traps with the increment unpaid: 2 used at every budget.
+    let (outcome, fuel, _) = sweep(fused, &[65536, 300, 7]);
+    assert!(matches!(outcome, Err(fractal_vm::Trap::OutOfBounds { .. })));
+    assert_eq!(fuel, 2);
+
+    let near = r#"
+        .memory 1
+        .func main args=2 locals=3
+            local.get 0
+            local.get 1
+            add
+            local.set 2
+            local.get 0
+            local.get 2
+            ltu
+            jmpif a
+        a:
+            local.get 1
+            local.set 3
+            local.get 0
+            local.get 1
+            sub
+            local.set 4
+            local.get 4
+            local.get 3
+            ltu
+            jmpif b
+        b:
+            local.get 2
+            local.get 3
+            add
+            local.get 4
+            add
+            ret
+    "#;
+    let (outcome, _, slots) = sweep(near, &[5, 3]);
+    assert_eq!(outcome, Ok(8 + 3 + 2));
+    let show: Vec<&str> = [0, 4, 8, 10, 14].iter().map(|&i| slots[i].as_str()).collect();
+    assert_eq!(
+        show,
+        [
+            "add r2, r0, r1 x4",
+            "br.ltu r0, r2 -> @8 x4",
+            "mov r3, r1 x2",
+            "sub r4, r0, r1 x4",
+            "br.ltu r4, r3 -> @18 x4",
+        ]
+    );
+}
+
+/// A fused `load · add` whose load traps out of bounds: at every budget
+/// that pays for the load (and what precedes it) but not the increment the
+/// slot also stands for, the trap is how the run ends, charged through the
+/// load, with the rest left in the tank.
+#[test]
+fn a_fused_post_increment_load_traps_with_its_increment_unpaid() {
+    for (w, addr) in [(8, 65536), (16, 65535), (16, -1)] {
+        let src = format!(
+            ".memory 1\n.func main args=1 locals=1\n    push 1\n    drop\n    local.get 0\n    \
+             load{w}\n    local.set 1\n    local.get 0\n    push 2\n    add\n    local.set 0\n    \
+             local.get 1\n    ret\n"
+        );
+        let subject = Subject::assemble(&src);
+        let load = &subject.analyzed.slots(0)[2];
+        assert_eq!((load.n, load.tail), (7, 5), "{load}");
+        // `push`, `drop`, `local.get`, the load: n - tail = 2 after the prefix.
+        for fuel in 0..=2 + 7 {
+            let used = differential(&subject, &[addr], fuel);
+            assert_eq!(used, fuel.min(4), "fuel={fuel}");
         }
     }
 }

@@ -10,7 +10,8 @@
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/pads/core/bench/protocols/
 #                             # crypto crate tests, the instance-recycling
-#                             # suite again in release,
+#                             # suite again in release, the fast path's
+#                             # mutation checks (scripts/mutants.sh),
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
@@ -154,7 +155,7 @@ scripts/one_memory_type.sh
 step "every declared dependency is named by a source file of its crate"
 scripts/unused_deps.sh
 
-# scripts/regen.sh rewrites all three BENCH_*.json from one checkout. A
+# scripts/regen.sh rewrites both BENCH_*.json from one checkout. A
 # mix of stamps means one file was regenerated alone and the others
 # describe some other revision of the code.
 step "committed BENCH_*.json carry one git_sha"
@@ -196,6 +197,11 @@ if [ "$QUICK" -eq 0 ]; then
     step "instance recycling in release (recycled ≡ fresh, no allocation on a pool hit, isolation)"
     cargo test -q --release -p fractal-vm --test differential --test alloc
     cargo test -q --release --test security
+
+    # DESIGN.md §4.11's "mutation-checked" list, run: each mutation applied
+    # to a throwaway worktree must turn the fast path's suites red.
+    step "fast-path mutations are killed (scripts/mutants.sh)"
+    scripts/mutants.sh
 fi
 
 # The shipped PADs must come out of the analyzer lint-clean: fasmlint
