@@ -1,20 +1,21 @@
-//! The claims auditor: what the admission analyzer proved, checked against
-//! what the oracle observes.
+//! The claims auditor: what the admission analyzer and the range pass
+//! proved, checked against what the oracle observes.
 //!
 //! It reads the [`ModuleAnalysis`] a module was admitted with, as the
-//! analyzer left it: per function, each instruction's range facts
-//! (`ranges`, aligned with `insns`) — operand intervals and the checks the
-//! range pass discharged (`proven`) — the set of intrinsics the function
-//! calls (`own_hosts`), and the least fuel a successful call of it can
-//! use (`min_fuel`). Before each op it compares the live operands with the
-//! facts for that op and a host call with the function's set; after a call
-//! that completes, the fuel it used with the claimed minimum. A mismatch is
-//! an [`AuditViolation`]: a bug in the analysis, never in the module. It
-//! never changes how the oracle runs.
+//! analyzer left it — the set of intrinsics each function calls
+//! (`own_hosts`) and the least fuel a successful call of it can use
+//! (`min_fuel`) — and the range pass's facts for that analysis
+//! ([`flow_ranges`](crate::range::flow_ranges)): per instruction, operand
+//! intervals and the checks the pass discharged (`proven`). Before each op
+//! it compares the live operands with the facts for that op and a host call
+//! with the function's set; after a call that completes, the fuel it used
+//! with the claimed minimum. A mismatch is an [`AuditViolation`]: a bug in
+//! the analysis, never in the module. It never changes how the oracle runs.
 
-use fractal_vm::{proven, HostId, ModuleAnalysis, Op};
+use fractal_vm::{HostId, ModuleAnalysis, Op};
 
 use crate::in_bounds;
+use crate::range::{proven, FunctionFacts};
 
 /// Violations kept per oracle: the first few diagnose an unsound pass, and
 /// a looping module must not grow the report without bound.
@@ -78,6 +79,7 @@ pub enum AuditViolation {
 /// The auditor's state inside an [`Oracle`](crate::Oracle).
 pub(crate) struct Auditor<'a> {
     analysis: &'a ModuleAnalysis,
+    facts: &'a [FunctionFacts],
     pub(crate) violations: Vec<AuditViolation>,
 }
 
@@ -114,8 +116,8 @@ fn accesses(op: &Op, peek: impl Fn(usize) -> Option<i64>) -> [(Option<i64>, Opti
 }
 
 impl<'a> Auditor<'a> {
-    pub(crate) fn new(analysis: &'a ModuleAnalysis) -> Auditor<'a> {
-        Auditor { analysis, violations: Vec::new() }
+    pub(crate) fn new(analysis: &'a ModuleAnalysis, facts: &'a [FunctionFacts]) -> Auditor<'a> {
+        Auditor { analysis, facts, violations: Vec::new() }
     }
 
     fn record(&mut self, violation: AuditViolation) {
@@ -136,7 +138,7 @@ impl<'a> Auditor<'a> {
             }
         }
         let Ok(i) = f.insns.binary_search_by_key(&at, |insn| insn.at) else { return };
-        let Some(facts) = f.ranges.get(i) else { return };
+        let Some(facts) = self.facts.get(func).and_then(|f| f.insns.get(i)) else { return };
         let peek = |k: usize| stack.len().checked_sub(k + 1).map(|s| stack[s]);
         for (operand, claim) in facts.operands.iter().enumerate() {
             let Some(value) = peek(operand) else { break };

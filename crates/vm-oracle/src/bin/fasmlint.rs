@@ -1,16 +1,16 @@
 //! `fasmlint` — the FVM trust gate for `.fasm` sources.
 //!
-//! Assembles, verifies, and analyzes each input, then renders the
-//! annotated disassembly (stack heights, value ranges, proven-safe facts,
-//! fuel bounds, capabilities, and beside each instruction the register-form
+//! Assembles and admits (verifies, analyzes, translates) each input, runs
+//! the range pass over the admission proof, then renders the annotated
+//! disassembly (stack heights, value ranges, proven-safe facts, fuel
+//! bounds, capabilities, and beside each instruction the register-form
 //! slot the fast path dispatches from there with the number of source ops
-//! it covers) and enforces lint severity levels.
+//! it covers) and reports every lint at its fixed severity.
 //!
 //! ```text
-//! fasmlint [--strict] [--quiet] [--out DIR] FILE.fasm...
+//! fasmlint [--quiet] [--out DIR] FILE.fasm...
 //! ```
 //!
-//! * `--strict`  promote warn-level lints to deny
 //! * `--quiet`   suppress the annotated disassembly on stdout
 //! * `--out DIR` additionally write `<stem>.lint.fasm` per input to `DIR`
 //!
@@ -21,34 +21,31 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fractal_vm::analysis::{LintConfig, LintLevel};
 use fractal_vm::asm::assemble;
-use fractal_vm::disasm::disassemble_admitted;
 use fractal_vm::sandbox::SandboxPolicy;
+use fractal_vm_oracle::disasm::disassemble_admitted;
+use fractal_vm_oracle::lint::Severity;
+use fractal_vm_oracle::range::flow_ranges;
+
+const USAGE: &str = "usage: fasmlint [--quiet] [--out DIR] FILE.fasm...";
 
 struct Args {
-    strict: bool,
     quiet: bool,
     out_dir: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { strict: false, quiet: false, out_dir: None, files: Vec::new() };
+    let mut args = Args { quiet: false, out_dir: None, files: Vec::new() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--strict" => args.strict = true,
             "--quiet" => args.quiet = true,
             "--out" => {
                 let dir = it.next().ok_or("--out requires a directory")?;
                 args.out_dir = Some(PathBuf::from(dir));
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: fasmlint [--strict] [--quiet] [--out DIR] FILE.fasm...".to_string()
-                );
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}"));
             }
@@ -56,15 +53,13 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if args.files.is_empty() {
-        return Err("no input files (usage: fasmlint [--strict] [--quiet] [--out DIR] \
-                    FILE.fasm...)"
-            .to_string());
+        return Err(format!("no input files ({USAGE})"));
     }
     Ok(args)
 }
 
 /// Lints one file. Returns `(warns, denies)` or an error string.
-fn lint_file(path: &Path, args: &Args, config: &LintConfig) -> Result<(usize, usize), String> {
+fn lint_file(path: &Path, args: &Args) -> Result<(usize, usize), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let module = assemble(&src).map_err(|e| format!("{}: {e}", path.display()))?;
     // Admit (verify, analyze, translate) under the permissive default
@@ -73,10 +68,10 @@ fn lint_file(path: &Path, args: &Args, config: &LintConfig) -> Result<(usize, us
     let admitted = module
         .analyzed(&SandboxPolicy::default())
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let (module, analysis) = (&admitted.module, &admitted.analysis);
+    let facts = flow_ranges(&admitted.module, &admitted.analysis);
 
     let annotated =
-        disassemble_admitted(&admitted).map_err(|e| format!("{}: {e}", path.display()))?;
+        disassemble_admitted(&admitted, &facts).map_err(|e| format!("{}: {e}", path.display()))?;
     if !args.quiet {
         println!("; ==== {} ====", path.display());
         println!("{annotated}");
@@ -89,20 +84,14 @@ fn lint_file(path: &Path, args: &Args, config: &LintConfig) -> Result<(usize, us
     }
 
     let (mut warns, mut denies) = (0usize, 0usize);
-    for (f, fa) in analysis.functions.iter().enumerate() {
-        let name = module.functions.get(f).map(|f| f.name.as_str()).unwrap_or("?");
-        for l in &fa.lints {
-            match config.level_for(l) {
-                LintLevel::Allow => {}
-                LintLevel::Warn => {
-                    warns += 1;
-                    eprintln!("{}: {name}: warn: {l}", path.display());
-                }
-                LintLevel::Deny => {
-                    denies += 1;
-                    eprintln!("{}: {name}: deny: {l}", path.display());
-                }
+    for (func, ff) in admitted.module.functions.iter().zip(&facts) {
+        for l in &ff.lints {
+            let severity = l.severity();
+            match severity {
+                Severity::Warn => warns += 1,
+                Severity::Deny => denies += 1,
             }
+            eprintln!("{}: {}: {severity}: {l}", path.display(), func.name);
         }
     }
     Ok((warns, denies))
@@ -116,11 +105,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = if args.strict { LintConfig::default().strict() } else { LintConfig::default() };
 
     let (mut total_warns, mut total_denies, mut failed) = (0usize, 0usize, false);
     for file in &args.files {
-        match lint_file(file, &args, &config) {
+        match lint_file(file, &args) {
             Ok((w, d)) => {
                 total_warns += w;
                 total_denies += d;

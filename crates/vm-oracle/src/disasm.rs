@@ -1,51 +1,49 @@
 //! FVM disassembler: [`Module`] → `.fasm` text.
 //!
-//! The inverse of the [assembler](crate::asm), used to inspect downloaded
-//! PADs (what *is* this mobile code about to do?) and to round-trip-test
-//! the toolchain: `assemble(disassemble(m))` reproduces `m`'s code
-//! byte-for-byte.
+//! The inverse of the [assembler](fractal_vm::asm), used to inspect
+//! downloaded PADs (what *is* this mobile code about to do?) and to
+//! round-trip-test the toolchain: `assemble(disassemble(m))` reproduces
+//! `m`'s code byte-for-byte.
 
 use std::collections::BTreeSet;
 
-use crate::analysis::{
-    AnalyzedModule, FunctionAnalysis, LintConfig, LintLevel, ModuleAnalysis, RegFunction,
-};
-use crate::bytecode::Op;
-use crate::error::ModuleError;
-use crate::host::HostId;
-use crate::module::{Function, Module};
+use fractal_vm::analysis::{FunctionAnalysis, Slot};
+use fractal_vm::{AnalyzedModule, Function, HostId, Module, ModuleError, Op};
+
+use crate::range::{proven, FunctionFacts};
 
 /// Disassembles a whole module into assembler-compatible text.
 pub fn disassemble(module: &Module) -> Result<String, ModuleError> {
-    render(module, None, None)
+    render(module, None)
 }
 
-/// Disassembles with `fvm-lint` annotations: each instruction line carries
-/// its inferred frame-relative stack height (`; h=N`, or `; unreachable`),
-/// each function header its proven bounds, and lints follow the header.
-/// The output remains assembler-compatible — `;` comments are ignored on
-/// re-assembly.
-pub fn disassemble_annotated(
-    module: &Module,
-    analysis: &ModuleAnalysis,
+/// Disassembles an admitted module with `fasmlint` annotations: each
+/// function header carries its proven bounds and registers, lints follow
+/// the header, and each instruction line its inferred frame-relative stack
+/// height (`; h=N`, or `; unreachable`), the range pass's `facts` about it,
+/// and its index with the register-form slot that starts there (`@12:
+/// br.geu r9, r10 -> @57 x4` — `xN` is how many source instructions the
+/// slot stands for, `@N` an instruction index), so a PAD's loop can be read
+/// as it is dispatched. The output remains assembler-compatible — `;`
+/// comments are ignored on re-assembly.
+pub fn disassemble_admitted(
+    analyzed: &AnalyzedModule,
+    facts: &[FunctionFacts],
 ) -> Result<String, ModuleError> {
-    render(module, Some(analysis), None)
+    render(&analyzed.module, Some((analyzed, facts)))
 }
 
-/// [`disassemble_annotated`] for an admitted module, with what the fast
-/// path executes: each instruction line also carries its index and the
-/// register-form slot that starts there (`@12: br.geu r9, r10 -> @57 x4`
-/// — `xN` is how many source instructions the slot stands for, `@N` an
-/// instruction index), so a PAD's loop can be read as it is dispatched.
-pub fn disassemble_admitted(analyzed: &AnalyzedModule) -> Result<String, ModuleError> {
-    render(&analyzed.module, Some(&analyzed.analysis), Some(&analyzed.fast))
+/// What is known about one function beyond its code.
+struct Annotation<'a> {
+    fa: &'a FunctionAnalysis,
+    facts: &'a FunctionFacts,
+    slots: &'a [Slot],
 }
 
-/// The module as `.fasm` text, annotated with whatever is known about it.
+/// The module as `.fasm` text, annotated when it is admitted.
 fn render(
     module: &Module,
-    analysis: Option<&ModuleAnalysis>,
-    fast: Option<&[RegFunction]>,
+    admitted: Option<(&AnalyzedModule, &[FunctionFacts])>,
 ) -> Result<String, ModuleError> {
     let mut out = String::new();
     out.push_str(&format!(".memory {}\n", module.mem_pages));
@@ -58,9 +56,12 @@ fn render(
     }
     for (idx, f) in module.functions.iter().enumerate() {
         out.push('\n');
-        let fa = analysis.and_then(|a| a.functions.get(idx));
-        let slots = fast.and_then(|fast| fast.get(idx));
-        out.push_str(&disassemble_function(module, f, fa, slots)?);
+        let note = admitted.map(|(analyzed, facts)| Annotation {
+            fa: &analyzed.analysis.functions[idx],
+            facts: &facts[idx],
+            slots: analyzed.slots(idx),
+        });
+        out.push_str(&disassemble_function(module, f, note)?);
     }
     Ok(out)
 }
@@ -82,7 +83,6 @@ fn host_mask_names(mask: u8) -> String {
 
 /// Renders a `proven` fact bitmask as `+`-joined short names.
 fn proven_names(p: u8) -> String {
-    use crate::analysis::proven;
     let mut names = Vec::new();
     if p & proven::DIV_NONZERO != 0 {
         names.push("nz");
@@ -105,8 +105,7 @@ fn proven_names(p: u8) -> String {
 fn disassemble_function(
     module: &Module,
     f: &Function,
-    fa: Option<&FunctionAnalysis>,
-    slots: Option<&RegFunction>,
+    note: Option<Annotation>,
 ) -> Result<String, ModuleError> {
     // Pass 1: find branch targets to name labels.
     let mut targets: BTreeSet<usize> = BTreeSet::new();
@@ -124,7 +123,7 @@ fn disassemble_function(
 
     let label_of = |offset: usize| format!("l{offset}");
     let mut out = format!(".func {} args={} locals={}\n", f.name, f.n_args, f.n_locals);
-    if let Some(fa) = fa {
+    if let Some(Annotation { fa, facts, .. }) = &note {
         let exit = match fa.exit_height {
             Some(h) => format!("{h}"),
             None => "never".to_string(),
@@ -136,20 +135,18 @@ fn disassemble_function(
             "    ; max_height={} exit={} min_fuel={} hosts={}\n",
             fa.max_height, exit, fuel, hosts
         ));
-        if let Some(slots) = slots {
-            out.push_str(&format!(
-                "    ; registers: r0..r{} args+locals, r{}..r{} stack\n",
-                slots.first_stack.saturating_sub(1),
-                slots.first_stack,
-                slots.frame.saturating_sub(1)
-            ));
-        }
-        let config = LintConfig::default();
-        for lint in &fa.lints {
-            match config.level_for(lint) {
-                LintLevel::Allow => {}
-                level => out.push_str(&format!("    ; lint[{level}]: {lint}\n")),
-            }
+        // The register form's frame: arguments and locals, then one
+        // register per stack slot up to the proven maximum height.
+        let first_stack = f.n_args as usize + f.n_locals as usize;
+        let frame = first_stack + fa.max_height as usize;
+        out.push_str(&format!(
+            "    ; registers: r0..r{} args+locals, r{}..r{} stack\n",
+            first_stack.saturating_sub(1),
+            first_stack,
+            frame.saturating_sub(1)
+        ));
+        for lint in &facts.lints {
+            out.push_str(&format!("    ; lint[{}]: {lint}\n", lint.severity()));
         }
     }
     let mut insn_idx = 0usize;
@@ -228,7 +225,7 @@ fn disassemble_function(
         };
         out.push_str("    ");
         out.push_str(&line);
-        if let Some(fa) = fa {
+        if let Some(Annotation { fa, facts, slots }) = &note {
             let pad = 24usize.saturating_sub(line.len()).max(1);
             match fa.insns.get(insn_idx).and_then(|i| i.height) {
                 Some(h) => {
@@ -236,7 +233,7 @@ fn disassemble_function(
                     // Range-pass facts, when the pass had anything to say:
                     // discharged checks and claimed operand intervals (top
                     // of stack first).
-                    if let Some(facts) = fa.ranges.get(insn_idx) {
+                    if let Some(facts) = facts.insns.get(insn_idx) {
                         if facts.proven != 0 {
                             out.push_str(&format!(" proven={}", proven_names(facts.proven)));
                         }
@@ -246,7 +243,7 @@ fn disassemble_function(
                             out.push_str(&format!(" stack={}", ops.join(",")));
                         }
                     }
-                    if let Some(slot) = slots.and_then(|s| s.code.get(insn_idx)) {
+                    if let Some(slot) = slots.get(insn_idx) {
                         out.push_str(&format!(" @{insn_idx}: {slot}"));
                     }
                 }
@@ -266,7 +263,7 @@ fn disassemble_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::assemble;
+    use fractal_vm::assemble;
 
     /// Assembler → disassembler → assembler reproduces the exact bytecode
     /// for every shipped PAD source shape.
@@ -349,7 +346,8 @@ mod tests {
 #[cfg(test)]
 mod pad_round_trips {
     use super::*;
-    use crate::asm::assemble;
+    use crate::range::flow_ranges;
+    use fractal_vm::{assemble, SandboxPolicy};
 
     /// All six shipped PAD sources, via include_str! to avoid a dependency
     /// cycle with fractal-pads.
@@ -361,6 +359,14 @@ mod pad_round_trips {
         ("deflate", include_str!("../../pads/fasm/deflate.fasm")),
         ("signatures", include_str!("../../pads/fasm/signatures.fasm")),
     ];
+
+    /// `src` admitted under `policy` and disassembled with annotations.
+    fn annotated(src: &str, policy: &SandboxPolicy) -> (AnalyzedModule, String) {
+        let admitted = assemble(src).unwrap().analyzed(policy).unwrap();
+        let facts = flow_ranges(&admitted.module, &admitted.analysis);
+        let text = disassemble_admitted(&admitted, &facts).unwrap();
+        (admitted, text)
+    }
 
     /// Every shipped PAD source survives the full tool round trip to
     /// byte-identical bytecode, data segments, and memory declaration.
@@ -385,9 +391,7 @@ mod pad_round_trips {
     #[test]
     fn admitted_disassembly_names_each_slot_and_still_reassembles() {
         let src = include_str!("../../pads/fasm/gzip.fasm");
-        let policy = crate::sandbox::SandboxPolicy::for_pads();
-        let admitted = assemble(src).unwrap().analyzed(&policy).unwrap();
-        let text = disassemble_admitted(&admitted).unwrap();
+        let (admitted, text) = annotated(src, &SandboxPolicy::for_pads());
         assert!(text.contains("; registers: r0..r13 args+locals, r14..r16 stack"), "{text}");
         // The loop header: four source ops, one compare-and-branch slot.
         let header = text.lines().find(|l| l.contains("br.geu r9, r10")).expect("loop header");
@@ -400,19 +404,22 @@ mod pad_round_trips {
     }
 
     #[test]
-    fn shipped_pads_annotated_round_trip() {
-        use crate::analysis::analyze_module;
-        use crate::sandbox::SandboxPolicy;
-        use crate::verify::verify_module;
+    fn annotated_disassembly_reassembles_and_carries_heights() {
+        let src = ".func f args=0 locals=0\n push 1\n push 2\n add\n ret\n";
+        let (admitted, text) = annotated(src, &SandboxPolicy::default());
+        assert!(text.contains("; h=0"), "{text}");
+        assert!(text.contains("; h=2"), "{text}");
+        assert!(text.contains("; max_height=2"), "{text}");
+        let m2 = assemble(&text).expect("annotations are comments");
+        assert_eq!(admitted.module.functions[0].code, m2.functions[0].code);
+    }
 
+    #[test]
+    fn shipped_pads_annotated_round_trip() {
         for (name, src) in SHIPPED {
-            let m1 = assemble(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-            verify_module(&m1).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let analysis = analyze_module(&m1, &SandboxPolicy::for_pads())
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let text = disassemble_annotated(&m1, &analysis).unwrap();
+            let (admitted, text) = annotated(src, &SandboxPolicy::for_pads());
             let m2 = assemble(&text).unwrap_or_else(|e| panic!("{name} reassemble: {e}\n{text}"));
-            for (a, b) in m1.functions.iter().zip(&m2.functions) {
+            for (a, b) in admitted.module.functions.iter().zip(&m2.functions) {
                 assert_eq!(a.code, b.code, "{name}::{}", a.name);
             }
         }

@@ -1,4 +1,4 @@
-//! # fractal-vm-oracle — the FVM's reference interpreter
+//! # fractal-vm-oracle — the FVM's reference interpreter and toolchain
 //!
 //! A deliberately naive interpreter written from the ISA, not from
 //! `fractal-vm`'s machine: one operand stack shared by every frame, a
@@ -8,7 +8,8 @@
 //! [`HostId`], [`Trap`], [`SandboxPolicy`]); SHA-1 and the weak checksum are
 //! `fractal-crypto`'s, vector-tested there. `tests/differential.rs` holds
 //! `fractal_vm::Machine` to it at every fuel budget: sharing no execution
-//! code, the two cannot agree on a bug in one. Only tests may link it
+//! code, the two cannot agree on a bug in one. Only tests and this crate's
+//! own `fasmlint` may link it: no production build does
 //! (`scripts/oracle_dev_only.sh`).
 //!
 //! The rules: every op costs 1 fuel, charged before it runs; `memcopy`,
@@ -20,6 +21,12 @@
 //! `max_stack` operands, across all frames, and `max_call_depth` frames.
 //!
 //! [`Oracle::audited`] also checks the analyzer's claims ([`audit`]).
+//!
+//! The crate also holds what only *reports* on admitted code, so admission
+//! computes only what it enforces: the value-range pass ([`range`]), the
+//! [`lint`]s, the (annotated) disassembler ([`disasm`]) and the `fasmlint`
+//! CLI that gates the shipped PAD sources on them. The interpreter above
+//! never runs the range pass; the auditor only reads the facts it is given.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +38,13 @@ use fractal_crypto::sha1::sha1;
 use fractal_vm::{HostId, Module, ModuleAnalysis, Op, SandboxPolicy, Trap};
 
 pub mod audit;
+pub mod disasm;
+pub mod lint;
+pub mod range;
 
 pub use audit::AuditViolation;
 use audit::Auditor;
+use range::FunctionFacts;
 
 /// One call frame: which function, where in its code, and its own locals.
 struct Frame {
@@ -124,10 +135,15 @@ impl<'a> Oracle<'a> {
         })
     }
 
-    /// This oracle, checking every claim of `analysis` — the analysis of
-    /// its module — as it runs; see [`audit`].
-    pub fn audited(mut self, analysis: &'a ModuleAnalysis) -> Oracle<'a> {
-        self.audit = Some(Auditor::new(analysis));
+    /// This oracle, checking as it runs every claim of `analysis`, the
+    /// analysis of its module, and of `facts`, the range pass's facts for
+    /// that analysis; see [`audit`].
+    pub fn audited(
+        mut self,
+        analysis: &'a ModuleAnalysis,
+        facts: &'a [FunctionFacts],
+    ) -> Oracle<'a> {
+        self.audit = Some(Auditor::new(analysis, facts));
         self
     }
 

@@ -1,0 +1,150 @@
+//! Lints: what makes an admitted module suspicious without making it unsafe.
+//!
+//! Two sources feed them. The structural ones here read the stack-height
+//! proof admission already made (unreachable code, dead stores, functions
+//! that never return); the certain-trap ones come out of the range pass
+//! ([`crate::range`]). Each kind has one fixed [`Severity`], which is what
+//! `fasmlint` gates the shipped PAD sources on.
+
+use fractal_vm::analysis::FunctionAnalysis;
+use fractal_vm::Op;
+
+/// A diagnostic that does not make the module unsafe, only suspicious.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Lint {
+    /// No path from function entry reaches this instruction.
+    UnreachableCode {
+        /// Function index.
+        func: usize,
+        /// Byte offset of the first unreachable instruction of a block.
+        at: usize,
+    },
+    /// A local is written (`local.set`/`local.tee`) but never read anywhere
+    /// in the function.
+    DeadStore {
+        /// Function index.
+        func: usize,
+        /// Byte offset of the store.
+        at: usize,
+        /// The local index written.
+        local: u8,
+    },
+    /// No reachable `ret` exists: the function can only halt the machine,
+    /// trap, or loop forever.
+    NeverReturns {
+        /// Function index.
+        func: usize,
+    },
+    /// The divisor at this site is provably always zero: the instruction
+    /// traps on every execution that reaches it.
+    CertainDivideByZero {
+        /// Function index.
+        func: usize,
+        /// Byte offset of the division.
+        at: usize,
+    },
+    /// Every possible address/length at this memory op lies outside
+    /// linear memory: the instruction traps on every execution.
+    CertainOutOfBounds {
+        /// Function index.
+        func: usize,
+        /// Byte offset of the access.
+        at: usize,
+    },
+    /// The shift amount can never be in `[0, 63]`, so the machine's
+    /// modular masking always rewrites it — almost certainly a bug.
+    ShiftAmountMasked {
+        /// Function index.
+        func: usize,
+        /// Byte offset of the shift.
+        at: usize,
+    },
+}
+
+/// How seriously `fasmlint` takes a [`Lint`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Severity {
+    /// Reported, does not fail the gate.
+    Warn,
+    /// Reported and fails the gate (nonzero `fasmlint` exit).
+    Deny,
+}
+
+impl Lint {
+    /// What is certainly wrong (dead stores, guaranteed traps) is denied;
+    /// what is merely suspicious (unreachable code, a function that never
+    /// returns — legitimate for abort-only helpers) is a warning.
+    pub fn severity(&self) -> Severity {
+        match self {
+            Lint::UnreachableCode { .. } | Lint::NeverReturns { .. } => Severity::Warn,
+            Lint::DeadStore { .. }
+            | Lint::CertainDivideByZero { .. }
+            | Lint::CertainOutOfBounds { .. }
+            | Lint::ShiftAmountMasked { .. } => Severity::Deny,
+        }
+    }
+}
+
+impl core::fmt::Display for Lint {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Lint::UnreachableCode { func, at } => {
+                write!(f, "fn {func}: unreachable code at {at}")
+            }
+            Lint::DeadStore { func, at, local } => {
+                write!(f, "fn {func}: local {local} stored at {at} but never read")
+            }
+            Lint::NeverReturns { func } => write!(f, "fn {func}: no reachable ret"),
+            Lint::CertainDivideByZero { func, at } => {
+                write!(f, "fn {func}: divisor at {at} is always zero")
+            }
+            Lint::CertainOutOfBounds { func, at } => {
+                write!(f, "fn {func}: memory access at {at} is always out of bounds")
+            }
+            Lint::ShiftAmountMasked { func, at } => {
+                write!(f, "fn {func}: shift amount at {at} is never in [0, 63]")
+            }
+        }
+    }
+}
+
+impl core::fmt::Display for Severity {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Severity::Warn => write!(f, "warn"),
+            Severity::Deny => write!(f, "deny"),
+        }
+    }
+}
+
+/// The structural lints of function `func_idx`, from its admission proof.
+pub(crate) fn collect_lints(func_idx: usize, fa: &FunctionAnalysis) -> Vec<Lint> {
+    let mut lints = Vec::new();
+    // Unreachable blocks: report the first instruction of each.
+    for block in &fa.blocks {
+        if fa.insns[block.start].height.is_none() {
+            lints.push(Lint::UnreachableCode { func: func_idx, at: fa.insns[block.start].at });
+        }
+    }
+    // Dead stores: locals written but never read anywhere in the function.
+    let mut read = [false; 256];
+    for insn in &fa.insns {
+        if let Op::LocalGet(n) = insn.op {
+            read[n as usize] = true;
+        }
+    }
+    for insn in &fa.insns {
+        if insn.height.is_none() {
+            continue;
+        }
+        if let Op::LocalSet(n) | Op::LocalTee(n) = insn.op {
+            if !read[n as usize] {
+                lints.push(Lint::DeadStore { func: func_idx, at: insn.at, local: n });
+            }
+        }
+    }
+    if fa.exit_height.is_none() {
+        lints.push(Lint::NeverReturns { func: func_idx });
+    }
+    lints
+}

@@ -1,9 +1,12 @@
 //! Value-range dataflow: interval + known-bits abstract interpretation
 //! over locals and the operand stack.
 //!
-//! Runs after the stack-height pass (so every reachable instruction has a
-//! proven entry height) and computes, per instruction, what the analyzer
-//! can say about the values that will be on the stack when it executes:
+//! Runs on demand over an admitted module's proof ([`flow_ranges`]), which
+//! gives every reachable instruction a proven entry height and every
+//! function its CFG and exit height. Admission itself never runs it: the
+//! machine keeps every run-time check, so nothing here could change what a
+//! client accepts. Per instruction, it computes what can be said about the
+//! values that will be on the stack when it executes:
 //!
 //! * an **interval** `[lo, hi]` in signed i64 order, and
 //! * **known bits** — bits proven zero / proven one for every value the
@@ -16,10 +19,8 @@
 //! memory operations whose entire address range is proven inside linear
 //! memory, and host calls whose argument contract is satisfied. Each
 //! discharged check is recorded as a per-pc proven-safe fact
-//! ([`InsnFacts::proven`]) that lints and the annotated disassembly report,
-//! and the claims auditor of the reference interpreter (`fractal-vm-oracle`)
-//! re-checks against observed execution. (The machine keeps every run-time
-//! check: its speed comes from the stack-height proof, see [`super::reg`].)
+//! ([`InsnFacts::proven`]) that the annotated disassembly reports and the
+//! claims auditor ([`crate::audit`]) re-checks against observed execution.
 //!
 //! The pass also surfaces *certain-trap* lints — a divisor that is
 //! provably always zero, an access provably always out of bounds — and the
@@ -37,11 +38,10 @@
 //! Unreachable blocks (entry height `None`) are never visited and keep
 //! empty facts.
 
-use crate::bytecode::Op;
-use crate::host::HostId;
-use crate::module::{Function, Module};
+use fractal_vm::analysis::FunctionAnalysis;
+use fractal_vm::{Function, HostId, Module, ModuleAnalysis, Op};
 
-use super::{FuncCfg, Lint};
+use crate::lint::{collect_lints, Lint};
 
 /// Joins into a block beyond this count switch from interval hull to
 /// widening (unstable bounds jump straight to ±∞).
@@ -214,11 +214,13 @@ pub struct InsnFacts {
     pub operands: Vec<AbsVal>,
 }
 
-/// Everything the range pass produced for one function.
-pub(super) struct RangeOutcome {
+/// Everything the range pass says about one function.
+#[derive(Clone, Debug)]
+pub struct FunctionFacts {
     /// Per-instruction facts, aligned with `FunctionAnalysis::insns`.
-    pub facts: Vec<InsnFacts>,
-    /// Certain-trap and masked-shift lints discovered along the way.
+    pub insns: Vec<InsnFacts>,
+    /// The function's structural lints, then the certain-trap and
+    /// masked-shift lints the pass found.
     pub lints: Vec<Lint>,
 }
 
@@ -470,9 +472,9 @@ fn range_never_in_bounds(addr: &AbsVal, len_lo: i64, mem: i128) -> bool {
 }
 
 /// Applies one instruction to `st`, returning its facts. Soundness:
-/// every arm over-approximates the matching interpreter arm in
-/// `machine.rs` (wrapping arithmetic, zero-extending loads, masked
-/// shifts, zero-or-status host results).
+/// every arm over-approximates the ISA's semantics for the op (wrapping
+/// arithmetic, zero-extending loads, masked shifts, zero-or-status host
+/// results).
 fn transfer(
     st: &mut State,
     op: &Op,
@@ -715,20 +717,38 @@ fn load_store_width(op: &Op) -> usize {
     }
 }
 
-/// Runs the range dataflow for one function. Requires the height pass to
-/// have filled `cfg.insns[..].height` (unreachable blocks are skipped).
-pub(super) fn flow_ranges(
+/// Runs the range dataflow over every function of `module`, whose
+/// admission proof is `analysis`, and collects each function's lints.
+pub fn flow_ranges(module: &Module, analysis: &ModuleAnalysis) -> Vec<FunctionFacts> {
+    let exit_heights: Vec<Option<u32>> = analysis.functions.iter().map(|f| f.exit_height).collect();
+    module
+        .functions
+        .iter()
+        .zip(&analysis.functions)
+        .enumerate()
+        .map(|(f, (func, fa))| {
+            let (insns, mut range_lints) = flow_function(f, func, fa, module, &exit_heights);
+            let mut lints = collect_lints(f, fa);
+            lints.append(&mut range_lints);
+            FunctionFacts { insns, lints }
+        })
+        .collect()
+}
+
+/// Runs the range dataflow for one function over the heights and blocks
+/// of its proof (unreachable blocks are skipped).
+fn flow_function(
     func_idx: usize,
     func: &Function,
-    cfg: &FuncCfg,
+    fa: &FunctionAnalysis,
     module: &Module,
     exit_heights: &[Option<u32>],
-) -> RangeOutcome {
-    let n_blocks = cfg.blocks.len();
-    let mut facts = vec![InsnFacts::default(); cfg.insns.len()];
+) -> (Vec<InsnFacts>, Vec<Lint>) {
+    let n_blocks = fa.blocks.len();
+    let mut facts = vec![InsnFacts::default(); fa.insns.len()];
     let mut lints = Vec::new();
     if n_blocks == 0 {
-        return RangeOutcome { facts, lints };
+        return (facts, lints);
     }
     let ctx = Ctx { func_idx, mem: module.memory_bytes() as i128, module, exit_heights };
 
@@ -745,16 +765,13 @@ pub(super) fn flow_ranges(
         visits[b] += 1;
         if visits[b] > MAX_VISITS_PER_BLOCK {
             // Give up on this function: empty facts are trivially sound.
-            return RangeOutcome {
-                facts: vec![InsnFacts::default(); cfg.insns.len()],
-                lints: Vec::new(),
-            };
+            return (vec![InsnFacts::default(); fa.insns.len()], Vec::new());
         }
         let mut st = entry[b].clone().expect("queued blocks have states");
-        for i in cfg.blocks[b].start..cfg.blocks[b].end {
-            transfer(&mut st, &cfg.insns[i].op, &ctx, None, cfg.insns[i].at);
+        for i in fa.blocks[b].start..fa.blocks[b].end {
+            transfer(&mut st, &fa.insns[i].op, &ctx, None, fa.insns[i].at);
         }
-        for &s in &cfg.blocks[b].succs {
+        for &s in &fa.blocks[b].succs {
             let merged = match &entry[s] {
                 None => st.clone(),
                 Some(old) => {
@@ -774,14 +791,14 @@ pub(super) fn flow_ranges(
     }
 
     // Recording pass over the stable entry states.
-    for (b, block) in cfg.blocks.iter().enumerate() {
+    for (b, block) in fa.blocks.iter().enumerate() {
         let Some(state) = &entry[b] else { continue };
         let mut st = state.clone();
         for (i, slot) in facts.iter_mut().enumerate().take(block.end).skip(block.start) {
-            *slot = transfer(&mut st, &cfg.insns[i].op, &ctx, Some(&mut lints), cfg.insns[i].at);
+            *slot = transfer(&mut st, &fa.insns[i].op, &ctx, Some(&mut lints), fa.insns[i].at);
         }
     }
-    RangeOutcome { facts, lints }
+    (facts, lints)
 }
 
 #[cfg(test)]

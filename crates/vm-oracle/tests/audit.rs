@@ -1,8 +1,9 @@
 //! The claims auditor: silent on what the analyzer proved, and seen to fire
 //! on each kind of claim once that claim is made false.
 
-use fractal_vm::{analyze_module, assemble, proven, HostId, Module, ModuleAnalysis, Op};
-use fractal_vm::{AbsVal, SandboxPolicy, Trap};
+use fractal_vm::{analyze_module, assemble, HostId, Module, ModuleAnalysis, Op};
+use fractal_vm::{SandboxPolicy, Trap};
+use fractal_vm_oracle::range::{flow_ranges, proven, AbsVal, FunctionFacts};
 use fractal_vm_oracle::{AuditViolation, Oracle};
 
 /// `div(a, b)` divides; `log()` logs the four bytes of its data segment.
@@ -21,21 +22,22 @@ const SRC: &str = r#"
         ret
 "#;
 
-/// Runs `entry(args)` on an oracle auditing `analysis`; returns the outcome
-/// and every violation.
+/// Runs `entry(args)` on an oracle auditing `analysis` and `facts`; returns
+/// the outcome and every violation.
 fn audit(
     module: &Module,
-    analysis: &ModuleAnalysis,
+    (analysis, facts): (&ModuleAnalysis, &[FunctionFacts]),
     entry: &str,
     args: &[i64],
 ) -> (Result<i64, Trap>, Vec<AuditViolation>) {
-    let mut oracle = Oracle::new(module, SandboxPolicy::default()).unwrap().audited(analysis);
+    let oracle = Oracle::new(module, SandboxPolicy::default()).unwrap();
+    let mut oracle = oracle.audited(analysis, facts);
     let outcome = oracle.call(entry, args);
     (outcome, oracle.violations().to_vec())
 }
 
 /// Function `func`'s first instruction matching `op`: its byte offset and
-/// its index in `insns` and `ranges`.
+/// its index in `insns` and in its facts.
 fn site(analysis: &ModuleAnalysis, func: usize, op: fn(&Op) -> bool) -> (usize, usize) {
     let insns = &analysis.functions[func].insns;
     let i = insns.iter().position(|insn| op(&insn.op)).expect("the op is in the function");
@@ -46,17 +48,19 @@ fn site(analysis: &ModuleAnalysis, func: usize, op: fn(&Op) -> bool) -> (usize, 
 fn each_kind_of_false_claim_is_reported_exactly() {
     let module = assemble(SRC).unwrap();
     let clean = analyze_module(&module, &SandboxPolicy::default()).unwrap();
+    let facts = flow_ranges(&module, &clean);
     let (div_at, div) = site(&clean, 0, |op| matches!(op, Op::DivU));
     let (host_at, _) = site(&clean, 1, |op| matches!(op, Op::HostCall(_)));
 
     // What the analyzer proved holds.
-    assert_eq!(audit(&module, &clean, "div", &[6, 2]), (Ok(3), vec![]));
-    assert_eq!(audit(&module, &clean, "div", &[6, 0]), (Err(Trap::DivideByZero), vec![]));
-    assert_eq!(audit(&module, &clean, "log", &[]), (Ok(0), vec![]));
+    let claims = (&clean, &facts[..]);
+    assert_eq!(audit(&module, claims, "div", &[6, 2]), (Ok(3), vec![]));
+    assert_eq!(audit(&module, claims, "div", &[6, 0]), (Err(Trap::DivideByZero), vec![]));
+    assert_eq!(audit(&module, claims, "log", &[]), (Ok(0), vec![]));
 
     // An operand interval narrowed to exclude the divisor it will see.
-    let mut narrowed = clean.clone();
-    narrowed.functions[0].ranges[div].operands[0] = AbsVal::constant(1);
+    let mut narrowed = facts.clone();
+    narrowed[0].insns[div].operands[0] = AbsVal::constant(1);
     let violation = AuditViolation::ValueOutsideInterval {
         func: 0,
         at: div_at,
@@ -65,15 +69,15 @@ fn each_kind_of_false_claim_is_reported_exactly() {
         lo: 1,
         hi: 1,
     };
-    assert_eq!(audit(&module, &narrowed, "div", &[6, 2]), (Ok(3), vec![violation]));
+    assert_eq!(audit(&module, (&clean, &narrowed), "div", &[6, 2]), (Ok(3), vec![violation]));
 
     // A divisor claimed nonzero where it is zero.
-    let mut nonzero = clean.clone();
-    nonzero.functions[0].ranges[div].proven |= proven::DIV_NONZERO;
+    let mut nonzero = facts.clone();
+    nonzero[0].insns[div].proven |= proven::DIV_NONZERO;
     let violation =
         AuditViolation::ProvenFactViolated { func: 0, at: div_at, fact: "div_nonzero", value: 0 };
     assert_eq!(
-        audit(&module, &nonzero, "div", &[6, 0]),
+        audit(&module, (&clean, &nonzero), "div", &[6, 0]),
         (Err(Trap::DivideByZero), vec![violation])
     );
 
@@ -81,14 +85,14 @@ fn each_kind_of_false_claim_is_reported_exactly() {
     let mut costly = clean.clone();
     costly.functions[0].min_fuel = 5;
     let violation = AuditViolation::FuelBelowClaim { func: 0, claimed: 5, observed: 4 };
-    assert_eq!(audit(&module, &costly, "div", &[6, 2]), (Ok(3), vec![violation]));
+    assert_eq!(audit(&module, (&costly, &facts), "div", &[6, 2]), (Ok(3), vec![violation]));
 
     // A reachable intrinsic left out of its function's set.
-    let mut hostless = clean;
+    let mut hostless = clean.clone();
     hostless.functions[1].own_hosts &= !(1 << HostId::Log.id());
     let violation =
         AuditViolation::UnclaimedHostCall { func: 1, at: host_at, id: HostId::Log.id() };
-    assert_eq!(audit(&module, &hostless, "log", &[]), (Ok(0), vec![violation]));
+    assert_eq!(audit(&module, (&hostless, &facts), "log", &[]), (Ok(0), vec![violation]));
 }
 
 /// The call-graph fuel fixpoint must hit its round cap gracefully:
@@ -112,7 +116,8 @@ fn fuel_fixpoint_cap_is_graceful_and_sound() {
     let a = m.clone().analyzed(&policy).unwrap().analysis;
     let claimed = a.functions[0].min_fuel;
     assert!(claimed > 1, "cap should still have grown the bound: {claimed}");
-    let mut oracle = Oracle::new(&m, policy.clone()).unwrap().audited(&a);
+    let facts = flow_ranges(&m, &a);
+    let mut oracle = Oracle::new(&m, policy.clone()).unwrap().audited(&a, &facts);
     assert!(oracle.call("spin", &[]).is_err(), "unbounded recursion must trap");
     assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
 
@@ -143,7 +148,8 @@ fn fuel_fixpoint_cap_is_graceful_and_sound() {
     assert!(claimed <= 100, "ring bound overclaims the true minimum: {claimed}");
     // Run f1 all the way around the ring; the auditor cross-checks the
     // observed fuel against the claim.
-    let mut oracle = Oracle::new(&m, policy).unwrap().audited(&a);
+    let facts = flow_ranges(&m, &a);
+    let mut oracle = Oracle::new(&m, policy).unwrap().audited(&a, &facts);
     assert_eq!(oracle.call("f1", &[19]), Ok(77));
     assert!(oracle.fuel_used() >= claimed, "{} < {claimed}", oracle.fuel_used());
     assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());

@@ -17,8 +17,11 @@
 //! * **Capabilities** — the set of host intrinsics reachable from each
 //!   function, checked against the [`SandboxPolicy`] *before* the module is
 //!   instantiated, so a capability-exceeding PAD never executes at all.
-//! * **Lints** — unreachable code, dead stores, and functions that can
-//!   never return, surfaced by `fvm-lint` and the annotated disassembler.
+//!
+//! Admission computes only what it enforces. What merely *reports* on the
+//! proof — the value-range pass, lints, the annotated disassembler and the
+//! `fasmlint` CLI — lives in the dev-only `fractal-vm-oracle` crate and
+//! reads the public [`FunctionAnalysis`] fields.
 //!
 //! An accepted analysis also licenses the interpreter's *fast path*
 //! ([`AnalyzedModule`]): because every instruction's stack height is a
@@ -37,8 +40,7 @@
 //! from corrupting its caller's operands. Calls to functions that can
 //! never return are modelled as pushing one value; the post-call path can
 //! never execute, so any height derived from it is vacuous. Unreachable
-//! instructions keep `height = None` and are reported as lints, never
-//! errors.
+//! instructions keep `height = None` and are never errors.
 
 use std::collections::VecDeque;
 
@@ -50,10 +52,8 @@ use crate::module::{Function, Module};
 use crate::sandbox::SandboxPolicy;
 use crate::verify::verify_module;
 
-pub mod range;
 pub mod reg;
 
-pub use range::{proven, AbsVal, InsnFacts};
 pub use reg::{RegFunction, Slot, SlotOp};
 
 /// Fuel cost floor for one instruction (every op charges at least this).
@@ -92,167 +92,6 @@ pub struct BlockInfo {
     pub succs: Vec<usize>,
 }
 
-/// A diagnostic that does not make the module unsafe, only suspicious.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Lint {
-    /// No path from function entry reaches this instruction.
-    UnreachableCode {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the first unreachable instruction of a block.
-        at: usize,
-    },
-    /// A local is written (`local.set`/`local.tee`) but never read anywhere
-    /// in the function.
-    DeadStore {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the store.
-        at: usize,
-        /// The local index written.
-        local: u8,
-    },
-    /// No reachable `ret` exists: the function can only halt the machine,
-    /// trap, or loop forever.
-    NeverReturns {
-        /// Function index.
-        func: usize,
-    },
-    /// The divisor at this site is provably always zero: the instruction
-    /// traps on every execution that reaches it.
-    CertainDivideByZero {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the division.
-        at: usize,
-    },
-    /// Every possible address/length at this memory op lies outside
-    /// linear memory: the instruction traps on every execution.
-    CertainOutOfBounds {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the access.
-        at: usize,
-    },
-    /// The shift amount can never be in `[0, 63]`, so the machine's
-    /// modular masking always rewrites it — almost certainly a bug.
-    ShiftAmountMasked {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the shift.
-        at: usize,
-    },
-}
-
-impl core::fmt::Display for Lint {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Lint::UnreachableCode { func, at } => {
-                write!(f, "fn {func}: unreachable code at {at}")
-            }
-            Lint::DeadStore { func, at, local } => {
-                write!(f, "fn {func}: local {local} stored at {at} but never read")
-            }
-            Lint::NeverReturns { func } => write!(f, "fn {func}: no reachable ret"),
-            Lint::CertainDivideByZero { func, at } => {
-                write!(f, "fn {func}: divisor at {at} is always zero")
-            }
-            Lint::CertainOutOfBounds { func, at } => {
-                write!(f, "fn {func}: memory access at {at} is always out of bounds")
-            }
-            Lint::ShiftAmountMasked { func, at } => {
-                write!(f, "fn {func}: shift amount at {at} is never in [0, 63]")
-            }
-        }
-    }
-}
-
-/// How seriously a [`Lint`] is taken by enforcement tooling (`fasmlint`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum LintLevel {
-    /// Not reported.
-    Allow,
-    /// Reported, does not fail the gate.
-    Warn,
-    /// Reported and fails the gate (nonzero `fasmlint` exit).
-    Deny,
-}
-
-impl core::fmt::Display for LintLevel {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            LintLevel::Allow => write!(f, "allow"),
-            LintLevel::Warn => write!(f, "warn"),
-            LintLevel::Deny => write!(f, "deny"),
-        }
-    }
-}
-
-/// Severity assignment for every lint kind.
-///
-/// The default denies what is certainly wrong (dead stores, guaranteed
-/// traps) and warns on what is merely suspicious (unreachable code, a
-/// function that never returns — legitimate for abort-only helpers).
-#[derive(Clone, Debug)]
-pub struct LintConfig {
-    /// Severity of [`Lint::UnreachableCode`].
-    pub unreachable_code: LintLevel,
-    /// Severity of [`Lint::DeadStore`].
-    pub dead_store: LintLevel,
-    /// Severity of [`Lint::NeverReturns`].
-    pub never_returns: LintLevel,
-    /// Severity of [`Lint::CertainDivideByZero`].
-    pub certain_divide_by_zero: LintLevel,
-    /// Severity of [`Lint::CertainOutOfBounds`].
-    pub certain_out_of_bounds: LintLevel,
-    /// Severity of [`Lint::ShiftAmountMasked`].
-    pub shift_amount_masked: LintLevel,
-}
-
-impl Default for LintConfig {
-    fn default() -> LintConfig {
-        LintConfig {
-            unreachable_code: LintLevel::Warn,
-            dead_store: LintLevel::Deny,
-            never_returns: LintLevel::Warn,
-            certain_divide_by_zero: LintLevel::Deny,
-            certain_out_of_bounds: LintLevel::Deny,
-            shift_amount_masked: LintLevel::Deny,
-        }
-    }
-}
-
-impl LintConfig {
-    /// The severity assigned to `lint`.
-    pub fn level_for(&self, lint: &Lint) -> LintLevel {
-        match lint {
-            Lint::UnreachableCode { .. } => self.unreachable_code,
-            Lint::DeadStore { .. } => self.dead_store,
-            Lint::NeverReturns { .. } => self.never_returns,
-            Lint::CertainDivideByZero { .. } => self.certain_divide_by_zero,
-            Lint::CertainOutOfBounds { .. } => self.certain_out_of_bounds,
-            Lint::ShiftAmountMasked { .. } => self.shift_amount_masked,
-        }
-    }
-
-    /// Promotes every `Warn` to `Deny`.
-    pub fn strict(mut self) -> LintConfig {
-        for level in [
-            &mut self.unreachable_code,
-            &mut self.dead_store,
-            &mut self.never_returns,
-            &mut self.certain_divide_by_zero,
-            &mut self.certain_out_of_bounds,
-            &mut self.shift_amount_masked,
-        ] {
-            if *level == LintLevel::Warn {
-                *level = LintLevel::Deny;
-            }
-        }
-        self
-    }
-}
-
 /// Everything the analyzer proved about one function.
 #[derive(Clone, Debug)]
 pub struct FunctionAnalysis {
@@ -274,10 +113,6 @@ pub struct FunctionAnalysis {
     pub own_hosts: u8,
     /// `own_hosts` unioned over everything transitively callable.
     pub reachable_hosts: u8,
-    /// Suspicious-but-safe findings for this function.
-    pub lints: Vec<Lint>,
-    /// Range-pass facts, aligned with `insns`.
-    pub ranges: Vec<InsnFacts>,
 }
 
 /// Whole-module analysis results.
@@ -821,55 +656,13 @@ fn shared_stack_bound(
     bound.into_iter().max().unwrap_or(0)
 }
 
-/// Collects lints for one function after heights are known.
-fn collect_lints(func_idx: usize, cfg: &FuncCfg, exit: Option<u32>, lints: &mut Vec<Lint>) {
-    // Unreachable blocks: report the first instruction of each.
-    for block in &cfg.blocks {
-        if cfg.insns[block.start].height.is_none() {
-            lints.push(Lint::UnreachableCode { func: func_idx, at: cfg.insns[block.start].at });
-        }
-    }
-    // Dead stores: locals written but never read anywhere in the function.
-    let mut read = [false; 256];
-    for insn in &cfg.insns {
-        if let Op::LocalGet(n) = insn.op {
-            read[n as usize] = true;
-        }
-    }
-    for insn in &cfg.insns {
-        if insn.height.is_none() {
-            continue;
-        }
-        if let Op::LocalSet(n) | Op::LocalTee(n) = insn.op {
-            if !read[n as usize] {
-                lints.push(Lint::DeadStore { func: func_idx, at: insn.at, local: n });
-            }
-        }
-    }
-    if exit.is_none() {
-        lints.push(Lint::NeverReturns { func: func_idx });
-    }
-}
-
-/// Process-wide analyzer metrics; see `vm_metrics` in `machine.rs` for
-/// why these bind lazily to the global telemetry bundle.
-struct AnalysisMetrics {
-    analysis_ns: fractal_telemetry::Histogram,
-    proven_ops: fractal_telemetry::Counter,
-    lints: fractal_telemetry::Counter,
-}
-
-fn analysis_metrics() -> &'static AnalysisMetrics {
+/// The analyzer's process-wide timing histogram; see `vm_metrics` in
+/// `machine.rs` for why it binds lazily to the global telemetry bundle.
+fn analysis_ns() -> &'static fractal_telemetry::Histogram {
     use std::sync::OnceLock;
-    static METRICS: OnceLock<AnalysisMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let bundle = fractal_telemetry::Telemetry::global();
-        AnalysisMetrics {
-            analysis_ns: bundle.histogram("fractal_vm_analysis_ns"),
-            proven_ops: bundle.counter("fractal_vm_analysis_proven_ops_total"),
-            lints: bundle.counter("fractal_vm_analysis_lints_total"),
-        }
-    })
+    static ANALYSIS_NS: OnceLock<fractal_telemetry::Histogram> = OnceLock::new();
+    ANALYSIS_NS
+        .get_or_init(|| fractal_telemetry::Telemetry::global().histogram("fractal_vm_analysis_ns"))
 }
 
 /// Runs abstract interpretation over every function of a structurally
@@ -994,27 +787,11 @@ pub fn analyze_module(
         }
     }
 
-    // --- value ranges (interval + known bits) ------------------------------
-    let mut all_ranges: Vec<Vec<InsnFacts>> = Vec::with_capacity(n);
-    let mut range_lints: Vec<Vec<Lint>> = Vec::with_capacity(n);
-    for (f, cfg) in cfgs.iter().enumerate() {
-        let outcome = range::flow_ranges(f, &module.functions[f], cfg, module, &exit_heights);
-        all_ranges.push(outcome.facts);
-        range_lints.push(outcome.lints);
-    }
-
-    // --- lints -------------------------------------------------------------
-    let mut all_lints: Vec<Vec<Lint>> = vec![Vec::new(); n];
-    for (f, cfg) in cfgs.iter().enumerate() {
-        collect_lints(f, cfg, exit_heights[f], &mut all_lints[f]);
-        all_lints[f].append(&mut range_lints[f]);
-    }
-
     let stack_bound = shared_stack_bound(module, &cfgs, &max_heights, &sccs, policy);
 
     let mut functions = Vec::with_capacity(n);
     let mut module_min_fuel = 0u64;
-    for (f, ((cfg, lints), ranges)) in cfgs.into_iter().zip(all_lints).zip(all_ranges).enumerate() {
+    for (f, cfg) in cfgs.into_iter().enumerate() {
         let min_fuel = ret_lb[f].min(halt_lb[f]);
         module_min_fuel = module_min_fuel.max(min_fuel);
         functions.push(FunctionAnalysis {
@@ -1025,16 +802,10 @@ pub fn analyze_module(
             min_fuel,
             own_hosts: own_hosts[f],
             reachable_hosts: reachable[f],
-            lints,
-            ranges,
         });
     }
 
-    let m = analysis_metrics();
-    m.analysis_ns.record(bundle.now_ns().saturating_sub(started_ns));
-    let proven_ops = functions.iter().flat_map(|f| &f.ranges).filter(|r| r.proven != 0).count();
-    m.proven_ops.add(proven_ops as u64);
-    m.lints.add(functions.iter().map(|f| f.lints.len() as u64).sum());
+    analysis_ns().record(bundle.now_ns().saturating_sub(started_ns));
 
     Ok(ModuleAnalysis { functions, module_min_fuel, stack_bound })
 }
@@ -1078,7 +849,6 @@ mod tests {
         let f = &a.functions[0];
         assert_eq!(f.exit_height, Some(1));
         assert_eq!(f.max_height, 2);
-        assert!(f.lints.is_empty(), "{:?}", f.lints);
         // Cheapest run: local.get, jmpifz (taken), push, ret = 4 ops.
         assert_eq!(f.min_fuel, 4);
     }
@@ -1216,7 +986,7 @@ mod tests {
         let policy = SandboxPolicy::default().with_hosts(&[HostId::Abort]);
         let a = analyze_module(&m, &policy).unwrap();
         assert_eq!(a.functions[0].own_hosts, 0);
-        assert!(a.functions[0].lints.iter().any(|l| matches!(l, Lint::UnreachableCode { .. })));
+        assert_eq!(a.functions[0].insns[2].height, None, "the host call is unreachable");
     }
 
     #[test]
@@ -1266,7 +1036,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.functions[0].min_fuel, u64::MAX);
         assert_eq!(a.module_min_fuel, u64::MAX);
-        assert!(a.functions[0].lints.iter().any(|l| matches!(l, Lint::NeverReturns { func: 0 })));
+        assert_eq!(a.functions[0].exit_height, None);
     }
 
     #[test]
@@ -1432,24 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_store_lint_fires() {
-        let a = analyze_src(
-            r#"
-            .func f args=0 locals=1
-                push 5
-                local.set 0
-                push 0
-                ret
-        "#,
-        )
-        .unwrap();
-        assert!(a.functions[0]
-            .lints
-            .iter()
-            .any(|l| matches!(l, Lint::DeadStore { func: 0, local: 0, .. })));
-    }
-
-    #[test]
     fn heights_are_recorded_per_instruction() {
         let a = analyze_src(
             r#"
@@ -1547,24 +1299,5 @@ mod tests {
             );
             assert!(a.module_min_fuel < policy.max_fuel, "{name}");
         }
-    }
-
-    #[test]
-    fn annotated_disassembly_reassembles_and_carries_heights() {
-        let src = r#"
-            .func f args=0 locals=0
-                push 1
-                push 2
-                add
-                ret
-        "#;
-        let m = assemble(src).unwrap();
-        let a = analyze_module(&m, &SandboxPolicy::default()).unwrap();
-        let text = crate::disasm::disassemble_annotated(&m, &a).unwrap();
-        assert!(text.contains("; h=0"), "{text}");
-        assert!(text.contains("; h=2"), "{text}");
-        assert!(text.contains("; max_height=2"), "{text}");
-        let m2 = assemble(&text).expect("annotations are comments");
-        assert_eq!(m.functions[0].code, m2.functions[0].code);
     }
 }

@@ -10,8 +10,9 @@
 //!   designed for the data-movement loops protocol decoders actually run
 //!   (bulk copy, LZ window copy, digest intrinsics);
 //! * a line-oriented **assembler** ([`asm`]) so PAD programs are written as
-//!   readable `.fasm` text and compiled to modules at build time, plus the
-//!   inverse [`disasm`] for inspecting downloaded code;
+//!   readable `.fasm` text and compiled to modules at build time (the
+//!   disassembler, the value-range pass, the lints and `fasmlint` are
+//!   dev-only tools in `fractal-vm-oracle`);
 //! * a static **verifier** ([`verify`]) that rejects malformed code before
 //!   it ever executes (unknown opcodes, wild jumps, bad local/function
 //!   indices);
@@ -46,7 +47,6 @@ pub mod admission;
 pub mod analysis;
 pub mod asm;
 pub mod bytecode;
-pub mod disasm;
 pub mod error;
 pub mod host;
 mod instance;
@@ -57,13 +57,9 @@ pub mod sandbox;
 pub mod verify;
 
 pub use admission::AdmissionCache;
-pub use analysis::{
-    analyze_module, proven, AbsVal, AnalyzedModule, InsnFacts, Lint, LintConfig, LintLevel,
-    ModuleAnalysis,
-};
+pub use analysis::{analyze_module, AnalyzedModule, ModuleAnalysis};
 pub use asm::assemble;
 pub use bytecode::Op;
-pub use disasm::{disassemble, disassemble_admitted, disassemble_annotated};
 pub use error::{AsmError, ModuleError, Trap, VerifyError};
 pub use host::HostId;
 pub use machine::Machine;

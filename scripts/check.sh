@@ -4,8 +4,9 @@
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
 #                             # no-stripe-by-hash, no-hand-chosen-ordering,
-#                             # one-fast-path, one-memory-type,
-#                             # unused-dependency and oracle-dev-only
+#                             # one-fast-path, no-range-pass-in-the-VM,
+#                             # one-memory-type, unused-dependency and
+#                             # oracle-dev-only
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
@@ -15,7 +16,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all eight audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all nine audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -147,6 +148,16 @@ if grep -rnE 'fuse_at|push_fast|pop_fast|GetGetBin' --include='*.rs' crates/vm/s
     exit 1
 fi
 
+# Admission computes only what it enforces. The value-range pass and the
+# lints only report on admitted code, so they live in the dev-only
+# crates/vm-oracle beside fasmlint; any of their names in the VM's sources
+# is that pass growing back into code that runs on downloaded bytes.
+step "no range pass or lints (flow_ranges, InsnFacts, AbsVal, enum Lint) in crates/vm/src"
+if grep -rnE 'flow_ranges|InsnFacts|AbsVal|enum Lint' --include='*.rs' crates/vm/src; then
+    echo "the range pass or the lints are named in crates/vm/src (see the step's comment)" >&2
+    exit 1
+fi
+
 # A recycled sandbox is a fresh one only while every write to linear memory
 # is recorded in the span the scrub zeroes; the script says what it greps.
 step "instance memory allocated and written only in crates/vm/src/memory.rs"
@@ -210,14 +221,14 @@ if [ "$QUICK" -eq 0 ]; then
     scripts/mutants.sh
 fi
 
-# The shipped PADs must come out of the analyzer lint-clean: fasmlint
-# exits nonzero on any deny-level lint (certain divide-by-zero, certain
+# The shipped PADs must come out of the range pass and the lints clean:
+# fasmlint (crates/vm-oracle) exits nonzero on any deny-level lint (certain divide-by-zero, certain
 # out-of-bounds, dead stores, ...). Runs in quick mode too — it is the
 # cheapest gate here and the one a hand-edited .fasm is most likely to
 # trip. Annotated disassembly lands in target/fasmlint for inspection; each
 # instruction line names the register-form slot the fast path runs from it.
 step "fasmlint (shipped PAD sources)"
-cargo run -q -p fractal-vm --bin fasmlint -- \
+cargo run -q -p fractal-vm-oracle --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm
 
 if [ "$QUICK" -eq 1 ]; then
