@@ -56,7 +56,7 @@ use fractal_core::meta::ClientEnv;
 use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport, SessionPhase};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
-use fractal_core::transport::{LoopbackTransport, SimLinkTransport};
+use fractal_core::transport::LoopbackTransport;
 use fractal_net::LinkKind;
 use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
@@ -368,7 +368,7 @@ fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>>
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let mut logs = Vec::with_capacity(n);
     for i in 0..n {
-        let inner = SimLinkTransport::pair(LinkKind::Wlan.link(), 4096);
+        let inner = LoopbackTransport::over(LinkKind::Wlan.link(), 4096);
         let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(
             inner,
             bundle.journal().expect("run bundles carry a journal").session(i as u64),
@@ -430,7 +430,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
     let mut handles = Vec::with_capacity(n);
     let mut ids = Vec::with_capacity(n);
     for i in 0..n {
-        let (pair, handle) = SimLinkTransport::pair_with_handoff(LinkKind::Wlan.link(), 4096);
+        let (pair, handle) = LoopbackTransport::over_with_handoff(LinkKind::Wlan.link(), 4096);
         handles.push(handle);
         let session =
             InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);

@@ -8,7 +8,8 @@
 //! driver only decides *where* an index runs, and aggregation folds
 //! results in index order. Under that discipline the scheduler cannot leak
 //! into the numbers — neither `fractal-telemetry`'s, nor the per-session
-//! wire clocks of the LAN / WLAN / Bluetooth `SimLinkTransport` pairs.
+//! wire clocks of the LAN / WLAN / Bluetooth timed `LoopbackTransport`
+//! pairs.
 
 use std::sync::Arc;
 
@@ -16,6 +17,7 @@ use fractal_bench::parallel::{self, THREAD_SWEEP};
 use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, PHASE_METRICS};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
+use fractal_core::transport::{LoopbackTransport, DEFAULT_CAPACITY};
 use fractal_core::ClientClass;
 use fractal_net::LinkKind;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
@@ -51,13 +53,14 @@ fn batch(item: usize) -> (Snapshot, String) {
     }
 
     let link = LINKS[item % LINKS.len()];
-    let cfg = ReactorConfig::new().transport(link).telemetry(&bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let ids: Vec<_> = (0..SESSIONS)
         .map(|s| {
             let class = ClientClass::ALL[(item + s) % 3];
             let client = tb.client(class).with_telemetry(&bundle);
-            reactor.spawn(InpSession::new(client, tb.app_id, s as u32, 0))
+            let pair = LoopbackTransport::over(link.link(), DEFAULT_CAPACITY);
+            reactor.spawn_on(InpSession::new(client, tb.app_id, s as u32, 0), pair)
         })
         .collect();
     let report = reactor.run().expect("batch sessions complete");

@@ -26,9 +26,10 @@
 //!   duplication, reorder, corruption, transient partitions, hard link
 //!   drops — each logged deterministically;
 //! * [`transport`] — the byte-stream layer under the reactor: the
-//!   [`transport::Transport`] readiness trait, the in-memory loopback and
-//!   the [`fractal_net`]-timed simulated-link implementations, and the
-//!   length-prefixed [`transport::Framer`];
+//!   [`transport::Transport`] readiness trait, the one in-memory pipe
+//!   ([`transport::LoopbackTransport`], untimed or priced by a
+//!   [`fractal_net`] link on its own clock), the kernel-socket
+//!   implementation, and the length-prefixed [`transport::Framer`];
 //! * [`proxy`] — the adaptation proxy: negotiation manager + distribution
 //!   manager + adaptation cache (§3.2);
 //! * [`server`] — the application server: versioned adaptive content,

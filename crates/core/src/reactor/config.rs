@@ -3,8 +3,6 @@
 #[cfg(unix)]
 use std::sync::Arc;
 
-use crate::transport::TransportProfile;
-
 /// Every reactor knob in one builder, shared by [`Reactor`](super::Reactor) and
 /// [`ShardedReactor`](crate::shard::ShardedReactor) — new knobs land here
 /// once instead of multiplying `with_*` constructors on both drivers.
@@ -13,16 +11,19 @@ use crate::transport::TransportProfile;
 ///
 /// | knob | `Reactor` | `ShardedReactor` |
 /// |---|---|---|
-/// | [`transport`](Self::transport) | pair builder for `spawn` | — (pairs come from the acceptor) |
 /// | [`frame_checksums`](Self::frame_checksums) | ✓ | ✓ (every shard) |
 /// | [`telemetry`](Self::telemetry) | ✓ (registry, phase clock, journal) | — (per-shard bundles) |
 /// | [`stall_timeout`](Self::stall_timeout) | — (simulated-clock stall protocol) | ✓ |
 /// | [`virtual_time`](Self::virtual_time) | — (a bundle on a `VirtualClock`) | ✓ |
 /// | [`journal_capacity`](Self::journal_capacity) | — (`Telemetry::with_journal`) | ✓ |
 /// | [`introspect`](Self::introspect) | — | ✓ |
+///
+/// The transport is not a knob: [`Reactor::spawn`](super::Reactor::spawn)
+/// builds an untimed loopback pair, and a session that wants a link, a
+/// window or a fault plan brings its own pair to
+/// [`Reactor::spawn_on`](super::Reactor::spawn_on).
 #[derive(Default)]
 pub struct ReactorConfig {
-    pub(crate) transport: TransportProfile,
     pub(crate) frame_checksums: bool,
     pub(crate) telemetry: Option<fractal_telemetry::Telemetry>,
     pub(crate) stall_timeout: Option<std::time::Duration>,
@@ -33,20 +34,10 @@ pub struct ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// All defaults: loopback transport, unchecked framing, the
-    /// process-global telemetry bundle (monotonic clock, no journal), no
-    /// introspection.
+    /// All defaults: unchecked framing, the process-global telemetry
+    /// bundle (monotonic clock, no journal), no introspection.
     pub fn new() -> ReactorConfig {
         ReactorConfig::default()
-    }
-
-    /// Replaces the transport profile used by
-    /// [`Reactor::spawn`](super::Reactor::spawn) — e.g.
-    /// `LinkKind::Bluetooth` to put every session behind a simulated
-    /// Bluetooth link.
-    pub fn transport(mut self, profile: impl Into<TransportProfile>) -> ReactorConfig {
-        self.transport = profile.into();
-        self
     }
 
     /// Turns on checked framing for every pair the driver runs: each

@@ -33,14 +33,13 @@
 //!   link model — the figure harness.
 //!
 //! Frames that don't fit the peer's window queue per session (their depth
-//! is the `fractal_transport_queue_depth` gauge); over a
-//! [`SimLinkTransport`](crate::transport::SimLinkTransport) the run loop
-//! advances the pair's simulated clock to the next delivery instant when
-//! every live session is transport-starved. Only when no session has
-//! bytes in flight *and* none has deliverable work does the reactor
-//! report [`ReactorStalled`] — distinguishing protocol-stuck from
-//! transport-starved is what keeps the CI smoke gate's timeout wrapper an
-//! actual deadlock detector.
+//! is the `fractal_transport_queue_depth` gauge); over a timed
+//! [`LoopbackTransport`] the run loop advances the pair's simulated clock
+//! to the next delivery instant when every live session is
+//! transport-starved. Only when no session has bytes in flight *and* none
+//! has deliverable work does the reactor report [`ReactorStalled`] —
+//! distinguishing protocol-stuck from transport-starved is what keeps the
+//! CI smoke gate's timeout wrapper an actual deadlock detector.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,7 +54,8 @@ use crate::proxy::AdaptationProxy;
 use crate::server::ApplicationServer;
 use crate::session::PadRepo;
 use crate::transport::{
-    Framer, SendQueue, Transport, TransportError, TransportPair, TransportProfile,
+    Framer, LoopbackTransport, SendQueue, Transport, TransportError, TransportPair,
+    DEFAULT_CAPACITY,
 };
 
 mod config;
@@ -185,8 +185,6 @@ pub struct Reactor<'a> {
     service: InpService<'a>,
     slots: Vec<Slot>,
     ready: VecDeque<SessionId>,
-    /// Pair builder for [`spawn`](Self::spawn) (default: loopback).
-    profile: TransportProfile,
     /// Checked framing: frames carry a weak-sum trailer and corrupted
     /// deliveries surface as [`FrameError::Corrupt`](crate::transport::FrameError::Corrupt).
     checksums: bool,
@@ -212,8 +210,8 @@ pub struct Reactor<'a> {
 
 impl<'a> Reactor<'a> {
     /// Creates a reactor over the shared service trio with every knob at
-    /// its [`ReactorConfig`] default (loopback transports, the global
-    /// telemetry bundle and its monotonic clock).
+    /// its [`ReactorConfig`] default (the global telemetry bundle and its
+    /// monotonic clock).
     pub fn new(
         proxy: &'a AdaptationProxy,
         server: &'a ApplicationServer,
@@ -237,7 +235,6 @@ impl<'a> Reactor<'a> {
             service: InpService { proxy, server, pad_repo },
             slots: Vec::new(),
             ready: VecDeque::new(),
-            profile: config.transport,
             checksums: config.frame_checksums,
             live: 0,
             report: ReactorReport::default(),
@@ -248,19 +245,21 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Admits a session on a fresh pair from the reactor's transport
-    /// profile. The session is live immediately; nothing crosses the wire
-    /// until [`poll`] (or [`run`]) pumps it.
+    /// Admits a session on a fresh untimed
+    /// [`LoopbackTransport::pair`] of [`DEFAULT_CAPACITY`]. The session is
+    /// live immediately; nothing crosses the wire until [`poll`] (or
+    /// [`run`]) pumps it.
     ///
     /// [`poll`]: Self::poll
     /// [`run`]: Self::run
     pub fn spawn(&mut self, session: InpSession) -> SessionId {
-        let pair = self.profile.pair();
-        self.spawn_on(session, pair)
+        self.spawn_on(session, LoopbackTransport::pair(DEFAULT_CAPACITY))
     }
 
-    /// Admits a session on an explicit transport pair: starts it and
-    /// queues its opening frames on the client side of `pair`.
+    /// Admits a session on an explicit transport pair — a timed
+    /// [`LoopbackTransport::over`] a link, a smaller window, a socket, a
+    /// fault plan: starts it and queues its opening frames on the client
+    /// side of `pair`.
     pub fn spawn_on(&mut self, mut session: InpSession, pair: TransportPair) -> SessionId {
         let id = self.slots.len();
         // Clock read *before* start(): the Init phase gets a real duration
@@ -652,10 +651,9 @@ impl<'a> Reactor<'a> {
 
     /// The session's wire-clock milestones (simulated µs on its pair):
     /// when negotiation finished and when the session ended. Always 0 over
-    /// the untimed loopback; over a
-    /// [`SimLinkTransport`](crate::transport::SimLinkTransport) these are
-    /// the per-link negotiation/session times the throughput harness
-    /// reports.
+    /// an untimed loopback pair; over one built
+    /// [`over`](LoopbackTransport::over) a link these are the per-link
+    /// negotiation/session times the throughput harness reports.
     pub fn transport_times(&self, id: SessionId) -> TransportTimes {
         self.slots[id].times
     }

@@ -5,7 +5,7 @@ use crate::meta::AppId;
 use crate::presets::ClientClass;
 use crate::server::AdaptiveContentMode;
 use crate::testbed::Testbed;
-use crate::transport::LoopbackTransport;
+use crate::transport::{LoopbackTransport, DEFAULT_CAPACITY};
 use fractal_net::LinkKind;
 
 fn content(seed: u8, len: usize) -> Vec<u8> {
@@ -18,6 +18,14 @@ fn content(seed: u8, len: usize) -> Vec<u8> {
 /// timeout depends on.
 fn lossy_pair() -> TransportPair {
     FaultPlan::new(7).with_drop(1000).wrap_pair(LoopbackTransport::pair(4096)).0
+}
+
+/// A default-capacity pair over `link`, or untimed.
+fn pair_over(link: Option<LinkKind>) -> TransportPair {
+    match link {
+        Some(kind) => LoopbackTransport::over(kind.link(), DEFAULT_CAPACITY),
+        None => LoopbackTransport::pair(DEFAULT_CAPACITY),
+    }
 }
 
 fn testbed_with_pages(n: u32) -> Testbed {
@@ -89,7 +97,7 @@ fn reactor_decisions_match_direct_negotiation() {
 }
 
 #[test]
-fn simlink_sessions_complete_with_the_same_decisions() {
+fn timed_link_sessions_complete_with_the_same_decisions() {
     let tb = testbed_with_pages(3);
     // Oracle: the same classes over the untimed loopback.
     let loop_tb = testbed_with_pages(3);
@@ -100,10 +108,13 @@ fn simlink_sessions_complete_with_the_same_decisions() {
         .collect();
     oracle.run().unwrap();
 
-    let mut reactor = tb.reactor_with(ReactorConfig::new().transport(LinkKind::Bluetooth));
+    let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
     let ids: Vec<_> = ClientClass::ALL
         .iter()
-        .map(|&c| reactor.spawn(InpSession::new(tb.client(c), tb.app_id, 0, 0)))
+        .map(|&c| {
+            let session = InpSession::new(tb.client(c), tb.app_id, 0, 0);
+            reactor.spawn_on(session, pair_over(Some(LinkKind::Bluetooth)))
+        })
         .collect();
     let report = reactor.run().unwrap();
     assert_eq!(report.failed, 0);
@@ -126,12 +137,12 @@ fn simlink_sessions_complete_with_the_same_decisions() {
 }
 
 #[test]
-fn simlink_wire_times_are_deterministic_and_link_ordered() {
+fn timed_link_wire_times_are_deterministic_and_link_ordered() {
     let time_for = |kind: LinkKind| {
         let tb = testbed_with_pages(1);
-        let mut reactor = tb.reactor_with(ReactorConfig::new().transport(kind));
-        let id =
-            reactor.spawn(InpSession::new(tb.client(ClientClass::PdaBluetooth), tb.app_id, 0, 0));
+        let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
+        let session = InpSession::new(tb.client(ClientClass::PdaBluetooth), tb.app_id, 0, 0);
+        let id = reactor.spawn_on(session, pair_over(Some(kind)));
         reactor.run().unwrap();
         reactor.transport_times(id).done_us.unwrap()
     };
@@ -148,10 +159,10 @@ fn tiny_window_forces_backpressure_but_sessions_still_complete() {
     let tb = testbed_with_pages(2);
     // A 64-byte window: every PAD frame (multi-KB) crosses in dozens
     // of partial writes and the send queues are exercised hard.
-    let mut reactor = tb
-        .reactor_with(ReactorConfig::new().transport(TransportProfile::Loopback { capacity: 64 }));
+    let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
     for i in 0..2u32 {
-        reactor.spawn(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, i, 0));
+        let session = InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, i, 0);
+        reactor.spawn_on(session, LoopbackTransport::pair(64));
     }
     assert!(reactor.queued_frames() > 0, "openings queue behind the tiny window");
     let report = reactor.run().unwrap();
@@ -319,19 +330,18 @@ fn handoff_in_every_live_phase_renegotiates_against_the_new_environment_oracle()
     env.ntwk = new_ntwk;
     let oracle_tb = testbed_with_pages(1);
     let expect = oracle_tb.proxy.negotiate(oracle_tb.app_id, env).unwrap();
-    let profiles: [TransportProfile; 2] = [TransportProfile::default(), LinkKind::Bluetooth.into()];
-    for profile in profiles {
+    for link in [None, Some(LinkKind::Bluetooth)] {
         for phase in [
             SessionPhase::MetaExchange,
             SessionPhase::PathSearch,
             SessionPhase::PadDownload,
             SessionPhase::Sessioning,
         ] {
-            let at = format!("handoff in {} over {profile:?}", phase.name());
+            let at = format!("handoff in {} over {link:?}", phase.name());
             let tb = testbed_with_pages(1);
-            let mut reactor = tb.reactor_over(profile);
-            let id =
-                reactor.spawn(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0));
+            let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
+            let session = InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0);
+            let id = reactor.spawn_on(session, pair_over(link));
             // Drive until the session is in the phase under test, then
             // walk out of WLAN range: the PDA-class Bluetooth link takes
             // over.

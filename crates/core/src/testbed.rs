@@ -102,18 +102,6 @@ impl Testbed {
         )
     }
 
-    /// Builds a reactor over this testbed's proxy/server/PAD-repo trio that
-    /// spawns sessions behind the given transport profile — e.g.
-    /// `tb.reactor_over(LinkKind::Bluetooth)` for a simulated Bluetooth
-    /// link, or a [`TransportProfile`](crate::transport::TransportProfile)
-    /// for explicit capacities.
-    pub fn reactor_over(
-        &self,
-        profile: impl Into<crate::transport::TransportProfile>,
-    ) -> crate::reactor::Reactor<'_> {
-        self.reactor_with(crate::reactor::ReactorConfig::new().transport(profile))
-    }
-
     /// Builds a reactor over this testbed's trio from a full
     /// [`ReactorConfig`](crate::reactor::ReactorConfig) — the one-stop
     /// constructor for tests that need checksums, virtual clocks,
@@ -143,22 +131,6 @@ mod tests {
         let tb = Testbed::with_protocols(&ProtocolId::ALL, AdaptiveContentMode::Reactive);
         assert_eq!(tb.pad_repo.len(), 5);
         assert_eq!(tb.proxy.pat(tb.app_id).unwrap().leaf_count(), 5);
-    }
-
-    #[test]
-    fn reactor_over_builds_a_transport_backed_reactor() {
-        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
-        tb.server.publish(0, vec![7u8; 4_096]);
-        let mut reactor = tb.reactor_over(fractal_net::LinkKind::Wlan);
-        let id = reactor.spawn(crate::reactor::InpSession::new(
-            tb.client(ClientClass::LaptopWlan),
-            tb.app_id,
-            0,
-            0,
-        ));
-        let report = reactor.run().unwrap();
-        assert_eq!(report.completed, 1);
-        assert!(reactor.transport_times(id).done_us.unwrap() > 0, "WLAN time elapsed");
     }
 
     #[test]

@@ -11,43 +11,39 @@
 //!   that many bytes and never block, and the simulated-time hooks
 //!   (`next_ready_at`/`advance_to`) let an event loop distinguish "starved
 //!   until the link delivers" from "stuck forever".
-//! * [`LoopbackTransport`] — an in-memory capacity-bounded ring pair.
-//!   Bytes are readable the instant they are written (subject to the
-//!   capacity bound), so reactor runs over it are exactly as deterministic
-//!   as the old in-memory delivery path.
-//! * [`SimLinkTransport`] — the same pipe gated by a
-//!   [`fractal_net::Link`]: each `send` occupies the link for the chunk's
+//! * [`LoopbackTransport`] — the one in-memory pipe: a capacity-bounded
+//!   byte ring per direction. An untimed [`pair`](LoopbackTransport::pair)
+//!   makes bytes readable the instant they are written, so reactor runs
+//!   over it are exactly as deterministic as the old in-memory delivery
+//!   path. A pair built [`over`](LoopbackTransport::over) a
+//!   [`fractal_net::Link`] also keeps a FIFO ledger of `(ready_at, len)`
+//!   per chunk: each `send` occupies the link for the chunk's
 //!   serialization time at goodput `ρ × bandwidth` (Equation 3) and
 //!   surfaces to the reader only after serialization plus propagation
-//!   latency, on a per-pair simulated clock.
+//!   latency, on a per-pair simulated clock; a [`LinkHandoff`] reprices
+//!   later sends mid-session.
 //! * [`Framer`] — length-prefixed frame reassembly over the INP header
 //!   (magic + version + type + u24 body length), tolerant of arbitrary
 //!   chunk boundaries, rejecting garbage prefixes and oversized frames.
 //! * [`SendQueue`] — per-session outbound frames awaiting `writable()`
 //!   budget; its depth is what the reactor's backpressure gauge reports.
 //!
-//! Both transports are single-threaded by construction (`Rc<RefCell<…>>`):
-//! a pair belongs to exactly one reactor, and reactors are built inside
-//! their worker thread. Determinism therefore needs no locks — byte
-//! arrival order is a pure function of the call sequence.
-
-use fractal_net::{Link, LinkKind};
+//! The in-memory pair is single-threaded by construction
+//! (`Rc<RefCell<…>>`): a pair belongs to exactly one reactor, and reactors
+//! are built inside their worker thread. Determinism therefore needs no
+//! locks — byte arrival order is a pure function of the call sequence.
 
 use crate::error::WireError;
 
 mod framer;
 mod loopback;
-mod simlink;
 #[cfg(unix)]
 mod tcp;
-mod trickle;
 
 pub use framer::{Framer, SendQueue, CHECKSUM_TRAILER_LEN, MAX_FRAME_BODY};
-pub use loopback::LoopbackTransport;
-pub use simlink::{LinkHandoff, SimLinkTransport};
+pub use loopback::{LinkHandoff, LoopbackTransport};
 #[cfg(unix)]
 pub use tcp::{TcpTransport, TCP_IO_HINT};
-pub use trickle::TrickleTransport;
 
 /// Default capacity (bytes) of one direction of a transport pair. Small
 /// enough that multi-kilobyte PAD frames must cross in several partial
@@ -127,15 +123,16 @@ impl std::error::Error for FrameError {}
 ///   how many it took (`Ok(0)` = no budget right now, try again later);
 /// * `recv` moves at most [`readable()`](Self::readable) bytes (`Ok(0)` =
 ///   nothing readable right now);
-/// * neither ever blocks; after [`close`](Self::close), both return
-///   [`TransportError::Closed`] once the readable backlog is drained;
+/// * neither ever blocks; after [`close`](Self::close), `send` returns
+///   [`TransportError::Closed`], and `recv` does once the backlog —
+///   readable or still in flight — is drained;
 /// * when nothing is readable *now* but bytes are in flight,
 ///   [`next_ready_at`](Self::next_ready_at) names the earliest simulated
 ///   instant at which that changes, and
 ///   [`advance_to`](Self::advance_to) moves the pair's clock there. A
-///   transport with no notion of time (the loopback) returns `None` and
-///   ignores advances — everything it will ever deliver is readable
-///   already.
+///   transport with no notion of time (an untimed loopback pair) returns
+///   `None` and ignores advances — everything it will ever deliver is
+///   readable already.
 pub trait Transport {
     /// Bytes `send` would accept right now.
     fn writable(&self) -> usize;
@@ -175,15 +172,6 @@ pub trait Transport {
     fn set_ready(&mut self, _readable: bool, _writable: bool) {}
 }
 
-/// Which end of a pair a handle is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Side {
-    /// The session (client) end.
-    Client,
-    /// The reactor-service end.
-    Service,
-}
-
 /// The two ends of one bidirectional byte pipe, as the reactor registers
 /// them: the session's end and the service (proxy/CDN/server) end.
 pub struct TransportPair {
@@ -191,49 +179,4 @@ pub struct TransportPair {
     pub client: Box<dyn Transport>,
     /// The service endpoint.
     pub service: Box<dyn Transport>,
-}
-
-/// How a reactor builds the pair for each spawned session.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum TransportProfile {
-    /// In-memory ring pair: instant delivery, capacity-bounded.
-    Loopback {
-        /// Per-direction capacity in bytes.
-        capacity: usize,
-    },
-    /// Simulated link: bytes surface after serialization + latency.
-    SimLink {
-        /// The link model gating delivery.
-        link: Link,
-        /// In-flight byte bound per direction (the flow-control window).
-        capacity: usize,
-    },
-}
-
-impl Default for TransportProfile {
-    fn default() -> TransportProfile {
-        TransportProfile::Loopback { capacity: DEFAULT_CAPACITY }
-    }
-}
-
-impl From<LinkKind> for TransportProfile {
-    fn from(kind: LinkKind) -> TransportProfile {
-        TransportProfile::SimLink { link: kind.link(), capacity: DEFAULT_CAPACITY }
-    }
-}
-
-impl From<Link> for TransportProfile {
-    fn from(link: Link) -> TransportProfile {
-        TransportProfile::SimLink { link, capacity: DEFAULT_CAPACITY }
-    }
-}
-
-impl TransportProfile {
-    /// Builds a fresh pair for one session.
-    pub fn pair(&self) -> TransportPair {
-        match *self {
-            TransportProfile::Loopback { capacity } => LoopbackTransport::pair(capacity),
-            TransportProfile::SimLink { link, capacity } => SimLinkTransport::pair(link, capacity),
-        }
-    }
 }

@@ -26,12 +26,12 @@ pub const TCP_IO_HINT: usize = 64 * 1024;
 ///   the OS already drained the backlog to us, so it surfaces as
 ///   [`TransportError::Closed`] exactly per the trait contract;
 /// * `close` is `shutdown(Both)`: the peer sees FIN, drains, then gets
-///   `Closed` — the same teardown shape as the in-memory pairs.
+///   `Closed` — the same teardown shape as the in-memory pair.
 ///
-/// Unlike the simulated transports there is no shared pair state: each end
-/// owns its own socket, so the two ends of a connection can live on
-/// different threads (acceptor hands the service end to a shard while the
-/// client end stays with the driver).
+/// Unlike [`LoopbackTransport`](super::LoopbackTransport), timed or not,
+/// there is no shared pair state: each end owns its own socket, so the two
+/// ends of a connection can live on different threads (acceptor hands the
+/// service end to a shard while the client end stays with the driver).
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: std::net::TcpStream,

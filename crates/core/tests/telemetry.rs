@@ -130,7 +130,7 @@ fn reactor_fills_all_five_phase_histograms_and_mirrors_the_report() {
 #[test]
 fn queue_depth_gauge_reconciles_with_per_session_pending_counts() {
     use fractal_core::reactor::TRANSPORT_QUEUE_METRIC;
-    use fractal_core::transport::TransportProfile;
+    use fractal_core::transport::LoopbackTransport;
 
     let bundle = local_bundle();
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
@@ -139,13 +139,12 @@ fn queue_depth_gauge_reconciles_with_per_session_pending_counts() {
     }
     // A 48-byte window keeps multi-KB PAD frames queued for many polls, so
     // the gauge is exercised at real depths, not just 0.
-    let cfg = ReactorConfig::new()
-        .transport(TransportProfile::Loopback { capacity: 48 })
-        .telemetry(&bundle);
+    let cfg = ReactorConfig::new().telemetry(&bundle);
     let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
     let ids: Vec<_> = (0..3u32)
         .map(|i| {
-            reactor.spawn(InpSession::new(tb.client(ClientClass::ALL[i as usize]), tb.app_id, i, 0))
+            let session = InpSession::new(tb.client(ClientClass::ALL[i as usize]), tb.app_id, i, 0);
+            reactor.spawn_on(session, LoopbackTransport::pair(48))
         })
         .collect();
 

@@ -4,10 +4,10 @@
 //! contract — short writes at the window, partial reads, `Ok(0)` as
 //! "no budget", drain-then-`Closed` teardown — because the reactor's pump
 //! loop is written against the contract, not an implementation. This suite
-//! runs each behavioral case against `LoopbackTransport`,
-//! `SimLinkTransport`, and the socket-backed `TcpTransport`, so an edge
-//! case found on one (EAGAIN flag handling, split frames, FIN ordering)
-//! is pinned for all.
+//! runs each behavioral case against an untimed `LoopbackTransport`, one
+//! built over a WLAN link, and the socket-backed `TcpTransport`, so an edge
+//! case found on one (EAGAIN flag handling, split frames, FIN ordering,
+//! close with bytes in flight) is pinned for all.
 //!
 //! The driver below is transport-agnostic: progress comes from `pump`,
 //! which advances simulated clocks where the pair has them and feeds
@@ -23,10 +23,10 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_core::sys::{Interest, Poller};
 use fractal_core::testbed::Testbed;
 use fractal_core::transport::{
-    Framer, LoopbackTransport, SendQueue, SimLinkTransport, TcpTransport, TransportError,
-    TransportPair, TrickleTransport,
+    Framer, LoopbackTransport, SendQueue, TcpTransport, TransportError, TransportPair,
+    DEFAULT_CAPACITY,
 };
-use fractal_core::ClientClass;
+use fractal_core::{ClientClass, PadMeta};
 use fractal_net::LinkKind;
 
 /// The pairs under test. Small in-memory capacities so multi-hundred-byte
@@ -34,7 +34,7 @@ use fractal_net::LinkKind;
 fn transports() -> Vec<(&'static str, TransportPair)> {
     vec![
         ("loopback", LoopbackTransport::pair(256)),
-        ("simlink", SimLinkTransport::pair(LinkKind::Wlan.link(), 256)),
+        ("loopback over WLAN", LoopbackTransport::over(LinkKind::Wlan.link(), 256)),
         ("tcp", TcpTransport::pair().expect("loopback TCP pair")),
     ]
 }
@@ -65,19 +65,6 @@ fn pump(pair: &mut TransportPair) {
             end.set_ready(ev.readable, ev.writable);
         }
     }
-}
-
-/// Sends all of `bytes` client→service, pumping through backpressure.
-fn send_all(pair: &mut TransportPair, bytes: &[u8]) {
-    let mut sent = 0;
-    for _ in 0..100_000 {
-        if sent == bytes.len() {
-            return;
-        }
-        sent += pair.client.send(&bytes[sent..]).expect("send");
-        pump(pair);
-    }
-    panic!("send made no progress ({sent}/{} bytes)", bytes.len());
 }
 
 /// Receives exactly `n` bytes at the service end, `chunk` bytes at a time.
@@ -197,20 +184,14 @@ fn backpressure_zeroes_writable_and_draining_reopens_it() {
 #[test]
 fn close_mid_frame_drains_backlog_then_reports_closed() {
     for (name, mut pair) in transports() {
-        // Half a frame crosses, then the sender goes away.
+        // Half a frame enters the pipe, then the sender goes away with it
+        // still in flight.
         let frame = Framer::frame(&InpMessage::InitReq {
             app_id: fractal_core::AppId(9),
             payload: vec![7; 64],
         });
         let half = frame.len() / 2;
-        send_all(&mut pair, &frame[..half]);
-        // Make the backlog deliverable before the close, then close.
-        for _ in 0..1_000 {
-            if pair.service.readable() > 0 {
-                break;
-            }
-            pump(&mut pair);
-        }
+        assert_eq!(pair.client.send(&frame[..half]), Ok(half), "{name}: fits the window");
         pair.client.close();
         assert!(pair.client.is_closed(), "{name}: closing end knows");
         assert_eq!(
@@ -218,7 +199,7 @@ fn close_mid_frame_drains_backlog_then_reports_closed() {
             Err(TransportError::Closed),
             "{name}: send after close errors"
         );
-        // The receiver first drains every byte that made it across…
+        // The receiver first drains every byte that entered the pipe…
         let got = recv_exactly(&mut pair, half, 11);
         assert_eq!(got, &frame[..half], "{name}: backlog intact");
         // …and only then sees Closed, never a silent hang.
@@ -234,59 +215,41 @@ fn close_mid_frame_drains_backlog_then_reports_closed() {
     }
 }
 
-#[test]
-fn byte_at_a_time_arrival_still_completes_a_full_session() {
-    // Regression for real-TCP dribble: with a 1-byte-per-tick clamp every
-    // INP header and body splits at every byte boundary, in both
-    // directions, through the whole negotiation + PAD download + app
-    // exchange. The framer must reassemble and the reactor's starvation
-    // protocol must keep driving (ticks, not stalls).
+/// Runs one cold session over an untimed loopback pair of `capacity` bytes
+/// per direction; returns its phase, decision and decoded content.
+fn session_over(capacity: usize) -> (SessionPhase, Option<Vec<PadMeta>>, Vec<u8>) {
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     tb.server.publish(0, (0..4_000).map(|i| (i % 200) as u8).collect::<Vec<u8>>());
-    let oracle_tb = Testbed::case_study(AdaptiveContentMode::Reactive);
-
     let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
-    let pair = TrickleTransport::wrap_pair(LoopbackTransport::pair(4096), 1);
-    let id = reactor
-        .spawn_on(InpSession::new(tb.client(ClientClass::PdaBluetooth), tb.app_id, 0, 0), pair);
-    let report = reactor.run().expect("dribbled session completes");
-    assert_eq!(report.completed, 1);
-    assert_eq!(report.failed, 0);
+    let session = InpSession::new(tb.client(ClientClass::PdaBluetooth), tb.app_id, 0, 0);
+    let id = reactor.spawn_on(session, LoopbackTransport::pair(capacity));
+    reactor.run().expect("session completes");
     let session = reactor.session(id);
-    assert_eq!(session.phase(), SessionPhase::Done);
-    assert_eq!(
-        session.client().cached_content(0).unwrap().bytes,
-        tb.server.content(0, 0).unwrap(),
-        "content survives byte-at-a-time reassembly"
-    );
-    // Decisions are unchanged by delivery granularity.
-    let expect =
-        oracle_tb.proxy.negotiate(oracle_tb.app_id, ClientClass::PdaBluetooth.env()).unwrap();
-    assert_eq!(session.negotiated().unwrap(), expect.as_slice());
+    let content = session.client().cached_content(0).map(|c| c.bytes.to_vec());
+    assert_eq!(content.as_deref(), tb.server.content(0, 0).as_deref(), "capacity {capacity}");
+    (session.phase(), session.negotiated().map(<[_]>::to_vec), content.unwrap_or_default())
 }
 
 #[test]
-fn coarser_trickle_rates_agree_with_untrickled_loopback() {
-    let outcome_at = |per_tick: Option<usize>| {
-        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
-        tb.server.publish(0, vec![42; 2_000]);
-        let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
-        let base = LoopbackTransport::pair(4096);
-        let pair = match per_tick {
-            Some(r) => TrickleTransport::wrap_pair(base, r),
-            None => base,
-        };
-        let id = reactor
-            .spawn_on(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0), pair);
-        reactor.run().expect("completes");
-        (
-            reactor.session(id).phase(),
-            reactor.session(id).negotiated().map(<[_]>::to_vec),
-            reactor.session(id).client().cached_content(0).unwrap().bytes.to_vec(),
-        )
-    };
-    let oracle = outcome_at(None);
-    for rate in [1, 3, 64, 4096] {
-        assert_eq!(outcome_at(Some(rate)), oracle, "per_tick={rate}");
+fn byte_at_a_time_arrival_still_completes_a_full_session() {
+    // Regression for real-TCP dribble: with one byte of window per
+    // direction every INP header and body splits at every byte boundary,
+    // in both directions, through the whole negotiation + PAD download +
+    // app exchange. The framer must reassemble and the reactor must keep
+    // pumping (no stall).
+    let (phase, decision, _) = session_over(1);
+    assert_eq!(phase, SessionPhase::Done);
+    // Decisions are unchanged by delivery granularity.
+    let oracle_tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let expect =
+        oracle_tb.proxy.negotiate(oracle_tb.app_id, ClientClass::PdaBluetooth.env()).unwrap();
+    assert_eq!(decision, Some(expect));
+}
+
+#[test]
+fn decisions_and_content_agree_at_every_capacity() {
+    let oracle = session_over(DEFAULT_CAPACITY);
+    for capacity in [1, 3, 64] {
+        assert_eq!(session_over(capacity), oracle, "capacity {capacity}");
     }
 }

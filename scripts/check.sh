@@ -4,6 +4,7 @@
 #
 #   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
 #                             # no-stripe-by-hash, no-hand-chosen-ordering,
+#                             # one-in-memory-transport,
 #                             # one-fast-path, no-range-pass-in-the-VM,
 #                             # one-memory-type, unused-dependency and
 #                             # oracle-dev-only
@@ -16,7 +17,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all nine audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all ten audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -133,6 +134,22 @@ stray=$(grep -rnE 'Ordering::(Acquire|Release|AcqRel|SeqCst)|fence\(' --include=
     | grep -vE "$ordering_allow" || true)
 if [ -n "$stray" ]; then
     echo "memory ordering stronger than Relaxed outside the allow-list (see the step's comment):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# One in-memory pipe: a simulated link is an option of LoopbackTransport
+# (`LoopbackTransport::over`), not a second pair type beside it. Every
+# Transport in fractal-core is that pair, a socket, or the fault harness
+# wrapping either; a new `impl Transport for` in crates/core/src is a copy
+# of the pipe growing back.
+step "one in-memory transport (impl Transport for only LoopbackTransport, TcpTransport, FaultTransport in crates/core/src)"
+stray=$(grep -rnE 'impl(<[^>]*>)?[[:space:]]+Transport[[:space:]]+for[[:space:]]' --include='*.rs' \
+        crates/core/src \
+    | grep -vE 'Transport[[:space:]]+for[[:space:]]+(LoopbackTransport|TcpTransport|FaultTransport)([^[:alnum:]_]|$)' \
+    || true)
+if [ -n "$stray" ]; then
+    echo "a Transport other than LoopbackTransport, TcpTransport or FaultTransport in crates/core/src:" >&2
     echo "$stray" >&2
     exit 1
 fi
