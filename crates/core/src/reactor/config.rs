@@ -81,7 +81,9 @@ impl ReactorConfig {
     /// monotonic time. With `tick == 0` the timeline is pinned: every
     /// recorded timestamp and phase duration is identical, so the merged
     /// journal and registry become pure functions of the per-session
-    /// event streams — byte-identical at any shard count.
+    /// event streams — byte-identical at any shard count, but for the
+    /// summed `fractal_reactor_peak_in_flight` gauge, which measures how
+    /// far each shard's sessions overlapped.
     pub fn virtual_time(mut self, tick: u64) -> ReactorConfig {
         self.virtual_tick = Some(tick);
         self

@@ -9,14 +9,22 @@
 //!   per session and registers it with the acceptor;
 //! * the **acceptor** thread matches each accepted stream to its
 //!   registered client end (by the connection's peer address — exact, not
-//!   heuristic: a loopback 4-tuple is unique) and deals complete
-//!   [`TcpTransport`] pairs round-robin across the shards;
+//!   heuristic: a loopback 4-tuple is unique), deals complete
+//!   [`TcpTransport`] pairs round-robin across the shards, and rings the
+//!   receiving shard's wake socket after each deal;
 //! * each **shard** thread owns one `Reactor`, one
 //!   [`sys::Poller`](crate::sys::Poller), and its slice of the sessions.
-//!   It admits everything the acceptor deals it, then alternates "drain
-//!   the ready queue" with "sleep in `poll(2)` until the kernel marks a
-//!   registered socket ready" — sessions wake on readiness edges, never by
-//!   scanning.
+//!   Each turn of its one loop admits whatever has been dealt since the
+//!   last, drains the ready queue, and sleeps in `poll(2)` until the
+//!   kernel marks a registered socket (or the wake socket) ready — so a
+//!   shard serves the sessions it holds while the acceptor is still
+//!   dealing, and sessions wake on readiness edges, never by scanning.
+//!
+//! The listener's accept queue is sized to the run
+//! ([`sys::set_listen_backlog`](crate::sys::set_listen_backlog)): with the
+//! shards pumping during admission they compete with the acceptor for
+//! CPUs, and a burst past `std`'s fixed backlog of 128 would have SYNs
+//! dropped and retried a second later.
 //!
 //! Acceptor-distributes was chosen over work-stealing deliberately: a
 //! session's sockets, framers, and send queues stay on one thread for
@@ -37,8 +45,10 @@
 //! accounting neither dropped nor double-counted a session. Sessions are
 //! journal-labeled by their **spawn order** (gid), not their shard slot,
 //! so under a pinned [`VirtualClock`]
-//! ([`ReactorConfig::virtual_time`]) the merged journal and registry are
-//! byte-identical at any shard count.
+//! ([`ReactorConfig::virtual_time`]) the merged journal is byte-identical
+//! at any shard count, and so is the merged registry but for one gauge:
+//! `fractal_reactor_peak_in_flight` sums shard peaks, which measure how far
+//! each shard's sessions overlapped.
 //!
 //! Stalls cannot rely on the simulated-clock protocol ([`Reactor::run`]'s
 //! device): a kernel socket has no `next_ready_at`. Instead a shard that
@@ -49,7 +59,10 @@
 //! resort, not the primary one.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -64,13 +77,17 @@ use crate::proxy::AdaptationProxy;
 use crate::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport};
 use crate::server::ApplicationServer;
 use crate::session::PadRepo;
-use crate::sys::{Interest, Poller};
+use crate::sys::{self, Interest, Poller};
 use crate::transport::{TcpTransport, TransportError, TransportPair};
 
 /// How long a shard sleeps per `poll(2)` call while waiting for readiness.
-/// Small enough that admission-close and stall detection stay responsive,
+/// Small enough that a lost wake and stall detection stay responsive,
 /// large enough that an idle shard costs ~20 syscalls/s.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
+
+/// The poller token of a shard's wake socket: outside the reactor's
+/// `2·id` / `2·id + 1` token space.
+const WAKE: usize = usize::MAX;
 
 /// Default consecutive-quiet time before a shard declares its live
 /// sessions protocol-stuck.
@@ -91,6 +108,18 @@ struct ShardItem {
 /// A session awaiting its accepted peer: `(client local addr, gid,
 /// session, client stream)`.
 type Registration = (SocketAddr, usize, InpSession, TcpStream);
+
+/// The acceptor's doorbell to one shard: `(ring, bell)`. The acceptor
+/// writes a byte to `ring` after each deal and drops it when dealing
+/// ends; the shard polls `bell` beside its sessions. Both ends are
+/// nonblocking: a full socket already holds an unread ring, and the shard
+/// drains `bell` without blocking.
+fn wake_pair() -> std::io::Result<(UnixStream, UnixStream)> {
+    let (ring, bell) = UnixStream::pair()?;
+    ring.set_nonblocking(true)?;
+    bell.set_nonblocking(true)?;
+    Ok((ring, bell))
+}
 
 /// What one shard produced.
 #[derive(Debug)]
@@ -114,9 +143,9 @@ pub struct ShardedOutcome {
 }
 
 impl ShardedOutcome {
-    /// Sums the shard reports. `peak_in_flight` adds too: every shard held
-    /// its full deal live at once (admission completes before driving), so
-    /// the sum is the true process-wide concurrent-session peak.
+    /// Sums the shard reports. `peak_in_flight` adds the shard peaks too;
+    /// shards reach their peaks at different moments, so the sum is an
+    /// upper bound of the process-wide concurrent-session peak.
     pub fn aggregate_report(&self) -> ReactorReport {
         let mut agg = ReactorReport::default();
         for s in &self.shards {
@@ -214,8 +243,8 @@ impl<'a> ShardedReactor<'a> {
     /// sharded driver reads `frame_checksums`, `stall_timeout`,
     /// `virtual_time`, `journal_capacity`, and `introspect`; per-shard
     /// bundles (clock, registry, journal) are built internally, so the
-    /// single-reactor knobs (`transport`, `telemetry`) are ignored — see
-    /// the knob table on [`ReactorConfig`].
+    /// single-reactor `telemetry` knob is ignored — see the knob table on
+    /// [`ReactorConfig`].
     pub fn with_config(
         proxy: &'a AdaptationProxy,
         server: &'a ApplicationServer,
@@ -261,16 +290,22 @@ impl<'a> ShardedReactor<'a> {
     pub fn run(&self, sessions: Vec<InpSession>) -> Result<ShardedOutcome, InpError> {
         let total = sessions.len();
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
+        sys::set_listen_backlog(&listener, total).map_err(io_err)?;
         listener.set_nonblocking(true).map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
 
         let (reg_tx, reg_rx) = mpsc::channel::<Registration>();
-        let mut shard_txs = Vec::with_capacity(self.shards);
+        let mut deals = Vec::with_capacity(self.shards);
         let mut shard_rxs = Vec::with_capacity(self.shards);
+        // The bells outlive every thread of the run, so a ring can never
+        // hit a closed socket.
+        let mut bells = Vec::with_capacity(self.shards);
         for _ in 0..self.shards {
             let (tx, rx) = mpsc::channel::<ShardItem>();
-            shard_txs.push(tx);
+            let (ring, bell) = wake_pair().map_err(io_err)?;
+            deals.push((tx, ring));
             shard_rxs.push(rx);
+            bells.push(bell);
         }
         let abort = AtomicBool::new(false);
         // Observability bundles are built up front, on this thread: live
@@ -284,13 +319,16 @@ impl<'a> ShardedReactor<'a> {
 
         std::thread::scope(|scope| {
             let acceptor = scope.spawn(|| {
-                accept_and_deal(&listener, total, reg_rx, shard_txs, &abort, self.stall_timeout)
+                accept_and_deal(&listener, total, reg_rx, deals, &abort, self.stall_timeout)
             });
             let shard_handles: Vec<_> = shard_rxs
                 .into_iter()
+                .zip(&bells)
                 .zip(bundles)
                 .enumerate()
-                .map(|(ix, (rx, tele))| scope.spawn(move || self.drive_shard(ix, rx, tele)))
+                .map(|(ix, ((rx, bell), tele))| {
+                    scope.spawn(move || self.drive_shard(ix, rx, bell, tele))
+                })
                 .collect();
 
             // Driver: one nonblocking connect + registration per session.
@@ -351,13 +389,20 @@ impl<'a> ShardedReactor<'a> {
         })
     }
 
-    /// One shard: admit everything the acceptor deals, then alternate
-    /// ready-queue drains with kernel readiness waits until every session
-    /// is terminal.
+    /// One shard, one loop. Each turn admits whatever the acceptor has
+    /// dealt since the last, drains the ready queue, then sleeps in
+    /// `poll(2)` on the live sessions' sockets plus — while dealing is
+    /// open — `bell`, which the acceptor rings after each deal. Returns
+    /// once the deal is closed and every session is terminal.
+    ///
+    /// Every turn re-checks the channel, so a lost ring costs at most one
+    /// [`WAIT_SLICE`]; the EOF of the dropped ring end wakes the shard to
+    /// find the channel closed.
     fn drive_shard(
         &self,
         shard: usize,
         rx: mpsc::Receiver<ShardItem>,
+        bell: &UnixStream,
         tele: Telemetry,
     ) -> Result<ShardOutcome, InpError> {
         let mut cfg = ReactorConfig::new().telemetry(&tele);
@@ -366,35 +411,53 @@ impl<'a> ShardedReactor<'a> {
         }
         let mut reactor = Reactor::with_config(self.proxy, self.server, self.pad_repo, cfg);
         let mut gids = Vec::new();
-        // Admission: block until the acceptor has dealt the whole run
-        // (senders dropped). Every session is then live before the first
-        // byte is pumped, so the shard's peak-in-flight equals its deal.
-        for item in rx.iter() {
-            gids.push(item.gid);
-            reactor.spawn_on(
-                item.session,
-                TransportPair { client: Box::new(item.client), service: Box::new(item.service) },
-            );
-        }
+        let mut dealing = true;
         let mut poller = Poller::new();
         let mut quiet = Duration::ZERO;
         loop {
+            while dealing {
+                match rx.try_recv() {
+                    Ok(item) => {
+                        gids.push(item.gid);
+                        let pair = TransportPair {
+                            client: Box::new(item.client),
+                            service: Box::new(item.service),
+                        };
+                        reactor.spawn_on(item.session, pair);
+                    }
+                    Err(mpsc::TryRecvError::Empty) => break,
+                    Err(mpsc::TryRecvError::Disconnected) => dealing = false,
+                }
+            }
             while reactor.poll().is_some() {}
-            if reactor.in_flight() == 0 {
+            if !dealing && reactor.in_flight() == 0 {
                 break;
             }
             poller.clear();
             reactor.register_interest(&mut poller);
+            if dealing {
+                poller.register(bell.as_raw_fd(), WAKE, Interest::READ);
+            }
             let slice = WAIT_SLICE.min(self.stall_timeout);
             let events = poller.wait(Some(slice)).map_err(io_err)?;
-            if events.is_empty() {
+            if !events.is_empty() {
+                quiet = Duration::ZERO;
+            } else if reactor.in_flight() > 0 {
+                // Only live sessions can be stuck: a shard awaiting its
+                // next deal is not, and the acceptor's own patience
+                // bounds admission.
                 quiet += slice;
                 if quiet >= self.stall_timeout {
                     return Err(InpError::Stalled(reactor.stall_report()));
                 }
-            } else {
-                quiet = Duration::ZERO;
-                for ev in events {
+            }
+            for ev in events {
+                if ev.token == WAKE {
+                    // Drain the rings (or read the EOF); the next turn's
+                    // `try_recv` admits what they announced.
+                    let mut buf = [0u8; 64];
+                    while matches!((&*bell).read(&mut buf), Ok(n) if n > 0) {}
+                } else {
                     reactor.apply_event(ev);
                 }
             }
@@ -412,19 +475,20 @@ impl<'a> ShardedReactor<'a> {
 }
 
 /// The acceptor: accept `total` connections, match each to its registered
-/// client end by peer address, and deal the completed pairs round-robin.
+/// client end by peer address, and deal the completed pairs round-robin,
+/// ringing each `(sender, ring)` deal's shard after its item is sent.
 /// Runs the listener nonblocking under the same [`Poller`] so a driver
 /// failure (`abort`) or a dried-up run cannot leave it parked in
-/// `accept(2)` forever.
+/// `accept(2)` forever. On return the deals drop sender first, so the
+/// ring's EOF wakes a shard to a closed channel.
 fn accept_and_deal(
     listener: &TcpListener,
     total: usize,
     reg_rx: mpsc::Receiver<Registration>,
-    shard_txs: Vec<mpsc::Sender<ShardItem>>,
+    mut deals: Vec<(mpsc::Sender<ShardItem>, UnixStream)>,
     abort: &AtomicBool,
     patience: Duration,
 ) -> Result<(), InpError> {
-    use std::os::fd::AsRawFd;
     let mut pending: HashMap<SocketAddr, (usize, InpSession, TcpStream)> = HashMap::new();
     let mut poller = Poller::new();
     let mut quiet = Duration::ZERO;
@@ -472,10 +536,15 @@ fn accept_and_deal(
             client: TcpTransport::new(client).map_err(io_err)?,
             service: TcpTransport::new(stream).map_err(io_err)?,
         };
-        if shard_txs[accepted % shard_txs.len()].send(item).is_err() {
+        let shard = accepted % deals.len();
+        let (deal, ring) = &mut deals[shard];
+        if deal.send(item).is_err() {
             // The shard died (it reports its own root cause); stop dealing.
             return Err(io_err(std::io::ErrorKind::BrokenPipe.into()));
         }
+        // A full socket (`WouldBlock`) already holds an unread ring, so a
+        // failed ring loses nothing the shard's next turn would not find.
+        let _ = ring.write(&[1]);
         accepted += 1;
     }
     Ok(())
@@ -520,7 +589,7 @@ mod tests {
         let agg = outcome.aggregate_report();
         assert_eq!(agg.completed, N as usize);
         assert_eq!(agg.failed, 0);
-        assert_eq!(agg.peak_in_flight, N as usize, "hold-until-dealt admission");
+        assert!((1..=N as usize).contains(&agg.peak_in_flight), "{}", agg.peak_in_flight);
         assert_eq!(outcome.shards.len(), SHARDS);
         assert!(outcome.shards.iter().all(|s| s.report.completed == N as usize / SHARDS));
 
@@ -539,6 +608,45 @@ mod tests {
                 "session {i} content"
             );
         }
+    }
+
+    #[test]
+    fn a_shard_serves_its_deal_before_the_deal_closes() {
+        let tb = testbed_with_pages(1);
+        let sharded = ShardedReactor::new(&tb.proxy, &tb.server, &tb.pad_repo, 1);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (service, _) = listener.accept().unwrap();
+        let (deal, rx) = mpsc::channel();
+        let (ring, bell) = wake_pair().unwrap();
+        deal.send(ShardItem {
+            gid: 0,
+            session: InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0),
+            client: TcpTransport::new(client).unwrap(),
+            service: TcpTransport::new(service).unwrap(),
+        })
+        .unwrap();
+        let tele = sharded.shard_bundle();
+
+        let (served, outcome) = std::thread::scope(|scope| {
+            let shard = scope.spawn(|| sharded.drive_shard(0, rx, &bell, tele.clone()));
+            // The sender and the ring stay open: the deal is not closed.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let completed =
+                || tele.snapshot().counters.get("fractal_reactor_completed_total") == Some(&1);
+            while !completed() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let served = completed();
+            drop((deal, ring));
+            (served, shard.join().expect("shard panicked"))
+        });
+        assert!(served, "the shard completed nothing while its deal was open");
+        let outcome = outcome.expect("the shard ends once the deal closes");
+        assert_eq!((outcome.report.completed, outcome.report.failed), (1, 0));
+        assert_eq!(outcome.report.peak_in_flight, 1);
+        let sessions = ShardedOutcome { shards: vec![outcome] }.into_sessions();
+        assert_eq!(sessions[0].phase(), SessionPhase::Done);
     }
 
     #[test]
@@ -581,8 +689,13 @@ mod tests {
             assert_eq!(merged.dropped, 0, "{shards} shards: ring must not wrap");
             renders.push(merged.render());
             // The shard reactors time phases on the same pinned clock, so
-            // the merged registry is deal-independent too.
-            registries.push(outcome.merged_snapshot());
+            // the merged registry is deal-independent too — except the
+            // summed shard peaks, which measure how far the shards' own
+            // sessions overlapped.
+            let mut registry = outcome.merged_snapshot();
+            let peak = registry.gauges.remove("fractal_reactor_peak_in_flight");
+            assert!(matches!(peak, Some(p) if (1..=N as i64).contains(&p)), "{shards}: {peak:?}");
+            registries.push(registry);
         }
         for (i, other) in renders.iter().enumerate().skip(1) {
             assert_eq!(&renders[0], other, "shard count {} vs 1", [1, 2, 4, 8][i]);

@@ -1,8 +1,8 @@
-//! Narrow OS bindings for the socket-backed reactor: `poll(2)` readiness
-//! and the `RLIMIT_NOFILE` file-descriptor ceiling.
+//! Narrow OS bindings for the socket-backed reactor: `poll(2)` readiness,
+//! the `RLIMIT_NOFILE` file-descriptor ceiling and the listen backlog.
 //!
 //! crates.io is offline for this build, so there is no `libc`/`mio`: the
-//! two syscall surfaces the C100k path needs are declared here by hand.
+//! three syscall surfaces the C100k path needs are declared here by hand.
 //! This module is the **only** place in the crate where `unsafe` is
 //! permitted (the crate root carries `#![deny(unsafe_code)]`); everything
 //! it exports is a safe wrapper with the invariants discharged locally:
@@ -16,6 +16,10 @@
 //!   hard ceiling so thousands of concurrent sockets (two per session)
 //!   fit; returns the limit actually in force so callers can size their
 //!   admission window instead of dying on `EMFILE` mid-run.
+//! * [`set_listen_backlog`] — re-`listen(2)`s a bound listener with a
+//!   larger accept queue than the 128 `std`'s `TcpListener::bind` fixes,
+//!   so a burst of connects is not dropped at the SYN (and retried 1 s
+//!   and 3 s later) while the acceptor catches up.
 //!
 //! Everything here is Unix-only (`poll(2)` semantics); the module is
 //! compiled out elsewhere along with the TCP transport that needs it.
@@ -58,6 +62,7 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 /// What a registration wants to be woken for.
@@ -152,7 +157,9 @@ impl Poller {
         }
         let timeout_ms: c_int = match timeout {
             None => -1,
-            Some(t) => t.as_millis().min(c_int::MAX as u128) as c_int,
+            // Rounded up: a sub-millisecond timeout truncated to 0 would
+            // make poll(2) return at once instead of waiting.
+            Some(t) => t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int,
         };
         for pfd in &mut self.fds {
             pfd.revents = 0;
@@ -212,6 +219,21 @@ pub fn raise_nofile_limit(needed: u64) -> io::Result<u64> {
     Ok(raised.cur)
 }
 
+/// Re-`listen(2)`s a bound listener with an accept queue of `backlog`
+/// connections. Linux resizes the queue of a listening socket in place;
+/// the kernel caps the request at `net.core.somaxconn`.
+pub fn set_listen_backlog(listener: &std::net::TcpListener, backlog: usize) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    let backlog = backlog.min(c_int::MAX as usize) as c_int;
+    // SAFETY: the descriptor is owned by `listener`, which the borrow
+    // keeps open for the duration of the call.
+    let rc = unsafe { listen(listener.as_raw_fd(), backlog) };
+    if rc != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +288,17 @@ mod tests {
     }
 
     #[test]
+    fn sub_millisecond_timeout_still_waits() {
+        let (_a, b) = UnixStream::pair().unwrap();
+        let mut p = Poller::new();
+        p.register(b.as_raw_fd(), 0, Interest::READ);
+        let t0 = std::time::Instant::now();
+        let evs = p.wait(Some(Duration::from_micros(300))).unwrap();
+        assert!(evs.is_empty());
+        assert!(t0.elapsed() >= Duration::from_micros(300), "returned after {:?}", t0.elapsed());
+    }
+
+    #[test]
     fn empty_poller_wait_is_a_bounded_sleep() {
         let mut p = Poller::new();
         let t0 = std::time::Instant::now();
@@ -282,6 +315,32 @@ mod tests {
         assert_eq!(p.registered(), 1);
         p.clear();
         assert_eq!(p.registered(), 0);
+    }
+
+    #[test]
+    fn a_raised_backlog_queues_connects_nobody_accepts() {
+        use std::net::{TcpListener, TcpStream};
+        let timeout = Duration::from_secs(1);
+        let connect = |addr, n| -> Vec<TcpStream> {
+            (0..n)
+                .map(|i| {
+                    TcpStream::connect_timeout(&addr, timeout)
+                        .unwrap_or_else(|e| panic!("connect {i} of {n}: {e}"))
+                })
+                .collect()
+        };
+
+        let raised = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        set_listen_backlog(&raised, 200).unwrap();
+        drop(connect(raised.local_addr().unwrap(), 200));
+
+        // `bind`'s own backlog of 128: the kernel queues 129 handshakes,
+        // then drops the next SYN, whose retransmit comes after the timeout.
+        let fixed = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = fixed.local_addr().unwrap();
+        let _held = connect(addr, 129);
+        let err = TcpStream::connect_timeout(&addr, timeout).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     }
 
     #[test]
