@@ -53,10 +53,13 @@ use fractal_core::error::InpError;
 use fractal_core::fault::{FaultKind, FaultLog, FaultPlan};
 use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
 use fractal_core::meta::ClientEnv;
-use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport, SessionPhase};
+use fractal_core::reactor::{
+    InpSession, Reactor, ReactorConfig, ReactorReport, SessionError, SessionPhase, DROPPED_METRICS,
+};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
-use fractal_core::transport::LoopbackTransport;
+use fractal_core::transport::{FrameError, LoopbackTransport};
+use fractal_core::FractalError;
 use fractal_net::LinkKind;
 use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
@@ -260,10 +263,36 @@ fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     })
 }
 
+/// The `lossy_link` row's failure reasons, in row order.
+const FAILURE_REASONS: [&str; 5] = [
+    "failed_corrupt",
+    "failed_bad_prefix",
+    "failed_unexpected_message",
+    "failed_gauntlet",
+    "failed_other",
+];
+
+/// Which of [`FAILURE_REASONS`] a failed session's error is.
+fn failure_reason(error: &InpError) -> usize {
+    match error {
+        InpError::Frame(FrameError::Corrupt { .. }) => 0,
+        InpError::Frame(FrameError::BadPrefix) => 1,
+        InpError::Session(SessionError::UnexpectedMessage { .. }) => 2,
+        InpError::Session(SessionError::Fractal(
+            FractalError::PadRejected(_)
+            | FractalError::PadUnverifiable(_)
+            | FractalError::PadInfeasible { .. },
+        )) => 3,
+        _ => 4,
+    }
+}
+
 /// Seeded loss/dup/corrupt/reorder over checksummed framing. Outcomes
 /// are classified, never hung: exact content on completion, a typed
-/// error on failure, a typed stall report for sessions the adversary
-/// starved — and corruption must be *caught* at least once.
+/// error on failure (counted per reason), a typed stall report for
+/// sessions the adversary starved — and corruption must be *caught* at
+/// least once. A duplicated frame is dropped by the receive rule, never a
+/// failure: the row counts those drops beside the failures.
 fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let n = scale.sessions;
     let plan = FaultPlan::new(seed).with_drop(20).with_dup(40).with_corrupt(30).with_reorder(60);
@@ -295,6 +324,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     }
 
     let (mut completed, mut failed, mut stuck) = (0usize, 0usize, 0usize);
+    let mut reasons = [0u64; FAILURE_REASONS.len()];
     let mut decision_fp = FNV_OFFSET;
     for &id in &ids {
         let s = reactor.session(id);
@@ -311,7 +341,8 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
             }
             SessionPhase::Failed => {
                 failed += 1;
-                assert!(s.error().is_some(), "failed session {id} lost its typed error");
+                let error = s.error().expect("a failed session keeps its typed error");
+                reasons[failure_reason(error)] += 1;
             }
             _ => stuck += 1,
         }
@@ -340,6 +371,11 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     }
     let snap = bundle.snapshot();
     reactor.report().reconcile(&snap).expect(RECONCILE);
+    let mut extras = vec![("corruptions_injected", corruptions)];
+    extras.extend(FAILURE_REASONS.into_iter().zip(reasons));
+    for (key, metric) in ["dropped_dup", "dropped_stale"].into_iter().zip(DROPPED_METRICS) {
+        extras.push((key, snap.counters[metric]));
+    }
     Ok(Outcome {
         sessions: n,
         completed,
@@ -348,7 +384,7 @@ fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
         fault_events,
         fault_fp,
         decision_fp,
-        extras: vec![("corruptions_injected", corruptions)],
+        extras,
         telemetry: snap,
         journal: bundle.journal_snapshot(),
     })
@@ -899,8 +935,8 @@ fn main() {
         ]);
         let transport = match name {
             "lossy_link" => "loopback+faults",
-            "partition_recovery" => "simlink+faults",
-            "handoff_renegotiation" => "simlink",
+            "partition_recovery" => "loopback+link+faults",
+            "handoff_renegotiation" => "loopback+link",
             _ => "loopback",
         };
         let stamped = BenchEnv::capture().with_transport(transport).with_scenario(name, seed);

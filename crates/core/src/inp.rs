@@ -14,8 +14,11 @@
 //! ```
 //!
 //! "Each packet has an INP header segment, which is used to maintain the
-//! interactive negotiation protocol integrity": 8 bytes of magic, version,
-//! message type, and body length.
+//! interactive negotiation protocol integrity": 8 bytes of magic `"IN"`,
+//! handoff generation, version, message type, and body length. The type is
+//! the message's rank above, so (generation, rank) names its exchange: the
+//! pair the receive rule [`classify`] judges. A handoff opens the next
+//! generation with a fresh `INIT_REQ`; replies echo their request's.
 
 use bytes::Bytes;
 
@@ -23,29 +26,84 @@ use crate::error::WireError;
 use crate::meta::{AppId, DevMeta, NtwkMeta, PadId, PadMeta, Reader, Writer};
 use fractal_protocols::ProtocolId;
 
-/// Protocol magic ("INP" + version byte slot).
-const MAGIC: [u8; 3] = *b"INP";
-/// Current protocol version.
-pub const INP_VERSION: u8 = 1;
+/// Protocol magic.
+const MAGIC: [u8; 2] = *b"IN";
+/// Current protocol version (2: the third magic byte became the generation).
+pub const INP_VERSION: u8 = 2;
 /// Header length on the wire.
 pub const HEADER_LEN: usize = 8;
 
 /// Validates an INP header prefix and returns `(msg_type, body_len)`.
 ///
-/// This is the single source of truth for the header layout — magic(3) +
-/// version(1) + type(1) + len(3, u24 little-endian) — shared by
-/// [`InpMessage::from_bytes`] and the transport layer's length-prefixed
-/// [`Framer`](crate::transport::Framer), which uses the body length to
-/// find frame boundaries in a byte stream.
+/// This is the single source of truth for the header layout — magic(2) +
+/// generation(1) + version(1) + type(1) + len(3, u24 little-endian) —
+/// shared by [`InpMessage::from_bytes`] and the transport layer's
+/// length-prefixed [`Framer`](crate::transport::Framer), which uses the
+/// body length to find frame boundaries in a byte stream.
 pub fn header_info(bytes: &[u8]) -> Result<(u8, usize), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
-    if bytes[..3] != MAGIC || bytes[3] != INP_VERSION {
+    if bytes[..2] != MAGIC || bytes[3] != INP_VERSION {
         return Err(WireError::BadHeader);
     }
     let len = bytes[5] as usize | (bytes[6] as usize) << 8 | (bytes[7] as usize) << 16;
     Ok((bytes[4], len))
+}
+
+/// Why a frame was dropped unacted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Dropped {
+    /// A repeat of an exchange already answered in the receiver's
+    /// generation.
+    Dup,
+    /// A frame of an earlier generation, still on the wire after a handoff.
+    Stale,
+}
+
+/// What [`classify`] tells a receiver to do with one frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Hand it to the state machine (which may still refuse a reorder).
+    Act,
+    /// Drop it unacted.
+    Drop(Dropped),
+    /// A protocol violation.
+    Violation,
+}
+
+/// The receive rule. `msg` arrived stamped with generation `gen`; the
+/// receiver is at generation `seen_gen` and has answered the ranks
+/// (message types) in `answered`, bit `1 << rank` each. In the receiver's
+/// generation an answered rank is a duplicate and any other is open. A
+/// later generation (by up to 127, wrapping) opens only with its
+/// `INIT_REQ`: that is how a handoff reaches the service. An earlier one
+/// (by up to 127) is stale. Anything else is a violation.
+pub fn classify(gen: u8, msg: &InpMessage, seen_gen: u8, answered: u16) -> Verdict {
+    match gen.wrapping_sub(seen_gen) {
+        0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),
+        0 => Verdict::Act,
+        1..=127 if matches!(msg, InpMessage::InitReq { .. }) => Verdict::Act,
+        129..=255 => Verdict::Drop(Dropped::Stale),
+        _ => Verdict::Violation,
+    }
+}
+
+/// One frame's content: a message and the generation its header carries.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Frame {
+    /// The handoff generation of the exchange the message belongs to.
+    pub gen: u8,
+    /// The message.
+    pub msg: InpMessage,
+}
+
+impl Frame {
+    /// Parses header + body, rejecting malformed or trailing input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Frame, WireError> {
+        // A parsed message had a whole header: byte 2 is its generation.
+        InpMessage::from_bytes(bytes).map(|msg| Frame { gen: bytes[2], msg })
+    }
 }
 
 /// One INP message.
@@ -116,7 +174,8 @@ pub enum InpMessage {
 }
 
 impl InpMessage {
-    /// Message-type discriminant on the wire.
+    /// Message-type discriminant on the wire: the message's rank in
+    /// Figure 4's exchange.
     pub fn msg_type(&self) -> u8 {
         match self {
             InpMessage::InitReq { .. } => 1,
@@ -146,20 +205,22 @@ impl InpMessage {
         }
     }
 
-    /// Serializes header + body.
+    /// Serializes header + body at generation 0.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_room(0)
+        self.to_bytes_with_room(0, 0)
     }
 
-    /// [`to_bytes`](Self::to_bytes) into an allocation with `room` spare
-    /// bytes behind the message, which is where checked framing puts its
-    /// trailer. The bytes are written once, in place: the header goes
-    /// first with its length left open, and is patched when the body is in.
-    pub(crate) fn to_bytes_with_room(&self, room: usize) -> Vec<u8> {
+    /// Serializes header + body stamped with generation `gen`, into an
+    /// allocation with `room` spare bytes behind the message, which is
+    /// where checked framing puts its trailer. The bytes are written once,
+    /// in place: the header goes first with its length left open, and is
+    /// patched when the body is in.
+    pub(crate) fn to_bytes_with_room(&self, gen: u8, room: usize) -> Vec<u8> {
         let wire_len = self.wire_len();
         let mut out = Writer(Vec::with_capacity(wire_len + room));
-        // Header layout: magic(3) version(1) type(1) len(3: u24).
+        // Header layout: magic(2) gen(1) version(1) type(1) len(3: u24).
         out.bytes(&MAGIC);
+        out.u8(gen);
         out.u8(INP_VERSION);
         out.u8(self.msg_type());
         out.bytes(&[0u8; 3]);
@@ -213,7 +274,8 @@ impl InpMessage {
         out
     }
 
-    /// Parses header + body, rejecting malformed or trailing input.
+    /// Parses header + body, whatever generation the header carries,
+    /// rejecting malformed or trailing input.
     pub fn from_bytes(bytes: &[u8]) -> Result<InpMessage, WireError> {
         let (msg_type, len) = header_info(bytes)?;
         let body = bytes.get(HEADER_LEN..).ok_or(WireError::Truncated)?;
@@ -357,12 +419,15 @@ mod tests {
     }
 
     #[test]
-    fn every_message_round_trips() {
+    fn every_message_round_trips_at_every_generation() {
         for msg in all_messages() {
-            let bytes = msg.to_bytes();
-            assert_eq!(bytes.len(), msg.wire_len());
-            let back = InpMessage::from_bytes(&bytes).unwrap();
-            assert_eq!(back, msg, "{}", msg.name());
+            assert_eq!(InpMessage::from_bytes(&msg.to_bytes()).unwrap(), msg, "{}", msg.name());
+            for gen in [0, 1, 255] {
+                let bytes = msg.to_bytes_with_room(gen, 0);
+                assert_eq!(bytes.len(), msg.wire_len());
+                let back = Frame::from_bytes(&bytes).unwrap();
+                assert_eq!(back, Frame { gen, msg: msg.clone() }, "{} at {gen}", msg.name());
+            }
         }
     }
 
@@ -439,6 +504,9 @@ mod tests {
         let mut bytes = InpMessage::InitRep.to_bytes();
         bytes[3] = 9;
         assert_eq!(InpMessage::from_bytes(&bytes), Err(WireError::BadHeader));
+        // A version-1 header: "INP", version 1, then type and length.
+        let v1 = [b'I', b'N', b'P', 1, 2, 0, 0, 0];
+        assert_eq!(InpMessage::from_bytes(&v1), Err(WireError::BadHeader));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   repository and application server behind one `on_message`, with a
 //!   per-connection [`ServiceConn`] enforcing Figure 4's order. Neither
 //!   blocks and neither panics on hostile input — every (state, message)
-//!   pair either advances or returns a typed [`SessionError`].
+//!   pair advances, is dropped as a duplicate or stale by the one receive
+//!   rule ([`crate::inp::classify`]), or returns a typed [`SessionError`].
 //! * **The driver** (this file) is [`Reactor`]: it owns the transports,
 //!   framers, send queues and the accounting clock, and multiplexes many
 //!   in-flight sessions over **one shared** `&AdaptationProxy` +
@@ -48,7 +49,7 @@ use fractal_telemetry::journal::{Journal, SessionJournal};
 use fractal_telemetry::SharedClock;
 
 use crate::error::InpError;
-use crate::inp::InpMessage;
+use crate::inp::{Dropped, Frame, InpMessage};
 use crate::meta::NtwkMeta;
 use crate::proxy::AdaptationProxy;
 use crate::server::ApplicationServer;
@@ -68,7 +69,9 @@ mod tests;
 pub use config::ReactorConfig;
 pub use report::{ReactorReport, ReactorStalled, StuckSession, TransportTimes};
 pub use service::{InpService, ServiceConn};
-pub use session::{decode_app_payload, encode_app_payload, InpSession, SessionError, SessionPhase};
+pub use session::{
+    decode_app_payload, encode_app_payload, InpSession, Received, SessionError, SessionPhase,
+};
 
 /// Identifier of a session inside one reactor.
 pub type SessionId = usize;
@@ -87,6 +90,11 @@ pub const PHASE_METRICS: [&str; SessionPhase::TIMED] = [
 /// `writable()` budget, summed over the reactor's live sessions.
 pub const TRANSPORT_QUEUE_METRIC: &str = "fractal_transport_queue_depth";
 
+/// Counters of the frames either half of the core dropped unacted, indexed
+/// by [`Dropped`]: duplicates, then stale frames.
+pub const DROPPED_METRICS: [&str; 2] =
+    ["fractal_inp_dropped_dup_total", "fractal_inp_dropped_stale_total"];
+
 /// Pre-bound reactor metrics: per-phase latency histograms plus the
 /// [`ReactorReport`] counters, so the registry is the single source of
 /// truth for what the report struct summarizes
@@ -99,6 +107,8 @@ struct ReactorTelemetry {
     peak_in_flight: fractal_telemetry::Gauge,
     /// Outbound frames queued behind full peer windows, reactor-wide.
     queue_depth: fractal_telemetry::Gauge,
+    /// [`DROPPED_METRICS`].
+    dropped: [fractal_telemetry::Counter; 2],
 }
 
 impl ReactorTelemetry {
@@ -110,6 +120,7 @@ impl ReactorTelemetry {
             polls: bundle.counter("fractal_reactor_polls_total"),
             peak_in_flight: bundle.gauge("fractal_reactor_peak_in_flight"),
             queue_depth: bundle.gauge(TRANSPORT_QUEUE_METRIC),
+            dropped: DROPPED_METRICS.map(|name| bundle.counter(name)),
         }
     }
 }
@@ -266,20 +277,16 @@ impl<'a> Reactor<'a> {
         // covering the session's opening work.
         let spawned_at = self.clock.now_ns();
         let opening = session.start().unwrap_or_default();
-        let mut conn = ServiceConn::new();
         let journal = self.journal.as_ref().map(|journal| {
             let handle = journal.session(session.label().unwrap_or(id as u64));
-            // Both halves of the core record their tolerated stale drops
-            // on the same per-session stream.
-            session.stale_trace = Some(handle.clone());
-            conn.stale_trace = Some(handle.clone());
             handle.record(SessionPhase::Init.journal_label());
             handle
         });
+        let gen = session.generation();
         let leg = |end| Leg { end, rx: self.rx_framer(), tx: SendQueue::new() };
         self.slots.push(Slot {
             session,
-            conn,
+            conn: ServiceConn::new(),
             legs: [leg(pair.client), leg(pair.service)],
             queued: true,
             last_phase: SessionPhase::Init,
@@ -288,7 +295,7 @@ impl<'a> Reactor<'a> {
             times: TransportTimes::default(),
             journal,
         });
-        self.send(id, CLIENT, &opening);
+        self.send(id, CLIENT, gen, &opening);
         self.ready.push_back(id);
         self.live += 1;
         self.sync_phase(id);
@@ -306,16 +313,22 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Frames `msgs` per the reactor's framing mode and queues them on one
-    /// leg of `id`.
-    fn send(&mut self, id: SessionId, leg: usize, msgs: &[InpMessage]) {
-        let frame: fn(&InpMessage) -> Vec<u8> =
-            if self.checksums { Framer::frame_checked } else { Framer::frame };
+    /// Frames `msgs` at generation `gen` per the reactor's framing mode
+    /// and queues them on one leg of `id`.
+    fn send(&mut self, id: SessionId, leg: usize, gen: u8, msgs: &[InpMessage]) {
         let tx = &mut self.slots[id].legs[leg].tx;
         for msg in msgs {
-            tx.push(frame(msg));
+            tx.push(Framer::frame_at(gen, msg, self.checksums));
         }
         self.tx_frames += msgs.len();
+    }
+
+    /// Counts and journals one frame the core dropped unacted.
+    fn record_drop(&mut self, id: SessionId, dropped: Dropped) {
+        self.tele.dropped[dropped as usize].inc();
+        if let Some(handle) = &self.slots[id].journal {
+            handle.record(["drop:dup", "drop:stale"][dropped as usize]);
+        }
     }
 
     /// Puts one leg's queued frames on the wire, up to the peer's
@@ -432,27 +445,32 @@ impl<'a> Reactor<'a> {
         // Client → wire: put pending frames on the wire, up to writable().
         self.flush(id, CLIENT)?;
         // Wire → services: drain every readable byte, hand every complete
-        // frame to the service core, queue the replies.
+        // frame to the service core, queue the replies at its generation.
         let service = self.service;
         self.slots[id].legs[SERVICE].pull()?;
-        while let Some(msg) = self.slots[id].legs[SERVICE].rx.next_frame()? {
-            let replies = service.on_message(&mut self.slots[id].conn, &msg)?;
-            self.send(id, SERVICE, &replies);
+        while let Some(Frame { gen, msg }) = self.slots[id].legs[SERVICE].rx.next_frame()? {
+            match service.on_message(&mut self.slots[id].conn, gen, &msg)? {
+                Received::Replies(replies) => self.send(id, SERVICE, gen, &replies),
+                Received::Dropped(dropped) => self.record_drop(id, dropped),
+            }
         }
         self.flush(id, SERVICE)?;
         // Wire → session: drain the client end, deliver at most ONE frame.
         self.slots[id].legs[CLIENT].pull()?;
-        if let Some(msg) = self.slots[id].legs[CLIENT].rx.next_frame()? {
+        if let Some(Frame { gen, msg }) = self.slots[id].legs[CLIENT].rx.next_frame()? {
             self.report.polls += 1;
             self.tele.polls.inc();
-            match self.slots[id].session.on_message(&msg) {
-                Ok(replies) => {
-                    self.send(id, CLIENT, &replies);
+            match self.slots[id].session.on_message(gen, &msg) {
+                Ok(Received::Replies(replies)) => {
+                    let gen = self.slots[id].session.generation();
+                    self.send(id, CLIENT, gen, &replies);
                     self.flush(id, CLIENT)?;
                 }
+                Ok(Received::Dropped(dropped)) => self.record_drop(id, dropped),
                 // The wire delivered something the session cannot accept:
-                // a routing bug or a duplicated frame. Dropping it would
-                // stall the session silently; fail it loudly instead.
+                // a reorder, a generation it never opened, or a routing
+                // bug. Dropping it would stall the session silently; fail
+                // it loudly instead.
                 Err(e) => self.slots[id].session.abort(e),
             }
         }
@@ -629,21 +647,20 @@ impl<'a> Reactor<'a> {
 
     /// Fires a mid-session mobility handoff on `id`: the client's link
     /// changed to `ntwk`, so the session rolls back through negotiation
-    /// ([`InpSession::renegotiate`]) and the service side of the
-    /// connection rewinds to await the fresh `INIT_REQ`
-    /// ([`ServiceConn::rewind`]). Frames of the old generation still in
-    /// flight — in either direction — are drained and dropped by the side
-    /// that receives them. The caller is responsible for repricing the
-    /// wire itself (e.g.
+    /// ([`InpSession::renegotiate`]) and sends a fresh `INIT_REQ` in the
+    /// next generation. The service side learns of the handoff from that
+    /// generation when the `INIT_REQ` arrives. Frames of the old
+    /// generation still in flight — in either direction — are stale once
+    /// the side receiving them has moved on, and are dropped and counted
+    /// there. The caller is responsible for repricing the wire itself (e.g.
     /// [`LinkHandoff::switch`](crate::transport::LinkHandoff::switch)).
     pub fn handoff(&mut self, id: SessionId, ntwk: NtwkMeta) -> Result<(), InpError> {
         let opening = self.slots[id].session.renegotiate(ntwk)?;
-        let slot = &mut self.slots[id];
-        slot.conn.rewind();
-        if let Some(handle) = &slot.journal {
+        if let Some(handle) = &self.slots[id].journal {
             handle.record("handoff");
         }
-        self.send(id, CLIENT, &opening);
+        let gen = self.slots[id].session.generation();
+        self.send(id, CLIENT, gen, &opening);
         self.sync_phase(id);
         self.enqueue_ready(id);
         Ok(())

@@ -5,13 +5,13 @@
 //! on the wire and sends back what it returns.
 
 use crate::error::FractalError;
-use crate::inp::InpMessage;
+use crate::inp::{classify, InpMessage, Verdict};
 use crate::meta::{AppId, ClientEnv};
 use crate::proxy::AdaptationProxy;
 use crate::server::ApplicationServer;
 use crate::session::PadRepo;
 
-use super::session::{decode_app_payload, record_stale_drop, SessionError, StaleTrace};
+use super::session::{decode_app_payload, Received, SessionError};
 
 /// Where one connection stands in the proxy leg of Figure 4. PAD
 /// downloads and application requests are served in every state: the
@@ -35,15 +35,14 @@ enum ConnState {
 #[derive(Debug, Default)]
 pub struct ServiceConn {
     state: ConnState,
-    /// Set by [`rewind`](Self::rewind): negotiation frames of the
-    /// pre-handoff generation may still be in flight and are dropped
-    /// instead of failing the connection.
-    tolerates_stale: bool,
+    /// The generation of the last `INIT_REQ` acted on. A later one is a
+    /// handoff: it restarts negotiation, and the earlier generation's
+    /// frames are stale from then on.
+    gen: u8,
+    /// Proxy-leg ranks answered in `gen`, bit `1 << rank` each.
+    answered: u16,
     /// What `server.respond` reported for the last APP_REP.
     computed_on_request: bool,
-    /// Attached by the reactor so silently-tolerated stale deliveries
-    /// leave a trace.
-    pub(super) stale_trace: StaleTrace,
 }
 
 impl ServiceConn {
@@ -69,16 +68,6 @@ impl ServiceConn {
     pub fn computed_on_request(&self) -> bool {
         self.computed_on_request
     }
-
-    /// Rewinds the connection to await a fresh INIT_REQ — the service side
-    /// of a mid-session mobility handoff, mirroring
-    /// [`InpSession::renegotiate`](super::InpSession::renegotiate). From
-    /// here on an off-state INIT_REQ or CLI_META_REP (the old generation's,
-    /// still on the wire) is dropped, not rejected.
-    pub fn rewind(&mut self) {
-        self.state = ConnState::AwaitInit;
-        self.tolerates_stale = true;
-    }
 }
 
 /// The shared service trio. All three serve through `&self`, so one
@@ -95,35 +84,46 @@ pub struct InpService<'a> {
 }
 
 impl InpService<'_> {
-    /// Feeds one client-emitted message to the party it addresses and
-    /// returns the replies to put back on the wire. A message the
-    /// connection's state does not accept — or one only a service ever
-    /// sends — is a typed [`SessionError::UnexpectedMessage`] and leaves
-    /// `conn` untouched.
+    /// Feeds one client-emitted message, stamped with generation `gen`, to
+    /// the party it addresses and returns the replies to put back on the
+    /// wire, which answer generation `gen`. The receive rule
+    /// ([`classify`]) runs first: a duplicate `INIT_REQ` or `Cli_META_REP`,
+    /// or any frame of a generation before the last `INIT_REQ`'s, is
+    /// dropped. A message the connection's state does not accept — or one
+    /// only a service ever sends — is a typed
+    /// [`SessionError::UnexpectedMessage`] and leaves `conn` untouched.
     pub fn on_message(
         &self,
         conn: &mut ServiceConn,
+        gen: u8,
         msg: &InpMessage,
-    ) -> Result<Vec<InpMessage>, SessionError> {
-        match (conn.state, msg) {
-            (ConnState::AwaitInit, InpMessage::InitReq { app_id, .. }) => {
+    ) -> Result<Received, SessionError> {
+        let unexpected = |conn: &ServiceConn| SessionError::UnexpectedMessage {
+            phase: conn.state_name(),
+            message: msg.name(),
+        };
+        match classify(gen, msg, conn.gen, conn.answered) {
+            Verdict::Act => {}
+            Verdict::Drop(dropped) => return Ok(Received::Dropped(dropped)),
+            Verdict::Violation => return Err(unexpected(conn)),
+        }
+        let replies = match (conn.state, msg) {
+            // The open INIT_REQ: the first, or a later generation's.
+            (_, InpMessage::InitReq { app_id, .. }) => {
+                conn.gen = gen;
+                conn.answered = 1 << msg.msg_type();
                 conn.state = ConnState::AwaitMetaRep(*app_id);
-                Ok(vec![InpMessage::InitRep, InpMessage::CliMetaReq])
+                vec![InpMessage::InitRep, InpMessage::CliMetaReq]
             }
             (ConnState::AwaitMetaRep(app_id), InpMessage::CliMetaRep { dev, ntwk }) => {
                 let pads = self.proxy.negotiate(app_id, ClientEnv { dev: *dev, ntwk: *ntwk })?;
+                conn.answered |= 1 << msg.msg_type();
                 conn.state = ConnState::Negotiated;
-                Ok(vec![InpMessage::PadMetaRep { pads }])
-            }
-            (_, InpMessage::InitReq { .. } | InpMessage::CliMetaRep { .. })
-                if conn.tolerates_stale =>
-            {
-                record_stale_drop(&conn.stale_trace);
-                Ok(Vec::new())
+                vec![InpMessage::PadMetaRep { pads }]
             }
             (_, InpMessage::PadDownloadReq { pad_id }) => match self.pad_repo.get(*pad_id) {
-                Some(wire) => Ok(vec![InpMessage::PadDownloadRep { pad_id: *pad_id, bytes: wire }]),
-                None => Err(FractalError::PadUnavailable(*pad_id).into()),
+                Some(wire) => vec![InpMessage::PadDownloadRep { pad_id: *pad_id, bytes: wire }],
+                None => return Err(FractalError::PadUnavailable(*pad_id).into()),
             },
             (_, InpMessage::AppReq { protocols, payload, .. }) => {
                 let (content_id, have, want) =
@@ -131,17 +131,15 @@ impl InpService<'_> {
                 let protocol = *protocols.first().ok_or(FractalError::NoFeasiblePath)?;
                 let resp = self.server.respond(content_id, have, want, protocol)?;
                 conn.computed_on_request = resp.computed_on_request;
-                Ok(vec![InpMessage::AppRep {
+                vec![InpMessage::AppRep {
                     content_id,
                     version: want,
                     protocol: resp.protocol,
                     payload: resp.payload,
-                }])
+                }]
             }
-            (_, other) => Err(SessionError::UnexpectedMessage {
-                phase: conn.state_name(),
-                message: other.name(),
-            }),
-        }
+            _ => return Err(unexpected(conn)),
+        };
+        Ok(Received::Replies(replies))
     }
 }

@@ -4,11 +4,9 @@
 
 use std::borrow::BorrowMut;
 
-use fractal_telemetry::journal::SessionJournal;
-
 use crate::client::FractalClient;
 use crate::error::{FractalError, InpError, WireError};
-use crate::inp::InpMessage;
+use crate::inp::{classify, Dropped, InpMessage, Verdict};
 use crate::meta::{AppId, NtwkMeta, PadId, PadMeta, Reader, Writer};
 
 /// Phases of one event-driven INP session, in protocol order.
@@ -93,9 +91,10 @@ impl SessionPhase {
 #[derive(Clone, PartialEq, Debug)]
 pub enum SessionError {
     /// A message arrived that the current phase (client side) or
-    /// connection state (service side) does not accept. The receiver's
-    /// state is left unchanged — duplicates and reordering are rejected,
-    /// not acted on.
+    /// connection state (service side) does not accept: out of order, from
+    /// a generation the receiver never opened, or a kind it never
+    /// receives. The receiver's state is left unchanged. (Duplicates and
+    /// stale frames are not errors: they are [`Received::Dropped`].)
     UnexpectedMessage {
         /// Phase or connection state at the time.
         phase: &'static str,
@@ -141,6 +140,25 @@ impl From<FractalError> for SessionError {
     }
 }
 
+/// What either half of the core did with a frame it did not reject.
+#[derive(Clone, PartialEq, Debug)]
+pub enum Received {
+    /// Acted on; the replies (possibly none) go back on the wire.
+    Replies(Vec<InpMessage>),
+    /// Dropped unacted by the receive rule; the driver counts it.
+    Dropped(Dropped),
+}
+
+impl Received {
+    /// The replies to put on the wire: none for a dropped frame.
+    pub fn replies(self) -> Vec<InpMessage> {
+        match self {
+            Received::Replies(replies) => replies,
+            Received::Dropped(_) => Vec::new(),
+        }
+    }
+}
+
 /// Encodes the `APP_REQ` payload the event-driven server side understands:
 /// content id, the version the client already holds (if any), and the
 /// version it wants.
@@ -174,18 +192,6 @@ pub fn decode_app_payload(payload: &[u8]) -> Result<(u32, Option<u32>, u32), Wir
     Ok((content_id, have, want))
 }
 
-/// Where a tolerated post-handoff stale delivery leaves its `stale:drop`
-/// trace: the session's flight-recorder handle. The driver attaches one
-/// to each side of a connection; `None` records nothing.
-pub(super) type StaleTrace = Option<SessionJournal>;
-
-/// Records one `stale:drop` event, if a journal is attached.
-pub(super) fn record_stale_drop(trace: &StaleTrace) {
-    if let Some(journal) = trace {
-        journal.record("stale:drop");
-    }
-}
-
 /// One negotiation/session as an event-driven state machine (client side).
 ///
 /// Holds its [`FractalClient`] — owned, or lent as `&mut FractalClient` by
@@ -201,20 +207,17 @@ pub struct InpSession<C = FractalClient> {
     content_id: u32,
     want_version: u32,
     phase: SessionPhase,
-    init_acked: bool,
+    /// Handoff generation: what every frame the session sends is stamped
+    /// with. Starts at 0; [`renegotiate`](Self::renegotiate) moves it on.
+    gen: u8,
+    /// Ranks of the replies answered in `gen`, bit `1 << rank` each.
+    answered: u16,
     pads: Vec<PadMeta>,
     pending: Vec<PadMeta>,
     error: Option<InpError>,
-    /// Set by [`renegotiate`](Self::renegotiate): replies from the
-    /// pre-handoff generation may still be in flight and are dropped
-    /// instead of failing the session.
-    tolerates_stale: bool,
     /// Caller-assigned flight-recorder label (e.g. the global session
     /// index in a sharded run); defaults to the reactor slot id.
     label: Option<u64>,
-    /// Attached by the reactor so silently-tolerated stale deliveries
-    /// leave a trace.
-    pub(super) stale_trace: StaleTrace,
 }
 
 impl<C: BorrowMut<FractalClient>> InpSession<C> {
@@ -227,13 +230,12 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
             content_id,
             want_version,
             phase: SessionPhase::Init,
-            init_acked: false,
+            gen: 0,
+            answered: 0,
             pads: Vec::new(),
             pending: Vec::new(),
             error: None,
-            tolerates_stale: false,
             label: None,
-            stale_trace: None,
         }
     }
 
@@ -253,6 +255,12 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
     /// Current phase.
     pub fn phase(&self) -> SessionPhase {
         self.phase
+    }
+
+    /// The handoff generation every frame the session sends is stamped
+    /// with: 0 until the first [`renegotiate`](Self::renegotiate).
+    pub fn generation(&self) -> u8 {
+        self.gen
     }
 
     /// The terminal error, once [`SessionPhase::Failed`] — unified over
@@ -299,36 +307,39 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
         Ok(vec![InpMessage::InitReq { app_id: self.app_id, payload: b"app-request".to_vec() }])
     }
 
-    /// Feeds one framed message. Returns the message(s) to send, which the
-    /// transport routes to the proxy, the PAD repository, or the server.
+    /// Feeds one message that arrived stamped with generation `gen`.
+    /// Returns the message(s) to send, which the transport routes to the
+    /// proxy, the PAD repository, or the server.
     ///
-    /// Out-of-order, duplicate, and unknown messages return a typed error
-    /// and leave the phase unchanged; framework failures (a PAD failing
-    /// the acceptance gauntlet, the server rejecting the request) move the
-    /// session to `Failed` terminally.
-    pub fn on_message(&mut self, msg: &InpMessage) -> Result<Vec<InpMessage>, SessionError> {
-        match (self.phase, msg) {
-            (SessionPhase::MetaExchange, InpMessage::InitRep) if !self.init_acked => {
-                self.init_acked = true;
-                Ok(Vec::new())
-            }
-            (SessionPhase::MetaExchange, InpMessage::CliMetaReq) if self.init_acked => {
+    /// The receive rule ([`classify`]) runs first: a duplicate of a reply
+    /// already answered in this generation, or a reply of an earlier one,
+    /// is dropped with the phase unchanged. Out-of-order and unknown
+    /// messages return a typed error and leave the phase unchanged;
+    /// framework failures (a PAD failing the acceptance gauntlet, the
+    /// server rejecting the request) move the session to `Failed`
+    /// terminally.
+    pub fn on_message(&mut self, gen: u8, msg: &InpMessage) -> Result<Received, SessionError> {
+        match classify(gen, msg, self.gen, self.answered) {
+            Verdict::Act => {}
+            Verdict::Drop(dropped) => return Ok(Received::Dropped(dropped)),
+            Verdict::Violation => return Err(self.unexpected(msg)),
+        }
+        let replies = match (self.phase, msg) {
+            (SessionPhase::MetaExchange, InpMessage::InitRep) => Vec::new(),
+            (SessionPhase::MetaExchange, InpMessage::CliMetaReq)
+                if self.answered & 1 << InpMessage::InitRep.msg_type() != 0 =>
+            {
                 self.phase = SessionPhase::PathSearch;
                 let env = self.client.borrow().probe();
-                Ok(vec![InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk }])
+                vec![InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk }]
             }
             (SessionPhase::PathSearch, InpMessage::PadMetaRep { pads }) => {
                 self.client.borrow_mut().remember_protocols(self.app_id, pads);
                 self.pads = pads.clone();
-                self.after_negotiation()
+                self.after_negotiation()?
             }
             (SessionPhase::PadDownload, InpMessage::PadDownloadRep { pad_id, bytes }) => {
                 let Some(at) = self.pending.iter().position(|p| p.id == *pad_id) else {
-                    if self.tolerates_stale {
-                        // A pre-handoff download still in flight; drop it.
-                        record_stale_drop(&self.stale_trace);
-                        return Ok(Vec::new());
-                    }
                     return Err(SessionError::UnexpectedPad(*pad_id));
                 };
                 let pad = self.pending.remove(at);
@@ -336,21 +347,12 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
                     return self.fail(SessionError::Fractal(e));
                 }
                 if self.pending.is_empty() {
-                    self.app_request()
+                    self.app_request()?
                 } else {
-                    Ok(Vec::new())
+                    Vec::new()
                 }
             }
-            (
-                SessionPhase::Sessioning,
-                InpMessage::AppRep { content_id, version, protocol, payload },
-            ) => {
-                if self.tolerates_stale && *protocol != self.pads[0].protocol {
-                    // A reply encoded with the pre-handoff PAD: decoding
-                    // it with the renegotiated one would corrupt content.
-                    record_stale_drop(&self.stale_trace);
-                    return Ok(Vec::new());
-                }
+            (SessionPhase::Sessioning, InpMessage::AppRep { content_id, version, payload, .. }) => {
                 if *content_id != self.content_id {
                     return Err(SessionError::WrongContent {
                         expected: self.content_id,
@@ -365,27 +367,28 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
                     };
                 self.client.borrow_mut().store_content(*content_id, *version, decoded);
                 self.phase = SessionPhase::Done;
-                Ok(Vec::new())
+                Vec::new()
             }
-            (_, m) => {
-                if self.tolerates_stale {
-                    // Post-handoff, off-phase deliveries are expected:
-                    // whatever the old generation left on the wire drains
-                    // through here without failing the session.
-                    record_stale_drop(&self.stale_trace);
-                    return Ok(Vec::new());
-                }
-                Err(SessionError::UnexpectedMessage { phase: self.phase.name(), message: m.name() })
-            }
+            _ => return Err(self.unexpected(msg)),
+        };
+        // A rank is answered once its phase no longer awaits it: a PAD
+        // download stays open while other PADs are pending.
+        if self.pending.is_empty() || !matches!(msg, InpMessage::PadDownloadRep { .. }) {
+            self.answered |= 1 << msg.msg_type();
         }
+        Ok(Received::Replies(replies))
+    }
+
+    /// The typed rejection of `msg` in the current phase.
+    fn unexpected(&self, msg: &InpMessage) -> SessionError {
+        SessionError::UnexpectedMessage { phase: self.phase.name(), message: msg.name() }
     }
 
     /// Rolls a live session back through negotiation after a mobility
     /// handoff: the client re-probes its (changed) environment, its
-    /// protocol cache is invalidated, and a fresh `INIT_REQ` is emitted.
-    /// From here on, replies from the pre-handoff generation that are
-    /// still in flight are silently dropped rather than treated as
-    /// protocol violations (see [`on_message`](Self::on_message)).
+    /// protocol cache is invalidated, the generation moves on, and a fresh
+    /// `INIT_REQ` is emitted. Frames of the earlier generation still in
+    /// flight are stale from here on, and dropped by the receive rule.
     pub fn renegotiate(&mut self, ntwk: NtwkMeta) -> Result<Vec<InpMessage>, SessionError> {
         if self.phase.is_terminal() || self.phase == SessionPhase::Init {
             return Err(SessionError::UnexpectedMessage {
@@ -396,8 +399,8 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
         self.client.borrow_mut().handoff(ntwk);
         self.pads.clear();
         self.pending.clear();
-        self.init_acked = false;
-        self.tolerates_stale = true;
+        self.gen = self.gen.wrapping_add(1);
+        self.answered = 0;
         self.phase = SessionPhase::MetaExchange;
         Ok(vec![InpMessage::InitReq {
             app_id: self.app_id,
@@ -444,7 +447,7 @@ impl<C: BorrowMut<FractalClient>> InpSession<C> {
         }])
     }
 
-    fn fail(&mut self, error: SessionError) -> Result<Vec<InpMessage>, SessionError> {
+    fn fail<T>(&mut self, error: SessionError) -> Result<T, SessionError> {
         self.abort(error.clone());
         Err(error)
     }

@@ -171,46 +171,6 @@ fn tiny_window_forces_backpressure_but_sessions_still_complete() {
 }
 
 #[test]
-fn warm_client_takes_the_fast_path() {
-    let tb = testbed_with_pages(2);
-    // First session: cold — negotiate + download.
-    let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
-    let id = reactor.spawn(InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0));
-    reactor.run().unwrap();
-    let client = reactor.into_sessions().remove(id).into_client();
-    let negotiations = client.stats().negotiations;
-    assert_eq!(negotiations, 1);
-
-    // Second session reuses the client: protocol cache + deployed PAD
-    // mean start() emits APP_REQ immediately, skipping negotiation and
-    // download. Drive the single remaining leg by hand.
-    let mut warm = InpSession::new(client, tb.app_id, 1, 0);
-    let opening = warm.start().unwrap();
-    assert_eq!(warm.phase(), SessionPhase::Sessioning);
-    assert_eq!(opening.len(), 1);
-    let InpMessage::AppReq { protocols, payload, .. } = &opening[0] else {
-        panic!("fast path must emit APP_REQ, got {}", opening[0].name());
-    };
-    assert_eq!(warm.start().unwrap_err(), SessionError::AlreadyStarted);
-
-    let (content_id, have, want) = decode_app_payload(payload).unwrap();
-    assert_eq!((content_id, have, want), (1, None, 0));
-    let resp = tb.server.respond(content_id, have, want, protocols[0]).unwrap();
-    let rep = InpMessage::AppRep {
-        content_id,
-        version: want,
-        protocol: resp.protocol,
-        payload: resp.payload,
-    };
-    assert!(warm.on_message(&rep).unwrap().is_empty());
-    assert_eq!(warm.phase(), SessionPhase::Done);
-
-    let client = warm.into_client();
-    assert_eq!(client.stats().negotiations, 1, "no re-negotiation");
-    assert_eq!(client.cached_content(1).unwrap().bytes, tb.server.content(1, 0).unwrap());
-}
-
-#[test]
 fn unknown_app_fails_session_with_typed_error() {
     let tb = testbed_with_pages(1);
     let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
@@ -319,79 +279,6 @@ fn phase_timings_cover_all_five_phases_for_a_cold_session() {
     assert!(timings.iter().all(|&(_, ns)| ns > 0));
 }
 
-/// A handoff fired in any live phase, on an untimed or a timed link,
-/// renegotiates to the new environment's decision and still delivers the
-/// content: whatever the old generation left on the wire — toward the
-/// client or toward the service — is drained, not treated as a violation.
-#[test]
-fn handoff_in_every_live_phase_renegotiates_against_the_new_environment_oracle() {
-    let new_ntwk = ClientClass::PdaBluetooth.env().ntwk;
-    let mut env = ClientClass::LaptopWlan.env();
-    env.ntwk = new_ntwk;
-    let oracle_tb = testbed_with_pages(1);
-    let expect = oracle_tb.proxy.negotiate(oracle_tb.app_id, env).unwrap();
-    for link in [None, Some(LinkKind::Bluetooth)] {
-        for phase in [
-            SessionPhase::MetaExchange,
-            SessionPhase::PathSearch,
-            SessionPhase::PadDownload,
-            SessionPhase::Sessioning,
-        ] {
-            let at = format!("handoff in {} over {link:?}", phase.name());
-            let tb = testbed_with_pages(1);
-            let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
-            let session = InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0);
-            let id = reactor.spawn_on(session, pair_over(link));
-            // Drive until the session is in the phase under test, then
-            // walk out of WLAN range: the PDA-class Bluetooth link takes
-            // over.
-            reactor.run_until(|r| r.session(id).phase() == phase).unwrap();
-            assert_eq!(reactor.session(id).phase(), phase, "{at}");
-            reactor.handoff(id, new_ntwk).unwrap();
-            assert_eq!(
-                reactor.session(id).phase(),
-                SessionPhase::MetaExchange,
-                "{at}: rolled back"
-            );
-            let report = reactor.run().unwrap_or_else(|e| panic!("{at}: {e}"));
-            assert_eq!(
-                (report.completed, report.failed),
-                (1, 0),
-                "{at}: {:?}",
-                reactor.session(id).error()
-            );
-            // The re-negotiated decision matches the serial oracle for
-            // the NEW environment, and the content was decoded with the
-            // renegotiated protocol.
-            assert_eq!(reactor.session(id).negotiated().unwrap(), expect.as_slice(), "{at}");
-            // A client that already held the old decision negotiated twice.
-            let had_decision =
-                matches!(phase, SessionPhase::PadDownload | SessionPhase::Sessioning);
-            assert_eq!(
-                reactor.session(id).client().stats().negotiations,
-                if had_decision { 2 } else { 1 },
-                "{at}"
-            );
-            assert_eq!(
-                reactor.session(id).client().cached_content(0).unwrap().bytes,
-                tb.server.content(0, 0).unwrap(),
-                "{at}"
-            );
-        }
-    }
-}
-
-#[test]
-fn handoff_rejected_on_terminal_or_unstarted_sessions() {
-    let tb = testbed_with_pages(1);
-    let new_ntwk = ClientClass::PdaBluetooth.env().ntwk;
-    let mut done = InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0);
-    done.abort(InpError::Session(SessionError::AlreadyStarted));
-    assert!(done.renegotiate(new_ntwk).is_err(), "terminal sessions cannot renegotiate");
-    let mut fresh = InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0);
-    assert!(fresh.renegotiate(new_ntwk).is_err(), "unstarted sessions cannot renegotiate");
-}
-
 #[test]
 fn checked_framing_completes_sessions_end_to_end() {
     const N: u32 = 4;
@@ -490,29 +377,6 @@ fn journal_records_full_phase_chain_per_session_deterministically() {
             "session {session}"
         );
     }
-}
-
-#[test]
-fn journal_uses_caller_labels_and_marks_handoffs() {
-    let tb = testbed_with_pages(1);
-    let bundle = fractal_telemetry::Telemetry::global().with_journal(128);
-    let mut reactor = tb.reactor_with(ReactorConfig::new().telemetry(&bundle));
-    let id = reactor.spawn(
-        InpSession::new(tb.client(ClientClass::LaptopWlan), tb.app_id, 0, 0).with_label(4711),
-    );
-    reactor.run_until(|r| r.session(id).phase() == SessionPhase::Sessioning).unwrap();
-    reactor.handoff(id, ClientClass::PdaBluetooth.env().ntwk).unwrap();
-    reactor.run().unwrap();
-    let tail = bundle.journal().unwrap().tail(4711, 32);
-    assert!(!tail.is_empty(), "events land under the caller's label");
-    let kinds: Vec<&str> = tail.iter().map(|e| e.kind.as_str()).collect();
-    assert!(kinds.contains(&"handoff"), "{kinds:?}");
-    // The handoff rolls the phase chain back through MetaExchange.
-    assert!(kinds.iter().filter(|k| **k == "phase:MetaExchange").count() >= 2, "{kinds:?}");
-    assert_eq!(*kinds.last().unwrap(), "phase:Done");
-    // Per-session seq stream is gap-free from 0.
-    let seqs: Vec<u64> = tail.iter().map(|e| e.seq).collect();
-    assert_eq!(seqs, (0..tail.len() as u64).collect::<Vec<_>>());
 }
 
 #[test]

@@ -192,14 +192,15 @@ pub fn run_session(
                 }
                 _ => {}
             }
-            let replies = service.on_message(&mut conn, msg).map_err(framework)?;
+            // No handoff here: every frame is generation 0.
+            let replies = service.on_message(&mut conn, 0, msg).map_err(framework)?.replies();
             let received = replies.iter().map(priced_len).sum();
             *bucket += link.transfer_time(received);
             if phase == SessionPhase::Sessioning {
                 traffic.downstream = received;
             }
             for reply in &replies {
-                next.extend(session.on_message(reply).map_err(framework)?);
+                next.extend(session.on_message(0, reply).map_err(framework)?.replies());
             }
         }
         upstream = next;

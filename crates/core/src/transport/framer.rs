@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use super::{FrameError, Transport, TransportError};
-use crate::inp::{self, InpMessage, HEADER_LEN};
+use crate::inp::{self, Frame, InpMessage, HEADER_LEN};
 
 /// Default maximum accepted frame body. Far above any legitimate INP
 /// message here, far below the u24 wire limit — a hostile length prefix is
@@ -24,11 +24,11 @@ const RECV_CHUNK: usize = 4096;
 
 /// Length-prefixed frame reassembly over the INP header.
 ///
-/// The INP header *is* the length prefix — magic, version, message type,
-/// and a u24 body length — so a frame on the wire is exactly
-/// [`InpMessage::to_bytes`]. The framer buffers arbitrary chunks
-/// ([`push`](Self::push) or [`pull`](Self::pull) straight from a
-/// [`Transport`]) and yields complete messages one at a time; a stream
+/// The INP header *is* the length prefix — magic, generation, version,
+/// message type, and a u24 body length — so a frame on the wire is exactly
+/// [`InpMessage::to_bytes`] at its generation. The framer buffers arbitrary
+/// chunks ([`push`](Self::push) or [`pull`](Self::pull) straight from a
+/// [`Transport`]) and yields complete frames one at a time; a stream
 /// split at any byte boundary reassembles to the same message sequence.
 /// Garbage prefixes ([`FrameError::BadPrefix`]) and hostile length
 /// declarations ([`FrameError::Oversized`]) are rejected before the
@@ -71,16 +71,24 @@ impl Framer {
         self
     }
 
-    /// Encodes one message as a wire frame (header + body).
+    /// Encodes one message as a wire frame (header + body) at generation 0.
     pub fn frame(msg: &InpMessage) -> Vec<u8> {
-        msg.to_bytes()
+        Framer::frame_at(0, msg, false)
     }
 
-    /// Encodes one message as a checked wire frame: header + body plus
-    /// the weak-sum trailer a [`with_checksum`](Self::with_checksum)
-    /// framer verifies on receipt.
+    /// Encodes one message as a checked wire frame at generation 0: header
+    /// and body, then the weak-sum trailer a
+    /// [`with_checksum`](Self::with_checksum) framer verifies on receipt.
     pub fn frame_checked(msg: &InpMessage) -> Vec<u8> {
-        let mut bytes = msg.to_bytes_with_room(CHECKSUM_TRAILER_LEN);
+        Framer::frame_at(0, msg, true)
+    }
+
+    /// Encodes one message stamped with generation `gen`, checked or not.
+    pub fn frame_at(gen: u8, msg: &InpMessage, checked: bool) -> Vec<u8> {
+        if !checked {
+            return msg.to_bytes_with_room(gen, 0);
+        }
+        let mut bytes = msg.to_bytes_with_room(gen, CHECKSUM_TRAILER_LEN);
         let sum = fractal_crypto::checksum::weak_sum(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
@@ -167,10 +175,10 @@ impl Framer {
         }
     }
 
-    /// Yields the next complete message, `Ok(None)` while the buffer holds
-    /// only a partial frame. A framing error is unrecoverable: the byte
+    /// Yields the next complete frame, `Ok(None)` while the buffer holds
+    /// only a partial one. A framing error is unrecoverable: the byte
     /// stream has no resync points.
-    pub fn next_frame(&mut self) -> Result<Option<InpMessage>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         if self.filled < HEADER_LEN {
             return Ok(None);
         }
@@ -193,10 +201,10 @@ impl Framer {
                 return Err(FrameError::Corrupt { expected, got });
             }
         }
-        let msg = InpMessage::from_bytes(&self.buf[..frame_len]).map_err(FrameError::Malformed)?;
+        let frame = Frame::from_bytes(&self.buf[..frame_len]).map_err(FrameError::Malformed)?;
         self.buf.drain(..frame_len + trailer);
         self.filled -= frame_len + trailer;
-        Ok(Some(msg))
+        Ok(Some(frame))
     }
 
     /// Discards all buffered bytes (session teardown).
@@ -284,8 +292,8 @@ mod tests {
         let mut out = Vec::new();
         for chunk in stream.chunks(7) {
             framer.push(chunk);
-            while let Some(m) = framer.next_frame().unwrap() {
-                out.push(m);
+            while let Some(f) = framer.next_frame().unwrap() {
+                out.push(f.msg);
             }
         }
         assert_eq!(out, messages);
@@ -318,7 +326,7 @@ mod tests {
         assert!(!framer.frame_ready());
         assert_eq!(framer.next_frame(), Ok(None));
         framer.push(&frame[HEADER_LEN + 5..]);
-        assert_eq!(framer.next_frame(), Ok(Some(msg(32))));
+        assert_eq!(framer.next_frame(), Ok(Some(Frame { gen: 0, msg: msg(32) })));
     }
 
     #[test]
@@ -329,8 +337,8 @@ mod tests {
         let mut out = Vec::new();
         for chunk in stream.chunks(5) {
             framer.push(chunk);
-            while let Some(m) = framer.next_frame().unwrap() {
-                out.push(m);
+            while let Some(f) = framer.next_frame().unwrap() {
+                out.push(f.msg);
             }
         }
         assert_eq!(out, messages);
@@ -364,7 +372,7 @@ mod tests {
         assert_eq!(framer.next_frame(), Ok(None));
         framer.push(&frame[frame.len() - 1..]);
         assert!(framer.frame_ready());
-        assert_eq!(framer.next_frame(), Ok(Some(msg(16))));
+        assert_eq!(framer.next_frame(), Ok(Some(Frame { gen: 0, msg: msg(16) })));
     }
 
     #[test]
@@ -389,8 +397,8 @@ mod tests {
             if framer.rest_of_frame() > RECV_CHUNK {
                 assert_eq!(framer.buf.len(), big.wire_len() + CHECKSUM_TRAILER_LEN);
             }
-            while let Some(m) = framer.next_frame().unwrap() {
-                got.push(m);
+            while let Some(f) = framer.next_frame().unwrap() {
+                got.push(f.msg);
             }
         }
         assert_eq!(got, [big, msg(3)]);

@@ -1,17 +1,21 @@
 //! Property-based tests for the transport framer: any split of a valid
 //! frame stream across arbitrary `recv` chunk boundaries reassembles to
-//! the same `InpMessage` sequence, strict prefixes never produce a
-//! message, and garbage / oversized prefixes are rejected with typed
-//! errors instead of being consumed as data.
+//! the same sequence of messages and generations, strict prefixes never
+//! produce a message, and garbage / oversized prefixes are rejected with
+//! typed errors instead of being consumed as data.
 
-use fractal_core::inp::{InpMessage, HEADER_LEN};
+use fractal_core::inp::{Frame, InpMessage, HEADER_LEN};
 use fractal_core::meta::{AppId, PadId};
 use fractal_core::transport::{FrameError, Framer, LoopbackTransport};
 use fractal_protocols::ProtocolId;
 use proptest::prelude::*;
 
 /// An arbitrary valid INP message (the variants with variable payloads,
-/// where chunk boundaries actually matter).
+/// where chunk boundaries actually matter) at an arbitrary generation.
+fn arb_frame() -> impl Strategy<Value = Frame> {
+    (arb_message(), any::<u8>()).prop_map(|(msg, gen)| Frame { gen, msg })
+}
+
 fn arb_message() -> impl Strategy<Value = InpMessage> {
     let payload = || proptest::collection::vec(any::<u8>(), 0..200);
     prop_oneof![
@@ -30,7 +34,7 @@ fn arb_message() -> impl Strategy<Value = InpMessage> {
 
 /// Splits `stream` into chunks whose sizes cycle through `cuts` and feeds
 /// them to a fresh framer, draining complete frames after every chunk.
-fn reassemble(stream: &[u8], cuts: &[usize]) -> Vec<InpMessage> {
+fn reassemble(stream: &[u8], cuts: &[usize]) -> Vec<Frame> {
     let mut framer = Framer::new();
     let mut out = Vec::new();
     let mut at = 0;
@@ -40,8 +44,8 @@ fn reassemble(stream: &[u8], cuts: &[usize]) -> Vec<InpMessage> {
         i += 1;
         framer.push(&stream[at..at + take]);
         at += take;
-        while let Some(msg) = framer.next_frame().expect("valid stream") {
-            out.push(msg);
+        while let Some(frame) = framer.next_frame().expect("valid stream") {
+            out.push(frame);
         }
     }
     assert_eq!(framer.buffered(), 0, "a whole stream leaves no residue");
@@ -52,13 +56,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Chunk boundaries are invisible: any cut pattern reassembles the
-    /// exact message sequence.
+    /// exact frame sequence, generations included.
     #[test]
     fn arbitrary_chunk_boundaries_reassemble_the_same_sequence(
-        msgs in proptest::collection::vec(arb_message(), 1..6),
+        msgs in proptest::collection::vec(arb_frame(), 1..6),
         cuts in proptest::collection::vec(1usize..17, 1..8),
     ) {
-        let stream: Vec<u8> = msgs.iter().flat_map(Framer::frame).collect();
+        let stream: Vec<u8> =
+            msgs.iter().flat_map(|f| Framer::frame_at(f.gen, &f.msg, false)).collect();
         prop_assert_eq!(reassemble(&stream, &cuts), msgs.clone());
         // Degenerate cuts: one byte at a time, and the whole stream at once.
         prop_assert_eq!(reassemble(&stream, &[1]), msgs.clone());
@@ -80,13 +85,15 @@ proptest! {
         prop_assert!(!framer.frame_ready());
         // The rest arrives: the message completes.
         framer.push(&frame[cut..]);
-        prop_assert_eq!(framer.next_frame(), Ok(Some(msg)));
+        prop_assert_eq!(framer.next_frame(), Ok(Some(Frame { gen: 0, msg })));
     }
 
-    /// Corrupting any header byte of the magic/version prefix is detected
-    /// as BadPrefix, not consumed as data.
+    /// Corrupting any header byte of the magic/version prefix (bytes 0, 1
+    /// and 3; byte 2 is the generation) is detected as BadPrefix, not
+    /// consumed as data.
     #[test]
-    fn garbage_prefix_is_rejected(msg in arb_message(), at in 0usize..4, xor in 1u8..=255) {
+    fn garbage_prefix_is_rejected(msg in arb_message(), at in 0usize..3, xor in 1u8..=255) {
+        let at = if at == 2 { 3 } else { at };
         let mut frame = Framer::frame(&msg);
         frame[at] ^= xor;
         let mut framer = Framer::new();
@@ -132,13 +139,13 @@ proptest! {
         while sent < stream.len() {
             sent += tx.send(&stream[sent..]).unwrap();
             framer.pull(rx.as_mut()).unwrap();
-            while let Some(msg) = framer.next_frame().unwrap() {
-                out.push(msg);
+            while let Some(frame) = framer.next_frame().unwrap() {
+                out.push(frame.msg);
             }
         }
         framer.pull(rx.as_mut()).unwrap();
-        while let Some(msg) = framer.next_frame().unwrap() {
-            out.push(msg);
+        while let Some(frame) = framer.next_frame().unwrap() {
+            out.push(frame.msg);
         }
         prop_assert_eq!(out, msgs);
     }

@@ -1,16 +1,18 @@
 //! Exhaustive transition coverage for both halves of the sans-IO INP
 //! core: on the client side ([`InpSession`]) every phase × every message
 //! kind, on the service side ([`InpService`] + [`ServiceConn`]) every
-//! connection state × every message kind, either advances the protocol or
-//! returns a typed [`SessionError`] — never a panic, and a rejected
-//! message never corrupts the receiver's state.
+//! connection state × every message kind, either advances the protocol,
+//! drops a duplicate or stale frame, or returns a typed [`SessionError`] —
+//! never a panic, and neither a drop nor a rejection changes the
+//! receiver's state.
 
 use bytes::Bytes;
-use fractal_core::inp::InpMessage;
+use fractal_core::inp::{Dropped, InpMessage};
 use fractal_core::meta::{AppId, PadId, PadMeta};
 use fractal_core::presets::ClientClass;
 use fractal_core::reactor::{
-    encode_app_payload, InpService, InpSession, ServiceConn, SessionError, SessionPhase,
+    decode_app_payload, encode_app_payload, InpService, InpSession, Received, ServiceConn,
+    SessionError, SessionPhase,
 };
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
@@ -18,6 +20,16 @@ use fractal_protocols::ProtocolId;
 
 const CONTENT_ID: u32 = 0;
 const CLASS: ClientClass = ClientClass::PdaBluetooth;
+const DUP: Result<Received, SessionError> = Ok(Received::Dropped(Dropped::Dup));
+const STALE: Result<Received, SessionError> = Ok(Received::Dropped(Dropped::Stale));
+
+/// The replies of a message that was acted on.
+fn replies(result: Result<Received, SessionError>) -> Vec<InpMessage> {
+    match result {
+        Ok(Received::Replies(replies)) => replies,
+        other => panic!("expected the message to be acted on, got {other:?}"),
+    }
+}
 
 /// The fixture: a real testbed plus the real messages of one full
 /// exchange, so accepted transitions run against genuine PAD bytes and
@@ -53,6 +65,14 @@ impl Fixture {
         InpMessage::PadDownloadRep { pad_id: id, bytes: self.tb.pad_repo.get(id).unwrap() }
     }
 
+    fn app_req(&self) -> InpMessage {
+        InpMessage::AppReq {
+            app_id: self.tb.app_id,
+            protocols: vec![self.pads[0].protocol],
+            payload: encode_app_payload(CONTENT_ID, None, 0),
+        }
+    }
+
     fn app_rep(&self) -> InpMessage {
         let protocol = self.pads[0].protocol;
         let resp = self.tb.server.respond(CONTENT_ID, None, 0, protocol).unwrap();
@@ -69,11 +89,7 @@ impl Fixture {
             self.pad_meta_rep(),
             InpMessage::PadDownloadReq { pad_id: self.pads[0].id },
             self.pad_download_rep(),
-            InpMessage::AppReq {
-                app_id: self.tb.app_id,
-                protocols: vec![self.pads[0].protocol],
-                payload: encode_app_payload(CONTENT_ID, None, 0),
-            },
+            self.app_req(),
             self.app_rep(),
         ]
     }
@@ -82,22 +98,22 @@ impl Fixture {
         InpService { proxy: &self.tb.proxy, server: &self.tb.server, pad_repo: &self.tb.pad_repo }
     }
 
-    /// A fresh service-side connection driven with real messages up to
-    /// the named state.
+    /// A fresh service-side connection driven with real generation-0
+    /// messages up to the named state.
     fn conn_at(&self, state: &str) -> ServiceConn {
         let mut conn = ServiceConn::new();
         for msg in [self.init_req(), self.cli_meta_rep()] {
             if conn.state_name() == state {
                 break;
             }
-            self.service().on_message(&mut conn, &msg).unwrap();
+            replies(self.service().on_message(&mut conn, 0, &msg));
         }
         assert_eq!(conn.state_name(), state);
         conn
     }
 
-    /// A fresh session driven with real messages up to `phase`.
-    /// `acked` distinguishes the two sub-states of `MetaExchange`.
+    /// A fresh session driven with real generation-0 messages up to
+    /// `phase`. `acked` distinguishes the two sub-states of `MetaExchange`.
     fn session_at(&self, phase: SessionPhase, acked: bool) -> InpSession {
         let mut s = InpSession::new(self.tb.client(CLASS), self.tb.app_id, CONTENT_ID, 0);
         if phase == SessionPhase::Init {
@@ -107,25 +123,18 @@ impl Fixture {
         if phase == SessionPhase::MetaExchange && !acked {
             return s;
         }
-        s.on_message(&InpMessage::InitRep).unwrap();
-        if phase == SessionPhase::MetaExchange {
-            return s;
-        }
-        s.on_message(&InpMessage::CliMetaReq).unwrap();
-        if phase == SessionPhase::PathSearch {
-            return s;
-        }
-        s.on_message(&self.pad_meta_rep()).unwrap();
-        if phase == SessionPhase::PadDownload {
-            return s;
-        }
-        s.on_message(&self.pad_download_rep()).unwrap();
-        if phase == SessionPhase::Sessioning {
-            return s;
-        }
-        s.on_message(&self.app_rep()).unwrap();
-        if phase == SessionPhase::Done {
-            return s;
+        let script = [
+            (SessionPhase::MetaExchange, InpMessage::InitRep),
+            (SessionPhase::PathSearch, InpMessage::CliMetaReq),
+            (SessionPhase::PadDownload, self.pad_meta_rep()),
+            (SessionPhase::Sessioning, self.pad_download_rep()),
+            (SessionPhase::Done, self.app_rep()),
+        ];
+        for (reached, msg) in script {
+            replies(s.on_message(0, &msg));
+            if phase == reached {
+                return s;
+            }
         }
         s.abort(SessionError::AlreadyStarted); // arbitrary terminal error
         assert_eq!(phase, SessionPhase::Failed);
@@ -133,42 +142,44 @@ impl Fixture {
     }
 }
 
-/// Every (phase, message-kind) pair: accepted kinds advance, everything
-/// else returns a typed error and leaves the phase exactly as it was.
+/// Every (phase, message-kind) pair: the kind the phase awaits advances,
+/// and delivered again it is a duplicate, dropped with the phase left
+/// where the first delivery put it; a reply the session already answered
+/// in this generation is a duplicate too; everything else returns a typed
+/// error and leaves the phase exactly as it was.
 #[test]
 fn every_phase_times_every_message_kind() {
     let fx = Fixture::new();
-    // (phase, acked, message names the phase accepts)
-    let matrix: &[(SessionPhase, bool, &[&str])] = &[
-        (SessionPhase::Init, false, &[]),
-        (SessionPhase::MetaExchange, false, &["INIT_REP"]),
-        (SessionPhase::MetaExchange, true, &["Cli_META_REQ"]),
-        (SessionPhase::PathSearch, false, &["PAD_META_REP"]),
-        (SessionPhase::PadDownload, false, &["PAD_DOWNLOAD_REP"]),
-        (SessionPhase::Sessioning, false, &["APP_REP"]),
-        (SessionPhase::Done, false, &[]),
-        (SessionPhase::Failed, false, &[]),
+    let answered = ["INIT_REP", "Cli_META_REQ", "PAD_META_REP", "PAD_DOWNLOAD_REP", "APP_REP"];
+    // (phase, acked, the kind it accepts, how many replies it has answered)
+    let matrix: &[(SessionPhase, bool, Option<&str>, usize)] = &[
+        (SessionPhase::Init, false, None, 0),
+        (SessionPhase::MetaExchange, false, Some("INIT_REP"), 0),
+        (SessionPhase::MetaExchange, true, Some("Cli_META_REQ"), 1),
+        (SessionPhase::PathSearch, false, Some("PAD_META_REP"), 2),
+        (SessionPhase::PadDownload, false, Some("PAD_DOWNLOAD_REP"), 3),
+        (SessionPhase::Sessioning, false, Some("APP_REP"), 4),
+        (SessionPhase::Done, false, None, 5),
+        (SessionPhase::Failed, false, None, 5),
     ];
-    for &(phase, acked, accepted) in matrix {
+    for &(phase, acked, accepted, n_answered) in matrix {
         for msg in fx.all_kinds() {
             let mut s = fx.session_at(phase, acked);
             assert_eq!(s.phase(), phase);
-            let result = s.on_message(&msg);
-            if accepted.contains(&msg.name()) {
-                assert!(
-                    result.is_ok(),
-                    "{phase:?} (acked={acked}) must accept {}: {result:?}",
-                    msg.name()
-                );
+            let at = format!("{phase:?} (acked={acked}) × {}", msg.name());
+            let result = s.on_message(0, &msg);
+            if accepted == Some(msg.name()) {
+                replies(result);
+                let after = s.phase();
+                assert_eq!(s.on_message(0, &msg), DUP, "{at}: its duplicate is dropped");
+                assert_eq!(s.phase(), after, "{at}: a duplicate must not move the phase");
+            } else if answered[..n_answered].contains(&msg.name()) {
+                assert_eq!(result, DUP, "{at}");
+                assert_eq!(s.phase(), phase, "{at}: a duplicate must not move the phase");
             } else {
-                let err = result
-                    .expect_err(&format!("{phase:?} (acked={acked}) must reject {}", msg.name()));
-                assert!(
-                    matches!(err, SessionError::UnexpectedMessage { .. }),
-                    "{phase:?} × {} → {err:?}",
-                    msg.name()
-                );
-                assert_eq!(s.phase(), phase, "rejection must not move the phase");
+                let err = result.expect_err(&format!("{at} must be rejected"));
+                assert!(matches!(err, SessionError::UnexpectedMessage { .. }), "{at} → {err:?}");
+                assert_eq!(s.phase(), phase, "{at}: rejection must not move the phase");
             }
         }
     }
@@ -183,15 +194,58 @@ fn double_start_rejected() {
 }
 
 #[test]
-fn duplicate_init_rep_rejected_after_ack() {
+fn duplicate_init_rep_is_dropped_after_ack() {
     let fx = Fixture::new();
     let mut s = fx.session_at(SessionPhase::MetaExchange, true);
-    let err = s.on_message(&InpMessage::InitRep).unwrap_err();
-    assert!(matches!(err, SessionError::UnexpectedMessage { .. }));
+    assert_eq!(s.on_message(0, &InpMessage::InitRep), DUP);
     assert_eq!(s.phase(), SessionPhase::MetaExchange);
-    // The proper continuation still works after the rejected duplicate.
-    assert_eq!(s.on_message(&InpMessage::CliMetaReq).unwrap().len(), 1);
+    // The proper continuation still works after the dropped duplicate.
+    assert_eq!(replies(s.on_message(0, &InpMessage::CliMetaReq)).len(), 1);
     assert_eq!(s.phase(), SessionPhase::PathSearch);
+}
+
+/// A reorder is not a duplicate: `Cli_META_REQ` before `INIT_REP` answers
+/// nothing yet, so it is a typed failure (a retry layer would resend).
+#[test]
+fn cli_meta_req_before_init_rep_is_unexpected() {
+    let fx = Fixture::new();
+    let mut s = fx.session_at(SessionPhase::MetaExchange, false);
+    let err = s.on_message(0, &InpMessage::CliMetaReq).unwrap_err();
+    assert_eq!(
+        err,
+        SessionError::UnexpectedMessage { phase: "MetaExchange", message: "Cli_META_REQ" }
+    );
+    assert_eq!(s.phase(), SessionPhase::MetaExchange);
+}
+
+/// A warm client takes the Figure 4 fast path: its protocol cache and
+/// deployed PAD skip negotiation and download, so `start` emits `APP_REQ`
+/// at once. It never sent an `INIT_REQ` in its generation, so an
+/// `INIT_REP` answers nothing — a typed failure, not a dropped duplicate.
+#[test]
+fn warm_client_takes_the_fast_path() {
+    let fx = Fixture::new();
+    fx.tb.server.publish(1, vec![9u8; 3_000]);
+    let client = fx.session_at(SessionPhase::Done, false).into_client();
+    let mut warm = InpSession::new(client, fx.tb.app_id, 1, 0);
+    let opening = warm.start().unwrap();
+    assert_eq!(warm.phase(), SessionPhase::Sessioning);
+    let [InpMessage::AppReq { protocols, payload, .. }] = opening.as_slice() else {
+        panic!("the fast path must emit APP_REQ alone, got {opening:?}");
+    };
+    assert_eq!(decode_app_payload(payload).unwrap(), (1, None, 0));
+    assert_eq!(warm.start().unwrap_err(), SessionError::AlreadyStarted);
+    let err = warm.on_message(0, &InpMessage::InitRep).unwrap_err();
+    assert_eq!(err, SessionError::UnexpectedMessage { phase: "Sessioning", message: "INIT_REP" });
+
+    let resp = fx.tb.server.respond(1, None, 0, protocols[0]).unwrap();
+    let (protocol, payload) = (resp.protocol, resp.payload);
+    let rep = InpMessage::AppRep { content_id: 1, version: 0, protocol, payload };
+    assert!(replies(warm.on_message(0, &rep)).is_empty());
+    assert_eq!(warm.phase(), SessionPhase::Done);
+    let client = warm.into_client();
+    assert_eq!(client.stats().negotiations, 1, "no re-negotiation");
+    assert_eq!(client.cached_content(1).unwrap().bytes, fx.tb.server.content(1, 0).unwrap());
 }
 
 #[test]
@@ -199,20 +253,10 @@ fn unknown_pad_download_rejected_without_phase_change() {
     let fx = Fixture::new();
     let mut s = fx.session_at(SessionPhase::PadDownload, false);
     let bogus = InpMessage::PadDownloadRep { pad_id: PadId(999), bytes: Bytes::new() };
-    assert_eq!(s.on_message(&bogus).unwrap_err(), SessionError::UnexpectedPad(PadId(999)));
+    assert_eq!(s.on_message(0, &bogus).unwrap_err(), SessionError::UnexpectedPad(PadId(999)));
     assert_eq!(s.phase(), SessionPhase::PadDownload);
     // The real download still completes the phase.
-    s.on_message(&fx.pad_download_rep()).unwrap();
-    assert_eq!(s.phase(), SessionPhase::Sessioning);
-}
-
-#[test]
-fn duplicate_pad_download_rejected_after_deploy() {
-    let fx = Fixture::new();
-    let mut s = fx.session_at(SessionPhase::Sessioning, false);
-    // PadDownloadRep is no longer expected at all once in Sessioning.
-    let err = s.on_message(&fx.pad_download_rep()).unwrap_err();
-    assert!(matches!(err, SessionError::UnexpectedMessage { .. }));
+    replies(s.on_message(0, &fx.pad_download_rep()));
     assert_eq!(s.phase(), SessionPhase::Sessioning);
 }
 
@@ -228,12 +272,12 @@ fn wrong_content_app_rep_rejected_without_phase_change() {
         payload: Bytes::new(),
     };
     assert_eq!(
-        s.on_message(&wrong).unwrap_err(),
+        s.on_message(0, &wrong).unwrap_err(),
         SessionError::WrongContent { expected: CONTENT_ID, got: CONTENT_ID + 9 }
     );
     assert_eq!(s.phase(), SessionPhase::Sessioning);
     // The right reply still lands.
-    s.on_message(&fx.app_rep()).unwrap();
+    replies(s.on_message(0, &fx.app_rep()));
     assert_eq!(s.phase(), SessionPhase::Done);
 }
 
@@ -245,8 +289,8 @@ fn tampered_pad_bytes_fail_terminally_with_typed_error() {
     let mut bytes = fx.tb.pad_repo.get(id).unwrap().to_vec();
     let at = bytes.len() - 3;
     bytes[at] ^= 0xFF;
-    let err =
-        s.on_message(&InpMessage::PadDownloadRep { pad_id: id, bytes: bytes.into() }).unwrap_err();
+    let tampered = InpMessage::PadDownloadRep { pad_id: id, bytes: bytes.into() };
+    let err = s.on_message(0, &tampered).unwrap_err();
     assert!(matches!(err, SessionError::Fractal(_)), "{err:?}");
     assert_eq!(s.phase(), SessionPhase::Failed, "gauntlet failure is terminal");
     assert!(s.error().is_some());
@@ -262,7 +306,7 @@ fn undecodable_app_rep_fails_terminally() {
         protocol: ProtocolId::Bitmap,
         payload: vec![0xDE, 0xAD, 0xBE, 0xEF].into(),
     };
-    let err = s.on_message(&garbage).unwrap_err();
+    let err = s.on_message(0, &garbage).unwrap_err();
     assert!(matches!(err, SessionError::Fractal(_)), "{err:?}");
     assert_eq!(s.phase(), SessionPhase::Failed);
 }
@@ -271,7 +315,7 @@ fn undecodable_app_rep_fails_terminally() {
 fn empty_pad_meta_rep_fails_with_no_feasible_path() {
     let fx = Fixture::new();
     let mut s = fx.session_at(SessionPhase::PathSearch, false);
-    let err = s.on_message(&InpMessage::PadMetaRep { pads: vec![] }).unwrap_err();
+    let err = s.on_message(0, &InpMessage::PadMetaRep { pads: vec![] }).unwrap_err();
     assert!(
         matches!(err, SessionError::Fractal(fractal_core::FractalError::NoFeasiblePath)),
         "{err:?}"
@@ -311,7 +355,7 @@ fn phase_names_and_terminality() {
 fn errors_display_useful_diagnostics() {
     let fx = Fixture::new();
     let mut s = fx.session_at(SessionPhase::Init, false);
-    let err = s.on_message(&InpMessage::InitRep).unwrap_err();
+    let err = s.on_message(0, &InpMessage::InitRep).unwrap_err();
     let text = err.to_string();
     assert!(text.contains("INIT_REP") && text.contains("Init"), "{text}");
     assert!(SessionError::UnexpectedPad(PadId(4)).to_string().contains('4'));
@@ -320,31 +364,41 @@ fn errors_display_useful_diagnostics() {
 }
 
 /// The service side of the same discipline. The proxy leg advances on
-/// exactly one kind per state (`Cli_META_REP` before `INIT_REQ`, a second
-/// `INIT_REQ`, anything after `PAD_META_REP` are all rejected); PAD
-/// downloads and application requests are served in every state without
-/// moving it; kinds only a service ever sends are rejected everywhere.
+/// exactly one kind per state, and that kind delivered again is a
+/// dropped duplicate, as is any proxy-leg request the state has already
+/// answered; a `Cli_META_REP` before `INIT_REQ` and kinds only a service
+/// ever sends are rejected everywhere. PAD downloads and application
+/// requests are served in every state without moving it — duplicates
+/// included: serving them again is what a retry needs.
 #[test]
 fn every_connection_state_times_every_message_kind() {
     let fx = Fixture::new();
-    let matrix = [
-        ("AwaitInit", "INIT_REQ", "AwaitMetaRep", 2),
-        ("AwaitMetaRep", "Cli_META_REP", "Negotiated", 1),
-        ("Negotiated", "(nothing)", "Negotiated", 0),
+    let matrix: [(&str, &str, &str, usize, &[&str]); 3] = [
+        ("AwaitInit", "INIT_REQ", "AwaitMetaRep", 2, &[]),
+        ("AwaitMetaRep", "Cli_META_REP", "Negotiated", 1, &["INIT_REQ"]),
+        ("Negotiated", "(nothing)", "Negotiated", 0, &["INIT_REQ", "Cli_META_REP"]),
     ];
-    for (state, advances_on, next, replies) in matrix {
+    for (state, advances_on, next, n_replies, answered) in matrix {
         for msg in fx.all_kinds() {
             let mut conn = fx.conn_at(state);
-            let result = fx.service().on_message(&mut conn, &msg);
+            let result = fx.service().on_message(&mut conn, 0, &msg);
             let at = format!("{state} × {}", msg.name());
             match msg.name() {
                 name if name == advances_on => {
-                    assert_eq!(result.expect(&at).len(), replies, "{at}");
+                    assert_eq!(replies(result).len(), n_replies, "{at}");
                     assert_eq!(conn.state_name(), next, "{at}");
+                    assert_eq!(fx.service().on_message(&mut conn, 0, &msg), DUP, "{at} again");
+                    assert_eq!(conn.state_name(), next, "{at}: a duplicate must not move it");
                 }
                 "PAD_DOWNLOAD_REQ" | "APP_REQ" => {
-                    assert_eq!(result.expect(&at).len(), 1, "{at}");
+                    assert_eq!(replies(result).len(), 1, "{at}");
+                    let again = fx.service().on_message(&mut conn, 0, &msg);
+                    assert_eq!(replies(again).len(), 1, "{at}: a duplicate is served again");
                     assert_eq!(conn.state_name(), state, "{at}: serving must not move the state");
+                }
+                name if answered.contains(&name) => {
+                    assert_eq!(result, DUP, "{at}");
+                    assert_eq!(conn.state_name(), state, "{at}: a duplicate must not move it");
                 }
                 name => {
                     assert_eq!(
@@ -364,7 +418,7 @@ fn unknown_pad_download_req_is_pad_unavailable() {
     let mut conn = ServiceConn::new();
     let err = fx
         .service()
-        .on_message(&mut conn, &InpMessage::PadDownloadReq { pad_id: PadId(999) })
+        .on_message(&mut conn, 0, &InpMessage::PadDownloadReq { pad_id: PadId(999) })
         .unwrap_err();
     assert_eq!(err, SessionError::Fractal(fractal_core::FractalError::PadUnavailable(PadId(999))));
 }
@@ -378,7 +432,7 @@ fn garbage_app_req_payload_is_a_typed_wire_error() {
         protocols: vec![fx.pads[0].protocol],
         payload: vec![0xDE, 0xAD],
     };
-    let err = fx.service().on_message(&mut conn, &garbage).unwrap_err();
+    let err = fx.service().on_message(&mut conn, 0, &garbage).unwrap_err();
     assert!(matches!(err, SessionError::Fractal(fractal_core::FractalError::Wire(_))), "{err:?}");
     assert_eq!(conn.state_name(), "Negotiated");
 }
@@ -408,7 +462,7 @@ fn computed_on_request_follows_the_server_not_its_mode() {
         for (have, want, expected) in
             [(None, 0, cold), (Some(1), 2, one_back), (Some(0), 2, two_back), (None, 2, cold)]
         {
-            service.on_message(&mut conn, &app_req(&tb, have, want)).unwrap();
+            replies(service.on_message(&mut conn, 0, &app_req(&tb, have, want)));
             assert_eq!(
                 conn.computed_on_request(),
                 expected,
@@ -418,33 +472,64 @@ fn computed_on_request_follows_the_server_not_its_mode() {
     }
 }
 
-/// After a handoff rewind the connection awaits a fresh `INIT_REQ`, and
-/// the old generation's negotiation frames still on the wire are dropped
-/// (no reply, no error, no state change) — while kinds a client never
-/// sends stay typed rejections.
+/// A handoff reaches the service as an `INIT_REQ` of the next generation:
+/// whatever state the connection is in, it restarts negotiation there, and
+/// from then on the old generation's frames still on the wire are stale —
+/// dropped, no reply, no state change — while the new generation's
+/// duplicates are dropped and kinds a client never sends stay typed
+/// rejections.
 #[test]
-fn rewound_connection_drops_stale_negotiation_frames() {
+fn a_later_generation_rewinds_the_connection_and_stales_the_old_one() {
     let fx = Fixture::new();
     let (init_req, cli_meta_rep) = (&fx.init_req(), &fx.cli_meta_rep());
     for state in ["AwaitInit", "AwaitMetaRep", "Negotiated"] {
         let mut conn = fx.conn_at(state);
-        conn.rewind();
-        assert_eq!(conn.state_name(), "AwaitInit", "rewound from {state}");
-        // The old generation's Cli_META_REP arrives before the new INIT_REQ.
-        assert!(fx.service().on_message(&mut conn, cli_meta_rep).unwrap().is_empty());
-        assert_eq!(conn.state_name(), "AwaitInit");
-        assert_eq!(fx.service().on_message(&mut conn, init_req).unwrap().len(), 2);
-        // ... and so does a second INIT_REQ behind the one that was served.
-        assert!(fx.service().on_message(&mut conn, init_req).unwrap().is_empty());
+        assert_eq!(replies(fx.service().on_message(&mut conn, 1, init_req)).len(), 2, "{state}");
+        assert_eq!(conn.state_name(), "AwaitMetaRep", "rewound from {state}");
+        // The old generation's frames behind the new INIT_REQ.
+        assert_eq!(fx.service().on_message(&mut conn, 0, cli_meta_rep), STALE);
+        assert_eq!(fx.service().on_message(&mut conn, 0, init_req), STALE);
+        assert_eq!(fx.service().on_message(&mut conn, 0, &fx.app_req()), STALE);
+        // A second INIT_REQ of the new generation is a duplicate.
+        assert_eq!(fx.service().on_message(&mut conn, 1, init_req), DUP);
         assert_eq!(conn.state_name(), "AwaitMetaRep");
         assert!(matches!(
-            fx.service().on_message(&mut conn, &InpMessage::InitRep),
+            fx.service().on_message(&mut conn, 1, &InpMessage::InitRep),
             Err(SessionError::UnexpectedMessage { .. })
         ));
-        // The exchange then completes normally.
-        assert_eq!(fx.service().on_message(&mut conn, cli_meta_rep).unwrap().len(), 1);
+        // The exchange then completes normally in the new generation.
+        assert_eq!(replies(fx.service().on_message(&mut conn, 1, cli_meta_rep)).len(), 1);
         assert_eq!(conn.state_name(), "Negotiated");
     }
+}
+
+/// After a handoff, a frame stamped with a generation that is neither the
+/// one before the handoff (stale) nor the one after it (open) is a typed
+/// violation on either side — it was never opened — and leaves the
+/// receiver as it was.
+#[test]
+fn after_a_handoff_a_frame_from_neither_generation_is_a_violation() {
+    let fx = Fixture::new();
+    // Client: handed off in PathSearch, so generation 0 → 1.
+    let mut s = fx.session_at(SessionPhase::PathSearch, false);
+    let opening = s.renegotiate(ClientClass::LaptopWlan.env().ntwk).unwrap();
+    assert_eq!((s.generation(), opening[0].name()), (1, "INIT_REQ"));
+    assert_eq!(s.on_message(0, &InpMessage::InitRep), STALE, "the old generation");
+    assert_eq!(s.on_message(0, &fx.pad_meta_rep()), STALE, "the old generation");
+    let err = s.on_message(2, &InpMessage::InitRep).unwrap_err();
+    assert_eq!(err, SessionError::UnexpectedMessage { phase: "MetaExchange", message: "INIT_REP" });
+    assert_eq!(s.phase(), SessionPhase::MetaExchange);
+    replies(s.on_message(1, &InpMessage::InitRep));
+
+    // Service: negotiated in generation 0, then the handoff's INIT_REQ.
+    let mut conn = fx.conn_at("Negotiated");
+    replies(fx.service().on_message(&mut conn, 1, &fx.init_req()));
+    for msg in [fx.cli_meta_rep(), fx.app_req()] {
+        let err = fx.service().on_message(&mut conn, 2, &msg).unwrap_err();
+        assert!(matches!(err, SessionError::UnexpectedMessage { .. }), "{err:?}");
+        assert_eq!(conn.state_name(), "AwaitMetaRep");
+    }
+    replies(fx.service().on_message(&mut conn, 1, &fx.cli_meta_rep()));
 }
 
 /// Drives the complete Figure 4 exchange between the two halves of the
@@ -463,7 +548,7 @@ fn full_exchange_between_the_two_halves_over_serialized_bytes() {
         let mut to_client = Vec::new();
         for msg in to_service.drain(..) {
             let on_wire = InpMessage::from_bytes(&msg.to_bytes()).unwrap();
-            to_client.extend(fx.service().on_message(&mut conn, &on_wire).unwrap());
+            to_client.extend(replies(fx.service().on_message(&mut conn, 0, &on_wire)));
         }
         for msg in to_client {
             // The negotiated PADs are gated on the phase: unknown until
@@ -473,7 +558,7 @@ fn full_exchange_between_the_two_halves_over_serialized_bytes() {
                 session.phase().index() >= SessionPhase::PadDownload.index(),
             );
             let on_wire = InpMessage::from_bytes(&msg.to_bytes()).unwrap();
-            to_service.extend(session.on_message(&on_wire).unwrap());
+            to_service.extend(replies(session.on_message(0, &on_wire)));
             deliveries += 1;
         }
     }

@@ -134,8 +134,8 @@ fn framed_messages_reassemble_across_short_writes() {
             queue.flush(pair.client.as_mut()).expect("flush");
             pump(&mut pair);
             framer.pull(pair.service.as_mut()).expect("pull");
-            while let Some(m) = framer.next_frame().expect("frame") {
-                out.push(m);
+            while let Some(frame) = framer.next_frame().expect("frame") {
+                out.push(frame.msg);
             }
         }
         assert_eq!(out, messages, "{name}: frames must survive arbitrary write splits");

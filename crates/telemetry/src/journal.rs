@@ -5,8 +5,9 @@
 //! reactor shard's [`Telemetry`](crate::Telemetry) bundle carries a
 //! [`Journal`], a fixed-capacity ring of [`Event`]s
 //! (`{ seq, t_ns, session, kind }`) recording phase transitions, fault
-//! injections, handoffs, stale-delivery drops, and stall marks. Kinds
-//! are `&'static str` labels (`phase:PadDownload`, `fault:drop`, …), so
+//! injections, handoffs, the duplicate and stale frames the INP receive
+//! rule drops, and stall marks. Kinds are `&'static str` labels
+//! (`phase:PadDownload`, `fault:drop`, `drop:dup`, `drop:stale`, …), so
 //! there is nothing to bind or intern before recording.
 //!
 //! # Consistency model
@@ -45,7 +46,7 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 ///
 /// `seq` is the per-session causal index (0 for the session's first
 /// event). `kind` is the label it was recorded under, e.g.
-/// `phase:PadDownload`, `fault:drop`, `handoff`, `stall:mark`.
+/// `phase:PadDownload`, `fault:drop`, `handoff`, `drop:stale`, `stall:mark`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Event {
     /// Per-session event index, 0-based, gap-free per source stream.

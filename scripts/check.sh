@@ -13,7 +13,8 @@
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
 #                             # protocols/crypto crate tests, the instance-
 #                             # recycling suite again in release, the
-#                             # machine's mutation checks (scripts/mutants.sh),
+#                             # machine's and the receive rule's mutation
+#                             # checks (scripts/mutants.sh),
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
@@ -232,9 +233,10 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --release -p fractal-vm --test alloc -p fractal-vm-oracle --test differential
     cargo test -q --release --test security
 
-    # DESIGN.md §4.11's "mutation-checked" list, run: each mutation applied
-    # to a throwaway worktree must turn the machine's suites red.
-    step "machine and auditor mutations are killed (scripts/mutants.sh)"
+    # DESIGN.md §4.11's "mutation-checked" list and the INP receive rule's
+    # two, run: each mutation applied to a throwaway worktree must turn the
+    # machine's suites or the core's transition matrix red.
+    step "machine, auditor and receive-rule mutations are killed (scripts/mutants.sh)"
     scripts/mutants.sh
 fi
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # The mutation checks DESIGN.md §4.11 records for the machine and its
-# reference, run rather than stated. Each mutation below is applied to a
-# throwaway `git worktree` of this tree under $TMPDIR, and the machine's unit
-# tests plus the suites that hold it to the reference interpreter
+# reference, and two for the INP receive rule (`inp::classify`), run rather
+# than stated. Each mutation below is applied to a throwaway `git worktree`
+# of this tree under $TMPDIR, and the machine's unit tests, the suites that
+# hold it to the reference interpreter, and the core's transition matrix
 #
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit
+#   cargo test -q --release -p fractal-core --test inp_session
 #
 # must FAIL there. The unmutated tree must pass them first, a mutation must
 # still compile, and a mutation whose text is no longer in the source stops
@@ -37,7 +39,8 @@ export CARGO_TARGET_DIR="$tmp/target"
 
 suite() {
     (cd "$tree" && cargo test -q --release -p fractal-vm --lib \
-        -p fractal-vm-oracle --test differential --test audit "$@")
+        -p fractal-vm-oracle --test differential --test audit "$@" &&
+        cargo test -q --release -p fractal-core --test inp_session "$@")
 }
 
 echo "==> unmutated tree passes"
@@ -49,7 +52,9 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # first occurrence there is replaced. `lz-rate`, `lz-overlap` and
 # `sha1-rate` change bodies the reference interpreter has its own copy of: a
 # reference that ran the machine's bodies would agree with any change to
-# them. `audit-blind` is an auditor that reports nothing.
+# them. `audit-blind` is an auditor that reports nothing. `gen-blind` is a
+# receive rule that ignores the generation (every frame counts as the
+# receiver's own), `dup-acts` one that acts on a duplicate.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -58,7 +63,9 @@ stack-temp|crates/vm/src/analysis/reg.rs|after.is_some_and(|h| r >= self.stack(h
 lz-rate|crates/vm/src/machine.rs#fn lz_copy|COPY_BYTES_PER_FUEL + 1|(2 * COPY_BYTES_PER_FUEL) + 1
 lz-overlap|crates/vm/src/machine.rs|let mut done = n.min(dist);|let mut done = n.min(dist).min(8);
 sha1-rate|crates/vm/src/machine.rs|/ SHA1_BYTES_PER_FUEL + 1|/ (2 * SHA1_BYTES_PER_FUEL) + 1
-audit-blind|crates/vm-oracle/src/audit.rs|self.violations.push(violation);|let _ = violation;'
+audit-blind|crates/vm-oracle/src/audit.rs|self.violations.push(violation);|let _ = violation;
+gen-blind|crates/core/src/inp.rs|match gen.wrapping_sub(seen_gen) {|match gen.wrapping_sub(gen) {
+dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Act,'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.

@@ -198,6 +198,6 @@ mod corruption_is_always_caught {
         let mut rx = Framer::new().with_checksum();
         rx.push(&Framer::frame_checked(&msg));
         let got = rx.next_frame().expect("clean frame").expect("complete frame");
-        assert_eq!(got, msg);
+        assert_eq!(got.msg, msg);
     }
 }
