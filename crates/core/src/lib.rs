@@ -44,8 +44,9 @@
 //!   Laptop/WLAN, PDA/Bluetooth) and the calibrated cost table;
 //! * [`sys`] — the narrow `poll(2)`/rlimit OS bindings behind the
 //!   socket-backed transport (the one module where `unsafe` is allowed);
-//! * [`shard`] — N independent reactors behind one TCP acceptor: the
-//!   C100k front-end driving live sockets via [`sys::Poller`] readiness;
+//! * [`shard`] — N independent reactors, each pairing its own sessions on
+//!   its own loopback listener: the C100k front-end driving live sockets
+//!   via [`sys::Poller`] readiness;
 //! * [`epoch`] — RCU-style epoch versioning: the `&self` write path under
 //!   the server's content store, the proxy's PAT table, and the PAD wire
 //!   repo, so republish runs live under full read load.

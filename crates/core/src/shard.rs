@@ -1,32 +1,28 @@
-//! Sharded reactors behind one TCP acceptor: the C100k front-end.
+//! Sharded reactors, each behind its own loopback TCP listener: the C100k
+//! front-end.
 //!
 //! One [`Reactor`] is single-threaded by design (its transport pairs and
 //! framers are not shared), so scaling past one core means *more
-//! reactors*, not a bigger one. [`ShardedReactor`] runs N of them behind a
-//! single loopback listener:
+//! reactors*, not a bigger one. [`ShardedReactor`] runs N of them, one
+//! thread each and no other thread:
 //!
-//! * the **driver** (caller's thread) connects one nonblocking TCP stream
-//!   per session and registers it with the acceptor;
-//! * the **acceptor** thread matches each accepted stream to its
-//!   registered client end (by the connection's peer address — exact, not
-//!   heuristic: a loopback 4-tuple is unique), deals complete
-//!   [`TcpTransport`] pairs round-robin across the shards, and rings the
-//!   receiving shard's wake socket after each deal;
+//! * the **caller's thread** deals the sessions up front — session `gid`
+//!   goes to shard `gid % N` — and joins the shards;
 //! * each **shard** thread owns one `Reactor`, one
-//!   [`sys::Poller`](crate::sys::Poller), and its slice of the sessions.
-//!   Each turn of its one loop admits whatever has been dealt since the
-//!   last, drains the ready queue, and sleeps in `poll(2)` until the
-//!   kernel marks a registered socket (or the wake socket) ready — so a
-//!   shard serves the sessions it holds while the acceptor is still
-//!   dealing, and sessions wake on readiness edges, never by scanning.
+//!   [`sys::Poller`](crate::sys::Poller), one `127.0.0.1:0` listener and
+//!   its slice of the sessions. Each turn of its one loop pairs and admits
+//!   up to [`ADMIT_BATCH`] sessions (connect a client stream, accept it at
+//!   once, wrap both ends in [`TcpTransport`]s, `spawn_on`), drains the
+//!   ready queue, and polls its sockets: without sleeping while sessions
+//!   remain to admit, for up to a wait slice once all are in. So a shard
+//!   serves the sessions it holds while it is still admitting the rest,
+//!   and sessions wake on readiness edges, never by scanning.
 //!
-//! The listener's accept queue is sized to the run
-//! ([`sys::set_listen_backlog`](crate::sys::set_listen_backlog)): with the
-//! shards pumping during admission they compete with the acceptor for
-//! CPUs, and a burst past `std`'s fixed backlog of 128 would have SYNs
-//! dropped and retried a second later.
+//! A shard's accept queue never holds more than the one connection it has
+//! just made, so pairing needs no peer matching and no backlog can
+//! overflow, and admission runs on every shard at once.
 //!
-//! Acceptor-distributes was chosen over work-stealing deliberately: a
+//! Dealing up front was chosen over work-stealing deliberately: a
 //! session's sockets, framers, and send queues stay on one thread for
 //! their whole life, so shards share **nothing** mutable — they only read
 //! the `&self` proxy/server/PAD-repo trio, which is exactly the
@@ -54,17 +50,13 @@
 //! device): a kernel socket has no `next_ready_at`. Instead a shard that
 //! sees no readiness for [`stall_timeout`](ReactorConfig::stall_timeout)
 //! while sessions are live returns the same typed
-//! [`ReactorStalled`](crate::reactor::ReactorStalled) diagnostic, so the
-//! CI smoke gate's `timeout` wrapper stays a deadlock detector of last
-//! resort, not the primary one.
+//! [`ReactorStalled`](crate::reactor::ReactorStalled) diagnostic, and one
+//! that cannot pair within it returns a typed timeout, so the CI smoke
+//! gate's `timeout` wrapper stays a deadlock detector of last resort, not
+//! the primary one.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,17 +69,22 @@ use crate::proxy::AdaptationProxy;
 use crate::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport};
 use crate::server::ApplicationServer;
 use crate::session::PadRepo;
-use crate::sys::{self, Interest, Poller};
+use crate::sys::{Interest, Poller};
 use crate::transport::{TcpTransport, TransportError, TransportPair};
 
-/// How long a shard sleeps per `poll(2)` call while waiting for readiness.
-/// Small enough that a lost wake and stall detection stay responsive,
+/// How long a shard sleeps per `poll(2)` call once it has admitted all
+/// its sessions. Small enough that stall detection stays responsive,
 /// large enough that an idle shard costs ~20 syscalls/s.
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
-/// The poller token of a shard's wake socket: outside the reactor's
-/// `2·id` / `2·id + 1` token space.
-const WAKE: usize = usize::MAX;
+/// Sessions a shard pairs and admits per turn of its loop, between
+/// pumping and `poll(2)`. Picked from an alternated `tcp_wave` sweep over
+/// 1, 4, 8 and 16 (EXPERIMENTS.md, "What per-shard admission buys"):
+/// session p50 falls as the batch shrinks, because the sessions admitted
+/// first progress while the last are still being paired, but at 1 every
+/// session pays a turn of its own, and sessions/s, p99 and CPU per session
+/// read ≈ 5 % worse than at 4.
+const ADMIT_BATCH: usize = 4;
 
 /// Default consecutive-quiet time before a shard declares its live
 /// sessions protocol-stuck.
@@ -97,28 +94,35 @@ fn io_err(e: std::io::Error) -> InpError {
     InpError::Transport(TransportError::Io(e.kind()))
 }
 
-/// One connection dealt to a shard: the session plus both socket ends.
-struct ShardItem {
-    gid: usize,
-    session: InpSession,
-    client: TcpTransport,
-    service: TcpTransport,
-}
-
-/// A session awaiting its accepted peer: `(client local addr, gid,
-/// session, client stream)`.
-type Registration = (SocketAddr, usize, InpSession, TcpStream);
-
-/// The acceptor's doorbell to one shard: `(ring, bell)`. The acceptor
-/// writes a byte to `ring` after each deal and drops it when dealing
-/// ends; the shard polls `bell` beside its sessions. Both ends are
-/// nonblocking: a full socket already holds an unread ring, and the shard
-/// drains `bell` without blocking.
-fn wake_pair() -> std::io::Result<(UnixStream, UnixStream)> {
-    let (ring, bell) = UnixStream::pair()?;
-    ring.set_nonblocking(true)?;
-    bell.set_nonblocking(true)?;
-    Ok((ring, bell))
+/// Connects one stream to the shard's own `listener` at `addr` and
+/// accepts it. The accept queue holds only this connection, so the
+/// accepted stream is the connected one's peer. A loopback `connect(2)`
+/// returns with the handshake done, so the accept rarely waits, and never
+/// longer than `patience`.
+fn pair(
+    listener: &TcpListener,
+    addr: SocketAddr,
+    patience: Duration,
+) -> Result<TransportPair, InpError> {
+    let client = TcpStream::connect(addr).map_err(io_err)?;
+    let service = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let mut poller = Poller::new();
+                poller.register(listener.as_raw_fd(), 0, Interest::READ);
+                if poller.wait(Some(patience)).map_err(io_err)?.is_empty() {
+                    return Err(io_err(std::io::ErrorKind::TimedOut.into()));
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_err(e)),
+        }
+    };
+    Ok(TransportPair {
+        client: Box::new(TcpTransport::new(client).map_err(io_err)?),
+        service: Box::new(TcpTransport::new(service).map_err(io_err)?),
+    })
 }
 
 /// What one shard produced.
@@ -213,8 +217,9 @@ impl ShardedOutcome {
     }
 }
 
-/// N reactors behind one loopback TCP acceptor, sharing the `&self`
-/// proxy/server/PAD-repo trio. See the module docs for the thread layout.
+/// N reactors, each behind its own loopback TCP listener, sharing the
+/// `&self` proxy/server/PAD-repo trio. See the module docs for the thread
+/// layout.
 pub struct ShardedReactor<'a> {
     proxy: &'a AdaptationProxy,
     server: &'a ApplicationServer,
@@ -281,33 +286,20 @@ impl<'a> ShardedReactor<'a> {
 
     /// Runs every session to a terminal phase over live loopback TCP.
     ///
-    /// Connects one socket per session, deals the accepted pairs
-    /// round-robin across the shards, drives all shards concurrently, and
-    /// returns the per-shard outcomes. A shard whose sessions go quiet
-    /// returns the typed stall; the first shard error wins (it is the root
-    /// cause — acceptor/driver failures that follow from it are
-    /// secondary).
+    /// Deals session `gid` to shard `gid % N`, drives all shards
+    /// concurrently (each pairs its own sessions), and returns the
+    /// per-shard outcomes. A shard whose sessions go quiet returns the
+    /// typed stall; the first shard error in shard order wins.
     pub fn run(&self, sessions: Vec<InpSession>) -> Result<ShardedOutcome, InpError> {
-        let total = sessions.len();
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
-        sys::set_listen_backlog(&listener, total).map_err(io_err)?;
-        listener.set_nonblocking(true).map_err(io_err)?;
-        let addr = listener.local_addr().map_err(io_err)?;
-
-        let (reg_tx, reg_rx) = mpsc::channel::<Registration>();
-        let mut deals = Vec::with_capacity(self.shards);
-        let mut shard_rxs = Vec::with_capacity(self.shards);
-        // The bells outlive every thread of the run, so a ring can never
-        // hit a closed socket.
-        let mut bells = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let (tx, rx) = mpsc::channel::<ShardItem>();
-            let (ring, bell) = wake_pair().map_err(io_err)?;
-            deals.push((tx, ring));
-            shard_rxs.push(rx);
-            bells.push(bell);
+        let mut deals: Vec<Vec<(usize, InpSession)>> =
+            (0..self.shards).map(|_| Vec::new()).collect();
+        for (gid, session) in sessions.into_iter().enumerate() {
+            // Journal-label by spawn order unless the caller chose a
+            // label, so event streams are shard-assignment independent.
+            let session =
+                if session.label().is_none() { session.with_label(gid as u64) } else { session };
+            deals[gid % self.shards].push((gid, session));
         }
-        let abort = AtomicBool::new(false);
         // Observability bundles are built up front, on this thread: live
         // registry/journal handles exist before any shard spawns, which is
         // what lets an introspection plane watch a run mid-flight.
@@ -318,47 +310,15 @@ impl<'a> ShardedReactor<'a> {
         };
 
         std::thread::scope(|scope| {
-            let acceptor = scope.spawn(|| {
-                accept_and_deal(&listener, total, reg_rx, deals, &abort, self.stall_timeout)
-            });
-            let shard_handles: Vec<_> = shard_rxs
+            let handles: Vec<_> = deals
                 .into_iter()
-                .zip(&bells)
                 .zip(bundles)
                 .enumerate()
-                .map(|(ix, ((rx, bell), tele))| {
-                    scope.spawn(move || self.drive_shard(ix, rx, bell, tele))
-                })
+                .map(|(ix, (deal, tele))| scope.spawn(move || self.drive_shard(ix, deal, tele)))
                 .collect();
-
-            // Driver: one nonblocking connect + registration per session.
-            let connect_res: Result<(), InpError> = (|| {
-                for (gid, session) in sessions.into_iter().enumerate() {
-                    // Journal-label by spawn order unless the caller chose
-                    // a label, so event streams are shard-assignment
-                    // independent.
-                    let session = if session.label().is_none() {
-                        session.with_label(gid as u64)
-                    } else {
-                        session
-                    };
-                    let stream = TcpStream::connect(addr).map_err(io_err)?;
-                    let local = stream.local_addr().map_err(io_err)?;
-                    reg_tx
-                        .send((local, gid, session, stream))
-                        .map_err(|_| io_err(std::io::ErrorKind::BrokenPipe.into()))?;
-                }
-                Ok(())
-            })();
-            drop(reg_tx);
-            if connect_res.is_err() {
-                abort.store(true, Ordering::Relaxed);
-            }
-
-            let acceptor_res = acceptor.join().expect("acceptor panicked");
             let mut outcomes = Vec::with_capacity(self.shards);
             let mut shard_err: Option<InpError> = None;
-            for h in shard_handles {
+            for h in handles {
                 match h.join().expect("shard panicked") {
                     Ok(out) => outcomes.push(out),
                     Err(e) => {
@@ -379,87 +339,63 @@ impl<'a> ShardedReactor<'a> {
                     src.retire(*id);
                 }
             }
-            if let Some(e) = shard_err {
-                return Err(e);
+            match shard_err {
+                Some(e) => Err(e),
+                None => Ok(ShardedOutcome { shards: outcomes }),
             }
-            connect_res?;
-            acceptor_res?;
-            outcomes.sort_by_key(|o| o.shard);
-            Ok(ShardedOutcome { shards: outcomes })
         })
     }
 
-    /// One shard, one loop. Each turn admits whatever the acceptor has
-    /// dealt since the last, drains the ready queue, then sleeps in
-    /// `poll(2)` on the live sessions' sockets plus — while dealing is
-    /// open — `bell`, which the acceptor rings after each deal. Returns
-    /// once the deal is closed and every session is terminal.
-    ///
-    /// Every turn re-checks the channel, so a lost ring costs at most one
-    /// [`WAIT_SLICE`]; the EOF of the dropped ring end wakes the shard to
-    /// find the channel closed.
+    /// One shard, one loop. Each turn pairs and admits up to
+    /// [`ADMIT_BATCH`] of the `deal`'s sessions on the shard's own
+    /// listener, drains the ready queue, then polls the live sessions'
+    /// sockets: at once while sessions remain to admit, for up to a
+    /// [`WAIT_SLICE`] after. Returns once every session is admitted and
+    /// terminal.
     fn drive_shard(
         &self,
         shard: usize,
-        rx: mpsc::Receiver<ShardItem>,
-        bell: &UnixStream,
+        deal: Vec<(usize, InpSession)>,
         tele: Telemetry,
     ) -> Result<ShardOutcome, InpError> {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
+        listener.set_nonblocking(true).map_err(io_err)?;
+        let addr = listener.local_addr().map_err(io_err)?;
         let mut cfg = ReactorConfig::new().telemetry(&tele);
         if self.frame_checksums {
             cfg = cfg.frame_checksums();
         }
         let mut reactor = Reactor::with_config(self.proxy, self.server, self.pad_repo, cfg);
-        let mut gids = Vec::new();
-        let mut dealing = true;
+        let gids: Vec<usize> = deal.iter().map(|&(gid, _)| gid).collect();
+        let mut unadmitted = deal.into_iter().map(|(_, session)| session);
         let mut poller = Poller::new();
         let mut quiet = Duration::ZERO;
         loop {
-            while dealing {
-                match rx.try_recv() {
-                    Ok(item) => {
-                        gids.push(item.gid);
-                        let pair = TransportPair {
-                            client: Box::new(item.client),
-                            service: Box::new(item.service),
-                        };
-                        reactor.spawn_on(item.session, pair);
-                    }
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => dealing = false,
-                }
+            for session in unadmitted.by_ref().take(ADMIT_BATCH) {
+                let pair = pair(&listener, addr, self.stall_timeout)?;
+                reactor.spawn_on(session, pair);
             }
             while reactor.poll().is_some() {}
-            if !dealing && reactor.in_flight() == 0 {
+            let admitting = unadmitted.len() > 0;
+            if !admitting && reactor.in_flight() == 0 {
                 break;
             }
             poller.clear();
             reactor.register_interest(&mut poller);
-            if dealing {
-                poller.register(bell.as_raw_fd(), WAKE, Interest::READ);
-            }
-            let slice = WAIT_SLICE.min(self.stall_timeout);
+            let slice = if admitting { Duration::ZERO } else { WAIT_SLICE.min(self.stall_timeout) };
             let events = poller.wait(Some(slice)).map_err(io_err)?;
             if !events.is_empty() {
                 quiet = Duration::ZERO;
-            } else if reactor.in_flight() > 0 {
-                // Only live sessions can be stuck: a shard awaiting its
-                // next deal is not, and the acceptor's own patience
-                // bounds admission.
+            } else if !admitting {
+                // Only live sessions can be stuck; a shard still admitting
+                // is making progress.
                 quiet += slice;
                 if quiet >= self.stall_timeout {
                     return Err(InpError::Stalled(reactor.stall_report()));
                 }
             }
             for ev in events {
-                if ev.token == WAKE {
-                    // Drain the rings (or read the EOF); the next turn's
-                    // `try_recv` admits what they announced.
-                    let mut buf = [0u8; 64];
-                    while matches!((&*bell).read(&mut buf), Ok(n) if n > 0) {}
-                } else {
-                    reactor.apply_event(ev);
-                }
+                reactor.apply_event(ev);
             }
         }
         let report = reactor.report();
@@ -472,82 +408,6 @@ impl<'a> ShardedReactor<'a> {
             sessions,
         })
     }
-}
-
-/// The acceptor: accept `total` connections, match each to its registered
-/// client end by peer address, and deal the completed pairs round-robin,
-/// ringing each `(sender, ring)` deal's shard after its item is sent.
-/// Runs the listener nonblocking under the same [`Poller`] so a driver
-/// failure (`abort`) or a dried-up run cannot leave it parked in
-/// `accept(2)` forever. On return the deals drop sender first, so the
-/// ring's EOF wakes a shard to a closed channel.
-fn accept_and_deal(
-    listener: &TcpListener,
-    total: usize,
-    reg_rx: mpsc::Receiver<Registration>,
-    mut deals: Vec<(mpsc::Sender<ShardItem>, UnixStream)>,
-    abort: &AtomicBool,
-    patience: Duration,
-) -> Result<(), InpError> {
-    let mut pending: HashMap<SocketAddr, (usize, InpSession, TcpStream)> = HashMap::new();
-    let mut poller = Poller::new();
-    let mut quiet = Duration::ZERO;
-    let mut accepted = 0;
-    while accepted < total {
-        if abort.load(Ordering::Relaxed) {
-            return Err(io_err(std::io::ErrorKind::ConnectionAborted.into()));
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                poller.clear();
-                poller.register(listener.as_raw_fd(), 0, Interest::READ);
-                let slice = WAIT_SLICE.min(patience);
-                if poller.wait(Some(slice)).map_err(io_err)?.is_empty() {
-                    quiet += slice;
-                    if quiet >= patience {
-                        return Err(io_err(std::io::ErrorKind::TimedOut.into()));
-                    }
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(io_err(e)),
-        };
-        quiet = Duration::ZERO;
-        // The registration for this peer may still be in the channel
-        // behind others; drain until it surfaces. Every accepted
-        // connection comes from a driver connect, and the driver always
-        // registers right after connecting, so the recv terminates.
-        let (gid, session, client) = loop {
-            if let Some(found) = pending.remove(&peer) {
-                break found;
-            }
-            match reg_rx.recv() {
-                Ok((local, gid, session, stream)) => {
-                    pending.insert(local, (gid, session, stream));
-                }
-                Err(_) => return Err(io_err(std::io::ErrorKind::NotFound.into())),
-            }
-        };
-        let item = ShardItem {
-            gid,
-            session,
-            client: TcpTransport::new(client).map_err(io_err)?,
-            service: TcpTransport::new(stream).map_err(io_err)?,
-        };
-        let shard = accepted % deals.len();
-        let (deal, ring) = &mut deals[shard];
-        if deal.send(item).is_err() {
-            // The shard died (it reports its own root cause); stop dealing.
-            return Err(io_err(std::io::ErrorKind::BrokenPipe.into()));
-        }
-        // A full socket (`WouldBlock`) already holds an unread ring, so a
-        // failed ring loses nothing the shard's next turn would not find.
-        let _ = ring.write(&[1]);
-        accepted += 1;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -611,42 +471,29 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_serves_its_deal_before_the_deal_closes() {
+    fn a_shard_finishes_sessions_before_it_has_admitted_its_last() {
+        const N: usize = 256;
         let tb = testbed_with_pages(1);
-        let sharded = ShardedReactor::new(&tb.proxy, &tb.server, &tb.pad_repo, 1);
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (service, _) = listener.accept().unwrap();
-        let (deal, rx) = mpsc::channel();
-        let (ring, bell) = wake_pair().unwrap();
-        deal.send(ShardItem {
-            gid: 0,
-            session: InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0),
-            client: TcpTransport::new(client).unwrap(),
-            service: TcpTransport::new(service).unwrap(),
-        })
-        .unwrap();
-        let tele = sharded.shard_bundle();
-
-        let (served, outcome) = std::thread::scope(|scope| {
-            let shard = scope.spawn(|| sharded.drive_shard(0, rx, &bell, tele.clone()));
-            // The sender and the ring stay open: the deal is not closed.
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            let completed =
-                || tele.snapshot().counters.get("fractal_reactor_completed_total") == Some(&1);
-            while !completed() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let served = completed();
-            drop((deal, ring));
-            (served, shard.join().expect("shard panicked"))
-        });
-        assert!(served, "the shard completed nothing while its deal was open");
-        let outcome = outcome.expect("the shard ends once the deal closes");
-        assert_eq!((outcome.report.completed, outcome.report.failed), (1, 0));
-        assert_eq!(outcome.report.peak_in_flight, 1);
-        let sessions = ShardedOutcome { shards: vec![outcome] }.into_sessions();
-        assert_eq!(sessions[0].phase(), SessionPhase::Done);
+        let sessions: Vec<InpSession> = (0..N)
+            .map(|_| InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0))
+            .collect();
+        let config = ReactorConfig::new().journal_capacity(8 * N);
+        let outcome = ShardedReactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, 1, config)
+            .run(sessions)
+            .expect("sharded run completes");
+        assert_eq!(outcome.aggregate_report().completed, N);
+        let journal = &outcome.shards[0].journal;
+        assert_eq!(journal.dropped, 0, "the ring must not wrap");
+        let at = |kind: &'static str| {
+            journal.events.iter().filter(move |e| e.kind == kind).map(|e| e.t_ns)
+        };
+        let last_init = at("phase:Init").max().expect("sessions were admitted");
+        let first_done = at("phase:Done").min().expect("sessions finished");
+        assert!(
+            first_done < last_init,
+            "the first session finished at {first_done} ns, after the last was admitted at \
+             {last_init} ns: the shard admitted everything before it pumped"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Narrow OS bindings for the socket-backed reactor: `poll(2)` readiness,
-//! the `RLIMIT_NOFILE` file-descriptor ceiling and the listen backlog.
+//! Narrow OS bindings for the socket-backed reactor: `poll(2)` readiness
+//! and the `RLIMIT_NOFILE` file-descriptor ceiling.
 //!
 //! crates.io is offline for this build, so there is no `libc`/`mio`: the
-//! three syscall surfaces the C100k path needs are declared here by hand.
+//! two syscall surfaces the C100k path needs are declared here by hand.
 //! This module is the **only** place in the crate where `unsafe` is
 //! permitted (the crate root carries `#![deny(unsafe_code)]`); everything
 //! it exports is a safe wrapper with the invariants discharged locally:
@@ -16,10 +16,6 @@
 //!   hard ceiling so thousands of concurrent sockets (two per session)
 //!   fit; returns the limit actually in force so callers can size their
 //!   admission window instead of dying on `EMFILE` mid-run.
-//! * [`set_listen_backlog`] — re-`listen(2)`s a bound listener with a
-//!   larger accept queue than the 128 `std`'s `TcpListener::bind` fixes,
-//!   so a burst of connects is not dropped at the SYN (and retried 1 s
-//!   and 3 s later) while the acceptor catches up.
 //!
 //! Everything here is Unix-only (`poll(2)` semantics); the module is
 //! compiled out elsewhere along with the TCP transport that needs it.
@@ -62,7 +58,6 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
-    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 /// What a registration wants to be woken for.
@@ -97,7 +92,7 @@ pub struct Event {
 
 /// A level-triggered readiness poller over `poll(2)`.
 ///
-/// Registration is per-wait: callers [`clear`](Self::clear), re-register
+/// Registrations last one wait: callers [`clear`](Self::clear), re-register
 /// the descriptors they currently care about, then [`wait`](Self::wait).
 /// That fits the reactor's loop (the interest set changes as sessions
 /// finish and send queues drain) and keeps the wrapper allocation-free
@@ -219,21 +214,6 @@ pub fn raise_nofile_limit(needed: u64) -> io::Result<u64> {
     Ok(raised.cur)
 }
 
-/// Re-`listen(2)`s a bound listener with an accept queue of `backlog`
-/// connections. Linux resizes the queue of a listening socket in place;
-/// the kernel caps the request at `net.core.somaxconn`.
-pub fn set_listen_backlog(listener: &std::net::TcpListener, backlog: usize) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    let backlog = backlog.min(c_int::MAX as usize) as c_int;
-    // SAFETY: the descriptor is owned by `listener`, which the borrow
-    // keeps open for the duration of the call.
-    let rc = unsafe { listen(listener.as_raw_fd(), backlog) };
-    if rc != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,32 +295,6 @@ mod tests {
         assert_eq!(p.registered(), 1);
         p.clear();
         assert_eq!(p.registered(), 0);
-    }
-
-    #[test]
-    fn a_raised_backlog_queues_connects_nobody_accepts() {
-        use std::net::{TcpListener, TcpStream};
-        let timeout = Duration::from_secs(1);
-        let connect = |addr, n| -> Vec<TcpStream> {
-            (0..n)
-                .map(|i| {
-                    TcpStream::connect_timeout(&addr, timeout)
-                        .unwrap_or_else(|e| panic!("connect {i} of {n}: {e}"))
-                })
-                .collect()
-        };
-
-        let raised = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        set_listen_backlog(&raised, 200).unwrap();
-        drop(connect(raised.local_addr().unwrap(), 200));
-
-        // `bind`'s own backlog of 128: the kernel queues 129 handshakes,
-        // then drops the next SYN, whose retransmit comes after the timeout.
-        let fixed = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = fixed.local_addr().unwrap();
-        let _held = connect(addr, 129);
-        let err = TcpStream::connect_timeout(&addr, timeout).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     }
 
     #[test]

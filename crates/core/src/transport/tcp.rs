@@ -30,8 +30,8 @@ pub const TCP_IO_HINT: usize = 64 * 1024;
 ///
 /// Unlike [`LoopbackTransport`](super::LoopbackTransport), timed or not,
 /// there is no shared pair state: each end owns its own socket, so the two
-/// ends of a connection can live on different threads (acceptor hands the
-/// service end to a shard while the client end stays with the driver).
+/// ends of a connection could live on different threads (a sharded run
+/// keeps both on the shard that paired them).
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: std::net::TcpStream,

@@ -105,11 +105,11 @@ fn live_scrapes_are_monotonic_and_final_scrape_reconciles_exactly() {
 /// A population past the listen backlog (128) and past the default soft
 /// fd limit (1024, two sockets per session), all held open at once: the
 /// soft limit is raised toward the hard cap and the population shrunk to
-/// what the cap allows, the listener's backlog is raised to the
-/// population, and the run still reconciles — with its reports, the serial
-/// oracle and the live plane. Every socket stays open until its shard
-/// ends: a finished session's transports live in its slot until
-/// `into_sessions`.
+/// what the cap allows. No backlog is raised — each shard accepts the one
+/// connection it has just made — and the run still reconciles: with its
+/// reports, the serial oracle and the live plane. Every socket stays open
+/// until its shard ends: a finished session's transports live in its slot
+/// until `into_sessions`.
 #[test]
 fn held_connections_past_the_backlog_and_the_default_fd_limit() {
     /// File descriptors beyond this test's session sockets: listener,
@@ -143,8 +143,8 @@ fn held_connections_past_the_backlog_and_the_default_fd_limit() {
 
     let agg = outcome.aggregate_report();
     assert_eq!((agg.completed, agg.failed), (n, 0));
-    // Shards pump while the acceptor deals, so the summed shard peaks are
-    // measured overlap, not the population by construction.
+    // Shards pump while they admit, so the summed shard peaks are measured
+    // overlap, not the population by construction.
     assert!((1..=n).contains(&agg.peak_in_flight), "summed shard peaks {}", agg.peak_in_flight);
     outcome.reconcile().expect("per-shard telemetry reconciles with the reports");
 

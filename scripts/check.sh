@@ -2,7 +2,8 @@
 # Repo-wide hygiene gate: formatting, lints, and the full test suite.
 # Run from the repository root before sending a change out for review.
 #
-#   scripts/check.sh          # fmt, unsafe audit, one-Figure-4-walk audit,
+#   scripts/check.sh          # fmt, unsafe audit, poll/rlimit-only FFI
+#                             # audit, one-Figure-4-walk audit,
 #                             # no-stripe-by-hash, no-hand-chosen-ordering,
 #                             # one-in-memory-transport,
 #                             # one-fast-path, no-range-pass-in-the-VM,
@@ -18,7 +19,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all ten audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all eleven audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -94,6 +95,11 @@ if [ -n "$stray" ]; then
     echo "$stray" >&2
     exit 1
 fi
+
+# DESIGN.md §7 again: the FFI those `unsafe` blocks call is poll(2) and the
+# rlimit pair, and nothing else; the script says what it parses.
+step "extern \"C\" in crates/core/src/sys.rs declares only poll, getrlimit, setrlimit"
+scripts/sys_ffi.sh
 
 # DESIGN.md §8: Figure 4 is walked by the sans-IO core and nothing else;
 # `session::run_session`, `Reactor` and `ShardedReactor` only carry what the
