@@ -1,10 +1,9 @@
 //! Criterion: sharded-proxy scaling — cold vs cached negotiation, and the
-//! Fig. 9(a) mixed-client stream on one shared proxy at 1 vs 8 threads
-//! through the work-stealing driver.
+//! Fig. 9(a) mixed-client stream on one shared proxy at 1 vs 8 scoped
+//! threads, each negotiating an interleaved stripe of the stream.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fractal_bench::fig9a::client_env;
-use fractal_bench::parallel;
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
 
@@ -20,10 +19,10 @@ fn bench_proxy(c: &mut Criterion) {
 
     // Cached: warm proxy, pure read-lock fast path.
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
-    let proxy = &tb.proxy;
-    proxy.negotiate(tb.app_id, client_env(0)).unwrap();
+    let (proxy, app_id) = (&tb.proxy, tb.app_id);
+    proxy.negotiate(app_id, client_env(0)).unwrap();
     c.bench_function("proxy_negotiate_cached", |b| {
-        b.iter(|| proxy.negotiate(tb.app_id, std::hint::black_box(client_env(0))).unwrap())
+        b.iter(|| proxy.negotiate(app_id, std::hint::black_box(client_env(0))).unwrap())
     });
 
     // The mixed-client stream (12 distinct environments) against the
@@ -31,8 +30,18 @@ fn bench_proxy(c: &mut Criterion) {
     for threads in [1usize, 8] {
         c.bench_function(&format!("proxy_stream_{threads}_threads"), |b| {
             b.iter(|| {
-                parallel::run_indexed(threads, 384, |i| {
-                    proxy.negotiate(tb.app_id, client_env(i)).unwrap().len()
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = (0..threads)
+                        .map(|w| {
+                            scope.spawn(move || {
+                                (w..384)
+                                    .step_by(threads)
+                                    .map(|i| proxy.negotiate(app_id, client_env(i)).unwrap().len())
+                                    .sum::<usize>()
+                            })
+                        })
+                        .collect();
+                    workers.into_iter().map(|h| h.join().unwrap()).sum::<usize>()
                 })
             })
         });

@@ -17,9 +17,10 @@ pub struct BenchEnv {
     /// Git commit: `GITHUB_SHA` in CI, `git rev-parse HEAD` locally,
     /// `"unknown"` outside a checkout.
     pub git_sha: String,
-    /// Transport the bytes crossed: `"loopback"` (in-memory ring),
-    /// `"simlink"` (simulated links), `"queueing-model"` (no bytes move),
-    /// or a combination.
+    /// Transport the bytes crossed: `"loopback"` (untimed in-memory pair),
+    /// `"loopback+link"` (a pair priced on a simulated link), either with
+    /// `"+faults"` (wrapped by the fault harness), or `"queueing-model"`
+    /// (no bytes move).
     pub transport: String,
     /// Adversity scenario this row came from, with the fault seed that
     /// drove it — `None` outside the scenario soak driver. A scenario row
@@ -95,11 +96,11 @@ mod tests {
 
     #[test]
     fn members_carry_the_stamp_in_order() {
-        let env = BenchEnv::capture().with_transport("simlink");
+        let env = BenchEnv::capture().with_transport("loopback+link");
         let env = BenchEnv { host_cpus: 8, git_sha: "abc123".into(), ..env };
         assert_eq!(
             Json::object(env.members()).emit(),
-            "{\n  \"host_cpus\": 8,\n  \"git_sha\": \"abc123\",\n  \"transport\": \"simlink\"\n}\n"
+            "{\n  \"host_cpus\": 8,\n  \"git_sha\": \"abc123\",\n  \"transport\": \"loopback+link\"\n}\n"
         );
     }
 

@@ -1,7 +1,7 @@
 //! System-capacity extension: server throughput knee per protocol.
 
 use fractal_bench::bench_env::BenchEnv;
-use fractal_bench::capacity::{knee_per_protocol_threads, print, service_time};
+use fractal_bench::capacity::{knee_per_protocol, print, service_time};
 use fractal_bench::json::Json;
 
 fn main() {
@@ -10,7 +10,7 @@ fn main() {
     // No bytes cross a wire here — the capacity knees come out of the
     // server-side queueing model; the stamp says so explicitly.
     let env = BenchEnv::capture().with_transport("queueing-model");
-    let knees = knee_per_protocol_threads(2)
+    let knees = knee_per_protocol()
         .into_iter()
         .map(|(p, knee)| {
             Json::object([

@@ -17,7 +17,6 @@ use fractal_net::queue::{FifoQueue, Job};
 use fractal_net::time::{SimDuration, SimTime};
 use fractal_protocols::ProtocolId;
 
-use crate::parallel;
 use crate::report::render_table;
 
 /// Server CPU in MHz (matches `OverheadModel::paper`).
@@ -62,24 +61,25 @@ pub fn run_point(protocol: ProtocolId, offered_rps: f64, n_requests: usize) -> C
     CapacityPoint { protocol, offered_rps, mean_sojourn, saturated }
 }
 
-/// Sweeps offered load for every case-study protocol on `n_threads`
-/// workers (each protocol's load ramp is an independent pure computation);
-/// returns, per protocol, the highest offered load that did not saturate.
-pub fn knee_per_protocol_threads(n_threads: usize) -> Vec<(ProtocolId, f64)> {
-    parallel::run_indexed(n_threads, ProtocolId::PAPER_FOUR.len(), |idx| {
-        let p = ProtocolId::PAPER_FOUR[idx];
-        let mut knee = 0.0;
-        for k in 1..=60 {
-            let rps = k as f64 * 2.0;
-            let point = run_point(p, rps, 200);
-            if !point.saturated {
-                knee = rps;
-            } else {
-                break;
+/// Sweeps offered load for every case-study protocol; returns, per
+/// protocol, the highest offered load that did not saturate.
+pub fn knee_per_protocol() -> Vec<(ProtocolId, f64)> {
+    ProtocolId::PAPER_FOUR
+        .into_iter()
+        .map(|p| {
+            let mut knee = 0.0;
+            for k in 1..=60 {
+                let rps = k as f64 * 2.0;
+                let point = run_point(p, rps, 200);
+                if !point.saturated {
+                    knee = rps;
+                } else {
+                    break;
+                }
             }
-        }
-        (p, knee)
-    })
+            (p, knee)
+        })
+        .collect()
 }
 
 /// Prints the per-protocol capacity knees and the sojourn curve of
@@ -87,7 +87,7 @@ pub fn knee_per_protocol_threads(n_threads: usize) -> Vec<(ProtocolId, f64)> {
 pub fn print(_n_pages: u32) {
     println!("System capacity: server compute queue (2 workers, 2.8 GHz), 135 KB pages\n");
 
-    let rows: Vec<Vec<String>> = knee_per_protocol_threads(2)
+    let rows: Vec<Vec<String>> = knee_per_protocol()
         .iter()
         .map(|&(p, knee)| {
             vec![
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn vary_saturates_first() {
-        let knees = knee_per_protocol_threads(1);
+        let knees = knee_per_protocol();
         let knee = |p: ProtocolId| knees.iter().find(|(q, _)| *q == p).unwrap().1;
         // Direct has no server compute: never saturates in the sweep.
         assert!(knee(ProtocolId::Direct) >= knee(ProtocolId::Gzip));
@@ -134,11 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_knees_are_byte_identical_to_serial() {
-        let serial = knee_per_protocol_threads(1);
-        for threads in [2, 4] {
-            assert_eq!(knee_per_protocol_threads(threads), serial, "threads = {threads}");
-        }
+    fn knees_are_pinned() {
+        // Direct, Gzip and Bitmap never saturate below the 120 rps ceiling.
+        assert_eq!(
+            knee_per_protocol(),
+            [
+                (ProtocolId::Direct, 120.0),
+                (ProtocolId::Gzip, 120.0),
+                (ProtocolId::Bitmap, 120.0),
+                (ProtocolId::VaryBlock, 6.0)
+            ]
+        );
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! path-search being cheap and (2) the adaptation cache absorbing repeat
 //! environments.
 
-use std::collections::HashSet;
-
 use fractal_core::inp::InpMessage;
 use fractal_core::meta::ClientEnv;
 use fractal_core::presets::ClientClass;
@@ -19,7 +17,6 @@ use fractal_net::jitter::Jitter;
 use fractal_net::queue::{FifoQueue, Job};
 use fractal_net::time::{SimDuration, SimTime};
 
-use crate::parallel;
 use crate::report::{ms, render_table};
 
 /// Negotiation workers at the proxy.
@@ -53,23 +50,8 @@ pub fn client_env(i: usize) -> ClientEnv {
     env
 }
 
-/// Runs the experiment for one client count on one thread.
+/// Runs the experiment for one client count.
 pub fn run_point(n_clients: usize, cache_enabled: bool, seed: u64) -> Point {
-    run_point_threads(n_clients, cache_enabled, seed, 1)
-}
-
-/// Runs one point with the per-client stage fanned out over `n_threads`
-/// workers. The result is byte-identical to [`run_point`] at any thread
-/// count: the jitter stream is pre-drawn serially, cache warmth is derived
-/// from the deterministic index order (not from racy live queries), and
-/// the sharded proxy counts exactly one miss per distinct environment
-/// regardless of interleaving.
-pub fn run_point_threads(
-    n_clients: usize,
-    cache_enabled: bool,
-    seed: u64,
-    n_threads: usize,
-) -> Point {
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let proxy = if cache_enabled {
         tb.proxy
@@ -80,26 +62,17 @@ pub fn run_point_threads(
     };
     let app_id = tb.app_id;
 
-    // Pre-draw the jitter stream in serial-driver order: one leg factor,
-    // then one service factor, per client.
+    // Per client: negotiate against the proxy and price the wire legs
+    // (request, ack+meta-req, meta-rep, pad-meta-rep), then jitter the legs
+    // and the proxy service, in that order.
     let mut jitter = Jitter::new(seed, 0.15);
-    let factors: Vec<(f64, f64)> =
-        (0..n_clients).map(|_| (jitter.factor(), jitter.factor())).collect();
-
-    // What the serial driver observes right before each negotiation: the
-    // environment is warm iff a smaller index already presented it.
-    let mut seen: HashSet<ClientEnv> = HashSet::new();
-    let warm: Vec<bool> =
-        (0..n_clients).map(|i| cache_enabled && !seen.insert(client_env(i))).collect();
-
-    // Per-client stage: negotiate against the shared proxy and price the
-    // wire legs (request, ack+meta-req, meta-rep, pad-meta-rep).
-    let proxy_ref = &proxy;
-    let per_client: Vec<(SimDuration, Job)> = parallel::run_indexed(n_threads, n_clients, |i| {
+    let mut legs = Vec::with_capacity(n_clients);
+    let mut jobs = Vec::with_capacity(n_clients);
+    for i in 0..n_clients {
         let env = client_env(i);
-        let class = ClientClass::ALL[i % 3];
-        let link = class.link();
-        let pads = proxy_ref.negotiate(app_id, env).expect("negotiation succeeds");
+        let link = ClientClass::ALL[i % 3].link();
+        let warm = proxy.cached(app_id, &env);
+        let pads = proxy.negotiate(app_id, env).expect("negotiation succeeds");
 
         let init_req = InpMessage::InitReq { app_id, payload: b"app-request".to_vec() };
         let meta_rep = InpMessage::CliMetaRep { dev: env.dev, ntwk: env.ntwk };
@@ -111,13 +84,13 @@ pub fn run_point_threads(
         );
         leg_time += link.transfer_time(meta_rep.wire_len() as u64);
         leg_time += link.transfer_time(pads_rep.wire_len() as u64);
+        legs.push(jitter.apply(leg_time));
 
-        let service = proxy_ref.service_time(app_id, warm[i]).scale(factors[i].1);
+        let service = jitter.apply(proxy.service_time(app_id, warm));
         let arrival = SimTime::ZERO
             + SimDuration::micros(ARRIVAL_WINDOW.as_micros() * i as u64 / n_clients.max(1) as u64);
-        (leg_time.scale(factors[i].0), Job { arrival, service })
-    });
-    let (legs, jobs): (Vec<SimDuration>, Vec<Job>) = per_client.into_iter().unzip();
+        jobs.push(Job { arrival, service });
+    }
 
     // Queue the proxy service; negotiation time = queueing sojourn + legs.
     let queue = FifoQueue::new(PROXY_WORKERS);
@@ -138,16 +111,7 @@ pub fn run_point_threads(
 
 /// The full sweep: 20..=300 clients.
 pub fn run_sweep(cache_enabled: bool) -> Vec<Point> {
-    run_sweep_threads(cache_enabled, 1)
-}
-
-/// The full sweep with the 15 independent points spread over `n_threads`
-/// workers.
-pub fn run_sweep_threads(cache_enabled: bool, n_threads: usize) -> Vec<Point> {
-    parallel::run_indexed(n_threads, 15, |idx| {
-        let k = idx + 1;
-        run_point(k * 20, cache_enabled, 9 + k as u64)
-    })
+    (1..=15).map(|k| run_point(k * 20, cache_enabled, 9 + k as u64)).collect()
 }
 
 /// Prints Figure 9(a): average negotiation time vs. number of clients,
@@ -200,13 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_point_is_byte_identical_to_serial() {
-        let serial = run_point(90, true, 11);
-        for threads in [2, 4, 8] {
-            let par = run_point_threads(90, true, 11, threads);
-            assert_eq!(par.clients, serial.clients);
-            assert_eq!(par.mean_negotiation, serial.mean_negotiation, "threads = {threads}");
-            assert_eq!(par.cache_hits, serial.cache_hits, "threads = {threads}");
-        }
+    fn ninety_client_points_are_pinned() {
+        // 90 clients present 12 distinct environments: 12 misses, 78 hits.
+        let with = run_point(90, true, 11);
+        assert_eq!(
+            (with.clients, with.mean_negotiation.as_micros(), with.cache_hits),
+            (90, 30_206, 78)
+        );
+        let without = run_point(90, false, 11);
+        assert_eq!(
+            (without.clients, without.mean_negotiation.as_micros(), without.cache_hits),
+            (90, 30_431, 0)
+        );
     }
 }

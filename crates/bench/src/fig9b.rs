@@ -14,7 +14,6 @@ use fractal_net::link::LinkKind;
 use fractal_net::time::{SimDuration, SimTime};
 use fractal_net::topology::{NodeId, Position, Topology};
 
-use crate::parallel;
 use crate::report::{ms, render_table};
 
 /// Edge servers in the distributed deployment (the paper used "some nodes
@@ -105,20 +104,14 @@ fn mean(ds: &[SimDuration]) -> SimDuration {
 /// `(n, salt)` — `Topology::add_spread_nodes` derives positions from the
 /// salt, not from how many nodes already exist — so a standalone point is
 /// value-identical to the same point inside an accumulated serial sweep.
-/// That independence is what lets the sweep fan out.
 pub fn run_point_fresh(n: usize) -> Point {
     Fixture::new().run_point(n)
 }
 
-/// The full sweep: 20..=300 simultaneous clients.
+/// The full sweep: 20..=300 simultaneous clients, each point on a fresh
+/// fixture.
 pub fn run_sweep() -> Vec<Point> {
-    run_sweep_threads(1)
-}
-
-/// The full sweep with the 15 independent points spread over `n_threads`
-/// workers.
-pub fn run_sweep_threads(n_threads: usize) -> Vec<Point> {
-    parallel::run_indexed(n_threads, 15, |idx| run_point_fresh((idx + 1) * 20))
+    (1..=15).map(|k| run_point_fresh(k * 20)).collect()
 }
 
 /// Prints Figure 9(b): average PAD retrieval time, centralized vs.
@@ -162,8 +155,8 @@ mod tests {
 
     #[test]
     fn standalone_point_matches_accumulated_fixture() {
-        // The parallel sweep runs each point on a fresh fixture; assert
-        // that equals the serial accumulate-in-one-fixture driver.
+        // The sweep runs each point on a fresh fixture; assert that equals
+        // accumulating every point in one fixture.
         let mut fx = Fixture::new();
         let acc20 = fx.run_point(20);
         let acc60 = fx.run_point(60);
@@ -171,19 +164,6 @@ mod tests {
             assert_eq!(acc.clients, fresh.clients);
             assert_eq!(acc.centralized, fresh.centralized);
             assert_eq!(acc.distributed, fresh.distributed);
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_is_byte_identical_to_serial() {
-        // Trimmed sweep (3 points) to keep the test quick.
-        let point = |idx: usize| run_point_fresh((idx + 1) * 20);
-        let serial = parallel::run_indexed(1, 3, point);
-        let par = parallel::run_indexed(4, 3, point);
-        for (s, p) in serial.iter().zip(&par) {
-            assert_eq!(s.clients, p.clients);
-            assert_eq!(s.centralized, p.centralized);
-            assert_eq!(s.distributed, p.distributed);
         }
     }
 }

@@ -14,7 +14,6 @@ use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
-use crate::parallel;
 use crate::report::{render_table, secs};
 use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
 
@@ -45,41 +44,17 @@ impl Comparison {
     }
 }
 
-/// Runs the three scenarios for every class.
+/// Runs the three scenarios for every class; each measurement builds its
+/// own testbed.
 pub fn run(n_pages: u32) -> Vec<Comparison> {
-    run_threads(n_pages, 1)
-}
-
-/// Runs the headline comparison with one worker per (class, scenario)
-/// cell; each cell builds its own testbed, so the nine measurements are
-/// independent.
-pub fn run_threads(n_pages: u32, n_threads: usize) -> Vec<Comparison> {
-    // Scenario encoding: cell 3k+0 = none, 3k+1 = fixed, 3k+2 = adaptive
-    // (the adaptive cell also carries what the negotiation picked).
     let mode = AdaptiveContentMode::Reactive;
-    let cells: Vec<(CellReport, ProtocolId)> =
-        parallel::run_indexed(n_threads, ClientClass::ALL.len() * 3, |idx| {
-            let class = ClientClass::ALL[idx / 3];
-            match idx % 3 {
-                0 => {
-                    (measure_protocol(class, ProtocolId::Direct, n_pages, mode), ProtocolId::Direct)
-                }
-                1 => (
-                    measure_protocol(class, ProtocolId::VaryBlock, n_pages, mode),
-                    ProtocolId::VaryBlock,
-                ),
-                _ => measure_adaptive(class, n_pages, mode, false),
-            }
-        });
-    cells
-        .chunks_exact(3)
-        .zip(ClientClass::ALL)
-        .map(|(chunk, class)| Comparison {
-            class,
-            none: chunk[0].0,
-            fixed: chunk[1].0,
-            adaptive: chunk[2].0,
-            picked: chunk[2].1,
+    ClientClass::ALL
+        .into_iter()
+        .map(|class| {
+            let none = measure_protocol(class, ProtocolId::Direct, n_pages, mode);
+            let fixed = measure_protocol(class, ProtocolId::VaryBlock, n_pages, mode);
+            let (adaptive, picked) = measure_adaptive(class, n_pages, mode, false);
+            Comparison { class, none, fixed, adaptive, picked }
         })
         .collect()
 }
@@ -139,21 +114,6 @@ mod tests {
         let comps = run(3);
         let best = comps.iter().map(|c| c.vs_fixed()).fold(f64::MIN, f64::max);
         assert!(best > 0.05, "best reduction vs static was {best:.2}");
-    }
-
-    #[test]
-    fn parallel_run_is_byte_identical_to_serial() {
-        let serial = run(2);
-        let par = run_threads(2, 4);
-        assert_eq!(serial.len(), par.len());
-        for (s, p) in serial.iter().zip(&par) {
-            assert_eq!(s.class, p.class);
-            assert_eq!(s.picked, p.picked);
-            assert_eq!(s.none.total, p.none.total);
-            assert_eq!(s.fixed.total, p.fixed.total);
-            assert_eq!(s.adaptive.total, p.adaptive.total);
-            assert_eq!(s.adaptive.bytes, p.adaptive.bytes);
-        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod fig9a;
 pub mod fig9b;
 pub mod headline;
 pub mod json;
-pub mod parallel;
 pub mod report;
 pub mod table1;
 pub mod workbench;

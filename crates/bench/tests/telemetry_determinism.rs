@@ -4,8 +4,8 @@
 //! 8 worker threads.
 //!
 //! Each work unit is a pure function of its index (own testbed, own
-//! registry, own clock, own journal, own simulated link), the parallel
-//! driver only decides *where* an index runs, and aggregation folds
+//! registry, own clock, own journal, own simulated link), the thread
+//! fan-out only decides *where* an index runs, and aggregation folds
 //! results in index order. Under that discipline the scheduler cannot leak
 //! into the numbers — neither `fractal-telemetry`'s, nor the per-session
 //! wire clocks of the LAN / WLAN / Bluetooth timed `LoopbackTransport`
@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use fractal_bench::parallel::{self, THREAD_SWEEP};
 use fractal_core::reactor::{InpSession, Reactor, ReactorConfig, PHASE_METRICS};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
@@ -22,8 +21,8 @@ use fractal_core::ClientClass;
 use fractal_net::LinkKind;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
 
-/// Batches per run — enough to keep every worker in the 8-thread sweep
-/// stealing, small enough for a test binary.
+/// Batches per run — enough to give several workers of the sweep more
+/// than one batch, small enough for a test binary.
 const BATCHES: usize = 5;
 /// Event-driven sessions multiplexed inside one batch's reactor.
 const SESSIONS: usize = 3;
@@ -80,12 +79,23 @@ fn batch(item: usize) -> (Snapshot, String) {
     (bundle.snapshot(), trace)
 }
 
-/// Runs all batches on `threads` workers and aggregates in index order.
+/// Runs all batches on `threads` scoped workers (worker `w` takes batches
+/// `w, w + threads, …`) and aggregates in index order.
 fn sweep_at(threads: usize) -> (Snapshot, String) {
-    let per_batch = parallel::run_indexed(threads, BATCHES, batch);
+    let mut per_batch: Vec<(usize, (Snapshot, String))> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|w| {
+                scope.spawn(move || {
+                    (w..BATCHES).step_by(threads).map(|i| (i, batch(i))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
+    });
+    per_batch.sort_by_key(|(i, _)| *i);
     let mut merged = Snapshot::default();
     let mut trace = String::new();
-    for (snap, text) in &per_batch {
+    for (_, (snap, text)) in &per_batch {
         merged.merge(snap);
         trace.push_str(text);
     }
@@ -94,7 +104,8 @@ fn sweep_at(threads: usize) -> (Snapshot, String) {
 
 #[test]
 fn snapshots_and_traces_identical_at_every_thread_count() {
-    let (baseline_snap, baseline_trace) = sweep_at(1);
+    const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+    let (baseline_snap, baseline_trace) = sweep_at(THREAD_SWEEP[0]);
     assert_eq!(
         baseline_trace.matches("kind=phase:Done\n").count(),
         BATCHES * SESSIONS,

@@ -21,8 +21,8 @@
 //! Every action is appended to a [`FaultLog`], so "same seed ⇒ same
 //! faults" is checkable as byte-identical event sequences. The wrapper
 //! holds no clock of its own beyond a high-water mark fed by
-//! `advance_to`, so it composes over both the untimed loopback and the
-//! link-priced simulated transports.
+//! `advance_to`, so it composes over any [`TransportPair`]: a
+//! `LoopbackTransport` pair, timed or not, or a socket pair.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

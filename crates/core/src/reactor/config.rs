@@ -58,8 +58,8 @@ impl ReactorConfig {
     /// are a pure function of event order). When the bundle carries a
     /// flight recorder
     /// ([`Telemetry::with_journal`](fractal_telemetry::Telemetry::with_journal)),
-    /// every session journals its phase transitions, handoffs, tolerated
-    /// stale drops, and stall marks under its label
+    /// every session journals its phase transitions, handoffs, dropped
+    /// frames (`drop:dup`, `drop:stale`), and stall marks under its label
     /// ([`InpSession::with_label`](super::InpSession::with_label), slot id
     /// by default), and stall reports carry the last few causal events per
     /// stuck session.

@@ -23,7 +23,7 @@
 //!   latency, on a per-pair simulated clock; a [`LinkHandoff`] reprices
 //!   later sends mid-session.
 //! * [`Framer`] — length-prefixed frame reassembly over the INP header
-//!   (magic + version + type + u24 body length), tolerant of arbitrary
+//!   (`"IN"` + generation + version + type + u24 body length), tolerant of arbitrary
 //!   chunk boundaries, rejecting garbage prefixes and oversized frames.
 //! * [`SendQueue`] — per-session outbound frames awaiting `writable()`
 //!   budget; its depth is what the reactor's backpressure gauge reports.

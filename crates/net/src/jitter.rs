@@ -26,41 +26,13 @@ impl Jitter {
         Jitter { rng: StdRng::seed_from_u64(seed), amplitude }
     }
 
-    /// A disabled jitter source (amplitude 0).
-    pub fn off() -> Jitter {
-        Jitter::new(0, 0.0)
-    }
-
-    /// Perturbs `d` by a uniform factor in `[1−a, 1+a]`.
-    ///
-    /// **Draw-order contract:** `apply` and [`factor`](Self::factor) advance
-    /// the *same* PRNG stream, and each consumes **exactly one** draw when
-    /// the amplitude is non-zero and **zero** draws when it is zero. So
-    /// `apply(d)` ≡ `d.scale(factor())` — interleaving the two in any order
-    /// yields the same factor sequence as calling either alone. Drivers
-    /// that pre-draw a serial factor sequence (the `fig9a` harness) and
-    /// code that applies jitter inline therefore stay in lockstep; a new
-    /// caller (e.g. a transport pass) that adds draws shifts both APIs by
-    /// the same amount, never one without the other.
+    /// Perturbs `d` by a uniform factor in `[1−a, 1+a]`, consuming one
+    /// draw of the stream (none at amplitude 0, where `d` is returned as is).
     pub fn apply(&mut self, d: SimDuration) -> SimDuration {
         if self.amplitude == 0.0 {
             return d;
         }
-        d.scale(self.factor())
-    }
-
-    /// Draws the next multiplicative factor from the stream. Lets drivers
-    /// pre-draw a whole jitter sequence serially and apply it from worker
-    /// threads, keeping the stream order independent of scheduling.
-    ///
-    /// Consumes exactly one draw per call when the amplitude is non-zero,
-    /// zero when it is zero — the same rule as [`apply`](Self::apply); see
-    /// the draw-order contract there.
-    pub fn factor(&mut self) -> f64 {
-        if self.amplitude == 0.0 {
-            return 1.0;
-        }
-        1.0 + self.rng.gen_range(-self.amplitude..=self.amplitude)
+        d.scale(1.0 + self.rng.gen_range(-self.amplitude..=self.amplitude))
     }
 }
 
@@ -98,41 +70,11 @@ mod tests {
     }
 
     #[test]
-    fn off_is_identity() {
-        let mut j = Jitter::off();
-        let d = SimDuration::micros(123);
-        assert_eq!(j.apply(d), d);
-    }
-
-    #[test]
-    fn apply_and_factor_advance_one_shared_stream_in_lockstep() {
-        // Draw-order contract: with amplitude > 0, every apply() and every
-        // factor() consumes exactly one draw from the same stream, so any
-        // interleaving of the two matches a pure factor() sequence.
-        let d = SimDuration::micros(1_000_000);
-        let mut oracle = Jitter::new(11, 0.2);
-        let factors: Vec<f64> = (0..6).map(|_| oracle.factor()).collect();
-
-        let mut mixed = Jitter::new(11, 0.2);
-        assert_eq!(mixed.apply(d), d.scale(factors[0]));
-        assert_eq!(mixed.factor(), factors[1]);
-        assert_eq!(mixed.apply(d), d.scale(factors[2]));
-        assert_eq!(mixed.apply(d), d.scale(factors[3]));
-        assert_eq!(mixed.factor(), factors[4]);
-        assert_eq!(mixed.apply(d), d.scale(factors[5]));
-    }
-
-    #[test]
-    fn zero_amplitude_is_draw_free_identity_on_both_apis() {
-        // The other half of the contract: with amplitude 0 both APIs are
-        // pure identities (factor ≡ 1.0, apply ≡ id) — any interleaving,
-        // any count, and apply(d) == d.scale(factor()) still holds.
+    fn zero_amplitude_is_identity() {
         let mut j = Jitter::new(5, 0.0);
         for i in 0..10u64 {
-            assert_eq!(j.factor(), 1.0);
             let d = SimDuration::micros(777 + i);
             assert_eq!(j.apply(d), d);
-            assert_eq!(j.apply(d), d.scale(j.factor()));
         }
     }
 }

@@ -7,8 +7,9 @@
 #                             # no-stripe-by-hash, no-hand-chosen-ordering,
 #                             # one-in-memory-transport,
 #                             # one-fast-path, no-range-pass-in-the-VM,
-#                             # one-memory-type, unused-dependency and
-#                             # oracle-dev-only
+#                             # one-memory-type, unused-dependency,
+#                             # oracle-dev-only, no-thread-in-the-harness
+#                             # and DESIGN.md-holders-exist
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
@@ -19,7 +20,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all eleven audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all thirteen audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -194,6 +195,23 @@ scripts/unused_deps.sh
 # targets may link it.
 step "fractal-vm-oracle is a dev-dependency only"
 scripts/oracle_dev_only.sh
+
+# Every figure is a pure function of its seeds and runs on one thread; the
+# work-claiming pool that once fanned them out had no caller but its own
+# serial-vs-parallel tests. A spawned thread in the harness is that second
+# code path growing back. (`available_parallelism` in bench_env.rs only
+# reads the host's core count for the provenance stamp.)
+step "no thread spawned in crates/bench/src (thread::scope, thread::spawn, thread::Builder)"
+if grep -rnE 'thread::(scope|spawn|Builder)' --include='*.rs' crates/bench/src; then
+    echo "crates/bench/src spawns a thread (see the step's comment)" >&2
+    exit 1
+fi
+
+# DESIGN.md §4.17 names one holder per property; a renamed or deleted
+# holder turns the row into a claim nothing checks. The script says what it
+# parses.
+step "every holder in DESIGN.md §4.17's property table exists"
+scripts/design_holders.sh
 
 # scripts/regen.sh rewrites both BENCH_*.json from one checkout. A
 # mix of stamps means one file was regenerated alone and the others
