@@ -473,7 +473,7 @@ fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failu
         ids.push(reactor.spawn_on(session, pair));
     }
     // Drive until the whole population is deep in flight (or done —
-    // round-robin pumping can walk a session through Sessioning early).
+    // pumping can walk a session through Sessioning early).
     reactor
         .run_until(|r| {
             ids.iter().all(|&id| {

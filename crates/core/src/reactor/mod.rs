@@ -22,9 +22,11 @@
 //!   frames subject to the peer's `writable()` budget, drains whatever
 //!   bytes the wire has made readable, hands the service-side frames to
 //!   the [`InpService`], and delivers **one** reassembled frame to the
-//!   session — so with N live sessions the reactor round-robins between
-//!   them and session 63 negotiates while session 0 is mid-download. No
-//!   threads, no async runtime: a plain readiness loop a caller can drive,
+//!   session. A session that still has work after its poll goes back to
+//!   the *front* of the ready queue, so a burst is served first come,
+//!   first served: each session runs until it finishes or has to wait for
+//!   its wire, and a session waiting on its wire gives the reactor to the
+//!   next one. No threads, no async runtime: a plain readiness loop a caller can drive,
 //!   stop, or fan out (one reactor per worker thread — all workers sharing
 //!   the same server and proxy, which both serve through `&self`;
 //!   [`ShardedReactor`](crate::shard::ShardedReactor) is that driver over
@@ -410,9 +412,15 @@ impl<'a> Reactor<'a> {
     /// `None` when no session has actionable work (all done — or waiting
     /// on the wire/stalled, which [`run`](Self::run) distinguishes).
     ///
-    /// One delivery per poll is what makes the multiplexing real: with N
-    /// live sessions the reactor round-robins between them, so session 63
-    /// negotiates while session 0 is mid-download.
+    /// A pumped session that is still actionable is re-queued at the
+    /// *front*: the next poll pumps it again, so a burst on untimed pairs
+    /// runs in spawn order, each session until it finishes or waits on its
+    /// wire. Everything else queues at the back ([`enqueue_ready`]). One
+    /// delivery per poll keeps [`run_until`]'s stop predicate checked
+    /// between frames and [`ReactorReport::polls`] a count of frames.
+    ///
+    /// [`enqueue_ready`]: Self::enqueue_ready
+    /// [`run_until`]: Self::run_until
     pub fn poll(&mut self) -> Option<SessionId> {
         let id = self.ready.pop_front()?;
         self.slots[id].queued = false;
@@ -435,7 +443,10 @@ impl<'a> Reactor<'a> {
             self.slots.iter().filter(|s| !s.session.phase().is_terminal()).count()
         );
         self.tele.queue_depth.set(self.tx_frames as i64);
-        self.enqueue_ready(id);
+        if self.actionable(id) {
+            self.slots[id].queued = true;
+            self.ready.push_front(id);
+        }
         Some(id)
     }
 
@@ -477,14 +488,21 @@ impl<'a> Reactor<'a> {
         Ok(())
     }
 
-    /// Re-queues `id` for [`poll`](Self::poll) if it is live and has
+    /// Whether `id` is live, not queued, and has actionable work.
+    fn actionable(&self, id: SessionId) -> bool {
+        let s = &self.slots[id];
+        !s.queued && !s.session.phase().is_terminal() && s.legs.iter().any(Leg::actionable)
+    }
+
+    /// Queues `id` at the *back* of the ready queue if it is live and has
     /// actionable work — how an external readiness driver (the sharded
-    /// TCP front-end) feeds kernel events back into the poll loop.
-    /// Idempotent per drain: an id already queued is not queued twice.
+    /// TCP front-end) feeds kernel events back into the poll loop, and how
+    /// a clock advance or a handoff re-arms a session. Only
+    /// [`poll`](Self::poll)'s own re-queue goes to the front. Idempotent
+    /// per drain: an id already queued is not queued twice.
     pub fn enqueue_ready(&mut self, id: SessionId) {
-        let s = &mut self.slots[id];
-        if !s.queued && !s.session.phase().is_terminal() && s.legs.iter().any(Leg::actionable) {
-            s.queued = true;
+        if self.actionable(id) {
+            self.slots[id].queued = true;
             self.ready.push_back(id);
         }
     }

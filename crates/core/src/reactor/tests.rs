@@ -57,7 +57,7 @@ fn one_session_completes_end_to_end() {
 }
 
 #[test]
-fn many_sessions_interleave_over_one_shared_pair() {
+fn many_sessions_complete_over_one_shared_pair() {
     const N: u32 = 32;
     let tb = testbed_with_pages(N);
     let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);

@@ -15,8 +15,9 @@
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
 #                             # protocols/crypto crate tests, the instance-
 #                             # recycling suite again in release, the
-#                             # machine's and the receive rule's mutation
-#                             # checks (scripts/mutants.sh),
+#                             # machine's, the receive rule's and the
+#                             # ready queue's mutation checks
+#                             # (scripts/mutants.sh),
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
@@ -260,7 +261,7 @@ if [ "$QUICK" -eq 0 ]; then
     # DESIGN.md §4.11's "mutation-checked" list and the INP receive rule's
     # two, run: each mutation applied to a throwaway worktree must turn the
     # machine's suites or the core's transition matrix red.
-    step "machine, auditor and receive-rule mutations are killed (scripts/mutants.sh)"
+    step "machine, auditor, receive-rule and ready-queue mutations are killed (scripts/mutants.sh)"
     scripts/mutants.sh
 fi
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
 # The mutation checks DESIGN.md §4.11 records for the machine and its
-# reference, and two for the INP receive rule (`inp::classify`), run rather
-# than stated. Each mutation below is applied to a throwaway `git worktree`
-# of this tree under $TMPDIR, and the machine's unit tests, the suites that
-# hold it to the reference interpreter, and the core's transition matrix
+# reference, two for the INP receive rule (`inp::classify`) and one for the
+# reactor's ready-queue rule, run rather than stated. Each mutation below is
+# applied to a throwaway `git worktree` of this tree under $TMPDIR, and the
+# machine's unit tests, the suites that hold it to the reference
+# interpreter, the core's transition matrix and the reactor's order tests
 #
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit
-#   cargo test -q --release -p fractal-core --test inp_session
+#   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
 #
 # must FAIL there. The unmutated tree must pass them first, a mutation must
 # still compile, and a mutation whose text is no longer in the source stops
@@ -40,7 +41,7 @@ export CARGO_TARGET_DIR="$tmp/target"
 suite() {
     (cd "$tree" && cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit "$@" &&
-        cargo test -q --release -p fractal-core --test inp_session "$@")
+        cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@")
 }
 
 echo "==> unmutated tree passes"
@@ -54,7 +55,9 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # reference that ran the machine's bodies would agree with any change to
 # them. `audit-blind` is an auditor that reports nothing. `gen-blind` is a
 # receive rule that ignores the generation (every frame counts as the
-# receiver's own), `dup-acts` one that acts on a duplicate.
+# receiver's own), `dup-acts` one that acts on a duplicate. `rr-requeue`
+# re-queues a pumped session at the back of the ready queue, the earlier
+# processor-sharing rule.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -65,7 +68,8 @@ lz-overlap|crates/vm/src/machine.rs|let mut done = n.min(dist);|let mut done = n
 sha1-rate|crates/vm/src/machine.rs|/ SHA1_BYTES_PER_FUEL + 1|/ (2 * SHA1_BYTES_PER_FUEL) + 1
 audit-blind|crates/vm-oracle/src/audit.rs|self.violations.push(violation);|let _ = violation;
 gen-blind|crates/core/src/inp.rs|match gen.wrapping_sub(seen_gen) {|match gen.wrapping_sub(gen) {
-dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Act,'
+dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Act,
+rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.push_back(id);'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.
