@@ -26,11 +26,11 @@
 //!   the *front* of the ready queue, so a burst is served first come,
 //!   first served: each session runs until it finishes or has to wait for
 //!   its wire, and a session waiting on its wire gives the reactor to the
-//!   next one. No threads, no async runtime: a plain readiness loop a caller can drive,
-//!   stop, or fan out (one reactor per worker thread — all workers sharing
-//!   the same server and proxy, which both serve through `&self`;
-//!   [`ShardedReactor`](crate::shard::ShardedReactor) is that driver over
-//!   kernel sockets). The third driver,
+//!   next one. No threads, no async runtime: a plain readiness loop a
+//!   caller can drive, stop, or fan out (one reactor per worker thread —
+//!   all workers sharing the same server and proxy, which both serve
+//!   through `&self`; [`ShardedReactor`](crate::shard::ShardedReactor) is
+//!   that driver over kernel sockets). The third driver,
 //!   [`run_session`](crate::session::run_session), runs one session to
 //!   completion with no transport at all and prices each message on a
 //!   link model — the figure harness.
@@ -443,7 +443,7 @@ impl<'a> Reactor<'a> {
             self.slots.iter().filter(|s| !s.session.phase().is_terminal()).count()
         );
         self.tele.queue_depth.set(self.tx_frames as i64);
-        if self.actionable(id) {
+        if self.should_queue(id) {
             self.slots[id].queued = true;
             self.ready.push_front(id);
         }
@@ -489,7 +489,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// Whether `id` is live, not queued, and has actionable work.
-    fn actionable(&self, id: SessionId) -> bool {
+    fn should_queue(&self, id: SessionId) -> bool {
         let s = &self.slots[id];
         !s.queued && !s.session.phase().is_terminal() && s.legs.iter().any(Leg::actionable)
     }
@@ -501,7 +501,7 @@ impl<'a> Reactor<'a> {
     /// [`poll`](Self::poll)'s own re-queue goes to the front. Idempotent
     /// per drain: an id already queued is not queued twice.
     pub fn enqueue_ready(&mut self, id: SessionId) {
-        if self.actionable(id) {
+        if self.should_queue(id) {
             self.slots[id].queued = true;
             self.ready.push_back(id);
         }
