@@ -26,8 +26,14 @@
 //!   the *front* of the ready queue, so a burst is served first come,
 //!   first served: each session runs until it finishes or has to wait for
 //!   its wire, and a session waiting on its wire gives the reactor to the
-//!   next one. No threads, no async runtime: a plain readiness loop a
-//!   caller can drive, stop, or fan out (one reactor per worker thread —
+//!   next one. A write arms its peer: bytes flushed onto one leg mark the
+//!   other leg readable ([`Transport::set_ready`]), since the two legs are
+//!   the two ends of one pair. An in-memory end ignores the hint (its
+//!   readiness is intrinsic); a socket end no longer waits for a `poll(2)`
+//!   round to read what the kernel has already delivered, so a socket
+//!   session, too, runs to completion in back-to-back polls. No threads,
+//!   no async runtime: a plain readiness loop a caller can drive, stop,
+//!   or fan out (one reactor per worker thread —
 //!   all workers sharing the same server and proxy, which both serve
 //!   through `&self`; [`ShardedReactor`](crate::shard::ShardedReactor) is
 //!   that driver over kernel sockets). The third driver,
@@ -334,12 +340,21 @@ impl<'a> Reactor<'a> {
     }
 
     /// Puts one leg's queued frames on the wire, up to the peer's
-    /// `writable()` budget.
-    fn flush(&mut self, id: SessionId, leg: usize) -> Result<(), TransportError> {
-        let leg = &mut self.slots[id].legs[leg];
-        let before = leg.tx.frames();
-        let moved = leg.tx.flush(leg.end.as_mut());
-        self.tx_frames -= before - leg.tx.frames();
+    /// `writable()` budget. Bytes that moved arm the other leg for reading
+    /// ([`Transport::set_ready`]): both legs are the two ends of one pair,
+    /// so what one end just wrote is the other's next read. Over loopback
+    /// TCP the kernel has usually delivered them by the time `write`
+    /// returns, so the session reads its reply in this same poll or the
+    /// next, not after a `poll(2)` round; a hint that came too early costs
+    /// one `EWOULDBLOCK` read.
+    fn flush(&mut self, id: SessionId, k: usize) -> Result<(), TransportError> {
+        let legs = &mut self.slots[id].legs;
+        let before = legs[k].tx.frames();
+        let moved = legs[k].tx.flush(legs[k].end.as_mut());
+        self.tx_frames -= before - legs[k].tx.frames();
+        if matches!(moved, Ok(n) if n > 0) {
+            legs[1 - k].end.set_ready(true, false);
+        }
         moved.map(drop)
     }
 
@@ -415,9 +430,13 @@ impl<'a> Reactor<'a> {
     /// A pumped session that is still actionable is re-queued at the
     /// *front*: the next poll pumps it again, so a burst on untimed pairs
     /// runs in spawn order, each session until it finishes or waits on its
-    /// wire. Everything else queues at the back ([`enqueue_ready`]). One
-    /// delivery per poll keeps [`run_until`]'s stop predicate checked
-    /// between frames and [`ReactorReport::polls`] a count of frames.
+    /// wire. Its own writes count as work: a flush arms the peer end for
+    /// reading, so a socket session whose reply is already in the kernel
+    /// is pumped again at once (and a hint that came too early costs one
+    /// read that returns nothing). Everything else queues at the back
+    /// ([`enqueue_ready`]). One delivery per poll keeps [`run_until`]'s
+    /// stop predicate checked between frames and [`ReactorReport::polls`]
+    /// a count of frames.
     ///
     /// [`enqueue_ready`]: Self::enqueue_ready
     /// [`run_until`]: Self::run_until

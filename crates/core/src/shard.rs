@@ -16,7 +16,11 @@
 //!   ready queue, and polls its sockets: without sleeping while sessions
 //!   remain to admit, for up to a wait slice once all are in. So a shard
 //!   serves the sessions it holds while it is still admitting the rest,
-//!   and sessions wake on readiness edges, never by scanning.
+//!   and sessions wake on readiness edges or their own write, never by
+//!   scanning: a write arms the peer end of the same pair, which lives on
+//!   the same shard, so a session runs from `INIT_REQ` to `APP_REP` in
+//!   back-to-back polls while the kernel keeps up, and falls back to
+//!   `poll(2)` when it does not.
 //!
 //! A shard's accept queue never holds more than the one connection it has
 //! just made, so pairing needs no peer matching and no backlog can
@@ -78,12 +82,13 @@ use crate::transport::{TcpTransport, TransportError, TransportPair};
 const WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Sessions a shard pairs and admits per turn of its loop, between
-/// pumping and `poll(2)`. Picked from an alternated `tcp_wave` sweep over
-/// 1, 4, 8 and 16 (EXPERIMENTS.md, "What per-shard admission buys"):
-/// session p50 falls as the batch shrinks, because the sessions admitted
-/// first progress while the last are still being paired, but at 1 every
-/// session pays a turn of its own, and sessions/s, p99 and CPU per session
-/// read ≈ 5 % worse than at 4.
+/// pumping and `poll(2)`. Kept at 4 by an alternated `tcp_wave` sweep over
+/// 1, 4, 8 and 16 run since a write arms its peer (EXPERIMENTS.md, "What
+/// run-to-completion over sockets buys"): a session admitted in a batch
+/// now runs to `Done` before the next batch is paired, so the batch no
+/// longer moves p50: 4, 8 and 16 read the same within noise, and at 1,
+/// where every session pays a turn of its own, p99 read higher than at 4
+/// in 7 of 8 rounds.
 const ADMIT_BATCH: usize = 4;
 
 /// Default consecutive-quiet time before a shard declares its live
@@ -493,6 +498,39 @@ mod tests {
             first_done < last_init,
             "the first session finished at {first_done} ns, after the last was admitted at \
              {last_init} ns: the shard admitted everything before it pumped"
+        );
+    }
+
+    /// A write arms its in-shard peer, so a session runs from `INIT_REQ`
+    /// to `APP_REP` in back-to-back polls: the first session admitted is
+    /// done before the shard admits its fifth batch. Waiting for a
+    /// `poll(2)` round per hop would take it past that; the slack of
+    /// four batches allows for a hint that came before the kernel had
+    /// delivered the bytes.
+    #[test]
+    fn a_session_runs_to_completion_within_its_first_admission_batches() {
+        const N: usize = 64;
+        let tb = testbed_with_pages(1);
+        let sessions: Vec<InpSession> = (0..N)
+            .map(|_| InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, 0, 0))
+            .collect();
+        let config = ReactorConfig::new().journal_capacity(8 * N);
+        let outcome = ShardedReactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, 1, config)
+            .run(sessions)
+            .expect("sharded run completes");
+        assert_eq!(outcome.aggregate_report().completed, N);
+        let journal = &outcome.shards[0].journal;
+        assert_eq!(journal.dropped, 0, "the ring must not wrap");
+        let at = |gid: usize, kind: &str| {
+            let event = journal.events.iter().find(|e| e.session == gid as u64 && e.kind == kind);
+            event.unwrap_or_else(|| panic!("session {gid} has no {kind}")).t_ns
+        };
+        let fifth_batch = 4 * ADMIT_BATCH;
+        let (done, init) = (at(0, "phase:Done"), at(fifth_batch, "phase:Init"));
+        assert!(
+            done < init,
+            "session 0 finished at {done} ns, after session {fifth_batch} was admitted at \
+             {init} ns: its hops waited for poll(2)"
         );
     }
 

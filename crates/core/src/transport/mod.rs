@@ -166,9 +166,12 @@ pub trait Transport {
     fn raw_fd(&self) -> Option<std::os::fd::RawFd> {
         None
     }
-    /// Feeds a kernel readiness edge back into the transport (what a
-    /// poller learned about [`raw_fd`](Self::raw_fd)). No-op for
-    /// transports whose readiness is intrinsic.
+    /// Feeds a readiness hint back into the transport: a kernel edge (what
+    /// a poller learned about [`raw_fd`](Self::raw_fd)), or the reactor's
+    /// own write to the peer end. It is a hint, not a promise: if the bytes
+    /// have not arrived, the next `recv` costs one read that returns
+    /// `Ok(0)` and clears it again. No-op for transports whose readiness is
+    /// intrinsic.
     fn set_ready(&mut self, _readable: bool, _writable: bool) {}
 }
 

@@ -16,15 +16,20 @@ pub const TCP_IO_HINT: usize = 64 * 1024;
 /// The mapping is 1:1 and level-triggered-safe:
 ///
 /// * `writable()`/`readable()` report [`TCP_IO_HINT`] while the last
-///   kernel edge said ready, `0` after an `EWOULDBLOCK` cleared the flag —
-///   the next `poll(2)` round re-arms it (level-triggered, so a cleared
-///   flag can never lose an edge);
+///   kernel edge — or, for reading, the reactor's write to the peer end —
+///   said ready, `0` after an `EWOULDBLOCK` or a short transfer cleared
+///   the flag; the next `poll(2)` round re-arms it (level-triggered, so a
+///   cleared flag can never lose an edge);
 /// * `send` retries `EINTR` internally, treats `EWOULDBLOCK` and short
 ///   writes as "window closed" (`Ok(n)`, flag cleared), and maps
 ///   disconnects to [`TransportError::Closed`];
-/// * `recv` drains until `EWOULDBLOCK`; a `read` of 0 is the peer's FIN —
-///   the OS already drained the backlog to us, so it surfaces as
-///   [`TransportError::Closed`] exactly per the trait contract;
+/// * `recv` drains to a short read or `EWOULDBLOCK`, either of which
+///   clears the flag: a `read` that returns less than it asked for has
+///   emptied the receive queue, so no second syscall goes to collect the
+///   `EWOULDBLOCK`. A `read` of 0 is the peer's FIN — the OS already
+///   drained the backlog to us, so it surfaces as
+///   [`TransportError::Closed`] exactly per the trait contract; a FIN
+///   behind a short read shows on the next `poll(2)` round;
 /// * `close` is `shutdown(Both)`: the peer sees FIN, drains, then gets
 ///   `Closed` — the same teardown shape as the in-memory pair.
 ///
@@ -143,32 +148,35 @@ impl Transport for TcpTransport {
             return if self.closed { Err(TransportError::Closed) } else { Ok(0) };
         }
         let budget = buf.len().min(TCP_IO_HINT);
-        let mut read = 0;
-        while read < budget {
-            match self.stream.read(&mut buf[read..budget]) {
+        loop {
+            match self.stream.read(&mut buf[..budget]) {
                 Ok(0) => {
                     // Peer FIN: the kernel has no more bytes for us. The
                     // backlog (everything before the FIN) was returned by
-                    // earlier iterations/calls, so Closed is now exact.
+                    // earlier calls, so Closed is now exact.
                     self.closed = true;
                     self.can_read = false;
-                    return if read > 0 { Ok(read) } else { Err(TransportError::Closed) };
+                    return Err(TransportError::Closed);
                 }
-                Ok(n) => read += n,
+                Ok(n) => {
+                    // A short read emptied the receive queue. Any FIN
+                    // behind these bytes shows on the next poll(2).
+                    self.can_read = n == budget;
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.can_read = false;
-                    break;
+                    return Ok(0);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) if Self::disconnect(e.kind()) => {
                     self.closed = true;
                     self.can_read = false;
-                    return if read > 0 { Ok(read) } else { Err(TransportError::Closed) };
+                    return Err(TransportError::Closed);
                 }
                 Err(e) => return Err(TransportError::Io(e.kind())),
             }
         }
-        Ok(read)
     }
 
     fn close(&mut self) {

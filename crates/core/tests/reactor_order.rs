@@ -1,12 +1,16 @@
 //! The reactor's ready-queue rule. A session that still has work after its
 //! poll is pumped again next, so a burst on untimed pairs is served first
 //! come, first served; a session waiting on its wire gives the reactor to
-//! the next one, so sessions over a timed link still overlap.
+//! the next one, so sessions over a timed link still overlap. A write arms
+//! the peer end for reading, so the same holds over ends that, like a
+//! kernel socket, report nothing readable until told.
 
 use fractal_core::reactor::{InpSession, Reactor, SessionPhase};
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
-use fractal_core::transport::{LoopbackTransport, DEFAULT_CAPACITY};
+use fractal_core::transport::{
+    LoopbackTransport, Transport, TransportError, TransportPair, DEFAULT_CAPACITY,
+};
 use fractal_core::ClientClass;
 use fractal_net::LinkKind;
 
@@ -20,17 +24,17 @@ fn testbed_with_pages(n: u32) -> Testbed {
     tb
 }
 
-/// Eight sessions of mixed classes spawned at once on untimed pairs finish
-/// in spawn order, and the last of them has not been pumped — it is still
-/// in the phase it opened in — when the first is done.
-#[test]
-fn a_burst_on_untimed_pairs_finishes_in_spawn_order() {
+/// Spawns `N` sessions of mixed classes at once, each on the pair `pair`
+/// builds, and drives them with `poll` alone. They finish in spawn order,
+/// and the last of them has not been pumped — it is still in the phase it
+/// opened in — when the first is done.
+fn a_burst_finishes_in_spawn_order(pair: impl Fn() -> TransportPair) {
     const N: usize = 8;
     let tb = testbed_with_pages(N as u32);
     let mut reactor = Reactor::new(&tb.proxy, &tb.server, &tb.pad_repo);
     for i in 0..N {
         let class = ClientClass::ALL[i % ClientClass::ALL.len()];
-        reactor.spawn(InpSession::new(tb.client(class), tb.app_id, i as u32, 0));
+        reactor.spawn_on(InpSession::new(tb.client(class), tb.app_id, i as u32, 0), pair());
     }
     let last = N - 1;
     assert_eq!(reactor.session(last).phase(), SessionPhase::MetaExchange);
@@ -49,8 +53,82 @@ fn a_burst_on_untimed_pairs_finishes_in_spawn_order() {
             done_order.push(id);
         }
     }
+    assert_eq!(
+        reactor.in_flight(),
+        0,
+        "the ready queue ran dry with sessions live; finished: {done_order:?}"
+    );
     assert_eq!(done_order, (0..N).collect::<Vec<_>>());
     assert_eq!(reactor.report().completed, N);
+}
+
+#[test]
+fn a_burst_on_untimed_pairs_finishes_in_spawn_order() {
+    a_burst_finishes_in_spawn_order(|| LoopbackTransport::pair(DEFAULT_CAPACITY));
+}
+
+/// An untimed in-memory end with a kernel socket's readiness shape: it
+/// reports nothing readable, and reads nothing, until
+/// [`set_ready`](Transport::set_ready) arms it, and a read that drains it
+/// disarms it. No kernel, so no scheduling noise.
+struct Armed {
+    inner: Box<dyn Transport>,
+    armed: bool,
+}
+
+impl Armed {
+    fn pair() -> TransportPair {
+        let TransportPair { client, service } = LoopbackTransport::pair(DEFAULT_CAPACITY);
+        let arm = |inner| Box::new(Armed { inner, armed: false }) as Box<dyn Transport>;
+        TransportPair { client: arm(client), service: arm(service) }
+    }
+}
+
+impl Transport for Armed {
+    fn writable(&self) -> usize {
+        self.inner.writable()
+    }
+
+    fn readable(&self) -> usize {
+        if self.armed {
+            self.inner.readable()
+        } else {
+            0
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) -> Result<usize, TransportError> {
+        self.inner.send(bytes)
+    }
+
+    fn recv(&mut self, buf: &mut [u8]) -> Result<usize, TransportError> {
+        if !self.armed {
+            return Ok(0);
+        }
+        let n = self.inner.recv(buf)?;
+        self.armed = self.inner.readable() > 0;
+        Ok(n)
+    }
+
+    fn close(&mut self) {
+        self.inner.close();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
+    }
+
+    fn set_ready(&mut self, readable: bool, _writable: bool) {
+        self.armed |= readable;
+    }
+}
+
+/// The burst over ends that only a readiness hint makes readable, with no
+/// kernel event ever applied: a session's own write arms its peer, so it
+/// still runs to `Done` before the next one starts.
+#[test]
+fn a_write_arms_its_peer_so_a_burst_on_armed_pairs_finishes_in_spawn_order() {
+    a_burst_finishes_in_spawn_order(Armed::pair);
 }
 
 /// Two sessions over a timed WLAN link: each waits on its wire after every

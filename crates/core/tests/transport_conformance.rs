@@ -2,12 +2,13 @@
 //!
 //! Every [`Transport`] implementation must honor the same readiness
 //! contract — short writes at the window, partial reads, `Ok(0)` as
-//! "no budget", drain-then-`Closed` teardown — because the reactor's pump
-//! loop is written against the contract, not an implementation. This suite
-//! runs each behavioral case against an untimed `LoopbackTransport`, one
-//! built over a WLAN link, and the socket-backed `TcpTransport`, so an edge
-//! case found on one (EAGAIN flag handling, split frames, FIN ordering,
-//! close with bytes in flight) is pinned for all.
+//! "no budget", a short read that empties the end, drain-then-`Closed`
+//! teardown — because the reactor's pump loop is written against the
+//! contract, not an implementation. This suite runs each behavioral case
+//! against an untimed `LoopbackTransport`, one built over a WLAN link, and
+//! the socket-backed `TcpTransport`, so an edge case found on one (EAGAIN
+//! flag handling, split frames, FIN ordering, close with bytes in flight)
+//! is pinned for all.
 //!
 //! The driver below is transport-agnostic: progress comes from `pump`,
 //! which advances simulated clocks where the pair has them and feeds
@@ -212,6 +213,57 @@ fn close_mid_frame_drains_backlog_then_reports_closed() {
             }
         };
         assert_eq!(verdict, Err(TransportError::Closed), "{name}");
+    }
+}
+
+#[test]
+fn a_short_read_empties_the_end_and_loses_neither_later_bytes_nor_the_fin() {
+    for (name, mut pair) in transports() {
+        let mut buf = [0u8; 4096];
+        assert_eq!(pair.client.send(&[1; 100]), Ok(100), "{name}: fits the window");
+        for _ in 0..100 {
+            if pair.service.readable() > 0 {
+                break;
+            }
+            pump(&mut pair);
+        }
+        let n = pair.service.recv(&mut buf).expect(name);
+        assert_eq!(&buf[..n], &[1; 100][..n], "{name}");
+        assert!((1..buf.len()).contains(&n), "{name}: a read shorter than its buffer, got {n}");
+        // The short read emptied the end: a socket reports nothing until
+        // the next poll(2) round, an in-memory end reports the truth.
+        let rest = pair.service.readable();
+        if name == "tcp" {
+            assert_eq!(rest, 0, "{name}: a short read clears the flag");
+        }
+        let more = pair.service.recv(&mut buf).expect(name);
+        assert_eq!(more, rest, "{name}: readable() after a short read is what recv yields");
+        assert_eq!(n + more, 100, "{name}: every byte arrived once");
+
+        // Bytes sent after the short read arrive after one pump.
+        assert_eq!(pair.client.send(&[2; 50]), Ok(50), "{name}");
+        pump(&mut pair);
+        assert_eq!(pair.service.recv(&mut buf), Ok(50), "{name}: one pump delivers them");
+        assert_eq!(&buf[..50], &[2; 50][..], "{name}");
+
+        // A close behind the bytes: they arrive by a short read, and the
+        // FIN behind them still ends in Closed.
+        assert_eq!(pair.client.send(&[3; 30]), Ok(30), "{name}");
+        pair.client.close();
+        let mut got = Vec::new();
+        let verdict = (0..100).find_map(|_| match pair.service.recv(&mut buf) {
+            Ok(0) => {
+                pump(&mut pair);
+                None
+            }
+            Ok(n) => {
+                got.extend_from_slice(&buf[..n]);
+                None
+            }
+            Err(e) => Some(e),
+        });
+        assert_eq!(got, [3; 30], "{name}: the backlog before the FIN");
+        assert_eq!(verdict, Some(TransportError::Closed), "{name}: the FIN was lost");
     }
 }
 

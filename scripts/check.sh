@@ -15,9 +15,9 @@
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
 #                             # protocols/crypto crate tests, the instance-
 #                             # recycling suite again in release, the
-#                             # machine's, the receive rule's and the
-#                             # ready queue's mutation checks
-#                             # (scripts/mutants.sh),
+#                             # machine's, the receive rule's, the
+#                             # ready queue's and the peer hint's
+#                             # mutation checks (scripts/mutants.sh),
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
@@ -258,10 +258,11 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --release -p fractal-vm --test alloc -p fractal-vm-oracle --test differential
     cargo test -q --release --test security
 
-    # DESIGN.md §4.11's "mutation-checked" list and the INP receive rule's
-    # two, run: each mutation applied to a throwaway worktree must turn the
-    # machine's suites or the core's transition matrix red.
-    step "machine, auditor, receive-rule and ready-queue mutations are killed (scripts/mutants.sh)"
+    # DESIGN.md §4.11's "mutation-checked" list, the INP receive rule's
+    # two and the reactor's two, run: each mutation applied to a throwaway
+    # worktree must turn the machine's suites, the core's transition matrix
+    # or the reactor's order tests red.
+    step "machine, auditor, receive-rule, ready-queue and peer-hint mutations are killed (scripts/mutants.sh)"
     scripts/mutants.sh
 fi
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # The mutation checks DESIGN.md §4.11 records for the machine and its
-# reference, two for the INP receive rule (`inp::classify`) and one for the
+# reference, two for the INP receive rule (`inp::classify`) and two for the
 # reactor's ready-queue rule, run rather than stated. Each mutation below is
 # applied to a throwaway `git worktree` of this tree under $TMPDIR, and the
 # machine's unit tests, the suites that hold it to the reference
@@ -57,7 +57,8 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # receive rule that ignores the generation (every frame counts as the
 # receiver's own), `dup-acts` one that acts on a duplicate. `rr-requeue`
 # re-queues a pumped session at the back of the ready queue, the earlier
-# processor-sharing rule.
+# processor-sharing rule. `peer-hint` writes without arming the peer end,
+# so an end that is readable only when told waits for a kernel event.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -69,7 +70,8 @@ sha1-rate|crates/vm/src/machine.rs|/ SHA1_BYTES_PER_FUEL + 1|/ (2 * SHA1_BYTES_P
 audit-blind|crates/vm-oracle/src/audit.rs|self.violations.push(violation);|let _ = violation;
 gen-blind|crates/core/src/inp.rs|match gen.wrapping_sub(seen_gen) {|match gen.wrapping_sub(gen) {
 dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Act,
-rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.push_back(id);'
+rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.push_back(id);
+peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);|'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.
