@@ -7,9 +7,7 @@
 //!   application-level utilization factor varies over the paper's 0.6–0.8
 //!   band (and beyond);
 //! * **entropy stage** — what DEFLATE's Huffman stage would buy the Gzip
-//!   PAD in bytes, and what it costs in compute.
-
-use std::time::Instant;
+//!   PAD in bytes, and what it costs in FVM decode fuel.
 
 use fractal_core::meta::{AppId, OsType, PadId, PadMeta, PadOverhead};
 use fractal_core::overhead::OverheadModel;
@@ -18,9 +16,13 @@ use fractal_core::presets::{case_study_app_meta, paper_ratios, ClientClass};
 use fractal_core::ratio::Ratios;
 use fractal_core::search::search;
 use fractal_crypto::sha1::sha1;
+use fractal_crypto::sign::SignerRegistry;
+use fractal_pads::artifact::{build_deflate_pad, build_pad, open_unchecked};
+use fractal_pads::runtime::PadRuntime;
 use fractal_protocols::deflate::Deflate;
 use fractal_protocols::gzip::Gzip;
 use fractal_protocols::{DiffCodec, ProtocolId};
+use fractal_vm::SandboxPolicy;
 use fractal_workload::mutate::EditProfile;
 use fractal_workload::PageSet;
 
@@ -150,8 +152,9 @@ pub fn print_rho(_n_pages: u32) {
 /// Prints the entropy-stage ablation. The paper's gzip is DEFLATE = LZ77 +
 /// Huffman; the shipped Gzip PAD uses the byte-aligned LZ77 token stream
 /// so the mobile-code decoder stays a bulk-copy loop. This quantifies what
-/// the Huffman stage would buy in bytes — and what it costs in
-/// encode/decode compute (wall-clock) — on the real workload.
+/// the Huffman stage would buy in bytes — and what it costs in decode
+/// fuel inside the sandbox — on the real workload. Every figure is a
+/// count, so the section prints the same bytes on every run.
 pub fn print_entropy(n_pages: u32) {
     let pages = PageSet::new(2005, n_pages);
     let contents: Vec<Vec<u8>> =
@@ -160,55 +163,42 @@ pub fn print_entropy(n_pages: u32) {
 
     println!("Ablation: LZ77 alone vs LZ77+Huffman on {n_pages} pages ({} KB)\n", total / 1024);
 
-    for (name, codec) in
-        [("gzip (LZ77 only)", &Gzip as &dyn DiffCodec), ("deflate (LZ77+Huffman)", &Deflate)]
+    // Both protocols ship as mobile code: every page is decoded natively
+    // and through its FVM PAD, and both must give back the page.
+    let signer = SignerRegistry::new().provision("ablate");
+    let mut fuel_per_page = [0u64; 2];
+    for ((name, codec, artifact), fuel) in [
+        ("gzip (LZ77 only)", &Gzip as &dyn DiffCodec, build_pad(ProtocolId::Gzip, &signer)),
+        ("deflate (LZ77+Huffman)", &Deflate, build_deflate_pad(&signer)),
+    ]
+    .into_iter()
+    .zip(&mut fuel_per_page)
     {
-        let t0 = Instant::now();
-        let payloads: Vec<_> = contents.iter().map(|c| codec.encode(&[], c)).collect();
-        let enc = t0.elapsed();
-        let t0 = Instant::now();
-        for (c, p) in contents.iter().zip(&payloads) {
-            assert_eq!(&codec.decode(&[], p).unwrap(), c);
+        let mut rt = PadRuntime::new(open_unchecked(&artifact), SandboxPolicy::for_pads()).unwrap();
+        let mut wire = 0;
+        for c in &contents {
+            let payload = codec.encode(&[], c);
+            assert_eq!(&codec.decode(&[], &payload).unwrap(), c);
+            assert_eq!(&rt.decode(&[], &payload).unwrap(), c);
+            wire += payload.len();
         }
-        let dec = t0.elapsed();
-        let wire: usize = payloads.iter().map(|p| p.len()).sum();
+        *fuel = rt.fuel_used() / u64::from(n_pages);
         println!(
-            "{:<24} {:>8.1} KB wire ({:>4.1}%)   encode {:>7.1} ms   decode {:>7.1} ms",
+            "{:<24} {:>8.1} KB wire ({:>4.1}%)   {:>4} byte PAD   {:>9} fuel/page decode",
             name,
             wire as f64 / 1024.0,
             wire as f64 / total as f64 * 100.0,
-            enc.as_secs_f64() * 1000.0,
-            dec.as_secs_f64() * 1000.0,
+            artifact.wire_len(),
+            fuel,
         );
     }
 
-    // And prove the entropy-coded protocol still ships as mobile code:
-    // decode one page through the DEFLATE FVM PAD.
-    let signer = fractal_crypto::sign::SignerRegistry::new().provision("ablate");
-    let artifact = fractal_pads::artifact::build_deflate_pad(&signer);
-    let mut rt = fractal_pads::runtime::PadRuntime::new(
-        fractal_pads::artifact::open_unchecked(&artifact),
-        fractal_vm::SandboxPolicy::for_pads(),
-    )
-    .unwrap();
-    let payload = Deflate.encode(&[], &contents[0]);
-    let t0 = Instant::now();
-    let decoded = rt.decode(&[], &payload).unwrap();
-    let vm_time = t0.elapsed();
-    assert_eq!(decoded, contents[0]);
-    println!(
-        "\nDEFLATE as mobile code: {} byte PAD decoded a {} KB page in {:.1} ms\n\
-         ({} fuel) inside the sandbox.",
-        artifact.wire_len(),
-        contents[0].len() / 1024,
-        vm_time.as_secs_f64() * 1000.0,
-        rt.fuel_used(),
-    );
-
     println!(
         "\nThe entropy stage buys a further byte reduction but replaces the\n\
-         PAD decoder's bulk copies with bit-serial work — the trade the\n\
-         framework would weigh via the PAD's overhead profile."
+         PAD decoder's bulk copies with bit-serial work ({:.1}x the decode\n\
+         fuel per page) — the trade the framework would weigh via the PAD's\n\
+         overhead profile.",
+        fuel_per_page[1] as f64 / fuel_per_page[0] as f64,
     );
 }
 

@@ -3,8 +3,10 @@
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (§4.4), each regenerating the corresponding result from the
 //! simulated platform. Each module's `print` is the one printer of its
-//! series and `--bin all <name> [n_pages]` runs it; the Criterion benches
-//! measure the real (wall-clock) cost of the hot paths.
+//! series and `--bin all <name> [n_pages]` runs it. Every figure is a
+//! count or a simulated-time reading, so `--bin all` prints the same bytes
+//! on every run; the wall-clock cost of the hot paths is `benchmark/`'s
+//! per-layer rows, and `calibrate` is the one bin that reads a clock.
 //!
 //! | Paper artifact | Module | Run with |
 //! |---|---|---|

@@ -8,8 +8,9 @@
 #                             # one-in-memory-transport,
 #                             # one-fast-path, no-range-pass-in-the-VM,
 #                             # one-memory-type, unused-dependency,
-#                             # oracle-dev-only, no-thread-in-the-harness
-#                             # and DESIGN.md-holders-exist
+#                             # oracle-dev-only, no-thread-in-the-harness,
+#                             # no-clock-in-the-harness and
+#                             # DESIGN.md-holders-exist
 #                             # audits, one-git_sha check on the committed
 #                             # BENCH_*.json, clippy, tier-1
 #                             # + telemetry/vm/vm-oracle/pads/core/bench/
@@ -21,7 +22,7 @@
 #                             # fasmlint, the seven scenario soaks at
 #                             # --smoke scale, and the benchmark's
 #                             # self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + all thirteen audits + git_sha check + clippy
+#   scripts/check.sh --quick  # fmt + all fourteen audits + git_sha check + clippy
 #                             # + tier-1 tests + fasmlint only (no release
 #                             # build; what you want in an edit-test loop
 #                             # or a time-boxed CI lane)
@@ -205,6 +206,15 @@ scripts/oracle_dev_only.sh
 step "no thread spawned in crates/bench/src (thread::scope, thread::spawn, thread::Builder)"
 if grep -rnE 'thread::(scope|spawn|Builder)' --include='*.rs' crates/bench/src; then
     echo "crates/bench/src spawns a thread (see the step's comment)" >&2
+    exit 1
+fi
+
+# Every figure is a count or a simulated-time reading, so two runs of
+# `--bin all` print the same bytes; rates and latencies are benchmark/'s.
+# bin/calibrate.rs, which times the native codecs, is the one clock left.
+step "no wall clock in crates/bench/src outside bin/calibrate.rs (Instant, SystemTime)"
+if grep -rnwE 'Instant|SystemTime' --include='*.rs' --exclude=calibrate.rs crates/bench/src; then
+    echo "crates/bench/src reads a wall clock (see the step's comment)" >&2
     exit 1
 fi
 

@@ -146,3 +146,48 @@ fn negotiation_estimates_track_measured_bytes_directionally() {
         );
     }
 }
+
+/// A PAD whose overheads cycle with its id, so sibling marks differ.
+fn cycled_pad(id: u64) -> PadMeta {
+    PadMeta {
+        overhead: PadOverhead {
+            server_ms_per_mb: (id % 13) as f64 * 50.0,
+            client_ms_per_mb: (id % 7) as f64 * 100.0,
+            traffic_ratio: 0.2 + (id % 5) as f64 * 0.2,
+        },
+        size: 1000,
+        ..deep_pad(id, 0.0)
+    }
+}
+
+#[test]
+fn search_is_optimal_on_wide_two_level_pats() {
+    // `width` level-1 nodes with `width` children each: up to 1 056 nodes,
+    // far past the proptest's 4×3 trees.
+    let model = OverheadModel::paper(fractal::core::ratio::Ratios::linear());
+    let env = ClientClass::LaptopWlan.env();
+    for width in [2u64, 8, 16, 32] {
+        let mut pat = Pat::new(AppId(1));
+        let mut next = 1u64;
+        for _ in 0..width {
+            let parent = next;
+            pat.insert(cycled_pad(parent), None).unwrap();
+            for _ in 0..width {
+                next += 1;
+                pat.insert(cycled_pad(next), Some(PadId(parent))).unwrap();
+            }
+            next += 1;
+        }
+        assert_eq!(pat.len() as u64, width * (width + 1));
+
+        let best = search(&pat, &model, &env, 1_000_000).unwrap();
+        let marks = fractal::core::search::mark_nodes(&pat, &model, &env, 1_000_000);
+        let cheapest = pat
+            .paths()
+            .iter()
+            .map(|path| path.iter().map(|id| marks[id]).sum::<f64>())
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(best.total_overhead_s, cheapest, "width {width}");
+        assert_eq!(best.paths_examined as u64, width * width);
+    }
+}
