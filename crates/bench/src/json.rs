@@ -10,7 +10,7 @@
 //!
 //! The emitted spelling is fixed — `"key": value`, two-space indent,
 //! members in insertion order, arrays of scalars on one line, one
-//! trailing newline — because `scripts/check.sh` greps for it.
+//! trailing newline — because `scripts/audits.sh` greps for it.
 
 use fractal_telemetry::metrics::{bucket_upper, BUCKETS};
 use fractal_telemetry::Snapshot;

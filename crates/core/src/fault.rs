@@ -18,6 +18,10 @@
 //! * **hard link drop** — the pair closes mid-session; both ends see
 //!   [`TransportError::Closed`] after draining.
 //!
+//! A second copy or a released hold that the inner window cannot take
+//! whole waits in a per-direction queue and goes out before any later
+//! chunk, so no fault tears a chunk.
+//!
 //! Every action is appended to a [`FaultLog`], so "same seed ⇒ same
 //! faults" is checkable as byte-identical event sequences. The wrapper
 //! holds no clock of its own beyond a high-water mark fed by
@@ -269,6 +273,10 @@ struct DirState {
     parked_bytes: usize,
     /// A chunk held back by a reorder fault.
     held: Option<Vec<u8>>,
+    /// Bytes the inner window did not take (the rest of a duplicate's
+    /// second copy or of a released hold): they go out whole, in order,
+    /// ahead of any later chunk.
+    unsent: Vec<u8>,
     /// Heal instant of the active partition.
     partition_until: Option<u64>,
     /// A partition fires at most once per direction.
@@ -283,6 +291,7 @@ impl DirState {
             parked: VecDeque::new(),
             parked_bytes: 0,
             held: None,
+            unsent: Vec::new(),
             partition_until: None,
             partition_done: false,
         }
@@ -378,7 +387,7 @@ impl FaultTransport {
     }
 
     /// Pushes `chunk` into the inner transport; a remainder the inner
-    /// window rejects is returned to the caller to re-park or re-hold.
+    /// window rejects is returned to the caller to re-park.
     fn push_inner(&mut self, chunk: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
         let taken = self.inner.send(&chunk)?;
         if taken == chunk.len() {
@@ -388,9 +397,34 @@ impl FaultTransport {
         }
     }
 
-    /// Flushes a healed partition's backlog and any reorder-held chunk
-    /// whose release is due (time passed without another send).
+    /// Queues `chunk` behind the unsent bytes and sends as much of the
+    /// queue as the inner window takes, so the fault layer never tears a
+    /// chunk.
+    fn push_queued(&mut self, chunk: &[u8]) -> Result<(), TransportError> {
+        self.state.borrow_mut().dirs[self.dir].unsent.extend_from_slice(chunk);
+        self.flush_unsent().map(drop)
+    }
+
+    /// Sends as much of the unsent queue as the inner window takes;
+    /// `true` once it is empty.
+    fn flush_unsent(&mut self) -> Result<bool, TransportError> {
+        let mut unsent = std::mem::take(&mut self.state.borrow_mut().dirs[self.dir].unsent);
+        if !unsent.is_empty() {
+            let taken = self.inner.send(&unsent)?;
+            unsent.drain(..taken);
+        }
+        let empty = unsent.is_empty();
+        self.state.borrow_mut().dirs[self.dir].unsent = unsent;
+        Ok(empty)
+    }
+
+    /// Flushes the unsent queue, a healed partition's backlog and any
+    /// reorder-held chunk whose release is due (time passed without
+    /// another send), oldest first.
     fn flush_due(&mut self, now: u64) -> Result<(), TransportError> {
+        if !self.flush_unsent()? {
+            return Ok(());
+        }
         let healed = {
             let st = self.state.borrow();
             let d = &st.dirs[self.dir];
@@ -427,9 +461,7 @@ impl FaultTransport {
         // A held chunk released by time (no follow-up send arrived).
         let held = self.state.borrow_mut().dirs[self.dir].held.take();
         if let Some(chunk) = held {
-            if let Some(rest) = self.push_inner(chunk)? {
-                self.state.borrow_mut().dirs[self.dir].held = Some(rest);
-            }
+            self.push_queued(&chunk)?;
         }
         Ok(())
     }
@@ -442,7 +474,9 @@ impl Transport for FaultTransport {
             return 0;
         }
         let d = &st.dirs[self.dir];
-        if d.partition_until.is_some() {
+        if !d.unsent.is_empty() {
+            0
+        } else if d.partition_until.is_some() {
             PARK_CAP.saturating_sub(d.parked_bytes)
         } else {
             self.inner.writable()
@@ -459,6 +493,9 @@ impl Transport for FaultTransport {
         }
         if bytes.is_empty() {
             return self.inner.send(bytes);
+        }
+        if !self.flush_unsent()? {
+            return Ok(0);
         }
         let now = self.now_us();
         // A heal that came due since the last call flushes first, so the
@@ -585,18 +622,15 @@ impl Transport for FaultTransport {
             self.state.borrow_mut().dirs[self.dir].held = Some(chunk);
             return Ok(n);
         }
-        let copy = dup.then(|| chunk.clone());
         // The budget was measured against the inner window, so the first
-        // copy always fits; dup copies and released holds may be partial.
-        let leftover = self.push_inner(chunk)?;
-        debug_assert!(leftover.is_none(), "budget-clamped chunk must fit");
-        if let Some(extra) = copy {
-            let _ = self.push_inner(extra)?;
+        // copy always fits; what a dup copy or a released hold does not
+        // fit waits in the unsent queue.
+        self.push_queued(&chunk)?;
+        if dup {
+            self.push_queued(&chunk)?;
         }
         if let Some(h) = prev_held {
-            if let Some(rest) = self.push_inner(h)? {
-                self.state.borrow_mut().dirs[self.dir].held = Some(rest);
-            }
+            self.push_queued(&h)?;
         }
         Ok(n)
     }
@@ -625,13 +659,13 @@ impl Transport for FaultTransport {
             at = Some(at.map_or(t, |cur: u64| cur.min(t)));
         };
         // Readability of THIS end is gated on the opposite direction's
-        // parked/held chunks — they surface once the peer's send side
-        // heals or releases.
+        // parked/held/unsent chunks — they surface once the peer's send
+        // side heals, releases or finds room.
         let inbound = &st.dirs[1 - self.dir];
         if !inbound.parked.is_empty() {
             propose(inbound.partition_until.unwrap_or(now + 1).max(now + 1));
         }
-        if inbound.held.is_some() {
+        if inbound.held.is_some() || !inbound.unsent.is_empty() {
             propose(now + 1);
         }
         // And OUR parked backlog keeps the pair live too: the stall
@@ -640,7 +674,7 @@ impl Transport for FaultTransport {
         if !outbound.parked.is_empty() {
             propose(outbound.partition_until.unwrap_or(now + 1).max(now + 1));
         }
-        if outbound.held.is_some() {
+        if outbound.held.is_some() || !outbound.unsent.is_empty() {
             propose(now + 1);
         }
         at
@@ -754,6 +788,40 @@ mod tests {
         let at = pair.service.next_ready_at().expect("held chunk keeps the pair live");
         pair.client.advance_to(at);
         assert_eq!(drain(pair.service.as_mut()), [0xAA; 4]);
+    }
+
+    #[test]
+    fn a_duplicate_the_window_cannot_take_arrives_whole_later() {
+        let plan = FaultPlan::new(5).with_dup(1000);
+        let (mut pair, log) = plan.wrap_pair(LoopbackTransport::pair(10));
+        let chunk: Vec<u8> = (1..=8).collect();
+        assert_eq!(pair.client.send(&chunk).unwrap(), 8);
+        let mut got = drain(pair.service.as_mut());
+        assert_eq!(got.len(), 10, "the chunk and the first two bytes of its copy");
+        assert_eq!(pair.client.writable(), 0, "the rest of the copy goes first");
+        let at = pair.service.next_ready_at().expect("the queued copy keeps the pair live");
+        pair.client.advance_to(at);
+        got.extend(drain(pair.service.as_mut()));
+        assert_eq!(got, [chunk.as_slice(), chunk.as_slice()].concat());
+        assert_eq!(log.events()[0].kind, FaultKind::Duplicated);
+    }
+
+    #[test]
+    fn a_hold_released_part_way_finishes_before_the_next_chunk() {
+        let plan = FaultPlan::new(5).with_reorder(1000);
+        let (mut pair, _log) = plan.wrap_pair(LoopbackTransport::pair(10));
+        let sends: [&[u8]; 5] = [&[0xA; 4], &[0xB; 4], &[0xC; 8], &[0xD; 8], &[0xE; 4]];
+        let mut wire = Vec::new();
+        for bytes in sends {
+            assert_eq!(pair.client.send(bytes).unwrap(), bytes.len());
+            wire.extend(drain(pair.service.as_mut()));
+        }
+        while let Some(at) = pair.service.next_ready_at() {
+            pair.client.advance_to(at);
+            wire.extend(drain(pair.service.as_mut()));
+        }
+        let expect: Vec<u8> = [sends[1], sends[0], sends[3], sends[2], sends[4]].concat();
+        assert_eq!(wire, expect, "B, A, D, then C whole, then E");
     }
 
     #[test]

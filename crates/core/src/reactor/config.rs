@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// builds an untimed loopback pair, and a session that wants a link, a
 /// window or a fault plan brings its own pair to
 /// [`Reactor::spawn_on`](super::Reactor::spawn_on).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ReactorConfig {
     pub(crate) frame_checksums: bool,
     pub(crate) telemetry: Option<fractal_telemetry::Telemetry>,

@@ -707,7 +707,8 @@ impl<'a> Reactor<'a> {
     /// when negotiation finished and when the session ended. Always 0 over
     /// an untimed loopback pair; over one built
     /// [`over`](LoopbackTransport::over) a link these are the per-link
-    /// negotiation/session times the throughput harness reports.
+    /// negotiation/session times the timed-link tests of `reactor/tests.rs`
+    /// and `crates/bench/tests/telemetry_determinism.rs` compare.
     pub fn transport_times(&self, id: SessionId) -> TransportTimes {
         self.slots[id].times
     }

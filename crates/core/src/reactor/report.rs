@@ -112,8 +112,8 @@ impl std::error::Error for ReactorStalled {}
 /// Wire-clock milestones of one session, in the pair's simulated
 /// microseconds (always 0 over the untimed loopback): when negotiation
 /// ended (the session left `PathSearch`) and when the session reached a
-/// terminal phase. This is what the throughput harness's per-link
-/// negotiation-time rows report.
+/// terminal phase. The timed-link tests of `reactor/tests.rs` and
+/// `crates/bench/tests/telemetry_determinism.rs` read them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TransportTimes {
     /// Pair time when the session left `PathSearch` (negotiation done);

@@ -68,7 +68,6 @@ use fractal_telemetry::journal::{JournalSnapshot, DEFAULT_JOURNAL_CAPACITY};
 use fractal_telemetry::{MonotonicClock, Registry, SharedClock, Snapshot, Telemetry, VirtualClock};
 
 use crate::error::InpError;
-use crate::introspect::IntrospectSource;
 use crate::proxy::AdaptationProxy;
 use crate::reactor::{InpSession, Reactor, ReactorConfig, ReactorReport};
 use crate::server::ApplicationServer;
@@ -230,11 +229,7 @@ pub struct ShardedReactor<'a> {
     server: &'a ApplicationServer,
     pad_repo: &'a PadRepo,
     shards: usize,
-    frame_checksums: bool,
-    stall_timeout: Duration,
-    virtual_tick: Option<u64>,
-    journal_capacity: usize,
-    introspect: Option<Arc<IntrospectSource>>,
+    config: ReactorConfig,
 }
 
 impl<'a> ShardedReactor<'a> {
@@ -251,10 +246,10 @@ impl<'a> ShardedReactor<'a> {
 
     /// A sharded front-end configured by one [`ReactorConfig`]. The
     /// sharded driver reads `frame_checksums`, `stall_timeout`,
-    /// `virtual_time`, `journal_capacity`, and `introspect`; per-shard
-    /// bundles (clock, registry, journal) are built internally, so the
-    /// single-reactor `telemetry` knob is ignored — see the knob table on
-    /// [`ReactorConfig`].
+    /// `virtual_time`, `journal_capacity`, and `introspect`. Each shard's
+    /// reactor runs this config with the shard's own bundle (clock,
+    /// registry, journal) in place of `telemetry`, so that knob is
+    /// ignored — see the knob table on [`ReactorConfig`].
     pub fn with_config(
         proxy: &'a AdaptationProxy,
         server: &'a ApplicationServer,
@@ -263,17 +258,7 @@ impl<'a> ShardedReactor<'a> {
         config: ReactorConfig,
     ) -> ShardedReactor<'a> {
         assert!(shards > 0, "at least one shard");
-        ShardedReactor {
-            proxy,
-            server,
-            pad_repo,
-            shards,
-            frame_checksums: config.frame_checksums,
-            stall_timeout: config.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT),
-            virtual_tick: config.virtual_tick,
-            journal_capacity: config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY),
-            introspect: config.introspect,
-        }
+        ShardedReactor { proxy, server, pad_repo, shards, config }
     }
 
     /// One shard's observability bundle: a private registry + a private
@@ -282,11 +267,12 @@ impl<'a> ShardedReactor<'a> {
     /// spawns) so live handles can be attached to an introspection plane
     /// while the run is in flight.
     fn shard_bundle(&self) -> Telemetry {
-        let clock: SharedClock = match self.virtual_tick {
+        let clock: SharedClock = match self.config.virtual_tick {
             Some(tick) => Arc::new(VirtualClock::starting_at(0, tick)),
             None => MonotonicClock::shared(),
         };
-        Telemetry::new(Arc::new(Registry::new()), clock).with_journal(self.journal_capacity)
+        let capacity = self.config.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY);
+        Telemetry::new(Arc::new(Registry::new()), clock).with_journal(capacity)
     }
 
     /// Runs every session to a terminal phase over live loopback TCP.
@@ -309,7 +295,7 @@ impl<'a> ShardedReactor<'a> {
         // registry/journal handles exist before any shard spawns, which is
         // what lets an introspection plane watch a run mid-flight.
         let bundles: Vec<Telemetry> = (0..self.shards).map(|_| self.shard_bundle()).collect();
-        let attached: Vec<u64> = match &self.introspect {
+        let attached: Vec<u64> = match &self.config.introspect {
             Some(src) => bundles.iter().map(|t| src.attach(t.clone())).collect(),
             None => Vec::new(),
         };
@@ -327,7 +313,8 @@ impl<'a> ShardedReactor<'a> {
                 match h.join().expect("shard panicked") {
                     Ok(out) => outcomes.push(out),
                     Err(e) => {
-                        if let (Some(src), InpError::Stalled(stall)) = (&self.introspect, &e) {
+                        if let (Some(src), InpError::Stalled(stall)) = (&self.config.introspect, &e)
+                        {
                             src.record_stall(stall);
                         }
                         if shard_err.is_none() {
@@ -339,7 +326,7 @@ impl<'a> ShardedReactor<'a> {
             // Fold final registries/journals into the plane's baseline —
             // on success *and* on failure, so scrapes stay monotonic and
             // post-mortem journals survive the shard threads.
-            if let Some(src) = &self.introspect {
+            if let Some(src) = &self.config.introspect {
                 for id in &attached {
                     src.retire(*id);
                 }
@@ -366,18 +353,16 @@ impl<'a> ShardedReactor<'a> {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
         listener.set_nonblocking(true).map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
-        let mut cfg = ReactorConfig::new().telemetry(&tele);
-        if self.frame_checksums {
-            cfg = cfg.frame_checksums();
-        }
+        let cfg = self.config.clone().telemetry(&tele);
         let mut reactor = Reactor::with_config(self.proxy, self.server, self.pad_repo, cfg);
         let gids: Vec<usize> = deal.iter().map(|&(gid, _)| gid).collect();
         let mut unadmitted = deal.into_iter().map(|(_, session)| session);
         let mut poller = Poller::new();
+        let stall_timeout = self.config.stall_timeout.unwrap_or(DEFAULT_STALL_TIMEOUT);
         let mut quiet = Duration::ZERO;
         loop {
             for session in unadmitted.by_ref().take(ADMIT_BATCH) {
-                let pair = pair(&listener, addr, self.stall_timeout)?;
+                let pair = pair(&listener, addr, stall_timeout)?;
                 reactor.spawn_on(session, pair);
             }
             while reactor.poll().is_some() {}
@@ -387,7 +372,7 @@ impl<'a> ShardedReactor<'a> {
             }
             poller.clear();
             reactor.register_interest(&mut poller);
-            let slice = if admitting { Duration::ZERO } else { WAIT_SLICE.min(self.stall_timeout) };
+            let slice = if admitting { Duration::ZERO } else { WAIT_SLICE.min(stall_timeout) };
             let events = poller.wait(Some(slice)).map_err(io_err)?;
             if !events.is_empty() {
                 quiet = Duration::ZERO;
@@ -395,7 +380,7 @@ impl<'a> ShardedReactor<'a> {
                 // Only live sessions can be stuck; a shard still admitting
                 // is making progress.
                 quiet += slice;
-                if quiet >= self.stall_timeout {
+                if quiet >= stall_timeout {
                     return Err(InpError::Stalled(reactor.stall_report()));
                 }
             }

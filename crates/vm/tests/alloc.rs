@@ -2,7 +2,7 @@
 //!
 //! The one place in the workspace outside `crates/core/src/sys.rs` with an
 //! `unsafe` item: a counting `GlobalAlloc` can be written no other way, and
-//! it lives in this test binary alone (`scripts/check.sh` names the file).
+//! it lives in this test binary alone (`scripts/audits.sh` names the file).
 //! It counts the calling thread's allocations while that thread has asked
 //! for them, so the harness's own threads do not disturb the count.
 

@@ -1,0 +1,181 @@
+#!/usr/bin/env sh
+# Every source audit of the repository, each written once: the greps and
+# scripts that keep DESIGN.md's "one copy of each mechanism" claims
+# checked. scripts/check.sh (quick mode too) and CI's `fmt` job run this
+# script; it takes no flags and builds nothing.
+#
+# Each audit prints its name before it runs; the first one that finds
+# something prints what it found and the script exits nonzero.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+audit() {
+    echo "  -> $1"
+}
+
+# Tier-1 (`cargo build --release && cargo test -q` at the root) is the one
+# test gate, and it covers the whole workspace only while the root
+# manifest's `default-members` names every member.
+audit "tier-1 is the workspace (workspace_default_members = workspace_members)"
+meta=$(cargo metadata --format-version 1 --no-deps --offline)
+ids() {
+    printf '%s' "$meta" | grep -o "\"$1\":\[[^]]*\]" | grep -o '"[^"]*#[^"]*"' | sort
+}
+default=$(ids workspace_default_members)
+if [ -z "$default" ] || [ "$default" != "$(ids workspace_members)" ]; then
+    echo "\`cargo test -q\` skips workspace members the root Cargo.toml's default-members omit:" >&2
+    for id in $(ids workspace_members); do
+        case "$default" in *"$id"*) ;; *) echo "  $id" >&2 ;; esac
+    done
+    exit 1
+fi
+
+# DESIGN.md §7 says every `unsafe` block, fn, impl and extern lives in the
+# poll(2)/rlimit bindings; this makes that a checked claim. `deny(unsafe_code)`
+# already covers fractal-core; the grep also covers the crates and shims
+# that carry no such attribute. The one exception is a test binary: the
+# counting `GlobalAlloc` of crates/vm/tests/alloc.rs, which no library links.
+audit "unsafe confined to crates/core/src/sys.rs (and the counting allocator of crates/vm/tests/alloc.rs)"
+stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crates src shims \
+    | grep -vE '^crates/(core/src/sys|vm/tests/alloc)\.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "unsafe code outside crates/core/src/sys.rs and crates/vm/tests/alloc.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# DESIGN.md §7 again: the FFI those `unsafe` blocks call is poll(2) and the
+# rlimit pair, and nothing else; the script says what it parses.
+audit "extern \"C\" in crates/core/src/sys.rs declares only poll, getrlimit, setrlimit"
+scripts/sys_ffi.sh
+
+# DESIGN.md §8: Figure 4 is walked by the sans-IO core and nothing else;
+# `session::run_session`, `Reactor` and `ShardedReactor` only carry what the
+# core emits. A client-side request built (or taken apart field by field)
+# anywhere else in fractal-core is a second walk growing back. Allowed:
+# the codec and its tests, the core and its drivers' tests, and the one
+# sample frame of the framer's test module. `{ .. }` patterns are not
+# constructions and pass.
+audit "client-side INP requests built only in inp.rs, reactor/ and framer.rs's tests"
+stray=$(grep -rnE 'InpMessage::(InitReq|CliMetaRep|PadDownloadReq|AppReq)[[:space:]]*\{' \
+        --include='*.rs' crates/core/src \
+    | grep -vE '\{[[:space:]]*\.\.[[:space:]]*\}' \
+    | grep -vE '^crates/core/src/(inp\.rs|reactor/[^:]*|transport/framer\.rs):' || true)
+if [ -n "$stray" ]; then
+    echo "client-side INP request constructed outside the protocol core:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# The proxy cache, `Epoch` and the metrics registry are one lock per
+# structure; the stripe-by-hash they replaced began with a fixed-key
+# hasher picking a lock. Catch it growing back where it grew before.
+audit "no stripe-by-hash (DefaultHasher) in crates/core/src or crates/telemetry/src"
+if grep -rn 'DefaultHasher' --include='*.rs' crates/core/src crates/telemetry/src; then
+    echo "DefaultHasher in fractal-core / fractal-telemetry (see the audit's comment)" >&2
+    exit 1
+fi
+
+# No workspace code depends on a hand-chosen memory ordering: atomics are
+# `Relaxed` counters, gauges and flags, and whatever needs happens-before
+# takes a lock (the flight recorder's seqlock, the last exception, became
+# one `Mutex`). A new Acquire/Release/AcqRel/SeqCst or fence arrives with
+# its model test and an `^path:` alternative in `ordering_allow`; the
+# allow-list is empty today.
+ordering_allow='^$'
+audit "no hand-chosen memory ordering (Acquire/Release/AcqRel/SeqCst, fence) in crates src shims tests"
+stray=$(grep -rnE 'Ordering::(Acquire|Release|AcqRel|SeqCst)|fence\(' --include='*.rs' \
+        crates src shims tests \
+    | grep -vE "$ordering_allow" || true)
+if [ -n "$stray" ]; then
+    echo "memory ordering stronger than Relaxed outside the allow-list (see the audit's comment):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# One in-memory pipe: a simulated link is an option of LoopbackTransport
+# (`LoopbackTransport::over`), not a second pair type beside it. Every
+# Transport in fractal-core is that pair, a socket, or the fault harness
+# wrapping either; a new `impl Transport for` in crates/core/src is a copy
+# of the pipe growing back.
+audit "one in-memory transport (impl Transport for only LoopbackTransport, TcpTransport, FaultTransport in crates/core/src)"
+stray=$(grep -rnE 'impl(<[^>]*>)?[[:space:]]+Transport[[:space:]]+for[[:space:]]' --include='*.rs' \
+        crates/core/src \
+    | grep -vE 'Transport[[:space:]]+for[[:space:]]+(LoopbackTransport|TcpTransport|FaultTransport)([^[:alnum:]_]|$)' \
+    || true)
+if [ -n "$stray" ]; then
+    echo "a Transport other than LoopbackTransport, TcpTransport or FaultTransport in crates/core/src:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# The fast path is one table of register-form slots per function
+# (crates/vm/src/analysis/reg.rs); the stack machine it replaced pushed and
+# popped through `push_fast`/`pop_fast` and fused runs with `fuse_at` into
+# `GetGetBin…` variants. Any of those names in the VM's sources is a second
+# fast path growing back.
+audit "no stack-form fast path (fuse_at, push_fast, pop_fast, GetGetBin) in crates/vm/src"
+if grep -rnE 'fuse_at|push_fast|pop_fast|GetGetBin' --include='*.rs' crates/vm/src; then
+    echo "the stack-form fast path is named in crates/vm/src (see the audit's comment)" >&2
+    exit 1
+fi
+
+# Admission computes only what it enforces. The value-range pass and the
+# lints only report on admitted code, so they live in the dev-only
+# crates/vm-oracle beside fasmlint; any of their names in the VM's sources
+# is that pass growing back into code that runs on downloaded bytes.
+audit "no range pass or lints (flow_ranges, InsnFacts, AbsVal, enum Lint) in crates/vm/src"
+if grep -rnE 'flow_ranges|InsnFacts|AbsVal|enum Lint' --include='*.rs' crates/vm/src; then
+    echo "the range pass or the lints are named in crates/vm/src (see the audit's comment)" >&2
+    exit 1
+fi
+
+# A recycled sandbox is a fresh one only while every write to linear memory
+# is recorded in the span the scrub zeroes; the script says what it greps.
+audit "instance memory allocated and written only in crates/vm/src/memory.rs"
+scripts/one_memory_type.sh
+
+audit "every declared dependency is named by a source file of its crate"
+scripts/unused_deps.sh
+
+# The reference interpreter is compared against, never deployed: only test
+# targets may link it.
+audit "fractal-vm-oracle is a dev-dependency only"
+scripts/oracle_dev_only.sh
+
+# Every figure is a pure function of its seeds and runs on one thread; the
+# work-claiming pool that once fanned them out had no caller but its own
+# serial-vs-parallel tests. A spawned thread in the harness is that second
+# code path growing back. (`available_parallelism` in bench_env.rs only
+# reads the host's core count for the provenance stamp.)
+audit "no thread spawned in crates/bench/src (thread::scope, thread::spawn, thread::Builder)"
+if grep -rnE 'thread::(scope|spawn|Builder)' --include='*.rs' crates/bench/src; then
+    echo "crates/bench/src spawns a thread (see the audit's comment)" >&2
+    exit 1
+fi
+
+# Every figure is a count or a simulated-time reading, so two runs of
+# `--bin all` print the same bytes; rates and latencies are benchmark/'s.
+# bin/calibrate.rs, which times the native codecs, is the one clock left.
+audit "no wall clock in crates/bench/src outside bin/calibrate.rs (Instant, SystemTime)"
+if grep -rnwE 'Instant|SystemTime' --include='*.rs' --exclude=calibrate.rs crates/bench/src; then
+    echo "crates/bench/src reads a wall clock (see the audit's comment)" >&2
+    exit 1
+fi
+
+# DESIGN.md §4.17 names one holder per property; a renamed or deleted
+# holder, or one tier-1 does not build, turns the row into a claim nothing
+# checks. The script says what it parses.
+audit "every holder in DESIGN.md §4.17's property table exists in the workspace"
+scripts/design_holders.sh
+
+# scripts/regen.sh rewrites both BENCH_*.json from one checkout. A
+# mix of stamps means one file was regenerated alone and the others
+# describe some other revision of the code.
+audit "committed BENCH_*.json carry one git_sha"
+if [ "$(grep -ho '"git_sha": "[^"]*"' BENCH_*.json | sort -u | wc -l)" -ne 1 ]; then
+    echo "BENCH_*.json do not carry exactly one git_sha (rerun scripts/regen.sh):" >&2
+    grep -o '"git_sha": "[^"]*"' BENCH_*.json | sort -u >&2
+    exit 1
+fi

@@ -1,17 +1,19 @@
 #!/usr/bin/env sh
 # Fails when the Holder column of DESIGN.md §4.17's property table
-# ("| Property | Holder |") cites something that does not exist. In each
-# holder cell, every backticked span of one of two shapes is checked:
+# ("| Property | Holder |") cites something that does not exist, or a Rust
+# holder that tier-1 does not build: only the workspace's crates/, tests/
+# and src/ count, not benchmark/. In each holder cell, every backticked
+# span of one of two shapes is checked:
 #
 #   * a Rust path `a::b::c` (a final `{x, y}` group is expanded to one path
 #     per name): its last segment must be defined as a `fn`, `mod`,
-#     `struct`, `enum` or `const` in some .rs file under crates/, tests/,
-#     src/ or benchmark/; a first segment that is a file path
-#     (`crates/core/tests/concurrency.rs::…`) must also be a file;
-#   * a `.rs` or `.sh` path: it must be a file.
+#     `struct`, `enum` or `const` in some .rs file of the workspace; a
+#     first segment that is a file path
+#     (`crates/core/tests/concurrency.rs::…`) must be a workspace file;
+#   * a `.rs` path: it must be a workspace file; a `.sh` path: a file.
 #
 # Other spans (metric names, command lines, workload names) are prose.
-# Run by scripts/check.sh (quick mode too) and CI's `fmt` job.
+# Run by scripts/audits.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,7 +36,11 @@ fi
 
 defined() {
     grep -rqE "(^|[^[:alnum:]_])(fn|mod|struct|enum|const)[[:space:]]+$1([^[:alnum:]_]|$)" \
-        --include='*.rs' crates tests src benchmark
+        --include='*.rs' crates tests src
+}
+
+workspace_file() {
+    [ -f "$1" ] && case "$1" in crates/* | tests/* | src/*) true ;; *) false ;; esac
 }
 
 missing=""
@@ -45,8 +51,8 @@ while IFS= read -r span; do
         | grep -qE '^[[:alnum:]_./-]+(::[[:alnum:]_]+)*::([[:alnum:]_]+|\{[[:alnum:]_, ]+\})$'; then
         head=${span%%::*}
         case "$head" in
-            */*) [ -f "$head" ] || missing="$missing
-  $span: no file $head" ;;
+            */*) workspace_file "$head" || missing="$missing
+  $span: no workspace file $head" ;;
         esac
         prefix=${span%::*}
         last=${span##*::}
@@ -54,7 +60,10 @@ while IFS= read -r span; do
             defined "$name" || missing="$missing
   $prefix::$name: no fn/mod/struct/enum/const named $name"
         done
-    elif printf '%s' "$span" | grep -qE '^[[:alnum:]_./-]+\.(rs|sh)$'; then
+    elif printf '%s' "$span" | grep -qE '^[[:alnum:]_./-]+\.rs$'; then
+        workspace_file "$span" || missing="$missing
+  $span: no such workspace file"
+    elif printf '%s' "$span" | grep -qE '^[[:alnum:]_./-]+\.sh$'; then
         [ -f "$span" ] || missing="$missing
   $span: no such file"
     fi
@@ -63,6 +72,6 @@ $spans
 EOF
 
 if [ -n "$missing" ]; then
-    echo "$doc §4.17 names holders that do not exist:$missing" >&2
+    echo "$doc §4.17 names holders that do not exist in the workspace:$missing" >&2
     exit 1
 fi

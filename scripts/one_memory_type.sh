@@ -5,7 +5,7 @@
 # zero; the buffer is private there, so what can rot is (1) instance memory
 # allocated somewhere else, as a plain Vec the span knows nothing about,
 # (2) a second function handing out `&mut [u8]`, or (3) `memory[..]`
-# written through an index. Run by scripts/check.sh (quick mode too) and CI.
+# written through an index. Run by scripts/audits.sh.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -4,7 +4,7 @@
 # it: no crates/*/Cargo.toml and not the root manifest may name it under
 # [dependencies], and `cargo tree -e normal` of `fractal` and `fractal-core`
 # (the facade and the framework every binary links) must not list it. Run by
-# scripts/check.sh (quick mode too) and CI.
+# scripts/audits.sh.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -3,7 +3,7 @@
 # anything besides `poll`, `getrlimit` and `setrlimit`. DESIGN.md §7 says the
 # crate's FFI is the poll(2) / rlimit bindings; a new syscall declared there
 # (a `listen` for a raised backlog, say) is a third surface growing back.
-# Run by scripts/check.sh (quick mode too) and CI's fmt job.
+# Run by scripts/audits.sh.
 set -eu
 
 cd "$(dirname "$0")/.."

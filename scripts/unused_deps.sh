@@ -6,7 +6,7 @@
 # [workspace.dependencies] table is inherited (`key.workspace = true` or
 # `key = { workspace = true … }`) by no manifest of the workspace: the
 # orphan a deleted crate or dependency leaves behind. Run by
-# scripts/check.sh and CI.
+# scripts/audits.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
