@@ -24,5 +24,5 @@ fn main() {
     doc.extend(env.members());
     doc.push(("knees", Json::Arr(knees)));
     println!();
-    Json::object(doc).save("BENCH_capacity.json", false);
+    Json::object(doc).save("BENCH_capacity.json");
 }

@@ -36,11 +36,11 @@
 //! logs, and merged telemetry — must be identical, or the run fails.
 //! Results land as the `"scenarios"` section of `BENCH_scenarios.json`,
 //! one member per scenario, each row stamped with the scenario name and
-//! fault seed so any row can be replayed. `--smoke` trims the population
-//! and builds and reads back the document without writing it (the CI
-//! gate); `--long` is the 10× soak behind
-//! `workflow_dispatch`. An *unexpected* stall writes `STALL_<name>.txt`
-//! with the stuck-session phase report and exits nonzero.
+//! fault seed so any row can be replayed. `scripts/scenario_rows.sh`
+//! runs this driver against a copy of the committed file and fails on any
+//! row that moved; `--long` is the 10× soak behind `workflow_dispatch`.
+//! An *unexpected* stall writes `STALL_<name>.txt` with the stuck-session
+//! phase report and exits nonzero.
 
 use std::sync::{Arc, OnceLock};
 
@@ -58,23 +58,28 @@ use fractal_core::reactor::{
 };
 use fractal_core::server::AdaptiveContentMode;
 use fractal_core::testbed::Testbed;
-use fractal_core::transport::{FrameError, LoopbackTransport};
+use fractal_core::transport::{FrameError, LoopbackTransport, TransportPair};
 use fractal_core::FractalError;
 use fractal_net::LinkKind;
 use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Registry, Snapshot, Telemetry, VirtualClock};
 use fractal_workload::BurstCascade;
 
-/// The scenario matrix, in the order the full run drives it. CI fans one
-/// matrix job per name; `--scenario <name>` selects a single one.
-const SCENARIOS: [&str; 7] = [
-    "burst_arrivals",
-    "lossy_link",
-    "partition_recovery",
-    "handoff_renegotiation",
-    "cache_stampede",
-    "pad_rollout_rollback",
-    "live_republish",
+/// One scenario's body: `n` sessions (per wave) under a fault seed.
+type Scenario = fn(usize, u64) -> Result<Outcome, Box<Failure>>;
+
+/// The scenario matrix, in the order the full run drives it: each name,
+/// the transport its sessions cross (the row's `transport` stamp) and its
+/// body. CI fans one matrix job per name; `--scenario <name>` selects a
+/// single one.
+const SCENARIOS: [(&str, &str, Scenario); 7] = [
+    ("burst_arrivals", "loopback", burst_arrivals),
+    ("lossy_link", "loopback+faults", lossy_link),
+    ("partition_recovery", "loopback+link+faults", partition_recovery),
+    ("handoff_renegotiation", "loopback+link", handoff_renegotiation),
+    ("cache_stampede", "loopback", cache_stampede),
+    ("pad_rollout_rollback", "loopback", pad_rollout_rollback),
+    ("live_republish", "loopback", live_republish),
 ];
 
 /// Base fault seed; each scenario soaks under `BASE_SEED + its index` so
@@ -84,18 +89,12 @@ const BASE_SEED: u64 = 0xF2AC_7A15;
 /// Distinct pages published per scenario; sessions round-robin over them.
 const PAGES: u32 = 16;
 
-/// Population knobs per invocation mode.
-struct Scale {
-    /// Sessions per scenario (per wave, for the multi-wave scenarios).
-    sessions: usize,
-    /// Cascade depth for `burst_arrivals` (2^levels arrival slots).
-    levels: u32,
-}
+/// Sessions per scenario (per wave, for the multi-wave scenarios); the
+/// `workflow_dispatch` long soak (`--long`) runs 10× as many.
+const SESSIONS: usize = 192;
 
-const SMOKE: Scale = Scale { sessions: 24, levels: 4 };
-const FULL: Scale = Scale { sessions: 192, levels: 6 };
-/// The `workflow_dispatch` long soak: 10× the full population.
-const LONG: Scale = Scale { sessions: 1920, levels: 6 };
+/// Cascade depth of the bursty scenarios (2^levels arrival slots).
+const CASCADE_LEVELS: u32 = 6;
 
 /// Everything observable about one scenario run. Two runs under the same
 /// seed must compare equal, field for field — including the merged
@@ -135,15 +134,6 @@ struct Failure {
 }
 
 impl Failure {
-    /// A failure with no observability to attach (pre-run errors).
-    fn bare(msg: String) -> Box<Failure> {
-        Box::new(Failure {
-            msg,
-            telemetry: Snapshot::default(),
-            journal: JournalSnapshot::default(),
-        })
-    }
-
     /// A failure carrying the failing pass's run bundle: its registry
     /// and flight-recorder snapshots.
     fn of(msg: String, bundle: &Telemetry) -> Box<Failure> {
@@ -157,32 +147,112 @@ impl Failure {
 /// lifetime.
 static INTROSPECT: OnceLock<Arc<IntrospectSource>> = OnceLock::new();
 
-/// A fresh per-run telemetry bundle with a flight recorder, on a virtual
-/// clock: phase timings, metric values and journal timestamps become
-/// pure functions of event order, so run-to-run snapshot equality is
-/// meaningful (and the reconciliation below exact).
-fn run_bundle() -> Telemetry {
-    let tele =
-        Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(1)).with_journal(4096);
-    if let Some(src) = INTROSPECT.get() {
-        src.attach(tele.clone());
-    }
-    tele
+/// One run of a scenario: its telemetry bundle and what the run collects
+/// on the way — reactor reports, completed sessions' decisions, fault
+/// logs — which [`Pass::finish`] turns into the [`Outcome`]. The scenario
+/// keeps its testbed, so its reactors borrow that, not the pass.
+struct Pass {
+    bundle: Telemetry,
+    /// Every wave's report, summed the way the shared bundle sees
+    /// consecutive reactors: counters add, the peak gauge keeps the
+    /// maximum.
+    report: ReactorReport,
+    /// Fold of completed sessions' decision fingerprints, in the order
+    /// the scenario checks them against its oracle.
+    decision_fp: u64,
+    /// One fault log per fault-wrapped session, in session order.
+    logs: Vec<FaultLog>,
 }
 
-/// The telemetry-reconciliation leg of the contract: every scenario's run
-/// bundle must agree with its reactor report(s)
-/// ([`ReactorReport::reconcile`]).
-const RECONCILE: &str = "telemetry disagrees with the reactor reports";
+impl Pass {
+    /// A pass on a fresh bundle with a flight recorder, on a virtual
+    /// clock: phase timings, metric values and journal timestamps become
+    /// pure functions of event order, so run-to-run snapshot equality is
+    /// meaningful (and the reconciliation in `finish` exact).
+    fn new() -> Pass {
+        let bundle =
+            Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(1)).with_journal(4096);
+        if let Some(src) = INTROSPECT.get() {
+            src.attach(bundle.clone());
+        }
+        Pass { bundle, report: ReactorReport::default(), decision_fp: FNV_OFFSET, logs: Vec::new() }
+    }
 
-/// Folds one wave's report into the scenario total, the way the shared
-/// run bundle sees consecutive reactors: counters add, the peak gauge
-/// keeps the maximum.
-fn add_wave(total: &mut ReactorReport, wave: ReactorReport) {
-    total.completed += wave.completed;
-    total.failed += wave.failed;
-    total.polls += wave.polls;
-    total.peak_in_flight = total.peak_in_flight.max(wave.peak_in_flight);
+    fn fail(&self, msg: String) -> Box<Failure> {
+        Failure::of(msg, &self.bundle)
+    }
+
+    /// A reactor over `tb`, timed on and journaling to this pass's bundle.
+    fn reactor<'a>(&self, tb: &'a Testbed, cfg: ReactorConfig) -> Reactor<'a> {
+        Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg.telemetry(&self.bundle))
+    }
+
+    /// `inner` under session `i`'s stream of `plan`. The fault layer
+    /// journals onto the stream the reactor uses for that session
+    /// (session id = spawn order = slot id), so injected faults
+    /// interleave causally with phase transitions.
+    fn faulty(&mut self, plan: &FaultPlan, i: usize, inner: TransportPair) -> TransportPair {
+        let journal = self.bundle.journal().expect("run bundles carry a journal").session(i as u64);
+        let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(inner, journal);
+        self.logs.push(log);
+        pair
+    }
+
+    /// Adds one reactor's report to the pass's.
+    fn add(&mut self, wave: ReactorReport) {
+        let total = &mut self.report;
+        total.completed += wave.completed;
+        total.failed += wave.failed;
+        total.polls += wave.polls;
+        total.peak_in_flight = total.peak_in_flight.max(wave.peak_in_flight);
+    }
+
+    /// Runs `reactor` until every session is terminal; each must be `Done`.
+    fn complete(&mut self, reactor: &mut Reactor, what: &str) -> Result<(), Box<Failure>> {
+        let report = reactor.run().map_err(|e| self.fail(format!("{what} stalled: {e}")))?;
+        assert_eq!(report.failed, 0, "{what} broke sessions");
+        self.add(report);
+        Ok(())
+    }
+
+    /// Folds a completed session's decision fingerprint into the pass's,
+    /// and returns it for the scenario's oracle check.
+    fn decided(&mut self, s: &InpSession) -> u64 {
+        let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
+        self.decision_fp = fold(self.decision_fp, fp);
+        fp
+    }
+
+    /// The outcome of `sessions` sessions: the summed reports' counts (a
+    /// session neither done nor failed is stuck), the fault logs' and
+    /// decisions' folds, and the bundle's telemetry — which must agree
+    /// with the reports ([`ReactorReport::reconcile`]) — and journal.
+    fn finish(&self, sessions: usize, extras: Vec<(&'static str, u64)>) -> Outcome {
+        let snap = self.bundle.snapshot();
+        self.report.reconcile(&snap).expect("telemetry disagrees with the reactor reports");
+        let (mut fault_events, mut fault_fp) = (0u64, 0u64);
+        if !self.logs.is_empty() {
+            fault_fp = FNV_OFFSET;
+            for log in &self.logs {
+                fault_events += log.events().len() as u64;
+                fault_fp = fold(fault_fp, log.fingerprint());
+            }
+            assert!(fault_events > 0, "the adversary never acted");
+        }
+        let ReactorReport { completed, failed, .. } = self.report;
+        Outcome {
+            sessions,
+            completed,
+            failed,
+            stuck: sessions - completed - failed,
+            fault_events,
+            fault_fp,
+            decision_fp: self.decision_fp,
+            extras,
+            telemetry: snap,
+            journal: self.bundle.journal_snapshot(),
+        }
+    }
 }
 
 fn testbed_with_pages() -> Testbed {
@@ -197,70 +267,67 @@ fn page_bytes(seed: u8, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i / 5) as u8).wrapping_mul(seed).wrapping_add(seed)).collect()
 }
 
-/// Serial oracle decisions for `n` sessions under the standard
-/// environment schedule, on a testbed the scenario never touches.
-fn oracle_decisions(n: usize) -> Vec<u64> {
+/// Session `i` of a population: a client under `env` asking for version
+/// 0 of page `i mod PAGES`.
+fn session(tb: &Testbed, env: ClientEnv, i: usize) -> InpSession {
+    InpSession::new(tb.client_with_env(env), tb.app_id, i as u32 % PAGES, 0)
+}
+
+/// The serial oracle's decision for `env`.
+fn oracle(tb: &Testbed, env: ClientEnv) -> u64 {
+    fingerprint(&tb.proxy.negotiate(tb.app_id, env).unwrap())
+}
+
+/// Serial oracle decisions for `n` sessions under `env`'s schedule, on a
+/// testbed the scenario never touches.
+fn oracle_decisions(n: usize, env: fn(usize) -> ClientEnv) -> Vec<u64> {
     let tb = testbed_with_pages();
-    (0..n).map(|i| fingerprint(&tb.proxy.negotiate(tb.app_id, client_env(i)).unwrap())).collect()
+    (0..n).map(|i| oracle(&tb, env(i))).collect()
+}
+
+/// Up to `polls` polls: a partial pump between two bursts.
+fn pump(reactor: &mut Reactor, polls: usize) {
+    for _ in 0..polls {
+        if reactor.poll().is_none() {
+            break;
+        }
+    }
 }
 
 /// Cascade-shaped arrival waves over the untimed loopback: admission
 /// pressure comes in bursts (one spawn wave per cascade slot, partial
 /// pumping between waves) instead of all-at-once, yet every session must
 /// complete with the oracle's decision.
-fn burst_arrivals(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
-    let cascade = BurstCascade::new(seed, scale.levels, 0.8);
+fn burst_arrivals(n: usize, seed: u64) -> Result<Outcome, Box<Failure>> {
+    let cascade = BurstCascade::new(seed, CASCADE_LEVELS, 0.8);
     let counts = cascade.counts(n);
     let peak_wave = counts.iter().copied().max().unwrap_or(0);
-    let oracle = oracle_decisions(n);
+    let oracle = oracle_decisions(n, client_env);
 
     let tb = testbed_with_pages();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
-    let cfg = ReactorConfig::new().telemetry(&bundle);
-    let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
+    let mut pass = Pass::new();
+    let mut reactor = pass.reactor(&tb, ReactorConfig::new());
     let mut spawned = 0usize;
     for &wave in &counts {
         for _ in 0..wave {
-            let env = client_env(spawned);
-            let session =
-                InpSession::new(tb.client_with_env(env), tb.app_id, spawned as u32 % PAGES, 0);
-            reactor.spawn(session);
+            reactor.spawn(session(&tb, client_env(spawned), spawned));
             spawned += 1;
         }
-        // Partial pump between waves: the burst arrives onto a reactor
-        // that is still mid-flight with the previous ones.
-        for _ in 0..wave * 4 {
-            if reactor.poll().is_none() {
-                break;
-            }
-        }
+        // The burst arrives onto a reactor that is still mid-flight with
+        // the previous ones.
+        pump(&mut reactor, wave * 4);
     }
     assert_eq!(spawned, n, "cascade counts must conserve the population");
-    let report = reactor.run().map_err(|e| fail(format!("burst_arrivals stalled: {e}")))?;
-    assert_eq!((report.completed, report.failed), (n, 0), "bursty admission broke sessions");
-
-    let mut decision_fp = FNV_OFFSET;
+    pass.complete(&mut reactor, "burst_arrivals")?;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
-        let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
-        assert_eq!(fp, oracle[i], "burst arrival order changed decision for session {i}");
-        decision_fp = fold(decision_fp, fp);
+        assert_eq!(
+            pass.decided(s),
+            oracle[i],
+            "burst arrival order changed decision for session {i}"
+        );
     }
-    let snap = bundle.snapshot();
-    report.reconcile(&snap).expect(RECONCILE);
-    Ok(Outcome {
-        sessions: n,
-        completed: n,
-        failed: 0,
-        stuck: 0,
-        fault_events: 0,
-        fault_fp: 0,
-        decision_fp,
-        extras: vec![("cascade_slots", counts.len() as u64), ("peak_wave", peak_wave as u64)],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(pass
+        .finish(n, vec![("cascade_slots", counts.len() as u64), ("peak_wave", peak_wave as u64)]))
 }
 
 /// The `lossy_link` row's failure reasons, in row order.
@@ -293,246 +360,162 @@ fn failure_reason(error: &InpError) -> usize {
 /// sessions the adversary starved — and corruption must be *caught* at
 /// least once. A duplicated frame is dropped by the receive rule, never a
 /// failure: the row counts those drops beside the failures.
-fn lossy_link(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
+fn lossy_link(n: usize, seed: u64) -> Result<Outcome, Box<Failure>> {
     let plan = FaultPlan::new(seed).with_drop(20).with_dup(40).with_corrupt(30).with_reorder(60);
     let tb = testbed_with_pages();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
-    let cfg = ReactorConfig::new().frame_checksums().telemetry(&bundle);
-    let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
-    let mut logs: Vec<FaultLog> = Vec::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
+    let mut pass = Pass::new();
+    let mut reactor = pass.reactor(&tb, ReactorConfig::new().frame_checksums());
     for i in 0..n {
-        // The fault layer journals onto the same per-session stream the
-        // reactor uses (session id = spawn order = slot id), so injected
-        // faults interleave causally with phase transitions.
-        let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(
-            LoopbackTransport::pair(4096),
-            bundle.journal().expect("run bundles carry a journal").session(i as u64),
-        );
-        logs.push(log);
-        let session =
-            InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
-        ids.push(reactor.spawn_on(session, pair));
+        let pair = pass.faulty(&plan, i, LoopbackTransport::pair(4096));
+        reactor.spawn_on(session(&tb, client_env(i), i), pair);
     }
     // Dropped frames have no retransmit at this layer, so starved
     // sessions are expected — but only as a *typed* stall.
     match reactor.run() {
         Ok(_) | Err(InpError::Stalled(_)) => {}
-        Err(e) => return Err(fail(format!("lossy_link died untypedly: {e}"))),
+        Err(e) => return Err(pass.fail(format!("lossy_link died untypedly: {e}"))),
     }
+    pass.add(reactor.report());
 
-    let (mut completed, mut failed, mut stuck) = (0usize, 0usize, 0usize);
     let mut reasons = [0u64; FAILURE_REASONS.len()];
-    let mut decision_fp = FNV_OFFSET;
-    for &id in &ids {
-        let s = reactor.session(id);
+    for i in 0..n {
+        let s = reactor.session(i);
         match s.phase() {
             SessionPhase::Done => {
-                completed += 1;
-                let content_id = id as u32 % PAGES;
+                let content_id = i as u32 % PAGES;
                 assert_eq!(
                     s.client().cached_content(content_id).unwrap().bytes,
                     tb.server.content(content_id, 0).unwrap(),
-                    "session {id} completed with corrupted content"
+                    "session {i} completed with corrupted content"
                 );
-                decision_fp = fold(decision_fp, fingerprint(s.negotiated().unwrap()));
+                pass.decided(s);
             }
             SessionPhase::Failed => {
-                failed += 1;
                 let error = s.error().expect("a failed session keeps its typed error");
                 reasons[failure_reason(error)] += 1;
             }
-            _ => stuck += 1,
+            _ => {}
         }
     }
-    assert!(completed > 0, "the fault mix starved every single session");
-
-    let mut fault_events = 0u64;
-    let mut fault_fp = FNV_OFFSET;
-    let mut corruptions = 0u64;
-    for log in &logs {
-        let events = log.events();
-        fault_events += events.len() as u64;
-        corruptions +=
-            events.iter().filter(|e| matches!(e.kind, FaultKind::Corrupted { .. })).count() as u64;
-        fault_fp = fold(fault_fp, log.fingerprint());
-    }
-    assert!(fault_events > 0, "the adversary never acted");
+    assert!(pass.report.completed > 0, "the fault mix starved every single session");
+    let corruptions: u64 = pass
+        .logs
+        .iter()
+        .flat_map(|log| log.events())
+        .filter(|e| matches!(e.kind, FaultKind::Corrupted { .. }))
+        .count() as u64;
     if corruptions > 0 {
         // Checked framing means a flipped byte can only surface as a
         // typed rejection (failure/stall), never as accepted content —
         // the content equality above already proved acceptance is clean.
         assert!(
-            failed + stuck > 0,
+            pass.report.completed < n,
             "{corruptions} corruptions injected yet every session completed untouched"
         );
     }
-    let snap = bundle.snapshot();
-    reactor.report().reconcile(&snap).expect(RECONCILE);
     let mut extras = vec![("corruptions_injected", corruptions)];
     extras.extend(FAILURE_REASONS.into_iter().zip(reasons));
+    let mut outcome = pass.finish(n, extras);
     for (key, metric) in ["dropped_dup", "dropped_stale"].into_iter().zip(DROPPED_METRICS) {
-        extras.push((key, snap.counters[metric]));
+        outcome.extras.push((key, outcome.telemetry.counters[metric]));
     }
-    Ok(Outcome {
-        sessions: n,
-        completed,
-        failed,
-        stuck,
-        fault_events,
-        fault_fp,
-        decision_fp,
-        extras,
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(outcome)
 }
 
 /// A transient partition parks every in-flight byte, the link heals on
 /// the simulated clock, and every session still completes with the
 /// oracle's decision — recovery, not typed failure, is the bar here.
-fn partition_recovery(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
+fn partition_recovery(n: usize, seed: u64) -> Result<Outcome, Box<Failure>> {
     let plan = FaultPlan::new(seed).with_partition(4, 20_000);
-    let oracle = oracle_decisions(n);
+    let oracle = oracle_decisions(n, client_env);
     let tb = testbed_with_pages();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
-    let cfg = ReactorConfig::new().telemetry(&bundle);
-    let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
-    let mut logs = Vec::with_capacity(n);
+    let mut pass = Pass::new();
+    let mut reactor = pass.reactor(&tb, ReactorConfig::new());
     for i in 0..n {
-        let inner = LoopbackTransport::over(LinkKind::Wlan.link(), 4096);
-        let (pair, log) = plan.for_session(i as u64).wrap_pair_journaled(
-            inner,
-            bundle.journal().expect("run bundles carry a journal").session(i as u64),
-        );
-        logs.push(log);
-        let session =
-            InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
-        reactor.spawn_on(session, pair);
+        let pair = pass.faulty(&plan, i, LoopbackTransport::over(LinkKind::Wlan.link(), 4096));
+        reactor.spawn_on(session(&tb, client_env(i), i), pair);
     }
-    let report = reactor.run().map_err(|e| fail(format!("partition never healed: {e}")))?;
-    assert_eq!((report.completed, report.failed), (n, 0), "partitioned sessions must recover");
-
-    let mut decision_fp = FNV_OFFSET;
+    pass.complete(&mut reactor, "partition_recovery")?;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
-        let fp = fingerprint(s.negotiated().expect("recovered session negotiated"));
-        assert_eq!(fp, oracle[i], "partition recovery changed decision for session {i}");
-        decision_fp = fold(decision_fp, fp);
+        assert_eq!(
+            pass.decided(s),
+            oracle[i],
+            "partition recovery changed decision for session {i}"
+        );
     }
-    let mut fault_events = 0u64;
-    let mut fault_fp = FNV_OFFSET;
-    let mut healed = 0usize;
-    for log in &logs {
-        let events = log.events();
-        fault_events += events.len() as u64;
-        if events.iter().any(|e| matches!(e.kind, FaultKind::PartitionHeal)) {
-            healed += 1;
-        }
-        fault_fp = fold(fault_fp, log.fingerprint());
-    }
+    let healed = pass
+        .logs
+        .iter()
+        .filter(|log| log.events().iter().any(|e| e.kind == FaultKind::PartitionHeal))
+        .count();
     assert!(healed > 0, "no session ever saw its partition heal");
-    let snap = bundle.snapshot();
-    report.reconcile(&snap).expect(RECONCILE);
-    Ok(Outcome {
-        sessions: n,
-        completed: n,
-        failed: 0,
-        stuck: 0,
-        fault_events,
-        fault_fp,
-        decision_fp,
-        extras: vec![("sessions_healed", healed as u64)],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(pass.finish(n, vec![("sessions_healed", healed as u64)]))
 }
 
 /// Mid-session mobility: sessions negotiate on WLAN, then the link swaps
 /// to Bluetooth underneath while the INP session renegotiates. Every
 /// re-negotiated decision must match the serial oracle for the *new*
 /// environment, and every client must have negotiated exactly twice.
-fn handoff_renegotiation(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
+fn handoff_renegotiation(n: usize, _seed: u64) -> Result<Outcome, Box<Failure>> {
     let tb = testbed_with_pages();
     let oracle_tb = testbed_with_pages();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
-    let cfg = ReactorConfig::new().telemetry(&bundle);
-    let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
+    let mut pass = Pass::new();
+    let mut reactor = pass.reactor(&tb, ReactorConfig::new());
     let mut handles = Vec::with_capacity(n);
-    let mut ids = Vec::with_capacity(n);
     for i in 0..n {
         let (pair, handle) = LoopbackTransport::over_with_handoff(LinkKind::Wlan.link(), 4096);
         handles.push(handle);
-        let session =
-            InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
-        ids.push(reactor.spawn_on(session, pair));
+        reactor.spawn_on(session(&tb, client_env(i), i), pair);
     }
     // Drive until the whole population is deep in flight (or done —
     // pumping can walk a session through Sessioning early).
     reactor
         .run_until(|r| {
-            ids.iter().all(|&id| {
+            (0..n).all(|id| {
                 let p = r.session(id).phase();
                 p == SessionPhase::Sessioning || p.is_terminal()
             })
         })
-        .map_err(|e| fail(format!("never reached the handoff point: {e}")))?;
+        .map_err(|e| pass.fail(format!("never reached the handoff point: {e}")))?;
 
     // Walk out of WLAN range: swap the physical link *and* force the
     // protocol back through renegotiation on every still-live session.
     let new_ntwk = fractal_core::ClientClass::PdaBluetooth.env().ntwk;
     let mut handoffs = 0usize;
-    for (i, &id) in ids.iter().enumerate() {
+    for (id, handle) in handles.iter().enumerate() {
         if reactor.session(id).phase().is_terminal() {
             continue;
         }
-        reactor.handoff(id, new_ntwk).map_err(|e| fail(format!("handoff of {id} refused: {e}")))?;
-        handles[i].switch(LinkKind::Bluetooth.link());
+        reactor
+            .handoff(id, new_ntwk)
+            .map_err(|e| pass.fail(format!("handoff of {id} refused: {e}")))?;
+        handle.switch(LinkKind::Bluetooth.link());
         handoffs += 1;
     }
     assert!(handoffs > 0, "population finished before any handoff could fire");
-    let report = reactor.run().map_err(|e| fail(format!("post-handoff stall: {e}")))?;
-    assert_eq!((report.completed, report.failed), (n, 0), "handoff broke sessions");
+    pass.complete(&mut reactor, "post-handoff")?;
 
-    let mut decision_fp = FNV_OFFSET;
-    for (i, &id) in ids.iter().enumerate() {
-        let s = reactor.session(id);
-        let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
-        let stats = s.client().stats();
+    for i in 0..n {
+        let s = reactor.session(i);
         let mut env = client_env(i);
-        if stats.negotiations == 2 {
+        if s.client().stats().negotiations == 2 {
             // Renegotiated: the oracle question is the NEW environment.
             env.ntwk = new_ntwk;
         }
-        let expect = fingerprint(&oracle_tb.proxy.negotiate(oracle_tb.app_id, env).unwrap());
-        assert_eq!(fp, expect, "session {i} decision diverged from its environment oracle");
+        let expect = oracle(&oracle_tb, env);
+        assert_eq!(
+            pass.decided(s),
+            expect,
+            "session {i} decision diverged from its environment oracle"
+        );
         let content_id = i as u32 % PAGES;
         assert_eq!(
             s.client().cached_content(content_id).unwrap().bytes,
             tb.server.content(content_id, 0).unwrap(),
             "session {i} content wrong after renegotiation"
         );
-        decision_fp = fold(decision_fp, fp);
     }
-    let snap = bundle.snapshot();
-    report.reconcile(&snap).expect(RECONCILE);
-    Ok(Outcome {
-        sessions: n,
-        completed: n,
-        failed: 0,
-        stuck: 0,
-        fault_events: 0,
-        fault_fp: 0,
-        decision_fp,
-        extras: vec![("handoffs", handoffs as u64)],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(pass.finish(n, vec![("handoffs", handoffs as u64)]))
 }
 
 /// An all-distinct client environment for stampede index `i`: the class
@@ -547,45 +530,27 @@ fn stampede_env(i: usize) -> ClientEnv {
 /// A population of all-distinct environments hits the cold adaptation
 /// cache at once — every negotiation is a miss. The identical second
 /// wave must be answered entirely from cache, counted exactly.
-fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
+fn cache_stampede(n: usize, _seed: u64) -> Result<Outcome, Box<Failure>> {
     let tb = testbed_with_pages();
-    let oracle_tb = testbed_with_pages();
-    let oracle: Vec<u64> = (0..n)
-        .map(|i| {
-            fingerprint(&oracle_tb.proxy.negotiate(oracle_tb.app_id, stampede_env(i)).unwrap())
-        })
-        .collect();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
+    let oracle = oracle_decisions(n, stampede_env);
+    let mut pass = Pass::new();
 
     let before = tb.proxy.stats();
     assert_eq!((before.cache_hits, before.cache_misses), (0, 0), "scenario proxy must be cold");
-    let mut decision_fp = FNV_OFFSET;
-    let mut total = ReactorReport::default();
     for wave in 0..2 {
-        let cfg = ReactorConfig::new().telemetry(&bundle);
-        let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
+        let mut reactor = pass.reactor(&tb, ReactorConfig::new());
         for i in 0..n {
             // Wave-global journal labels: wave two's streams must not
             // splice into wave one's.
-            let session = InpSession::new(
-                tb.client_with_env(stampede_env(i)),
-                tb.app_id,
-                i as u32 % PAGES,
-                0,
-            )
-            .with_label((wave * n + i) as u64);
-            reactor.spawn(session);
+            reactor.spawn(session(&tb, stampede_env(i), i).with_label((wave * n + i) as u64));
         }
-        let report =
-            reactor.run().map_err(|e| fail(format!("stampede wave {wave} stalled: {e}")))?;
-        assert_eq!((report.completed, report.failed), (n, 0), "stampede wave {wave} broke");
-        add_wave(&mut total, report);
+        pass.complete(&mut reactor, &format!("stampede wave {wave}"))?;
         for (i, s) in reactor.into_sessions().iter().enumerate() {
-            let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
-            assert_eq!(fp, oracle[i], "wave {wave} session {i} diverged from the oracle");
-            decision_fp = fold(decision_fp, fp);
+            assert_eq!(
+                pass.decided(s),
+                oracle[i],
+                "wave {wave} session {i} diverged from the oracle"
+            );
         }
     }
     let stats = tb.proxy.stats();
@@ -594,46 +559,27 @@ fn cache_stampede(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
         "wave one must miss exactly once per distinct environment"
     );
     assert_eq!(stats.cache_hits, n as u64, "wave two must be answered entirely from cache");
-
-    let snap = bundle.snapshot();
-    total.reconcile(&snap).expect(RECONCILE);
-    Ok(Outcome {
-        sessions: 2 * n,
-        completed: 2 * n,
-        failed: 0,
-        stuck: 0,
-        fault_events: 0,
-        fault_fp: 0,
-        decision_fp,
-        extras: vec![("cache_misses", stats.cache_misses), ("cache_hits", stats.cache_hits)],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(pass.finish(
+        2 * n,
+        vec![("cache_misses", stats.cache_misses), ("cache_hits", stats.cache_hits)],
+    ))
 }
 
 /// The server republishes mid-traffic (v0 → v1) and then rolls back
 /// (v2 = v0's bytes). Warm clients carry their protocol cache through
 /// all three waves — one negotiation ever — and end each wave with
 /// byte-exact content for the version that wave asked for.
-fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
+fn pad_rollout_rollback(n: usize, _seed: u64) -> Result<Outcome, Box<Failure>> {
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
     let content_id = 0u32;
     let v0_bytes = page_bytes(3, 4_000);
     let v1_bytes = page_bytes(9, 5_000);
     assert_eq!(tb.server.publish(content_id, v0_bytes.clone()), 0);
-
-    let oracle_tb = testbed_with_pages();
-    let oracle: Vec<u64> = (0..n)
-        .map(|i| fingerprint(&oracle_tb.proxy.negotiate(oracle_tb.app_id, client_env(i)).unwrap()))
-        .collect();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
+    let oracle = oracle_decisions(n, client_env);
+    let mut pass = Pass::new();
 
     let mut clients: Vec<fractal_core::client::FractalClient> =
         (0..n).map(|i| tb.client_with_env(client_env(i))).collect();
-    let mut decision_fp = FNV_OFFSET;
-    let mut total = ReactorReport::default();
     // (wave, version to request, bytes that version must decode to)
     let waves: [(&str, u32, &[u8]); 3] =
         [("rollout-base", 0, &v0_bytes), ("rollout", 1, &v1_bytes), ("rollback", 2, &v0_bytes)];
@@ -641,25 +587,20 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         if *want > 0 {
             // Republish mid-traffic: v1 is new content, v2 the rollback
             // to v0's exact bytes.
-            let bytes = if *label == "rollback" { v0_bytes.clone() } else { v1_bytes.clone() };
-            assert_eq!(tb.server.publish(content_id, bytes), *want);
+            assert_eq!(tb.server.publish(content_id, expect_bytes.to_vec()), *want);
         }
-        let cfg = ReactorConfig::new().telemetry(&bundle);
-        let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
+        let mut reactor = pass.reactor(&tb, ReactorConfig::new());
         for (i, client) in clients.drain(..).enumerate() {
             reactor.spawn(
                 InpSession::new(client, tb.app_id, content_id, *want)
                     .with_label((w * n + i) as u64),
             );
         }
-        let report = reactor.run().map_err(|e| fail(format!("{label} wave stalled: {e}")))?;
-        assert_eq!((report.completed, report.failed), (n, 0), "{label} wave broke sessions");
-        add_wave(&mut total, report);
+        pass.complete(&mut reactor, &format!("{label} wave"))?;
         for (i, session) in reactor.into_sessions().into_iter().enumerate() {
             if w == 0 {
-                let fp = fingerprint(session.negotiated().expect("cold session negotiated"));
+                let fp = pass.decided(&session);
                 assert_eq!(fp, oracle[i], "{label} session {i} diverged from the oracle");
-                decision_fp = fold(decision_fp, fp);
             }
             let client = session.into_client();
             assert_eq!(
@@ -677,21 +618,7 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
         assert_eq!(stats.negotiations, 1, "client {i} renegotiated on a republish");
         assert_eq!(stats.protocol_cache_hits, 2, "client {i} missed its protocol cache");
     }
-    let snap = bundle.snapshot();
-    total.reconcile(&snap).expect(RECONCILE);
-    let completed = total.completed;
-    Ok(Outcome {
-        sessions: completed,
-        completed,
-        failed: 0,
-        stuck: 0,
-        fault_events: 0,
-        fault_fp: 0,
-        decision_fp,
-        extras: vec![("waves", 3), ("republishes", 2)],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
+    Ok(pass.finish(waves.len() * n, vec![("waves", 3), ("republishes", 2)]))
 }
 
 /// Cascade-shaped publish bursts against the epoch-versioned server
@@ -704,23 +631,18 @@ fn pad_rollout_rollback(scale: &Scale, _seed: u64) -> Result<Outcome, Box<Failur
 /// with the oracle's decision. The writer side asserts every publish
 /// appends exactly one version; the end of the run asserts every
 /// superseded snapshot generation was reclaimed.
-fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
-    let n = scale.sessions;
-    let cascade = BurstCascade::new(seed, scale.levels, 0.8);
+fn live_republish(n: usize, seed: u64) -> Result<Outcome, Box<Failure>> {
+    let cascade = BurstCascade::new(seed, CASCADE_LEVELS, 0.8);
     let bursts = cascade.counts(n);
     let peak_burst = bursts.iter().copied().max().unwrap_or(0);
-    let oracle = oracle_decisions(n);
+    let oracle = oracle_decisions(n, client_env);
 
     let tb = testbed_with_pages();
     let generation_before = tb.server.generation();
-    let bundle = run_bundle();
-    let fail = |msg: String| Failure::of(msg, &bundle);
-    let cfg = ReactorConfig::new().telemetry(&bundle);
-    let mut reactor = Reactor::with_config(&tb.proxy, &tb.server, &tb.pad_repo, cfg);
+    let mut pass = Pass::new();
+    let mut reactor = pass.reactor(&tb, ReactorConfig::new());
     for i in 0..n {
-        let session =
-            InpSession::new(tb.client_with_env(client_env(i)), tb.app_id, i as u32 % PAGES, 0);
-        reactor.spawn(session);
+        reactor.spawn(session(&tb, client_env(i), i));
     }
 
     // The publish bursts, mid-soak: every page id gains versions while
@@ -738,21 +660,13 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
             next_version[id as usize] += 1;
             published += 1;
         }
-        for _ in 0..burst * 4 {
-            if reactor.poll().is_none() {
-                break;
-            }
-        }
+        pump(&mut reactor, burst * 4);
     }
     assert_eq!(published, n as u64, "cascade counts must conserve the publish budget");
-    let report = reactor.run().map_err(|e| fail(format!("live_republish stalled: {e}")))?;
-    assert_eq!((report.completed, report.failed), (n, 0), "republish bursts broke sessions");
+    pass.complete(&mut reactor, "live_republish")?;
 
-    let mut decision_fp = FNV_OFFSET;
     for (i, s) in reactor.into_sessions().iter().enumerate() {
-        let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
-        assert_eq!(fp, oracle[i], "republish bursts changed decision for session {i}");
-        decision_fp = fold(decision_fp, fp);
+        assert_eq!(pass.decided(s), oracle[i], "republish bursts changed decision for session {i}");
         let content_id = i as u32 % PAGES;
         assert_eq!(
             s.client().cached_content(content_id).unwrap().bytes,
@@ -774,38 +688,15 @@ fn live_republish(scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
     let epoch = tb.server.epoch_stats();
     assert_eq!(epoch.live, 1, "superseded generations must be reclaimed: {epoch:?}");
 
-    let snap = bundle.snapshot();
-    report.reconcile(&snap).expect(RECONCILE);
-    Ok(Outcome {
-        sessions: n,
-        completed: n,
-        failed: 0,
-        stuck: 0,
-        fault_events: 0,
-        fault_fp: 0,
-        decision_fp,
-        extras: vec![
+    Ok(pass.finish(
+        n,
+        vec![
             ("publish_bursts", bursts.len() as u64),
             ("peak_burst", peak_burst as u64),
             ("republishes", published),
             ("server_generation", generation),
         ],
-        telemetry: snap,
-        journal: bundle.journal_snapshot(),
-    })
-}
-
-fn run_scenario(name: &str, scale: &Scale, seed: u64) -> Result<Outcome, Box<Failure>> {
-    match name {
-        "burst_arrivals" => burst_arrivals(scale, seed),
-        "lossy_link" => lossy_link(scale, seed),
-        "partition_recovery" => partition_recovery(scale, seed),
-        "handoff_renegotiation" => handoff_renegotiation(scale, seed),
-        "cache_stampede" => cache_stampede(scale, seed),
-        "pad_rollout_rollback" => pad_rollout_rollback(scale, seed),
-        "live_republish" => live_republish(scale, seed),
-        other => Err(Failure::bare(format!("unknown scenario {other:?}"))),
-    }
+    ))
 }
 
 /// The row for one scenario, stamped with provenance + scenario + seed
@@ -832,17 +723,17 @@ fn row(env: &BenchEnv, o: &Outcome) -> Json {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let long = args.iter().any(|a| a == "--long");
+    let names = SCENARIOS.map(|(name, ..)| name);
     let only = args.iter().position(|a| a == "--scenario").map(|p| {
         args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--scenario needs a name; one of: {SCENARIOS:?}");
+            eprintln!("--scenario needs a name; one of: {names:?}");
             std::process::exit(2);
         })
     });
     if let Some(name) = &only {
-        if !SCENARIOS.contains(&name.as_str()) {
-            eprintln!("unknown scenario {name:?}; one of: {SCENARIOS:?}");
+        if !names.contains(&name.as_str()) {
+            eprintln!("unknown scenario {name:?}; one of: {names:?}");
             std::process::exit(2);
         }
     }
@@ -861,40 +752,25 @@ fn main() {
         INTROSPECT.set(source).ok().expect("introspect source set once");
         server
     });
-    let scale = if smoke {
-        SMOKE
-    } else if long {
-        LONG
-    } else {
-        FULL
-    };
-    let mode = if smoke {
-        "smoke"
-    } else if long {
-        "long"
-    } else {
-        "full"
-    };
+    let (n, mode) = if long { (10 * SESSIONS, "long") } else { (SESSIONS, "full") };
     let env = BenchEnv::capture();
     println!(
-        "scenarios ({mode}): {} session(s) per scenario, every scenario run twice under its \
+        "scenarios ({mode}): {n} session(s) per scenario, every scenario run twice under its \
          seed (host has {} cpu(s), rev {})\n",
-        scale.sessions, env.host_cpus, env.git_sha
+        env.host_cpus, env.git_sha
     );
 
-    let selected: Vec<&str> = match &only {
-        Some(name) => vec![SCENARIOS.iter().find(|s| *s == name).unwrap()],
-        None => SCENARIOS.to_vec(),
-    };
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut sections: Vec<(&str, Json)> = Vec::new();
     let mut failures = 0usize;
-    for name in selected {
-        let seed = BASE_SEED + SCENARIOS.iter().position(|s| *s == name).unwrap() as u64;
+    for (i, &(name, transport, scenario)) in SCENARIOS.iter().enumerate() {
+        if only.as_deref().is_some_and(|only| only != name) {
+            continue;
+        }
+        let seed = BASE_SEED + i as u64;
         // The determinism contract, enforced in-process: the same seed
         // must yield identical decisions, fault logs, and telemetry.
-        let first = run_scenario(name, &scale, seed);
-        let outcome = match (first, run_scenario(name, &scale, seed)) {
+        let outcome = match (scenario(n, seed), scenario(n, seed)) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "{name}: two runs under seed {seed:#x} diverged");
                 a
@@ -933,12 +809,6 @@ fn main() {
             outcome.fault_events.to_string(),
             format!("{:#018x}", outcome.decision_fp),
         ]);
-        let transport = match name {
-            "lossy_link" => "loopback+faults",
-            "partition_recovery" => "loopback+link+faults",
-            "handoff_renegotiation" => "loopback+link",
-            _ => "loopback",
-        };
         let stamped = BenchEnv::capture().with_transport(transport).with_scenario(name, seed);
         sections.push((name, row(&stamped, &outcome)));
     }
@@ -963,7 +833,7 @@ fn main() {
             section.insert(name, row);
         }
         doc.insert("scenarios", section);
-        doc.save(path, smoke);
+        doc.save(path);
     }
     // With the sidecar up, close the loop over real TCP: the quiescent
     // scrape must reconcile exactly with the in-process merged snapshot.

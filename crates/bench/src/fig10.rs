@@ -36,7 +36,7 @@ pub fn run_panel(class: ClientClass, with_server_compute: bool, n_pages: u32) ->
     };
     let cells =
         ProtocolId::PAPER_FOUR.iter().map(|&p| measure_protocol(class, p, n_pages, mode)).collect();
-    let (_, adaptive_pick) = measure_adaptive(class, n_pages, mode, !with_server_compute);
+    let (_, adaptive_pick) = measure_adaptive(class, n_pages, mode);
     Panel { class, with_server_compute, cells, adaptive_pick }
 }
 

@@ -48,9 +48,9 @@ pub fn run(n_pages: u32) -> Figure11 {
                 AdaptiveContentMode::Proactive,
             ));
         }
-        let (_, p_with) = measure_adaptive(class, n_pages, AdaptiveContentMode::Reactive, false);
+        let (_, p_with) = measure_adaptive(class, n_pages, AdaptiveContentMode::Reactive);
         picks_with.push((class, p_with));
-        let (_, p_without) = measure_adaptive(class, n_pages, AdaptiveContentMode::Proactive, true);
+        let (_, p_without) = measure_adaptive(class, n_pages, AdaptiveContentMode::Proactive);
         picks_without.push((class, p_without));
     }
     Figure11 { with_server, without_server, picks_with, picks_without }

@@ -53,7 +53,7 @@ pub fn run(n_pages: u32) -> Vec<Comparison> {
         .map(|class| {
             let none = measure_protocol(class, ProtocolId::Direct, n_pages, mode);
             let fixed = measure_protocol(class, ProtocolId::VaryBlock, n_pages, mode);
-            let (adaptive, picked) = measure_adaptive(class, n_pages, mode, false);
+            let (adaptive, picked) = measure_adaptive(class, n_pages, mode);
             Comparison { class, none, fixed, adaptive, picked }
         })
         .collect()

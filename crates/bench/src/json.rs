@@ -6,7 +6,7 @@
 //! (`--bin scenarios` replacing one scenario's row) with
 //! [`Json::insert`] on the parsed value — so writer, editor and reader
 //! cannot disagree about escaping or nesting. [`Json::save`] proves that
-//! on every document before it reaches disk, `--smoke` runs included.
+//! on every document before it reaches disk.
 //!
 //! The emitted spelling is fixed — `"key": value`, two-space indent,
 //! members in insertion order, arrays of scalars on one line, one
@@ -110,19 +110,13 @@ impl Json {
     }
 
     /// Emits the document, asserts it reads back as the same value, and
-    /// writes it to `path` unless `dry_run` (the `--smoke` mode) — so the
-    /// smoke gates fail on a malformed document without touching the
-    /// committed file. Says on stdout which of the two happened.
-    pub fn save(&self, path: &str, dry_run: bool) {
+    /// writes it to `path`, so a malformed document never reaches disk.
+    pub fn save(&self, path: &str) {
         let text = self.emit();
         let back = Json::parse(&text).unwrap_or_else(|e| panic!("{path}: emitted bad JSON: {e}"));
         assert_eq!(&back, self, "{path}: document changed across emit → parse");
-        if dry_run {
-            println!("(--smoke: {path} built and read back, not written)");
-        } else {
-            std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
     }
 
     fn write(&self, out: &mut String, depth: usize) {

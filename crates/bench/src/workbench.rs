@@ -60,13 +60,8 @@ pub fn measure_adaptive(
     class: ClientClass,
     n_pages: u32,
     mode: AdaptiveContentMode,
-    exclude_server_compute: bool,
 ) -> (CellReport, ProtocolId) {
-    let mut tb = Testbed::case_study(mode);
-    if exclude_server_compute {
-        tb.proxy.set_mode(fractal_core::overhead::ServerComputeMode::Exclude);
-    }
-    let reports = run_pages(&tb, class, n_pages);
+    let reports = run_pages(&Testbed::case_study(mode), class, n_pages);
     let picked = reports[0].protocol;
     (aggregate(class, picked, &reports), picked)
 }
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn adaptive_picks_per_class() {
         let (_, picked) =
-            measure_adaptive(ClientClass::DesktopLan, 2, AdaptiveContentMode::Reactive, false);
+            measure_adaptive(ClientClass::DesktopLan, 2, AdaptiveContentMode::Reactive);
         assert_eq!(picked, ProtocolId::Direct);
     }
 }

@@ -18,9 +18,12 @@
 //! * **hard link drop** — the pair closes mid-session; both ends see
 //!   [`TransportError::Closed`] after draining.
 //!
-//! A second copy or a released hold that the inner window cannot take
-//! whole waits in a per-direction queue and goes out before any later
-//! chunk, so no fault tears a chunk.
+//! Each direction keeps one queue of chunks bound for the inner
+//! transport: a partition's backlog, or a second copy or released hold
+//! the inner window could not take whole. It drains oldest first, one
+//! inner `send` per chunk and ahead of any later chunk, so no fault tears
+//! a chunk; and nothing leaves it before an open partition's heal
+//! instant, a reorder hold included.
 //!
 //! Every action is appended to a [`FaultLog`], so "same seed ⇒ same
 //! faults" is checkable as byte-identical event sequences. The wrapper
@@ -268,15 +271,15 @@ impl FaultPlan {
 struct DirState {
     rng: u64,
     chunks_sent: u64,
-    /// Chunks parked by an active partition, oldest first.
-    parked: VecDeque<Vec<u8>>,
-    parked_bytes: usize,
+    /// Chunks waiting for the inner transport, oldest first: a
+    /// partition's backlog, or what the inner window refused. The front
+    /// chunk may be part-sent; nothing leaves before the heal instant of
+    /// an open partition.
+    queue: VecDeque<Vec<u8>>,
+    /// Bytes in `queue`.
+    queued: usize,
     /// A chunk held back by a reorder fault.
     held: Option<Vec<u8>>,
-    /// Bytes the inner window did not take (the rest of a duplicate's
-    /// second copy or of a released hold): they go out whole, in order,
-    /// ahead of any later chunk.
-    unsent: Vec<u8>,
     /// Heal instant of the active partition.
     partition_until: Option<u64>,
     /// A partition fires at most once per direction.
@@ -288,13 +291,26 @@ impl DirState {
         DirState {
             rng,
             chunks_sent: 0,
-            parked: VecDeque::new(),
-            parked_bytes: 0,
+            queue: VecDeque::new(),
+            queued: 0,
             held: None,
-            unsent: Vec::new(),
             partition_until: None,
             partition_done: false,
         }
+    }
+
+    fn enqueue(&mut self, chunk: Vec<u8>) {
+        self.queued += chunk.len();
+        self.queue.push_back(chunk);
+    }
+
+    /// When this direction next has bytes to move: the heal instant of an
+    /// open partition, else the next tick; `None` when nothing waits.
+    fn next_bytes_at(&self, now: u64) -> Option<u64> {
+        if self.queue.is_empty() && self.held.is_none() {
+            return None;
+        }
+        Some(self.partition_until.unwrap_or(0).max(now + 1))
     }
 }
 
@@ -360,15 +376,6 @@ impl FaultLog {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Decision {
-    Deliver,
-    Drop,
-    Dup,
-    Corrupt,
-    Reorder,
-}
-
 /// One end of a fault-wrapped pair.
 pub struct FaultTransport {
     state: Rc<RefCell<FaultState>>,
@@ -386,82 +393,30 @@ impl FaultTransport {
         }
     }
 
-    /// Pushes `chunk` into the inner transport; a remainder the inner
-    /// window rejects is returned to the caller to re-park.
-    fn push_inner(&mut self, chunk: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
-        let taken = self.inner.send(&chunk)?;
-        if taken == chunk.len() {
-            Ok(None)
-        } else {
-            Ok(Some(chunk[taken..].to_vec()))
-        }
-    }
-
-    /// Queues `chunk` behind the unsent bytes and sends as much of the
-    /// queue as the inner window takes, so the fault layer never tears a
-    /// chunk.
-    fn push_queued(&mut self, chunk: &[u8]) -> Result<(), TransportError> {
-        self.state.borrow_mut().dirs[self.dir].unsent.extend_from_slice(chunk);
-        self.flush_unsent().map(drop)
-    }
-
-    /// Sends as much of the unsent queue as the inner window takes;
-    /// `true` once it is empty.
-    fn flush_unsent(&mut self) -> Result<bool, TransportError> {
-        let mut unsent = std::mem::take(&mut self.state.borrow_mut().dirs[self.dir].unsent);
-        if !unsent.is_empty() {
-            let taken = self.inner.send(&unsent)?;
-            unsent.drain(..taken);
-        }
-        let empty = unsent.is_empty();
-        self.state.borrow_mut().dirs[self.dir].unsent = unsent;
-        Ok(empty)
-    }
-
-    /// Flushes the unsent queue, a healed partition's backlog and any
-    /// reorder-held chunk whose release is due (time passed without
-    /// another send), oldest first.
-    fn flush_due(&mut self, now: u64) -> Result<(), TransportError> {
-        if !self.flush_unsent()? {
+    /// Moves the queue into the inner transport, one `send` per chunk,
+    /// until the inner window refuses part of one. Moves nothing before
+    /// the heal instant of an open partition, and logs the heal once its
+    /// backlog has drained.
+    fn flush(&mut self, now: u64) -> Result<(), TransportError> {
+        let dir_tag = self.dir_tag();
+        let mut st = self.state.borrow_mut();
+        let d = &mut st.dirs[self.dir];
+        if d.partition_until.is_some_and(|t| now < t) {
             return Ok(());
         }
-        let healed = {
-            let st = self.state.borrow();
-            let d = &st.dirs[self.dir];
-            d.partition_until.is_some_and(|t| now >= t)
-        };
-        if healed {
-            loop {
-                let Some(chunk) = self.state.borrow_mut().dirs[self.dir].parked.pop_front() else {
-                    break;
-                };
-                let len = chunk.len();
-                let leftover = self.push_inner(chunk)?;
-                let mut st = self.state.borrow_mut();
-                let d = &mut st.dirs[self.dir];
-                match leftover {
-                    None => d.parked_bytes -= len,
-                    Some(rest) => {
-                        d.parked_bytes -= len - rest.len();
-                        d.parked.push_front(rest);
-                        return Ok(());
-                    }
-                }
+        while let Some(chunk) = d.queue.front_mut() {
+            let taken = self.inner.send(chunk)?;
+            d.queued -= taken;
+            if taken < chunk.len() {
+                chunk.drain(..taken);
+                return Ok(());
             }
-            let mut st = self.state.borrow_mut();
-            let dir_tag = self.dir_tag();
-            let d = &mut st.dirs[self.dir];
-            if d.parked.is_empty() && d.partition_until.is_some() {
-                d.partition_until = None;
-                d.partition_done = true;
-                let chunk = d.chunks_sent;
-                st.log_event(FaultEvent { dir: dir_tag, chunk, kind: FaultKind::PartitionHeal });
-            }
+            d.queue.pop_front();
         }
-        // A held chunk released by time (no follow-up send arrived).
-        let held = self.state.borrow_mut().dirs[self.dir].held.take();
-        if let Some(chunk) = held {
-            self.push_queued(&chunk)?;
+        if d.partition_until.take().is_some() {
+            d.partition_done = true;
+            let chunk = d.chunks_sent;
+            st.log_event(FaultEvent { dir: dir_tag, chunk, kind: FaultKind::PartitionHeal });
         }
         Ok(())
     }
@@ -470,14 +425,13 @@ impl FaultTransport {
 impl Transport for FaultTransport {
     fn writable(&self) -> usize {
         let st = self.state.borrow();
-        if st.link_dropped {
-            return 0;
-        }
         let d = &st.dirs[self.dir];
-        if !d.unsent.is_empty() {
+        if st.link_dropped {
             0
         } else if d.partition_until.is_some() {
-            PARK_CAP.saturating_sub(d.parked_bytes)
+            PARK_CAP.saturating_sub(d.queued)
+        } else if !d.queue.is_empty() {
+            0
         } else {
             self.inner.writable()
         }
@@ -494,31 +448,16 @@ impl Transport for FaultTransport {
         if bytes.is_empty() {
             return self.inner.send(bytes);
         }
-        if !self.flush_unsent()? {
-            return Ok(0);
-        }
+        // What is already queued goes first, so the new chunk queues
+        // behind it, never ahead.
         let now = self.now_us();
-        // A heal that came due since the last call flushes first, so the
-        // new chunk queues behind the parked backlog, not ahead of it.
-        let due_heal = {
-            let st = self.state.borrow();
-            st.dirs[self.dir].partition_until.is_some_and(|t| now >= t)
-        };
-        if due_heal {
-            self.flush_due(now)?;
-        }
-        let plan = self.state.borrow().plan;
-        let partitioned = self.state.borrow().dirs[self.dir].partition_until.is_some();
-        let budget = if partitioned {
-            PARK_CAP.saturating_sub(self.state.borrow().dirs[self.dir].parked_bytes)
-        } else {
-            self.inner.writable()
-        };
-        let n = bytes.len().min(budget);
+        self.flush(now)?;
+        let n = bytes.len().min(self.writable());
         if n == 0 {
             return Ok(0);
         }
 
+        let plan = self.state.borrow().plan;
         let dir_tag = self.dir_tag();
         let mut st = self.state.borrow_mut();
         let d = &mut st.dirs[self.dir];
@@ -549,89 +488,56 @@ impl Transport for FaultTransport {
             }
         }
 
+        // One roll walks the cumulative thresholds; a corruption's offset
+        // is a second draw.
         let d = &mut st.dirs[self.dir];
-        let partitioned = d.partition_until.is_some();
         let roll = (next_rand(&mut d.rng) % 1000) as u16;
-        let mut edge = plan.drop_per_mille;
-        let mut decision = if roll < edge { Decision::Drop } else { Decision::Deliver };
-        if decision == Decision::Deliver {
-            edge += plan.dup_per_mille;
-            if roll < edge {
-                decision = Decision::Dup;
-            }
-        }
-        if decision == Decision::Deliver {
-            edge += plan.corrupt_per_mille;
-            if roll < edge {
-                decision = Decision::Corrupt;
-            }
-        }
-        if decision == Decision::Deliver {
-            edge += plan.reorder_per_mille;
-            if roll < edge {
-                decision = Decision::Reorder;
-            }
-        }
+        let mut edge = 0;
+        let fate = [
+            (plan.drop_per_mille, FaultKind::Dropped),
+            (plan.dup_per_mille, FaultKind::Duplicated),
+            (plan.corrupt_per_mille, FaultKind::Corrupted { offset: 0 }),
+            (plan.reorder_per_mille, FaultKind::Reordered),
+        ]
+        .into_iter()
+        .find(|&(rate, _)| {
+            edge += rate;
+            roll < edge
+        })
+        .map_or(FaultKind::Delivered, |(_, kind)| kind);
 
         let mut chunk = bytes[..n].to_vec();
-        if decision == Decision::Corrupt {
-            let offset = (next_rand(&mut d.rng) as usize) % chunk.len();
-            chunk[offset] ^= 0xA5;
-            st.log_event(FaultEvent {
-                dir: dir_tag,
-                chunk: chunk_no,
-                kind: FaultKind::Corrupted { offset },
-            });
-        }
-        if decision == Decision::Drop {
-            st.log_event(FaultEvent { dir: dir_tag, chunk: chunk_no, kind: FaultKind::Dropped });
-            return Ok(n);
-        }
-
-        // A chunk already held for reordering releases after this one.
-        let prev_held = st.dirs[self.dir].held.take();
-        let hold_current = decision == Decision::Reorder && prev_held.is_none() && !partitioned;
-        let dup = decision == Decision::Dup;
-        if decision != Decision::Corrupt {
-            let kind = if dup {
-                FaultKind::Duplicated
-            } else if hold_current {
-                FaultKind::Reordered
-            } else {
+        let kind = match fate {
+            FaultKind::Corrupted { .. } => {
+                let offset = (next_rand(&mut d.rng) as usize) % chunk.len();
+                chunk[offset] ^= 0xA5;
+                FaultKind::Corrupted { offset }
+            }
+            // One hold at a time, and none in a partitioned direction: its
+            // queue already waits for the heal.
+            FaultKind::Reordered if d.held.is_some() || d.partition_until.is_some() => {
                 FaultKind::Delivered
-            };
-            st.log_event(FaultEvent { dir: dir_tag, chunk: chunk_no, kind });
+            }
+            kind => kind,
+        };
+        st.log_event(FaultEvent { dir: dir_tag, chunk: chunk_no, kind });
+        let d = &mut st.dirs[self.dir];
+        match kind {
+            FaultKind::Dropped => return Ok(n),
+            FaultKind::Reordered => {
+                d.held = Some(chunk);
+                return Ok(n);
+            }
+            FaultKind::Duplicated => d.enqueue(chunk.clone()),
+            _ => {}
         }
-        if partitioned {
-            let d = &mut st.dirs[self.dir];
-            d.parked_bytes += chunk.len();
-            if dup {
-                d.parked_bytes += chunk.len();
-                d.parked.push_back(chunk.clone());
-            }
-            d.parked.push_back(chunk);
-            if let Some(h) = prev_held {
-                d.parked_bytes += h.len();
-                d.parked.push_back(h);
-            }
-            return Ok(n);
+        d.enqueue(chunk);
+        // A chunk already held for reordering releases after this one.
+        if let Some(held) = d.held.take() {
+            d.enqueue(held);
         }
         drop(st);
-
-        if hold_current {
-            self.state.borrow_mut().dirs[self.dir].held = Some(chunk);
-            return Ok(n);
-        }
-        // The budget was measured against the inner window, so the first
-        // copy always fits; what a dup copy or a released hold does not
-        // fit waits in the unsent queue.
-        self.push_queued(&chunk)?;
-        if dup {
-            self.push_queued(&chunk)?;
-        }
-        if let Some(h) = prev_held {
-            self.push_queued(&h)?;
-        }
+        self.flush(now)?;
         Ok(n)
     }
 
@@ -654,41 +560,30 @@ impl Transport for FaultTransport {
     fn next_ready_at(&self) -> Option<u64> {
         let now = self.now_us();
         let st = self.state.borrow();
-        let mut at = self.inner.next_ready_at();
-        let mut propose = |t: u64| {
-            at = Some(at.map_or(t, |cur: u64| cur.min(t)));
-        };
-        // Readability of THIS end is gated on the opposite direction's
-        // parked/held/unsent chunks — they surface once the peer's send
-        // side heals, releases or finds room.
-        let inbound = &st.dirs[1 - self.dir];
-        if !inbound.parked.is_empty() {
-            propose(inbound.partition_until.unwrap_or(now + 1).max(now + 1));
-        }
-        if inbound.held.is_some() || !inbound.unsent.is_empty() {
-            propose(now + 1);
-        }
-        // And OUR parked backlog keeps the pair live too: the stall
-        // round advances both ends, which flushes it toward the peer.
-        let outbound = &st.dirs[self.dir];
-        if !outbound.parked.is_empty() {
-            propose(outbound.partition_until.unwrap_or(now + 1).max(now + 1));
-        }
-        if outbound.held.is_some() || !outbound.unsent.is_empty() {
-            propose(now + 1);
-        }
-        at
+        // The inbound direction's bytes become readable at THIS end; our
+        // outbound ones keep the pair live too, since the stall round
+        // advances both ends and that flushes them toward the peer.
+        let [a, b] = &st.dirs;
+        [self.inner.next_ready_at(), a.next_bytes_at(now), b.next_bytes_at(now)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     fn advance_to(&mut self, t_us: u64) {
         {
             let mut st = self.state.borrow_mut();
             st.now = st.now.max(t_us);
+            // A hold no later send released goes out behind the queue.
+            let d = &mut st.dirs[self.dir];
+            if let Some(held) = d.held.take() {
+                d.enqueue(held);
+            }
         }
         self.inner.advance_to(t_us);
         let now = self.now_us();
         // Errors here resurface on the next send/recv.
-        let _ = self.flush_due(now);
+        let _ = self.flush(now);
     }
 
     #[cfg(unix)]
@@ -840,6 +735,27 @@ mod tests {
         let kinds: Vec<FaultKind> = log.events().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&FaultKind::PartitionStart));
         assert!(kinds.contains(&FaultKind::PartitionHeal));
+    }
+
+    #[test]
+    fn a_hold_waits_out_a_partition_opened_by_a_dropped_chunk() {
+        let plan = FaultPlan::new(0).with_reorder(500).with_drop(500).with_partition(1, 1000);
+        let (mut pair, log) = plan.wrap_pair(LoopbackTransport::pair(1 << 16));
+        pair.client.send(&[0xAA; 4]).unwrap();
+        pair.client.send(&[0xBB; 4]).unwrap();
+        let kinds: Vec<FaultKind> = log.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [FaultKind::Reordered, FaultKind::PartitionStart, FaultKind::Dropped],
+            "chunk 1 held, chunk 2 opens the partition and is lost"
+        );
+        pair.client.advance_to(1);
+        assert_eq!(drain(pair.service.as_mut()), [], "the hold must not cross the partition");
+        let heal = pair.service.next_ready_at().expect("the hold keeps the pair live");
+        assert_eq!(heal, 1000);
+        pair.client.advance_to(heal);
+        assert_eq!(drain(pair.service.as_mut()), [0xAA; 4]);
+        assert_eq!(log.events().last().unwrap().kind, FaultKind::PartitionHeal);
     }
 
     #[test]

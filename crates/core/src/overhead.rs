@@ -21,8 +21,6 @@ use crate::ratio::Ratios;
 
 /// `Std_cpu`: the 500 MHz reference processor of Equation 1.
 pub const STD_CPU_MHZ: f64 = 500.0;
-/// `Std_bandwidth`: the 1 Mbps reference of Equation 1.
-pub const STD_BANDWIDTH_KBPS: f64 = 1000.0;
 /// The paper's default application-level utilization factor.
 pub const DEFAULT_RHO: f64 = 0.8;
 

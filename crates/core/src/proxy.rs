@@ -35,7 +35,7 @@ use parking_lot::RwLock;
 use crate::epoch::Epoch;
 use crate::error::FractalError;
 use crate::meta::{AppId, AppMeta, ClientEnv, PadMeta};
-use crate::overhead::{OverheadModel, ServerComputeMode};
+use crate::overhead::OverheadModel;
 use crate::pat::Pat;
 use crate::search::search;
 
@@ -183,20 +183,6 @@ impl AdaptationProxy {
         self.tele.app_pushes.add(metas.len() as u64);
     }
 
-    /// Switches the server-compute mode (reactive ↔ proactive adaptive
-    /// content). Clears the cache: cached decisions embed the old mode.
-    pub fn set_mode(&mut self, mode: ServerComputeMode) {
-        if self.model.mode != mode {
-            self.model.mode = mode;
-            self.clear_adaptation_state();
-        }
-    }
-
-    /// Current server-compute mode.
-    pub fn mode(&self) -> ServerComputeMode {
-        self.model.mode
-    }
-
     /// The proxy's overhead model (read-only).
     pub fn model(&self) -> &OverheadModel {
         &self.model
@@ -306,6 +292,7 @@ impl AdaptationProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overhead::ServerComputeMode;
     use crate::presets::{case_study_app_meta, paper_ratios, ClientClass};
     use crate::ratio::Ratios;
     use fractal_crypto::sha1::sha1;
@@ -358,8 +345,9 @@ mod tests {
     fn proactive_mode_flips_pda_to_varyblock() {
         // Figure 10(d) / 11(c): excluding server compute changes the PDA's
         // negotiated protocol from Bitmap to Vary-sized blocking.
-        let mut proxy = proxy_with_case_study();
-        proxy.set_mode(ServerComputeMode::Exclude);
+        let model = OverheadModel::paper(paper_ratios()).with_mode(ServerComputeMode::Exclude);
+        let proxy = AdaptationProxy::new(model);
+        proxy.push_app_meta(&case_study_meta(AppId(1)));
         let pads = proxy.negotiate(AppId(1), ClientClass::PdaBluetooth.env()).unwrap();
         assert_eq!(pads[0].protocol, ProtocolId::VaryBlock);
         // Desktop and laptop keep their winners.
@@ -408,20 +396,6 @@ mod tests {
         let stats = proxy.stats();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.cache_misses, 2);
-    }
-
-    #[test]
-    fn mode_switch_clears_cache() {
-        let mut proxy = proxy_with_case_study();
-        let env = ClientClass::PdaBluetooth.env();
-        proxy.negotiate(AppId(1), env).unwrap();
-        assert!(proxy.cached(AppId(1), &env));
-        proxy.set_mode(ServerComputeMode::Exclude);
-        assert!(!proxy.cached(AppId(1), &env));
-        // Same-mode set is a no-op that keeps the cache.
-        proxy.negotiate(AppId(1), env).unwrap();
-        proxy.set_mode(ServerComputeMode::Exclude);
-        assert!(proxy.cached(AppId(1), &env));
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl ApplicationServer {
         }
     }
 
-    /// Current generation mode.
-    pub fn mode(&self) -> AdaptiveContentMode {
-        self.mode
-    }
-
     /// Publishes a new version of `content_id`; returns the version number.
     /// In proactive mode the adaptive content for the new version is
     /// pre-computed immediately (the off-request-path cost).

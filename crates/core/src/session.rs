@@ -319,8 +319,7 @@ mod tests {
 
     #[test]
     fn proactive_mode_charges_no_server_compute() {
-        let mut tb = Testbed::case_study(AdaptiveContentMode::Proactive);
-        tb.proxy.set_mode(crate::overhead::ServerComputeMode::Exclude);
+        let tb = Testbed::case_study(AdaptiveContentMode::Proactive);
         tb.server.publish(7, content(6, 20_000));
         let mut client = tb.client(ClientClass::PdaBluetooth);
         let link = ClientClass::PdaBluetooth.link();

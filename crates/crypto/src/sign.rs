@@ -202,17 +202,6 @@ impl SignerRegistry {
             store.trust(*id, key.clone());
         }
     }
-
-    /// Exports only the given signer's anchor.
-    pub fn export_one(&self, id: KeyId, store: &mut TrustStore) -> bool {
-        match self.issued.get(&id) {
-            Some(key) => {
-                store.trust(id, key.clone());
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]

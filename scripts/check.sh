@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo-wide gate: formatting, audits, lints and tier-1, plus (without
 # --quick) the release-mode re-runs, the mutation checks, the scenario
-# soaks and the benchmark's self-tests. Run from the repository root before
+# rows and the benchmark's self-tests. Run from the repository root before
 # sending a change out for review; CI runs the same steps as named jobs.
 #
 #   scripts/check.sh          # fmt, scripts/audits.sh (every source audit
@@ -12,8 +12,9 @@
 #                             # receive rule's, the ready queue's and the
 #                             # peer hint's mutation checks
 #                             # (scripts/mutants.sh), fasmlint, the seven
-#                             # scenario soaks at --smoke scale, and the
-#                             # benchmark's self-tests + quick suite
+#                             # scenario rows against the committed
+#                             # BENCH_scenarios.json (scripts/scenario_rows.sh),
+#                             # and the benchmark's self-tests + quick suite
 #   scripts/check.sh --quick  # fmt + audits + clippy + tier-1 + fasmlint
 #                             # only (no release re-runs; what you want in
 #                             # an edit-test loop or a time-boxed CI lane)
@@ -50,29 +51,6 @@ on_exit() {
 }
 trap on_exit EXIT
 
-# guarded <hint> <cmd...>: run an (already built) smoke binary under a 120 s
-# backstop, so a true deadlock is a fast red run with a diagnostic instead
-# of a CI job hanging for hours. <hint> says what a timeout most likely
-# means for this gate. Build before calling — cold compiles legitimately
-# take minutes and must not be metered. `timeout` is coreutils; a host
-# without it runs unguarded.
-guarded() {
-    hint="$1"
-    shift
-    if ! command -v timeout >/dev/null 2>&1; then
-        "$@"
-        return
-    fi
-    # Capture the real exit status: inside `if ! cmd`, `$?` is the status of
-    # the negated condition (always 0 in the branch), not of `cmd` itself.
-    status=0
-    timeout 120 "$@" || status=$?
-    if [ "$status" -eq 124 ]; then
-        echo "$CURRENT_STEP: no completion within 120 s — $hint" >&2
-    fi
-    return "$status"
-}
-
 step "cargo fmt --check"
 cargo fmt --all --check
 
@@ -81,7 +59,7 @@ step "audits (scripts/audits.sh)"
 scripts/audits.sh
 
 # One build configuration (recording is always on), so one lint pass and
-# one test pass cover everything the smoke gates below run.
+# one test pass cover everything the release gates below run.
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -120,26 +98,17 @@ cargo run -q -p fractal-vm-oracle --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm
 
 if [ "$QUICK" -eq 1 ]; then
-    echo "All checks passed (--quick: skipped the release re-runs, mutation checks, scenario smoke gates + benchmark)."
+    echo "All checks passed (--quick: skipped the release re-runs, mutation checks, scenario rows + benchmark)."
     trap - EXIT
     exit 0
 fi
 
-# Each adversity scenario at --smoke scale, one named step per scenario
-# so a red run says WHICH one broke. Every scenario runs twice in-process
-# under its seed and asserts identical decisions, fault logs, and merged
-# telemetry; injected faults must end in typed errors or recovery. The
-# timeout is the backstop for a failure of the stall detector itself —
-# an unexpected stall inside the budget writes STALL_<scenario>.txt and
-# exits nonzero on its own.
+# Each adversity scenario at full population, its row compared with the
+# committed BENCH_scenarios.json; the script names the scenario that broke
+# and keeps the 120 s deadlock backstop.
 cargo build -q --release -p fractal-bench --bin scenarios
-for scenario in burst_arrivals lossy_link partition_recovery \
-                handoff_renegotiation cache_stampede pad_rollout_rollback \
-                live_republish; do
-    step "scenarios smoke ($scenario)"
-    guarded "the stall detector never fired" \
-        ./target/release/scenarios --smoke --scenario "$scenario"
-done
+step "scenario rows match the committed BENCH_scenarios.json (scripts/scenario_rows.sh)"
+scripts/scenario_rows.sh
 
 step "benchmark (self-tests + quick suite against this tree's crates)"
 # benchmark/ is a package of its own with path dependencies on crates/*, so

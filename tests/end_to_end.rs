@@ -139,7 +139,6 @@ fn environment_change_renegotiates_and_changes_protocol() {
 fn proactive_server_mode_flips_pda_protocol_end_to_end() {
     let pages = PageSet::new(11, 1);
     let mut tb = Testbed::case_study(AdaptiveContentMode::Proactive);
-    tb.proxy.set_mode(fractal::core::overhead::ServerComputeMode::Exclude);
     publish_pages(&mut tb, &pages);
 
     let mut client = tb.client(ClientClass::PdaBluetooth);
