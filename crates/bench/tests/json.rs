@@ -144,16 +144,15 @@ fn splicing_a_scenario_row_leaves_every_other_row_alone() {
 #[test]
 fn snapshots_round_trip_sorted_with_labeled_names_as_keys() {
     let t = Telemetry::new(Arc::new(Registry::new()), NullClock::shared());
-    t.counter("done_total").add(4);
-    t.counter("a_total").add(u64::MAX);
-    t.gauge("level").set(i64::MIN);
-    t.histogram("lat_ns").record(9);
-    let snap = t.snapshot().labeled("shard", "0");
-    let doc = Json::from(&snap);
+    t.counter("done_total{shard=\"0\"}").add(4);
+    t.counter("a_total{shard=\"0\"}").add(u64::MAX);
+    t.gauge("level{shard=\"0\"}").set(i64::MIN);
+    t.histogram("lat_ns{shard=\"0\"}").record(9);
+    let doc = Json::from(&t.snapshot());
     let text = doc.emit();
     assert_eq!(Json::parse(&text).as_ref(), Ok(&doc));
     // Identical snapshots render identically (byte determinism), sorted.
-    assert_eq!(text, Json::from(&t.snapshot().labeled("shard", "0")).emit());
+    assert_eq!(text, Json::from(&t.snapshot()).emit());
     assert!(text.find("a_total").unwrap() < text.find("done_total").unwrap());
     // The literal quotes of the `{shard="0"}` suffix arrive escaped, or
     // the embedding BENCH_*.json stops being JSON.

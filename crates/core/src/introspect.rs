@@ -26,7 +26,7 @@
 //!
 //! The server is deliberately minimal — HTTP/1.0, `Connection: close`,
 //! GET only — and is built on [`sys::Poller`](crate::sys::Poller) +
-//! [`TcpTransport`](crate::transport::TcpTransport), the same readiness
+//! [`TcpTransport`], the same readiness
 //! machinery the INP server itself uses. No new dependencies, no second
 //! I/O idiom to maintain.
 

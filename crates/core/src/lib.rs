@@ -83,7 +83,7 @@ pub mod transport;
 
 pub use error::{FractalError, InpError};
 pub use meta::{AppId, AppMeta, ClientEnv, CpuType, DevMeta, NtwkMeta, OsType, PadId, PadMeta};
-pub use overhead::{OverheadModel, ServerComputeMode};
+pub use overhead::OverheadModel;
 pub use pat::Pat;
 pub use presets::ClientClass;
 pub use proxy::AdaptationProxy;

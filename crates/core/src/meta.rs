@@ -391,7 +391,7 @@ impl PadMeta {
     }
 
     /// Serialized size in bytes (for traffic accounting): what
-    /// [`encode`](Self::encode) writes, counted instead of written.
+    /// `encode` writes, counted instead of written.
     pub fn wire_len(&self) -> usize {
         // id, protocol, size, three f64 overheads, digest, url length.
         let fixed = 8 + 2 + 4 + 3 * 8 + 20 + 2;

@@ -18,32 +18,19 @@
 
 use crate::meta::{ClientEnv, PadMeta};
 use crate::ratio::Ratios;
+use crate::server::AdaptiveContentMode;
 
 /// `Std_cpu`: the 500 MHz reference processor of Equation 1.
 pub const STD_CPU_MHZ: f64 = 500.0;
 /// The paper's default application-level utilization factor.
 pub const DEFAULT_RHO: f64 = 0.8;
 
-/// Whether the server-side compute term is charged.
-///
-/// §3.1: adaptive content is generated *reactively* (computed per request —
-/// server compute counts) or *proactively* (pre-computed — it does not).
-/// Figures 10(d)/11(c) re-run the negotiation without the server term and
-/// watch the PDA's winner flip from Bitmap to Vary-sized blocking.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServerComputeMode {
-    /// Reactive adaptive content: include server compute (Fig. 10(a–c), 11(b)).
-    Include,
-    /// Proactive adaptive content: exclude it (Fig. 10(d), 11(c)).
-    Exclude,
-}
-
 /// A broken-down overhead estimate, in seconds.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct OverheadBreakdown {
     /// PAD download time.
     pub pad_download_s: f64,
-    /// Server-side compute (zero under [`ServerComputeMode::Exclude`]).
+    /// Server-side compute (zero under [`AdaptiveContentMode::Proactive`]).
     pub server_compute_s: f64,
     /// Client-side compute.
     pub client_compute_s: f64,
@@ -69,24 +56,28 @@ pub struct OverheadModel {
     /// The application server's CPU in MHz (server compute scales by
     /// `Std_cpu / server_cpu`).
     pub server_cpu_mhz: f64,
-    /// Whether server compute is charged.
-    pub mode: ServerComputeMode,
+    /// How the server generates adaptive content (§3.1): reactively
+    /// (encoded per request, so server compute is charged; Fig. 10(a–c),
+    /// 11(b)) or proactively (pre-computed, so it is not; Fig. 10(d),
+    /// 11(c), where the PDA's winner flips from Bitmap to Vary-sized
+    /// blocking).
+    pub mode: AdaptiveContentMode,
 }
 
 impl OverheadModel {
     /// The paper's configuration: ρ = 0.8, a 2.8 GHz application server,
-    /// server compute included.
+    /// reactive content (server compute included).
     pub fn paper(ratios: Ratios) -> OverheadModel {
         OverheadModel {
             ratios,
             rho: DEFAULT_RHO,
             server_cpu_mhz: 2800.0,
-            mode: ServerComputeMode::Include,
+            mode: AdaptiveContentMode::Reactive,
         }
     }
 
-    /// Returns a copy with the server-compute mode flipped.
-    pub fn with_mode(mut self, mode: ServerComputeMode) -> OverheadModel {
+    /// Returns a copy pricing the server's content `mode`.
+    pub fn with_mode(mut self, mode: AdaptiveContentMode) -> OverheadModel {
         self.mode = mode;
         self
     }
@@ -123,8 +114,8 @@ impl OverheadModel {
 
         let pad_download_s = pad.size as f64 / goodput_bytes_per_s;
         let server_compute_s = match self.mode {
-            ServerComputeMode::Include => self.server_compute_s(pad, client, content_bytes),
-            ServerComputeMode::Exclude => 0.0,
+            AdaptiveContentMode::Reactive => self.server_compute_s(pad, client, content_bytes),
+            AdaptiveContentMode::Proactive => 0.0,
         };
         let client_compute_s = self.client_compute_s(pad, client, content_bytes);
         let traffic_s =
@@ -219,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn server_compute_mode_toggles_term() {
+    fn proactive_content_drops_the_server_term() {
         let model = OverheadModel::paper(Ratios::linear());
         let p = pad(1, 2800.0, 0.0, 0.0, 0);
         let c = client(2000, LinkKind::Lan, 100_000);
@@ -228,7 +219,7 @@ mod tests {
         assert!((with.server_compute_s - 0.5).abs() < 1e-9);
         let without = model
             .clone()
-            .with_mode(ServerComputeMode::Exclude)
+            .with_mode(AdaptiveContentMode::Proactive)
             .breakdown(&p, &c, 1_000_000)
             .unwrap();
         assert_eq!(without.server_compute_s, 0.0);

@@ -292,9 +292,9 @@ impl AdaptationProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::ServerComputeMode;
     use crate::presets::{case_study_app_meta, paper_ratios, ClientClass};
     use crate::ratio::Ratios;
+    use crate::server::AdaptiveContentMode;
     use fractal_crypto::sha1::sha1;
     use fractal_protocols::ProtocolId;
 
@@ -345,7 +345,7 @@ mod tests {
     fn proactive_mode_flips_pda_to_varyblock() {
         // Figure 10(d) / 11(c): excluding server compute changes the PDA's
         // negotiated protocol from Bitmap to Vary-sized blocking.
-        let model = OverheadModel::paper(paper_ratios()).with_mode(ServerComputeMode::Exclude);
+        let model = OverheadModel::paper(paper_ratios()).with_mode(AdaptiveContentMode::Proactive);
         let proxy = AdaptationProxy::new(model);
         proxy.push_app_meta(&case_study_meta(AppId(1)));
         let pads = proxy.negotiate(AppId(1), ClientClass::PdaBluetooth.env()).unwrap();

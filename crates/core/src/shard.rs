@@ -11,7 +11,7 @@
 //! * each **shard** thread owns one `Reactor`, one
 //!   [`sys::Poller`](crate::sys::Poller), one `127.0.0.1:0` listener and
 //!   its slice of the sessions. Each turn of its one loop pairs and admits
-//!   up to [`ADMIT_BATCH`] sessions (connect a client stream, accept it at
+//!   up to `ADMIT_BATCH` sessions (connect a client stream, accept it at
 //!   once, wrap both ends in [`TcpTransport`]s, `spawn_on`), drains the
 //!   ready queue, and polls its sockets: without sleeping while sessions
 //!   remain to admit, for up to a wait slice once all are in. So a shard
@@ -186,17 +186,6 @@ impl ShardedOutcome {
             merged.merge(&s.journal);
         }
         merged
-    }
-
-    /// The merged totals **plus** each shard's series under a
-    /// `{shard="i"}` label — one snapshot carrying both views, shaped for
-    /// embedding in `BENCH_*.json`.
-    pub fn labeled_snapshot(&self) -> Snapshot {
-        let mut out = self.merged_snapshot();
-        for s in &self.shards {
-            out.merge(&s.snapshot.labeled("shard", &s.shard.to_string()));
-        }
-        out
     }
 
     /// Cross-checks per-shard telemetry against per-shard reports, and the
@@ -520,17 +509,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_and_labeled_snapshots_cover_every_shard() {
+    fn merged_and_per_shard_snapshots_cover_every_shard() {
         let tb = testbed_with_pages(8);
         let sessions: Vec<InpSession> = (0..8)
             .map(|i| InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, i, 0))
             .collect();
         let outcome =
             ShardedReactor::new(&tb.proxy, &tb.server, &tb.pad_repo, 2).run(sessions).unwrap();
-        let labeled = outcome.labeled_snapshot();
-        assert_eq!(labeled.counters["fractal_reactor_completed_total"], 8);
-        assert_eq!(labeled.counters["fractal_reactor_completed_total{shard=\"0\"}"], 4);
-        assert_eq!(labeled.counters["fractal_reactor_completed_total{shard=\"1\"}"], 4);
+        let done = |snap: &Snapshot| snap.counters["fractal_reactor_completed_total"];
+        assert_eq!(done(&outcome.merged_snapshot()), 8);
+        assert_eq!(outcome.shards.len(), 2);
+        for s in &outcome.shards {
+            assert_eq!(done(&s.snapshot), 4, "shard {}", s.shard);
+        }
     }
 
     #[test]

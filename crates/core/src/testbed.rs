@@ -14,7 +14,7 @@ use fractal_vm::AdmissionCache;
 
 use crate::client::FractalClient;
 use crate::meta::AppId;
-use crate::overhead::{OverheadModel, ServerComputeMode};
+use crate::overhead::OverheadModel;
 use crate::presets::{case_study_app_meta, pad_id, paper_ratios, ClientClass};
 use crate::proxy::AdaptationProxy;
 use crate::server::{AdaptiveContentMode, ApplicationServer};
@@ -72,11 +72,7 @@ impl Testbed {
         let meta = case_study_app_meta(app_id, &artifacts);
         // §3.1: proactive content is pre-computed, so the proxy charges
         // no server compute for it (Figures 10(d), 11(c)).
-        let compute = match mode {
-            AdaptiveContentMode::Reactive => ServerComputeMode::Include,
-            AdaptiveContentMode::Proactive => ServerComputeMode::Exclude,
-        };
-        let proxy = AdaptationProxy::new(OverheadModel::paper(paper_ratios()).with_mode(compute));
+        let proxy = AdaptationProxy::new(OverheadModel::paper(paper_ratios()).with_mode(mode));
         proxy.register_app(&meta);
 
         let server = ApplicationServer::new(app_id, protocols, mode);

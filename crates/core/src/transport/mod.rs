@@ -2,7 +2,7 @@
 //!
 //! The paper's INP (§3.3) is a wire protocol: client and adaptation proxy
 //! exchange framed packets over a real link. Until this module existed the
-//! [`Reactor`](crate::reactor::Reactor) handed [`InpMessage`] values around
+//! [`Reactor`](crate::reactor::Reactor) handed [`InpMessage`](crate::inp::InpMessage) values around
 //! by value, so nothing exercised framing, partial reads, or backpressure.
 //! Here the delivery path becomes bytes end to end:
 //!
@@ -86,7 +86,7 @@ pub enum FrameError {
         /// The framer's limit.
         max: usize,
     },
-    /// A complete frame failed to parse as an [`InpMessage`].
+    /// A complete frame failed to parse as an [`InpMessage`](crate::inp::InpMessage).
     Malformed(WireError),
     /// A checksum-trailered frame arrived with a mismatched checksum —
     /// the bytes were corrupted in flight and must not be delivered.

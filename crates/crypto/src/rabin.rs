@@ -82,7 +82,7 @@ impl RollingHash {
     /// window is full). Returns the new fingerprint.
     ///
     /// The steady-state cost is two table lookups (the circular window and
-    /// [`OUT_TABLE`]) plus the shift-and-add — the outgoing byte's weight
+    /// `OUT_TABLE`) plus the shift-and-add — the outgoing byte's weight
     /// `(b+1)·BASE^(W-1)` is precomputed at compile time.
     pub fn roll(&mut self, byte: u8) -> u64 {
         if self.filled == WINDOW {

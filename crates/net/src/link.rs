@@ -119,12 +119,6 @@ impl Link {
     pub fn rtt(&self) -> SimDuration {
         self.latency + self.latency
     }
-
-    /// Time for a request/response exchange: request of `req` bytes up,
-    /// response of `resp` bytes down.
-    pub fn exchange_time(&self, req: u64, resp: u64) -> SimDuration {
-        self.transfer_time(req) + self.transfer_time(resp)
-    }
 }
 
 #[cfg(test)]
@@ -177,10 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn exchange_and_rtt() {
+    fn rtt_is_two_latencies() {
         let link = LinkKind::Lan.link();
         assert_eq!(link.rtt().as_micros(), 400);
-        assert!(link.exchange_time(100, 100) > link.rtt());
     }
 
     #[test]

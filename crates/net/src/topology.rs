@@ -57,13 +57,6 @@ impl Topology {
         }
     }
 
-    /// Overrides the latency model.
-    pub fn with_latency(mut self, per_unit: SimDuration, floor: SimDuration) -> Topology {
-        self.latency_per_unit = per_unit;
-        self.latency_floor = floor;
-        self
-    }
-
     /// Adds a node at `pos`, returning its id.
     pub fn add_node(&mut self, pos: Position) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -178,11 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_latency_model() {
-        let mut t = Topology::new().with_latency(SimDuration::millis(10), SimDuration::ZERO);
+    fn latency_is_the_floor_plus_a_rate_per_unit_distance() {
+        let mut t = Topology::new();
         let a = t.add_node(Position { x: 0.0, y: 0.0 });
         let b = t.add_node(Position { x: 0.0, y: 0.5 });
-        assert_eq!(t.latency(a, b), SimDuration::millis(5));
+        assert_eq!(t.latency(a, a), SimDuration::millis(1));
+        assert_eq!(t.latency(a, b), SimDuration::millis(41));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! to *measure* where cycles go, not guess. This crate provides:
 //!
 //! - [`metrics`] — atomic [`Counter`]s, [`Gauge`]s, and log2-bucketed
-//!   [`Histogram`](metrics::Histogram)s with lock-free recording and
+//!   [`Histogram`]s with lock-free recording and
 //!   associative, deterministic snapshot merge;
 //! - [`registry`] — a sharded `&self` name→handle map, snapshots rendered
 //!   as a Prometheus text page (the bench crate builds its `BENCH_*.json`
@@ -26,7 +26,7 @@
 //! [`registry`], there is no cargo feature and no no-op variant, so every
 //! build — tier-1, `check.sh`, CI, `benchmark/` — runs the same
 //! instrumented code and every reconciliation test asserts in it.
-//! DESIGN.md §4.9 records the measurement that retired the gate.
+//! DESIGN.md §4.5 points at the measurement that retired the feature gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

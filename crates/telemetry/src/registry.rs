@@ -171,21 +171,6 @@ impl Snapshot {
         }
     }
 
-    /// A copy with every metric name suffixed by a `{key="value"}` label,
-    /// Prometheus-style. Per-shard registries are identical by name;
-    /// labeling before embedding keeps each shard's series distinct next
-    /// to the merged totals (`snap.labeled("shard", "3")`). Labeled and
-    /// unlabeled names never collide, so a labeled snapshot still merges
-    /// cleanly.
-    pub fn labeled(&self, key: &str, value: &str) -> Snapshot {
-        let rename = |name: &str| format!("{name}{{{key}=\"{value}\"}}");
-        Snapshot {
-            counters: self.counters.iter().map(|(k, v)| (rename(k), *v)).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (rename(k), *v)).collect(),
-            histograms: self.histograms.iter().map(|(k, v)| (rename(k), v.clone())).collect(),
-        }
-    }
-
     /// Renders the Prometheus text exposition format (counters and gauges
     /// as single samples, histograms as cumulative `_bucket{le=…}` series
     /// plus `_sum`/`_count`).

@@ -33,7 +33,7 @@
 //! Every transfer function over-approximates the interpreter's concrete
 //! semantics (`wrapping_*` arithmetic, zero-extending loads, masked
 //! shifts). Loop headers are joined with interval hulls and widened to
-//! ±∞ after [`WIDEN_AFTER`] unstable visits, so the fixpoint terminates;
+//! ±∞ after `WIDEN_AFTER` unstable visits, so the fixpoint terminates;
 //! known bits form a finite lattice and only ever lose bits at joins.
 //! Unreachable blocks (entry height `None`) are never visited and keep
 //! empty facts.
@@ -67,7 +67,7 @@ pub mod proven {
 
 /// An abstract i64: a signed interval plus known-bit masks.
 ///
-/// Invariants kept by [`AbsVal::normalized`]: `lo <= hi`, `zeros` and
+/// Invariants kept by `AbsVal::normalized`: `lo <= hi`, `zeros` and
 /// `ones` are disjoint, and the interval and bit facts agree (each is
 /// refined from the other where the refinement is sound).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

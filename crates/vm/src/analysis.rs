@@ -132,12 +132,6 @@ pub struct ModuleAnalysis {
 }
 
 impl ModuleAnalysis {
-    /// Intrinsics reachable from the named entry point, as `HostId`s.
-    pub fn entry_hosts(&self, module: &Module, entry: &str) -> Vec<HostId> {
-        let Some(idx) = module.find(entry) else { return Vec::new() };
-        mask_to_hosts(self.functions[idx].reachable_hosts)
-    }
-
     /// Union of `reachable_hosts` over every function, as `HostId`s.
     pub fn all_hosts(&self) -> Vec<HostId> {
         let mask = self.functions.iter().fold(0u8, |m, f| m | f.reachable_hosts);
@@ -1005,22 +999,8 @@ mod tests {
         "#,
         )
         .unwrap();
-        let m = assemble(
-            r#"
-            .func entry args=0 locals=0
-                call helper
-                ret
-            .func helper args=0 locals=0
-                push 0
-                push 4
-                push 64
-                host sha1
-                ret
-        "#,
-        )
-        .unwrap();
         assert_eq!(a.functions[0].own_hosts, 0);
-        assert_eq!(a.entry_hosts(&m, "entry"), vec![HostId::Sha1]);
+        assert_eq!(a.functions[0].reachable_hosts, 1 << HostId::Sha1.id());
         assert_eq!(a.all_hosts(), vec![HostId::Sha1]);
     }
 

@@ -9,7 +9,7 @@
 //! height 2 is `add r[s0], r[s0], r[s1]`, `local.set 3` at height 1 is
 //! `mov r3, r[s0]`, `drop` is a no-op.
 //!
-//! [`translate`] writes one [`Slot`] per instruction, 1:1 with instruction
+//! `translate` writes one [`Slot`] per instruction, 1:1 with instruction
 //! indices so branch targets need no remapping. Slot `i` is the longest
 //! *run* that starts at instruction `i`:
 //!
@@ -35,7 +35,7 @@
 //!
 //! A last pass replaces slot `i` by one slot for it and the one or two it
 //! falls through to when they have one of five shapes, the gzip PAD's
-//! token loop (DESIGN.md §4.11): `add · br.ltu`, `mov · sub · br.ltu`,
+//! token loop (DESIGN.md §4.4): `add · br.ltu`, `mov · sub · br.ltu`,
 //! `load · add` stepping the load's address, `add · jmp` and
 //! `mov · sub · lzcopy`. A fused slot skips a write only to a stack
 //! register its last part pops, dead on both edges of a branch (they share

@@ -15,8 +15,7 @@
 //! * [`mutate`] — version evolution: *in-place* pixel edits (Bitmap's best
 //!   case), *insertions/deletions* in text (vary-sized blocking's best
 //!   case), and fresh-content churn (Gzip/Direct's case);
-//! * [`pages`] — assembling pages and version chains;
-//! * [`trace`] — request traces over a client population.
+//! * [`pages`] — assembling pages and version chains.
 //!
 //! Everything is seeded and reproducible.
 
@@ -28,8 +27,6 @@ pub mod image;
 pub mod mutate;
 pub mod pages;
 pub mod text;
-pub mod trace;
 
 pub use burst::BurstCascade;
 pub use pages::{Page, PageSet};
-pub use trace::{Request, Trace};

@@ -31,7 +31,7 @@ if [ -z "$default" ] || [ "$default" != "$(ids workspace_members)" ]; then
     exit 1
 fi
 
-# DESIGN.md §7 says every `unsafe` block, fn, impl and extern lives in the
+# DESIGN.md §8 says every `unsafe` block, fn, impl and extern lives in the
 # poll(2)/rlimit bindings; this makes that a checked claim. `deny(unsafe_code)`
 # already covers fractal-core; the grep also covers the crates and shims
 # that carry no such attribute. The one exception is a test binary: the
@@ -45,12 +45,12 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-# DESIGN.md §7 again: the FFI those `unsafe` blocks call is poll(2) and the
+# DESIGN.md §8 again: the FFI those `unsafe` blocks call is poll(2) and the
 # rlimit pair, and nothing else; the script says what it parses.
 audit "extern \"C\" in crates/core/src/sys.rs declares only poll, getrlimit, setrlimit"
 scripts/sys_ffi.sh
 
-# DESIGN.md §8: Figure 4 is walked by the sans-IO core and nothing else;
+# DESIGN.md §4.2: Figure 4 is walked by the sans-IO core and nothing else;
 # `session::run_session`, `Reactor` and `ShardedReactor` only carry what the
 # core emits. A client-side request built (or taken apart field by field)
 # anywhere else in fractal-core is a second walk growing back. Allowed:
@@ -164,10 +164,11 @@ if grep -rnwE 'Instant|SystemTime' --include='*.rs' --exclude=calibrate.rs crate
     exit 1
 fi
 
-# DESIGN.md §4.17 names one holder per property; a renamed or deleted
+# DESIGN.md §5 names one holder per property; a renamed or deleted
 # holder, or one tier-1 does not build, turns the row into a claim nothing
-# checks. The script says what it parses.
-audit "every holder in DESIGN.md §4.17's property table exists in the workspace"
+# checks, and a name or section the docs cite that the tree lacks is the
+# same drift. The script says what it parses.
+audit "DESIGN.md's holders, and the names and sections the docs cite, exist"
 scripts/design_holders.sh
 
 # scripts/regen.sh rewrites both BENCH_*.json from one checkout. A

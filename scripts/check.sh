@@ -6,7 +6,7 @@
 #
 #   scripts/check.sh          # fmt, scripts/audits.sh (every source audit
 #                             # and the one-git_sha check on the committed
-#                             # BENCH_*.json), clippy, tier-1 (cargo test -q:
+#                             # BENCH_*.json), clippy, rustdoc, tier-1 (cargo test -q:
 #                             # the whole workspace), the instance-recycling
 #                             # suite again in release, the machine's, the
 #                             # receive rule's, the ready queue's and the
@@ -15,7 +15,7 @@
 #                             # scenario rows against the committed
 #                             # BENCH_scenarios.json (scripts/scenario_rows.sh),
 #                             # and the benchmark's self-tests + quick suite
-#   scripts/check.sh --quick  # fmt + audits + clippy + tier-1 + fasmlint
+#   scripts/check.sh --quick  # fmt + audits + clippy + rustdoc + tier-1 + fasmlint
 #                             # only (no release re-runs; what you want in
 #                             # an edit-test loop or a time-boxed CI lane)
 #
@@ -63,9 +63,14 @@ scripts/audits.sh
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every library crate is `#![warn(missing_docs)]`; a doc link to a private
+# or renamed item is a warning rustdoc prints and nothing else would catch.
+step "cargo doc --no-deps --workspace (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Tier-1, the one test gate: the root manifest's `default-members` make
 # `cargo test -q` run every workspace member's suites (scripts/audits.sh
-# keeps it so). DESIGN.md §4.17 maps each property to the test that holds it.
+# keeps it so). DESIGN.md §5 maps each property to the test that holds it.
 step "cargo test -q (tier-1: the whole workspace)"
 cargo test -q
 
@@ -79,8 +84,7 @@ if [ "$QUICK" -eq 0 ]; then
     cargo test -q --release -p fractal-vm --test alloc -p fractal-vm-oracle --test differential
     cargo test -q --release --test security
 
-    # DESIGN.md §4.11's "mutation-checked" list, the INP receive rule's
-    # two and the reactor's two, run: each mutation applied to a throwaway
+    # DESIGN.md §5's mutation table, run: each mutation applied to a throwaway
     # worktree must turn the machine's suites, the core's transition matrix
     # or the reactor's order tests red.
     step "machine, auditor, receive-rule, ready-queue and peer-hint mutations are killed (scripts/mutants.sh)"

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# The mutation checks DESIGN.md §4.11 records for the machine and its
+# The mutation checks DESIGN.md §5 records for the machine and its
 # reference, two for the INP receive rule (`inp::classify`) and two for the
 # reactor's ready-queue rule, run rather than stated. Each mutation below is
 # applied to a throwaway `git worktree` of this tree under $TMPDIR, and the
@@ -47,7 +47,7 @@ suite() {
 echo "==> unmutated tree passes"
 suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated tree fails" >&2; exit 1; }
 
-# name | file | text | replacement. The names are what DESIGN.md §4.11 says.
+# name | file | text | replacement. The names are those of DESIGN.md §5.
 # The text must occur once in the file, or, when the file is written
 # `path#anchor`, at least once after the one occurrence of the anchor; the
 # first occurrence there is replaced. `lz-rate`, `lz-overlap` and

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Fails when the `extern "C"` block of crates/core/src/sys.rs declares
-# anything besides `poll`, `getrlimit` and `setrlimit`. DESIGN.md §7 says the
+# anything besides `poll`, `getrlimit` and `setrlimit`. DESIGN.md §8 says the
 # crate's FFI is the poll(2) / rlimit bindings; a new syscall declared there
 # (a `listen` for a raised backlog, say) is a third surface growing back.
 # Run by scripts/audits.sh.

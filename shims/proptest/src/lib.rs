@@ -341,7 +341,7 @@ pub mod collection {
     use super::strategy::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`], convertible from ranges and fixed sizes.
+    /// Length bounds for [`vec()`], convertible from ranges and fixed sizes.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
