@@ -210,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn proactive_content_drops_the_server_term() {
+    fn server_compute_mode_toggles_term() {
         let model = OverheadModel::paper(Ratios::linear());
         let p = pad(1, 2800.0, 0.0, 0.0, 0);
         let c = client(2000, LinkKind::Lan, 100_000);

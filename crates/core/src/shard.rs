@@ -509,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_and_per_shard_snapshots_cover_every_shard() {
+    fn merged_and_labeled_snapshots_cover_every_shard() {
         let tb = testbed_with_pages(8);
         let sessions: Vec<InpSession> = (0..8)
             .map(|i| InpSession::new(tb.client(ClientClass::DesktopLan), tb.app_id, i, 0))

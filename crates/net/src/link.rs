@@ -171,9 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn rtt_is_two_latencies() {
+    fn exchange_and_rtt() {
         let link = LinkKind::Lan.link();
         assert_eq!(link.rtt().as_micros(), 400);
+        // A request/response exchange is one transfer each way, so it
+        // costs more than the bare round trip.
+        assert!(link.transfer_time(100) + link.transfer_time(100) > link.rtt());
     }
 
     #[test]

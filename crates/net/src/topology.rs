@@ -171,6 +171,18 @@ mod tests {
     }
 
     #[test]
+    fn custom_latency_model() {
+        let mut t = Topology {
+            latency_per_unit: SimDuration::millis(10),
+            latency_floor: SimDuration::ZERO,
+            ..Topology::new()
+        };
+        let a = t.add_node(Position { x: 0.0, y: 0.0 });
+        let b = t.add_node(Position { x: 0.0, y: 0.5 });
+        assert_eq!(t.latency(a, b), SimDuration::millis(5));
+    }
+
+    #[test]
     fn latency_is_the_floor_plus_a_rate_per_unit_distance() {
         let mut t = Topology::new();
         let a = t.add_node(Position { x: 0.0, y: 0.0 });
