@@ -12,6 +12,7 @@
 //! members in insertion order, arrays of scalars on one line, one
 //! trailing newline — because `scripts/audits.sh` greps for it.
 
+use fractal_crypto::wire::Cursor;
 use fractal_telemetry::metrics::{bucket_upper, BUCKETS};
 use fractal_telemetry::Snapshot;
 
@@ -43,13 +44,14 @@ pub enum Json {
 
 impl Json {
     /// Parses a complete JSON document (trailing whitespace allowed).
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: src.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { c: Cursor::new(src.as_bytes()), depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
+        if !p.c.done() {
+            return Err(format!("trailing garbage at byte {}", p.c.pos()));
         }
         Ok(v)
     }
@@ -239,28 +241,36 @@ impl From<&Snapshot> for Json {
 }
 
 struct Parser<'s> {
-    bytes: &'s [u8],
-    pos: usize,
+    c: Cursor<'s>,
     depth: usize,
 }
 
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 impl<'s> Parser<'s> {
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.c.remaining().first().copied()
+    }
+
+    fn bump(&mut self) {
+        let _ = self.c.u8();
+    }
+
+    /// The run of bytes from here that `keep` accepts.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'s [u8] {
+        let n = self.c.remaining().iter().take_while(|&&b| keep(b)).count();
+        self.c.take(n).unwrap_or_default()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
-            self.pos += 1;
+            self.bump();
             Ok(())
         } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
+            Err(format!("expected {:?} at byte {}", b as char, self.c.pos()))
         }
     }
 
@@ -268,7 +278,10 @@ impl<'s> Parser<'s> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_DEPTH {
-                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.c.pos()
+                    ));
                 }
                 self.depth += 1;
                 let v = if open == b'{' {
@@ -284,26 +297,24 @@ impl<'s> Parser<'s> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            other => Err(format!("unexpected {other:?} at byte {}", self.c.pos())),
         }
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
+        let at = self.c.pos();
+        match self.c.take(word.len()) {
+            Ok(got) if got == word.as_bytes() => Ok(v),
+            _ => Err(format!("bad literal at byte {at}")),
         }
     }
 
     fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
+        let start = self.c.pos();
+        let digits =
+            self.take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'));
         // The scanned bytes are ASCII, so the slice is valid UTF-8.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let text = std::str::from_utf8(digits).unwrap_or("");
         // Integers beyond i128 fall through to the nearest f64; `1e999`
         // parses to infinity, which JSON cannot say back.
         let float = || text.parse::<f64>().ok().filter(|n| n.is_finite()).map(Json::Num);
@@ -321,13 +332,12 @@ impl<'s> Parser<'s> {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
-                    self.pos += 1;
+                    self.bump();
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
+                    self.bump();
+                    let esc = self.c.u8().map_err(|_| "unterminated escape")?;
                     out.push(match esc {
                         b'"' | b'\\' | b'/' => esc as char,
                         b'n' => '\n',
@@ -337,12 +347,12 @@ impl<'s> Parser<'s> {
                         b'f' => '\u{c}',
                         b'u' => {
                             let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
+                                .c
+                                .take(4)
+                                .ok()
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or("bad \\u escape")?;
-                            self.pos += 4;
                             char::from_u32(hex).unwrap_or('\u{fffd}')
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
@@ -351,14 +361,8 @@ impl<'s> Parser<'s> {
                 Some(_) => {
                     // Multi-byte UTF-8 passes through untouched: copy the
                     // raw bytes until the next ASCII quote/backslash.
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid utf-8 in string")?,
-                    );
+                    let run = self.take_while(|c| c != b'"' && c != b'\\');
+                    out.push_str(std::str::from_utf8(run).map_err(|_| "invalid utf-8 in string")?);
                 }
             }
         }
@@ -371,11 +375,11 @@ impl<'s> Parser<'s> {
         close: u8,
         item: fn(&mut Self) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        self.pos += 1;
+        self.bump();
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(close) {
-            self.pos += 1;
+            self.bump();
             return Ok(items);
         }
         loop {
@@ -383,14 +387,14 @@ impl<'s> Parser<'s> {
             items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
-                Some(b',') => self.pos += 1,
+                Some(b',') => self.bump(),
                 Some(c) if c == close => {
-                    self.pos += 1;
+                    self.bump();
                     return Ok(items);
                 }
                 other => {
                     let close = close as char;
-                    return Err(format!("expected , or {close} got {other:?} at {}", self.pos));
+                    return Err(format!("expected , or {close} got {other:?} at {}", self.c.pos()));
                 }
             }
         }

@@ -32,6 +32,12 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<fractal_crypto::wire::Truncated> for WireError {
+    fn from(_: fractal_crypto::wire::Truncated) -> Self {
+        WireError::Truncated
+    }
+}
+
 /// Top-level framework errors.
 #[derive(Clone, PartialEq, Debug)]
 pub enum FractalError {

@@ -21,9 +21,10 @@
 //! generation with a fresh `INIT_REQ`; replies echo their request's.
 
 use bytes::Bytes;
+use fractal_crypto::wire::Cursor;
 
 use crate::error::WireError;
-use crate::meta::{AppId, DevMeta, NtwkMeta, PadId, PadMeta, Reader, Writer};
+use crate::meta::{AppId, DevMeta, NtwkMeta, PadId, PadMeta, Writer};
 use fractal_protocols::ProtocolId;
 
 /// Protocol magic.
@@ -37,18 +38,16 @@ pub const HEADER_LEN: usize = 8;
 ///
 /// This is the single source of truth for the header layout — magic(2) +
 /// generation(1) + version(1) + type(1) + len(3, u24 little-endian) —
-/// shared by [`InpMessage::from_bytes`] and the transport layer's
+/// shared by [`Frame::from_bytes`] and the transport layer's
 /// length-prefixed [`Framer`](crate::transport::Framer), which uses the
 /// body length to find frame boundaries in a byte stream.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn header_info(bytes: &[u8]) -> Result<(u8, usize), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    if bytes[..2] != MAGIC || bytes[3] != INP_VERSION {
+    let [m0, m1, _gen, version, msg_type, l0, l1, l2] = Cursor::new(bytes).array()?;
+    if [m0, m1] != MAGIC || version != INP_VERSION {
         return Err(WireError::BadHeader);
     }
-    let len = bytes[5] as usize | (bytes[6] as usize) << 8 | (bytes[7] as usize) << 16;
-    Ok((bytes[4], len))
+    Ok((msg_type, u32::from_le_bytes([l0, l1, l2, 0]) as usize))
 }
 
 /// Why a frame was dropped unacted.
@@ -100,9 +99,71 @@ pub struct Frame {
 
 impl Frame {
     /// Parses header + body, rejecting malformed or trailing input.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn from_bytes(bytes: &[u8]) -> Result<Frame, WireError> {
-        // A parsed message had a whole header: byte 2 is its generation.
-        InpMessage::from_bytes(bytes).map(|msg| Frame { gen: bytes[2], msg })
+        let (msg_type, len) = header_info(bytes)?;
+        let mut r = Cursor::new(bytes);
+        let [_, _, gen, ..] = r.array::<HEADER_LEN>()?;
+        if r.remaining().len() != len {
+            return Err(WireError::Truncated);
+        }
+        let msg = match msg_type {
+            1 => {
+                let app_id = AppId(r.u32()?);
+                let n = r.u32()? as usize;
+                let payload = r.take(n)?.to_vec();
+                InpMessage::InitReq { app_id, payload }
+            }
+            2 => InpMessage::InitRep,
+            3 => InpMessage::CliMetaReq,
+            4 => InpMessage::CliMetaRep {
+                dev: DevMeta::decode(&mut r)?,
+                ntwk: NtwkMeta::decode(&mut r)?,
+            },
+            5 => {
+                let n = r.u16()? as usize;
+                let mut pads = Vec::with_capacity(r.count(n, PadMeta::MIN_WIRE_LEN).unwrap_or(0));
+                for _ in 0..n {
+                    pads.push(PadMeta::decode(&mut r)?);
+                }
+                InpMessage::PadMetaRep { pads }
+            }
+            6 => InpMessage::PadDownloadReq { pad_id: PadId(r.u64()?) },
+            7 => {
+                let pad_id = PadId(r.u64()?);
+                let n = r.u32()? as usize;
+                let bytes = Bytes::copy_from_slice(r.take(n)?);
+                InpMessage::PadDownloadRep { pad_id, bytes }
+            }
+            8 => {
+                let app_id = AppId(r.u32()?);
+                let n = r.u16()? as usize;
+                let mut protocols = Vec::with_capacity(r.count(n, 2).unwrap_or(0));
+                for _ in 0..n {
+                    protocols.push(
+                        ProtocolId::from_wire_id(r.u16()?)
+                            .ok_or(WireError::BadEnum("ProtocolId"))?,
+                    );
+                }
+                let plen = r.u32()? as usize;
+                let payload = r.take(plen)?.to_vec();
+                InpMessage::AppReq { app_id, protocols, payload }
+            }
+            9 => {
+                let content_id = r.u32()?;
+                let version = r.u32()?;
+                let protocol =
+                    ProtocolId::from_wire_id(r.u16()?).ok_or(WireError::BadEnum("ProtocolId"))?;
+                let plen = r.u32()? as usize;
+                let payload = Bytes::copy_from_slice(r.take(plen)?);
+                InpMessage::AppRep { content_id, version, protocol, payload }
+            }
+            _ => return Err(WireError::BadEnum("msg_type")),
+        };
+        if !r.done() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(Frame { gen, msg })
     }
 }
 
@@ -277,69 +338,7 @@ impl InpMessage {
     /// Parses header + body, whatever generation the header carries,
     /// rejecting malformed or trailing input.
     pub fn from_bytes(bytes: &[u8]) -> Result<InpMessage, WireError> {
-        let (msg_type, len) = header_info(bytes)?;
-        let body = bytes.get(HEADER_LEN..).ok_or(WireError::Truncated)?;
-        if body.len() != len {
-            return Err(WireError::Truncated);
-        }
-        let mut r = Reader::new(body);
-        let msg = match msg_type {
-            1 => {
-                let app_id = AppId(r.u32()?);
-                let n = r.u32()? as usize;
-                let payload = r.take(n)?.to_vec();
-                InpMessage::InitReq { app_id, payload }
-            }
-            2 => InpMessage::InitRep,
-            3 => InpMessage::CliMetaReq,
-            4 => InpMessage::CliMetaRep {
-                dev: DevMeta::decode(&mut r)?,
-                ntwk: NtwkMeta::decode(&mut r)?,
-            },
-            5 => {
-                let n = r.u16()? as usize;
-                let mut pads = Vec::with_capacity(n);
-                for _ in 0..n {
-                    pads.push(PadMeta::decode(&mut r)?);
-                }
-                InpMessage::PadMetaRep { pads }
-            }
-            6 => InpMessage::PadDownloadReq { pad_id: PadId(r.u64()?) },
-            7 => {
-                let pad_id = PadId(r.u64()?);
-                let n = r.u32()? as usize;
-                let bytes = Bytes::copy_from_slice(r.take(n)?);
-                InpMessage::PadDownloadRep { pad_id, bytes }
-            }
-            8 => {
-                let app_id = AppId(r.u32()?);
-                let n = r.u16()? as usize;
-                let mut protocols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    protocols.push(
-                        ProtocolId::from_wire_id(r.u16()?)
-                            .ok_or(WireError::BadEnum("ProtocolId"))?,
-                    );
-                }
-                let plen = r.u32()? as usize;
-                let payload = r.take(plen)?.to_vec();
-                InpMessage::AppReq { app_id, protocols, payload }
-            }
-            9 => {
-                let content_id = r.u32()?;
-                let version = r.u32()?;
-                let protocol =
-                    ProtocolId::from_wire_id(r.u16()?).ok_or(WireError::BadEnum("ProtocolId"))?;
-                let plen = r.u32()? as usize;
-                let payload = Bytes::copy_from_slice(r.take(plen)?);
-                InpMessage::AppRep { content_id, version, protocol, payload }
-            }
-            _ => return Err(WireError::BadEnum("msg_type")),
-        };
-        if !r.done() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(msg)
+        Frame::from_bytes(bytes).map(|frame| frame.msg)
     }
 
     /// Wire size (for traffic accounting in the session runner, and the

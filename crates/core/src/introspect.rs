@@ -36,11 +36,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use fractal_crypto::wire::Cursor;
 use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Snapshot, Telemetry};
 
 use crate::sys::{Interest, Poller};
-use crate::transport::{TcpTransport, Transport, TransportError};
+use crate::transport::{TcpTransport, Transport};
 
 /// How long the serve loop sleeps in `poll(2)` per round. Bounds both
 /// accept latency and shutdown latency.
@@ -173,15 +174,15 @@ impl Conn {
     /// Drives the connection as far as readiness allows. Returns `false`
     /// when it is finished (response flushed or peer gone) and should be
     /// dropped.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     fn pump(&mut self, source: &IntrospectSource) -> bool {
         if !self.responding {
             let mut buf = [0u8; 1024];
             while self.inbuf.len() <= MAX_REQUEST_BYTES {
-                match self.transport.recv(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => self.inbuf.extend_from_slice(&buf[..n]),
-                    Err(TransportError::Closed) => return false,
-                    Err(_) => return false,
+                match self.transport.recv(&mut buf).map(|n| Cursor::new(&buf).take(n)) {
+                    Ok(Ok([])) => break,
+                    Ok(Ok(got)) => self.inbuf.extend_from_slice(got),
+                    Ok(Err(_)) | Err(_) => return false,
                 }
             }
             let header_end = self.inbuf.windows(4).position(|w| w == b"\r\n\r\n");
@@ -198,7 +199,7 @@ impl Conn {
         }
         if self.responding {
             while self.sent < self.outbuf.len() {
-                match self.transport.send(&self.outbuf[self.sent..]) {
+                match self.transport.send(self.outbuf.get(self.sent..).unwrap_or_default()) {
                     Ok(0) => break,
                     Ok(n) => self.sent += n,
                     Err(_) => return false,

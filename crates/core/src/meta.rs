@@ -10,6 +10,7 @@
 //!
 //! All integers little-endian on the wire.
 
+use fractal_crypto::wire::Cursor;
 use fractal_crypto::Digest;
 use fractal_net::link::LinkKind;
 use fractal_protocols::ProtocolId;
@@ -247,51 +248,6 @@ impl Writer {
     }
 }
 
-/// Byte-reader helpers shared by the metadata and INP codecs.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        let s = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-    pub fn str16(&mut self) -> Result<String, WireError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-    pub fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 fn link_kind_wire_id(kind: LinkKind) -> u8 {
     match kind {
         LinkKind::Lan => 0,
@@ -316,7 +272,8 @@ impl DevMeta {
         w.u32(self.cpu_mhz);
         w.u32(self.memory_mb);
     }
-    pub(crate) fn decode(r: &mut Reader) -> Result<DevMeta, WireError> {
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    pub(crate) fn decode(r: &mut Cursor) -> Result<DevMeta, WireError> {
         Ok(DevMeta {
             os: OsType::from_wire_id(r.u8()?).ok_or(WireError::BadEnum("OsType"))?,
             cpu: CpuType::from_wire_id(r.u8()?).ok_or(WireError::BadEnum("CpuType"))?,
@@ -334,7 +291,8 @@ impl NtwkMeta {
         w.u8(link_kind_wire_id(self.kind));
         w.u32(self.bandwidth_kbps);
     }
-    pub(crate) fn decode(r: &mut Reader) -> Result<NtwkMeta, WireError> {
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    pub(crate) fn decode(r: &mut Cursor) -> Result<NtwkMeta, WireError> {
         Ok(NtwkMeta {
             kind: link_kind_from_wire_id(r.u8()?).ok_or(WireError::BadEnum("LinkKind"))?,
             bandwidth_kbps: r.u32()?,
@@ -343,6 +301,9 @@ impl NtwkMeta {
 }
 
 impl PadMeta {
+    /// The shortest encoding: an empty URL, no parent and no children.
+    pub(crate) const MIN_WIRE_LEN: usize = 8 + 2 + 4 + 3 * 8 + 20 + 2 + 1 + 2;
+
     pub(crate) fn encode(&self, w: &mut Writer) {
         w.u64(self.id.0);
         w.u16(self.protocol.wire_id());
@@ -365,7 +326,8 @@ impl PadMeta {
         }
     }
 
-    pub(crate) fn decode(r: &mut Reader) -> Result<PadMeta, WireError> {
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    pub(crate) fn decode(r: &mut Cursor) -> Result<PadMeta, WireError> {
         let id = PadId(r.u64()?);
         let protocol =
             ProtocolId::from_wire_id(r.u16()?).ok_or(WireError::BadEnum("ProtocolId"))?;
@@ -375,15 +337,16 @@ impl PadMeta {
             client_ms_per_mb: r.f64()?,
             traffic_ratio: r.f64()?,
         };
-        let digest = Digest(r.take(20)?.try_into().expect("20 bytes"));
-        let url = r.str16()?;
+        let digest = Digest(r.array()?);
+        let url_len = r.u16()? as usize;
+        let url = String::from_utf8(r.take(url_len)?.to_vec()).map_err(|_| WireError::BadUtf8)?;
         let parent = match r.u8()? {
             0 => None,
             1 => Some(PadId(r.u64()?)),
             _ => return Err(WireError::BadEnum("parent flag")),
         };
         let n = r.u16()? as usize;
-        let mut children = Vec::with_capacity(n);
+        let mut children = Vec::with_capacity(r.count(n, 8)?);
         for _ in 0..n {
             children.push(PadId(r.u64()?));
         }
@@ -393,10 +356,8 @@ impl PadMeta {
     /// Serialized size in bytes (for traffic accounting): what
     /// `encode` writes, counted instead of written.
     pub fn wire_len(&self) -> usize {
-        // id, protocol, size, three f64 overheads, digest, url length.
-        let fixed = 8 + 2 + 4 + 3 * 8 + 20 + 2;
-        let parent = 1 + if self.parent.is_some() { 8 } else { 0 };
-        fixed + self.url.len() + parent + 2 + 8 * self.children.len()
+        let parent = if self.parent.is_some() { 8 } else { 0 };
+        Self::MIN_WIRE_LEN + self.url.len() + parent + 8 * self.children.len()
     }
 }
 
@@ -413,11 +374,12 @@ impl AppMeta {
     }
 
     /// Parses.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn from_bytes(bytes: &[u8]) -> Result<AppMeta, WireError> {
-        let mut r = Reader::new(bytes);
+        let mut r = Cursor::new(bytes);
         let app_id = AppId(r.u32()?);
         let n = r.u16()? as usize;
-        let mut pads = Vec::with_capacity(n);
+        let mut pads = Vec::with_capacity(r.count(n, PadMeta::MIN_WIRE_LEN).unwrap_or(0));
         for _ in 0..n {
             pads.push(PadMeta::decode(&mut r)?);
         }
@@ -431,6 +393,7 @@ impl AppMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fractal_crypto::wire::Cursor as Reader;
 
     pub(crate) fn sample_pad_meta(id: u64) -> PadMeta {
         PadMeta {

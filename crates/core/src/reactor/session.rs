@@ -4,10 +4,12 @@
 
 use std::borrow::BorrowMut;
 
+use fractal_crypto::wire::Cursor;
+
 use crate::client::FractalClient;
 use crate::error::{FractalError, InpError, WireError};
 use crate::inp::{classify, Dropped, InpMessage, Verdict};
-use crate::meta::{AppId, NtwkMeta, PadId, PadMeta, Reader, Writer};
+use crate::meta::{AppId, NtwkMeta, PadId, PadMeta, Writer};
 
 /// Phases of one event-driven INP session, in protocol order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -177,8 +179,9 @@ pub fn encode_app_payload(content_id: u32, have: Option<u32>, want: u32) -> Vec<
 }
 
 /// Decodes an `APP_REQ` payload produced by [`encode_app_payload`].
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn decode_app_payload(payload: &[u8]) -> Result<(u32, Option<u32>, u32), WireError> {
-    let mut r = Reader::new(payload);
+    let mut r = Cursor::new(payload);
     let content_id = r.u32()?;
     let want = r.u32()?;
     let have = match r.u8()? {

@@ -3,6 +3,8 @@
 
 use std::collections::VecDeque;
 
+use fractal_crypto::wire::{Cursor, Truncated};
+
 use super::{FrameError, Transport, TransportError};
 use crate::inp::{self, Frame, InpMessage, HEADER_LEN};
 
@@ -51,6 +53,7 @@ impl Default for Framer {
     }
 }
 
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 impl Framer {
     /// A framer with the default [`MAX_FRAME_BODY`] limit.
     pub fn new() -> Framer {
@@ -110,17 +113,29 @@ impl Framer {
         }
     }
 
+    /// The header rule, written once: the buffered frame's extent (header,
+    /// body and trailer), `Ok(None)` while its header has not all arrived,
+    /// or the error a bad prefix or an oversized declaration is.
+    fn extent(&self) -> Result<Option<usize>, FrameError> {
+        if self.filled < HEADER_LEN {
+            return Ok(None);
+        }
+        // `buf[..filled]` has arrived, and the header lies inside it.
+        let (_, len) = inp::header_info(&self.buf).map_err(|_| FrameError::BadPrefix)?;
+        if len > self.max_body {
+            return Err(FrameError::Oversized { len, max: self.max_body });
+        }
+        Ok(Some(HEADER_LEN + len + self.trailer_len()))
+    }
+
     /// Bytes still to come of the frame whose header is buffered, trailer
     /// included; `0` without a header, or with one [`next_frame`] is about
     /// to refuse (so a hostile length reserves nothing).
     ///
     /// [`next_frame`]: Self::next_frame
     fn rest_of_frame(&self) -> usize {
-        let Some(header) = self.buf[..self.filled].get(..HEADER_LEN) else { return 0 };
-        match inp::header_info(header) {
-            Ok((_, len)) if len <= self.max_body => {
-                (HEADER_LEN + len + self.trailer_len()).saturating_sub(self.filled)
-            }
+        match self.extent() {
+            Ok(Some(end)) => end.saturating_sub(self.filled),
             _ => 0,
         }
     }
@@ -132,6 +147,8 @@ impl Framer {
     /// through a stack chunk: room held in every idle framer instead
     /// would be resident memory per connection.
     pub fn pull(&mut self, t: &mut dyn Transport) -> Result<usize, TransportError> {
+        // The error for a `recv` that reports more bytes than it was given room for.
+        let overran = TransportError::Io(std::io::ErrorKind::InvalidData);
         let mut total = 0;
         loop {
             let rest = self.rest_of_frame();
@@ -140,13 +157,13 @@ impl Framer {
                 if self.buf.len() < end {
                     self.buf.resize(end, 0);
                 }
-                let n = t.recv(&mut self.buf[self.filled..end])?;
+                let n = t.recv(self.buf.get_mut(self.filled..end).ok_or(overran)?)?;
                 self.filled += n;
                 n
             } else {
                 let mut chunk = [0u8; RECV_CHUNK];
                 let n = t.recv(&mut chunk)?;
-                self.push(&chunk[..n]);
+                self.push(chunk.get(..n).ok_or(overran)?);
                 n
             };
             if n == 0 {
@@ -165,13 +182,10 @@ impl Framer {
     /// now — a complete frame is buffered, or the buffered prefix is
     /// already known-bad (an error is progress too: it must be surfaced).
     pub fn frame_ready(&self) -> bool {
-        if self.filled < HEADER_LEN {
-            return false;
-        }
-        let trailer = self.trailer_len();
-        match inp::header_info(&self.buf[..HEADER_LEN]) {
+        match self.extent() {
+            Ok(None) => false,
+            Ok(Some(end)) => self.filled >= end,
             Err(_) => true,
-            Ok((_, len)) => len > self.max_body || self.filled >= HEADER_LEN + len + trailer,
         }
     }
 
@@ -179,31 +193,23 @@ impl Framer {
     /// only a partial one. A framing error is unrecoverable: the byte
     /// stream has no resync points.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.filled < HEADER_LEN {
+        let Some(end) = self.extent()? else { return Ok(None) };
+        if self.filled < end {
             return Ok(None);
         }
-        let (_, len) =
-            inp::header_info(&self.buf[..HEADER_LEN]).map_err(|_| FrameError::BadPrefix)?;
-        if len > self.max_body {
-            return Err(FrameError::Oversized { len, max: self.max_body });
-        }
-        let frame_len = HEADER_LEN + len;
-        let trailer = self.trailer_len();
-        if self.filled < frame_len + trailer {
-            return Ok(None);
-        }
+        let mut c = Cursor::new(&self.buf);
+        let malformed = |e: Truncated| FrameError::Malformed(e.into());
+        let bytes = c.take(end - self.trailer_len()).map_err(malformed)?;
         if self.checksum {
-            let mut sum = [0u8; CHECKSUM_TRAILER_LEN];
-            sum.copy_from_slice(&self.buf[frame_len..frame_len + trailer]);
-            let got = u32::from_le_bytes(sum);
-            let expected = fractal_crypto::checksum::weak_sum(&self.buf[..frame_len]);
+            let got = u32::from_le_bytes(c.array().map_err(malformed)?);
+            let expected = fractal_crypto::checksum::weak_sum(bytes);
             if got != expected {
                 return Err(FrameError::Corrupt { expected, got });
             }
         }
-        let frame = Frame::from_bytes(&self.buf[..frame_len]).map_err(FrameError::Malformed)?;
-        self.buf.drain(..frame_len + trailer);
-        self.filled -= frame_len + trailer;
+        let frame = Frame::from_bytes(bytes).map_err(FrameError::Malformed)?;
+        self.buf.drain(..end);
+        self.filled -= end;
         Ok(Some(frame))
     }
 

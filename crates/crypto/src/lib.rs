@@ -17,6 +17,12 @@
 //! vary-sized blocking protocol (LBFS-style content-defined chunking),
 //! because it is a fingerprinting primitive shared by several layers.
 //!
+//! * **Wire reading** — [`wire::Cursor`] is the one bounds-checked reader
+//!   under every decoder of untrusted bytes (PAD containers, bytecode, INP
+//!   frames, codec payloads). It lives here because every decoding crate
+//!   already depends on this one, and it is, like [`rabin`], a non-crypto
+//!   primitive those layers share.
+//!
 //! Everything in this crate is deterministic and free of I/O.
 
 #![forbid(unsafe_code)]
@@ -29,6 +35,7 @@ pub mod hmac;
 pub mod rabin;
 pub mod sha1;
 pub mod sign;
+pub mod wire;
 
 pub use digest::Digest;
 pub use hmac::HmacSha1;

@@ -24,6 +24,7 @@ use std::collections::HashMap;
 
 use crate::digest::Digest;
 use crate::hmac::{hmac_sha1, verify_equal};
+use crate::wire::Cursor;
 
 /// Identifies a signing entity (e.g. an application-server operator).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -57,13 +58,12 @@ impl Signature {
     }
 
     /// Parses the on-wire form.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn from_wire(bytes: &[u8]) -> Option<Signature> {
-        if bytes.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let key_id = KeyId(u32::from_be_bytes(bytes[..4].try_into().ok()?));
-        let mac = Digest(bytes[4..].try_into().ok()?);
-        Some(Signature { key_id, mac })
+        let mut c = Cursor::new(bytes);
+        let key_id = KeyId(u32::from_be_bytes(c.array().ok()?));
+        let mac = Digest(c.array().ok()?);
+        c.done().then_some(Signature { key_id, mac })
     }
 }
 

@@ -31,6 +31,7 @@
 //! unchanged blocks from `old` directly.
 
 use fractal_crypto::sha1::sha1;
+use fractal_crypto::wire::Cursor;
 
 use crate::traits::{CodecError, DiffCodec, ProtocolId};
 
@@ -76,10 +77,8 @@ impl Bitmap {
         let mut out = Vec::with_capacity(8 + n * 8);
         out.extend_from_slice(&(self.block_size as u32).to_le_bytes());
         out.extend_from_slice(&(n as u32).to_le_bytes());
-        for i in 0..n {
-            let start = i * self.block_size;
-            let end = (start + self.block_size).min(old.len());
-            out.extend_from_slice(&Self::block_digest(&old[start..end]));
+        for block in old.chunks(self.block_size) {
+            out.extend_from_slice(&Self::block_digest(block));
         }
         out
     }
@@ -97,15 +96,8 @@ impl DiffCodec for Bitmap {
 
         let mut bitmap = vec![0u8; bitmap_len];
         let mut blocks: Vec<&[u8]> = Vec::new();
-        for i in 0..n_blocks {
-            let start = i * bs;
-            let end = (start + bs).min(new.len());
-            let new_block = &new[start..end];
-            let unchanged = old.get(start..end).is_some_and(|ob| ob == new_block)
-                // A full-size block match only counts when the old block is
-                // also exactly this block's range (guaranteed by the get).
-                ;
-            if !unchanged {
+        for (i, new_block) in new.chunks(bs).enumerate() {
+            if old.get(i * bs..i * bs + new_block.len()) != Some(new_block) {
                 bitmap[i / 8] |= 1 << (i % 8);
                 blocks.push(new_block);
             }
@@ -123,34 +115,27 @@ impl DiffCodec for Bitmap {
         out.into()
     }
 
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     fn decode(&self, old: &[u8], payload: &[u8]) -> Result<bytes::Bytes, CodecError> {
-        if payload.len() < 12 {
-            return Err(CodecError::Truncated);
-        }
-        let new_len = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-        let bs = u32::from_le_bytes(payload[4..8].try_into().unwrap()) as usize;
-        let n_blocks = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
+        let mut c = Cursor::new(payload);
+        let new_len = c.u32()? as usize;
+        let bs = c.u32()? as usize;
+        let n_blocks = c.u32()? as usize;
         if bs == 0 {
             return Err(CodecError::BadFormat("zero block size"));
         }
         if n_blocks != new_len.div_ceil(bs) {
             return Err(CodecError::BadFormat("block count inconsistent with length"));
         }
-        let bitmap_len = n_blocks.div_ceil(8);
-        let bitmap = payload.get(12..12 + bitmap_len).ok_or(CodecError::Truncated)?;
-        let mut data_pos = 12 + bitmap_len;
-
-        let mut out = Vec::with_capacity(new_len);
-        for i in 0..n_blocks {
+        let bitmap = c.take(n_blocks.div_ceil(8))?;
+        let changed = bitmap.iter().flat_map(|byte| (0..8).map(move |bit| byte & (1 << bit) != 0));
+        // Every byte out is a byte of `old` or of the payload.
+        let mut out = Vec::with_capacity(new_len.min(old.len() + payload.len()));
+        for (i, changed) in changed.take(n_blocks).enumerate() {
             let start = i * bs;
             let end = (start + bs).min(new_len);
-            let block_len = end - start;
-            let changed = bitmap[i / 8] & (1 << (i % 8)) != 0;
             if changed {
-                let bytes =
-                    payload.get(data_pos..data_pos + block_len).ok_or(CodecError::Truncated)?;
-                out.extend_from_slice(bytes);
-                data_pos += block_len;
+                out.extend_from_slice(c.take(end - start)?);
             } else {
                 let bytes = old.get(start..end).ok_or(CodecError::OldOutOfRange)?;
                 out.extend_from_slice(bytes);

@@ -20,8 +20,8 @@
 use std::collections::HashMap;
 
 use fractal_crypto::checksum::{weak_sum, weak_sum_roll};
-use fractal_crypto::sha1::sha1;
 
+use crate::bitmap::Bitmap;
 use crate::recipe::{self, RecipeOp};
 use crate::traits::{CodecError, DiffCodec, ProtocolId};
 
@@ -48,10 +48,6 @@ impl FixedBlock {
         FixedBlock { block_size }
     }
 
-    fn strong(block: &[u8]) -> [u8; 8] {
-        sha1(block).0[..8].try_into().expect("8-byte prefix")
-    }
-
     /// Builds the upstream signature message for the client's old version.
     pub fn upstream_message(&self, old: &[u8]) -> Vec<u8> {
         let bs = self.block_size;
@@ -59,10 +55,9 @@ impl FixedBlock {
         let mut out = Vec::with_capacity(8 + n * 12);
         out.extend_from_slice(&(bs as u32).to_le_bytes());
         out.extend_from_slice(&(n as u32).to_le_bytes());
-        for i in 0..n {
-            let block = &old[i * bs..(i + 1) * bs];
+        for block in old.chunks_exact(bs) {
             out.extend_from_slice(&weak_sum(block).to_le_bytes());
-            out.extend_from_slice(&Self::strong(block));
+            out.extend_from_slice(&Bitmap::block_digest(block));
         }
         out
     }
@@ -79,10 +74,9 @@ impl DiffCodec for FixedBlock {
         let n_old = old.len() / bs;
         let mut table: HashMap<u32, Vec<usize>> = HashMap::with_capacity(n_old);
         let mut strong_of: Vec<[u8; 8]> = Vec::with_capacity(n_old);
-        for i in 0..n_old {
-            let block = &old[i * bs..(i + 1) * bs];
+        for (i, block) in old.chunks_exact(bs).enumerate() {
             table.entry(weak_sum(block)).or_default().push(i);
-            strong_of.push(Self::strong(block));
+            strong_of.push(Bitmap::block_digest(block));
         }
 
         let mut ops: Vec<RecipeOp> = Vec::new();
@@ -113,8 +107,7 @@ impl DiffCodec for FixedBlock {
             rolling = Some(w);
 
             let matched = table.get(&w).and_then(|cands| {
-                let window = &new[pos..pos + bs];
-                let strong = Self::strong(window);
+                let strong = Bitmap::block_digest(&new[pos..pos + bs]);
                 cands.iter().copied().find(|&i| strong_of[i] == strong)
             });
 

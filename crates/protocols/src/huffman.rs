@@ -17,6 +17,7 @@
 //! heap-based Huffman followed by depth rebalancing when the cap binds.
 
 use crate::traits::CodecError;
+use fractal_crypto::wire::Cursor;
 
 /// Maximum code length (DEFLATE's limit).
 pub const MAX_BITS: usize = 15;
@@ -219,73 +220,52 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a [`compress`] payload.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if payload.len() < 4 + 128 {
-        return Err(CodecError::Truncated);
-    }
-    let raw_len = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-    let mut lengths = [0u8; ALPHABET];
-    for (i, &b) in payload[4..4 + 128].iter().enumerate() {
-        lengths[2 * i] = b & 0x0F;
-        lengths[2 * i + 1] = b >> 4;
-    }
+    let mut c = Cursor::new(payload);
+    let raw_len = c.u32()? as usize;
+    let packed: [u8; ALPHABET / 2] = c.array()?;
+    let lengths = || packed.iter().flat_map(|&b| [b & 0x0F, b >> 4]);
 
     // Canonical decoding tables: per length, the first code, the count,
     // and the symbol list sorted by (length, symbol).
     let mut count = [0u32; MAX_BITS + 1];
-    for &l in lengths.iter() {
-        if l as usize > MAX_BITS {
-            return Err(CodecError::BadFormat("code length over limit"));
-        }
-        if l > 0 {
-            count[l as usize] += 1;
-        }
+    for l in lengths().filter(|&l| l > 0) {
+        *count.get_mut(l as usize).ok_or(CodecError::BadFormat("code length over limit"))? += 1;
     }
     if raw_len > 0 && count.iter().sum::<u32>() == 0 {
         return Err(CodecError::BadFormat("no codes declared"));
     }
-    let mut first = [0u32; MAX_BITS + 1];
-    let mut index = [0u32; MAX_BITS + 1];
-    let mut code = 0u32;
-    let mut idx = 0u32;
-    for l in 1..=MAX_BITS {
-        code = (code + count[l - 1]) << 1;
-        first[l] = code;
-        index[l] = idx;
-        idx += count[l];
+    // (first code, count, index of the first symbol) of lengths 1..=MAX_BITS.
+    let mut levels = [(0u32, 0u32, 0u32); MAX_BITS];
+    let (mut code, mut idx) = (0u32, 0u32);
+    for (level, (&shorter, &n)) in levels.iter_mut().zip(count.iter().zip(count.iter().skip(1))) {
+        code = (code + shorter) << 1;
+        *level = (code, n, idx);
+        idx += n;
     }
     let mut symbols = Vec::with_capacity(idx as usize);
     for l in 1..=MAX_BITS as u8 {
-        for (s, &sl) in lengths.iter().enumerate() {
-            if sl == l {
-                symbols.push(s as u8);
-            }
-        }
+        symbols.extend((0..=u8::MAX).zip(lengths()).filter(|&(_, sl)| sl == l).map(|(s, _)| s));
     }
 
     // Every symbol costs at least one bit: refuse a header the payload
     // cannot meet before reserving what it asks for.
-    if raw_len.div_ceil(8) > payload.len() - (4 + 128) {
-        return Err(CodecError::Truncated);
-    }
-    let mut br = BitReader::new(&payload[4 + 128..]);
+    c.count(raw_len.div_ceil(8), 1)?;
+    let mut br = BitReader::new(c.remaining());
     let mut out = Vec::with_capacity(raw_len);
     while out.len() < raw_len {
         let mut code = 0u32;
-        let mut len = 0usize;
-        loop {
-            let bit = br.bit().ok_or(CodecError::Truncated)?;
-            code = (code << 1) | bit;
-            len += 1;
-            if len > MAX_BITS {
-                return Err(CodecError::BadFormat("code too long"));
+        let mut longer = levels.iter();
+        let symbol = loop {
+            code = (code << 1) | br.bit().ok_or(CodecError::Truncated)?;
+            let &(first, n, index) = longer.next().ok_or(CodecError::BadFormat("code too long"))?;
+            if code >= first && code - first < n {
+                break symbols.get((index + code - first) as usize);
             }
-            if count[len] > 0 && code >= first[len] && code - first[len] < count[len] {
-                let sym = symbols[(index[len] + code - first[len]) as usize];
-                out.push(sym);
-                break;
-            }
-        }
+        };
+        // A canonical table has a symbol for every code it accepts.
+        out.push(*symbol.ok_or(CodecError::BadFormat("code outside the table"))?);
     }
     Ok(out)
 }

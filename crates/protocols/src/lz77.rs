@@ -36,6 +36,7 @@
 //! byte to the straightforward compressor this replaced.
 
 use crate::traits::CodecError;
+use fractal_crypto::wire::Cursor;
 use std::cell::RefCell;
 
 /// Minimum match length worth encoding (a match token costs 3 bytes).
@@ -166,42 +167,30 @@ fn head_insert(head: &mut [u32; HASH_SIZE], prev: &mut [u32; RING], h: usize, po
     head[h] = pos as u32 + 1;
 }
 
-fn flush_literals(out: &mut Vec<u8>, mut lits: &[u8]) {
-    while !lits.is_empty() {
-        let take = lits.len().min(MAX_LITERAL_RUN);
-        out.push((take - 1) as u8);
-        out.extend_from_slice(&lits[..take]);
-        lits = &lits[take..];
+fn flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
+    for run in lits.chunks(MAX_LITERAL_RUN) {
+        out.push((run.len() - 1) as u8);
+        out.extend_from_slice(run);
     }
 }
 
 /// Decompresses a token stream produced by [`compress`].
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if payload.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let raw_len = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
+    let mut c = Cursor::new(payload);
+    let raw_len = c.u32()? as usize;
     // The densest token is a 3-byte match producing MAX_MATCH bytes, so a
     // header declaring more than that per token cannot be met: refuse it
     // before reserving what it asks for.
-    if raw_len.div_ceil(MAX_MATCH) > (payload.len() - 4).div_ceil(3) {
-        return Err(CodecError::Truncated);
-    }
+    c.count(raw_len.div_ceil(MAX_MATCH), 3)?;
     let mut out = Vec::with_capacity(raw_len);
-    let mut pos = 4usize;
     while out.len() < raw_len {
-        let c = *payload.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        if c < 0x80 {
-            let run = c as usize + 1;
-            let bytes = payload.get(pos..pos + run).ok_or(CodecError::Truncated)?;
-            out.extend_from_slice(bytes);
-            pos += run;
+        let control = c.u8()?;
+        if control < 0x80 {
+            out.extend_from_slice(c.take(control as usize + 1)?);
         } else {
-            let len = (c & 0x7F) as usize + MIN_MATCH;
-            let d = payload.get(pos..pos + 2).ok_or(CodecError::Truncated)?;
-            let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
-            pos += 2;
+            let len = (control & 0x7F) as usize + MIN_MATCH;
+            let dist = c.u16()? as usize;
             if dist == 0 || dist > out.len() {
                 return Err(CodecError::BadFormat("match distance out of range"));
             }

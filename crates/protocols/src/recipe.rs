@@ -18,6 +18,7 @@
 
 use crate::traits::CodecError;
 use bytes::Bytes;
+use fractal_crypto::wire::Cursor;
 
 /// Opcode byte for a copy-from-old instruction.
 pub const OP_COPY: u8 = 0x00;
@@ -81,34 +82,26 @@ pub fn encode(new_len: usize, ops: &[RecipeOp]) -> Vec<u8> {
 }
 
 /// Applies a recipe payload to `old`, producing the new version.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn apply(old: &[u8], payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    if payload.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let new_len = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
-    let mut out = Vec::with_capacity(new_len);
-    let mut pos = 4usize;
+    let mut c = Cursor::new(payload);
+    let new_len = c.u32()? as usize;
+    // A recipe may copy `old` many times over, so `new_len` is not refused;
+    // but only what `old` and the payload could supply once is reserved.
+    let mut out = Vec::with_capacity(new_len.min(old.len() + payload.len()));
     while out.len() < new_len {
-        let op = *payload.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        match op {
+        match c.u8()? {
             OP_COPY => {
-                let f = payload.get(pos..pos + 8).ok_or(CodecError::Truncated)?;
-                let off = u32::from_le_bytes([f[0], f[1], f[2], f[3]]) as usize;
-                let len = u32::from_le_bytes([f[4], f[5], f[6], f[7]]) as usize;
-                pos += 8;
+                let off = c.u32()? as usize;
+                let len = c.u32()? as usize;
                 let src = old
                     .get(off..off.checked_add(len).ok_or(CodecError::OldOutOfRange)?)
                     .ok_or(CodecError::OldOutOfRange)?;
                 out.extend_from_slice(src);
             }
             OP_DATA => {
-                let f = payload.get(pos..pos + 4).ok_or(CodecError::Truncated)?;
-                let len = u32::from_le_bytes([f[0], f[1], f[2], f[3]]) as usize;
-                pos += 4;
-                let bytes = payload.get(pos..pos + len).ok_or(CodecError::Truncated)?;
-                out.extend_from_slice(bytes);
-                pos += len;
+                let len = c.u32()? as usize;
+                out.extend_from_slice(c.take(len)?);
             }
             _ => return Err(CodecError::BadFormat("unknown recipe op")),
         }
@@ -130,35 +123,25 @@ pub fn parse(payload: &[u8]) -> Result<(usize, Vec<RecipeOp>), CodecError> {
 
 /// Zero-copy [`parse`]: every `Data` op is an O(1) refcounted slice of
 /// `payload` — no literal bytes are copied out of the wire buffer.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub fn parse_shared(payload: &Bytes) -> Result<(usize, Vec<RecipeOp>), CodecError> {
-    if payload.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let new_len = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
+    let mut c = Cursor::new(payload);
+    let new_len = c.u32()? as usize;
     let mut ops = Vec::new();
-    let mut pos = 4usize;
     let mut produced = 0usize;
     while produced < new_len {
-        let op = *payload.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
-        match op {
+        match c.u8()? {
             OP_COPY => {
-                let f = payload.get(pos..pos + 8).ok_or(CodecError::Truncated)?;
-                let old_offset = u32::from_le_bytes([f[0], f[1], f[2], f[3]]);
-                let len = u32::from_le_bytes([f[4], f[5], f[6], f[7]]);
-                pos += 8;
+                let old_offset = c.u32()?;
+                let len = c.u32()?;
                 produced += len as usize;
                 ops.push(RecipeOp::Copy { old_offset, len });
             }
             OP_DATA => {
-                let f = payload.get(pos..pos + 4).ok_or(CodecError::Truncated)?;
-                let len = u32::from_le_bytes([f[0], f[1], f[2], f[3]]) as usize;
-                pos += 4;
-                if payload.len() < pos + len {
-                    return Err(CodecError::Truncated);
-                }
-                ops.push(RecipeOp::Data(payload.slice(pos..pos + len)));
-                pos += len;
+                let len = c.u32()? as usize;
+                let start = c.pos();
+                c.take(len)?;
+                ops.push(RecipeOp::Data(payload.slice(start..c.pos())));
                 produced += len;
             }
             _ => return Err(CodecError::BadFormat("unknown recipe op")),

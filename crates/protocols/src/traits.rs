@@ -110,6 +110,12 @@ impl core::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<fractal_crypto::wire::Truncated> for CodecError {
+    fn from(_: fractal_crypto::wire::Truncated) -> Self {
+        CodecError::Truncated
+    }
+}
+
 /// Bytes on the wire for one content transfer, split by direction. The
 /// paper's Figure 11(a) reports the sum.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

@@ -5,6 +5,8 @@
 //! immediates are little-endian. Branch offsets are relative to the byte
 //! *after* the branch instruction.
 
+use fractal_crypto::wire::Cursor;
+
 use crate::error::ModuleError;
 
 /// A decoded FVM instruction.
@@ -280,87 +282,67 @@ impl Op {
 
     /// Decodes one instruction starting at `pc` in `code`. Returns the
     /// instruction and the offset of the next instruction.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn decode(code: &[u8], pc: usize) -> Result<(Op, usize), ModuleError> {
         use opc::*;
-        let op = *code.get(pc).ok_or(ModuleError::TruncatedCode { at: pc })?;
-        let imm = &code[pc + 1..];
-        let take_i8 = || -> Result<i8, ModuleError> {
-            imm.first().copied().map(|b| b as i8).ok_or(ModuleError::TruncatedCode { at: pc })
-        };
-        let take_u8 = || -> Result<u8, ModuleError> {
-            imm.first().copied().ok_or(ModuleError::TruncatedCode { at: pc })
-        };
-        let take_u16 = || -> Result<u16, ModuleError> {
-            imm.get(..2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]]))
-                .ok_or(ModuleError::TruncatedCode { at: pc })
-        };
-        let take_i32 = || -> Result<i32, ModuleError> {
-            imm.get(..4)
-                .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .ok_or(ModuleError::TruncatedCode { at: pc })
-        };
-        let take_i64 = || -> Result<i64, ModuleError> {
-            imm.get(..8)
-                .map(|b| i64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-                .ok_or(ModuleError::TruncatedCode { at: pc })
-        };
-
-        let (decoded, len) = match op {
-            HALT => (Op::Halt, 1),
-            NOP => (Op::Nop, 1),
-            UNREACHABLE => (Op::Unreachable, 1),
-            JMP => (Op::Jmp(take_i32()?), 5),
-            JMPIF => (Op::JmpIf(take_i32()?), 5),
-            JMPIFZ => (Op::JmpIfZ(take_i32()?), 5),
-            CALL => (Op::Call(take_u16()?), 3),
-            RET => (Op::Ret, 1),
-            HOSTCALL => (Op::HostCall(take_u8()?), 2),
-            PUSHI8 => (Op::PushI8(take_i8()?), 2),
-            PUSHI32 => (Op::PushI32(take_i32()?), 5),
-            PUSHI64 => (Op::PushI64(take_i64()?), 9),
-            LOCALGET => (Op::LocalGet(take_u8()?), 2),
-            LOCALSET => (Op::LocalSet(take_u8()?), 2),
-            LOCALTEE => (Op::LocalTee(take_u8()?), 2),
-            DROP => (Op::Drop, 1),
-            DUP => (Op::Dup, 1),
-            SWAP => (Op::Swap, 1),
-            ADD => (Op::Add, 1),
-            SUB => (Op::Sub, 1),
-            MUL => (Op::Mul, 1),
-            DIVU => (Op::DivU, 1),
-            DIVS => (Op::DivS, 1),
-            REMU => (Op::RemU, 1),
-            AND => (Op::And, 1),
-            OR => (Op::Or, 1),
-            XOR => (Op::Xor, 1),
-            SHL => (Op::Shl, 1),
-            SHRU => (Op::ShrU, 1),
-            SHRS => (Op::ShrS, 1),
-            EQ => (Op::Eq, 1),
-            NE => (Op::Ne, 1),
-            LTU => (Op::LtU, 1),
-            LTS => (Op::LtS, 1),
-            GTU => (Op::GtU, 1),
-            GTS => (Op::GtS, 1),
-            LEU => (Op::LeU, 1),
-            GEU => (Op::GeU, 1),
-            EQZ => (Op::Eqz, 1),
-            LOAD8 => (Op::Load8, 1),
-            LOAD16 => (Op::Load16, 1),
-            LOAD32 => (Op::Load32, 1),
-            LOAD64 => (Op::Load64, 1),
-            STORE8 => (Op::Store8, 1),
-            STORE16 => (Op::Store16, 1),
-            STORE32 => (Op::Store32, 1),
-            STORE64 => (Op::Store64, 1),
-            MEMCOPY => (Op::MemCopy, 1),
-            MEMFILL => (Op::MemFill, 1),
-            LZCOPY => (Op::LzCopy, 1),
-            MEMSIZE => (Op::MemSize, 1),
+        let truncated = |_| ModuleError::TruncatedCode { at: pc };
+        let mut c = Cursor::new(code);
+        let op = c.take(pc).and_then(|_| c.u8()).map_err(truncated)?;
+        let decoded = match op {
+            HALT => Op::Halt,
+            NOP => Op::Nop,
+            UNREACHABLE => Op::Unreachable,
+            JMP => Op::Jmp(i32::from_le_bytes(c.array().map_err(truncated)?)),
+            JMPIF => Op::JmpIf(i32::from_le_bytes(c.array().map_err(truncated)?)),
+            JMPIFZ => Op::JmpIfZ(i32::from_le_bytes(c.array().map_err(truncated)?)),
+            CALL => Op::Call(u16::from_le_bytes(c.array().map_err(truncated)?)),
+            RET => Op::Ret,
+            HOSTCALL => Op::HostCall(c.u8().map_err(truncated)?),
+            PUSHI8 => Op::PushI8(c.u8().map_err(truncated)? as i8),
+            PUSHI32 => Op::PushI32(i32::from_le_bytes(c.array().map_err(truncated)?)),
+            PUSHI64 => Op::PushI64(i64::from_le_bytes(c.array().map_err(truncated)?)),
+            LOCALGET => Op::LocalGet(c.u8().map_err(truncated)?),
+            LOCALSET => Op::LocalSet(c.u8().map_err(truncated)?),
+            LOCALTEE => Op::LocalTee(c.u8().map_err(truncated)?),
+            DROP => Op::Drop,
+            DUP => Op::Dup,
+            SWAP => Op::Swap,
+            ADD => Op::Add,
+            SUB => Op::Sub,
+            MUL => Op::Mul,
+            DIVU => Op::DivU,
+            DIVS => Op::DivS,
+            REMU => Op::RemU,
+            AND => Op::And,
+            OR => Op::Or,
+            XOR => Op::Xor,
+            SHL => Op::Shl,
+            SHRU => Op::ShrU,
+            SHRS => Op::ShrS,
+            EQ => Op::Eq,
+            NE => Op::Ne,
+            LTU => Op::LtU,
+            LTS => Op::LtS,
+            GTU => Op::GtU,
+            GTS => Op::GtS,
+            LEU => Op::LeU,
+            GEU => Op::GeU,
+            EQZ => Op::Eqz,
+            LOAD8 => Op::Load8,
+            LOAD16 => Op::Load16,
+            LOAD32 => Op::Load32,
+            LOAD64 => Op::Load64,
+            STORE8 => Op::Store8,
+            STORE16 => Op::Store16,
+            STORE32 => Op::Store32,
+            STORE64 => Op::Store64,
+            MEMCOPY => Op::MemCopy,
+            MEMFILL => Op::MemFill,
+            LZCOPY => Op::LzCopy,
+            MEMSIZE => Op::MemSize,
             other => return Err(ModuleError::UnknownOpcode { opcode: other, at: pc }),
         };
-        Ok((decoded, pc + len))
+        Ok((decoded, c.pos()))
     }
 
     /// Encoded length in bytes.

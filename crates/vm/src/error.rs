@@ -71,6 +71,12 @@ impl From<SigError> for ModuleError {
     }
 }
 
+impl From<fractal_crypto::wire::Truncated> for ModuleError {
+    fn from(_: fractal_crypto::wire::Truncated) -> Self {
+        ModuleError::Truncated
+    }
+}
+
 /// Errors produced by the assembler.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AsmError {

@@ -20,6 +20,7 @@
 //! and implicit signing fields of the paper's `PADMeta` (Figure 3).
 
 use fractal_crypto::sign::{Signature, Signer, TrustStore};
+use fractal_crypto::wire::Cursor;
 use fractal_crypto::{sha1::sha1, Digest};
 
 use crate::error::ModuleError;
@@ -108,9 +109,10 @@ impl Module {
 
     /// Parses a container. Structural checks only; run
     /// [`verify`](crate::verify::verify_module) before execution.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn from_bytes(bytes: &[u8]) -> Result<Module, ModuleError> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(4)? != MAGIC {
+        let mut r = Cursor::new(bytes);
+        if r.array()? != MAGIC {
             return Err(ModuleError::BadMagic);
         }
         let version = r.u16()?;
@@ -125,7 +127,7 @@ impl Module {
         if n_funcs > MAX_FUNCS {
             return Err(ModuleError::LimitExceeded("functions"));
         }
-        let mut functions = Vec::with_capacity(n_funcs);
+        let mut functions = Vec::with_capacity(r.count(n_funcs, 7).unwrap_or(0));
         let mut names = std::collections::HashSet::new();
         for _ in 0..n_funcs {
             let name_len = r.u8()? as usize;
@@ -145,7 +147,7 @@ impl Module {
             return Err(ModuleError::LimitExceeded("data segments"));
         }
         let mem_bytes = mem_pages as u64 * PAGE_SIZE as u64;
-        let mut data = Vec::with_capacity(n_data);
+        let mut data = Vec::with_capacity(r.count(n_data, 8).unwrap_or(0));
         for _ in 0..n_data {
             let offset = r.u32()?;
             let len = r.u32()?;
@@ -172,31 +174,6 @@ impl Module {
         policy: &crate::sandbox::SandboxPolicy,
     ) -> Result<crate::analysis::AnalyzedModule, crate::error::VerifyError> {
         crate::analysis::AnalyzedModule::analyze(self, policy)
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ModuleError> {
-        let end = self.pos.checked_add(n).ok_or(ModuleError::Truncated)?;
-        let s = self.bytes.get(self.pos..end).ok_or(ModuleError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ModuleError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ModuleError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32, ModuleError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 }
 
@@ -237,13 +214,12 @@ impl SignedModule {
     }
 
     /// Parses the wire form.
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn from_wire(wire: &[u8]) -> Result<SignedModule, ModuleError> {
-        if wire.len() < Signature::WIRE_LEN {
-            return Err(ModuleError::Truncated);
-        }
+        let mut c = Cursor::new(wire);
         let signature =
-            Signature::from_wire(&wire[..Signature::WIRE_LEN]).ok_or(ModuleError::Truncated)?;
-        Ok(SignedModule { bytes: wire[Signature::WIRE_LEN..].to_vec(), signature })
+            Signature::from_wire(c.take(Signature::WIRE_LEN)?).ok_or(ModuleError::Truncated)?;
+        Ok(SignedModule { bytes: c.remaining().to_vec(), signature })
     }
 
     /// Full client-side acceptance check (paper §3.5): the digest must match

@@ -35,12 +35,51 @@ fi
 # poll(2)/rlimit bindings; this makes that a checked claim. `deny(unsafe_code)`
 # already covers fractal-core; the grep also covers the crates and shims
 # that carry no such attribute. The one exception is a test binary: the
-# counting `GlobalAlloc` of crates/vm/tests/alloc.rs, which no library links.
-audit "unsafe confined to crates/core/src/sys.rs (and the counting allocator of crates/vm/tests/alloc.rs)"
-stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crates src shims \
-    | grep -vE '^crates/(core/src/sys|vm/tests/alloc)\.rs:' || true)
+# counting `GlobalAlloc` of tests/alloc.rs, which no library links.
+audit "unsafe confined to crates/core/src/sys.rs (and the counting allocator of tests/alloc.rs)"
+stray=$(grep -rnE 'unsafe[[:space:]]*(\{|fn|extern|impl)' --include='*.rs' crates src shims tests \
+    | grep -vE '^(crates/core/src/sys|tests/alloc)\.rs:' || true)
 if [ -n "$stray" ]; then
-    echo "unsafe code outside crates/core/src/sys.rs and crates/vm/tests/alloc.rs:" >&2
+    echo "unsafe code outside crates/core/src/sys.rs and tests/alloc.rs:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+# DESIGN.md §4.7: every decoder of bytes from outside the trust boundary
+# reads through `fractal_crypto::wire::Cursor`, and the lints below, denied
+# on the decoder itself (not its file, so encoders and tests may index),
+# make an index, a slice, an unwrap, an expect or a panic there a build
+# error under CI's clippy. Each line names a file and the first line of a
+# decoder; the line above it must be the attribute.
+audit "decoders of untrusted bytes deny indexing, slicing, unwrap, expect and panic"
+deny='#[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]'
+stray=$(while IFS='|' read -r file item; do
+    grep -B1 -F -- "$item" "$file" | grep -qF -- "$deny" || echo "  $file: $item"
+done <<'EOF'
+crates/crypto/src/sign.rs|pub fn from_wire(bytes: &[u8])
+crates/vm/src/module.rs|pub fn from_bytes(bytes: &[u8])
+crates/vm/src/module.rs|pub fn from_wire(wire: &[u8])
+crates/vm/src/bytecode.rs|pub fn decode(code: &[u8], pc: usize)
+crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<DevMeta, WireError>
+crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<NtwkMeta, WireError>
+crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<PadMeta, WireError>
+crates/core/src/meta.rs|pub fn from_bytes(bytes: &[u8]) -> Result<AppMeta, WireError>
+crates/core/src/reactor/session.rs|pub fn decode_app_payload(
+crates/core/src/inp.rs|pub fn header_info(
+crates/core/src/inp.rs|pub fn from_bytes(bytes: &[u8]) -> Result<Frame, WireError>
+crates/core/src/transport/framer.rs|impl Framer {
+crates/core/src/introspect.rs|fn pump(&mut self, source: &IntrospectSource)
+crates/protocols/src/lz77.rs|pub fn decompress(
+crates/protocols/src/huffman.rs|pub fn decompress(
+crates/protocols/src/recipe.rs|pub fn apply(
+crates/protocols/src/recipe.rs|pub fn parse_shared(
+crates/protocols/src/bitmap.rs|fn decode(&self, old: &[u8], payload: &[u8])
+crates/bench/src/json.rs|pub fn parse(src: &str)
+crates/bench/src/json.rs|impl<'s> Parser<'s> {
+EOF
+)
+if [ -n "$stray" ]; then
+    echo "a decoder lost its deny(clippy::indexing_slicing, …) attribute (see the audit's comment):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -14,7 +14,9 @@
 #                             # (scripts/mutants.sh), fasmlint, the seven
 #                             # scenario rows against the committed
 #                             # BENCH_scenarios.json (scripts/scenario_rows.sh),
-#                             # and the benchmark's self-tests + quick suite
+#                             # the figures against the committed FIGURES.txt
+#                             # (scripts/figure_rows.sh), and the benchmark's
+#                             # self-tests + quick suite
 #   scripts/check.sh --quick  # fmt + audits + clippy + rustdoc + tier-1 + fasmlint
 #                             # only (no release re-runs; what you want in
 #                             # an edit-test loop or a time-boxed CI lane)
@@ -81,13 +83,13 @@ cargo test -q
 # next tenant.
 if [ "$QUICK" -eq 0 ]; then
     step "instance recycling in release (recycled ≡ fresh, no allocation on a pool hit, isolation)"
-    cargo test -q --release -p fractal-vm --test alloc -p fractal-vm-oracle --test differential
-    cargo test -q --release --test security
+    cargo test -q --release -p fractal-vm-oracle --test differential
+    cargo test -q --release -p fractal --test alloc --test security
 
     # DESIGN.md §5's mutation table, run: each mutation applied to a throwaway
-    # worktree must turn the machine's suites, the core's transition matrix
-    # or the reactor's order tests red.
-    step "machine, auditor, receive-rule, ready-queue and peer-hint mutations are killed (scripts/mutants.sh)"
+    # worktree must turn the machine's suites, the core's transition matrix,
+    # the reactor's order tests or the decoders' allocation test red.
+    step "machine, auditor, receive-rule, ready-queue, peer-hint and cursor mutations are killed (scripts/mutants.sh)"
     scripts/mutants.sh
 fi
 
@@ -113,6 +115,12 @@ fi
 cargo build -q --release -p fractal-bench --bin scenarios
 step "scenario rows match the committed BENCH_scenarios.json (scripts/scenario_rows.sh)"
 scripts/scenario_rows.sh
+
+# Every figure and table of the paper, compared byte for byte with the
+# committed FIGURES.txt.
+cargo build -q --release -p fractal-bench --bin all
+step "figures match the committed FIGURES.txt (scripts/figure_rows.sh)"
+scripts/figure_rows.sh
 
 step "benchmark (self-tests + quick suite against this tree's crates)"
 # benchmark/ is a package of its own with path dependencies on crates/*, so

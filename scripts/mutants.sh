@@ -1,14 +1,17 @@
 #!/usr/bin/env sh
 # The mutation checks DESIGN.md §5 records for the machine and its
-# reference, two for the INP receive rule (`inp::classify`) and two for the
-# reactor's ready-queue rule, run rather than stated. Each mutation below is
-# applied to a throwaway `git worktree` of this tree under $TMPDIR, and the
-# machine's unit tests, the suites that hold it to the reference
-# interpreter, the core's transition matrix and the reactor's order tests
+# reference, two for the INP receive rule (`inp::classify`), two for the
+# reactor's ready-queue rule and one for the wire cursor's count check, run
+# rather than stated. Each mutation below is applied to a throwaway
+# `git worktree` of this tree under $TMPDIR, and the machine's unit tests,
+# the suites that hold it to the reference interpreter, the core's
+# transition matrix, the reactor's order tests and the decoders' allocation
+# test
 #
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit
 #   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
+#   cargo test -q --release -p fractal --test alloc
 #
 # must FAIL there. The unmutated tree must pass them first, a mutation must
 # still compile, and a mutation whose text is no longer in the source stops
@@ -41,7 +44,8 @@ export CARGO_TARGET_DIR="$tmp/target"
 suite() {
     (cd "$tree" && cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit "$@" &&
-        cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@")
+        cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@" &&
+        cargo test -q --release -p fractal --test alloc "$@")
 }
 
 echo "==> unmutated tree passes"
@@ -59,6 +63,8 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # re-queues a pumped session at the back of the ready queue, the earlier
 # processor-sharing rule. `peer-hint` writes without arming the peer end,
 # so an end that is readable only when told waits for a kernel event.
+# `cursor-count` accepts every header-declared count, so a decoder reserves
+# whatever its header asks for.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -71,7 +77,8 @@ audit-blind|crates/vm-oracle/src/audit.rs|self.violations.push(violation);|let _
 gen-blind|crates/core/src/inp.rs|match gen.wrapping_sub(seen_gen) {|match gen.wrapping_sub(gen) {
 dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Drop(Dropped::Dup),|0 if answered & 1 << msg.msg_type() != 0 => Verdict::Act,
 rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.push_back(id);
-peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);|'
+peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);|
+cursor-count|crates/crypto/src/wire.rs|if n <= self.rest.len().div_ceil(min_wire_len.max(1)) {|if true {'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.
