@@ -32,13 +32,14 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fractal_crypto::wire::Cursor;
 use fractal_telemetry::journal::JournalSnapshot;
 use fractal_telemetry::{Snapshot, Telemetry};
+use parking_lot::Mutex;
 
 use crate::sys::{Interest, Poller};
 use crate::transport::{TcpTransport, Transport};
@@ -99,7 +100,7 @@ impl IntrospectSource {
     /// Registers a live bundle; the returned id names it to
     /// [`retire`](Self::retire).
     pub fn attach(&self, tele: Telemetry) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.live.push((id, tele));
@@ -111,7 +112,7 @@ impl IntrospectSource {
     /// retirement and keeps growing afterwards — this is what makes
     /// scrape counters monotonic across consecutive runs.
     pub fn retire(&self, id: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         if let Some(ix) = inner.live.iter().position(|(i, _)| *i == id) {
             let (_, tele) = inner.live.swap_remove(ix);
             let (snap, jsnap) = (tele.snapshot(), tele.journal_snapshot());
@@ -122,7 +123,7 @@ impl IntrospectSource {
 
     /// Baseline plus every live registry, merged into one snapshot.
     pub fn merged_snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock();
         let mut merged = inner.baseline.clone();
         for (_, tele) in &inner.live {
             merged.merge(&tele.snapshot());
@@ -132,7 +133,7 @@ impl IntrospectSource {
 
     /// Baseline plus every live flight recorder, canonically merged.
     pub fn merged_journal(&self) -> JournalSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock();
         let mut merged = inner.baseline_journal.clone();
         for (_, tele) in &inner.live {
             merged.merge(&tele.journal_snapshot());
@@ -143,12 +144,12 @@ impl IntrospectSource {
     /// Appends a rendered stall diagnostic (served verbatim by
     /// `/stalls`).
     pub fn record_stall(&self, report: impl std::fmt::Display) {
-        self.inner.lock().unwrap().stalls.push(report.to_string());
+        self.inner.lock().stalls.push(report.to_string());
     }
 
     /// Every stall recorded so far, in arrival order.
     pub fn stalls(&self) -> Vec<String> {
-        self.inner.lock().unwrap().stalls.clone()
+        self.inner.lock().stalls.clone()
     }
 }
 

@@ -156,17 +156,11 @@ fn disassemble_function(
             out.push_str(&format!("{}:\n", label_of(pc)));
         }
         let (op, next) = Op::decode(&f.code, pc)?;
+        let target = |rel: i32| label_of((next as i64 + rel as i64) as usize);
         let line = match op {
-            Op::Halt => "halt".to_string(),
-            Op::Nop => "nop".to_string(),
-            Op::Unreachable => "unreachable".to_string(),
-            Op::Jmp(rel) => format!("jmp {}", label_of((next as i64 + rel as i64) as usize)),
-            Op::JmpIf(rel) => {
-                format!("jmpif {}", label_of((next as i64 + rel as i64) as usize))
-            }
-            Op::JmpIfZ(rel) => {
-                format!("jmpifz {}", label_of((next as i64 + rel as i64) as usize))
-            }
+            Op::Jmp(rel) => format!("jmp {}", target(rel)),
+            Op::JmpIf(rel) => format!("jmpif {}", target(rel)),
+            Op::JmpIfZ(rel) => format!("jmpifz {}", target(rel)),
             Op::Call(idx) => {
                 let name = module
                     .functions
@@ -175,7 +169,6 @@ fn disassemble_function(
                     .unwrap_or_else(|| format!("fn{idx}"));
                 format!("call {name}")
             }
-            Op::Ret => "ret".to_string(),
             Op::HostCall(id) => match HostId::from_id(id) {
                 Some(h) => format!("host {}", h.mnemonic()),
                 None => format!("host {id}"),
@@ -186,42 +179,7 @@ fn disassemble_function(
             Op::LocalGet(n) => format!("local.get {n}"),
             Op::LocalSet(n) => format!("local.set {n}"),
             Op::LocalTee(n) => format!("local.tee {n}"),
-            Op::Drop => "drop".to_string(),
-            Op::Dup => "dup".to_string(),
-            Op::Swap => "swap".to_string(),
-            Op::Add => "add".to_string(),
-            Op::Sub => "sub".to_string(),
-            Op::Mul => "mul".to_string(),
-            Op::DivU => "divu".to_string(),
-            Op::DivS => "divs".to_string(),
-            Op::RemU => "remu".to_string(),
-            Op::And => "and".to_string(),
-            Op::Or => "or".to_string(),
-            Op::Xor => "xor".to_string(),
-            Op::Shl => "shl".to_string(),
-            Op::ShrU => "shru".to_string(),
-            Op::ShrS => "shrs".to_string(),
-            Op::Eq => "eq".to_string(),
-            Op::Ne => "ne".to_string(),
-            Op::LtU => "ltu".to_string(),
-            Op::LtS => "lts".to_string(),
-            Op::GtU => "gtu".to_string(),
-            Op::GtS => "gts".to_string(),
-            Op::LeU => "leu".to_string(),
-            Op::GeU => "geu".to_string(),
-            Op::Eqz => "eqz".to_string(),
-            Op::Load8 => "load8".to_string(),
-            Op::Load16 => "load16".to_string(),
-            Op::Load32 => "load32".to_string(),
-            Op::Load64 => "load64".to_string(),
-            Op::Store8 => "store8".to_string(),
-            Op::Store16 => "store16".to_string(),
-            Op::Store32 => "store32".to_string(),
-            Op::Store64 => "store64".to_string(),
-            Op::MemCopy => "memcopy".to_string(),
-            Op::MemFill => "memfill".to_string(),
-            Op::LzCopy => "lzcopy".to_string(),
-            Op::MemSize => "memsize".to_string(),
+            plain => plain.plain_row().map_or("", |row| row.1).to_string(),
         };
         out.push_str("    ");
         out.push_str(&line);

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use crate::bytecode::Op;
+use crate::bytecode::{Op, PLAIN_OPS};
 use crate::error::AsmError;
 use crate::host::HostId;
 use crate::module::{DataSegment, Function, Module};
@@ -247,21 +247,8 @@ fn parse_instruction(line: &str, line_no: usize) -> Result<Item, AsmError> {
         return Err(err(format!("too many operands for {mnem:?}")));
     }
 
-    fn need_operand<'a>(op: Option<&'a str>, mnem: &str, line: usize) -> Result<&'a str, AsmError> {
-        op.ok_or_else(|| AsmError { line, message: format!("{mnem} needs an operand") })
-    }
-    macro_rules! need {
-        ($op:expr) => {
-            need_operand($op, mnem, line_no)
-        };
-    }
-    let none = |op: Option<&str>, result: Op| -> Result<Item, AsmError> {
-        if op.is_some() {
-            Err(AsmError { line: line_no, message: format!("{mnem} takes no operand") })
-        } else {
-            Ok(Item::Op(result))
-        }
-    };
+    let need = || operand.ok_or_else(|| err(format!("{mnem} needs an operand")));
+    let branch = |kind| Ok(Item::Branch { kind, label: need()?.into(), line: line_no });
     let local_idx = |s: &str| -> Result<u8, AsmError> {
         parse_int(s)
             .and_then(|v| u8::try_from(v).ok())
@@ -270,7 +257,7 @@ fn parse_instruction(line: &str, line_no: usize) -> Result<Item, AsmError> {
 
     match mnem {
         "push" => {
-            let s = need!(operand)?;
+            let s = need()?;
             let v = parse_int(s).ok_or_else(|| err(format!("bad integer {s:?}")))?;
             let op = if let Ok(b) = i8::try_from(v) {
                 Op::PushI8(b)
@@ -281,70 +268,24 @@ fn parse_instruction(line: &str, line_no: usize) -> Result<Item, AsmError> {
             };
             Ok(Item::Op(op))
         }
-        "local.get" => Ok(Item::Op(Op::LocalGet(local_idx(need!(operand)?)?))),
-        "local.set" => Ok(Item::Op(Op::LocalSet(local_idx(need!(operand)?)?))),
-        "local.tee" => Ok(Item::Op(Op::LocalTee(local_idx(need!(operand)?)?))),
-        "jmp" => {
-            Ok(Item::Branch { kind: BranchKind::Jmp, label: need!(operand)?.into(), line: line_no })
-        }
-        "jmpif" => Ok(Item::Branch {
-            kind: BranchKind::JmpIf,
-            label: need!(operand)?.into(),
-            line: line_no,
-        }),
-        "jmpifz" => Ok(Item::Branch {
-            kind: BranchKind::JmpIfZ,
-            label: need!(operand)?.into(),
-            line: line_no,
-        }),
-        "call" => Ok(Item::Call { name: need!(operand)?.into(), line: line_no }),
+        "local.get" => Ok(Item::Op(Op::LocalGet(local_idx(need()?)?))),
+        "local.set" => Ok(Item::Op(Op::LocalSet(local_idx(need()?)?))),
+        "local.tee" => Ok(Item::Op(Op::LocalTee(local_idx(need()?)?))),
+        "jmp" => branch(BranchKind::Jmp),
+        "jmpif" => branch(BranchKind::JmpIf),
+        "jmpifz" => branch(BranchKind::JmpIfZ),
+        "call" => Ok(Item::Call { name: need()?.into(), line: line_no }),
         "host" => {
-            let name = need!(operand)?;
+            let name = need()?;
             let host = HostId::from_mnemonic(name)
                 .ok_or_else(|| err(format!("unknown host intrinsic {name:?}")))?;
             Ok(Item::Op(Op::HostCall(host.id())))
         }
-        "halt" => none(operand, Op::Halt),
-        "nop" => none(operand, Op::Nop),
-        "unreachable" => none(operand, Op::Unreachable),
-        "ret" => none(operand, Op::Ret),
-        "drop" => none(operand, Op::Drop),
-        "dup" => none(operand, Op::Dup),
-        "swap" => none(operand, Op::Swap),
-        "add" => none(operand, Op::Add),
-        "sub" => none(operand, Op::Sub),
-        "mul" => none(operand, Op::Mul),
-        "divu" => none(operand, Op::DivU),
-        "divs" => none(operand, Op::DivS),
-        "remu" => none(operand, Op::RemU),
-        "and" => none(operand, Op::And),
-        "or" => none(operand, Op::Or),
-        "xor" => none(operand, Op::Xor),
-        "shl" => none(operand, Op::Shl),
-        "shru" => none(operand, Op::ShrU),
-        "shrs" => none(operand, Op::ShrS),
-        "eq" => none(operand, Op::Eq),
-        "ne" => none(operand, Op::Ne),
-        "ltu" => none(operand, Op::LtU),
-        "lts" => none(operand, Op::LtS),
-        "gtu" => none(operand, Op::GtU),
-        "gts" => none(operand, Op::GtS),
-        "leu" => none(operand, Op::LeU),
-        "geu" => none(operand, Op::GeU),
-        "eqz" => none(operand, Op::Eqz),
-        "load8" => none(operand, Op::Load8),
-        "load16" => none(operand, Op::Load16),
-        "load32" => none(operand, Op::Load32),
-        "load64" => none(operand, Op::Load64),
-        "store8" => none(operand, Op::Store8),
-        "store16" => none(operand, Op::Store16),
-        "store32" => none(operand, Op::Store32),
-        "store64" => none(operand, Op::Store64),
-        "memcopy" => none(operand, Op::MemCopy),
-        "memfill" => none(operand, Op::MemFill),
-        "lzcopy" => none(operand, Op::LzCopy),
-        "memsize" => none(operand, Op::MemSize),
-        other => Err(err(format!("unknown mnemonic {other:?}"))),
+        other => match PLAIN_OPS.iter().find(|row| row.1 == other) {
+            Some(_) if operand.is_some() => Err(err(format!("{other} takes no operand"))),
+            Some(row) => Ok(Item::Op(row.2)),
+            None => Err(err(format!("unknown mnemonic {other:?}"))),
+        },
     }
 }
 
@@ -366,7 +307,9 @@ fn parse_int(s: &str) -> Option<i64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok().map(|v| v as i64)
     } else if let Some(hex) = s.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).ok().map(|v| -v)
+        // The magnitude of `i64::MIN` is 2^63, one past `i64::MAX`.
+        let v = u64::from_str_radix(hex, 16).ok().filter(|&v| v <= 1 << 63)?;
+        Some((v as i64).wrapping_neg())
     } else {
         s.parse().ok()
     }
@@ -409,6 +352,10 @@ mod tests {
         assert_eq!(op1, Op::PushI8(-5));
         let (op2, _) = Op::decode(code, next).unwrap();
         assert_eq!(op2, Op::PushI32(0xFF));
+        let m = assemble(".func f args=0 locals=0\npush -0x8000000000000000\nret\n").unwrap();
+        assert_eq!(Op::decode(&m.functions[0].code, 0).unwrap().0, Op::PushI64(i64::MIN));
+        let e = assemble(".func f args=0 locals=0\npush -0x8000000000000001\nret\n").unwrap_err();
+        assert!(e.message.contains("bad integer"), "{}", e.message);
     }
 
     #[test]

@@ -133,150 +133,121 @@ pub enum Op {
     MemSize,
 }
 
-// Opcode byte values. Kept explicit so the wire format is stable.
-pub(crate) mod opc {
-    pub const HALT: u8 = 0x00;
-    pub const NOP: u8 = 0x01;
-    pub const UNREACHABLE: u8 = 0x02;
-    pub const JMP: u8 = 0x03;
-    pub const JMPIF: u8 = 0x04;
-    pub const JMPIFZ: u8 = 0x05;
-    pub const CALL: u8 = 0x06;
-    pub const RET: u8 = 0x07;
-    pub const HOSTCALL: u8 = 0x08;
-    pub const PUSHI8: u8 = 0x10;
-    pub const PUSHI32: u8 = 0x11;
-    pub const PUSHI64: u8 = 0x12;
-    pub const LOCALGET: u8 = 0x13;
-    pub const LOCALSET: u8 = 0x14;
-    pub const LOCALTEE: u8 = 0x15;
-    pub const DROP: u8 = 0x16;
-    pub const DUP: u8 = 0x17;
-    pub const SWAP: u8 = 0x18;
-    pub const ADD: u8 = 0x20;
-    pub const SUB: u8 = 0x21;
-    pub const MUL: u8 = 0x22;
-    pub const DIVU: u8 = 0x23;
-    pub const DIVS: u8 = 0x24;
-    pub const REMU: u8 = 0x25;
-    pub const AND: u8 = 0x26;
-    pub const OR: u8 = 0x27;
-    pub const XOR: u8 = 0x28;
-    pub const SHL: u8 = 0x29;
-    pub const SHRU: u8 = 0x2A;
-    pub const SHRS: u8 = 0x2B;
-    pub const EQ: u8 = 0x30;
-    pub const NE: u8 = 0x31;
-    pub const LTU: u8 = 0x32;
-    pub const LTS: u8 = 0x33;
-    pub const GTU: u8 = 0x34;
-    pub const GTS: u8 = 0x35;
-    pub const LEU: u8 = 0x36;
-    pub const GEU: u8 = 0x37;
-    pub const EQZ: u8 = 0x38;
-    pub const LOAD8: u8 = 0x40;
-    pub const LOAD16: u8 = 0x41;
-    pub const LOAD32: u8 = 0x42;
-    pub const LOAD64: u8 = 0x43;
-    pub const STORE8: u8 = 0x44;
-    pub const STORE16: u8 = 0x45;
-    pub const STORE32: u8 = 0x46;
-    pub const STORE64: u8 = 0x47;
-    pub const MEMCOPY: u8 = 0x48;
-    pub const MEMFILL: u8 = 0x49;
-    pub const LZCOPY: u8 = 0x4A;
-    pub const MEMSIZE: u8 = 0x4B;
-}
+/// The instructions that carry no immediate, in opcode order: `(opcode
+/// byte, assembler mnemonic, op)`. Encoding, decoding, the assembler and
+/// the disassembler all read this one table; the wire format is its first
+/// column, kept explicit so it stays stable.
+pub const PLAIN_OPS: [(u8, &str, Op); 40] = [
+    (0x00, "halt", Op::Halt),
+    (0x01, "nop", Op::Nop),
+    (0x02, "unreachable", Op::Unreachable),
+    (0x07, "ret", Op::Ret),
+    (0x16, "drop", Op::Drop),
+    (0x17, "dup", Op::Dup),
+    (0x18, "swap", Op::Swap),
+    (0x20, "add", Op::Add),
+    (0x21, "sub", Op::Sub),
+    (0x22, "mul", Op::Mul),
+    (0x23, "divu", Op::DivU),
+    (0x24, "divs", Op::DivS),
+    (0x25, "remu", Op::RemU),
+    (0x26, "and", Op::And),
+    (0x27, "or", Op::Or),
+    (0x28, "xor", Op::Xor),
+    (0x29, "shl", Op::Shl),
+    (0x2A, "shru", Op::ShrU),
+    (0x2B, "shrs", Op::ShrS),
+    (0x30, "eq", Op::Eq),
+    (0x31, "ne", Op::Ne),
+    (0x32, "ltu", Op::LtU),
+    (0x33, "lts", Op::LtS),
+    (0x34, "gtu", Op::GtU),
+    (0x35, "gts", Op::GtS),
+    (0x36, "leu", Op::LeU),
+    (0x37, "geu", Op::GeU),
+    (0x38, "eqz", Op::Eqz),
+    (0x40, "load8", Op::Load8),
+    (0x41, "load16", Op::Load16),
+    (0x42, "load32", Op::Load32),
+    (0x43, "load64", Op::Load64),
+    (0x44, "store8", Op::Store8),
+    (0x45, "store16", Op::Store16),
+    (0x46, "store32", Op::Store32),
+    (0x47, "store64", Op::Store64),
+    (0x48, "memcopy", Op::MemCopy),
+    (0x49, "memfill", Op::MemFill),
+    (0x4A, "lzcopy", Op::LzCopy),
+    (0x4B, "memsize", Op::MemSize),
+];
+
+// Opcode bytes of the instructions that carry an immediate.
+const JMP: u8 = 0x03;
+const JMPIF: u8 = 0x04;
+const JMPIFZ: u8 = 0x05;
+const CALL: u8 = 0x06;
+const HOSTCALL: u8 = 0x08;
+const PUSHI8: u8 = 0x10;
+const PUSHI32: u8 = 0x11;
+const PUSHI64: u8 = 0x12;
+const LOCALGET: u8 = 0x13;
+const LOCALSET: u8 = 0x14;
+const LOCALTEE: u8 = 0x15;
+
+/// [`PLAIN_OPS`] indexed by opcode byte. Building it fails to compile if a
+/// row takes the byte of another row or of an instruction with an immediate.
+// This indexing runs in the compiler, where out of bounds is a build error.
+#[allow(clippy::indexing_slicing)]
+const DECODE_PLAIN: [Option<Op>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < PLAIN_OPS.len() {
+        let (byte, _, op) = PLAIN_OPS[i];
+        let immediate = matches!(
+            byte,
+            JMP | JMPIF
+                | JMPIFZ
+                | CALL
+                | HOSTCALL
+                | PUSHI8
+                | PUSHI32
+                | PUSHI64
+                | LOCALGET
+                | LOCALSET
+                | LOCALTEE
+        );
+        assert!(!immediate && table[byte as usize].is_none(), "two instructions share a byte");
+        table[byte as usize] = Some(op);
+        i += 1;
+    }
+    table
+};
 
 impl Op {
+    /// The row of [`PLAIN_OPS`] that holds this op; `None` for an op that
+    /// carries an immediate.
+    pub fn plain_row(self) -> Option<&'static (u8, &'static str, Op)> {
+        PLAIN_OPS.iter().find(|row| row.2 == self)
+    }
+
     /// Appends the encoded instruction to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        use opc::*;
+        let mut put = |byte: u8, imm: &[u8]| {
+            out.push(byte);
+            out.extend_from_slice(imm);
+        };
         match *self {
-            Op::Halt => out.push(HALT),
-            Op::Nop => out.push(NOP),
-            Op::Unreachable => out.push(UNREACHABLE),
-            Op::Jmp(rel) => {
-                out.push(JMP);
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            Op::JmpIf(rel) => {
-                out.push(JMPIF);
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            Op::JmpIfZ(rel) => {
-                out.push(JMPIFZ);
-                out.extend_from_slice(&rel.to_le_bytes());
-            }
-            Op::Call(idx) => {
-                out.push(CALL);
-                out.extend_from_slice(&idx.to_le_bytes());
-            }
-            Op::Ret => out.push(RET),
-            Op::HostCall(id) => {
-                out.push(HOSTCALL);
-                out.push(id);
-            }
-            Op::PushI8(v) => {
-                out.push(PUSHI8);
-                out.push(v as u8);
-            }
-            Op::PushI32(v) => {
-                out.push(PUSHI32);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Op::PushI64(v) => {
-                out.push(PUSHI64);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Op::LocalGet(n) => {
-                out.push(LOCALGET);
-                out.push(n);
-            }
-            Op::LocalSet(n) => {
-                out.push(LOCALSET);
-                out.push(n);
-            }
-            Op::LocalTee(n) => {
-                out.push(LOCALTEE);
-                out.push(n);
-            }
-            Op::Drop => out.push(DROP),
-            Op::Dup => out.push(DUP),
-            Op::Swap => out.push(SWAP),
-            Op::Add => out.push(ADD),
-            Op::Sub => out.push(SUB),
-            Op::Mul => out.push(MUL),
-            Op::DivU => out.push(DIVU),
-            Op::DivS => out.push(DIVS),
-            Op::RemU => out.push(REMU),
-            Op::And => out.push(AND),
-            Op::Or => out.push(OR),
-            Op::Xor => out.push(XOR),
-            Op::Shl => out.push(SHL),
-            Op::ShrU => out.push(SHRU),
-            Op::ShrS => out.push(SHRS),
-            Op::Eq => out.push(EQ),
-            Op::Ne => out.push(NE),
-            Op::LtU => out.push(LTU),
-            Op::LtS => out.push(LTS),
-            Op::GtU => out.push(GTU),
-            Op::GtS => out.push(GTS),
-            Op::LeU => out.push(LEU),
-            Op::GeU => out.push(GEU),
-            Op::Eqz => out.push(EQZ),
-            Op::Load8 => out.push(LOAD8),
-            Op::Load16 => out.push(LOAD16),
-            Op::Load32 => out.push(LOAD32),
-            Op::Load64 => out.push(LOAD64),
-            Op::Store8 => out.push(STORE8),
-            Op::Store16 => out.push(STORE16),
-            Op::Store32 => out.push(STORE32),
-            Op::Store64 => out.push(STORE64),
-            Op::MemCopy => out.push(MEMCOPY),
-            Op::MemFill => out.push(MEMFILL),
-            Op::LzCopy => out.push(LZCOPY),
-            Op::MemSize => out.push(MEMSIZE),
+            Op::Jmp(rel) => put(JMP, &rel.to_le_bytes()),
+            Op::JmpIf(rel) => put(JMPIF, &rel.to_le_bytes()),
+            Op::JmpIfZ(rel) => put(JMPIFZ, &rel.to_le_bytes()),
+            Op::Call(idx) => put(CALL, &idx.to_le_bytes()),
+            Op::HostCall(id) => put(HOSTCALL, &[id]),
+            Op::PushI8(v) => put(PUSHI8, &v.to_le_bytes()),
+            Op::PushI32(v) => put(PUSHI32, &v.to_le_bytes()),
+            Op::PushI64(v) => put(PUSHI64, &v.to_le_bytes()),
+            Op::LocalGet(n) => put(LOCALGET, &[n]),
+            Op::LocalSet(n) => put(LOCALSET, &[n]),
+            Op::LocalTee(n) => put(LOCALTEE, &[n]),
+            plain => out.extend(plain.plain_row().map(|row| row.0)),
         }
     }
 
@@ -284,19 +255,14 @@ impl Op {
     /// instruction and the offset of the next instruction.
     #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
     pub fn decode(code: &[u8], pc: usize) -> Result<(Op, usize), ModuleError> {
-        use opc::*;
         let truncated = |_| ModuleError::TruncatedCode { at: pc };
         let mut c = Cursor::new(code);
         let op = c.take(pc).and_then(|_| c.u8()).map_err(truncated)?;
         let decoded = match op {
-            HALT => Op::Halt,
-            NOP => Op::Nop,
-            UNREACHABLE => Op::Unreachable,
             JMP => Op::Jmp(i32::from_le_bytes(c.array().map_err(truncated)?)),
             JMPIF => Op::JmpIf(i32::from_le_bytes(c.array().map_err(truncated)?)),
             JMPIFZ => Op::JmpIfZ(i32::from_le_bytes(c.array().map_err(truncated)?)),
             CALL => Op::Call(u16::from_le_bytes(c.array().map_err(truncated)?)),
-            RET => Op::Ret,
             HOSTCALL => Op::HostCall(c.u8().map_err(truncated)?),
             PUSHI8 => Op::PushI8(c.u8().map_err(truncated)? as i8),
             PUSHI32 => Op::PushI32(i32::from_le_bytes(c.array().map_err(truncated)?)),
@@ -304,43 +270,11 @@ impl Op {
             LOCALGET => Op::LocalGet(c.u8().map_err(truncated)?),
             LOCALSET => Op::LocalSet(c.u8().map_err(truncated)?),
             LOCALTEE => Op::LocalTee(c.u8().map_err(truncated)?),
-            DROP => Op::Drop,
-            DUP => Op::Dup,
-            SWAP => Op::Swap,
-            ADD => Op::Add,
-            SUB => Op::Sub,
-            MUL => Op::Mul,
-            DIVU => Op::DivU,
-            DIVS => Op::DivS,
-            REMU => Op::RemU,
-            AND => Op::And,
-            OR => Op::Or,
-            XOR => Op::Xor,
-            SHL => Op::Shl,
-            SHRU => Op::ShrU,
-            SHRS => Op::ShrS,
-            EQ => Op::Eq,
-            NE => Op::Ne,
-            LTU => Op::LtU,
-            LTS => Op::LtS,
-            GTU => Op::GtU,
-            GTS => Op::GtS,
-            LEU => Op::LeU,
-            GEU => Op::GeU,
-            EQZ => Op::Eqz,
-            LOAD8 => Op::Load8,
-            LOAD16 => Op::Load16,
-            LOAD32 => Op::Load32,
-            LOAD64 => Op::Load64,
-            STORE8 => Op::Store8,
-            STORE16 => Op::Store16,
-            STORE32 => Op::Store32,
-            STORE64 => Op::Store64,
-            MEMCOPY => Op::MemCopy,
-            MEMFILL => Op::MemFill,
-            LZCOPY => Op::LzCopy,
-            MEMSIZE => Op::MemSize,
-            other => return Err(ModuleError::UnknownOpcode { opcode: other, at: pc }),
+            other => DECODE_PLAIN
+                .get(usize::from(other))
+                .copied()
+                .flatten()
+                .ok_or(ModuleError::UnknownOpcode { opcode: other, at: pc })?,
         };
         Ok((decoded, c.pos()))
     }
@@ -422,6 +356,36 @@ mod tests {
             assert_eq!(decoded, op);
             assert_eq!(next, buf.len());
         }
+    }
+
+    /// The wire format, stated independently of [`PLAIN_OPS`]: moving a
+    /// row to another byte still round-trips, so only this catches it.
+    #[test]
+    fn every_op_encodes_to_its_pinned_bytes() {
+        let mut buf = Vec::new();
+        for op in all_ops() {
+            op.encode(&mut buf);
+        }
+        let pinned = concat!(
+            "000102",
+            "03fbffffff",
+            "04d2040000",
+            "0500000000",
+            "060700",
+            "07",
+            "0803",
+            "10ff",
+            "1100000080",
+            "12ffffffffffffff7f",
+            "1300",
+            "14ff",
+            "1509",
+            "161718",
+            "202122232425262728292a2b",
+            "303132333435363738",
+            "404142434445464748494a4b",
+        );
+        assert_eq!(fractal_crypto::hex::encode(&buf), pinned);
     }
 
     #[test]

@@ -26,38 +26,30 @@ pub enum HostId {
 }
 
 impl HostId {
-    /// Wire id used in bytecode.
-    pub const fn id(self) -> u8 {
+    /// The intrinsic's row: `(wire id, assembler mnemonic, arity)`.
+    const fn row(self) -> (u8, &'static str, usize) {
         match self {
-            HostId::Sha1 => 0,
-            HostId::Log => 1,
-            HostId::Abort => 2,
-            HostId::MemEq => 3,
-            HostId::WeakSum => 4,
+            HostId::Sha1 => (0, "sha1", 3),
+            HostId::Log => (1, "log", 2),
+            HostId::Abort => (2, "abort", 1),
+            HostId::MemEq => (3, "memeq", 3),
+            HostId::WeakSum => (4, "weaksum", 2),
         }
     }
 
+    /// Wire id used in bytecode.
+    pub const fn id(self) -> u8 {
+        self.row().0
+    }
+
     /// Decodes a wire id.
-    pub const fn from_id(id: u8) -> Option<HostId> {
-        match id {
-            0 => Some(HostId::Sha1),
-            1 => Some(HostId::Log),
-            2 => Some(HostId::Abort),
-            3 => Some(HostId::MemEq),
-            4 => Some(HostId::WeakSum),
-            _ => None,
-        }
+    pub fn from_id(id: u8) -> Option<HostId> {
+        HostId::ALL.into_iter().find(|h| h.id() == id)
     }
 
     /// Number of stack arguments the intrinsic pops.
     pub const fn arity(self) -> usize {
-        match self {
-            HostId::Sha1 => 3,
-            HostId::Log => 2,
-            HostId::Abort => 1,
-            HostId::MemEq => 3,
-            HostId::WeakSum => 2,
-        }
+        self.row().2
     }
 
     /// All intrinsics, for policy allow-lists.
@@ -66,13 +58,7 @@ impl HostId {
 
     /// Assembler mnemonic.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            HostId::Sha1 => "sha1",
-            HostId::Log => "log",
-            HostId::Abort => "abort",
-            HostId::MemEq => "memeq",
-            HostId::WeakSum => "weaksum",
-        }
+        self.row().1
     }
 
     /// Parses an assembler mnemonic.

@@ -118,7 +118,7 @@ trap 'rm -f "$index"' EXIT
 rust=$(git ls-files '*.rs')
 {
     # shellcheck disable=SC2086
-    grep -ohE '(^|[^[:alnum:]_])(fn|struct|enum|trait|type|const|static|mod|union)[[:space:]]+[[:alpha:]_][[:alnum:]_]*' $rust \
+    grep -ohE '(^|[^[:alnum:]_])(const[[:space:]]+fn|fn|struct|enum|trait|type|const|static|mod|union)[[:space:]]+[[:alpha:]_][[:alnum:]_]*' $rust \
         | sed -E 's/.*[[:space:]]//'
     # shellcheck disable=SC2086
     grep -ohE 'macro_rules![[:space:]]*[[:alpha:]_][[:alnum:]_]*' $rust | sed -E 's/.*!//; s/[[:space:]]//g'
