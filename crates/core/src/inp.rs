@@ -21,10 +21,10 @@
 //! generation with a fresh `INIT_REQ`; replies echo their request's.
 
 use bytes::Bytes;
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{counted, Cursor, Sink};
 
 use crate::error::WireError;
-use crate::meta::{AppId, DevMeta, NtwkMeta, PadId, PadMeta, Writer};
+use crate::meta::{AppId, DevMeta, NtwkMeta, PadId, PadMeta};
 use fractal_protocols::ProtocolId;
 
 /// Protocol magic.
@@ -273,33 +273,37 @@ impl InpMessage {
 
     /// Serializes header + body stamped with generation `gen`, into an
     /// allocation with `room` spare bytes behind the message, which is
-    /// where checked framing puts its trailer. The bytes are written once,
-    /// in place: the header goes first with its length left open, and is
-    /// patched when the body is in.
+    /// where checked framing puts its trailer. The body is counted first,
+    /// so the header is written whole and the bytes once, in place.
     pub(crate) fn to_bytes_with_room(&self, gen: u8, room: usize) -> Vec<u8> {
-        let wire_len = self.wire_len();
-        let mut out = Writer(Vec::with_capacity(wire_len + room));
+        let body = counted(|c| self.encode_body(c));
+        assert!(body < 1 << 24, "INP body too large");
+        let mut out = Vec::with_capacity(HEADER_LEN + body + room);
         // Header layout: magic(2) gen(1) version(1) type(1) len(3: u24).
-        out.bytes(&MAGIC);
-        out.u8(gen);
-        out.u8(INP_VERSION);
-        out.u8(self.msg_type());
-        out.bytes(&[0u8; 3]);
+        let [m0, m1] = MAGIC;
+        let [l0, l1, l2, _] = (body as u32).to_le_bytes();
+        out.put(&[m0, m1, gen, INP_VERSION, self.msg_type(), l0, l1, l2]);
+        self.encode_body(&mut out);
+        out
+    }
+
+    /// Writes the body: everything after the header.
+    fn encode_body(&self, out: &mut impl Sink) {
         match self {
             InpMessage::InitReq { app_id, payload } => {
                 out.u32(app_id.0);
                 out.u32(payload.len() as u32);
-                out.bytes(payload);
+                out.put(payload);
             }
             InpMessage::InitRep | InpMessage::CliMetaReq => {}
             InpMessage::CliMetaRep { dev, ntwk } => {
-                dev.encode(&mut out);
-                ntwk.encode(&mut out);
+                dev.encode(out);
+                ntwk.encode(out);
             }
             InpMessage::PadMetaRep { pads } => {
                 out.u16(pads.len() as u16);
                 for p in pads {
-                    p.encode(&mut out);
+                    p.encode(out);
                 }
             }
             InpMessage::PadDownloadReq { pad_id } => {
@@ -308,7 +312,7 @@ impl InpMessage {
             InpMessage::PadDownloadRep { pad_id, bytes } => {
                 out.u64(pad_id.0);
                 out.u32(bytes.len() as u32);
-                out.bytes(bytes);
+                out.put(bytes);
             }
             InpMessage::AppReq { app_id, protocols, payload } => {
                 out.u32(app_id.0);
@@ -317,22 +321,16 @@ impl InpMessage {
                     out.u16(p.wire_id());
                 }
                 out.u32(payload.len() as u32);
-                out.bytes(payload);
+                out.put(payload);
             }
             InpMessage::AppRep { content_id, version, protocol, payload } => {
                 out.u32(*content_id);
                 out.u32(*version);
                 out.u16(protocol.wire_id());
                 out.u32(payload.len() as u32);
-                out.bytes(payload);
+                out.put(payload);
             }
         }
-        let mut out = out.0;
-        debug_assert_eq!(out.len(), wire_len, "{}: wire_len miscounts", self.name());
-        let len = (out.len() - HEADER_LEN) as u32;
-        assert!(len < 1 << 24, "INP body too large");
-        out[5..HEADER_LEN].copy_from_slice(&len.to_le_bytes()[..3]);
-        out
     }
 
     /// Parses header + body, whatever generation the header carries,
@@ -341,25 +339,10 @@ impl InpMessage {
         Frame::from_bytes(bytes).map(|frame| frame.msg)
     }
 
-    /// Wire size (for traffic accounting in the session runner, and the
-    /// one allocation [`to_bytes`](Self::to_bytes) makes): header plus what
-    /// each variant's body encodes to, counted without encoding it.
+    /// Wire size (for traffic accounting in the session runner): the
+    /// header plus the body, counted instead of written.
     pub fn wire_len(&self) -> usize {
-        let body = match self {
-            InpMessage::InitReq { payload, .. } => 4 + 4 + payload.len(),
-            InpMessage::InitRep | InpMessage::CliMetaReq => 0,
-            InpMessage::CliMetaRep { .. } => DevMeta::WIRE_LEN + NtwkMeta::WIRE_LEN,
-            InpMessage::PadMetaRep { pads } => {
-                2 + pads.iter().map(PadMeta::wire_len).sum::<usize>()
-            }
-            InpMessage::PadDownloadReq { .. } => 8,
-            InpMessage::PadDownloadRep { bytes, .. } => 8 + 4 + bytes.len(),
-            InpMessage::AppReq { protocols, payload, .. } => {
-                4 + 2 + 2 * protocols.len() + 4 + payload.len()
-            }
-            InpMessage::AppRep { payload, .. } => 4 + 4 + 2 + 4 + payload.len(),
-        };
-        HEADER_LEN + body
+        HEADER_LEN + counted(|c| self.encode_body(c))
     }
 }
 
@@ -467,9 +450,9 @@ mod tests {
             }
         }
         assert_eq!(sample_pad().wire_len(), {
-            let mut w = Writer::new();
+            let mut w = Vec::new();
             sample_pad().encode(&mut w);
-            w.0.len()
+            w.len()
         });
     }
 

@@ -10,7 +10,7 @@
 //!
 //! All integers little-endian on the wire.
 
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{counted, Cursor, Sink};
 use fractal_crypto::Digest;
 use fractal_net::link::LinkKind;
 use fractal_protocols::ProtocolId;
@@ -39,17 +39,17 @@ impl core::fmt::Display for PadId {
 }
 
 /// Operating-system families appearing in the evaluation (Equation 5 plus
-/// the §3.4.2 WinMedia/Kinoma example).
+/// the §3.4.2 WinMedia/Kinoma example). The discriminant is the wire id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OsType {
     /// Windows CE 4.2 (the Pocket PC).
-    WinCe42,
+    WinCe42 = 0,
     /// Fedora Core 2 (desktop and laptop).
-    FedoraCore2,
+    FedoraCore2 = 1,
     /// Windows XP.
-    WinXp,
+    WinXp = 2,
     /// PalmOS (ratio-matrix example).
-    PalmOs,
+    PalmOs = 3,
 }
 
 impl OsType {
@@ -59,12 +59,7 @@ impl OsType {
 
     /// Stable wire id.
     pub fn wire_id(self) -> u8 {
-        match self {
-            OsType::WinCe42 => 0,
-            OsType::FedoraCore2 => 1,
-            OsType::WinXp => 2,
-            OsType::PalmOs => 3,
-        }
+        self as u8
     }
 
     /// Decodes a wire id.
@@ -84,17 +79,18 @@ impl OsType {
 }
 
 /// Processor families of Equation 4: P (PXA255), D (P4 2.0 GHz),
-/// L (P4 3.06 GHz), plus the 500 MHz reference of Equation 1.
+/// L (P4 3.06 GHz), plus the 500 MHz reference of Equation 1. The
+/// discriminant is the wire id.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CpuType {
     /// Intel PXA 255 (Pocket PC) — "P" in Equation 4.
-    Pxa255,
+    Pxa255 = 0,
     /// Pentium IV 2.0 GHz (desktop) — "D".
-    PentiumIv2000,
+    PentiumIv2000 = 1,
     /// Pentium IV 3.06 GHz (laptop) — "L".
-    PentiumIv3060,
+    PentiumIv3060 = 2,
     /// The 500 MHz Pentium IV reference CPU (Std_cpu in Equation 1).
-    Reference500,
+    Reference500 = 3,
 }
 
 impl CpuType {
@@ -104,12 +100,7 @@ impl CpuType {
 
     /// Stable wire id.
     pub fn wire_id(self) -> u8 {
-        match self {
-            CpuType::Pxa255 => 0,
-            CpuType::PentiumIv2000 => 1,
-            CpuType::PentiumIv3060 => 2,
-            CpuType::Reference500 => 3,
-        }
+        self as u8
     }
 
     /// Decodes a wire id.
@@ -217,45 +208,8 @@ pub struct AppMeta {
 
 // --- wire codecs -----------------------------------------------------
 
-/// Byte-writer helpers shared by the metadata and INP codecs.
-pub(crate) struct Writer(pub Vec<u8>);
-
-impl Writer {
-    pub fn new() -> Writer {
-        Writer(Vec::new())
-    }
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.0.extend_from_slice(b);
-    }
-    pub fn str16(&mut self, s: &str) {
-        self.u16(s.len() as u16);
-        self.bytes(s.as_bytes());
-    }
-}
-
 fn link_kind_wire_id(kind: LinkKind) -> u8 {
-    match kind {
-        LinkKind::Lan => 0,
-        LinkKind::Wlan => 1,
-        LinkKind::Bluetooth => 2,
-        LinkKind::Dialup => 3,
-        LinkKind::Wan => 4,
-    }
+    kind as u8
 }
 
 fn link_kind_from_wire_id(id: u8) -> Option<LinkKind> {
@@ -263,10 +217,7 @@ fn link_kind_from_wire_id(id: u8) -> Option<LinkKind> {
 }
 
 impl DevMeta {
-    /// Bytes [`encode`](Self::encode) writes.
-    pub(crate) const WIRE_LEN: usize = 1 + 1 + 4 + 4;
-
-    pub(crate) fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut impl Sink) {
         w.u8(self.os.wire_id());
         w.u8(self.cpu.wire_id());
         w.u32(self.cpu_mhz);
@@ -284,10 +235,7 @@ impl DevMeta {
 }
 
 impl NtwkMeta {
-    /// Bytes [`encode`](Self::encode) writes.
-    pub(crate) const WIRE_LEN: usize = 1 + 4;
-
-    pub(crate) fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut impl Sink) {
         w.u8(link_kind_wire_id(self.kind));
         w.u32(self.bandwidth_kbps);
     }
@@ -301,18 +249,20 @@ impl NtwkMeta {
 }
 
 impl PadMeta {
-    /// The shortest encoding: an empty URL, no parent and no children.
+    /// The shortest encoding (empty URL, no parent, no children): a constant,
+    /// since it bounds decoding, and pinned to the counted length by a test.
     pub(crate) const MIN_WIRE_LEN: usize = 8 + 2 + 4 + 3 * 8 + 20 + 2 + 1 + 2;
 
-    pub(crate) fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut impl Sink) {
         w.u64(self.id.0);
         w.u16(self.protocol.wire_id());
         w.u32(self.size);
         w.f64(self.overhead.server_ms_per_mb);
         w.f64(self.overhead.client_ms_per_mb);
         w.f64(self.overhead.traffic_ratio);
-        w.bytes(self.digest.as_bytes());
-        w.str16(&self.url);
+        w.put(self.digest.as_bytes());
+        w.u16(self.url.len() as u16);
+        w.put(self.url.as_bytes());
         match self.parent {
             Some(p) => {
                 w.u8(1);
@@ -356,21 +306,20 @@ impl PadMeta {
     /// Serialized size in bytes (for traffic accounting): what
     /// `encode` writes, counted instead of written.
     pub fn wire_len(&self) -> usize {
-        let parent = if self.parent.is_some() { 8 } else { 0 };
-        Self::MIN_WIRE_LEN + self.url.len() + parent + 8 * self.children.len()
+        counted(|c| self.encode(c))
     }
 }
 
 impl AppMeta {
     /// Serializes (the server→proxy push).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         w.u32(self.app_id.0);
         w.u16(self.pads.len() as u16);
         for p in &self.pads {
             p.encode(&mut w);
         }
-        w.0
+        w
     }
 
     /// Parses.
@@ -431,9 +380,9 @@ mod tests {
     fn dev_meta_round_trip() {
         let dev =
             DevMeta { os: OsType::WinCe42, cpu: CpuType::Pxa255, cpu_mhz: 400, memory_mb: 64 };
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         dev.encode(&mut w);
-        let mut r = Reader::new(&w.0);
+        let mut r = Reader::new(&w);
         assert_eq!(DevMeta::decode(&mut r).unwrap(), dev);
         assert!(r.done());
     }
@@ -442,9 +391,9 @@ mod tests {
     fn ntwk_meta_round_trip() {
         for kind in LinkKind::ALL {
             let n = NtwkMeta { kind, bandwidth_kbps: kind.bandwidth_kbps() as u32 };
-            let mut w = Writer::new();
+            let mut w = Vec::new();
             n.encode(&mut w);
-            let mut r = Reader::new(&w.0);
+            let mut r = Reader::new(&w);
             assert_eq!(NtwkMeta::decode(&mut r).unwrap(), n);
         }
     }
@@ -452,10 +401,10 @@ mod tests {
     #[test]
     fn pad_meta_round_trip() {
         let p = sample_pad_meta(42);
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         p.encode(&mut w);
-        assert_eq!(w.0.len(), p.wire_len());
-        let mut r = Reader::new(&w.0);
+        assert_eq!(w.len(), p.wire_len());
+        let mut r = Reader::new(&w);
         assert_eq!(PadMeta::decode(&mut r).unwrap(), p);
     }
 
@@ -493,9 +442,18 @@ mod tests {
         let mut p = sample_pad_meta(1);
         p.parent = None;
         p.children.clear();
-        let mut w = Writer::new();
+        let mut w = Vec::new();
         p.encode(&mut w);
-        let mut r = Reader::new(&w.0);
+        let mut r = Reader::new(&w);
         assert_eq!(PadMeta::decode(&mut r).unwrap(), p);
+    }
+
+    #[test]
+    fn min_wire_len_is_the_counted_length_of_a_bare_pad_meta() {
+        let mut p = sample_pad_meta(1);
+        p.url.clear();
+        p.parent = None;
+        p.children.clear();
+        assert_eq!(PadMeta::MIN_WIRE_LEN, p.wire_len());
     }
 }

@@ -402,11 +402,6 @@ impl<'a> Reactor<'a> {
         self.live
     }
 
-    /// Maximum number of simultaneously live sessions seen so far.
-    pub fn peak_in_flight(&self) -> usize {
-        self.report.peak_in_flight
-    }
-
     /// Frames queued for `id` (both directions) that have not fully
     /// reached the wire — the session's backpressure debt.
     pub fn pending_frames(&self, id: SessionId) -> usize {

@@ -4,12 +4,12 @@
 
 use std::borrow::BorrowMut;
 
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{Cursor, Sink};
 
 use crate::client::FractalClient;
 use crate::error::{FractalError, InpError, WireError};
 use crate::inp::{classify, Dropped, InpMessage, Verdict};
-use crate::meta::{AppId, NtwkMeta, PadId, PadMeta, Writer};
+use crate::meta::{AppId, NtwkMeta, PadId, PadMeta};
 
 /// Phases of one event-driven INP session, in protocol order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -165,7 +165,7 @@ impl Received {
 /// content id, the version the client already holds (if any), and the
 /// version it wants.
 pub fn encode_app_payload(content_id: u32, have: Option<u32>, want: u32) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Vec::new();
     w.u32(content_id);
     w.u32(want);
     match have {
@@ -175,7 +175,7 @@ pub fn encode_app_payload(content_id: u32, have: Option<u32>, want: u32) -> Vec<
         }
         None => w.u8(0),
     }
-    w.0
+    w
 }
 
 /// Decodes an `APP_REQ` payload produced by [`encode_app_payload`].

@@ -3,13 +3,13 @@
 
 use std::collections::VecDeque;
 
-use fractal_crypto::wire::{Cursor, Truncated};
+use fractal_crypto::wire::{Cursor, Sink, Truncated};
 
 use super::{FrameError, Transport, TransportError};
 use crate::inp::{self, Frame, InpMessage, HEADER_LEN};
 
-/// Default maximum accepted frame body. Far above any legitimate INP
-/// message here, far below the u24 wire limit — a hostile length prefix is
+/// Maximum accepted frame body. Far above any legitimate INP message
+/// here, far below the u24 wire limit — a hostile length prefix is
 /// rejected before the reassembly buffer grows to meet it.
 pub const MAX_FRAME_BODY: usize = 1 << 20;
 
@@ -18,6 +18,15 @@ pub const MAX_FRAME_BODY: usize = 1 << 20;
 /// a correctly-sliced frame changes the sum's low 16-bit component, so
 /// in-flight corruption is always caught, never silently decoded.
 pub const CHECKSUM_TRAILER_LEN: usize = 4;
+
+/// Bytes of checksum behind every frame, checked or not.
+fn trailer_len(checked: bool) -> usize {
+    if checked {
+        CHECKSUM_TRAILER_LEN
+    } else {
+        0
+    }
+}
 
 /// What [`Framer::pull`] reads at a time while it does not yet know how
 /// long the frame is; a frame with more than this still to come is
@@ -43,7 +52,6 @@ pub struct Framer {
     /// are parsed from.
     buf: Vec<u8>,
     filled: usize,
-    max_body: usize,
     checksum: bool,
 }
 
@@ -55,14 +63,9 @@ impl Default for Framer {
 
 #[deny(clippy::indexing_slicing, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 impl Framer {
-    /// A framer with the default [`MAX_FRAME_BODY`] limit.
+    /// A framer rejecting bodies longer than [`MAX_FRAME_BODY`].
     pub fn new() -> Framer {
-        Framer::with_max_body(MAX_FRAME_BODY)
-    }
-
-    /// A framer rejecting bodies longer than `max_body`.
-    pub fn with_max_body(max_body: usize) -> Framer {
-        Framer { buf: Vec::new(), filled: 0, max_body, checksum: false }
+        Framer { buf: Vec::new(), filled: 0, checksum: false }
     }
 
     /// Switches this framer to checked framing: every frame must carry a
@@ -88,12 +91,10 @@ impl Framer {
 
     /// Encodes one message stamped with generation `gen`, checked or not.
     pub fn frame_at(gen: u8, msg: &InpMessage, checked: bool) -> Vec<u8> {
-        if !checked {
-            return msg.to_bytes_with_room(gen, 0);
+        let mut bytes = msg.to_bytes_with_room(gen, trailer_len(checked));
+        if checked {
+            bytes.u32(fractal_crypto::checksum::weak_sum(&bytes));
         }
-        let mut bytes = msg.to_bytes_with_room(gen, CHECKSUM_TRAILER_LEN);
-        let sum = fractal_crypto::checksum::weak_sum(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
         bytes
     }
 
@@ -102,15 +103,6 @@ impl Framer {
         self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
         self.filled = self.buf.len();
-    }
-
-    /// Bytes of checksum behind every frame in this framer's mode.
-    fn trailer_len(&self) -> usize {
-        if self.checksum {
-            CHECKSUM_TRAILER_LEN
-        } else {
-            0
-        }
     }
 
     /// The header rule, written once: the buffered frame's extent (header,
@@ -122,10 +114,10 @@ impl Framer {
         }
         // `buf[..filled]` has arrived, and the header lies inside it.
         let (_, len) = inp::header_info(&self.buf).map_err(|_| FrameError::BadPrefix)?;
-        if len > self.max_body {
-            return Err(FrameError::Oversized { len, max: self.max_body });
+        if len > MAX_FRAME_BODY {
+            return Err(FrameError::Oversized { len, max: MAX_FRAME_BODY });
         }
-        Ok(Some(HEADER_LEN + len + self.trailer_len()))
+        Ok(Some(HEADER_LEN + len + trailer_len(self.checksum)))
     }
 
     /// Bytes still to come of the frame whose header is buffered, trailer
@@ -199,7 +191,7 @@ impl Framer {
         }
         let mut c = Cursor::new(&self.buf);
         let malformed = |e: Truncated| FrameError::Malformed(e.into());
-        let bytes = c.take(end - self.trailer_len()).map_err(malformed)?;
+        let bytes = c.take(end - trailer_len(self.checksum)).map_err(malformed)?;
         if self.checksum {
             let got = u32::from_le_bytes(c.array().map_err(malformed)?);
             let expected = fractal_crypto::checksum::weak_sum(bytes);
@@ -316,12 +308,13 @@ mod tests {
 
     #[test]
     fn framer_rejects_oversized_declaration_before_buffering_it() {
-        let mut framer = Framer::with_max_body(64);
-        let mut frame = Framer::frame(&msg(600));
-        assert!(frame.len() > 64);
+        let mut framer = Framer::new();
+        let mut frame = Framer::frame(&msg(MAX_FRAME_BODY));
+        assert!(frame.len() > MAX_FRAME_BODY);
         frame.truncate(HEADER_LEN); // only the header has arrived
         framer.push(&frame);
-        assert_eq!(framer.next_frame(), Err(FrameError::Oversized { len: 608, max: 64 }));
+        let len = MAX_FRAME_BODY + 8;
+        assert_eq!(framer.next_frame(), Err(FrameError::Oversized { len, max: MAX_FRAME_BODY }));
     }
 
     #[test]
@@ -413,9 +406,9 @@ mod tests {
     #[test]
     fn pull_reserves_nothing_for_a_length_it_will_refuse() {
         let TransportPair { mut client, mut service } = LoopbackTransport::pair(64);
-        let header = &Framer::frame(&msg(100_000))[..HEADER_LEN];
+        let header = &Framer::frame(&msg(MAX_FRAME_BODY))[..HEADER_LEN];
         assert_eq!(client.send(header).unwrap(), HEADER_LEN);
-        let mut framer = Framer::with_max_body(64);
+        let mut framer = Framer::new();
         assert_eq!(framer.pull(service.as_mut()).unwrap(), HEADER_LEN);
         assert!(framer.buf.len() <= HEADER_LEN + RECV_CHUNK);
         assert!(matches!(framer.next_frame(), Err(FrameError::Oversized { .. })));

@@ -6,7 +6,7 @@
 
 use fractal_core::inp::{Frame, InpMessage, HEADER_LEN};
 use fractal_core::meta::{AppId, PadId};
-use fractal_core::transport::{FrameError, Framer, LoopbackTransport};
+use fractal_core::transport::{FrameError, Framer, LoopbackTransport, MAX_FRAME_BODY};
 use fractal_protocols::ProtocolId;
 use proptest::prelude::*;
 
@@ -107,11 +107,12 @@ proptest! {
     /// anti-flooding property).
     #[test]
     fn oversized_header_is_rejected_before_the_body(extra in 1usize..500) {
-        let max = 64;
-        let payload = vec![0xABu8; max + extra];
-        let frame = Framer::frame(&InpMessage::InitReq { app_id: AppId(1), payload });
-        let mut framer = Framer::with_max_body(max);
-        framer.push(&frame[..HEADER_LEN]);
+        let max = MAX_FRAME_BODY;
+        let mut header = Framer::frame(&InpMessage::InitRep);
+        let [l0, l1, l2, _] = ((max + extra) as u32).to_le_bytes();
+        header[5..HEADER_LEN].copy_from_slice(&[l0, l1, l2]);
+        let mut framer = Framer::new();
+        framer.push(&header);
         prop_assert!(framer.frame_ready());
         match framer.next_frame() {
             Err(FrameError::Oversized { len, max: m }) => {

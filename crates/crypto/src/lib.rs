@@ -17,11 +17,11 @@
 //! vary-sized blocking protocol (LBFS-style content-defined chunking),
 //! because it is a fingerprinting primitive shared by several layers.
 //!
-//! * **Wire reading** — [`wire::Cursor`] is the one bounds-checked reader
-//!   under every decoder of untrusted bytes (PAD containers, bytecode, INP
-//!   frames, codec payloads). It lives here because every decoding crate
-//!   already depends on this one, and it is, like [`rabin`], a non-crypto
-//!   primitive those layers share.
+//! * **Wire reading and writing** — [`wire::Cursor`] is the one
+//!   bounds-checked reader under every decoder of untrusted bytes, and
+//!   [`wire::Sink`] the one writer (or byte counter) under every encoder.
+//!   They live here because every decoding crate already depends on this
+//!   one, and they are, like [`rabin`], non-crypto primitives it shares.
 //!
 //! Everything in this crate is deterministic and free of I/O.
 

@@ -1,9 +1,15 @@
-//! The one reader of untrusted wire bytes: a bounds-checked [`Cursor`].
+//! The one reader and the one writer of wire bytes: a bounds-checked
+//! [`Cursor`] and a [`Sink`].
 //!
 //! PAD containers, INP frames and codec payloads arrive from outside the
 //! trust boundary. Every decoder reads them through a `Cursor`: a read past
 //! the end is [`Truncated`], never a panic, and a header-declared count
 //! goes through [`Cursor::count`] before anything is reserved for it.
+//!
+//! Every structured encoder writes through a `Sink`: into a `Vec<u8>`, or
+//! into a [`Counter`] that keeps only the number of bytes. A format's wire
+//! length is its encoder run into the counter ([`counted`]), so a priced
+//! length cannot drift from the bytes.
 
 /// The input ends before a field it declares, or declares more elements
 /// than its remaining bytes can carry.
@@ -107,4 +113,61 @@ impl<'a> Cursor<'a> {
             Err(Truncated)
         }
     }
+}
+
+/// Where an encoder writes: [`put`](Self::put) appends bytes, and the
+/// little-endian helpers append a fixed-width field.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends a byte.
+    fn u8(&mut self, v: u8) {
+        self.put(&[v]);
+    }
+
+    /// Appends a little-endian `u16`.
+    fn u16(&mut self, v: u16) {
+        self.put(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `u32`.
+    fn u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `u64`.
+    fn u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `f64`.
+    fn f64(&mut self, v: f64) {
+        self.put(&v.to_le_bytes());
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that counts the bytes put into it and keeps none.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct Counter(usize);
+
+impl Sink for Counter {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// How many bytes `encode` writes, counted instead of written.
+pub fn counted(encode: impl FnOnce(&mut Counter)) -> usize {
+    let mut counter = Counter::default();
+    encode(&mut counter);
+    counter.0
 }

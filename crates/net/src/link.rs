@@ -8,19 +8,20 @@
 
 use crate::time::SimDuration;
 
-/// The link technologies modeled (2005-era nominal rates).
+/// The link technologies modeled (2005-era nominal rates). The
+/// discriminant is the id INP's network metadata carries.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum LinkKind {
     /// Switched Ethernet LAN: 100 Mbps, sub-millisecond latency.
-    Lan,
+    Lan = 0,
     /// 802.11b wireless LAN: 11 Mbps, a couple of milliseconds.
-    Wlan,
+    Wlan = 1,
     /// Bluetooth 1.x: 723 kbps, tens of milliseconds.
-    Bluetooth,
+    Bluetooth = 2,
     /// V.90 dialup: 56 kbps, ~150 ms.
-    Dialup,
+    Dialup = 3,
     /// Wide-area path (client ↔ distant server): 1.5 Mbps, ~40 ms.
-    Wan,
+    Wan = 4,
 }
 
 impl LinkKind {

@@ -3,9 +3,7 @@
 use fractal_crypto::sign::Signer;
 use fractal_crypto::Digest;
 use fractal_protocols::ProtocolId;
-use fractal_vm::{
-    analyze_module, assemble, verify::verify_module, HostId, Module, SandboxPolicy, SignedModule,
-};
+use fractal_vm::{analyze_module, assemble, HostId, Module, SandboxPolicy, SignedModule};
 
 /// FVM assembly source for the direct-sending PAD.
 pub const DIRECT_FASM: &str = include_str!("../fasm/direct.fasm");
@@ -76,7 +74,6 @@ pub fn build_pad(protocol: ProtocolId, signer: &Signer) -> PadArtifact {
     let source = source_for(protocol);
     let module =
         assemble(&source).unwrap_or_else(|e| panic!("PAD {protocol} failed to assemble: {e}"));
-    verify_module(&module).unwrap_or_else(|e| panic!("PAD {protocol} failed verification: {e}"));
     let analysis = analyze_module(&module, &SandboxPolicy::for_pads())
         .unwrap_or_else(|e| panic!("PAD {protocol} failed analysis: {e}"));
     let entries = module.functions.iter().map(|f| f.name.clone()).collect();
@@ -95,7 +92,6 @@ pub fn build_pad(protocol: ProtocolId, signer: &Signer) -> PadArtifact {
 pub fn build_deflate_pad(signer: &Signer) -> PadArtifact {
     let module =
         assemble(DEFLATE_FASM).unwrap_or_else(|e| panic!("deflate PAD failed to assemble: {e}"));
-    verify_module(&module).unwrap_or_else(|e| panic!("deflate PAD failed verification: {e}"));
     let analysis = analyze_module(&module, &SandboxPolicy::for_pads())
         .unwrap_or_else(|e| panic!("deflate PAD failed analysis: {e}"));
     let entries = module.functions.iter().map(|f| f.name.clone()).collect();

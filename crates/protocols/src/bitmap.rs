@@ -31,7 +31,7 @@
 //! unchanged blocks from `old` directly.
 
 use fractal_crypto::sha1::sha1;
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{Cursor, Sink};
 
 use crate::traits::{CodecError, DiffCodec, ProtocolId};
 
@@ -75,10 +75,10 @@ impl Bitmap {
     pub fn upstream_message(&self, old: &[u8]) -> Vec<u8> {
         let n = self.n_blocks(old.len());
         let mut out = Vec::with_capacity(8 + n * 8);
-        out.extend_from_slice(&(self.block_size as u32).to_le_bytes());
-        out.extend_from_slice(&(n as u32).to_le_bytes());
+        out.u32(self.block_size as u32);
+        out.u32(n as u32);
         for block in old.chunks(self.block_size) {
-            out.extend_from_slice(&Self::block_digest(block));
+            out.put(&Self::block_digest(block));
         }
         out
     }
@@ -105,10 +105,10 @@ impl DiffCodec for Bitmap {
 
         let data_len: usize = blocks.iter().map(|b| b.len()).sum();
         let mut out = Vec::with_capacity(12 + bitmap_len + data_len);
-        out.extend_from_slice(&(new.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(bs as u32).to_le_bytes());
-        out.extend_from_slice(&(n_blocks as u32).to_le_bytes());
-        out.extend_from_slice(&bitmap);
+        out.u32(new.len() as u32);
+        out.u32(bs as u32);
+        out.u32(n_blocks as u32);
+        out.put(&bitmap);
         for b in blocks {
             out.extend_from_slice(b);
         }

@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use fractal_crypto::checksum::{weak_sum, weak_sum_roll};
+use fractal_crypto::wire::Sink;
 
 use crate::bitmap::Bitmap;
 use crate::recipe::{self, RecipeOp};
@@ -53,11 +54,11 @@ impl FixedBlock {
         let bs = self.block_size;
         let n = old.len() / bs; // only full blocks are matchable
         let mut out = Vec::with_capacity(8 + n * 12);
-        out.extend_from_slice(&(bs as u32).to_le_bytes());
-        out.extend_from_slice(&(n as u32).to_le_bytes());
+        out.u32(bs as u32);
+        out.u32(n as u32);
         for block in old.chunks_exact(bs) {
-            out.extend_from_slice(&weak_sum(block).to_le_bytes());
-            out.extend_from_slice(&Bitmap::block_digest(block));
+            out.u32(weak_sum(block));
+            out.put(&Bitmap::block_digest(block));
         }
         out
     }

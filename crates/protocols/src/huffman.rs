@@ -17,7 +17,7 @@
 //! heap-based Huffman followed by depth rebalancing when the cap binds.
 
 use crate::traits::CodecError;
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{Cursor, Sink};
 
 /// Maximum code length (DEFLATE's limit).
 pub const MAX_BITS: usize = 15;
@@ -206,7 +206,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let codes = canonical_codes(&lengths);
 
     let mut out = Vec::with_capacity(16 + 128 + data.len() / 2);
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    out.u32(data.len() as u32);
     for pair in lengths.chunks_exact(2) {
         out.push(pair[0] | (pair[1] << 4));
     }

@@ -36,7 +36,7 @@
 //! byte to the straightforward compressor this replaced.
 
 use crate::traits::CodecError;
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{Cursor, Sink};
 use std::cell::RefCell;
 
 /// Minimum match length worth encoding (a match token costs 3 bytes).
@@ -90,7 +90,7 @@ fn match_len(a: &[u8], b: &[u8]) -> usize {
 pub fn compress(input: &[u8]) -> Vec<u8> {
     assert!(input.len() < u32::MAX as usize, "raw_len and the match tables are 32-bit");
     let mut out = Vec::with_capacity(16 + input.len() / 2);
-    out.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    out.u32(input.len() as u32);
 
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();

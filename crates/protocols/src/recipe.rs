@@ -18,7 +18,7 @@
 
 use crate::traits::CodecError;
 use bytes::Bytes;
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{counted, Cursor, Sink};
 
 /// Opcode byte for a copy-from-old instruction.
 pub const OP_COPY: u8 = 0x00;
@@ -50,34 +50,36 @@ impl RecipeOp {
         }
     }
 
-    /// Wire size of this op.
+    /// Wire size of this op, counted instead of written.
     pub fn wire_len(&self) -> usize {
+        counted(|c| self.encode(c))
+    }
+
+    /// Appends this op's wire form to `out`.
+    pub fn encode(&self, out: &mut impl Sink) {
         match self {
-            RecipeOp::Copy { .. } => 1 + 8,
-            RecipeOp::Data(bytes) => 1 + 4 + bytes.len(),
+            RecipeOp::Copy { old_offset, len } => {
+                out.u8(OP_COPY);
+                out.u32(*old_offset);
+                out.u32(*len);
+            }
+            RecipeOp::Data(bytes) => {
+                out.u8(OP_DATA);
+                out.u32(bytes.len() as u32);
+                out.put(bytes);
+            }
         }
     }
 }
 
 /// Serializes ops into a recipe payload.
 pub fn encode(new_len: usize, ops: &[RecipeOp]) -> Vec<u8> {
-    let body: usize = ops.iter().map(RecipeOp::wire_len).sum();
-    let mut out = Vec::with_capacity(4 + body);
-    out.extend_from_slice(&(new_len as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            RecipeOp::Copy { old_offset, len } => {
-                out.push(OP_COPY);
-                out.extend_from_slice(&old_offset.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-            }
-            RecipeOp::Data(bytes) => {
-                out.push(OP_DATA);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-        }
+    fn write(out: &mut impl Sink, new_len: usize, ops: &[RecipeOp]) {
+        out.u32(new_len as u32);
+        ops.iter().for_each(|op| op.encode(out));
     }
+    let mut out = Vec::with_capacity(counted(|c| write(c, new_len, ops)));
+    write(&mut out, new_len, ops);
     out
 }
 

@@ -179,7 +179,6 @@ impl AnalyzedModule {
         if declared > policy.max_memory {
             return Err(VerifyError::MemoryLimit { declared, limit: policy.max_memory });
         }
-        verify_module(&module)?;
         let analysis = analyze_module(&module, policy)?;
         if analysis.stack_bound > policy.max_stack {
             let (bound, limit) = (analysis.stack_bound, policy.max_stack);
@@ -659,16 +658,15 @@ fn analysis_ns() -> &'static fractal_telemetry::Histogram {
         .get_or_init(|| fractal_telemetry::Telemetry::global().histogram("fractal_vm_analysis_ns"))
 }
 
-/// Runs abstract interpretation over every function of a structurally
-/// verified module. Returns the proof object, or the first admission error.
-///
-/// Call [`crate::verify::verify_module`] first (or use
-/// [`AnalyzedModule::analyze`], which does both): this pass assumes code
-/// decodes and branch targets are valid.
+/// Verifies `module` ([`verify_module`]), then runs abstract
+/// interpretation over every function. Returns the proof object, or the
+/// first verification or admission error; it never panics, whatever the
+/// module holds.
 pub fn analyze_module(
     module: &Module,
     policy: &SandboxPolicy,
 ) -> Result<ModuleAnalysis, VerifyError> {
+    verify_module(module)?;
     let bundle = fractal_telemetry::Telemetry::global();
     let started_ns = bundle.now_ns();
     let n = module.functions.len();
@@ -819,6 +817,21 @@ mod tests {
         let m = assemble(src).expect("assembles");
         verify_module(&m).expect("structurally valid");
         analyze_module(&m, &SandboxPolicy::default())
+    }
+
+    #[test]
+    fn unverified_code_is_refused_not_panicked_on() {
+        // `ops` encoded, less their last `cut` bytes, as a one-function module.
+        let analyze = |ops: &[Op], cut: usize| {
+            let mut code = Vec::new();
+            ops.iter().for_each(|op| op.encode(&mut code));
+            code.truncate(code.len() - cut);
+            let main = Function { name: "main".into(), n_args: 0, n_locals: 0, code };
+            let module = Module { functions: vec![main], ..Module::default() };
+            analyze_module(&module, &SandboxPolicy::default())
+        };
+        assert!(matches!(analyze(&[Op::PushI32(7)], 1), Err(VerifyError::Code(_))));
+        assert!(matches!(analyze(&[Op::Jmp(1000), Op::Ret], 0), Err(VerifyError::WildJump { .. })));
     }
 
     #[test]

@@ -56,7 +56,7 @@
 
 use core::fmt;
 
-use crate::bytecode::Op;
+use crate::bytecode::{Op, PLAIN_OPS};
 use crate::error::VerifyError;
 use crate::host::HostId;
 use crate::module::{Function, Module};
@@ -87,21 +87,17 @@ pub mod truth {
         (table >> facts) & 1 != 0
     }
 
+    /// The mnemonic of the instruction that compares by `table`.
     pub(super) fn name(table: u8) -> &'static str {
         match table {
-            EQ => "eq",
-            NE => "ne",
-            LTU => "ltu",
-            GEU => "geu",
-            GTU => "gtu",
-            LEU => "leu",
-            LTS => "lts",
-            GTS => "gts",
             // Complements `jmpifz` makes; the instruction set has no name
             // for them.
             0x0F => "ges",
             0xFC => "les",
-            _ => "cmp?",
+            _ => super::PLAIN_OPS
+                .iter()
+                .find(|row| matches!(super::alu(row.2), Some(super::Alu::Cmp(k)) if k == table))
+                .map_or("cmp?", |row| row.1),
         }
     }
 }
@@ -343,6 +339,10 @@ impl fmt::Display for Slot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let Slot { k, d, a, b, t, .. } = *self;
         let k = truth::name(k);
+        // A slot op one instruction lowers to is named as the instruction.
+        let isa = |op: Op| op.plain_row().map_or("?", |row| row.1);
+        let mem =
+            PLAIN_OPS.iter().find(|row| memory_op(row.2) == Some(self.op)).map_or("?", |row| row.1);
         // `Add` -> `add r3, r1, r2`; `AddI` -> `add r3, r1, 7`.
         let arith = |f: &mut fmt::Formatter<'_>| {
             let name = format!("{:?}", self.op).to_lowercase();
@@ -352,9 +352,9 @@ impl fmt::Display for Slot {
             }
         };
         match self.op {
-            SlotOp::Halt => write!(f, "halt"),
-            SlotOp::Nop => write!(f, "nop"),
-            SlotOp::Unreachable => write!(f, "unreachable"),
+            SlotOp::Halt => f.write_str(isa(Op::Halt)),
+            SlotOp::Nop => f.write_str(isa(Op::Nop)),
+            SlotOp::Unreachable => f.write_str(isa(Op::Unreachable)),
             SlotOp::Wedge => write!(f, "wedge"),
             SlotOp::Jmp => write!(f, "jmp @{t}"),
             SlotOp::Br => write!(f, "br.{k} r{a}, r{b} -> @{t}"),
@@ -375,27 +375,25 @@ impl fmt::Display for Slot {
             SlotOp::Mov => write!(f, "mov r{d}, r{a}"),
             SlotOp::Const => write!(f, "mov r{d}, {b}"),
             SlotOp::Const64 => write!(f, "mov r{d}, {}", self.wide()),
-            SlotOp::Swap => write!(f, "swap r{a}, r{b}"),
+            SlotOp::Swap => write!(f, "{} r{a}, r{b}", isa(Op::Swap)),
             SlotOp::Cmp => write!(f, "{k} r{d}, r{a}, r{b}"),
             SlotOp::CmpI => write!(f, "{k} r{d}, r{a}, {b}"),
-            SlotOp::Load8 => write!(f, "load8 r{d}, [r{a}]"),
-            SlotOp::Load16 => write!(f, "load16 r{d}, [r{a}]"),
-            SlotOp::Load32 => write!(f, "load32 r{d}, [r{a}]"),
-            SlotOp::Load64 => write!(f, "load64 r{d}, [r{a}]"),
-            SlotOp::Store8 => write!(f, "store8 [r{a}], r{b}"),
-            SlotOp::Store16 => write!(f, "store16 [r{a}], r{b}"),
-            SlotOp::Store32 => write!(f, "store32 [r{a}], r{b}"),
-            SlotOp::Store64 => write!(f, "store64 [r{a}], r{b}"),
-            SlotOp::MemCopy => write!(f, "memcopy r{d}, r{a}, r{b}"),
-            SlotOp::MemFill => write!(f, "memfill r{d}, r{a}, r{b}"),
-            SlotOp::LzCopy => write!(f, "lzcopy r{d}, r{a}, r{b}"),
+            SlotOp::Load8 | SlotOp::Load16 | SlotOp::Load32 | SlotOp::Load64 => {
+                write!(f, "{mem} r{d}, [r{a}]")
+            }
+            SlotOp::Store8 | SlotOp::Store16 | SlotOp::Store32 | SlotOp::Store64 => {
+                write!(f, "{mem} [r{a}], r{b}")
+            }
+            SlotOp::MemCopy | SlotOp::MemFill | SlotOp::LzCopy => {
+                write!(f, "{mem} r{d}, r{a}, r{b}")
+            }
             SlotOp::BrLtUAdd => write!(f, "br.ltu r{d}, r{a}+r{b} -> @{t}"),
             SlotOp::BrLtUAddI => write!(f, "br.ltu r{d}, r{a}+{b} -> @{t}"),
             SlotOp::BrLtUSub => write!(f, "br.ltu r{a}-r{b}, r{d} -> @{t}"),
-            SlotOp::Load8Inc => write!(f, "load8 r{d}, [r{a}], r{a}+={b}"),
-            SlotOp::Load16Inc => write!(f, "load16 r{d}, [r{a}], r{a}+={b}"),
+            SlotOp::Load8Inc => write!(f, "{} r{d}, [r{a}], r{a}+={b}", isa(Op::Load8)),
+            SlotOp::Load16Inc => write!(f, "{} r{d}, [r{a}], r{a}+={b}", isa(Op::Load16)),
             SlotOp::AddJmp => write!(f, "add r{d}, r{a}, r{b} -> @{t}"),
-            SlotOp::LzCopySub => write!(f, "lzcopy r{d}, r{d}-r{a}, r{b}"),
+            SlotOp::LzCopySub => write!(f, "{} r{d}, r{d}-r{a}, r{b}", isa(Op::LzCopy)),
             _ => arith(f),
         }?;
         if self.n > 1 {

@@ -38,9 +38,10 @@ use crate::module::{DataSegment, Function, Module};
 /// One parsed-but-unresolved instruction.
 enum Item {
     Op(Op),
-    /// jmp/jmpif/jmpifz with a symbolic label.
+    /// jmp/jmpif/jmpifz with a symbolic label; `kind` builds the op from
+    /// its relative offset.
     Branch {
-        kind: BranchKind,
+        kind: fn(i32) -> Op,
         label: String,
         line: usize,
     },
@@ -50,13 +51,6 @@ enum Item {
         line: usize,
     },
     Label(String),
-}
-
-#[derive(Clone, Copy)]
-enum BranchKind {
-    Jmp,
-    JmpIf,
-    JmpIfZ,
 }
 
 struct FuncBuilder {
@@ -183,7 +177,8 @@ pub fn assemble(source: &str) -> Result<Module, AsmError> {
 }
 
 fn encode_function(f: &FuncBuilder, by_name: &HashMap<&str, u16>) -> Result<Vec<u8>, AsmError> {
-    // Pass 1: lay out byte offsets; branches and calls have fixed sizes.
+    // Pass 1: lay out byte offsets; a branch or call has the size of its
+    // op with any immediate.
     let mut labels: HashMap<&str, usize> = HashMap::new();
     let mut offset = 0usize;
     for item in &f.items {
@@ -197,8 +192,8 @@ fn encode_function(f: &FuncBuilder, by_name: &HashMap<&str, u16>) -> Result<Vec<
                 }
             }
             Item::Op(op) => offset += op.encoded_len(),
-            Item::Branch { .. } => offset += 5,
-            Item::Call { .. } => offset += 3,
+            Item::Branch { kind, .. } => offset += kind(0).encoded_len(),
+            Item::Call { .. } => offset += Op::Call(0).encoded_len(),
         }
     }
 
@@ -213,18 +208,13 @@ fn encode_function(f: &FuncBuilder, by_name: &HashMap<&str, u16>) -> Result<Vec<
                     line: *line,
                     message: format!("unknown label {label:?}"),
                 })?;
-                let after = code.len() + 5;
+                let after = code.len() + kind(0).encoded_len();
                 let rel = target as i64 - after as i64;
                 let rel = i32::try_from(rel).map_err(|_| AsmError {
                     line: *line,
                     message: "branch offset overflow".into(),
                 })?;
-                let op = match kind {
-                    BranchKind::Jmp => Op::Jmp(rel),
-                    BranchKind::JmpIf => Op::JmpIf(rel),
-                    BranchKind::JmpIfZ => Op::JmpIfZ(rel),
-                };
-                op.encode(&mut code);
+                kind(rel).encode(&mut code);
             }
             Item::Call { name, line } => {
                 let idx = *by_name.get(name.as_str()).ok_or_else(|| AsmError {
@@ -248,7 +238,8 @@ fn parse_instruction(line: &str, line_no: usize) -> Result<Item, AsmError> {
     }
 
     let need = || operand.ok_or_else(|| err(format!("{mnem} needs an operand")));
-    let branch = |kind| Ok(Item::Branch { kind, label: need()?.into(), line: line_no });
+    let branch =
+        |kind: fn(i32) -> Op| Ok(Item::Branch { kind, label: need()?.into(), line: line_no });
     let local_idx = |s: &str| -> Result<u8, AsmError> {
         parse_int(s)
             .and_then(|v| u8::try_from(v).ok())
@@ -271,9 +262,9 @@ fn parse_instruction(line: &str, line_no: usize) -> Result<Item, AsmError> {
         "local.get" => Ok(Item::Op(Op::LocalGet(local_idx(need()?)?))),
         "local.set" => Ok(Item::Op(Op::LocalSet(local_idx(need()?)?))),
         "local.tee" => Ok(Item::Op(Op::LocalTee(local_idx(need()?)?))),
-        "jmp" => branch(BranchKind::Jmp),
-        "jmpif" => branch(BranchKind::JmpIf),
-        "jmpifz" => branch(BranchKind::JmpIfZ),
+        "jmp" => branch(Op::Jmp),
+        "jmpif" => branch(Op::JmpIf),
+        "jmpifz" => branch(Op::JmpIfZ),
         "call" => Ok(Item::Call { name: need()?.into(), line: line_no }),
         "host" => {
             let name = need()?;

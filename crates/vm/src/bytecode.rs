@@ -5,7 +5,7 @@
 //! immediates are little-endian. Branch offsets are relative to the byte
 //! *after* the branch instruction.
 
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{counted, Cursor, Sink};
 
 use crate::error::ModuleError;
 
@@ -230,10 +230,10 @@ impl Op {
     }
 
     /// Appends the encoded instruction to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub fn encode(&self, out: &mut impl Sink) {
         let mut put = |byte: u8, imm: &[u8]| {
-            out.push(byte);
-            out.extend_from_slice(imm);
+            out.u8(byte);
+            out.put(imm);
         };
         match *self {
             Op::Jmp(rel) => put(JMP, &rel.to_le_bytes()),
@@ -247,7 +247,7 @@ impl Op {
             Op::LocalGet(n) => put(LOCALGET, &[n]),
             Op::LocalSet(n) => put(LOCALSET, &[n]),
             Op::LocalTee(n) => put(LOCALTEE, &[n]),
-            plain => out.extend(plain.plain_row().map(|row| row.0)),
+            plain => out.put(plain.plain_row().map(|row| row.0).as_slice()),
         }
     }
 
@@ -279,11 +279,9 @@ impl Op {
         Ok((decoded, c.pos()))
     }
 
-    /// Encoded length in bytes.
+    /// Encoded length in bytes, counted instead of written.
     pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::with_capacity(9);
-        self.encode(&mut buf);
-        buf.len()
+        counted(|c| self.encode(c))
     }
 }
 

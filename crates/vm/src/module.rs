@@ -20,7 +20,7 @@
 //! and implicit signing fields of the paper's `PADMeta` (Figure 3).
 
 use fractal_crypto::sign::{Signature, Signer, TrustStore};
-use fractal_crypto::wire::Cursor;
+use fractal_crypto::wire::{counted, Cursor, Sink};
 use fractal_crypto::{sha1::sha1, Digest};
 
 use crate::error::ModuleError;
@@ -86,23 +86,23 @@ impl Module {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out =
             Vec::with_capacity(64 + self.functions.iter().map(|f| f.code.len()).sum::<usize>());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.mem_pages.to_le_bytes());
-        out.extend_from_slice(&(self.functions.len() as u16).to_le_bytes());
+        out.put(&MAGIC);
+        out.u16(VERSION);
+        out.u16(self.mem_pages);
+        out.u16(self.functions.len() as u16);
         for f in &self.functions {
-            out.push(f.name.len() as u8);
-            out.extend_from_slice(f.name.as_bytes());
-            out.push(f.n_args);
-            out.push(f.n_locals);
-            out.extend_from_slice(&(f.code.len() as u32).to_le_bytes());
-            out.extend_from_slice(&f.code);
+            out.u8(f.name.len() as u8);
+            out.put(f.name.as_bytes());
+            out.u8(f.n_args);
+            out.u8(f.n_locals);
+            out.u32(f.code.len() as u32);
+            out.put(&f.code);
         }
-        out.extend_from_slice(&(self.data.len() as u16).to_le_bytes());
+        out.u16(self.data.len() as u16);
         for seg in &self.data {
-            out.extend_from_slice(&seg.offset.to_le_bytes());
-            out.extend_from_slice(&(seg.bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&seg.bytes);
+            out.u32(seg.offset);
+            out.u32(seg.bytes.len() as u32);
+            out.put(&seg.bytes);
         }
         out
     }
@@ -200,17 +200,21 @@ impl SignedModule {
         sha1(&self.bytes)
     }
 
-    /// Total wire size (module + signature).
+    /// Total wire size (signature + module), counted instead of written.
     pub fn wire_len(&self) -> usize {
-        self.bytes.len() + Signature::WIRE_LEN
+        counted(|c| self.encode(c))
     }
 
     /// Serializes: signature first (fixed size), then the module bytes.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&self.signature.to_wire());
-        out.extend_from_slice(&self.bytes);
+        self.encode(&mut out);
         out
+    }
+
+    fn encode(&self, out: &mut impl Sink) {
+        out.put(&self.signature.to_wire());
+        out.put(&self.bytes);
     }
 
     /// Parses the wire form.

@@ -84,6 +84,30 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# DESIGN.md §4.7 again: every encoder writes through
+# `fractal_crypto::wire::Sink`, and a wire length is its encoder run into
+# the counting sink (`wire::counted`), or another `wire_len` that is. A
+# hand count beside an encoder is a second statement of the format that
+# can drift from the bytes it prices, and a `struct Writer` is a second
+# writer growing back. Each `fn wire_len(` or `fn encoded_len(` body runs
+# from its line to the `}` at its indentation.
+audit "every wire_len and encoded_len counts its encoding; no struct Writer beside wire::Sink"
+stray=$(grep -rnE --include='*.rs' 'fn (wire_len|encoded_len)\(' crates |
+    while IFS=: read -r file line _; do
+        awk -v start="$line" -v where="$file:$line" '
+            NR == start { match($0, /^ */); end = substr($0, 1, RLENGTH) "}" }
+            NR >= start { body = body $0 "\n" }
+            NR == start && /}[[:space:]]*$/ { exit }
+            NR > start && $0 == end { exit }
+            END { if (body !~ /counted\(|\.wire_len\(\)/) print "  " where }' "$file"
+    done
+    grep -rnE --include='*.rs' 'struct Writer([^[:alnum:]_]|$)' crates | sed 's/^/  /')
+if [ -n "$stray" ]; then
+    echo "a hand-counted wire length, or a writer beside wire::Sink (see the audit's comment):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # DESIGN.md §8 again: the FFI those `unsafe` blocks call is poll(2) and the
 # rlimit pair, and nothing else; the script says what it parses.
 audit "extern \"C\" in crates/core/src/sys.rs declares only poll, getrlimit, setrlimit"

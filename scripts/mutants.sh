@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # The mutation checks DESIGN.md §5 records for the machine and its
 # reference, two for the INP receive rule (`inp::classify`), two for the
-# reactor's ready-queue rule, one for the wire cursor's count check and one
-# for the instruction encoding, run rather than stated. Each mutation below
-# is applied to a throwaway `git worktree` of this tree under $TMPDIR, and
-# the machine's unit tests (the pinned encoding among them), the suites
-# that hold it to the reference interpreter, the core's transition matrix,
-# the reactor's order tests and the decoders' allocation test
+# reactor's ready-queue rule, one for the wire cursor's count check, one
+# for the instruction encoding and one for the counting sink, run rather
+# than stated. Each mutation below is applied to a throwaway `git worktree`
+# of this tree under $TMPDIR, and the INP codec's unit tests, the
+# machine's unit tests (the pinned encoding among them), the suites that
+# hold it to the reference interpreter, the core's transition matrix, the
+# reactor's order tests and the decoders' allocation test
 #
+#   cargo test -q --release -p fractal-core --lib inp::tests
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit
 #   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
@@ -22,7 +24,7 @@
 # The worktree holds HEAD plus the tracked edits of this checkout (`git stash
 # create` snapshots them without touching any ref); `git add` a new file for
 # it to be included. It and its build directory are removed on exit. About
-# 22 minutes on 2 vCPUs for the 15 mutations: one release build of the test
+# 29 minutes on 2 vCPUs for the 16 mutations: one release build of the test
 # targets, then one rebuild per mutation.
 set -eu
 
@@ -42,7 +44,8 @@ git worktree add --quiet --detach "$tree" "${snapshot:-HEAD}"
 export CARGO_TARGET_DIR="$tmp/target"
 
 suite() {
-    (cd "$tree" && cargo test -q --release -p fractal-vm --lib \
+    (cd "$tree" && cargo test -q --release -p fractal-core --lib "$@" inp::tests &&
+        cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit "$@" &&
         cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@" &&
         cargo test -q --release -p fractal --test alloc "$@")
@@ -67,7 +70,9 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # whatever its header asks for.
 # `opcode-move` moves one row of the opcode table to a byte no instruction
 # uses: it compiles and every op still round-trips, so only the bytes pinned
-# apart from the table can kill it.
+# apart from the table can kill it. `sink-count` is a counting sink that
+# counts one byte short of every `put`, so an INP header declares less
+# than the body behind it.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -82,7 +87,8 @@ dup-acts|crates/core/src/inp.rs|0 if answered & 1 << msg.msg_type() != 0 => Verd
 rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.push_back(id);
 peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);|
 cursor-count|crates/crypto/src/wire.rs|if n <= self.rest.len().div_ceil(min_wire_len.max(1)) {|if true {
-opcode-move|crates/vm/src/bytecode.rs|(0x4B, "memsize", Op::MemSize),|(0x4C, "memsize", Op::MemSize),'
+opcode-move|crates/vm/src/bytecode.rs|(0x4B, "memsize", Op::MemSize),|(0x4C, "memsize", Op::MemSize),
+sink-count|crates/crypto/src/wire.rs|self.0 += bytes.len();|self.0 += bytes.len().saturating_sub(1);'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.

@@ -1,8 +1,9 @@
 //! What decoding and instantiation allocate, counted.
 //!
 //! A checkout from an admitted module's instance pool allocates nothing,
-//! and no decoder of untrusted bytes reserves more than its input can
-//! carry, whatever a header declares.
+//! counting an instruction's length allocates nothing, and no decoder of
+//! untrusted bytes reserves more than its input can carry, whatever a
+//! header declares.
 //!
 //! The one place in the workspace outside `crates/core/src/sys.rs` with an
 //! `unsafe` item: a counting `GlobalAlloc` can be written no other way, and
@@ -20,8 +21,9 @@ use fractal::core::meta::{AppMeta, PadId, PadMeta, PadOverhead};
 use fractal::crypto::Digest;
 use fractal::protocols::bitmap::Bitmap;
 use fractal::protocols::{huffman, lz77, recipe, DiffCodec, ProtocolId};
+use fractal::vm::bytecode::PLAIN_OPS;
 use fractal::vm::module::Module;
-use fractal::vm::{assemble, Machine, SandboxPolicy};
+use fractal::vm::{assemble, Machine, Op, SandboxPolicy};
 
 /// What one thread has allocated since it began counting.
 #[derive(Clone, Copy, Default)]
@@ -128,6 +130,27 @@ fn a_pool_hit_allocates_nothing_and_a_miss_only_the_memory() {
     assert_eq!((result, running), (Ok(8), 0));
     let ((), returning) = allocations_in(|| drop(second));
     assert_eq!(returning, 0);
+}
+
+#[test]
+fn an_instruction_length_is_counted_without_allocating() {
+    let with_immediates = [
+        Op::Jmp(-5),
+        Op::JmpIf(1234),
+        Op::JmpIfZ(0),
+        Op::Call(3),
+        Op::HostCall(1),
+        Op::PushI8(-1),
+        Op::PushI32(7),
+        Op::PushI64(i64::MIN),
+        Op::LocalGet(0),
+        Op::LocalSet(1),
+        Op::LocalTee(2),
+    ];
+    for op in PLAIN_OPS.iter().map(|row| row.2).chain(with_immediates) {
+        let (len, allocations) = allocations_in(|| op.encoded_len());
+        assert_eq!(allocations, 0, "{op:?}: counting its {len} bytes allocated");
+    }
 }
 
 /// What a decoder may reserve for an input of `n` bytes: a fixed allowance
