@@ -48,11 +48,11 @@ use fractal_bench::bench_env::BenchEnv;
 use fractal_bench::fig9a::client_env;
 use fractal_bench::json::Json;
 use fractal_bench::report::render_table;
-use fractal_bench::{fingerprint, fold, FNV_OFFSET};
+use fractal_bench::{fold, FNV_OFFSET};
 use fractal_core::error::InpError;
 use fractal_core::fault::{FaultKind, FaultLog, FaultPlan};
 use fractal_core::introspect::{http_get, response_body, IntrospectServer, IntrospectSource};
-use fractal_core::meta::ClientEnv;
+use fractal_core::meta::{decision_fingerprint, ClientEnv};
 use fractal_core::reactor::{
     InpSession, Reactor, ReactorConfig, ReactorReport, SessionError, SessionPhase, DROPPED_METRICS,
 };
@@ -218,7 +218,7 @@ impl Pass {
     /// Folds a completed session's decision fingerprint into the pass's,
     /// and returns it for the scenario's oracle check.
     fn decided(&mut self, s: &InpSession) -> u64 {
-        let fp = fingerprint(s.negotiated().expect("completed session negotiated"));
+        let fp = decision_fingerprint(s.negotiated().expect("completed session negotiated"));
         self.decision_fp = fold(self.decision_fp, fp);
         fp
     }
@@ -275,7 +275,7 @@ fn session(tb: &Testbed, env: ClientEnv, i: usize) -> InpSession {
 
 /// The serial oracle's decision for `env`.
 fn oracle(tb: &Testbed, env: ClientEnv) -> u64 {
-    fingerprint(&tb.proxy.negotiate(tb.app_id, env).unwrap())
+    decision_fingerprint(&tb.proxy.negotiate(tb.app_id, env).unwrap())
 }
 
 /// Serial oracle decisions for `n` sessions under `env`'s schedule, on a

@@ -26,8 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-use fractal_core::meta::PadMeta;
-
 pub mod ablate;
 pub mod bench_env;
 pub mod capacity;
@@ -47,11 +45,4 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Folds one more value into an order-sensitive FNV accumulator.
 pub fn fold(acc: u64, v: u64) -> u64 {
     (acc ^ v).wrapping_mul(0x100_0000_01b3)
-}
-
-/// Order-sensitive FNV fold over an adaptation decision (pad ids +
-/// protocols) — the identity the scenario driver compares across runs and
-/// against the serial oracle.
-pub fn fingerprint(pads: &[PadMeta]) -> u64 {
-    pads.iter().fold(FNV_OFFSET, |h, p| fold(h, p.id.0 ^ ((p.protocol as u64) << 32)))
 }

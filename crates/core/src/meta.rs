@@ -196,6 +196,15 @@ impl PadMeta {
     }
 }
 
+/// Order-sensitive FNV-1a fold over an adaptation decision, PAD ids and
+/// protocols: what "the same decision as the serial oracle" compares, and
+/// the decision fingerprint of every scenario row.
+pub fn decision_fingerprint(pads: &[PadMeta]) -> u64 {
+    pads.iter().fold(0xcbf2_9ce4_8422_2325, |h, p| {
+        (h ^ p.id.0 ^ ((p.protocol as u64) << 32)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Application metadata: the PAT description the application server pushes
 /// to the adaptation proxy.
 #[derive(Clone, PartialEq, Debug)]
@@ -446,6 +455,26 @@ mod tests {
         p.encode(&mut w);
         let mut r = Reader::new(&w);
         assert_eq!(PadMeta::decode(&mut r).unwrap(), p);
+    }
+
+    /// The case-study decisions, pinned: a change to `ProtocolId`'s order
+    /// or to the fold fails here by name rather than moving every
+    /// scenario row.
+    #[test]
+    fn case_study_decisions_have_pinned_fingerprints() {
+        use crate::presets::ClientClass;
+        use crate::server::AdaptiveContentMode;
+        use crate::testbed::Testbed;
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        let pinned = [
+            (ClientClass::DesktopLan, 0xaf63_bc4c_8601_b62c),
+            (ClientClass::LaptopWlan, 0xaf63_c0ff_8601_bb45),
+            (ClientClass::PdaBluetooth, 0xaf63_c1b2_8601_b992),
+        ];
+        for (class, fingerprint) in pinned {
+            let pads = tb.proxy.negotiate(tb.app_id, class.env()).unwrap();
+            assert_eq!(decision_fingerprint(&pads), fingerprint, "{class:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use fractal_vm::bytecode::Op;
 use fractal_vm::module::{Function, Module};
 use fractal_vm::verify::verify_module;
-use fractal_vm::{assemble, SandboxPolicy, Trap};
+use fractal_vm::{analyze_module, assemble, SandboxPolicy, Trap};
 use fractal_vm_oracle::Oracle;
 use proptest::prelude::*;
 
@@ -42,6 +42,72 @@ proptest! {
             let _ = m.call("f", &[]);
         }
     }
+}
+
+/// One piece of a generated body: now and then a raw byte, otherwise an
+/// instruction that calls one of the (up to three) functions or one past
+/// them, branches a few bytes either way or to the next instruction, names
+/// a host id or a local in range or just out of it, or moves the stack.
+fn piece() -> impl Strategy<Value = Vec<u8>> {
+    let enc = |op: Op| {
+        let mut code = Vec::new();
+        op.encode(&mut code);
+        code
+    };
+    let rel = || prop_oneof![Just(0i32), -12i32..12];
+    prop_oneof![
+        any::<u8>().prop_map(|b| vec![b]),
+        (0u16..4).prop_map(move |f| enc(Op::Call(f))),
+        rel().prop_map(move |rel| enc(Op::Jmp(rel))),
+        rel().prop_map(move |rel| enc(Op::JmpIfZ(rel))),
+        (0u8..6).prop_map(move |id| enc(Op::HostCall(id))),
+        (0u8..8).prop_map(move |n| enc(Op::LocalGet(n))),
+        // Pushes twice as often, so that fewer bodies underflow.
+        (-2i8..3).prop_map(move |v| enc(Op::PushI8(v))),
+        (-2i8..3).prop_map(move |v| enc(Op::PushI8(v))),
+        prop_oneof![Just(Op::Dup), Just(Op::Drop), Just(Op::Add), Just(Op::Ret)].prop_map(enc),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Admission is total on arbitrary modules of one to three functions
+    /// that call each other, and refuses whatever the verifier refuses with
+    /// the verifier's own error: it decodes with the verifier's decoder.
+    #[test]
+    fn admission_is_total_and_refuses_what_the_verifier_refuses(
+        funcs in proptest::collection::vec(
+            (
+                proptest::collection::vec(piece(), 0..12),
+                0u8..3,
+                // One function in four has 252 locals or more, some of them
+                // past the 255-slot limit.
+                prop_oneof![0u8..4, 0u8..4, 0u8..4, 252u8..=255],
+                // Most bodies end in a terminator.
+                prop_oneof![Just(Some(Op::Ret)), Just(Some(Op::Halt)), Just(None)],
+            ),
+            1..4,
+        )
+    ) {
+        let functions = funcs.into_iter().enumerate().map(|(i, (pieces, n_args, n_locals, end))| {
+            let mut code = pieces.concat();
+            end.iter().for_each(|op| op.encode(&mut code));
+            Function { name: format!("f{i}"), n_args, n_locals, code }
+        });
+        let module = Module { mem_pages: 1, functions: functions.collect(), data: vec![] };
+        let policy = SandboxPolicy::default();
+        let admitted = analyze_module(&module, &policy);
+        if let Err(refused) = verify_module(&module) {
+            prop_assert_eq!(admitted.err(), Some(refused));
+        }
+        // The register form is built from the same decoding.
+        let _ = module.analyzed(&policy);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Interpreter arithmetic matches Rust semantics for add/sub/mul.
     #[test]

@@ -1,10 +1,11 @@
 //! Abstract interpretation of FVM bytecode: static stack, fuel, and
 //! capability bounds.
 //!
-//! The structural verifier ([`crate::verify`]) guarantees that code
-//! *decodes* safely; this module proves things about what the code will
-//! *do*. It builds a basic-block CFG per function and runs a worklist
-//! dataflow over frame-relative stack heights, which yields:
+//! The structural verifier ([`crate::verify`]) decodes the code, proves it
+//! *decodes* safely and returns each function's instructions and
+//! basic-block CFG; this module proves things about what the code will
+//! *do*. It runs a worklist dataflow over frame-relative stack heights on
+//! those blocks, which yields:
 //!
 //! * **Stack safety** — every instruction's entry height is a single proven
 //!   value. Underflow below the frame (reading the caller's operands),
@@ -48,12 +49,13 @@ use crate::bytecode::Op;
 use crate::error::VerifyError;
 use crate::host::HostId;
 use crate::instance::InstancePool;
-use crate::module::{Function, Module};
+use crate::module::Module;
 use crate::sandbox::SandboxPolicy;
-use crate::verify::verify_module;
+use crate::verify::{decode_module, FunctionCode};
 
 pub mod reg;
 
+pub use crate::verify::{BlockInfo, Flow, InsnInfo};
 pub use reg::{RegFunction, Slot, SlotOp};
 
 /// Fuel cost floor for one instruction (every op charges at least this).
@@ -67,30 +69,6 @@ const FUEL_ROUNDS: usize = 8;
 /// Cost-to-reach values saturate instead of overflowing; `u64::MAX` means
 /// "no successful path exists".
 const INF: u64 = u64::MAX;
-
-/// One decoded instruction with its dataflow facts.
-#[derive(Clone, Debug)]
-pub struct InsnInfo {
-    /// Byte offset of the instruction.
-    pub at: usize,
-    /// The decoded instruction.
-    pub op: Op,
-    /// Byte offset of the following instruction.
-    pub next: usize,
-    /// Frame-relative stack height on entry, `None` when unreachable.
-    pub height: Option<u32>,
-}
-
-/// A basic block in a function's CFG.
-#[derive(Clone, Debug)]
-pub struct BlockInfo {
-    /// Index of the block's first instruction in `insns`.
-    pub start: usize,
-    /// One past the index of the block's last instruction.
-    pub end: usize,
-    /// Successor blocks (indices into the function's block list).
-    pub succs: Vec<usize>,
-}
 
 /// Everything the analyzer proved about one function.
 #[derive(Clone, Debug)]
@@ -201,39 +179,41 @@ impl AnalyzedModule {
     }
 }
 
-/// Per-op stack effect: operands required and values produced, with the
-/// `Call` effect resolved through `exit_heights`.
-///
-/// Returns `(need, push, terminator)`.
-fn stack_effect(op: &Op, module: &Module, exit_heights: &[Option<u32>]) -> (u32, u32, bool) {
-    match *op {
-        Op::Halt | Op::Unreachable => (0, 0, true),
-        Op::Nop => (0, 0, false),
-        Op::Jmp(_) => (0, 0, true),
-        Op::JmpIf(_) | Op::JmpIfZ(_) => (1, 0, false),
+/// Per-instruction stack effect: operands required and values produced.
+/// A branch and a host call move what their resolved flow says, a `call`
+/// what its callee's entry in `exit_heights` says.
+fn stack_effect(insn: &InsnInfo, module: &Module, exit_heights: &[Option<u32>]) -> (u32, u32) {
+    match insn.flow {
+        Flow::Branch(_) => return (1, 0),
+        // Abort always traps, so nothing is pushed and control ends.
+        Flow::Host(HostId::Abort) => return (1, 0),
+        Flow::Host(host) => return (host.arity() as u32, 1),
+        Flow::Next | Flow::Jump(_) | Flow::Ret | Flow::Halt | Flow::Trap => {}
+    }
+    match insn.op {
+        // What a branch pops and a host call moves is its flow's, above.
+        Op::Halt
+        | Op::Nop
+        | Op::Unreachable
+        | Op::Jmp(_)
+        | Op::JmpIf(_)
+        | Op::JmpIfZ(_)
+        | Op::Ret
+        | Op::HostCall(_) => (0, 0),
         Op::Call(idx) => {
             let callee = &module.functions[idx as usize];
             // A never-returning callee pushes a vacuous value: the post-call
             // path cannot execute, so whatever we derive from it is unused.
             let produced = exit_heights[idx as usize].unwrap_or(1);
-            (callee.n_args as u32, produced, false)
+            (callee.n_args as u32, produced)
         }
-        Op::Ret => (0, 0, true),
-        Op::HostCall(id) => {
-            let host = HostId::from_id(id).expect("verifier admits only known hosts");
-            // Abort always traps, so nothing is pushed and control ends.
-            match host {
-                HostId::Abort => (1, 0, true),
-                _ => (host.arity() as u32, 1, false),
-            }
-        }
-        Op::PushI8(_) | Op::PushI32(_) | Op::PushI64(_) => (0, 1, false),
-        Op::LocalGet(_) => (0, 1, false),
-        Op::LocalSet(_) => (1, 0, false),
-        Op::LocalTee(_) => (1, 1, false),
-        Op::Drop => (1, 0, false),
-        Op::Dup => (1, 2, false),
-        Op::Swap => (2, 2, false),
+        Op::PushI8(_) | Op::PushI32(_) | Op::PushI64(_) => (0, 1),
+        Op::LocalGet(_) => (0, 1),
+        Op::LocalSet(_) => (1, 0),
+        Op::LocalTee(_) => (1, 1),
+        Op::Drop => (1, 0),
+        Op::Dup => (1, 2),
+        Op::Swap => (2, 2),
         Op::Add
         | Op::Sub
         | Op::Mul
@@ -253,146 +233,39 @@ fn stack_effect(op: &Op, module: &Module, exit_heights: &[Option<u32>]) -> (u32,
         | Op::GtU
         | Op::GtS
         | Op::LeU
-        | Op::GeU => (2, 1, false),
-        Op::Eqz => (1, 1, false),
-        Op::Load8 | Op::Load16 | Op::Load32 | Op::Load64 => (1, 1, false),
-        Op::Store8 | Op::Store16 | Op::Store32 | Op::Store64 => (2, 0, false),
-        Op::MemCopy | Op::MemFill | Op::LzCopy => (3, 0, false),
-        Op::MemSize => (0, 1, false),
+        | Op::GeU => (2, 1),
+        Op::Eqz => (1, 1),
+        Op::Load8 | Op::Load16 | Op::Load32 | Op::Load64 => (1, 1),
+        Op::Store8 | Op::Store16 | Op::Store32 | Op::Store64 => (2, 0),
+        Op::MemCopy | Op::MemFill | Op::LzCopy => (3, 0),
+        Op::MemSize => (0, 1),
     }
 }
 
 /// Minimum fuel the interpreter charges for one instruction.
-fn insn_min_cost(op: &Op) -> u64 {
-    match op {
-        Op::MemCopy | Op::MemFill | Op::LzCopy => BASE_COST + BULK_EXTRA,
-        Op::HostCall(id) => match HostId::from_id(*id) {
-            Some(HostId::Sha1) | Some(HostId::MemEq) | Some(HostId::WeakSum) => {
-                BASE_COST + BULK_EXTRA
-            }
-            _ => BASE_COST,
-        },
+fn insn_min_cost(insn: &InsnInfo) -> u64 {
+    match (insn.op, insn.flow) {
+        (Op::MemCopy | Op::MemFill | Op::LzCopy, _)
+        | (_, Flow::Host(HostId::Sha1 | HostId::MemEq | HostId::WeakSum)) => BASE_COST + BULK_EXTRA,
         _ => BASE_COST,
     }
 }
 
-/// Internal per-function scaffolding shared by the passes.
-struct FuncCfg {
-    insns: Vec<InsnInfo>,
-    /// Map byte offset → instruction index.
-    index_of: Vec<Option<usize>>,
-    blocks: Vec<BlockInfo>,
-}
-
-/// Decodes `func` and builds its basic-block CFG. The structural verifier
-/// has already run, so decoding and branch targets cannot fail.
-fn build_cfg(func: &Function) -> FuncCfg {
-    let mut insns = Vec::new();
-    let mut index_of = vec![None; func.code.len() + 1];
-    let mut pc = 0usize;
-    while pc < func.code.len() {
-        let (op, next) = Op::decode(&func.code, pc).expect("verified code decodes");
-        index_of[pc] = Some(insns.len());
-        insns.push(InsnInfo { at: pc, op, next, height: None });
-        pc = next;
-    }
-
-    // Leaders: the entry, every branch target, and every instruction after
-    // a branch or terminator.
-    let mut leader = vec![false; insns.len()];
-    if !insns.is_empty() {
-        leader[0] = true;
-    }
-    for (i, insn) in insns.iter().enumerate() {
-        let ends_block = match insn.op {
-            Op::Jmp(rel) | Op::JmpIf(rel) | Op::JmpIfZ(rel) => {
-                let target = (insn.next as i64 + rel as i64) as usize;
-                leader[index_of[target].expect("verified branch target")] = true;
-                true
-            }
-            Op::Ret | Op::Halt | Op::Unreachable => true,
-            Op::HostCall(id) => HostId::from_id(id) == Some(HostId::Abort),
-            _ => false,
-        };
-        if ends_block && i + 1 < insns.len() {
-            leader[i + 1] = true;
-        }
-    }
-
-    let mut blocks: Vec<BlockInfo> = Vec::new();
-    let mut block_of = vec![0usize; insns.len()];
-    for (i, &is_leader) in leader.iter().enumerate() {
-        if is_leader {
-            if let Some(last) = blocks.last_mut() {
-                last.end = i;
-            }
-            blocks.push(BlockInfo { start: i, end: insns.len(), succs: Vec::new() });
-        }
-        if let Some(b) = blocks.len().checked_sub(1) {
-            block_of[i] = b;
-        }
-    }
-
-    // Successors from each block's last instruction.
-    let block_at = |target: usize, index_of: &[Option<usize>], block_of: &[usize]| {
-        block_of[index_of[target].expect("verified branch target")]
-    };
-    for b in 0..blocks.len() {
-        let last = &insns[blocks[b].end - 1];
-        let mut succs = Vec::new();
-        match last.op {
-            Op::Jmp(rel) => {
-                succs.push(block_at(
-                    (last.next as i64 + rel as i64) as usize,
-                    &index_of,
-                    &block_of,
-                ));
-            }
-            Op::JmpIf(rel) | Op::JmpIfZ(rel) => {
-                succs.push(block_at(
-                    (last.next as i64 + rel as i64) as usize,
-                    &index_of,
-                    &block_of,
-                ));
-                if blocks[b].end < insns.len() {
-                    succs.push(block_of[blocks[b].end]);
-                }
-            }
-            Op::Ret | Op::Halt | Op::Unreachable => {}
-            Op::HostCall(id) if HostId::from_id(id) == Some(HostId::Abort) => {}
-            _ => {
-                // Fall-through (the verifier guarantees a terminator ends
-                // the body, so a fall-through block always has a successor).
-                if blocks[b].end < insns.len() {
-                    succs.push(block_of[blocks[b].end]);
-                }
-            }
-        }
-        succs.sort_unstable();
-        succs.dedup();
-        blocks[b].succs = succs;
-    }
-
-    FuncCfg { insns, index_of, blocks }
-}
-
 /// Strongly-connected components of the call graph (Tarjan, iterative),
 /// returned in reverse topological order: callees before callers.
-fn call_sccs(module: &Module) -> Vec<Vec<usize>> {
-    let n = module.functions.len();
-    let callees: Vec<Vec<usize>> = module
-        .functions
+fn call_sccs(codes: &[FunctionCode]) -> Vec<Vec<usize>> {
+    let n = codes.len();
+    let callees: Vec<Vec<usize>> = codes
         .iter()
-        .map(|f| {
-            let mut out = Vec::new();
-            let mut pc = 0usize;
-            while pc < f.code.len() {
-                let (op, next) = Op::decode(&f.code, pc).expect("verified code decodes");
-                if let Op::Call(idx) = op {
-                    out.push(idx as usize);
-                }
-                pc = next;
-            }
+        .map(|code| {
+            let mut out: Vec<usize> = code
+                .insns
+                .iter()
+                .filter_map(|insn| match insn.op {
+                    Op::Call(idx) => Some(idx as usize),
+                    _ => None,
+                })
+                .collect();
             out.sort_unstable();
             out.dedup();
             out
@@ -456,7 +329,7 @@ fn call_sccs(module: &Module) -> Vec<Vec<usize>> {
 /// `(max_height, exit_height)`.
 fn flow_heights(
     func_idx: usize,
-    cfg: &mut FuncCfg,
+    cfg: &mut FunctionCode,
     module: &Module,
     exit_heights: &[Option<u32>],
     policy: &SandboxPolicy,
@@ -490,7 +363,7 @@ fn flow_heights(
                 }
                 _ => insn.height = Some(h),
             }
-            let (need, push, _) = stack_effect(&insn.op, module, exit_heights);
+            let (need, push) = stack_effect(insn, module, exit_heights);
             if h < need {
                 return Err(VerifyError::StackUnderflow {
                     func: func_idx,
@@ -550,7 +423,7 @@ fn flow_heights(
 
 /// Shortest-path fuel costs for one function given current callee bounds.
 /// Returns `(ret_cost, halt_cost)` — both saturating lower bounds.
-fn flow_fuel(cfg: &FuncCfg, ret_lb: &[u64], halt_lb: &[u64]) -> (u64, u64) {
+fn flow_fuel(cfg: &FunctionCode, ret_lb: &[u64], halt_lb: &[u64]) -> (u64, u64) {
     let n = cfg.insns.len();
     if n == 0 {
         return (INF, INF);
@@ -573,24 +446,19 @@ fn flow_fuel(cfg: &FuncCfg, ret_lb: &[u64], halt_lb: &[u64]) -> (u64, u64) {
     while let Some(i) = work.pop_front() {
         let d = dist[i];
         let insn = &cfg.insns[i];
-        let step = insn_min_cost(&insn.op);
-        match insn.op {
-            Op::Ret => ret_cost = ret_cost.min(d.saturating_add(step)),
-            Op::Halt => halt_cost = halt_cost.min(d.saturating_add(step)),
-            Op::Unreachable => {}
-            Op::HostCall(id) if HostId::from_id(id) == Some(HostId::Abort) => {}
-            Op::Jmp(rel) => {
-                let t = cfg.index_of[(insn.next as i64 + rel as i64) as usize].expect("target");
-                relax(&mut dist, &mut work, t, d.saturating_add(step));
-            }
-            Op::JmpIf(rel) | Op::JmpIfZ(rel) => {
-                let t = cfg.index_of[(insn.next as i64 + rel as i64) as usize].expect("target");
+        let step = insn_min_cost(insn);
+        match (insn.flow, insn.op) {
+            (Flow::Ret, _) => ret_cost = ret_cost.min(d.saturating_add(step)),
+            (Flow::Halt, _) => halt_cost = halt_cost.min(d.saturating_add(step)),
+            (Flow::Trap | Flow::Host(HostId::Abort), _) => {}
+            (Flow::Jump(t), _) => relax(&mut dist, &mut work, t, d.saturating_add(step)),
+            (Flow::Branch(t), _) => {
                 relax(&mut dist, &mut work, t, d.saturating_add(step));
                 if i + 1 < n {
                     relax(&mut dist, &mut work, i + 1, d.saturating_add(step));
                 }
             }
-            Op::Call(idx) => {
+            (_, Op::Call(idx)) => {
                 // The callee may halt the machine directly…
                 let through_halt = d.saturating_add(step).saturating_add(halt_lb[idx as usize]);
                 halt_cost = halt_cost.min(through_halt);
@@ -615,18 +483,13 @@ fn flow_fuel(cfg: &FuncCfg, ret_lb: &[u64], halt_lb: &[u64]) -> (u64, u64) {
 /// Recursive modules fall back to `max_call_depth × tallest frame`.
 fn shared_stack_bound(
     module: &Module,
-    cfgs: &[FuncCfg],
+    cfgs: &[FunctionCode],
     max_heights: &[u32],
     sccs: &[Vec<usize>],
     policy: &SandboxPolicy,
 ) -> usize {
-    let recursive = sccs.iter().any(|scc| {
-        scc.len() > 1 || {
-            // A singleton SCC is recursive iff it calls itself.
-            let f = scc[0];
-            cfgs[f].insns.iter().any(|i| matches!(i.op, Op::Call(c) if c as usize == f))
-        }
-    });
+    // A singleton SCC is recursive iff it calls itself.
+    let recursive = sccs.iter().any(|scc| scc.len() > 1 || calls_self(&cfgs[scc[0]], scc[0]));
     if recursive {
         let tallest = max_heights.iter().copied().max().unwrap_or(0) as usize;
         return policy.max_call_depth.saturating_mul(tallest.max(1));
@@ -658,7 +521,8 @@ fn analysis_ns() -> &'static fractal_telemetry::Histogram {
         .get_or_init(|| fractal_telemetry::Telemetry::global().histogram("fractal_vm_analysis_ns"))
 }
 
-/// Verifies `module` ([`verify_module`]), then runs abstract
+/// Decodes and verifies `module` once, with the decoder
+/// [`verify_module`](crate::verify::verify_module) runs, then runs abstract
 /// interpretation over every function. Returns the proof object, or the
 /// first verification or admission error; it never panics, whatever the
 /// module holds.
@@ -666,12 +530,11 @@ pub fn analyze_module(
     module: &Module,
     policy: &SandboxPolicy,
 ) -> Result<ModuleAnalysis, VerifyError> {
-    verify_module(module)?;
+    let mut cfgs = decode_module(module)?;
     let bundle = fractal_telemetry::Telemetry::global();
     let started_ns = bundle.now_ns();
-    let n = module.functions.len();
-    let mut cfgs: Vec<FuncCfg> = module.functions.iter().map(build_cfg).collect();
-    let sccs = call_sccs(module);
+    let n = cfgs.len();
+    let sccs = call_sccs(&cfgs);
 
     // --- stack heights, interprocedurally (callees before callers) -------
     let mut exit_heights: Vec<Option<u32>> = vec![None; n];
@@ -722,13 +585,12 @@ pub fn analyze_module(
             if insn.height.is_none() {
                 continue;
             }
-            if let Op::HostCall(id) = insn.op {
-                if let Some(host) = HostId::from_id(id) {
-                    if !policy.allows(host) {
-                        return Err(VerifyError::CapabilityViolation { func: f, at: insn.at, id });
-                    }
-                    own_hosts[f] |= 1 << host.id();
+            if let Flow::Host(host) = insn.flow {
+                if !policy.allows(host) {
+                    let id = host.id();
+                    return Err(VerifyError::CapabilityViolation { func: f, at: insn.at, id });
                 }
+                own_hosts[f] |= 1 << host.id();
             }
         }
     }
@@ -802,7 +664,7 @@ pub fn analyze_module(
     Ok(ModuleAnalysis { functions, module_min_fuel, stack_bound })
 }
 
-fn calls_self(cfg: &FuncCfg, f: usize) -> bool {
+fn calls_self(cfg: &FunctionCode, f: usize) -> bool {
     cfg.insns.iter().any(|i| matches!(i.op, Op::Call(c) if c as usize == f))
 }
 
@@ -812,6 +674,8 @@ mod tests {
     use crate::asm::assemble;
     use crate::error::Trap;
     use crate::machine::Machine;
+    use crate::module::Function;
+    use crate::verify::verify_module;
 
     fn analyze_src(src: &str) -> Result<ModuleAnalysis, VerifyError> {
         let m = assemble(src).expect("assembles");

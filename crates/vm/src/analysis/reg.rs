@@ -58,10 +58,9 @@ use core::fmt;
 
 use crate::bytecode::{Op, PLAIN_OPS};
 use crate::error::VerifyError;
-use crate::host::HostId;
 use crate::module::{Function, Module};
 
-use super::{FunctionAnalysis, ModuleAnalysis};
+use super::{Flow, FunctionAnalysis, InsnInfo, ModuleAnalysis};
 
 /// Comparisons as truth tables: bit `i` of a table says whether the
 /// comparison holds of `(a, b)` when
@@ -448,11 +447,7 @@ pub(crate) fn translate(
                     limit: limit - first_stack,
                 });
             }
-            let mut index_of = vec![u32::MAX; func.code.len() + 1];
-            for (i, insn) in fa.insns.iter().enumerate() {
-                index_of[insn.at] = i as u32;
-            }
-            let tr = Translator { module, func, fa, index_of };
+            let tr = Translator { module, func, fa };
             let mut code: Vec<Slot> = (0..fa.insns.len()).map(|i| tr.slot_at(i)).collect();
             // In index order: the slots a fused one reads are the originals.
             for i in 0..code.len() {
@@ -467,8 +462,6 @@ struct Translator<'a> {
     module: &'a Module,
     func: &'a Function,
     fa: &'a FunctionAnalysis,
-    /// Byte offset → instruction index.
-    index_of: Vec<u32>,
 }
 
 impl Translator<'_> {
@@ -530,11 +523,10 @@ impl Translator<'_> {
             Src::Reg(r) => Some(r),
             Src::Imm(_) => None,
         };
-        let target = |rel: i32| self.index_of[(insn.next as i64 + rel as i64) as usize];
-        let next = self.fa.insns.get(j + 1).map(|insn| insn.op);
+        let next = self.fa.insns.get(j + 1);
         // A value-producing main op of arity `r`: the result goes to its
         // stack register, or straight to the local a `local.set` names.
-        let value = |slot: Slot, r: usize| match next {
+        let value = |slot: Slot, r: usize| match next.map(|insn| insn.op) {
             Some(Op::LocalSet(n)) => Slot { d: n as u16, n: p as u8 + 2, tail: 1, ..slot },
             _ => Slot { d: self.stack(h - r), n: p as u8 + 1, ..slot },
         };
@@ -543,11 +535,9 @@ impl Translator<'_> {
         let cmp = |k: u8, x: Src, y: Src, r: usize| {
             let a = reg(x)?;
             match next {
-                Some(Op::JmpIf(rel) | Op::JmpIfZ(rel)) => {
-                    let k = if matches!(next, Some(Op::JmpIf(_))) { k } else { !k };
-                    let jump = &self.fa.insns[j + 1];
-                    let t = self.index_of[(jump.next as i64 + rel as i64) as usize];
-                    Some(Slot { t, n: p as u8 + 2, ..branch(k, a, y)? })
+                Some(&InsnInfo { op, flow: Flow::Branch(t), .. }) => {
+                    let k = if matches!(op, Op::JmpIf(_)) { k } else { !k };
+                    Some(Slot { t: t as u32, n: p as u8 + 2, ..branch(k, a, y)? })
                 }
                 _ => {
                     let (op, b) = match y {
@@ -591,10 +581,11 @@ impl Translator<'_> {
         }
         match insn.op {
             Op::Eqz => cmp(truth::EQ, operand(1, 0), Src::Imm(0), 1),
-            Op::JmpIf(rel) | Op::JmpIfZ(rel) => {
+            Op::JmpIf(_) | Op::JmpIfZ(_) => {
                 let k = if matches!(insn.op, Op::JmpIf(_)) { truth::NE } else { truth::EQ };
                 let a = reg(operand(1, 0))?;
-                Some(Slot { t: target(rel), n: p as u8 + 1, ..branch(k, a, Src::Imm(0))? })
+                let t = insn.flow.target()? as u32;
+                Some(Slot { t, n: p as u8 + 1, ..branch(k, a, Src::Imm(0))? })
             }
             Op::LocalSet(n) => {
                 let slot = match operand(1, 0) {
@@ -639,18 +630,19 @@ impl Translator<'_> {
             Op::Nop | Op::Drop => Some(Slot::new(SlotOp::Nop)),
             Op::Unreachable => Some(Slot::new(SlotOp::Unreachable)),
             Op::Halt => Some(Slot { a: h as u16, ..Slot::new(SlotOp::Halt) }),
-            Op::Jmp(rel) => Some(Slot { t: target(rel), ..Slot::new(SlotOp::Jmp) }),
+            Op::Jmp(_) => Some(Slot { t: insn.flow.target()? as u32, ..Slot::new(SlotOp::Jmp) }),
             Op::Call(idx) => {
                 let n_args = self.module.functions[idx as usize].n_args as usize;
                 Some(Slot { a: self.stack(h - n_args), t: idx as u32, ..Slot::new(SlotOp::Call) })
             }
             Op::Ret => Some(Slot { a: self.stack(0), b: h as i32, ..Slot::new(SlotOp::Ret) }),
-            Op::HostCall(id) => {
-                let arity = HostId::from_id(id).expect("verifier admits only known hosts").arity();
+            Op::HostCall(_) => {
+                let Flow::Host(host) = insn.flow else { return None };
+                let arity = host.arity();
                 Some(Slot {
                     a: self.stack(h - arity),
                     b: arity as i32,
-                    t: id as u32,
+                    t: host.id() as u32,
                     ..Slot::new(SlotOp::Host)
                 })
             }

@@ -60,6 +60,7 @@ crates/crypto/src/sign.rs|pub fn from_wire(bytes: &[u8])
 crates/vm/src/module.rs|pub fn from_bytes(bytes: &[u8])
 crates/vm/src/module.rs|pub fn from_wire(wire: &[u8])
 crates/vm/src/bytecode.rs|pub fn decode(code: &[u8], pc: usize)
+crates/vm/src/verify.rs|fn decode(module: &Module, idx: usize, func: &Function)
 crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<DevMeta, WireError>
 crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<NtwkMeta, WireError>
 crates/core/src/meta.rs|pub(crate) fn decode(r: &mut Cursor) -> Result<PadMeta, WireError>

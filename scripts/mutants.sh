@@ -2,8 +2,8 @@
 # The mutation checks DESIGN.md §5 records for the machine and its
 # reference, two for the INP receive rule (`inp::classify`), two for the
 # reactor's ready-queue rule, one for the wire cursor's count check, one
-# for the instruction encoding and one for the counting sink, run rather
-# than stated. Each mutation below is applied to a throwaway `git worktree`
+# for the instruction encoding, one for the counting sink and one for the
+# bytecode decoder's branch rule, run rather than stated. Each mutation below is applied to a throwaway `git worktree`
 # of this tree under $TMPDIR, and the INP codec's unit tests, the
 # machine's unit tests (the pinned encoding among them), the suites that
 # hold it to the reference interpreter, the core's transition matrix, the
@@ -23,9 +23,9 @@
 #
 # The worktree holds HEAD plus the tracked edits of this checkout (`git stash
 # create` snapshots them without touching any ref); `git add` a new file for
-# it to be included. It and its build directory are removed on exit. About
-# 29 minutes on 2 vCPUs for the 16 mutations: one release build of the test
-# targets, then one rebuild per mutation.
+# it to be included. It and its build directory are removed on exit.
+# 30 to 45 minutes on 2 vCPUs for the 17 mutations: one release build of
+# the test targets, then one rebuild per mutation.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -72,7 +72,9 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # uses: it compiles and every op still round-trips, so only the bytes pinned
 # apart from the table can kill it. `sink-count` is a counting sink that
 # counts one byte short of every `put`, so an INP header declares less
-# than the body behind it.
+# than the body behind it. `wild-jump` lands a branch on the instruction
+# whose bytes its target points into, so the decoder accepts any in-range
+# target, an instruction boundary or not.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -88,7 +90,8 @@ rr-requeue|crates/core/src/reactor/mod.rs|self.ready.push_front(id);|self.ready.
 peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);|
 cursor-count|crates/crypto/src/wire.rs|if n <= self.rest.len().div_ceil(min_wire_len.max(1)) {|if true {
 opcode-move|crates/vm/src/bytecode.rs|(0x4B, "memsize", Op::MemSize),|(0x4C, "memsize", Op::MemSize),
-sink-count|crates/crypto/src/wire.rs|self.0 += bytes.len();|self.0 += bytes.len().saturating_sub(1);'
+sink-count|crates/crypto/src/wire.rs|self.0 += bytes.len();|self.0 += bytes.len().saturating_sub(1);
+wild-jump|crates/vm/src/verify.rs|insn.at.cmp(&t)|t.clamp(insn.at, insn.next - 1).cmp(&t)'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.

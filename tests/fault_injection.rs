@@ -12,7 +12,7 @@ use fractal::core::client::FractalClient;
 use fractal::core::error::InpError;
 use fractal::core::fault::{FaultEvent, FaultPlan};
 use fractal::core::inp::InpMessage;
-use fractal::core::meta::{AppId, PadMeta};
+use fractal::core::meta::{decision_fingerprint, AppId};
 use fractal::core::reactor::{InpSession, Reactor, ReactorConfig, SessionPhase};
 use fractal::core::server::AdaptiveContentMode;
 use fractal::core::testbed::Testbed;
@@ -41,13 +41,6 @@ fn testbed() -> Testbed {
 
 fn client_for(tb: &Testbed, i: usize) -> FractalClient {
     tb.client(ClientClass::ALL[i % 3])
-}
-
-/// Order-sensitive FNV fold over a decision.
-fn fingerprint(pads: &[PadMeta]) -> u64 {
-    pads.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, p| {
-        (h ^ p.id.0 ^ ((p.protocol as u64) << 32)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// What one session looks like from outside: terminal phase, decision
@@ -87,7 +80,7 @@ fn run_partition(tb: &Testbed, range: std::ops::Range<usize>) -> Vec<SessionReco
             let s = reactor.session(id);
             SessionRecord {
                 phase: s.phase().name(),
-                decision: s.negotiated().map(fingerprint),
+                decision: s.negotiated().map(decision_fingerprint),
                 failed_typed: s.phase() != SessionPhase::Failed || s.error().is_some(),
                 events: log.events(),
             }
