@@ -23,10 +23,9 @@ use fractal_protocols::deflate::Deflate;
 use fractal_protocols::gzip::Gzip;
 use fractal_protocols::{DiffCodec, ProtocolId};
 use fractal_vm::SandboxPolicy;
-use fractal_workload::mutate::EditProfile;
-use fractal_workload::PageSet;
 
 use crate::report::render_table;
+use crate::workbench::workload_pages;
 
 /// Result of the ratio-matrix ablation.
 #[derive(Clone, Copy, Debug)]
@@ -156,9 +155,7 @@ pub fn print_rho(_n_pages: u32) {
 /// fuel inside the sandbox — on the real workload. Every figure is a
 /// count, so the section prints the same bytes on every run.
 pub fn print_entropy(n_pages: u32) {
-    let pages = PageSet::new(2005, n_pages);
-    let contents: Vec<Vec<u8>> =
-        (0..n_pages).map(|p| pages.version(p, 1, EditProfile::Localized).to_bytes()).collect();
+    let contents: Vec<Vec<u8>> = workload_pages(n_pages).into_iter().map(|p| p.v1).collect();
     let total: usize = contents.iter().map(Vec::len).sum();
 
     println!("Ablation: LZ77 alone vs LZ77+Huffman on {n_pages} pages ({} KB)\n", total / 1024);

@@ -7,19 +7,14 @@
 
 use std::time::Instant;
 
+use fractal_bench::workbench::workload_pages;
 use fractal_core::server::codec_for;
 use fractal_protocols::ProtocolId;
-use fractal_workload::mutate::EditProfile;
-use fractal_workload::PageSet;
 
 fn main() {
     let n_pages: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(20);
-    let pages = PageSet::new(2005, n_pages);
-    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..n_pages)
-        .map(|p| {
-            (pages.original(p).to_bytes(), pages.version(p, 1, EditProfile::Localized).to_bytes())
-        })
-        .collect();
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> =
+        workload_pages(n_pages).into_iter().map(|p| (p.v0, p.v1)).collect();
     let total_mb: f64 = pairs.iter().map(|(_, new)| new.len() as f64).sum::<f64>() / 1_000_000.0;
 
     println!("calibrating on {n_pages} pages ({total_mb:.1} MB of content), native Rust codecs\n");

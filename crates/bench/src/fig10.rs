@@ -11,7 +11,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::report::{ms, render_table};
-use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
+use crate::workbench::{measure_adaptive, measure_protocol, workload_pages, CellReport, PagePair};
 
 /// One panel of the figure: every protocol measured for one class, plus
 /// the adaptive pick.
@@ -27,27 +27,28 @@ pub struct Panel {
     pub adaptive_pick: ProtocolId,
 }
 
-/// Runs one panel over `n_pages` of the workload.
-pub fn run_panel(class: ClientClass, with_server_compute: bool, n_pages: u32) -> Panel {
+/// Runs one panel over `pages` of the workload.
+pub fn run_panel(class: ClientClass, with_server_compute: bool, pages: &[PagePair]) -> Panel {
     let mode = if with_server_compute {
         AdaptiveContentMode::Reactive
     } else {
         AdaptiveContentMode::Proactive
     };
     let cells =
-        ProtocolId::PAPER_FOUR.iter().map(|&p| measure_protocol(class, p, n_pages, mode)).collect();
-    let (_, adaptive_pick) = measure_adaptive(class, n_pages, mode);
+        ProtocolId::PAPER_FOUR.iter().map(|&p| measure_protocol(class, p, pages, mode)).collect();
+    let (_, adaptive_pick) = measure_adaptive(class, pages, mode);
     Panel { class, with_server_compute, cells, adaptive_pick }
 }
 
 /// All four panels: (a) desktop, (b) laptop, (c) PDA with server compute;
-/// (d) PDA without.
+/// (d) PDA without; all four over one rendering of `n_pages` pages.
 pub fn run_all(n_pages: u32) -> Vec<Panel> {
+    let pages = workload_pages(n_pages);
     vec![
-        run_panel(ClientClass::DesktopLan, true, n_pages),
-        run_panel(ClientClass::LaptopWlan, true, n_pages),
-        run_panel(ClientClass::PdaBluetooth, true, n_pages),
-        run_panel(ClientClass::PdaBluetooth, false, n_pages),
+        run_panel(ClientClass::DesktopLan, true, &pages),
+        run_panel(ClientClass::LaptopWlan, true, &pages),
+        run_panel(ClientClass::PdaBluetooth, true, &pages),
+        run_panel(ClientClass::PdaBluetooth, false, &pages),
     ]
 }
 
@@ -95,7 +96,7 @@ mod tests {
     fn varyblock_server_compute_dominates() {
         // The paper: "Vary-sized blocking has huge server side computing
         // time, which disqualifies it" (Fig. 10(a–c)).
-        let panel = run_panel(ClientClass::LaptopWlan, true, 3);
+        let panel = run_panel(ClientClass::LaptopWlan, true, &workload_pages(3));
         let vary = panel.cells.iter().find(|c| c.protocol == ProtocolId::VaryBlock).unwrap();
         for c in &panel.cells {
             if c.protocol != ProtocolId::VaryBlock {
@@ -113,9 +114,10 @@ mod tests {
 
     #[test]
     fn pda_panel_d_flips_to_varyblock() {
-        let with = run_panel(ClientClass::PdaBluetooth, true, 3);
+        let pages = workload_pages(3);
+        let with = run_panel(ClientClass::PdaBluetooth, true, &pages);
         assert_eq!(with.adaptive_pick, ProtocolId::Bitmap);
-        let without = run_panel(ClientClass::PdaBluetooth, false, 3);
+        let without = run_panel(ClientClass::PdaBluetooth, false, &pages);
         assert_eq!(without.adaptive_pick, ProtocolId::VaryBlock);
         // Panel (d): server compute off the request path.
         let vary_d = without.cells.iter().find(|c| c.protocol == ProtocolId::VaryBlock).unwrap();

@@ -12,7 +12,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::report::{kb, render_table, secs};
-use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
+use crate::workbench::{measure_adaptive, measure_protocol, workload_pages, CellReport};
 
 /// The full figure: one matrix of cells per panel.
 #[derive(Clone, Debug)]
@@ -27,8 +27,9 @@ pub struct Figure11 {
     pub picks_without: Vec<(ClientClass, ProtocolId)>,
 }
 
-/// Runs the figure over `n_pages` of the workload.
+/// Runs the figure over `n_pages` of the workload, rendered once.
 pub fn run(n_pages: u32) -> Figure11 {
+    let pages = workload_pages(n_pages);
     let mut with_server = Vec::new();
     let mut without_server = Vec::new();
     let mut picks_with = Vec::new();
@@ -38,19 +39,19 @@ pub fn run(n_pages: u32) -> Figure11 {
             with_server.push(measure_protocol(
                 class,
                 protocol,
-                n_pages,
+                &pages,
                 AdaptiveContentMode::Reactive,
             ));
             without_server.push(measure_protocol(
                 class,
                 protocol,
-                n_pages,
+                &pages,
                 AdaptiveContentMode::Proactive,
             ));
         }
-        let (_, p_with) = measure_adaptive(class, n_pages, AdaptiveContentMode::Reactive);
+        let (_, p_with) = measure_adaptive(class, &pages, AdaptiveContentMode::Reactive);
         picks_with.push((class, p_with));
-        let (_, p_without) = measure_adaptive(class, n_pages, AdaptiveContentMode::Proactive);
+        let (_, p_without) = measure_adaptive(class, &pages, AdaptiveContentMode::Proactive);
         picks_without.push((class, p_without));
     }
     Figure11 { with_server, without_server, picks_with, picks_without }

@@ -15,7 +15,7 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::report::{render_table, secs};
-use crate::workbench::{measure_adaptive, measure_protocol, CellReport};
+use crate::workbench::{measure_adaptive, measure_protocol, workload_pages, CellReport};
 
 /// The comparison for one client class.
 #[derive(Clone, Copy, Debug)]
@@ -44,16 +44,17 @@ impl Comparison {
     }
 }
 
-/// Runs the three scenarios for every class; each measurement builds its
-/// own testbed.
+/// Runs the three scenarios for every class over one rendering of
+/// `n_pages` pages; each measurement builds its own testbed.
 pub fn run(n_pages: u32) -> Vec<Comparison> {
     let mode = AdaptiveContentMode::Reactive;
+    let pages = workload_pages(n_pages);
     ClientClass::ALL
         .into_iter()
         .map(|class| {
-            let none = measure_protocol(class, ProtocolId::Direct, n_pages, mode);
-            let fixed = measure_protocol(class, ProtocolId::VaryBlock, n_pages, mode);
-            let (adaptive, picked) = measure_adaptive(class, n_pages, mode);
+            let none = measure_protocol(class, ProtocolId::Direct, &pages, mode);
+            let fixed = measure_protocol(class, ProtocolId::VaryBlock, &pages, mode);
+            let (adaptive, picked) = measure_adaptive(class, &pages, mode);
             Comparison { class, none, fixed, adaptive, picked }
         })
         .collect()

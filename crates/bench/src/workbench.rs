@@ -5,6 +5,8 @@
 //! [`measure_protocol`] does exactly that by building a single-leaf PAT so
 //! the negotiation is forced to the protocol under test, then running real
 //! sessions (real encoders, real FVM decoding) and averaging the reports.
+//! A figure renders its pages once, with [`workload_pages`], and hands
+//! the same pairs to every cell it measures.
 
 use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
@@ -18,6 +20,31 @@ use fractal_workload::PageSet;
 /// The workload seed shared by every figure so they describe the same
 /// content.
 pub const WORKLOAD_SEED: u64 = 2005;
+
+/// One page of the figure workload: the version a warmed client holds
+/// and the one it fetches.
+#[derive(Clone, Debug)]
+pub struct PagePair {
+    /// Version 0 bytes.
+    pub v0: Vec<u8>,
+    /// Version 1 bytes (localized edits of `v0`).
+    pub v1: Vec<u8>,
+}
+
+/// The first `n_pages` pages of the shared workload, each stepped once
+/// from its original along the localized-edit chain. The one place the
+/// harness synthesizes pages (an audit holds it to that): rendering is
+/// most of what a page costs, so a figure builds its set here once.
+pub fn workload_pages(n_pages: u32) -> Vec<PagePair> {
+    let set = PageSet::new(WORKLOAD_SEED, n_pages);
+    (0..n_pages)
+        .map(|id| {
+            let mut chain = set.versions(id, EditProfile::Localized);
+            let mut next = || chain.next().expect("a version chain never ends").to_bytes();
+            PagePair { v0: next(), v1: next() }
+        })
+        .collect()
+}
 
 /// Aggregated measurements for one (class, protocol) cell.
 #[derive(Clone, Copy, Debug)]
@@ -38,16 +65,16 @@ pub struct CellReport {
     pub total: SimDuration,
 }
 
-/// Runs `n_pages` warm sessions (client holds version 0, fetches version 1)
-/// through `protocol` for `class`, with localized-edit evolution — the
-/// paper's medical-imaging scenario.
+/// Runs one warm session per page of `pages` (client holds version 0,
+/// fetches version 1) through `protocol` for `class`, with localized-edit
+/// evolution — the paper's medical-imaging scenario.
 pub fn measure_protocol(
     class: ClientClass,
     protocol: ProtocolId,
-    n_pages: u32,
+    pages: &[PagePair],
     mode: AdaptiveContentMode,
 ) -> CellReport {
-    let reports = run_pages(&Testbed::with_protocols(&[protocol], mode), class, n_pages);
+    let reports = run_pages(&Testbed::with_protocols(&[protocol], mode), class, pages);
     for report in &reports {
         assert_eq!(report.protocol, protocol, "forced PAT must pick {protocol}");
     }
@@ -58,10 +85,10 @@ pub fn measure_protocol(
 /// negotiation pick. Returns the aggregate plus the protocol it picked.
 pub fn measure_adaptive(
     class: ClientClass,
-    n_pages: u32,
+    pages: &[PagePair],
     mode: AdaptiveContentMode,
 ) -> (CellReport, ProtocolId) {
-    let reports = run_pages(&Testbed::case_study(mode), class, n_pages);
+    let reports = run_pages(&Testbed::case_study(mode), class, pages);
     let picked = reports[0].protocol;
     (aggregate(class, picked, &reports), picked)
 }
@@ -69,17 +96,15 @@ pub fn measure_adaptive(
 /// The page loop both measurements share: one client of `class` on `tb`,
 /// each page published at versions 0 and 1, the client warmed with
 /// version 0 (that transfer is not counted) and fetching version 1.
-fn run_pages(tb: &Testbed, class: ClientClass, n_pages: u32) -> Vec<SessionReport> {
-    let pages = PageSet::new(WORKLOAD_SEED, n_pages);
+fn run_pages(tb: &Testbed, class: ClientClass, pages: &[PagePair]) -> Vec<SessionReport> {
     let link = class.link();
     let mut client = tb.client(class);
-    (0..n_pages)
-        .map(|page| {
-            let v0 = pages.original(page).to_bytes();
-            let v1 = pages.version(page, 1, EditProfile::Localized).to_bytes();
+    (0u32..)
+        .zip(pages)
+        .map(|(page, PagePair { v0, v1 })| {
             tb.server.publish(page, v0.clone());
-            tb.server.publish(page, v1);
-            client.store_content(page, 0, v0);
+            tb.server.publish(page, v1.clone());
+            client.store_content(page, 0, v0.clone());
             run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, page, 1)
                 .expect("session succeeds")
         })
@@ -110,7 +135,7 @@ mod tests {
         let cell = measure_protocol(
             ClientClass::DesktopLan,
             ProtocolId::Gzip,
-            2,
+            &workload_pages(2),
             AdaptiveContentMode::Reactive,
         );
         assert_eq!(cell.protocol, ProtocolId::Gzip);
@@ -120,8 +145,11 @@ mod tests {
 
     #[test]
     fn adaptive_picks_per_class() {
-        let (_, picked) =
-            measure_adaptive(ClientClass::DesktopLan, 2, AdaptiveContentMode::Reactive);
+        let (_, picked) = measure_adaptive(
+            ClientClass::DesktopLan,
+            &workload_pages(2),
+            AdaptiveContentMode::Reactive,
+        );
         assert_eq!(picked, ProtocolId::Direct);
     }
 }

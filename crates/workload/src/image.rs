@@ -11,6 +11,7 @@
 //! header, rendered from a deterministic sum of Gaussian-ish blobs plus
 //! quantized low-amplitude noise.
 
+use fractal_crypto::wire::{counted, Sink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,69 +28,98 @@ pub struct Image {
 
 impl Image {
     /// Renders an image of `width × height` from `n_blobs` soft blobs,
-    /// deterministically from `seed`.
+    /// deterministically from `seed`. An empty image draws no blobs.
+    ///
+    /// The field is summed a row at a time: blobs outer, pixels inner, so
+    /// the pixel loop is straight-line arithmetic over a row of `f64`s that
+    /// the compiler vectorizes. Each pixel still adds the same terms in blob
+    /// order from `0.0` (Rust never fuses them into FMA), so the pixels are
+    /// those of the per-pixel loop this replaced, bit for bit;
+    /// `tests/render_identity.rs` keeps that loop as its oracle.
     pub fn render(seed: u64, width: usize, height: usize, n_blobs: usize) -> Image {
+        if width == 0 || height == 0 {
+            return Image { width, height, pixels: Vec::new() };
+        }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1357_9bdf_2468_ace0);
+        let short_side = width.min(height) as f64;
         let blobs: Vec<(f64, f64, f64, f64)> = (0..n_blobs)
             .map(|_| {
                 (
                     rng.gen_range(0.0..width as f64),
                     rng.gen_range(0.0..height as f64),
-                    rng.gen_range(
-                        (width.min(height) as f64) * 0.05..(width.min(height) as f64) * 0.3,
-                    ),
+                    rng.gen_range(short_side * 0.05..short_side * 0.3),
                     rng.gen_range(500.0..8000.0),
                 )
             })
             .collect();
+        let xs: Vec<f64> = (0..width).map(|x| x as f64).collect();
+        let mut row = vec![0.0f64; width];
         let mut pixels = Vec::with_capacity(width * height);
         for y in 0..height {
-            for x in 0..width {
-                let mut v = 0.0f64;
-                for &(bx, by, r, amp) in &blobs {
-                    let dx = x as f64 - bx;
-                    let dy = y as f64 - by;
-                    let d2 = (dx * dx + dy * dy) / (r * r);
-                    v += amp / (1.0 + d2);
+            row.fill(0.0);
+            for &(bx, by, r, amp) in &blobs {
+                let dy = y as f64 - by;
+                let (dy2, r2) = (dy * dy, r * r);
+                for (v, &x) in row.iter_mut().zip(&xs) {
+                    let dx = x - bx;
+                    *v += amp / (1.0 + (dx * dx + dy2) / r2);
                 }
-                // Coarse acquisition quantization (DICOM-style window
-                // levelling) plus periodic sensor dither: gives the smooth
-                // field byte-level plateaus so the serialized image
-                // compresses ~2.5x under LZ77 (page-level ratio ~0.40), like real medical imagery.
+            }
+            // Coarse acquisition quantization (DICOM-style window
+            // levelling) plus periodic sensor dither: gives the smooth
+            // field byte-level plateaus so the serialized image
+            // compresses ~2.5x under LZ77 (page-level ratio ~0.40), like real medical imagery.
+            pixels.extend(row.iter().enumerate().map(|(x, &v)| {
                 let quantized = (v / 64.0).round() * 64.0;
                 let noise = ((x * 31 + y * 17) % 7) as f64;
-                pixels.push((quantized + noise).min(65535.0) as u16);
-            }
+                (quantized + noise).min(65535.0) as u16
+            }));
         }
         Image { width, height, pixels }
     }
 
     /// Re-renders a rectangular region with a different seed — a new "3D
     /// view angle" over part of the volume. Pixels outside the region stay
-    /// byte-identical (the Bitmap-friendly edit).
+    /// byte-identical (the Bitmap-friendly edit). The region is clamped to
+    /// the image; one that clamps to nothing leaves the image as it was.
     pub fn edit_region(&mut self, seed: u64, x0: usize, y0: usize, w: usize, h: usize) {
         let x1 = (x0 + w).min(self.width);
         let y1 = (y0 + h).min(self.height);
-        let patch = Image::render(seed, x1.saturating_sub(x0), y1.saturating_sub(y0), 3);
-        for (py, y) in (y0..y1).enumerate() {
-            for (px, x) in (x0..x1).enumerate() {
-                self.pixels[y * self.width + x] = patch.pixels[py * patch.width + px];
-            }
+        if x0 >= x1 || y0 >= y1 {
+            return;
         }
+        let patch = Image::render(seed, x1 - x0, y1 - y0, 3);
+        for (y, src) in (y0..y1).zip(patch.pixels.chunks_exact(patch.width)) {
+            self.pixels[y * self.width + x0..y * self.width + x1].copy_from_slice(src);
+        }
+    }
+
+    /// Wire size of this image, counted instead of written.
+    pub(crate) fn wire_len(&self) -> usize {
+        counted(|c| self.encode(c))
     }
 
     /// Serializes to the wire form: header + little-endian pixels.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.pixels.len() * 2);
-        out.extend_from_slice(b"DICM"); // flavour marker
-        out.extend_from_slice(&(self.width as u32).to_le_bytes());
-        out.extend_from_slice(&(self.height as u32).to_le_bytes());
-        out.extend_from_slice(&16u16.to_le_bytes()); // bits per pixel
-        out.extend_from_slice(&1u16.to_le_bytes()); // samples per pixel
-        for p in &self.pixels {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode(&mut out);
         out
+    }
+
+    /// Appends the wire form to `out`: the pixels go a block at a time.
+    pub(crate) fn encode(&self, out: &mut impl Sink) {
+        out.put(b"DICM"); // flavour marker
+        out.u32(self.width as u32);
+        out.u32(self.height as u32);
+        out.u16(16); // bits per pixel
+        out.u16(1); // samples per pixel
+        let mut block = [0u8; 256];
+        for pixels in self.pixels.chunks(block.len() / 2) {
+            for (le, p) in block.chunks_exact_mut(2).zip(pixels) {
+                le.copy_from_slice(&p.to_le_bytes());
+            }
+            out.put(&block[..pixels.len() * 2]);
+        }
     }
 
     /// Parses the wire form back (used in tests).
@@ -171,6 +201,25 @@ mod tests {
         let mut img = Image::render(4, 20, 20, 2);
         img.edit_region(5, 15, 15, 100, 100); // overflows: clamps
         assert_eq!(img.pixels.len(), 400);
+    }
+
+    #[test]
+    fn an_empty_image_draws_no_blobs() {
+        for (w, h) in [(0, 5), (5, 0), (0, 0)] {
+            let img = Image::render(1, w, h, 3);
+            assert_eq!(img, Image { width: w, height: h, pixels: Vec::new() });
+            assert_eq!(Image::from_bytes(&img.to_bytes()), Some(img));
+        }
+    }
+
+    #[test]
+    fn an_edit_that_clamps_to_nothing_is_a_no_op() {
+        let base = Image::render(4, 20, 20, 2);
+        let mut img = base.clone();
+        img.edit_region(5, 25, 25, 3, 3); // wholly outside
+        img.edit_region(5, 20, 0, 3, 3); // starts at the right edge
+        img.edit_region(5, 3, 3, 0, 4); // zero width
+        assert_eq!(img, base);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Web pages: 5 KB of markup plus four medical images (~130 KB), and
 //! version chains produced by the mutation operators.
 
+use fractal_crypto::wire::{counted, Sink};
+
 use crate::image::{standard_view, Image};
 use crate::mutate::{mutate_images, mutate_text, EditProfile};
 use crate::text;
@@ -22,23 +24,24 @@ impl Page {
     /// Serializes the page as delivered over the wire: text, then each
     /// image, each part length-prefixed.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let image_bytes: Vec<Vec<u8>> = self.images.iter().map(Image::to_bytes).collect();
-        let total: usize =
-            8 + self.text.len() + image_bytes.iter().map(|b| 4 + b.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&(self.text.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.images.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.text);
-        for b in &image_bytes {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
+        let mut out = Vec::with_capacity(self.size());
+        self.encode(&mut out);
         out
     }
 
-    /// Total serialized size.
+    /// Total serialized size, counted instead of written.
     pub fn size(&self) -> usize {
-        self.to_bytes().len()
+        counted(|c| self.encode(c))
+    }
+
+    fn encode(&self, out: &mut impl Sink) {
+        out.u32(self.text.len() as u32);
+        out.u32(self.images.len() as u32);
+        out.put(&self.text);
+        for image in &self.images {
+            out.u32(image.wire_len() as u32);
+            image.encode(out);
+        }
     }
 }
 
@@ -85,19 +88,30 @@ impl PageSet {
 
     /// Materializes version `v` of page `id` by applying `profile`'s
     /// mutations `v` times. Deterministic: the same `(id, v)` always yields
-    /// the same bytes.
+    /// the same bytes. A caller that wants several versions of one page
+    /// steps [`versions`](Self::versions) instead, which renders the
+    /// original once.
     pub fn version(&self, id: u32, v: u32, profile: EditProfile) -> Page {
+        self.versions(id, profile).nth(v as usize).expect("a version chain never ends")
+    }
+
+    /// The version chain of page `id` under `profile`, from the original:
+    /// item `v` is [`version(id, v, profile)`](Self::version), one round of
+    /// mutations after the item before it.
+    pub fn versions(&self, id: u32, profile: EditProfile) -> impl Iterator<Item = Page> + '_ {
         let mut page = self.original(id);
-        for step in 0..v {
-            let step_seed = self
-                .seed
-                .wrapping_mul(0xD134_2543_DE82_EF95)
-                .wrapping_add(((id as u64) << 20) | step as u64);
-            page.text = mutate_text(&page.text, step_seed, profile);
-            mutate_images(&mut page.images, step_seed, profile);
-            page.version = step + 1;
-        }
-        page
+        (0..).map(move |v: u32| {
+            if let Some(step) = v.checked_sub(1) {
+                let step_seed = self
+                    .seed
+                    .wrapping_mul(0xD134_2543_DE82_EF95)
+                    .wrapping_add(((id as u64) << 20) | step as u64);
+                page.text = mutate_text(&page.text, step_seed, profile);
+                mutate_images(&mut page.images, step_seed, profile);
+                page.version = v;
+            }
+            page.clone()
+        })
     }
 }
 
@@ -137,6 +151,16 @@ mod tests {
     fn version_zero_is_original() {
         let set = PageSet::new(9, 5);
         assert_eq!(set.version(1, 0, EditProfile::Localized), set.original(1));
+    }
+
+    #[test]
+    fn a_chain_numbers_its_versions_from_the_original() {
+        let set = PageSet::new(9, 5);
+        for profile in EditProfile::ALL {
+            let numbers: Vec<_> =
+                set.versions(2, profile).take(3).map(|p| (p.id, p.version)).collect();
+            assert_eq!(numbers, [(2, 0), (2, 1), (2, 2)]);
+        }
     }
 
     #[test]

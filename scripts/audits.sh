@@ -228,6 +228,28 @@ if grep -rnwE 'Instant|SystemTime' --include='*.rs' --exclude=calibrate.rs crate
     exit 1
 fi
 
+# Rendering is most of what a synthetic page costs, so a figure renders its
+# pages once, in `workbench::workload_pages`, and hands them to every cell
+# it measures; a `PageSet` stepped anywhere else in the harness is the
+# per-cell rendering (8 870 originals for one `--bin all`) growing back.
+audit "the figure harness builds its pages only in workbench::workload_pages (PageSet::new, .original(, .version()"
+pages_at=crates/bench/src/workbench.rs
+span=$(awk '/^pub fn workload_pages\(/ { start = NR } start && NR > start && /^}/ { print start, NR; exit }' \
+    "$pages_at")
+if [ -z "$span" ]; then
+    echo "no \`pub fn workload_pages\` in $pages_at (see the audit's comment)" >&2
+    exit 1
+fi
+stray=$(grep -rnE 'PageSet::new|\.original\(|\.versions?\(' --include='*.rs' crates/bench/src |
+    awk -F: -v at="$pages_at" -v span="$span" '
+        BEGIN { split(span, s, " ") }
+        !($1 == at && $2 > s[1] && $2 < s[2])')
+if [ -n "$stray" ]; then
+    echo "pages synthesized in crates/bench/src outside workbench::workload_pages:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # DESIGN.md §5 names one holder per property; a renamed or deleted
 # holder, or one tier-1 does not build, turns the row into a claim nothing
 # checks, and a name or section the docs cite that the tree lacks is the

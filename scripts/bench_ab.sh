@@ -8,16 +8,19 @@
 # own crates with its own harness, so a change to either is part of what
 # is compared), alternating: base, head, base, head, ..., one
 # `--repeat 1` suite per tree per round, so that a slow phase of the box
-# lands on both sides. `--repeat N` (default 3) is the number of rounds,
-# and at least 2: one run per side has no quartiles. Each side's runs are
-# merged into one results.json, and this tree's
-# `benchmark/run.sh --compare base head` reads the two. Exits with the
+# lands on both sides. `--repeat N` (default 6) is the number of rounds,
+# and at least 2: one run per side has no quartiles, and on two cores
+# three rounds leave quartiles too wide to resolve a 15 % move. Each
+# side's runs are merged into one results.json, and this tree's
+# `benchmark/run.sh --compare base head` reads the two. After it, for each
+# end-to-end (metric, workload), the script prints in how many rounds the
+# head's run beat the base's run of the same round. Exits with the
 # compare's status: nonzero when an end-to-end metric is WORSE than its
 # BENCHMARK.json bound, more sessions failed, or an exact-count row
 # differs; `unresolved` (spread wider than the bound) does not fail.
-# About 8 minutes per tree with the default; a PR that claims one
-# workload can run e.g. `scripts/bench_ab.sh <base> --only tcp_wave
-# --repeat 5` in a few.
+# About 3 minutes per tree per round, so 35 minutes in all with the
+# default on 2 vCPU; a change that claims one workload can run e.g.
+# `scripts/bench_ab.sh <base> --only tcp_wave` in about a quarter of that.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,7 +35,7 @@ base_sha=$(git rev-parse --verify "$1^{commit}")
 shift
 
 # Take `--repeat N` out of the arguments; the rest go to every run.
-rounds=3
+rounds=6
 left=$#
 while [ "$left" -gt 0 ]; do
     arg=$1
@@ -89,4 +92,32 @@ EOF
 done
 
 echo "==> compare (A = base, B = head)"
-benchmark/run.sh --compare "$ab/base.json" "$ab/head.json"
+status=0
+benchmark/run.sh --compare "$ab/base.json" "$ab/head.json" || status=$?
+
+# Pair by pair: a round's two runs shared the box's phase, so a head that
+# wins most rounds moved the metric even where the quartiles overlap.
+echo "==> rounds the head won, of $rounds (each round's head run against its base run)"
+python3 - "$rounds" "$ab/runs" <<'EOF'
+import json, os, sys
+rounds, runs = int(sys.argv[1]), sys.argv[2]
+with open("BENCHMARK.json") as f:
+    spec = json.load(f)
+def load(side, r):
+    with open(os.path.join(runs, f"{side}.{r}", "results.json")) as f:
+        return json.load(f)["runs"]
+pairs = [(load("base", r), load("head", r)) for r in range(1, rounds + 1)]
+for w in (w["name"] for w in spec["workloads"]):
+    if w not in pairs[0][0] or w not in pairs[0][1]:
+        continue
+    print(f"== {w}")
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        wins = 0
+        for base, head in pairs:
+            a = base[w][0]["end_to_end"]["metrics"][name]["value"]
+            b = head[w][0]["end_to_end"]["metrics"][name]["value"]
+            wins += (b < a) if lower else (b > a)
+        print(f"  {name:<20} head won {wins}/{rounds}")
+EOF
+exit "$status"
