@@ -12,88 +12,44 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::report::{kb, render_table, secs};
-use crate::workbench::{measure_adaptive, measure_protocol, workload_pages, CellReport};
+use crate::workbench::{measure, workload_pages, Cells};
 
-/// The full figure: one matrix of cells per panel.
+/// The full figure: every priced cell, in both modes. Figure 10 and the
+/// headline are views of the same cells.
 #[derive(Clone, Debug)]
 pub struct Figure11 {
-    /// (class, protocol) cells with server compute (panels (a) and (b)).
-    pub with_server: Vec<CellReport>,
+    /// Workload pages the cells were measured over.
+    pub n_pages: u32,
+    /// Cells with server compute (panels (a) and (b)).
+    pub with_server: Cells,
     /// The same without server compute (panel (c)).
-    pub without_server: Vec<CellReport>,
-    /// Adaptive pick per class with server compute.
-    pub picks_with: Vec<(ClientClass, ProtocolId)>,
-    /// Adaptive pick per class without server compute.
-    pub picks_without: Vec<(ClientClass, ProtocolId)>,
+    pub without_server: Cells,
 }
 
 /// Runs the figure over `n_pages` of the workload, rendered once.
 pub fn run(n_pages: u32) -> Figure11 {
     let pages = workload_pages(n_pages);
-    let mut with_server = Vec::new();
-    let mut without_server = Vec::new();
-    let mut picks_with = Vec::new();
-    let mut picks_without = Vec::new();
-    for class in ClientClass::ALL {
-        for protocol in ProtocolId::PAPER_FOUR {
-            with_server.push(measure_protocol(
-                class,
-                protocol,
-                &pages,
-                AdaptiveContentMode::Reactive,
-            ));
-            without_server.push(measure_protocol(
-                class,
-                protocol,
-                &pages,
-                AdaptiveContentMode::Proactive,
-            ));
-        }
-        let (_, p_with) = measure_adaptive(class, &pages, AdaptiveContentMode::Reactive);
-        picks_with.push((class, p_with));
-        let (_, p_without) = measure_adaptive(class, &pages, AdaptiveContentMode::Proactive);
-        picks_without.push((class, p_without));
+    Figure11 {
+        n_pages,
+        with_server: measure(&pages, AdaptiveContentMode::Reactive),
+        without_server: measure(&pages, AdaptiveContentMode::Proactive),
     }
-    Figure11 { with_server, without_server, picks_with, picks_without }
 }
 
 impl Figure11 {
-    /// Mean bytes per protocol (panel (a); the paper notes bytes are the
-    /// same across client classes for identical requests).
+    /// Mean bytes per page per protocol (panel (a)): the paper notes they
+    /// are the same across client classes for identical requests, and here
+    /// one trace set prices every class (P53).
     pub fn bytes_per_protocol(&self) -> Vec<(ProtocolId, u64)> {
-        ProtocolId::PAPER_FOUR
-            .iter()
-            .map(|&p| {
-                let cells: Vec<&CellReport> =
-                    self.with_server.iter().filter(|c| c.protocol == p).collect();
-                let mean = cells.iter().map(|c| c.bytes).sum::<u64>() / cells.len() as u64;
-                (p, mean)
-            })
-            .collect()
-    }
-
-    /// The cell for (class, protocol) in the with-server panel.
-    pub fn cell_with(&self, class: ClientClass, protocol: ProtocolId) -> &CellReport {
-        self.with_server
-            .iter()
-            .find(|c| c.class == class && c.protocol == protocol)
-            .expect("cell exists")
-    }
-
-    /// The cell for (class, protocol) in the without-server panel.
-    pub fn cell_without(&self, class: ClientClass, protocol: ProtocolId) -> &CellReport {
-        self.without_server
-            .iter()
-            .find(|c| c.class == class && c.protocol == protocol)
-            .expect("cell exists")
+        let bytes = |p| self.with_server.forced(ClientClass::DesktopLan, p).bytes;
+        ProtocolId::PAPER_FOUR.map(|p| (p, bytes(p))).into()
     }
 }
 
 /// Prints Figure 11: (a) bytes transferred, (b) total time with
 /// server-side computing, (c) total time without.
-pub fn print(n_pages: u32) {
-    println!("Figure 11 over {n_pages} pages (warm sessions, localized edits)\n");
-    let fig = run(n_pages);
+pub fn print(fig: &Figure11) {
+    println!("Figure 11 over {} pages (warm sessions, localized edits)\n", fig.n_pages);
 
     println!("(a) bytes transferred per page (mean, up + down)");
     let rows: Vec<Vec<String>> = fig
@@ -109,20 +65,18 @@ pub fn print(n_pages: u32) {
         ("(c) total time WITHOUT server-side computing (s)", false),
     ] {
         println!("{label}");
+        let cells = if with_server { &fig.with_server } else { &fig.without_server };
         let mut rows = Vec::new();
         for p in ProtocolId::PAPER_FOUR {
             let mut row = vec![p.name().to_string()];
             for class in ClientClass::ALL {
-                let cell =
-                    if with_server { fig.cell_with(class, p) } else { fig.cell_without(class, p) };
-                row.push(secs(cell.total));
+                row.push(secs(cells.forced(class, p).total));
             }
             rows.push(row);
         }
         println!("{}", render_table(&["protocol", "Desktop/LAN", "Laptop/WLAN", "PDA/BT"], &rows));
-        let picks = if with_server { &fig.picks_with } else { &fig.picks_without };
-        for (class, p) in picks {
-            println!("  adaptive pick for {class}: {p}");
+        for c in &cells.adaptive {
+            println!("  adaptive pick for {}: {}", c.class, c.protocol);
         }
         println!();
     }
@@ -158,16 +112,16 @@ mod tests {
         assert!(bytes[&ProtocolId::Bitmap] > bytes[&ProtocolId::VaryBlock]);
 
         // Panel (b): winners per class.
-        let picks: std::collections::HashMap<_, _> = fig.picks_with.iter().copied().collect();
-        assert_eq!(picks[&ClientClass::DesktopLan], ProtocolId::Direct);
-        assert_eq!(picks[&ClientClass::LaptopWlan], ProtocolId::Gzip);
-        assert_eq!(picks[&ClientClass::PdaBluetooth], ProtocolId::Bitmap);
+        let picks = |class| fig.with_server.adaptive(class).protocol;
+        assert_eq!(picks(ClientClass::DesktopLan), ProtocolId::Direct);
+        assert_eq!(picks(ClientClass::LaptopWlan), ProtocolId::Gzip);
+        assert_eq!(picks(ClientClass::PdaBluetooth), ProtocolId::Bitmap);
 
         // Panel (c): PDA flips to Vary, others keep theirs.
-        let picks_wo: std::collections::HashMap<_, _> = fig.picks_without.iter().copied().collect();
-        assert_eq!(picks_wo[&ClientClass::DesktopLan], ProtocolId::Direct);
-        assert_eq!(picks_wo[&ClientClass::LaptopWlan], ProtocolId::Gzip);
-        assert_eq!(picks_wo[&ClientClass::PdaBluetooth], ProtocolId::VaryBlock);
+        let picks_wo = |class| fig.without_server.adaptive(class).protocol;
+        assert_eq!(picks_wo(ClientClass::DesktopLan), ProtocolId::Direct);
+        assert_eq!(picks_wo(ClientClass::LaptopWlan), ProtocolId::Gzip);
+        assert_eq!(picks_wo(ClientClass::PdaBluetooth), ProtocolId::VaryBlock);
     }
 
     #[test]
@@ -184,10 +138,11 @@ mod tests {
         // rather than strictly minimal.
         const TOLERANCE: f64 = 1.05;
         let fig = run(3);
-        for &(class, picked) in &fig.picks_with {
-            let picked_total = fig.cell_with(class, picked).total;
+        for class in ClientClass::ALL {
+            let picked = fig.with_server.adaptive(class).protocol;
+            let picked_total = fig.with_server.forced(class, picked).total;
             for p in ProtocolId::PAPER_FOUR {
-                let t = fig.cell_with(class, p).total;
+                let t = fig.with_server.forced(class, p).total;
                 let band = t.as_secs_f64() * TOLERANCE;
                 assert!(
                     picked_total.as_secs_f64() <= band,

@@ -9,13 +9,15 @@
 //!   protocol, Vary-sized blocking, to talk with the Web server without
 //!   the negotiation procedure".
 //! * **Adaptive** — full Fractal.
+//!
+//! All three are cells of Figure 11 with server-side computing.
 
 use fractal_core::presets::ClientClass;
-use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
+use crate::fig11::Figure11;
 use crate::report::{render_table, secs};
-use crate::workbench::{measure_adaptive, measure_protocol, workload_pages, CellReport};
+use crate::workbench::CellReport;
 
 /// The comparison for one client class.
 #[derive(Clone, Copy, Debug)]
@@ -26,10 +28,8 @@ pub struct Comparison {
     pub none: CellReport,
     /// The static Vary-sized-blocking scenario.
     pub fixed: CellReport,
-    /// Full Fractal.
+    /// Full Fractal; its `protocol` is what Fractal picked.
     pub adaptive: CellReport,
-    /// What Fractal picked.
-    pub picked: ProtocolId,
 }
 
 impl Comparison {
@@ -44,28 +44,24 @@ impl Comparison {
     }
 }
 
-/// Runs the three scenarios for every class over one rendering of
-/// `n_pages` pages; each measurement builds its own testbed.
-pub fn run(n_pages: u32) -> Vec<Comparison> {
-    let mode = AdaptiveContentMode::Reactive;
-    let pages = workload_pages(n_pages);
-    ClientClass::ALL
-        .into_iter()
-        .map(|class| {
-            let none = measure_protocol(class, ProtocolId::Direct, &pages, mode);
-            let fixed = measure_protocol(class, ProtocolId::VaryBlock, &pages, mode);
-            let (adaptive, picked) = measure_adaptive(class, &pages, mode);
-            Comparison { class, none, fixed, adaptive, picked }
-        })
-        .collect()
+/// The three scenarios for every class, read off Figure 11's cells with
+/// server-side computing.
+pub fn comparisons(fig: &Figure11) -> [Comparison; 3] {
+    let cells = &fig.with_server;
+    ClientClass::ALL.map(|class| Comparison {
+        class,
+        none: *cells.forced(class, ProtocolId::Direct),
+        fixed: *cells.forced(class, ProtocolId::VaryBlock),
+        adaptive: *cells.adaptive(class),
+    })
 }
 
 /// Prints the headline comparison: adaptive Fractal vs. no adaptation and
 /// vs. static adaptation.
-pub fn print(n_pages: u32) {
-    println!("Headline comparison over {n_pages} pages (warm sessions)\n");
+pub fn print(fig: &Figure11) {
+    println!("Headline comparison over {} pages (warm sessions)\n", fig.n_pages);
 
-    let rows: Vec<Vec<String>> = run(n_pages)
+    let rows: Vec<Vec<String>> = comparisons(fig)
         .into_iter()
         .map(|c| {
             vec![
@@ -73,7 +69,7 @@ pub fn print(n_pages: u32) {
                 secs(c.none.total),
                 secs(c.fixed.total),
                 secs(c.adaptive.total),
-                c.picked.name().to_string(),
+                c.adaptive.protocol.name().to_string(),
                 format!("{:.0}%", c.vs_none() * 100.0),
                 format!("{:.0}%", c.vs_fixed() * 100.0),
             ]
@@ -100,10 +96,11 @@ pub fn print(n_pages: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig11::run;
 
     #[test]
     fn some_client_sees_large_reduction_vs_none() {
-        let comps = run(3);
+        let comps = comparisons(&run(3));
         // "For some clients" — the PDA on Bluetooth is the paper's best
         // case. Tens of percent vs. no adaptation.
         let best = comps.iter().map(|c| c.vs_none()).fold(f64::MIN, f64::max);
@@ -112,14 +109,14 @@ mod tests {
 
     #[test]
     fn some_client_sees_positive_reduction_vs_static() {
-        let comps = run(3);
+        let comps = comparisons(&run(3));
         let best = comps.iter().map(|c| c.vs_fixed()).fold(f64::MIN, f64::max);
         assert!(best > 0.05, "best reduction vs static was {best:.2}");
     }
 
     #[test]
     fn adaptive_never_loses_to_either_baseline() {
-        for c in run(3) {
+        for c in comparisons(&run(3)) {
             assert!(
                 c.adaptive.total <= c.none.total,
                 "{}: adaptive {} worse than none {}",

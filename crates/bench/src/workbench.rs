@@ -1,16 +1,16 @@
 //! Shared experiment plumbing: the measured-session workbench.
 //!
-//! The figures of §4.4 all reduce to "run warm sessions of the 75-page
-//! workload through one protocol for one client class and aggregate".
-//! [`measure_protocol`] does exactly that by building a single-leaf PAT so
-//! the negotiation is forced to the protocol under test, then running real
-//! sessions (real encoders, real FVM decoding) and averaging the reports.
-//! A figure renders its pages once, with [`workload_pages`], and hands
-//! the same pairs to every cell it measures.
+//! Figures 10 and 11 and the headline of §4.4 all price warm sessions of
+//! the 75-page workload, rendered once by [`workload_pages`], per client
+//! class and protocol. [`measure`] runs real sessions (real encoders, real
+//! FVM decoding) in [`trace_pages`] and prices them per class in
+//! [`price_pages`]: a forced protocol (a single-leaf PAT) sends the same
+//! messages for every class, so it is traced once; an adaptive
+//! negotiation picks per class, so it is traced per class.
 
 use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
-use fractal_core::session::{run_session, SessionReport};
+use fractal_core::session::{price, trace, SessionReport, SessionTrace};
 use fractal_core::testbed::Testbed;
 use fractal_net::time::SimDuration;
 use fractal_protocols::ProtocolId;
@@ -59,45 +59,64 @@ pub struct CellReport {
     pub client_compute: SimDuration,
     /// Mean wire bytes per page (up + down).
     pub bytes: u64,
-    /// Mean transmission time per page.
-    pub transmission: SimDuration,
     /// Mean total time per page (Figure 11(b)/(c)).
     pub total: SimDuration,
 }
 
-/// Runs one warm session per page of `pages` (client holds version 0,
-/// fetches version 1) through `protocol` for `class`, with localized-edit
-/// evolution — the paper's medical-imaging scenario.
-pub fn measure_protocol(
-    class: ClientClass,
-    protocol: ProtocolId,
-    pages: &[PagePair],
-    mode: AdaptiveContentMode,
-) -> CellReport {
-    let reports = run_pages(&Testbed::with_protocols(&[protocol], mode), class, pages);
-    for report in &reports {
-        assert_eq!(report.protocol, protocol, "forced PAT must pick {protocol}");
+/// Every priced cell of one mode (server compute on the request path or
+/// not): Figures 10 and 11 and the headline read these.
+#[derive(Clone, Debug)]
+pub struct Cells {
+    /// One cell per (protocol, class), the protocol forced.
+    pub forced: Vec<CellReport>,
+    /// One cell per class: the protocol full Fractal negotiates.
+    pub adaptive: Vec<CellReport>,
+}
+
+impl Cells {
+    /// The cell of `protocol` forced on `class`.
+    pub fn forced(&self, class: ClientClass, protocol: ProtocolId) -> &CellReport {
+        self.forced
+            .iter()
+            .find(|c| c.class == class && c.protocol == protocol)
+            .expect("cell exists")
     }
-    aggregate(class, protocol, &reports)
+
+    /// The adaptive cell of `class`; its `protocol` is the pick.
+    pub fn adaptive(&self, class: ClientClass) -> &CellReport {
+        self.adaptive.iter().find(|c| c.class == class).expect("cell exists")
+    }
 }
 
-/// Runs the *adaptive* scenario: the full four-protocol PAT, letting the
-/// negotiation pick. Returns the aggregate plus the protocol it picked.
-pub fn measure_adaptive(
-    class: ClientClass,
-    pages: &[PagePair],
-    mode: AdaptiveContentMode,
-) -> (CellReport, ProtocolId) {
-    let reports = run_pages(&Testbed::case_study(mode), class, pages);
-    let picked = reports[0].protocol;
-    (aggregate(class, picked, &reports), picked)
+/// Every cell of `mode` over `pages` (client holds version 0, fetches
+/// version 1, localized-edit evolution: the paper's medical-imaging
+/// scenario): 4 forced trace sets and 3 adaptive ones.
+pub fn measure(pages: &[PagePair], mode: AdaptiveContentMode) -> Cells {
+    let mut cells = Cells { forced: Vec::new(), adaptive: Vec::new() };
+    for protocol in ProtocolId::PAPER_FOUR {
+        let tb = Testbed::with_protocols(&[protocol], mode);
+        let traces = trace_pages(&tb, ClientClass::DesktopLan, pages);
+        assert!(
+            traces.iter().all(|t| t.pad.protocol == protocol),
+            "forced PAT must pick {protocol}"
+        );
+        for class in ClientClass::ALL {
+            cells.forced.push(aggregate(class, protocol, &price_pages(&tb, class, &traces)));
+        }
+    }
+    for class in ClientClass::ALL {
+        let tb = Testbed::case_study(mode);
+        let reports = price_pages(&tb, class, &trace_pages(&tb, class, pages));
+        cells.adaptive.push(aggregate(class, reports[0].protocol, &reports));
+    }
+    cells
 }
 
-/// The page loop both measurements share: one client of `class` on `tb`,
-/// each page published at versions 0 and 1, the client warmed with
-/// version 0 (that transfer is not counted) and fetching version 1.
-fn run_pages(tb: &Testbed, class: ClientClass, pages: &[PagePair]) -> Vec<SessionReport> {
-    let link = class.link();
+/// The one place the harness runs sessions (an audit holds it to that):
+/// one client of `class` on `tb`, each page published at versions 0 and
+/// 1, the client warmed with version 0 (that transfer is not traced) and
+/// fetching version 1.
+pub fn trace_pages(tb: &Testbed, class: ClientClass, pages: &[PagePair]) -> Vec<SessionTrace> {
     let mut client = tb.client(class);
     (0u32..)
         .zip(pages)
@@ -105,10 +124,21 @@ fn run_pages(tb: &Testbed, class: ClientClass, pages: &[PagePair]) -> Vec<Sessio
             tb.server.publish(page, v0.clone());
             tb.server.publish(page, v1.clone());
             client.store_content(page, 0, v0.clone());
-            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, page, 1)
+            trace(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, tb.app_id, page, 1)
                 .expect("session succeeds")
         })
         .collect()
+}
+
+/// `traces` priced for `class`: its link and environment, under the
+/// model of `tb`, the testbed they were traced on.
+pub fn price_pages(
+    tb: &Testbed,
+    class: ClientClass,
+    traces: &[SessionTrace],
+) -> Vec<SessionReport> {
+    let (link, env) = (class.link(), class.env());
+    traces.iter().map(|t| price(t, &link, tb.proxy.model(), &env)).collect()
 }
 
 fn aggregate(class: ClientClass, protocol: ProtocolId, reports: &[SessionReport]) -> CellReport {
@@ -121,7 +151,6 @@ fn aggregate(class: ClientClass, protocol: ProtocolId, reports: &[SessionReport]
         server_compute: SimDuration::micros(mean(&|r| r.server_compute.as_micros())),
         client_compute: SimDuration::micros(mean(&|r| r.client_compute.as_micros())),
         bytes: mean(&|r| r.traffic.total()),
-        transmission: SimDuration::micros(mean(&|r| r.transmission.as_micros())),
         total: SimDuration::micros(mean(&|r| r.total().as_micros())),
     }
 }
@@ -132,24 +161,19 @@ mod tests {
 
     #[test]
     fn forced_protocol_is_used() {
-        let cell = measure_protocol(
-            ClientClass::DesktopLan,
-            ProtocolId::Gzip,
-            &workload_pages(2),
-            AdaptiveContentMode::Reactive,
-        );
-        assert_eq!(cell.protocol, ProtocolId::Gzip);
+        let tb = Testbed::with_protocols(&[ProtocolId::Gzip], AdaptiveContentMode::Reactive);
+        let traces = trace_pages(&tb, ClientClass::DesktopLan, &workload_pages(2));
+        assert!(traces.iter().all(|t| t.pad.protocol == ProtocolId::Gzip));
+        let reports = price_pages(&tb, ClientClass::LaptopWlan, &traces);
+        let cell = aggregate(ClientClass::LaptopWlan, ProtocolId::Gzip, &reports);
         assert!(cell.bytes > 0);
         assert!(cell.total > SimDuration::ZERO);
     }
 
     #[test]
     fn adaptive_picks_per_class() {
-        let (_, picked) = measure_adaptive(
-            ClientClass::DesktopLan,
-            &workload_pages(2),
-            AdaptiveContentMode::Reactive,
-        );
-        assert_eq!(picked, ProtocolId::Direct);
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        let traces = trace_pages(&tb, ClientClass::DesktopLan, &workload_pages(2));
+        assert_eq!(traces[0].pad.protocol, ProtocolId::Direct);
     }
 }

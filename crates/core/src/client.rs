@@ -311,6 +311,12 @@ impl FractalClient {
         Ok(Some(runtime.upstream(entry, &old, block_size)?))
     }
 
+    /// Fuel the deployed PAD's sandbox has burned over all its calls (0
+    /// when it is not deployed).
+    pub fn fuel_used(&self, pad: PadId) -> u64 {
+        self.deployed.get(&pad).map_or(0, PadRuntime::fuel_used)
+    }
+
     /// The locally cached version of `content_id`.
     pub fn cached_content(&self, content_id: u32) -> Option<&CachedContent> {
         self.content_cache.get(&content_id)

@@ -250,14 +250,19 @@ impl AdaptationProxy {
     }
 
     /// Estimated proxy service time for one negotiation — used by the
-    /// Figure 9(a) capacity simulation. Cache hits are one table lookup;
-    /// misses pay the path search, linear in PAT size.
+    /// Figure 9(a) capacity simulation. See [`search_time`](Self::search_time).
     pub fn service_time(&self, app_id: AppId, cache_hit: bool) -> SimDuration {
-        let nodes = self.pats.pin().get(&app_id).map_or(0, |app| app.pat.len()) as u64;
+        Self::search_time(self.pat(app_id).map_or(0, |pat| pat.len()), cache_hit)
+    }
+
+    /// The service time of one negotiation against a PAT of `pat_nodes`
+    /// nodes: a cache hit is one table lookup; a miss pays the path
+    /// search, linear in PAT size.
+    pub fn search_time(pat_nodes: usize, cache_hit: bool) -> SimDuration {
         if cache_hit {
             SimDuration::micros(40)
         } else {
-            SimDuration::micros(200 + 25 * nodes)
+            SimDuration::micros(200 + 25 * pat_nodes as u64)
         }
     }
 

@@ -1,13 +1,14 @@
 //! The link-model session driver behind Figures 10 and 11, and the PAD
 //! repository sessions download from.
 //!
-//! [`run_session`] is a driver over the sans-IO INP core, like
+//! [`trace`] is a driver over the sans-IO INP core, like
 //! [`Reactor`](crate::reactor::Reactor) and
 //! [`ShardedReactor`](crate::shard::ShardedReactor), so every step really
 //! happens — messages are built and parsed, PADs verified and deployed,
-//! the server encodes, the sandboxed FVM module decodes — while *time* is
-//! charged from the calibrated link and overhead model instead of read off
-//! a clock: results are exact and reproducible.
+//! the server encodes, the sandboxed FVM module decodes. [`price`] then
+//! charges *time* from the calibrated link and overhead model instead of
+//! reading a clock, so results are exact and reproducible, and one trace
+//! prices for any link and client environment; [`run_session`] does both.
 
 use std::collections::HashMap;
 
@@ -19,8 +20,8 @@ use fractal_protocols::{ProtocolId, Traffic};
 use crate::client::FractalClient;
 use crate::error::FractalError;
 use crate::inp::InpMessage;
-use crate::meta::{AppId, PadId};
-use crate::overhead::STD_CPU_MHZ;
+use crate::meta::{AppId, ClientEnv, PadId, PadMeta};
+use crate::overhead::{OverheadModel, STD_CPU_MHZ};
 use crate::proxy::AdaptationProxy;
 use crate::reactor::{InpService, InpSession, ServiceConn, SessionError, SessionPhase};
 use crate::server::ApplicationServer;
@@ -129,18 +130,169 @@ impl SessionReport {
     }
 }
 
+/// What one session did, before any price is put on it: every message the
+/// client sent, by phase, and the facts [`price`] reads besides.
+#[derive(Clone, PartialEq, Debug)]
+pub struct SessionTrace {
+    /// One step per client message, in send order.
+    pub steps: Vec<TraceStep>,
+    /// Whether the client's protocol cache short-circuited negotiation.
+    pub negotiation_cached: bool,
+    /// Whether the proxy's adaptation cache held the client's environment
+    /// when `Cli_META_REP` arrived (a miss searches all `pat_nodes`).
+    pub proxy_cache_hit: bool,
+    /// Nodes in the application's PAT.
+    pub pat_nodes: usize,
+    /// The deployed PAD: the first of the negotiated path.
+    pub pad: PadMeta,
+    /// Bytes of the content fetched and decoded.
+    pub content_bytes: u64,
+    /// Whether the server encoded the `APP_REP` on the request path.
+    pub computed_on_request: bool,
+    /// Fuel the PAD's decode of the payload burned.
+    pub decode_fuel: u64,
+}
+
+/// One client message of a [`SessionTrace`] and what answered it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TraceStep {
+    /// The session's phase when it sent the message.
+    pub phase: SessionPhase,
+    /// The message's wire length.
+    pub sent: u64,
+    /// Beside `APP_REQ`: the protocol's upstream message, built by the PAD.
+    pub built: Option<u64>,
+    /// The replies' lengths, summed; an `APP_REP` counts as its payload.
+    pub received: u64,
+}
+
 /// Runs one full client session for `content_id` at version
-/// `want_version`, negotiating (or reusing) the protocol, downloading and
-/// deploying PADs as needed, and transferring + decoding the content.
-///
-/// The exchange is the core's: an [`InpSession`] on the lent client and an
-/// [`InpService`] connection, each message handed across in order. The
-/// driver prices it. What the session emits in one phase, and every reply,
-/// goes into that phase's bucket at `link.transfer_time` of its wire
-/// length, plus the proxy's service time behind `CLI_META_REP` and the
-/// gauntlet per PAD download. The protocol's own upstream message (Bitmap
-/// digests, fixed-block signatures) is built by the deployed mobile code
-/// and counted beside `APP_REQ`, not sent: the server does not read it.
+/// `want_version` (negotiating or reusing the protocol, deploying PADs as
+/// needed, transferring and decoding the content) and records it for
+/// [`price`]. The exchange is the core's: an [`InpSession`] on the lent
+/// client and an [`InpService`] connection, each message handed across in
+/// order. The protocol's upstream message (Bitmap digests, fixed-block
+/// signatures) is built by the deployed mobile code and recorded beside
+/// `APP_REQ`, not sent: the server does not read it.
+pub fn trace(
+    client: &mut FractalClient,
+    proxy: &AdaptationProxy,
+    server: &ApplicationServer,
+    pad_repo: &PadRepo,
+    app_id: AppId,
+    content_id: u32,
+    want_version: u32,
+) -> Result<SessionTrace, FractalError> {
+    let service = InpService { proxy, server, pad_repo };
+    let mut conn = ServiceConn::new();
+    let mut session = InpSession::new(client, app_id, content_id, want_version);
+    let env = session.client().probe();
+    let (mut steps, mut proxy_cache_hit, mut fuel_before) = (Vec::new(), false, 0);
+    let mut upstream = session.start().map_err(framework)?;
+    let negotiation_cached = session.phase() != SessionPhase::MetaExchange;
+    while !upstream.is_empty() {
+        let phase = session.phase();
+        let mut next = Vec::new();
+        for msg in &upstream {
+            let mut step =
+                TraceStep { phase, sent: msg.wire_len() as u64, built: None, received: 0 };
+            match phase {
+                SessionPhase::PathSearch => proxy_cache_hit = proxy.cached(app_id, &env),
+                SessionPhase::Sessioning => {
+                    let pad = &session.negotiated().expect("APP_REQ follows negotiation")[0];
+                    let (pad_id, protocol) = (pad.id, pad.protocol);
+                    let built = session.client_mut().upstream_message(pad_id, protocol, content_id);
+                    step.built = built?.map(|built| built.len() as u64);
+                    fuel_before = session.client().fuel_used(pad_id);
+                }
+                _ => {}
+            }
+            // No handoff here: every frame is generation 0.
+            let replies = service.on_message(&mut conn, 0, msg).map_err(framework)?.replies();
+            step.received = replies.iter().map(priced_len).sum();
+            for reply in &replies {
+                next.extend(session.on_message(0, reply).map_err(framework)?.replies());
+            }
+            steps.push(step);
+        }
+        upstream = next;
+    }
+
+    // The oracle: what the mobile code decoded is what was published.
+    let expected = server.content(content_id, want_version).expect("published version");
+    let stored = session.client().cached_content(content_id).expect("a finished session stored");
+    assert_eq!(stored.bytes, expected, "mobile-code decode must reproduce the content");
+
+    let pad = session.negotiated().expect("a finished session negotiated")[0].clone();
+    Ok(SessionTrace {
+        steps,
+        negotiation_cached,
+        proxy_cache_hit,
+        pat_nodes: proxy.pat(app_id).map_or(0, |pat| pat.len()),
+        decode_fuel: session.client().fuel_used(pad.id) - fuel_before,
+        pad,
+        content_bytes: expected.len() as u64,
+        computed_on_request: conn.computed_on_request(),
+    })
+}
+
+/// Prices a [`SessionTrace`] for a client in `env` on `link`: each step
+/// goes into its phase's bucket at `link.transfer_time` of what it sent
+/// and of what answered it, plus the proxy's search time behind
+/// `Cli_META_REP` and the gauntlet per PAD download; both compute terms
+/// are Equation 3 under `model` at the content size.
+pub fn price(
+    trace: &SessionTrace,
+    link: &Link,
+    model: &OverheadModel,
+    env: &ClientEnv,
+) -> SessionReport {
+    let (pad, content_bytes) = (&trace.pad, trace.content_bytes);
+    let mut report = SessionReport {
+        protocol: pad.protocol,
+        negotiation: SimDuration::ZERO,
+        negotiation_cached: trace.negotiation_cached,
+        pad_retrieval: SimDuration::ZERO,
+        server_compute: if trace.computed_on_request {
+            SimDuration::from_secs_f64(model.server_compute_s(pad, env, content_bytes))
+        } else {
+            // Proactive store lookup.
+            SimDuration::micros(50)
+        },
+        client_compute: SimDuration::from_secs_f64(model.client_compute_s(pad, env, content_bytes)),
+        transmission: SimDuration::ZERO,
+        traffic: Traffic::default(),
+    };
+    // Verification + instantiation cost per PAD, linear-model scaled.
+    let gauntlet = SimDuration::millis(1).scale(STD_CPU_MHZ / env.dev.cpu_mhz as f64);
+    for step in &trace.steps {
+        let bucket = match step.phase {
+            SessionPhase::PadDownload => &mut report.pad_retrieval,
+            SessionPhase::Sessioning => &mut report.transmission,
+            _ => &mut report.negotiation,
+        };
+        *bucket += link.transfer_time(step.sent);
+        match step.phase {
+            SessionPhase::PathSearch => {
+                *bucket += AdaptationProxy::search_time(trace.pat_nodes, trace.proxy_cache_hit);
+            }
+            SessionPhase::PadDownload => *bucket += gauntlet,
+            SessionPhase::Sessioning => {
+                if let Some(built) = step.built {
+                    *bucket += link.transfer_time(built);
+                }
+                let upstream = step.sent + step.built.unwrap_or(0);
+                report.traffic = Traffic { upstream, downstream: step.received };
+            }
+            _ => {}
+        }
+        *bucket += link.transfer_time(step.received);
+    }
+    report
+}
+
+/// [`trace`] then [`price`]: one session priced on `link` for the lent
+/// client's own environment, under the proxy's model.
 #[allow(clippy::too_many_arguments)] // one parameter per party in Figure 4
 pub fn run_session(
     client: &mut FractalClient,
@@ -152,87 +304,8 @@ pub fn run_session(
     content_id: u32,
     want_version: u32,
 ) -> Result<SessionReport, FractalError> {
-    let service = InpService { proxy, server, pad_repo };
-    let mut conn = ServiceConn::new();
-    let mut session = InpSession::new(client, app_id, content_id, want_version);
-    let env = session.client().probe();
-    // Verification + instantiation cost per PAD, linear-model scaled.
-    let gauntlet = SimDuration::millis(1).scale(STD_CPU_MHZ / env.dev.cpu_mhz as f64);
-
-    let (mut negotiation, mut pad_retrieval, mut transmission) =
-        (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO);
-    let mut traffic = Traffic::default();
-    let mut upstream = session.start().map_err(framework)?;
-    let negotiation_cached = session.phase() != SessionPhase::MetaExchange;
-    while !upstream.is_empty() {
-        let phase = session.phase();
-        let bucket = match phase {
-            SessionPhase::PadDownload => &mut pad_retrieval,
-            SessionPhase::Sessioning => &mut transmission,
-            _ => &mut negotiation,
-        };
-        let mut next = Vec::new();
-        for msg in &upstream {
-            let sent = msg.wire_len() as u64;
-            *bucket += link.transfer_time(sent);
-            match phase {
-                SessionPhase::PathSearch => {
-                    *bucket += proxy.service_time(app_id, proxy.cached(app_id, &env));
-                }
-                SessionPhase::PadDownload => *bucket += gauntlet,
-                SessionPhase::Sessioning => {
-                    traffic.upstream = sent;
-                    let pad = &session.negotiated().expect("APP_REQ follows negotiation")[0];
-                    let (pad_id, protocol) = (pad.id, pad.protocol);
-                    let built = session.client_mut().upstream_message(pad_id, protocol, content_id);
-                    if let Some(built) = built? {
-                        *bucket += link.transfer_time(built.len() as u64);
-                        traffic.upstream += built.len() as u64;
-                    }
-                }
-                _ => {}
-            }
-            // No handoff here: every frame is generation 0.
-            let replies = service.on_message(&mut conn, 0, msg).map_err(framework)?.replies();
-            let received = replies.iter().map(priced_len).sum();
-            *bucket += link.transfer_time(received);
-            if phase == SessionPhase::Sessioning {
-                traffic.downstream = received;
-            }
-            for reply in &replies {
-                next.extend(session.on_message(0, reply).map_err(framework)?.replies());
-            }
-        }
-        upstream = next;
-    }
-
-    // The oracle: what the mobile code decoded is what was published.
-    let expected = server.content(content_id, want_version).expect("published version");
-    let stored = session.client().cached_content(content_id).expect("a finished session stored");
-    assert_eq!(stored.bytes, expected, "mobile-code decode must reproduce the content");
-
-    // Equation 3's compute terms at the measured content size.
-    let pad = &session.negotiated().expect("a finished session negotiated")[0];
-    let content_bytes = expected.len() as u64;
-    let server_compute = if conn.computed_on_request() {
-        SimDuration::from_secs_f64(proxy.model().server_compute_s(pad, &env, content_bytes))
-    } else {
-        // Proactive store lookup.
-        SimDuration::micros(50)
-    };
-    let client_compute =
-        SimDuration::from_secs_f64(proxy.model().client_compute_s(pad, &env, content_bytes));
-
-    Ok(SessionReport {
-        protocol: pad.protocol,
-        negotiation,
-        negotiation_cached,
-        pad_retrieval,
-        server_compute,
-        client_compute,
-        transmission,
-        traffic,
-    })
+    let trace = trace(client, proxy, server, pad_repo, app_id, content_id, want_version)?;
+    Ok(price(&trace, link, proxy.model(), &client.probe()))
 }
 
 /// The bytes a reply is priced at: its wire length, except `APP_REP`,
@@ -264,29 +337,40 @@ mod tests {
         (0..len).map(|i| ((i / 7) as u8).wrapping_mul(seed).wrapping_add(seed)).collect()
     }
 
-    #[test]
-    fn full_session_cold_then_warm() {
-        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    /// Content 7 at version 0, then at version 1 with one byte flipped.
+    fn publish_two_versions(tb: &Testbed) {
         let v0 = content(3, 40_000);
         let mut v1 = v0.clone();
         v1[100] ^= 0xFF;
         tb.server.publish(7, v0);
         tb.server.publish(7, v1);
+    }
+
+    /// One session of `client` on `tb`'s parties for content 7.
+    fn session(
+        tb: &Testbed,
+        client: &mut FractalClient,
+        link: &Link,
+        want: u32,
+    ) -> Result<SessionReport, FractalError> {
+        run_session(client, &tb.proxy, &tb.server, &tb.pad_repo, link, tb.app_id, 7, want)
+    }
+
+    #[test]
+    fn full_session_cold_then_warm() {
+        let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+        publish_two_versions(&tb);
 
         let mut client = tb.client(ClientClass::PdaBluetooth);
         let link = ClientClass::PdaBluetooth.link();
 
-        let cold =
-            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, 7, 0)
-                .unwrap();
+        let cold = session(&tb, &mut client, &link, 0).unwrap();
         assert!(!cold.negotiation_cached);
         assert!(cold.negotiation > SimDuration::ZERO);
         assert!(cold.pad_retrieval > SimDuration::ZERO);
         assert!(cold.total() > SimDuration::ZERO);
 
-        let warm =
-            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, 7, 1)
-                .unwrap();
+        let warm = session(&tb, &mut client, &link, 1).unwrap();
         assert!(warm.negotiation_cached, "protocol cache should hit");
         assert_eq!(warm.negotiation, SimDuration::ZERO);
         assert_eq!(warm.pad_retrieval, SimDuration::ZERO, "PAD already deployed");
@@ -300,18 +384,7 @@ mod tests {
             let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
             tb.server.publish(7, content(5, 20_000));
             let mut client = tb.client(class);
-            let link = class.link();
-            let report = run_session(
-                &mut client,
-                &tb.proxy,
-                &tb.server,
-                &tb.pad_repo,
-                &link,
-                tb.app_id,
-                7,
-                0,
-            )
-            .unwrap();
+            let report = session(&tb, &mut client, &class.link(), 0).unwrap();
             assert!(report.traffic.downstream > 0, "{class}");
             assert_eq!(client.cached_content(7).unwrap().version, 0);
         }
@@ -322,10 +395,7 @@ mod tests {
         let tb = Testbed::case_study(AdaptiveContentMode::Proactive);
         tb.server.publish(7, content(6, 20_000));
         let mut client = tb.client(ClientClass::PdaBluetooth);
-        let link = ClientClass::PdaBluetooth.link();
-        let report =
-            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, 7, 0)
-                .unwrap();
+        let report = session(&tb, &mut client, &ClientClass::PdaBluetooth.link(), 0).unwrap();
         assert!(report.server_compute < SimDuration::millis(1));
     }
 
@@ -335,10 +405,7 @@ mod tests {
         tb.server.publish(7, content(9, 5_000));
         tb.pad_repo.clear();
         let mut client = tb.client(ClientClass::DesktopLan);
-        let link = ClientClass::DesktopLan.link();
-        let err =
-            run_session(&mut client, &tb.proxy, &tb.server, &tb.pad_repo, &link, tb.app_id, 7, 0)
-                .unwrap_err();
+        let err = session(&tb, &mut client, &ClientClass::DesktopLan.link(), 0).unwrap_err();
         assert!(matches!(err, FractalError::PadUnavailable(_)));
     }
 
@@ -377,26 +444,12 @@ mod tests {
         let link = ClientClass::PdaBluetooth.link();
         for (protocol, cold, warm) in pinned {
             let tb = Testbed::with_protocols(&[protocol], AdaptiveContentMode::Reactive);
-            let v0 = content(3, 40_000);
-            let mut v1 = v0.clone();
-            v1[100] ^= 0xFF;
-            tb.server.publish(7, v0);
-            tb.server.publish(7, v1);
+            publish_two_versions(&tb);
             let mut client = tb.client(ClientClass::PdaBluetooth);
             for (want, ([negotiation, pad, server, client_us, tx], [up, down])) in
                 [(0, cold), (1, warm)]
             {
-                let report = run_session(
-                    &mut client,
-                    &tb.proxy,
-                    &tb.server,
-                    &tb.pad_repo,
-                    &link,
-                    tb.app_id,
-                    7,
-                    want,
-                )
-                .unwrap();
+                let report = session(&tb, &mut client, &link, want).unwrap();
                 let expected = SessionReport {
                     protocol,
                     negotiation: SimDuration::micros(negotiation),
@@ -421,17 +474,7 @@ mod tests {
         tb.server.publish(7, content(4, 5_000));
         let class = ClientClass::PdaBluetooth;
         let mut client = tb.untrusting_client(class);
-        let err = run_session(
-            &mut client,
-            &tb.proxy,
-            &tb.server,
-            &tb.pad_repo,
-            &class.link(),
-            tb.app_id,
-            7,
-            0,
-        )
-        .unwrap_err();
+        let err = session(&tb, &mut client, &class.link(), 0).unwrap_err();
         assert!(
             matches!(
                 err,

@@ -205,9 +205,11 @@ impl Framer {
         Ok(Some(frame))
     }
 
-    /// Discards all buffered bytes (session teardown).
+    /// Discards all buffered bytes and frees their storage (session
+    /// teardown: a reactor keeps a torn-down slot until its sessions are
+    /// collected, so a kept buffer would be the session's largest frame).
     pub fn clear(&mut self) {
-        self.buf.clear();
+        self.buf = Vec::new();
         self.filled = 0;
     }
 }
@@ -265,9 +267,10 @@ impl SendQueue {
         Ok(moved)
     }
 
-    /// Discards all pending frames (session teardown).
+    /// Discards all pending frames and frees the queue's storage (session
+    /// teardown, as [`Framer::clear`]).
     pub fn clear(&mut self) {
-        self.frames.clear();
+        self.frames = VecDeque::new();
         self.sent = 0;
     }
 }
@@ -429,5 +432,21 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(service.recv(&mut buf).unwrap(), 6);
         assert_eq!(&buf[..6], &[2u8; 6], "frame bytes arrive in order");
+    }
+
+    /// Teardown frees what a session's largest frame grew: a reactor keeps
+    /// torn-down slots until it is collected, one per session it served.
+    #[test]
+    fn clear_frees_the_storage_a_large_frame_grew() {
+        let mut framer = Framer::new();
+        framer.push(&Framer::frame(&msg(16 * 1024)));
+        assert!(framer.buf.capacity() > 16 * 1024);
+        framer.clear();
+        assert_eq!((framer.buf.capacity(), framer.buffered()), (0, 0));
+
+        let mut q = SendQueue::new();
+        q.push(vec![1u8; 16 * 1024]);
+        q.clear();
+        assert_eq!(q.frames.capacity(), 0);
     }
 }

@@ -250,6 +250,29 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# A forced protocol's session sends the same messages for every client
+# class, so the harness traces each page set once, in
+# `workbench::trace_pages`, and prices the traces per class; a session run
+# anywhere else in the harness is a figure measuring its own cells again
+# (4 425 sessions for one `--bin all`, where 1 050 are traced).
+audit "the figure harness traces its cells in one place, workbench::trace_pages (run_session(, trace()"
+traces_at=crates/bench/src/workbench.rs
+span=$(awk '/^pub fn trace_pages\(/ { start = NR } start && NR > start && /^}/ { print start, NR; exit }' \
+    "$traces_at")
+if [ -z "$span" ]; then
+    echo "no \`pub fn trace_pages\` in $traces_at (see the audit's comment)" >&2
+    exit 1
+fi
+stray=$(grep -rnE '(^|[^_[:alnum:]])(run_session|trace)\(' --include='*.rs' crates/bench/src |
+    awk -F: -v at="$traces_at" -v span="$span" '
+        BEGIN { split(span, s, " ") }
+        !($1 == at && $2 > s[1] && $2 < s[2])')
+if [ -n "$stray" ]; then
+    echo "sessions run in crates/bench/src outside workbench::trace_pages:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 # DESIGN.md §5 names one holder per property; a renamed or deleted
 # holder, or one tier-1 does not build, turns the row into a claim nothing
 # checks, and a name or section the docs cite that the tree lacks is the

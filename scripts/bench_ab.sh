@@ -6,15 +6,18 @@
 # Unpacks <base-ref> under target/bench_ab/base and runs each tree's own
 # `benchmark/run.sh` with the given suite arguments (each tree builds its
 # own crates with its own harness, so a change to either is part of what
-# is compared), alternating: base, head, base, head, ..., one
-# `--repeat 1` suite per tree per round, so that a slow phase of the box
-# lands on both sides. `--repeat N` (default 6) is the number of rounds,
+# is compared), one `--repeat 1` suite per tree per round, so that a slow
+# phase of the box lands on both sides. Odd rounds run the base first and
+# even rounds the head, so whatever running second does to a suite lands
+# on both sides too; each round says which went first. `--repeat N`
+# (default 6) is the number of rounds,
 # and at least 2: one run per side has no quartiles, and on two cores
 # three rounds leave quartiles too wide to resolve a 15 % move. Each
 # side's runs are merged into one results.json, and this tree's
 # `benchmark/run.sh --compare base head` reads the two. After it, for each
 # end-to-end (metric, workload), the script prints in how many rounds the
-# head's run beat the base's run of the same round. Exits with the
+# head's run beat the base's run of the same round, and whether that is
+# at least nine rounds in ten, the rule a claimed gain must meet. Exits with the
 # compare's status: nonzero when an end-to-end metric is WORSE than its
 # BENCHMARK.json bound, more sessions failed, or an exact-count row
 # differs; `unresolved` (spread wider than the bound) does not fail.
@@ -65,12 +68,29 @@ rm -rf "$ab"
 mkdir -p "$ab/base" "$ab/runs"
 git archive "$base_sha" | tar -x -C "$ab/base"
 
+# One side's suite for this round; the second argument says whether it
+# ran first or second.
+run_side() {
+    side=$1 order=$2
+    shift 2
+    if [ "$side" = base ]; then
+        echo "==> round $round/$rounds: base $base_sha, $order"
+        "$ab/base/benchmark/run.sh" "$@" --repeat 1 --out "$ab/runs/base.$round"
+    else
+        echo "==> round $round/$rounds: head, this tree, $order"
+        benchmark/run.sh "$@" --repeat 1 --out "$ab/runs/head.$round"
+    fi
+}
+
 round=1
 while [ "$round" -le "$rounds" ]; do
-    echo "==> round $round/$rounds: base $base_sha"
-    "$ab/base/benchmark/run.sh" "$@" --repeat 1 --out "$ab/runs/base.$round"
-    echo "==> round $round/$rounds: head, this tree"
-    benchmark/run.sh "$@" --repeat 1 --out "$ab/runs/head.$round"
+    if [ $((round % 2)) -eq 1 ]; then
+        run_side base first "$@"
+        run_side head second "$@"
+    else
+        run_side head first "$@"
+        run_side base second "$@"
+    fi
     round=$((round + 1))
 done
 
@@ -97,7 +117,8 @@ benchmark/run.sh --compare "$ab/base.json" "$ab/head.json" || status=$?
 
 # Pair by pair: a round's two runs shared the box's phase, so a head that
 # wins most rounds moved the metric even where the quartiles overlap.
-echo "==> rounds the head won, of $rounds (each round's head run against its base run)"
+echo "==> rounds the head won, of $rounds (each round's head run against its base run;"
+echo "    odd rounds ran the base first, even rounds the head)"
 python3 - "$rounds" "$ab/runs" <<'EOF'
 import json, os, sys
 rounds, runs = int(sys.argv[1]), sys.argv[2]
@@ -107,6 +128,7 @@ def load(side, r):
     with open(os.path.join(runs, f"{side}.{r}", "results.json")) as f:
         return json.load(f)["runs"]
 pairs = [(load("base", r), load("head", r)) for r in range(1, rounds + 1)]
+claimable = []
 for w in (w["name"] for w in spec["workloads"]):
     if w not in pairs[0][0] or w not in pairs[0][1]:
         continue
@@ -119,5 +141,11 @@ for w in (w["name"] for w in spec["workloads"]):
             b = head[w][0]["end_to_end"]["metrics"][name]["value"]
             wins += (b < a) if lower else (b > a)
         print(f"  {name:<20} head won {wins}/{rounds}")
+        if 10 * wins >= 9 * rounds:
+            claimable.append(f"{name} on {w}")
+# The claim rule: a gain is claimed only where the head won at least nine
+# rounds in ten.
+print("==> head won at least 9/10 of the rounds (the claim rule) on: "
+      + (", ".join(claimable) if claimable else "no (metric, workload)"))
 EOF
 exit "$status"

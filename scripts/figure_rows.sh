@@ -7,7 +7,7 @@
 #
 # Build first (cargo build --release -p fractal-bench --bin all): cold
 # compiles legitimately take minutes and are not metered; the run itself
-# takes 15 to 20 s in release on a 2-vCPU box. A figure that moves on
+# takes 5 to 8 s in release on a 2-vCPU box. A figure that moves on
 # purpose (a cost preset, a PAD source, the workload generator) is
 # regenerated with scripts/regen.sh and committed with the change that
 # moved it.

@@ -2,18 +2,21 @@
 # The mutation checks DESIGN.md §5 records for the machine and its
 # reference, two for the INP receive rule (`inp::classify`), two for the
 # reactor's ready-queue rule, one for the wire cursor's count check, one
-# for the instruction encoding, one for the counting sink and one for the
-# bytecode decoder's branch rule, run rather than stated. Each mutation below is applied to a throwaway `git worktree`
-# of this tree under $TMPDIR, and the INP codec's unit tests, the
-# machine's unit tests (the pinned encoding among them), the suites that
-# hold it to the reference interpreter, the core's transition matrix, the
-# reactor's order tests and the decoders' allocation test
+# for the instruction encoding, one for the counting sink, one for the
+# bytecode decoder's branch rule and two for session pricing, run rather
+# than stated. Each mutation below is applied to a throwaway `git worktree`
+# of this tree under $TMPDIR, and the INP codec's and the session driver's
+# unit tests, the machine's unit tests (the pinned encoding among them), the
+# suites that hold it to the reference interpreter, the core's transition
+# matrix, the reactor's order tests, the decoders' allocation test and the
+# priced-trace test
 #
-#   cargo test -q --release -p fractal-core --lib inp::tests
+#   cargo test -q --release -p fractal-core --lib -- inp::tests session::tests
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit
 #   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
 #   cargo test -q --release -p fractal --test alloc
+#   cargo test -q --release -p fractal-bench --test priced_traces
 #
 # must FAIL there. The unmutated tree must pass them first, a mutation must
 # still compile, and a mutation whose text is no longer in the source stops
@@ -24,7 +27,7 @@
 # The worktree holds HEAD plus the tracked edits of this checkout (`git stash
 # create` snapshots them without touching any ref); `git add` a new file for
 # it to be included. It and its build directory are removed on exit.
-# 30 to 45 minutes on 2 vCPUs for the 17 mutations: one release build of
+# 30 to 45 minutes on 2 vCPUs for the 19 mutations: one release build of
 # the test targets, then one rebuild per mutation.
 set -eu
 
@@ -44,11 +47,12 @@ git worktree add --quiet --detach "$tree" "${snapshot:-HEAD}"
 export CARGO_TARGET_DIR="$tmp/target"
 
 suite() {
-    (cd "$tree" && cargo test -q --release -p fractal-core --lib "$@" inp::tests &&
+    (cd "$tree" && cargo test -q --release -p fractal-core --lib "$@" -- inp::tests session::tests &&
         cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit "$@" &&
         cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@" &&
-        cargo test -q --release -p fractal --test alloc "$@")
+        cargo test -q --release -p fractal --test alloc "$@" &&
+        cargo test -q --release -p fractal-bench --test priced_traces "$@")
 }
 
 echo "==> unmutated tree passes"
@@ -74,7 +78,11 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # counts one byte short of every `put`, so an INP header declares less
 # than the body behind it. `wild-jump` lands a branch on the instruction
 # whose bytes its target points into, so the decoder accepts any in-range
-# target, an instruction boundary or not.
+# target, an instruction boundary or not. `price-cache` prices every path
+# search as a cache hit, whatever the trace recorded; `run_session` is
+# `trace` then `price`, so only the pinned reports (P13) can see it.
+# `priced-as-traced` prices every class of a forced trace set in the traced
+# client's environment, which agrees with `run_session` for that class alone.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -91,7 +99,9 @@ peer-hint|crates/core/src/reactor/mod.rs|legs[1 - k].end.set_ready(true, false);
 cursor-count|crates/crypto/src/wire.rs|if n <= self.rest.len().div_ceil(min_wire_len.max(1)) {|if true {
 opcode-move|crates/vm/src/bytecode.rs|(0x4B, "memsize", Op::MemSize),|(0x4C, "memsize", Op::MemSize),
 sink-count|crates/crypto/src/wire.rs|self.0 += bytes.len();|self.0 += bytes.len().saturating_sub(1);
-wild-jump|crates/vm/src/verify.rs|insn.at.cmp(&t)|t.clamp(insn.at, insn.next - 1).cmp(&t)'
+wild-jump|crates/vm/src/verify.rs|insn.at.cmp(&t)|t.clamp(insn.at, insn.next - 1).cmp(&t)
+price-cache|crates/core/src/session.rs|search_time(trace.pat_nodes, trace.proxy_cache_hit)|search_time(trace.pat_nodes, true)
+priced-as-traced|crates/bench/src/workbench.rs|(class.link(), class.env())|(class.link(), ClientClass::DesktopLan.env())'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.
