@@ -25,7 +25,7 @@ pub fn print(fig: &Figure11) {
         ("(c)", ClientClass::PdaBluetooth, true),
         ("(d)", ClientClass::PdaBluetooth, false),
     ] {
-        let cells = if with_server { &fig.with_server } else { &fig.without_server };
+        let cells = if with_server { fig.with_server() } else { fig.without_server() };
         let mode = if with_server {
             "with server-side computing"
         } else {
@@ -65,7 +65,7 @@ mod tests {
         // The paper: "Vary-sized blocking has huge server side computing
         // time, which disqualifies it" (Fig. 10(a–c)); panel (b).
         let fig = run(3);
-        let (panel, class) = (&fig.with_server, ClientClass::LaptopWlan);
+        let (panel, class) = (fig.with_server(), ClientClass::LaptopWlan);
         let vary = panel.forced(class, ProtocolId::VaryBlock);
         for c in ProtocolId::PAPER_FOUR.map(|p| panel.forced(class, p)) {
             if c.protocol != ProtocolId::VaryBlock {
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn pda_panel_d_flips_to_varyblock() {
         let fig = run(3);
-        let (with, without) = (&fig.with_server, &fig.without_server);
+        let (with, without) = (fig.with_server(), fig.without_server());
         assert_eq!(with.adaptive(ClientClass::PdaBluetooth).protocol, ProtocolId::Bitmap);
         assert_eq!(without.adaptive(ClientClass::PdaBluetooth).protocol, ProtocolId::VaryBlock);
         // Panel (d): server compute off the request path.

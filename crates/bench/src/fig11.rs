@@ -12,36 +12,39 @@ use fractal_core::server::AdaptiveContentMode;
 use fractal_protocols::ProtocolId;
 
 use crate::report::{kb, render_table, secs};
-use crate::workbench::{measure, workload_pages, Cells};
+use crate::workbench::{Cells, Measured};
 
-/// The full figure: every priced cell, in both modes. Figure 10 and the
-/// headline are views of the same cells.
+/// The full figure: every priced cell, in both modes, each mode measured
+/// when first read. Figure 10 and the headline are views of the same cells.
 #[derive(Clone, Debug)]
 pub struct Figure11 {
-    /// Workload pages the cells were measured over.
+    /// Workload pages the cells are measured over.
     pub n_pages: u32,
-    /// Cells with server compute (panels (a) and (b)).
-    pub with_server: Cells,
-    /// The same without server compute (panel (c)).
-    pub without_server: Cells,
+    cells: Measured,
 }
 
-/// Runs the figure over `n_pages` of the workload, rendered once.
+/// The figure over `n_pages` of the workload, rendered once; a mode's
+/// cells are measured when first read.
 pub fn run(n_pages: u32) -> Figure11 {
-    let pages = workload_pages(n_pages);
-    Figure11 {
-        n_pages,
-        with_server: measure(&pages, AdaptiveContentMode::Reactive),
-        without_server: measure(&pages, AdaptiveContentMode::Proactive),
-    }
+    Figure11 { n_pages, cells: Measured::new(n_pages) }
 }
 
 impl Figure11 {
+    /// Cells with server compute (panels (a) and (b)).
+    pub fn with_server(&self) -> &Cells {
+        self.cells.cells(AdaptiveContentMode::Reactive)
+    }
+
+    /// The same without server compute (panel (c)).
+    pub fn without_server(&self) -> &Cells {
+        self.cells.cells(AdaptiveContentMode::Proactive)
+    }
+
     /// Mean bytes per page per protocol (panel (a)): the paper notes they
     /// are the same across client classes for identical requests, and here
     /// one trace set prices every class (P53).
     pub fn bytes_per_protocol(&self) -> Vec<(ProtocolId, u64)> {
-        let bytes = |p| self.with_server.forced(ClientClass::DesktopLan, p).bytes;
+        let bytes = |p| self.with_server().forced(ClientClass::DesktopLan, p).bytes;
         ProtocolId::PAPER_FOUR.map(|p| (p, bytes(p))).into()
     }
 }
@@ -65,7 +68,7 @@ pub fn print(fig: &Figure11) {
         ("(c) total time WITHOUT server-side computing (s)", false),
     ] {
         println!("{label}");
-        let cells = if with_server { &fig.with_server } else { &fig.without_server };
+        let cells = if with_server { fig.with_server() } else { fig.without_server() };
         let mut rows = Vec::new();
         for p in ProtocolId::PAPER_FOUR {
             let mut row = vec![p.name().to_string()];
@@ -112,13 +115,13 @@ mod tests {
         assert!(bytes[&ProtocolId::Bitmap] > bytes[&ProtocolId::VaryBlock]);
 
         // Panel (b): winners per class.
-        let picks = |class| fig.with_server.adaptive(class).protocol;
+        let picks = |class| fig.with_server().adaptive(class).protocol;
         assert_eq!(picks(ClientClass::DesktopLan), ProtocolId::Direct);
         assert_eq!(picks(ClientClass::LaptopWlan), ProtocolId::Gzip);
         assert_eq!(picks(ClientClass::PdaBluetooth), ProtocolId::Bitmap);
 
         // Panel (c): PDA flips to Vary, others keep theirs.
-        let picks_wo = |class| fig.without_server.adaptive(class).protocol;
+        let picks_wo = |class| fig.without_server().adaptive(class).protocol;
         assert_eq!(picks_wo(ClientClass::DesktopLan), ProtocolId::Direct);
         assert_eq!(picks_wo(ClientClass::LaptopWlan), ProtocolId::Gzip);
         assert_eq!(picks_wo(ClientClass::PdaBluetooth), ProtocolId::VaryBlock);
@@ -139,10 +142,10 @@ mod tests {
         const TOLERANCE: f64 = 1.05;
         let fig = run(3);
         for class in ClientClass::ALL {
-            let picked = fig.with_server.adaptive(class).protocol;
-            let picked_total = fig.with_server.forced(class, picked).total;
+            let picked = fig.with_server().adaptive(class).protocol;
+            let picked_total = fig.with_server().forced(class, picked).total;
             for p in ProtocolId::PAPER_FOUR {
-                let t = fig.with_server.forced(class, p).total;
+                let t = fig.with_server().forced(class, p).total;
                 let band = t.as_secs_f64() * TOLERANCE;
                 assert!(
                     picked_total.as_secs_f64() <= band,

@@ -47,7 +47,7 @@ impl Comparison {
 /// The three scenarios for every class, read off Figure 11's cells with
 /// server-side computing.
 pub fn comparisons(fig: &Figure11) -> [Comparison; 3] {
-    let cells = &fig.with_server;
+    let cells = fig.with_server();
     ClientClass::ALL.map(|class| Comparison {
         class,
         none: *cells.forced(class, ProtocolId::Direct),

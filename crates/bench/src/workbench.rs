@@ -6,7 +6,11 @@
 //! FVM decoding) in [`trace_pages`] and prices them per class in
 //! [`price_pages`]: a forced protocol (a single-leaf PAT) sends the same
 //! messages for every class, so it is traced once; an adaptive
-//! negotiation picks per class, so it is traced per class.
+//! negotiation picks per class, so it is traced per class. [`Measured`]
+//! measures each adaptive-content mode on first use, so a section that
+//! reads one mode's cells pays for that mode alone.
+
+use std::cell::OnceCell;
 
 use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
@@ -85,6 +89,32 @@ impl Cells {
     /// The adaptive cell of `class`; its `protocol` is the pick.
     pub fn adaptive(&self, class: ClientClass) -> &CellReport {
         self.adaptive.iter().find(|c| c.class == class).expect("cell exists")
+    }
+}
+
+/// A figure's pages and, measured when first read, each mode's cells.
+#[derive(Clone, Debug)]
+pub struct Measured {
+    pages: Vec<PagePair>,
+    reactive: OnceCell<Cells>,
+    proactive: OnceCell<Cells>,
+}
+
+impl Measured {
+    /// The first `n_pages` workload pages, rendered now; no cell is
+    /// measured yet.
+    pub fn new(n_pages: u32) -> Measured {
+        let pages = workload_pages(n_pages);
+        Measured { pages, reactive: OnceCell::new(), proactive: OnceCell::new() }
+    }
+
+    /// Every cell of `mode`, [measured](measure) on the first call.
+    pub fn cells(&self, mode: AdaptiveContentMode) -> &Cells {
+        let once = match mode {
+            AdaptiveContentMode::Reactive => &self.reactive,
+            AdaptiveContentMode::Proactive => &self.proactive,
+        };
+        once.get_or_init(|| measure(&self.pages, mode))
     }
 }
 

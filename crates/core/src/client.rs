@@ -14,7 +14,7 @@
 //! 4. abstract interpretation: stack discipline within the policy bound,
 //!    reachable host calls within the granted capabilities, and a proven
 //!    minimum fuel that fits the budget — all before any code runs;
-//! 5. instantiation under the sandbox policy.
+//! 5. deployment under the sandbox policy.
 //!
 //! Steps 1 and 2 are about *this download* and run on every deployment.
 //! Steps 3 and 4 are a pure function of (the bytes step 1 just hashed, the
@@ -23,10 +23,11 @@
 //! [`Testbed`](crate::testbed::Testbed)'s other clients, and only reached
 //! once 1 and 2 have passed; a module declaring more memory than the policy
 //! grants is refused there, so it is never stored. Step 5 is per client
-//! again: the fuel budget is checked against the cached proof and a sandbox
-//! is built around the shared code — checked out of the instances earlier
-//! deployments of the same admitted PAD have been dropped from, each wiped
-//! to what a new one holds, or allocated when none is idle.
+//! again: the fuel budget is checked against the cached proof, and the
+//! client keeps the shared bundle. It builds no sandbox there: each decode
+//! or upstream call leases one from the instances the admitted PAD's earlier
+//! calls, by any client, have returned, each wiped to what a new one holds,
+//! or allocated when none is idle, and returns it when the call does.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,7 +35,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use fractal_crypto::sign::TrustStore;
 use fractal_crypto::Digest;
-use fractal_pads::runtime::PadRuntime;
+use fractal_pads::runtime::{PadError, PadRuntime};
 use fractal_protocols::ProtocolId;
 use fractal_vm::{AdmissionCache, Module, ModuleError, SandboxPolicy, SignedModule};
 
@@ -68,8 +69,8 @@ pub struct ClientStats {
     /// Deployments that ran verification + analysis themselves and filled
     /// the cache (a refused module counts under `pads_rejected` only).
     pub admission_misses: u64,
-    /// Deployments whose sandbox was checked out of the admitted module's
-    /// instance pool instead of allocated.
+    /// PAD calls (decodes and upstream messages) whose sandbox was checked
+    /// out of the admitted module's instance pool instead of allocated.
     pub instances_recycled: u64,
 }
 
@@ -213,18 +214,14 @@ impl FractalClient {
     }
 
     /// Runs the full acceptance gauntlet on downloaded PAD bytes and
-    /// deploys the module into the sandbox.
+    /// deploys the module; its calls run sandboxed.
     pub fn deploy_pad(&mut self, meta: &PadMeta, wire_bytes: &[u8]) -> Result<(), FractalError> {
         self.tele.download_bytes.add(wire_bytes.len() as u64);
         let t0 = self.tele.bundle.now_ns();
-        let result = self.admit_and_instantiate(&meta.digest, wire_bytes);
+        let result = self.admit(&meta.digest, wire_bytes);
         self.tele.gauntlet_ns.record(self.tele.bundle.now_ns().saturating_sub(t0));
         match result {
             Ok(runtime) => {
-                if runtime.is_recycled() {
-                    self.stats.instances_recycled += 1;
-                    self.tele.instances_recycled.inc();
-                }
                 self.deployed.insert(meta.id, runtime);
                 self.stats.pads_deployed += 1;
                 self.tele.pads_deployed.inc();
@@ -240,7 +237,7 @@ impl FractalClient {
 
     /// The gauntlet proper; see the module docs for the order and for what
     /// is per deployment and what is shared.
-    fn admit_and_instantiate(
+    fn admit(
         &mut self,
         advertised: &Digest,
         wire_bytes: &[u8],
@@ -272,7 +269,7 @@ impl FractalClient {
         if min_fuel > self.policy.max_fuel {
             return Err(FractalError::PadInfeasible { min_fuel, budget: self.policy.max_fuel });
         }
-        Ok(PadRuntime::from_analyzed(analyzed)?)
+        Ok(PadRuntime::from_analyzed(analyzed))
     }
 
     /// Decodes a server payload with a deployed PAD (mobile code, in the
@@ -284,8 +281,7 @@ impl FractalClient {
         payload: &[u8],
     ) -> Result<Vec<u8>, FractalError> {
         let old = self.content_cache.get(&content_id).map(|c| c.bytes.clone()).unwrap_or_default();
-        let runtime = self.deployed.get_mut(&pad).ok_or(FractalError::PadUnavailable(pad))?;
-        Ok(runtime.decode(&old, payload)?)
+        self.call_pad(pad, |runtime| runtime.decode(&old, payload))
     }
 
     /// Builds a protocol's upstream message (Bitmap digests / fixed-block
@@ -307,11 +303,26 @@ impl FractalClient {
             _ => fractal_protocols::fixedblock::DEFAULT_BLOCK_SIZE as u32,
         };
         let old = self.content_cache.get(&content_id).map(|c| c.bytes.clone()).unwrap_or_default();
-        let runtime = self.deployed.get_mut(&pad).ok_or(FractalError::PadUnavailable(pad))?;
-        Ok(Some(runtime.upstream(entry, &old, block_size)?))
+        self.call_pad(pad, |runtime| runtime.upstream(entry, &old, block_size)).map(Some)
     }
 
-    /// Fuel the deployed PAD's sandbox has burned over all its calls (0
+    /// Runs `call` on the deployed `pad` and counts the call when the pool
+    /// served its sandbox, however the call ended.
+    fn call_pad<T>(
+        &mut self,
+        pad: PadId,
+        call: impl FnOnce(&mut PadRuntime) -> Result<T, PadError>,
+    ) -> Result<T, FractalError> {
+        let runtime = self.deployed.get_mut(&pad).ok_or(FractalError::PadUnavailable(pad))?;
+        let recycled = runtime.calls_recycled();
+        let result = call(runtime);
+        let recycled = runtime.calls_recycled() - recycled;
+        self.stats.instances_recycled += recycled;
+        self.tele.instances_recycled.add(recycled);
+        Ok(result?)
+    }
+
+    /// Fuel the deployed PAD's sandboxes have burned over all its calls (0
     /// when it is not deployed).
     pub fn fuel_used(&self, pad: PadId) -> u64 {
         self.deployed.get(&pad).map_or(0, PadRuntime::fuel_used)

@@ -4,9 +4,10 @@
 //!
 //! The VM records into the process-global registry, so this file holds a
 //! single test: alone in its binary, nothing else moves the global series
-//! between the two snapshots. The instance-pool reconciliation (a second
-//! wave of clients recycles what the first wave's clients were dropped
-//! from) runs at its end for that reason, not as a test of its own.
+//! between the two snapshots. The instance-pool reconciliation (every PAD
+//! call but each PAD's first runs in a recycled sandbox, however many
+//! clients are alive) runs at its end for that reason, not as a test of its
+//! own.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -68,41 +69,48 @@ fn analyses_equal_admission_misses_equal_distinct_digest_policy_pairs() {
     assert_eq!(snap.counters["fractal_client_admission_hits_total"], hits);
     assert_eq!(snap.counters["fractal_client_pads_deployed_total"], deploys);
 
-    second_wave_recycles_every_deployment_and_the_first_none();
+    every_call_but_each_pads_first_runs_in_a_recycled_sandbox();
 }
 
 /// Two waves of eight clients over a fresh testbed, each wave alive all at
-/// once: wave 1 finds every pool empty, wave 2 finds one wiped instance per
-/// deployment of wave 1.
-fn second_wave_recycles_every_deployment_and_the_first_none() {
+/// once, each client decoding one page with each PAD it deployed. A
+/// deployment holds no sandbox and calls run one at a time, so in wave 1
+/// each PAD's first call allocates and every later one, by any client,
+/// runs in the instance that call returned; in wave 2 every call does.
+fn every_call_but_each_pads_first_runs_in_a_recycled_sandbox() {
     let bundle = Telemetry::new(Arc::new(Registry::new()), VirtualClock::shared(50));
     let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let page = b"one sandbox per call, not per client. ".repeat(200);
+    tb.server.publish(1, page.clone());
     let wave = || {
-        let mut clients = Vec::new();
+        let (mut clients, mut pads) = (Vec::new(), HashSet::new());
         for i in 0..8 {
             let class = ClientClass::ALL[i % ClientClass::ALL.len()];
             let mut client = tb.client(class).with_telemetry(&bundle);
             for pad in tb.proxy.negotiate(tb.app_id, class.env()).unwrap() {
                 client.deploy_pad(&pad, &tb.pad_repo.get(pad.id).unwrap()).unwrap();
+                let payload = tb.server.respond(1, None, 0, pad.protocol).unwrap().payload;
+                assert_eq!(client.decode_content(pad.id, 1, &payload).unwrap(), page);
+                pads.insert(pad.id);
             }
             clients.push(client);
         }
         let sum = |f: fn(&fractal_core::client::ClientStats) -> u64| -> u64 {
             clients.iter().map(|c| f(&c.stats())).sum()
         };
-        (sum(|s| s.pads_deployed), sum(|s| s.instances_recycled), clients)
+        (sum(|s| s.pads_deployed), sum(|s| s.instances_recycled), pads.len() as u64, clients)
     };
 
-    let (deployed, recycled, first) = wave();
-    assert!(deployed >= 8);
-    assert_eq!(recycled, 0, "nothing had been returned while wave 1 deployed");
-    assert_eq!(bundle.snapshot().counters["fractal_client_instances_recycled_total"], 0);
+    let (calls, recycled, pads, first) = wave();
+    assert!(calls >= 8 && pads >= 2, "{calls} calls of {pads} PADs");
+    assert_eq!(recycled, calls - pads, "wave 1 allocates one instance per PAD");
+    assert_eq!(bundle.snapshot().counters["fractal_client_instances_recycled_total"], recycled);
     drop(first);
 
-    let (deployed_again, recycled, _second) = wave();
-    assert_eq!(deployed_again, deployed);
-    assert_eq!(recycled, deployed, "wave 2 runs in wave 1's sandboxes");
+    let (calls_again, recycled_again, _, _second) = wave();
+    assert_eq!(calls_again, calls);
+    assert_eq!(recycled_again, calls, "wave 2 runs every call in a pooled sandbox");
     let snap = bundle.snapshot();
-    assert_eq!(snap.counters["fractal_client_instances_recycled_total"], recycled);
-    assert_eq!(snap.counters["fractal_client_pads_deployed_total"], 2 * deployed);
+    assert_eq!(snap.counters["fractal_client_instances_recycled_total"], recycled + calls);
+    assert_eq!(snap.counters["fractal_client_pads_deployed_total"], 2 * calls);
 }

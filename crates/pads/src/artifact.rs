@@ -243,24 +243,25 @@ mod deflate_tests {
 
     /// The deflate PAD keeps its tables at the top of memory and its I/O at
     /// the bottom, so the span it dirties is all 4 MiB whatever it touched
-    /// in between: its instance is freed at drop (wiping it would fault in
-    /// and pin the untouched middle), where the gzip PAD's is recycled.
+    /// in between: the instance a call leased is freed when the call
+    /// returns (wiping it would fault in and pin the untouched middle), and
+    /// the next call leases a new one, where the gzip PAD's second call runs
+    /// in its first call's instance.
     #[test]
     fn a_deflate_instance_is_freed_where_a_gzip_instance_is_recycled() {
-        use std::sync::Arc;
         let signer = SignerRegistry::new().provision("deflate-test");
-        let redeployed_recycled = |artifact: PadArtifact, payload: &[u8]| {
-            let admitted =
-                Arc::new(open_unchecked(&artifact).analyzed(&SandboxPolicy::for_pads()).unwrap());
-            let mut first = PadRuntime::from_analyzed(Arc::clone(&admitted)).unwrap();
-            assert_eq!(first.decode(&[], payload).unwrap(), texty(4096));
-            drop(first);
-            PadRuntime::from_analyzed(admitted).unwrap().is_recycled()
+        let second_call_recycled = |artifact: PadArtifact, payload: &[u8]| {
+            let policy = SandboxPolicy::for_pads();
+            let mut rt = PadRuntime::new(open_unchecked(&artifact), policy).unwrap();
+            assert_eq!(rt.decode(&[], payload).unwrap(), texty(4096));
+            assert_eq!(rt.calls_recycled(), 0, "the first lease finds the pool empty");
+            assert_eq!(rt.decode(&[], payload).unwrap(), texty(4096));
+            rt.calls_recycled() == 1
         };
         let deflated = Deflate.encode(&[], &texty(4096));
-        assert!(!redeployed_recycled(build_deflate_pad(&signer), &deflated));
+        assert!(!second_call_recycled(build_deflate_pad(&signer), &deflated));
         let gzipped = fractal_protocols::gzip::Gzip.encode(&[], &texty(4096));
-        assert!(redeployed_recycled(build_pad(ProtocolId::Gzip, &signer), &gzipped));
+        assert!(second_call_recycled(build_pad(ProtocolId::Gzip, &signer), &gzipped));
     }
 
     #[test]

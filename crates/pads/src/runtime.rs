@@ -1,9 +1,13 @@
 //! The client-side PAD runtime: executing a deployed protocol adaptor.
 //!
 //! After a Fractal client has downloaded a PAD, checked its digest against
-//! `PADMeta`, and verified its code signature, it *deploys* the PAD by
-//! instantiating the module in a sandboxed [`Machine`] and drives it
-//! through this runtime:
+//! `PADMeta`, and verified its code signature, it *deploys* the PAD: the
+//! admitted module, shared with every other client of the same PAD, and the
+//! calling conventions below. A deployment holds no sandbox. Each call
+//! leases a [`Machine`] from the admitted module's instance pool, runs in
+//! it and drops it before returning, which scrubs the instance and puts it
+//! back: an idle deployment pins no linear memory, and every call starts
+//! from a zeroed sandbox, however the last one ended.
 //!
 //! * [`PadRuntime::decode`] — stage `(old, payload)` in linear memory, call
 //!   the module's `decode` entry, extract the rebuilt content;
@@ -81,45 +85,52 @@ impl From<VerifyError> for PadError {
     }
 }
 
-/// A deployed PAD: an instantiated sandboxed module plus the calling
-/// conventions of the Fractal PAD ABI.
+/// A deployed PAD: an admitted module plus the calling conventions of the
+/// Fractal PAD ABI. It owns no instance; see the [module docs](self).
 pub struct PadRuntime {
-    machine: Machine,
+    analyzed: Arc<AnalyzedModule>,
+    /// Fuel its calls have consumed, summed.
+    fuel_used: u64,
+    /// Calls whose instance came out of the pool.
+    recycled: u64,
 }
 
 impl core::fmt::Debug for PadRuntime {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PadRuntime").field("machine", &self.machine).finish()
+        f.debug_struct("PadRuntime")
+            .field("memory", &self.analyzed.module.memory_bytes())
+            .field("fuel_used", &self.fuel_used)
+            .field("recycled", &self.recycled)
+            .finish()
     }
 }
 
 impl PadRuntime {
-    /// Admits `module` under `policy` and instantiates it — the admission
-    /// rule of the client's gauntlet: a module the verifier or the abstract
-    /// interpreter cannot prove safe is [`PadError::Refused`], not run.
+    /// Admits `module` under `policy` — the admission rule of the client's
+    /// gauntlet: a module the verifier or the abstract interpreter cannot
+    /// prove safe is [`PadError::Refused`], not run.
     pub fn new(module: Module, policy: SandboxPolicy) -> Result<PadRuntime, PadError> {
-        PadRuntime::from_analyzed(Arc::new(module.analyzed(&policy)?))
+        Ok(PadRuntime::from_analyzed(Arc::new(module.analyzed(&policy)?)))
     }
 
-    /// Instantiates around an already admitted module: the per-session half
-    /// of a deployment. Code, proof, register-form slots and the policy
-    /// they were proven under stay in the shared bundle; the instance has
-    /// its own memory, stacks, fuel and log — a previous deployment's,
-    /// wiped, when one has been dropped ([`PadRuntime::is_recycled`]).
-    pub fn from_analyzed(analyzed: Arc<AnalyzedModule>) -> Result<PadRuntime, PadError> {
-        Ok(PadRuntime { machine: Machine::new_analyzed(analyzed)? })
+    /// Deploys an already admitted module: code, proof, register-form slots,
+    /// the policy they were proven under and the instance pool stay in the
+    /// shared bundle, and nothing is allocated until a call leases an
+    /// instance.
+    pub fn from_analyzed(analyzed: Arc<AnalyzedModule>) -> PadRuntime {
+        PadRuntime { analyzed, fuel_used: 0, recycled: 0 }
     }
 
-    /// Whether the sandbox was checked out of the admitted module's pool
-    /// rather than allocated for this deployment.
-    pub fn is_recycled(&self) -> bool {
-        self.machine.is_recycled()
+    /// Calls whose sandbox was checked out of the admitted module's pool
+    /// rather than allocated for the call.
+    pub fn calls_recycled(&self) -> u64 {
+        self.recycled
     }
 
-    /// Total fuel the instance has consumed (a proxy for client-side
-    /// compute in diagnostics; the simulation charges modeled time).
+    /// Total fuel the calls have consumed (a proxy for client-side compute
+    /// in diagnostics; the simulation charges modeled time).
     pub fn fuel_used(&self) -> u64 {
-        self.machine.fuel_used()
+        self.fuel_used
     }
 
     /// Runs the module's `decode` entry over `(old, payload)`.
@@ -127,33 +138,10 @@ impl PadRuntime {
         let old_base = SCRATCH;
         let pay_base = align8(old_base + old.len());
         let out_base = align8(pay_base + payload.len());
-        let mem = self.machine.memory_len();
-        if out_base >= mem {
-            return Err(PadError::InputsTooLarge { required: out_base + 1, available: mem });
-        }
-        let out_cap = mem - out_base;
-
-        self.machine.refuel();
-        self.machine.write_memory(old_base, old)?;
-        self.machine.write_memory(pay_base, payload)?;
-        let ret = self.machine.call(
-            "decode",
-            &[
-                old_base as i64,
-                old.len() as i64,
-                pay_base as i64,
-                payload.len() as i64,
-                out_base as i64,
-                out_cap as i64,
-            ],
-        )?;
-        if ret < 0 {
-            return Err(PadError::Status(ret));
-        }
-        if ret as usize > out_cap {
-            return Err(PadError::BogusOutputLength(ret));
-        }
-        Ok(self.machine.read_memory(out_base, ret as usize)?.to_vec())
+        let out_cap = self.output_room(out_base)?;
+        let args = [old_base, old.len(), pay_base, payload.len(), out_base, out_cap];
+        let inputs = [(old_base, old), (pay_base, payload)];
+        self.call("decode", &inputs, &args.map(|a| a as i64), (out_base, out_cap))
     }
 
     /// Runs an upstream-message builder entry (`digests` / `signatures`)
@@ -166,31 +154,48 @@ impl PadRuntime {
     ) -> Result<Vec<u8>, PadError> {
         let old_base = SCRATCH;
         let out_base = align8(old_base + old.len());
-        let mem = self.machine.memory_len();
+        let out_cap = self.output_room(out_base)?;
+        let args = [old_base, old.len(), block_size as usize, out_base, out_cap];
+        self.call(entry, &[(old_base, old)], &args.map(|a| a as i64), (out_base, out_cap))
+    }
+
+    /// The bytes from `out_base` to the end of linear memory, the output
+    /// region's capacity; none is an error.
+    fn output_room(&self, out_base: usize) -> Result<usize, PadError> {
+        let mem = self.analyzed.module.memory_bytes();
         if out_base >= mem {
             return Err(PadError::InputsTooLarge { required: out_base + 1, available: mem });
         }
-        let out_cap = mem - out_base;
+        Ok(mem - out_base)
+    }
 
-        self.machine.refuel();
-        self.machine.write_memory(old_base, old)?;
-        let ret = self.machine.call(
-            entry,
-            &[
-                old_base as i64,
-                old.len() as i64,
-                block_size as i64,
-                out_base as i64,
-                out_cap as i64,
-            ],
-        )?;
+    /// One call in a leased instance: stage each `(address, bytes)` input,
+    /// call `entry` with `args`, and copy out the length it returns from the
+    /// output region at `out_base`, which holds at most `out_cap`. The
+    /// instance goes back to the pool, scrubbed, when this returns, however
+    /// the call ended; its fuel goes into the tally first.
+    fn call(
+        &mut self,
+        entry: &str,
+        inputs: &[(usize, &[u8])],
+        args: &[i64],
+        (out_base, out_cap): (usize, usize),
+    ) -> Result<Vec<u8>, PadError> {
+        let mut machine = Machine::new_analyzed(Arc::clone(&self.analyzed))?;
+        self.recycled += u64::from(machine.is_recycled());
+        let ret = inputs
+            .iter()
+            .try_for_each(|&(at, bytes)| machine.write_memory(at, bytes))
+            .and_then(|()| machine.call(entry, args));
+        self.fuel_used += machine.fuel_used();
+        let ret = ret?;
         if ret < 0 {
             return Err(PadError::Status(ret));
         }
         if ret as usize > out_cap {
             return Err(PadError::BogusOutputLength(ret));
         }
-        Ok(self.machine.read_memory(out_base, ret as usize)?.to_vec())
+        Ok(machine.read_memory(out_base, ret as usize)?.to_vec())
     }
 }
 
@@ -350,7 +355,8 @@ mod tests {
         let mut module = open_unchecked(&build_pad(ProtocolId::Direct, &signer));
         let offset = module.memory_bytes() as u32 - 1;
         module.data.push(DataSegment { offset, bytes: vec![1, 2] });
-        let expected = PadError::Trap(Trap::OutOfBounds { addr: offset as u64, len: 2 });
+        let out_of_range = fractal_vm::ModuleError::DataOutOfRange { offset, len: 2 };
+        let expected = PadError::Refused(VerifyError::Code(out_of_range));
         assert_eq!(PadRuntime::new(module, SandboxPolicy::for_pads()).unwrap_err(), expected);
     }
 
@@ -372,5 +378,7 @@ mod tests {
             let payload = Gzip.encode(&[], &content);
             assert_eq!(rt.decode(&[], &payload).unwrap(), content);
         }
+        // The first call's instance, scrubbed, served the four after it.
+        assert_eq!(rt.calls_recycled(), 4);
     }
 }

@@ -7,11 +7,11 @@
 //! embedding that has just checked that digest (and the code signature —
 //! both stay per deployment, and both come *before* the lookup) can key the
 //! proof by `(digest, policy)` and share one [`AnalyzedModule`] between all
-//! the sessions that deploy the same PAD. What remains per session is
+//! the sessions that deploy the same PAD. What remains per call is
 //! [`Machine`](crate::machine::Machine) instantiation: linear memory,
 //! stacks, fuel and log around the shared code — and since the bundle keeps
-//! the instances its dropped machines return, wiped, a deployment after the
-//! first checks those out instead of allocating them. That pool is a field
+//! the instances its dropped machines return, wiped, a call after the first
+//! checks one of those out instead of allocating it. That pool is a field
 //! of the bundle: evicting a slot here frees it with the proof, once the
 //! machines still running on it are gone.
 //!

@@ -46,7 +46,7 @@
 use std::collections::VecDeque;
 
 use crate::bytecode::Op;
-use crate::error::VerifyError;
+use crate::error::{ModuleError, VerifyError};
 use crate::host::HostId;
 use crate::instance::InstancePool;
 use crate::module::Module;
@@ -152,10 +152,19 @@ impl AnalyzedModule {
     /// grants is refused here, before any of it is allocated, and so is one
     /// whose call chains may stack more operands than `max_stack`: the fast
     /// path counts no stack slots, so it runs only what is proven to fit.
+    /// So is a data segment outside the declared memory (`Module::from_bytes`
+    /// refuses one, but a hand-built module reaches here unparsed): an
+    /// admitted module's instances cannot fail to start.
     pub fn analyze(module: Module, policy: &SandboxPolicy) -> Result<AnalyzedModule, VerifyError> {
         let declared = module.memory_bytes();
         if declared > policy.max_memory {
             return Err(VerifyError::MemoryLimit { declared, limit: policy.max_memory });
+        }
+        for seg in &module.data {
+            if seg.offset as usize + seg.bytes.len() > declared {
+                let (offset, len) = (seg.offset, seg.bytes.len() as u32);
+                return Err(VerifyError::Code(ModuleError::DataOutOfRange { offset, len }));
+            }
         }
         let analysis = analyze_module(&module, policy)?;
         if analysis.stack_bound > policy.max_stack {
@@ -1100,7 +1109,6 @@ mod tests {
         let mut fast = Machine::new_analyzed(analyzed).unwrap();
         for (n, sum) in [(0i64, 0), (1, 1), (10, 55), (1000, 500_500)] {
             assert_eq!(fast.call("sum", &[n]), Ok(sum), "n={n}");
-            fast.refuel();
         }
     }
 

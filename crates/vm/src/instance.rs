@@ -1,11 +1,13 @@
 //! What is per instance, and the pool an admitted module keeps of it.
 //!
 //! Code, proof and policy belong to the [`AnalyzedModule`]; an [`Instance`]
-//! is everything a deployment needs on top: linear memory, the register
-//! file, frames and the log. Allocating, faulting in
-//! and unmapping that per deployment cost more than proving nothing needed
-//! proving again (the admission cache), so an admitted module keeps the
-//! instances its machines are done with and hands them out again.
+//! is everything a call needs on top: linear memory, the register file,
+//! frames and the log. Allocating, faulting in and unmapping that per call
+//! would cost more than the call itself on a small page, so an admitted
+//! module keeps the instances its machines are done with and hands them out
+//! again. A deployed PAD holds none between its calls (`PadRuntime` leases
+//! a machine per call), so an instance is out of the pool only while a
+//! call runs in it.
 //!
 //! ## The invariant
 //!
@@ -19,18 +21,22 @@
 //!
 //! ## The bound
 //!
-//! A pooled instance pins the pages its tenants touched, and wiping it
-//! costs a `memset` of the span between the lowest and the highest of them.
-//! Two rules, neither a setting, keep both small. An instance whose span is
-//! more than half its memory is freed as every instance used to be: zeroing
-//! it would cost more than mapping the next one, which faults in only the
-//! pages it touches, and would pin the lot (`deflate.fasm`, tables at the
-//! top of memory and I/O at the bottom, is the shipped case). And the pool
-//! keeps a returned instance only while what everything it holds retains —
-//! dirty spans plus what the register files grew to — sums to less than the
-//! `max_memory` the module was admitted under. The pool is a field of the
-//! admitted module, so it is keyed, shared between threads and freed exactly
-//! as that is.
+//! A pool holds at most as many instances as calls ever ran at once on its
+//! module, which is one per thread that runs calls (a reactor thread, a
+//! shard): when machines are leased per call, how many clients have
+//! deployed the module does not matter. A pooled instance pins the pages its
+//! tenants touched, and wiping it costs a `memset` of the span between the
+//! lowest and the highest of them. Two rules, neither a setting, keep both
+//! small. An instance whose span is more than half its memory is freed as
+//! every instance used to be: zeroing it would cost more than mapping the
+//! next one, which faults in only the pages it touches, and would pin the
+//! lot (`deflate.fasm`, tables at the top of memory and I/O at the bottom,
+//! is the shipped case, so every deflate call maps a new instance). And the
+//! pool keeps a returned instance only while what everything it holds
+//! retains — dirty spans plus what the register files grew to — sums to less
+//! than the `max_memory` the module was admitted under. The pool is a field
+//! of the admitted module, so it is keyed, shared between threads and freed
+//! exactly as that is.
 //!
 //! [`AnalyzedModule`]: crate::analysis::AnalyzedModule
 

@@ -95,8 +95,9 @@ impl Machine {
     /// policy the module was analyzed with: [`AnalyzedModule::analyze`]
     /// refused it unless its whole-machine stack bound fits that policy's
     /// `max_stack` and its declared memory the `max_memory`, which is what
-    /// lets this machine count neither. Fails on a data segment outside the
-    /// declared memory.
+    /// lets this machine count neither. Admission also refused a data
+    /// segment outside the declared memory, so this fails only on one pushed
+    /// onto the admitted module's public fields afterwards.
     ///
     /// The instance comes out of the module's pool when a machine over the
     /// same `Arc` has been dropped before ([`Machine::is_recycled`]); it is
@@ -109,8 +110,8 @@ impl Machine {
             None => (Instance::new(analyzed.module.memory_bytes()), false),
         };
         for seg in &analyzed.module.data {
-            // The container parser bounds segments, but `Module`'s fields
-            // are public and a hand-built one reaches here unparsed.
+            // Admission bounds segments, but `AnalyzedModule::module` is a
+            // public field: one altered after admission reaches here.
             let start = seg.offset as usize;
             let end = start
                 .checked_add(seg.bytes.len())
@@ -147,12 +148,6 @@ impl Machine {
     /// Total fuel consumed across all calls on this instance.
     pub fn fuel_used(&self) -> u64 {
         self.fuel_used_total
-    }
-
-    /// Refills fuel to the policy maximum (a fresh budget per entry call is
-    /// the embedding's choice).
-    pub fn refuel(&mut self) {
-        self.fuel = self.policy().max_fuel;
     }
 
     /// Test hook, not embedding API: lowers the remaining fuel to `fuel`
@@ -1148,19 +1143,27 @@ mod tests {
 
     #[test]
     fn out_of_range_data_segment_is_a_trap_not_a_panic() {
+        use crate::error::{ModuleError, VerifyError};
         use crate::module::DataSegment;
-        // `Module::from_bytes` bounds segments; a hand-built module (public
-        // fields) reaches instantiation without that check.
+        // `Module::from_bytes` bounds segments and admission refuses a
+        // hand-built module whose segment falls outside; one pushed onto an
+        // admitted module's public fields still reaches instantiation.
         let one_page = crate::module::PAGE_SIZE as u32;
+        let module = || assemble(".memory 1\n.func main args=0 locals=0\n ret\n").unwrap();
         for (offset, len) in [(one_page - 2, 4), (one_page, 1), (u32::MAX, 8)] {
-            let mut module = assemble(".memory 1\n.func main args=0 locals=0\n ret\n").unwrap();
-            module.data.push(DataSegment { offset, bytes: vec![0xAB; len] });
-            let admitted = module.analyzed(&SandboxPolicy::default()).unwrap();
+            let seg = DataSegment { offset, bytes: vec![0xAB; len] };
+            let mut wild = module();
+            wild.data.push(seg.clone());
+            let refused = wild.analyzed(&SandboxPolicy::default()).unwrap_err();
+            let out_of_range = ModuleError::DataOutOfRange { offset, len: len as u32 };
+            assert_eq!(refused, VerifyError::Code(out_of_range));
+            let mut admitted = module().analyzed(&SandboxPolicy::default()).unwrap();
+            admitted.module.data.push(seg);
             let err = Machine::new_analyzed(admitted).unwrap_err();
             assert_eq!(err, Trap::OutOfBounds { addr: offset as u64, len: len as u64 });
         }
         // The last byte of memory is still a legal destination.
-        let mut module = assemble(".memory 1\n.func main args=0 locals=0\n ret\n").unwrap();
+        let mut module = module();
         module.data.push(DataSegment { offset: one_page - 1, bytes: vec![0xAB] });
         let m = Machine::new_analyzed(module.analyzed(&SandboxPolicy::default()).unwrap()).unwrap();
         assert_eq!(m.read_memory(one_page as usize - 1, 1).unwrap(), [0xAB]);

@@ -1,8 +1,8 @@
 //! Linear memory that knows what was written to it.
 //!
-//! An instance's memory is recycled between deployments of one admitted
-//! module ([`crate::instance`]), and the next tenant must find exactly what
-//! a fresh allocation holds: zeroes. Zeroing 4 MiB per deployment is what
+//! An instance's memory is recycled between calls into one admitted module
+//! ([`crate::instance`]), and the next tenant must find exactly what a
+//! fresh allocation holds: zeroes. Zeroing 4 MiB per call is what
 //! recycling exists to avoid, so the memory records the span its writers
 //! touched and [`LinearMemory::scrub`] zeroes that span alone. The buffer is
 //! private to this module and [`LinearMemory::slice_mut`] /

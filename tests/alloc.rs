@@ -1,9 +1,9 @@
 //! What decoding and instantiation allocate, counted.
 //!
-//! A checkout from an admitted module's instance pool allocates nothing,
-//! counting an instruction's length allocates nothing, and no decoder of
-//! untrusted bytes reserves more than its input can carry, whatever a
-//! header declares.
+//! A checkout from an admitted module's instance pool allocates nothing, a
+//! deployed PAD holds no instance between its calls, counting an
+//! instruction's length allocates nothing, and no decoder of untrusted bytes
+//! reserves more than its input can carry, whatever a header declares.
 //!
 //! The one place in the workspace outside `crates/core/src/sys.rs` with an
 //! `unsafe` item: a counting `GlobalAlloc` can be written no other way, and
@@ -18,11 +18,14 @@ use std::sync::Arc;
 
 use fractal::core::inp::{InpMessage, INP_VERSION};
 use fractal::core::meta::{AppMeta, PadId, PadMeta, PadOverhead};
+use fractal::core::presets::ClientClass;
+use fractal::core::server::AdaptiveContentMode;
+use fractal::core::testbed::Testbed;
 use fractal::crypto::Digest;
 use fractal::protocols::bitmap::Bitmap;
 use fractal::protocols::{huffman, lz77, recipe, DiffCodec, ProtocolId};
 use fractal::vm::bytecode::PLAIN_OPS;
-use fractal::vm::module::Module;
+use fractal::vm::module::{Module, SignedModule};
 use fractal::vm::{assemble, Machine, Op, SandboxPolicy};
 
 /// What one thread has allocated since it began counting.
@@ -32,6 +35,8 @@ struct Tally {
     count: u64,
     /// Bytes of the largest single one.
     largest: usize,
+    /// A size to look for (0: none), and how many allocations had it.
+    watch: (usize, u64),
 }
 
 thread_local! {
@@ -69,16 +74,21 @@ unsafe impl GlobalAlloc for Counting {
 
 fn count(size: usize) {
     TALLY.with(|t| {
-        t.set(t.get().map(|t| Tally { count: t.count + 1, largest: t.largest.max(size) }))
+        t.set(t.get().map(|t| Tally {
+            count: t.count + 1,
+            largest: t.largest.max(size),
+            watch: (t.watch.0, t.watch.1 + u64::from(size == t.watch.0)),
+        }))
     });
 }
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// What this thread allocates while `f` runs.
-fn tally_of<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    TALLY.with(|t| t.set(Some(Tally::default())));
+/// What this thread allocates while `f` runs, watching for allocations of
+/// `watch` bytes.
+fn tally_of<T>(watch: usize, f: impl FnOnce() -> T) -> (T, Tally) {
+    TALLY.with(|t| t.set(Some(Tally { watch: (watch, 0), ..Tally::default() })));
     let out = f();
     let tally = TALLY.with(|t| t.replace(None)).expect("counting was on");
     (out, tally)
@@ -86,8 +96,14 @@ fn tally_of<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 
 /// Allocations this thread makes while `f` runs.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let (out, tally) = tally_of(f);
+    let (out, tally) = tally_of(0, f);
     (out, tally.count)
+}
+
+/// Allocations of exactly `size` bytes this thread makes while `f` runs.
+fn allocations_of<T>(size: usize, f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, tally) = tally_of(size, f);
+    (out, tally.watch.1)
 }
 
 #[test]
@@ -130,6 +146,36 @@ fn a_pool_hit_allocates_nothing_and_a_miss_only_the_memory() {
     assert_eq!((result, running), (Ok(8), 0));
     let ((), returning) = allocations_in(|| drop(second));
     assert_eq!(returning, 0);
+}
+
+/// 64 clients deploy one PAD and each decodes once while all are alive. A
+/// deployment holds no instance, and each call returns the one it leased
+/// before the next call leases, so the PAD's linear memory is allocated
+/// once, not once per live client (P54).
+#[test]
+fn live_clients_of_one_pad_allocate_its_memory_once() {
+    let tb = Testbed::case_study(AdaptiveContentMode::Reactive);
+    let class = ClientClass::LaptopWlan;
+    let pad = tb.proxy.negotiate(tb.app_id, class.env()).unwrap().remove(0);
+    let wire = tb.pad_repo.get(pad.id).unwrap();
+    let memory =
+        Module::from_bytes(&SignedModule::from_wire(&wire).unwrap().bytes).unwrap().memory_bytes();
+    let page = b"sixty-four clients, one sandbox. ".repeat(100);
+    tb.server.publish(1, page.clone());
+    let payload = tb.server.respond(1, None, 0, pad.protocol).unwrap().payload;
+
+    let (clients, memories) = allocations_of(memory, || {
+        let mut clients = Vec::new();
+        for _ in 0..64 {
+            let mut client = tb.client(class);
+            client.deploy_pad(&pad, &wire).unwrap();
+            assert_eq!(client.decode_content(pad.id, 1, &payload).unwrap(), page);
+            clients.push(client);
+        }
+        clients
+    });
+    let recycled: u64 = clients.iter().map(|c| c.stats().instances_recycled).sum();
+    assert_eq!((memories, recycled), (1, 63), "one instance served all 64 calls");
 }
 
 #[test]
@@ -219,7 +265,7 @@ fn a_hostile_header_reserves_no_more_than_its_bytes_can_carry() {
         }),
     ];
     for (what, input, decode) in cases {
-        let (refused, tally) = tally_of(|| decode(&input));
+        let (refused, tally) = tally_of(0, || decode(&input));
         assert!(refused, "{what}: a hostile header decoded");
         let bound = ALLOWANCE + PER_INPUT_BYTE * input.len();
         assert!(

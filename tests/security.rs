@@ -445,8 +445,8 @@ mod warm_admission_cache {
         let (tb, artifact, ..) = warmed(ProtocolId::Gzip);
         let policy = SandboxPolicy::for_pads();
         let shared = Arc::new(open_unchecked(&artifact).analyzed(&policy).unwrap());
-        let mut a = PadRuntime::from_analyzed(Arc::clone(&shared)).unwrap();
-        let mut b = PadRuntime::from_analyzed(Arc::clone(&shared)).unwrap();
+        let mut a = PadRuntime::from_analyzed(Arc::clone(&shared));
+        let mut b = PadRuntime::from_analyzed(Arc::clone(&shared));
         drop(tb);
 
         let pages: Vec<Vec<u8>> = (1..=4u8)
@@ -517,23 +517,28 @@ fn a_recycled_sandbox_holds_none_of_the_previous_clients_bytes() {
     let meta = meta_for_signed(&signed, PadId(4242));
     let wire = signed.to_wire();
     let secret = b"client A's page: account 12345, balance 67890. ".repeat(100);
+    let zeroed = |found: &[u8]| found.len() == 0x8000 && found.iter().all(|&b| b == 0);
 
     let mut a = tb.client(ClientClass::LaptopWlan);
     a.deploy_pad(&meta, &wire).unwrap();
-    assert_eq!(a.stats().instances_recycled, 0);
-    let found = a.decode_content(meta.id, 1, &secret).unwrap();
-    assert!(found.iter().all(|&b| b == 0), "a first sandbox starts zeroed");
-    // The probe does see bytes that are there: A's second call finds its own.
-    let found = a.decode_content(meta.id, 1, &[]).unwrap();
-    assert_eq!(&found[..secret.len()], &secret[..]);
+    assert!(zeroed(&a.decode_content(meta.id, 1, &secret).unwrap()), "a first sandbox is zeroed");
+    assert_eq!(a.stats().instances_recycled, 0, "the first call finds the pool empty");
+    // A's second call runs in the instance its first returned, scrubbed.
+    assert!(zeroed(&a.decode_content(meta.id, 1, &[]).unwrap()), "A's 2nd call read its 1st's");
+    assert_eq!(a.stats().instances_recycled, 1);
+
+    // The probe does see bytes that are there: within one call, an old
+    // version staged from 64 up reaches across the window.
+    let old: Vec<u8> = secret.iter().copied().cycle().take(0x18000 - 64).collect();
+    a.store_content(2, 0, old.clone());
+    let found = a.decode_content(meta.id, 2, &[]).unwrap();
+    assert_eq!(found, old[0x10000 - 64..]);
     drop(a);
 
     let mut b = tb.client(ClientClass::PdaBluetooth);
     b.deploy_pad(&meta, &wire).unwrap();
-    assert_eq!(b.stats().instances_recycled, 1, "B runs in the sandbox A was dropped from");
-    let found = b.decode_content(meta.id, 1, &[]).unwrap();
-    assert_eq!(found.len(), 0x8000);
-    assert!(found.iter().all(|&b| b == 0), "B read bytes A left behind");
+    assert!(zeroed(&b.decode_content(meta.id, 1, &[]).unwrap()), "B read bytes A left behind");
+    assert_eq!(b.stats().instances_recycled, 1, "B runs in the sandbox A's calls returned");
 }
 
 #[test]
