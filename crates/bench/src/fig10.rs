@@ -57,14 +57,14 @@ pub fn print(fig: &Figure11) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig11::run;
+    use crate::fig11::shared;
     use fractal_net::time::SimDuration;
 
     #[test]
     fn varyblock_server_compute_dominates() {
         // The paper: "Vary-sized blocking has huge server side computing
         // time, which disqualifies it" (Fig. 10(a–c)); panel (b).
-        let fig = run(3);
+        let fig = shared();
         let (panel, class) = (fig.with_server(), ClientClass::LaptopWlan);
         let vary = panel.forced(class, ProtocolId::VaryBlock);
         for c in ProtocolId::PAPER_FOUR.map(|p| panel.forced(class, p)) {
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn pda_panel_d_flips_to_varyblock() {
-        let fig = run(3);
+        let fig = shared();
         let (with, without) = (fig.with_server(), fig.without_server());
         assert_eq!(with.adaptive(ClientClass::PdaBluetooth).protocol, ProtocolId::Bitmap);
         assert_eq!(without.adaptive(ClientClass::PdaBluetooth).protocol, ProtocolId::VaryBlock);

@@ -49,6 +49,13 @@ impl Figure11 {
     }
 }
 
+/// The 3-page figure the crate's unit tests read, measured once for all.
+#[cfg(test)]
+pub(crate) fn shared() -> &'static Figure11 {
+    static FIGURE: std::sync::OnceLock<Figure11> = std::sync::OnceLock::new();
+    FIGURE.get_or_init(|| run(3))
+}
+
 /// Prints Figure 11: (a) bytes transferred, (b) total time with
 /// server-side computing, (c) total time without.
 pub fn print(fig: &Figure11) {
@@ -93,7 +100,7 @@ mod tests {
 
     #[test]
     fn figure11_shape_holds() {
-        let fig = run(3);
+        let fig = shared();
 
         // Panel (a): the per-protocol byte means, exactly — payload plus
         // the APP_REQ the protocol really sends plus the PAD's upstream
@@ -140,7 +147,7 @@ mod tests {
         // flip, so the winner must be best within a 5% tolerance band
         // rather than strictly minimal.
         const TOLERANCE: f64 = 1.05;
-        let fig = run(3);
+        let fig = shared();
         for class in ClientClass::ALL {
             let picked = fig.with_server().adaptive(class).protocol;
             let picked_total = fig.with_server().forced(class, picked).total;

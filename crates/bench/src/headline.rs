@@ -96,11 +96,11 @@ pub fn print(fig: &Figure11) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig11::run;
+    use crate::fig11::shared;
 
     #[test]
     fn some_client_sees_large_reduction_vs_none() {
-        let comps = comparisons(&run(3));
+        let comps = comparisons(shared());
         // "For some clients" — the PDA on Bluetooth is the paper's best
         // case. Tens of percent vs. no adaptation.
         let best = comps.iter().map(|c| c.vs_none()).fold(f64::MIN, f64::max);
@@ -109,14 +109,14 @@ mod tests {
 
     #[test]
     fn some_client_sees_positive_reduction_vs_static() {
-        let comps = comparisons(&run(3));
+        let comps = comparisons(shared());
         let best = comps.iter().map(|c| c.vs_fixed()).fold(f64::MIN, f64::max);
         assert!(best > 0.05, "best reduction vs static was {best:.2}");
     }
 
     #[test]
     fn adaptive_never_loses_to_either_baseline() {
-        for c in comparisons(&run(3)) {
+        for c in comparisons(shared()) {
             assert!(
                 c.adaptive.total <= c.none.total,
                 "{}: adaptive {} worse than none {}",

@@ -10,7 +10,7 @@
 //! measures each adaptive-content mode on first use, so a section that
 //! reads one mode's cells pays for that mode alone.
 
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 use fractal_core::presets::ClientClass;
 use fractal_core::server::AdaptiveContentMode;
@@ -96,8 +96,8 @@ impl Cells {
 #[derive(Clone, Debug)]
 pub struct Measured {
     pages: Vec<PagePair>,
-    reactive: OnceCell<Cells>,
-    proactive: OnceCell<Cells>,
+    reactive: OnceLock<Cells>,
+    proactive: OnceLock<Cells>,
 }
 
 impl Measured {
@@ -105,7 +105,7 @@ impl Measured {
     /// measured yet.
     pub fn new(n_pages: u32) -> Measured {
         let pages = workload_pages(n_pages);
-        Measured { pages, reactive: OnceCell::new(), proactive: OnceCell::new() }
+        Measured { pages, reactive: OnceLock::new(), proactive: OnceLock::new() }
     }
 
     /// Every cell of `mode`, [measured](measure) on the first call.

@@ -1,11 +1,11 @@
 //! `fasmlint` — the FVM trust gate for `.fasm` sources.
 //!
-//! Assembles and admits (verifies, analyzes, translates) each input, runs
-//! the range pass over the admission proof, then renders the annotated
-//! disassembly (stack heights, value ranges, proven-safe facts, fuel
-//! bounds, capabilities, and beside each instruction the register-form
-//! slot the fast path dispatches from there with the number of source ops
-//! it covers) and reports every lint at its fixed severity.
+//! Assembles and admits (verifies, analyzes, translates) each input, then
+//! renders the annotated disassembly (stack heights, fuel bounds,
+//! capabilities, and beside each instruction the register-form slot the
+//! fast path dispatches from there with the number of source ops it
+//! covers) and reports every lint over the admission CFG at its fixed
+//! severity.
 //!
 //! ```text
 //! fasmlint [--quiet] [--out DIR] FILE.fasm...
@@ -24,8 +24,7 @@ use std::process::ExitCode;
 use fractal_vm::asm::assemble;
 use fractal_vm::sandbox::SandboxPolicy;
 use fractal_vm_oracle::disasm::disassemble_admitted;
-use fractal_vm_oracle::lint::Severity;
-use fractal_vm_oracle::range::flow_ranges;
+use fractal_vm_oracle::lint::{collect_lints, Severity};
 
 const USAGE: &str = "usage: fasmlint [--quiet] [--out DIR] FILE.fasm...";
 
@@ -68,10 +67,9 @@ fn lint_file(path: &Path, args: &Args) -> Result<(usize, usize), String> {
     let admitted = module
         .analyzed(&SandboxPolicy::default())
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let facts = flow_ranges(&admitted.module, &admitted.analysis);
 
     let annotated =
-        disassemble_admitted(&admitted, &facts).map_err(|e| format!("{}: {e}", path.display()))?;
+        disassemble_admitted(&admitted).map_err(|e| format!("{}: {e}", path.display()))?;
     if !args.quiet {
         println!("; ==== {} ====", path.display());
         println!("{annotated}");
@@ -84,8 +82,10 @@ fn lint_file(path: &Path, args: &Args) -> Result<(usize, usize), String> {
     }
 
     let (mut warns, mut denies) = (0usize, 0usize);
-    for (func, ff) in admitted.module.functions.iter().zip(&facts) {
-        for l in &ff.lints {
+    for (idx, (func, fa)) in
+        admitted.module.functions.iter().zip(&admitted.analysis.functions).enumerate()
+    {
+        for l in collect_lints(idx, fa) {
             let severity = l.severity();
             match severity {
                 Severity::Warn => warns += 1,

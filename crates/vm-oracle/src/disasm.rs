@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use fractal_vm::analysis::{FunctionAnalysis, Slot};
 use fractal_vm::{AnalyzedModule, Function, HostId, Module, ModuleError, Op};
 
-use crate::range::{proven, FunctionFacts};
+use crate::lint::collect_lints;
 
 /// Disassembles a whole module into assembler-compatible text.
 pub fn disassemble(module: &Module) -> Result<String, ModuleError> {
@@ -18,33 +18,27 @@ pub fn disassemble(module: &Module) -> Result<String, ModuleError> {
 }
 
 /// Disassembles an admitted module with `fasmlint` annotations: each
-/// function header carries its proven bounds and registers, lints follow
-/// the header, and each instruction line its inferred frame-relative stack
-/// height (`; h=N`, or `; unreachable`), the range pass's `facts` about it,
-/// and its index with the register-form slot that starts there (`@12:
-/// br.geu r9, r10 -> @57 x4` — `xN` is how many source instructions the
-/// slot stands for, `@N` an instruction index), so a PAD's loop can be read
-/// as it is dispatched. The output remains assembler-compatible — `;`
+/// function header carries its proven bounds and registers, its
+/// [lints](crate::lint) follow the header, and each instruction line its
+/// inferred frame-relative stack height (`; h=N`, or `; unreachable`) and
+/// its index with the register-form slot that starts there (`@12: br.geu
+/// r9, r10 -> @57 x4` — `xN` is how many source instructions the slot
+/// stands for, `@N` an instruction index), so a PAD's loop can be read as
+/// it is dispatched. The output remains assembler-compatible — `;`
 /// comments are ignored on re-assembly.
-pub fn disassemble_admitted(
-    analyzed: &AnalyzedModule,
-    facts: &[FunctionFacts],
-) -> Result<String, ModuleError> {
-    render(&analyzed.module, Some((analyzed, facts)))
+pub fn disassemble_admitted(analyzed: &AnalyzedModule) -> Result<String, ModuleError> {
+    render(&analyzed.module, Some(analyzed))
 }
 
 /// What is known about one function beyond its code.
 struct Annotation<'a> {
+    func: usize,
     fa: &'a FunctionAnalysis,
-    facts: &'a FunctionFacts,
     slots: &'a [Slot],
 }
 
 /// The module as `.fasm` text, annotated when it is admitted.
-fn render(
-    module: &Module,
-    admitted: Option<(&AnalyzedModule, &[FunctionFacts])>,
-) -> Result<String, ModuleError> {
+fn render(module: &Module, admitted: Option<&AnalyzedModule>) -> Result<String, ModuleError> {
     let mut out = String::new();
     out.push_str(&format!(".memory {}\n", module.mem_pages));
     for seg in &module.data {
@@ -56,9 +50,9 @@ fn render(
     }
     for (idx, f) in module.functions.iter().enumerate() {
         out.push('\n');
-        let note = admitted.map(|(analyzed, facts)| Annotation {
+        let note = admitted.map(|analyzed| Annotation {
+            func: idx,
             fa: &analyzed.analysis.functions[idx],
-            facts: &facts[idx],
             slots: analyzed.slots(idx),
         });
         out.push_str(&disassemble_function(module, f, note)?);
@@ -79,27 +73,6 @@ fn host_mask_names(mask: u8) -> String {
     } else {
         names.join(",")
     }
-}
-
-/// Renders a `proven` fact bitmask as `+`-joined short names.
-fn proven_names(p: u8) -> String {
-    let mut names = Vec::new();
-    if p & proven::DIV_NONZERO != 0 {
-        names.push("nz");
-    }
-    if p & proven::DIV_NO_OVERFLOW != 0 {
-        names.push("novf");
-    }
-    if p & proven::SHIFT_IN_RANGE != 0 {
-        names.push("shift");
-    }
-    if p & proven::MEM_IN_BOUNDS != 0 {
-        names.push("bounds");
-    }
-    if p & proven::HOST_ARGS_OK != 0 {
-        names.push("hostok");
-    }
-    names.join("+")
 }
 
 fn disassemble_function(
@@ -123,7 +96,7 @@ fn disassemble_function(
 
     let label_of = |offset: usize| format!("l{offset}");
     let mut out = format!(".func {} args={} locals={}\n", f.name, f.n_args, f.n_locals);
-    if let Some(Annotation { fa, facts, .. }) = &note {
+    if let Some(Annotation { func, fa, .. }) = &note {
         let exit = match fa.exit_height {
             Some(h) => format!("{h}"),
             None => "never".to_string(),
@@ -145,7 +118,7 @@ fn disassemble_function(
             first_stack,
             frame.saturating_sub(1)
         ));
-        for lint in &facts.lints {
+        for lint in collect_lints(*func, fa) {
             out.push_str(&format!("    ; lint[{}]: {lint}\n", lint.severity()));
         }
     }
@@ -183,24 +156,11 @@ fn disassemble_function(
         };
         out.push_str("    ");
         out.push_str(&line);
-        if let Some(Annotation { fa, facts, slots }) = &note {
+        if let Some(Annotation { fa, slots, .. }) = &note {
             let pad = 24usize.saturating_sub(line.len()).max(1);
             match fa.insns.get(insn_idx).and_then(|i| i.height) {
                 Some(h) => {
                     out.push_str(&format!("{:pad$}; h={h}", ""));
-                    // Range-pass facts, when the pass had anything to say:
-                    // discharged checks and claimed operand intervals (top
-                    // of stack first).
-                    if let Some(facts) = facts.insns.get(insn_idx) {
-                        if facts.proven != 0 {
-                            out.push_str(&format!(" proven={}", proven_names(facts.proven)));
-                        }
-                        if !facts.operands.is_empty() {
-                            let ops: Vec<String> =
-                                facts.operands.iter().map(|v| v.to_string()).collect();
-                            out.push_str(&format!(" stack={}", ops.join(",")));
-                        }
-                    }
                     if let Some(slot) = slots.get(insn_idx) {
                         out.push_str(&format!(" @{insn_idx}: {slot}"));
                     }
@@ -304,7 +264,6 @@ mod tests {
 #[cfg(test)]
 mod pad_round_trips {
     use super::*;
-    use crate::range::flow_ranges;
     use fractal_vm::{assemble, SandboxPolicy};
 
     /// All six shipped PAD sources, via include_str! to avoid a dependency
@@ -321,8 +280,7 @@ mod pad_round_trips {
     /// `src` admitted under `policy` and disassembled with annotations.
     fn annotated(src: &str, policy: &SandboxPolicy) -> (AnalyzedModule, String) {
         let admitted = assemble(src).unwrap().analyzed(policy).unwrap();
-        let facts = flow_ranges(&admitted.module, &admitted.analysis);
-        let text = disassemble_admitted(&admitted, &facts).unwrap();
+        let text = disassemble_admitted(&admitted).unwrap();
         (admitted, text)
     }
 

@@ -20,13 +20,13 @@
 //! destination inside the source repeats the bytes between them. At most
 //! `max_stack` operands, across all frames, and `max_call_depth` frames.
 //!
-//! [`Oracle::audited`] also checks the analyzer's claims ([`audit`]).
+//! [`Oracle::audited`] also checks the analyzer's fuel and capability
+//! claims ([`audit`]).
 //!
 //! The crate also holds what only *reports* on admitted code, so admission
-//! computes only what it enforces: the value-range pass ([`range`]), the
-//! [`lint`]s, the (annotated) disassembler ([`disasm`]) and the `fasmlint`
-//! CLI that gates the shipped PAD sources on them. The interpreter above
-//! never runs the range pass; the auditor only reads the facts it is given.
+//! computes only what it enforces: the structural [`lint`]s over the
+//! admission CFG, the (annotated) disassembler ([`disasm`]) and the
+//! `fasmlint` CLI that gates the shipped PAD sources on them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,11 +40,9 @@ use fractal_vm::{HostId, Module, ModuleAnalysis, Op, SandboxPolicy, Trap};
 pub mod audit;
 pub mod disasm;
 pub mod lint;
-pub mod range;
 
 pub use audit::AuditViolation;
 use audit::Auditor;
-use range::FunctionFacts;
 
 /// One call frame: which function, where in its code, and its own locals.
 struct Frame {
@@ -68,7 +66,7 @@ pub struct Oracle<'a> {
 }
 
 /// `addr..addr + len` when it lies inside a memory of `size` bytes.
-pub(crate) fn in_bounds(addr: i64, len: i64, size: usize) -> Result<Range<usize>, Trap> {
+fn in_bounds(addr: i64, len: i64, size: usize) -> Result<Range<usize>, Trap> {
     match addr.checked_add(len) {
         Some(end) if addr >= 0 && len >= 0 && end as u64 <= size as u64 => {
             Ok(addr as usize..end as usize)
@@ -136,14 +134,9 @@ impl<'a> Oracle<'a> {
     }
 
     /// This oracle, checking as it runs every claim of `analysis`, the
-    /// analysis of its module, and of `facts`, the range pass's facts for
-    /// that analysis; see [`audit`].
-    pub fn audited(
-        mut self,
-        analysis: &'a ModuleAnalysis,
-        facts: &'a [FunctionFacts],
-    ) -> Oracle<'a> {
-        self.audit = Some(Auditor::new(analysis, facts));
+    /// analysis of its module; see [`audit`].
+    pub fn audited(mut self, analysis: &'a ModuleAnalysis) -> Oracle<'a> {
+        self.audit = Some(Auditor::new(analysis));
         self
     }
 
@@ -275,7 +268,7 @@ impl<'a> Oracle<'a> {
             let (op, next) = Op::decode(code, at).map_err(|_| Trap::Wedged)?;
             frame.pc = next;
             if let Some(audit) = &mut self.audit {
-                audit.before(func, at, &op, &self.stack, self.memory.len());
+                audit.before(func, at, &op);
             }
             self.charge(1)?;
             match op {

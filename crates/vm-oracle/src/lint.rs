@@ -1,10 +1,9 @@
 //! Lints: what makes an admitted module suspicious without making it unsafe.
 //!
-//! Two sources feed them. The structural ones here read the stack-height
-//! proof admission already made (unreachable code, dead stores, functions
-//! that never return); the certain-trap ones come out of the range pass
-//! ([`crate::range`]). Each kind has one fixed [`Severity`], which is what
-//! `fasmlint` gates the shipped PAD sources on.
+//! Each reads the stack-height proof and CFG admission already made
+//! (unreachable code, dead stores, functions that never return), so a lint
+//! costs admission nothing. Each kind has one fixed [`Severity`], which is
+//! what `fasmlint` gates the shipped PAD sources on.
 
 use fractal_vm::analysis::FunctionAnalysis;
 use fractal_vm::Op;
@@ -35,30 +34,6 @@ pub enum Lint {
         /// Function index.
         func: usize,
     },
-    /// The divisor at this site is provably always zero: the instruction
-    /// traps on every execution that reaches it.
-    CertainDivideByZero {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the division.
-        at: usize,
-    },
-    /// Every possible address/length at this memory op lies outside
-    /// linear memory: the instruction traps on every execution.
-    CertainOutOfBounds {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the access.
-        at: usize,
-    },
-    /// The shift amount can never be in `[0, 63]`, so the machine's
-    /// modular masking always rewrites it — almost certainly a bug.
-    ShiftAmountMasked {
-        /// Function index.
-        func: usize,
-        /// Byte offset of the shift.
-        at: usize,
-    },
 }
 
 /// How seriously `fasmlint` takes a [`Lint`].
@@ -71,16 +46,13 @@ pub enum Severity {
 }
 
 impl Lint {
-    /// What is certainly wrong (dead stores, guaranteed traps) is denied;
-    /// what is merely suspicious (unreachable code, a function that never
-    /// returns — legitimate for abort-only helpers) is a warning.
+    /// What is certainly wrong (a dead store) is denied; what is merely
+    /// suspicious (unreachable code, a function that never returns —
+    /// legitimate for abort-only helpers) is a warning.
     pub fn severity(&self) -> Severity {
         match self {
             Lint::UnreachableCode { .. } | Lint::NeverReturns { .. } => Severity::Warn,
-            Lint::DeadStore { .. }
-            | Lint::CertainDivideByZero { .. }
-            | Lint::CertainOutOfBounds { .. }
-            | Lint::ShiftAmountMasked { .. } => Severity::Deny,
+            Lint::DeadStore { .. } => Severity::Deny,
         }
     }
 }
@@ -95,15 +67,6 @@ impl core::fmt::Display for Lint {
                 write!(f, "fn {func}: local {local} stored at {at} but never read")
             }
             Lint::NeverReturns { func } => write!(f, "fn {func}: no reachable ret"),
-            Lint::CertainDivideByZero { func, at } => {
-                write!(f, "fn {func}: divisor at {at} is always zero")
-            }
-            Lint::CertainOutOfBounds { func, at } => {
-                write!(f, "fn {func}: memory access at {at} is always out of bounds")
-            }
-            Lint::ShiftAmountMasked { func, at } => {
-                write!(f, "fn {func}: shift amount at {at} is never in [0, 63]")
-            }
         }
     }
 }
@@ -117,8 +80,8 @@ impl core::fmt::Display for Severity {
     }
 }
 
-/// The structural lints of function `func_idx`, from its admission proof.
-pub(crate) fn collect_lints(func_idx: usize, fa: &FunctionAnalysis) -> Vec<Lint> {
+/// The lints of function `func_idx`, from its admission proof.
+pub fn collect_lints(func_idx: usize, fa: &FunctionAnalysis) -> Vec<Lint> {
     let mut lints = Vec::new();
     // Unreachable blocks: report the first instruction of each.
     for block in &fa.blocks {

@@ -3,7 +3,6 @@
 
 use fractal_vm::{analyze_module, assemble, HostId, Module, ModuleAnalysis, Op};
 use fractal_vm::{SandboxPolicy, Trap};
-use fractal_vm_oracle::range::{flow_ranges, proven, AbsVal, FunctionFacts};
 use fractal_vm_oracle::{AuditViolation, Oracle};
 
 /// `div(a, b)` divides; `log()` logs the four bytes of its data segment.
@@ -22,77 +21,48 @@ const SRC: &str = r#"
         ret
 "#;
 
-/// Runs `entry(args)` on an oracle auditing `analysis` and `facts`; returns
-/// the outcome and every violation.
+/// Runs `entry(args)` on an oracle auditing `analysis`; returns the outcome
+/// and every violation.
 fn audit(
     module: &Module,
-    (analysis, facts): (&ModuleAnalysis, &[FunctionFacts]),
+    analysis: &ModuleAnalysis,
     entry: &str,
     args: &[i64],
 ) -> (Result<i64, Trap>, Vec<AuditViolation>) {
-    let oracle = Oracle::new(module, SandboxPolicy::default()).unwrap();
-    let mut oracle = oracle.audited(analysis, facts);
+    let mut oracle = Oracle::new(module, SandboxPolicy::default()).unwrap().audited(analysis);
     let outcome = oracle.call(entry, args);
     (outcome, oracle.violations().to_vec())
-}
-
-/// Function `func`'s first instruction matching `op`: its byte offset and
-/// its index in `insns` and in its facts.
-fn site(analysis: &ModuleAnalysis, func: usize, op: fn(&Op) -> bool) -> (usize, usize) {
-    let insns = &analysis.functions[func].insns;
-    let i = insns.iter().position(|insn| op(&insn.op)).expect("the op is in the function");
-    (insns[i].at, i)
 }
 
 #[test]
 fn each_kind_of_false_claim_is_reported_exactly() {
     let module = assemble(SRC).unwrap();
     let clean = analyze_module(&module, &SandboxPolicy::default()).unwrap();
-    let facts = flow_ranges(&module, &clean);
-    let (div_at, div) = site(&clean, 0, |op| matches!(op, Op::DivU));
-    let (host_at, _) = site(&clean, 1, |op| matches!(op, Op::HostCall(_)));
 
     // What the analyzer proved holds.
-    let claims = (&clean, &facts[..]);
-    assert_eq!(audit(&module, claims, "div", &[6, 2]), (Ok(3), vec![]));
-    assert_eq!(audit(&module, claims, "div", &[6, 0]), (Err(Trap::DivideByZero), vec![]));
-    assert_eq!(audit(&module, claims, "log", &[]), (Ok(0), vec![]));
-
-    // An operand interval narrowed to exclude the divisor it will see.
-    let mut narrowed = facts.clone();
-    narrowed[0].insns[div].operands[0] = AbsVal::constant(1);
-    let violation = AuditViolation::ValueOutsideInterval {
-        func: 0,
-        at: div_at,
-        operand: 0,
-        value: 2,
-        lo: 1,
-        hi: 1,
-    };
-    assert_eq!(audit(&module, (&clean, &narrowed), "div", &[6, 2]), (Ok(3), vec![violation]));
-
-    // A divisor claimed nonzero where it is zero.
-    let mut nonzero = facts.clone();
-    nonzero[0].insns[div].proven |= proven::DIV_NONZERO;
-    let violation =
-        AuditViolation::ProvenFactViolated { func: 0, at: div_at, fact: "div_nonzero", value: 0 };
-    assert_eq!(
-        audit(&module, (&clean, &nonzero), "div", &[6, 0]),
-        (Err(Trap::DivideByZero), vec![violation])
-    );
+    assert_eq!(audit(&module, &clean, "div", &[6, 2]), (Ok(3), vec![]));
+    assert_eq!(audit(&module, &clean, "div", &[6, 0]), (Err(Trap::DivideByZero), vec![]));
+    assert_eq!(audit(&module, &clean, "log", &[]), (Ok(0), vec![]));
 
     // A minimum above what a call uses: `div` is four ops.
     let mut costly = clean.clone();
     costly.functions[0].min_fuel = 5;
     let violation = AuditViolation::FuelBelowClaim { func: 0, claimed: 5, observed: 4 };
-    assert_eq!(audit(&module, (&costly, &facts), "div", &[6, 2]), (Ok(3), vec![violation]));
+    assert_eq!(audit(&module, &costly, "div", &[6, 2]), (Ok(3), vec![violation]));
+
+    // An entry claimed never to complete that completes.
+    let mut infeasible = clean.clone();
+    infeasible.functions[0].min_fuel = u64::MAX;
+    let violation = AuditViolation::InfeasibleEntryCompleted { func: 0 };
+    assert_eq!(audit(&module, &infeasible, "div", &[6, 2]), (Ok(3), vec![violation]));
 
     // A reachable intrinsic left out of its function's set.
     let mut hostless = clean.clone();
     hostless.functions[1].own_hosts &= !(1 << HostId::Log.id());
-    let violation =
-        AuditViolation::UnclaimedHostCall { func: 1, at: host_at, id: HostId::Log.id() };
-    assert_eq!(audit(&module, (&hostless, &facts), "log", &[]), (Ok(0), vec![violation]));
+    let host_at = clean.functions[1].insns.iter().find(|i| matches!(i.op, Op::HostCall(_)));
+    let at = host_at.expect("log calls a host").at;
+    let violation = AuditViolation::UnclaimedHostCall { func: 1, at, id: HostId::Log.id() };
+    assert_eq!(audit(&module, &hostless, "log", &[]), (Ok(0), vec![violation]));
 }
 
 /// The call-graph fuel fixpoint must hit its round cap gracefully:
@@ -116,8 +86,7 @@ fn fuel_fixpoint_cap_is_graceful_and_sound() {
     let a = m.clone().analyzed(&policy).unwrap().analysis;
     let claimed = a.functions[0].min_fuel;
     assert!(claimed > 1, "cap should still have grown the bound: {claimed}");
-    let facts = flow_ranges(&m, &a);
-    let mut oracle = Oracle::new(&m, policy.clone()).unwrap().audited(&a, &facts);
+    let mut oracle = Oracle::new(&m, policy.clone()).unwrap().audited(&a);
     assert!(oracle.call("spin", &[]).is_err(), "unbounded recursion must trap");
     assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());
 
@@ -148,8 +117,7 @@ fn fuel_fixpoint_cap_is_graceful_and_sound() {
     assert!(claimed <= 100, "ring bound overclaims the true minimum: {claimed}");
     // Run f1 all the way around the ring; the auditor cross-checks the
     // observed fuel against the claim.
-    let facts = flow_ranges(&m, &a);
-    let mut oracle = Oracle::new(&m, policy).unwrap().audited(&a, &facts);
+    let mut oracle = Oracle::new(&m, policy).unwrap().audited(&a);
     assert_eq!(oracle.call("f1", &[19]), Ok(77));
     assert!(oracle.fuel_used() >= claimed, "{} < {claimed}", oracle.fuel_used());
     assert!(oracle.violations().is_empty(), "{:?}", oracle.violations());

@@ -26,7 +26,6 @@ use std::sync::Arc;
 use fractal_vm::analysis::{Slot, SlotOp};
 use fractal_vm::asm::assemble;
 use fractal_vm::{AnalyzedModule, Machine, Module, SandboxPolicy, Trap};
-use fractal_vm_oracle::range::{flow_ranges, FunctionFacts};
 use fractal_vm_oracle::Oracle;
 use proptest::prelude::*;
 
@@ -498,8 +497,6 @@ fn emit_ret_height_zero(out: &mut String, h: &mut i32) {
 /// A module's admitted bundle, built once and run at many budgets.
 struct Subject {
     analyzed: Arc<AnalyzedModule>,
-    /// The range pass over `analyzed`, for the auditor.
-    facts: Vec<FunctionFacts>,
     /// Printed with every failed assertion: the source or the PAD's name.
     what: String,
 }
@@ -507,8 +504,7 @@ struct Subject {
 impl Subject {
     fn new(module: Module, policy: &SandboxPolicy, what: String) -> Subject {
         let analyzed = module.analyzed(policy).unwrap_or_else(|e| panic!("{e}\n{what}"));
-        let facts = flow_ranges(&analyzed.module, &analyzed.analysis);
-        Subject { analyzed: Arc::new(analyzed), facts, what }
+        Subject { analyzed: Arc::new(analyzed), what }
     }
 
     fn assemble(src: &str) -> Subject {
@@ -530,7 +526,7 @@ impl Subject {
         let what = format!("fuel={} args={args:?}\n{}", policy.max_fuel, self.what);
         let analyzed = &self.analyzed;
         let oracle = Oracle::new(&analyzed.module, policy.clone()).expect("instantiates");
-        let mut oracle = oracle.audited(&analyzed.analysis, &self.facts);
+        let mut oracle = oracle.audited(&analyzed.analysis);
         let mut machine = Machine::new_analyzed(Arc::clone(analyzed)).unwrap();
         // The machine runs under the policy of the proof; `policy` differs
         // from it in the budget alone.

@@ -20,9 +20,9 @@
 //!   instantiated, so a capability-exceeding PAD never executes at all.
 //!
 //! Admission computes only what it enforces. What merely *reports* on the
-//! proof — the value-range pass, lints, the annotated disassembler and the
-//! `fasmlint` CLI — lives in the dev-only `fractal-vm-oracle` crate and
-//! reads the public [`FunctionAnalysis`] fields.
+//! proof — the lints, the annotated disassembler and the `fasmlint` CLI —
+//! lives in the dev-only `fractal-vm-oracle` crate and reads the public
+//! [`FunctionAnalysis`] fields.
 //!
 //! An accepted analysis also licenses the interpreter's *fast path*
 //! ([`AnalyzedModule`]): because every instruction's stack height is a

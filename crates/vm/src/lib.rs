@@ -11,8 +11,8 @@
 //!   (bulk copy, LZ window copy, digest intrinsics);
 //! * a line-oriented **assembler** ([`asm`]) so PAD programs are written as
 //!   readable `.fasm` text and compiled to modules at build time (the
-//!   disassembler, the value-range pass, the lints and `fasmlint` are
-//!   dev-only tools in `fractal-vm-oracle`);
+//!   disassembler, the lints and `fasmlint` are dev-only tools in
+//!   `fractal-vm-oracle`);
 //! * a static **verifier** ([`verify`]) that rejects malformed code before
 //!   it ever executes (unknown opcodes, wild jumps, bad local/function
 //!   indices);

@@ -185,10 +185,11 @@ if grep -rnE 'fuse_at|push_fast|pop_fast|GetGetBin' --include='*.rs' crates/vm/s
     exit 1
 fi
 
-# Admission computes only what it enforces. The value-range pass and the
-# lints only report on admitted code, so they live in the dev-only
-# crates/vm-oracle beside fasmlint; any of their names in the VM's sources
-# is that pass growing back into code that runs on downloaded bytes.
+# Admission computes only what it enforces. The value-range pass was
+# deleted, since only the oracle's own reports read its facts, and the lints
+# only report on admitted code, so they live in the dev-only
+# crates/vm-oracle beside fasmlint. Any of these names in the VM's sources
+# is admission growing a pass that no check consumes.
 audit "no range pass or lints (flow_ranges, InsnFacts, AbsVal, enum Lint) in crates/vm/src"
 if grep -rnE 'flow_ranges|InsnFacts|AbsVal|enum Lint' --include='*.rs' crates/vm/src; then
     echo "the range pass or the lints are named in crates/vm/src (see the audit's comment)" >&2

@@ -93,12 +93,13 @@ if [ "$QUICK" -eq 0 ]; then
     scripts/mutants.sh
 fi
 
-# The shipped PADs must come out of the range pass and the lints clean:
-# fasmlint (crates/vm-oracle) exits nonzero on any deny-level lint (certain divide-by-zero, certain
-# out-of-bounds, dead stores, ...). Runs in quick mode too — it is the
-# cheapest gate here and the one a hand-edited .fasm is most likely to
-# trip. Annotated disassembly lands in target/fasmlint for inspection; each
-# instruction line names the register-form slot the fast path runs from it.
+# The shipped PADs must come out of the lints clean: fasmlint
+# (crates/vm-oracle) exits nonzero on any deny-level lint (a dead store;
+# unreachable code and a function that never returns are warnings). Runs in
+# quick mode too — it is the cheapest gate here and the one a hand-edited
+# .fasm is most likely to trip. Annotated disassembly lands in
+# target/fasmlint for inspection; each instruction line names the
+# register-form slot the fast path runs from it.
 step "fasmlint (shipped PAD sources)"
 cargo run -q -p fractal-vm-oracle --bin fasmlint -- \
     --quiet --out target/fasmlint crates/pads/fasm/*.fasm
