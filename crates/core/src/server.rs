@@ -15,6 +15,10 @@
 //! them a torn version chain — and since version chains are append-only,
 //! a session that negotiated version `v` decodes against exactly `v` no
 //! matter how many publishes land mid-flight.
+//!
+//! A republish of an unchanged body appends a version all the same, but
+//! that version shares the buffer of the one before it: a writer that
+//! republishes the same bytes holds one copy of them, not one per version.
 
 use std::collections::HashMap;
 
@@ -127,6 +131,9 @@ impl ApplicationServer {
     /// In proactive mode the adaptive content for the new version is
     /// pre-computed immediately (the off-request-path cost).
     ///
+    /// A body equal to the latest version's is still a new version, but it
+    /// shares that version's buffer: the caller's copy is dropped.
+    ///
     /// Takes `&self`: the successor snapshot — appended version chain plus
     /// any proactive precomputes — is built off the read path and swapped
     /// in atomically, so publish runs concurrently with live `respond`
@@ -135,7 +142,11 @@ impl ApplicationServer {
         let bytes = bytes.into();
         self.state.publish_with(|state| {
             let versions = state.contents.entry(content_id).or_default();
-            versions.push(bytes);
+            let body = match versions.last() {
+                Some(latest) if *latest == bytes => latest.clone(),
+                _ => bytes,
+            };
+            versions.push(body);
             let version = (versions.len() - 1) as u32;
             if self.mode == AdaptiveContentMode::Proactive {
                 precompute(state, &self.protocols, content_id, version);
@@ -359,6 +370,29 @@ mod tests {
         assert!(dump.contains("Gzip"), "{dump}");
         assert!(dump.contains("StoreStats"), "{dump}");
         assert!(dump.contains("generation"), "{dump}");
+    }
+
+    #[test]
+    fn an_unchanged_republish_shares_the_latest_buffer() {
+        let s = server(AdaptiveContentMode::Reactive);
+        let body = content(3, 16 * 1024);
+        for v in 0..1000 {
+            assert_eq!(s.publish(7, body.clone()), v);
+        }
+        assert_eq!(s.latest_version(7), Some(999));
+        let first = s.content(7, 0).unwrap();
+        assert_eq!(first, body);
+        for v in 1..1000 {
+            assert_eq!(s.content(7, v).unwrap().as_ptr(), first.as_ptr(), "version {v}");
+        }
+        assert_eq!(s.generation(), 1000, "one snapshot generation per publish");
+
+        let mut changed = body.clone();
+        *changed.last_mut().unwrap() ^= 1;
+        assert_eq!(s.publish(7, changed.clone()), 1000);
+        let own = s.content(7, 1000).unwrap();
+        assert_eq!(own, changed);
+        assert_ne!(own.as_ptr(), first.as_ptr(), "a changed body keeps its own buffer");
     }
 
     #[test]

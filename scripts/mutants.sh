@@ -4,15 +4,18 @@
 # reactor's ready-queue rule, one for the wire cursor's count check, one
 # for the instruction encoding, one for the counting sink, one for the
 # bytecode decoder's branch rule and two for session pricing, run rather
-# than stated, one for the per-call sandbox lease and one for the dead-store
-# lint. Each mutation below is applied to a throwaway `git worktree` of
-# this tree under $TMPDIR, and the INP codec's and the session driver's
-# unit tests, the machine's unit tests (the pinned encoding among them),
+# than stated, one for the per-call sandbox lease, one for the dead-store
+# lint, one for the server's shared republish and one for the checksum
+# kernel. Each mutation below is applied to a throwaway `git worktree` of
+# this tree under $TMPDIR, and the INP codec's, the session driver's, the
+# server's and the checksum's unit tests, the machine's unit tests (the
+# pinned encoding among them),
 # the suites that hold it to the reference interpreter, the lint tests, the
 # core's transition matrix, the reactor's order tests, the allocation
 # tests, the security suite and the priced-trace test
 #
-#   cargo test -q --release -p fractal-core --lib -- inp::tests session::tests
+#   cargo test -q --release -p fractal-core -p fractal-crypto --lib -- \
+#       inp::tests session::tests server::tests checksum::tests
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit --test lints
 #   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
@@ -28,7 +31,7 @@
 # The worktree holds HEAD plus the tracked edits of this checkout (`git stash
 # create` snapshots them without touching any ref); `git add` a new file for
 # it to be included. It and its build directory are removed on exit.
-# 30 to 45 minutes on 2 vCPUs for the 21 mutations: one release build of
+# 30 to 45 minutes on 2 vCPUs for the 23 mutations: one release build of
 # the test targets, then one rebuild per mutation.
 set -eu
 
@@ -48,7 +51,8 @@ git worktree add --quiet --detach "$tree" "${snapshot:-HEAD}"
 export CARGO_TARGET_DIR="$tmp/target"
 
 suite() {
-    (cd "$tree" && cargo test -q --release -p fractal-core --lib "$@" -- inp::tests session::tests &&
+    (cd "$tree" && cargo test -q --release -p fractal-core -p fractal-crypto --lib "$@" -- \
+        inp::tests session::tests server::tests checksum::tests &&
         cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit --test lints "$@" &&
         cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@" &&
@@ -88,7 +92,12 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # (in a map keyed by the runtime's address, since the runtime has no field
 # for one), so each live client pins an instance and a call sees the bytes
 # its client's last call left. `lint-blind` never reports a dead store, so
-# a local written and never read passes `fasmlint`.
+# a local written and never read passes `fasmlint`. `publish-copies` keeps
+# a fresh buffer for every version, an unchanged republish included: every
+# read still returns equal bytes, so only the buffer's address can tell.
+# `lane-weight` weighs each lane of the checksum kernel one position late;
+# the reference interpreter calls the same kernel, so only the kernel's own
+# byte-at-a-time reference can see it.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -109,7 +118,9 @@ wild-jump|crates/vm/src/verify.rs|insn.at.cmp(&t)|t.clamp(insn.at, insn.next - 1
 price-cache|crates/core/src/session.rs|search_time(trace.pat_nodes, trace.proxy_cache_hit)|search_time(trace.pat_nodes, true)
 priced-as-traced|crates/bench/src/workbench.rs|(class.link(), class.env())|(class.link(), ClientClass::DesktopLan.env())
 lease-kept|crates/pads/src/runtime.rs|let mut machine = Machine::new_analyzed(Arc::clone(&self.analyzed))?;|static KEPT: std::sync::Mutex<std::collections::BTreeMap<usize, Machine>> = std::sync::Mutex::new(std::collections::BTreeMap::new()); struct Kept(usize, Option<Machine>); impl Drop for Kept { fn drop(&mut self) { if let Some(m) = self.1.take() { KEPT.lock().unwrap().insert(self.0, m); } } } let key = self as *const Self as usize; let kept = KEPT.lock().unwrap().remove(&key); let mut kept = Kept(key, Some(match kept { Some(m) => m, None => Machine::new_analyzed(Arc::clone(&self.analyzed))? })); let machine = kept.1.as_mut().unwrap();
-lint-blind|crates/vm-oracle/src/lint.rs|if !read[n as usize] {|if false {'
+lint-blind|crates/vm-oracle/src/lint.rs|if !read[n as usize] {|if false {
+publish-copies|crates/core/src/server.rs|Some(latest) if *latest == bytes => latest.clone(),|Some(latest) if false => latest.clone(),
+lane-weight|crates/crypto/src/checksum.rs|(j as u32).wrapping_mul(sum)|(j as u32 + 1).wrapping_mul(sum)'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.
