@@ -213,13 +213,39 @@ mod tests {
 
     #[test]
     fn rho_sweep_is_monotone_in_transmission_weight() {
+        // Figure 11(a)'s byte order, fewest first: a larger ρ makes the
+        // link cheaper against compute, so a pick may only move to a
+        // protocol that sends more bytes, never back.
+        let bytes_rank = |p: ProtocolId| match p {
+            ProtocolId::VaryBlock => 0,
+            ProtocolId::Bitmap => 1,
+            ProtocolId::Gzip => 2,
+            ProtocolId::Direct => 3,
+            other => panic!("{other:?} is not one of the case study's four"),
+        };
         let sweep = rho_sweep();
         assert_eq!(sweep.len(), 8);
-        // At low ρ transmission dominates → low-traffic protocols win on
-        // slow links; the PDA never picks Direct anywhere in the band.
+        // The PDA's link is slow enough that Direct never wins in the band.
         for p in &sweep {
             assert_ne!(p.pda_pick, ProtocolId::Direct, "rho={}", p.rho);
         }
+        let picks = |p: &RhoPoint| [("laptop", p.laptop_pick), ("PDA", p.pda_pick)];
+        for w in sweep.windows(2) {
+            for ((class, lo), (_, hi)) in picks(&w[0]).into_iter().zip(picks(&w[1])) {
+                assert!(
+                    bytes_rank(lo) <= bytes_rank(hi),
+                    "{class}: {lo:?} at rho={} then {hi:?} at rho={}",
+                    w[0].rho,
+                    w[1].rho
+                );
+            }
+        }
+        // ρ moves the decision: a sweep that ignored it would pick one
+        // protocol for the laptop throughout.
+        assert!(
+            sweep.windows(2).any(|w| w[0].laptop_pick != w[1].laptop_pick),
+            "the laptop's pick never changes over rho 0.3-1.0"
+        );
         // The paper's operating point (ρ=0.8) reproduces the headline picks.
         let at08 = sweep.iter().find(|p| (p.rho - 0.8).abs() < 1e-9).unwrap();
         assert_eq!(at08.laptop_pick, ProtocolId::Gzip);

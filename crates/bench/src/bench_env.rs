@@ -1,11 +1,9 @@
-//! Provenance stamp shared by every `BENCH_*.json` writer.
+//! Provenance stamp of every `BENCH_scenarios.json` row.
 //!
-//! A benchmark number without its host and commit is unreproducible: the
-//! capacity knees depend on core count, the interpreter speedups on both.
+//! A scenario row without its host and commit is unreproducible.
 //! [`BenchEnv::capture`] records the machine and the exact source revision
 //! once, and [`BenchEnv::members`] yields them as the common object
-//! members so every `BENCH_*.json` stays comparable across CI runs and
-//! laptops.
+//! members so every row stays comparable across CI runs and laptops.
 
 use crate::json::Json;
 
@@ -19,8 +17,7 @@ pub struct BenchEnv {
     pub git_sha: String,
     /// Transport the bytes crossed: `"loopback"` (untimed in-memory pair),
     /// `"loopback+link"` (a pair priced on a simulated link), either with
-    /// `"+faults"` (wrapped by the fault harness), or `"queueing-model"`
-    /// (no bytes move).
+    /// `"+faults"` (wrapped by the fault harness).
     pub transport: String,
     /// Adversity scenario this row came from, with the fault seed that
     /// drove it — `None` outside the scenario soak driver. A scenario row
@@ -57,8 +54,8 @@ impl BenchEnv {
         self
     }
 
-    /// The provenance members every `BENCH_*.json` object carries, in
-    /// their fixed order.
+    /// The provenance members every scenario row carries, in their fixed
+    /// order.
     pub fn members(&self) -> Vec<(&'static str, Json)> {
         let mut members = vec![
             ("host_cpus", self.host_cpus.into()),

@@ -1,7 +1,6 @@
 //! Re-derives a cost table from live measurements of the native codecs on
 //! this machine — the "native regime" alternative to the paper-calibrated
-//! table in `fractal-core::presets` (see the calibration note in
-//! EXPERIMENTS.md).
+//! table in `fractal-core::presets` (EXPERIMENTS.md, "Calibration note").
 //!
 //! Usage: `cargo run --release -p fractal-bench --bin calibrate [n_pages]`
 

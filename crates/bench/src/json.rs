@@ -1,7 +1,7 @@
 //! The one module that knows JSON syntax: a value type, its reader and
 //! its deterministic writer.
 //!
-//! Every `BENCH_*.json` is built as a [`Json`] value by a pure function,
+//! `BENCH_scenarios.json` is built as a [`Json`] value by a pure function,
 //! written by [`Json::emit`], read back by [`Json::parse`], and edited
 //! (`--bin scenarios` replacing one scenario's row) with
 //! [`Json::insert`] on the parsed value — so writer, editor and reader
@@ -59,18 +59,6 @@ impl Json {
     /// An object of the given members, in order.
     pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
         Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// `x` rounded to `places` decimals (an [`Json::Int`] when `places` is
-    /// 0): bench rates carry no more digits than the measurement has.
-    pub fn rounded(x: f64, places: u32) -> Json {
-        let scale = 10f64.powi(places as i32);
-        let r = (x * scale).round() / scale;
-        if places == 0 {
-            Json::Int(r as i128)
-        } else {
-            Json::Num(r)
-        }
     }
 
     /// Member lookup on an object; `None` on other variants.

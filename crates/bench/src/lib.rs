@@ -19,7 +19,7 @@
 //! | ratio-matrix ablation | [`ablate`] | `all ablate_ratio` |
 //! | ρ sensitivity | [`ablate`] | `all ablate_rho` |
 //! | entropy-stage ablation | [`ablate`] | `all ablate_entropy` |
-//! | server-capacity extension | [`capacity`] | `capacity` |
+//! | server-capacity extension | [`capacity`] | `all capacity` |
 //! | native-regime calibration | — | `calibrate` |
 //!
 //! Run everything: `cargo run --release -p fractal-bench --bin all`.

@@ -1,6 +1,6 @@
 //! The `bench::json` contract: whatever the writers can build reads back
 //! as the same value, whatever arrives from outside reads to a value or an
-//! `Err` (never a panic), and the three committed `BENCH_*.json` survive
+//! `Err` (never a panic), and the committed `BENCH_scenarios.json` survives
 //! the round trip.
 
 use std::sync::Arc;
@@ -106,22 +106,17 @@ proptest! {
     }
 }
 
-const COMMITTED: [(&str, &str); 2] = [
-    ("scenarios", include_str!("../../../BENCH_scenarios.json")),
-    ("capacity", include_str!("../../../BENCH_capacity.json")),
-];
+const SCENARIOS: &str = include_str!("../../../BENCH_scenarios.json");
 
 #[test]
 fn committed_bench_files_round_trip() {
-    for (name, text) in COMMITTED {
-        let doc = Json::parse(text).unwrap_or_else(|e| panic!("BENCH_{name}.json: {e}"));
-        assert_eq!(Json::parse(&doc.emit()).as_ref(), Ok(&doc), "BENCH_{name}.json re-emitted");
-    }
+    let doc = Json::parse(SCENARIOS).unwrap_or_else(|e| panic!("BENCH_scenarios.json: {e}"));
+    assert_eq!(Json::parse(&doc.emit()).as_ref(), Ok(&doc), "BENCH_scenarios.json re-emitted");
 }
 
 #[test]
 fn splicing_a_scenario_row_leaves_every_other_row_alone() {
-    let before = Json::parse(COMMITTED[0].1).unwrap().get("scenarios").cloned().unwrap();
+    let before = Json::parse(SCENARIOS).unwrap().get("scenarios").cloned().unwrap();
     let mut after = before.clone();
     after.insert("lossy_link", Json::object([("sessions", 7u64.into())]));
     after.insert("appended", Json::Null);

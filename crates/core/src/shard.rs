@@ -82,12 +82,12 @@ const WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Sessions a shard pairs and admits per turn of its loop, between
 /// pumping and `poll(2)`. Kept at 4 by an alternated `tcp_wave` sweep over
-/// 1, 4, 8 and 16 run since a write arms its peer (EXPERIMENTS.md, "What
-/// run-to-completion over sockets buys"): a session admitted in a batch
-/// now runs to `Done` before the next batch is paired, so the batch no
-/// longer moves p50: 4, 8 and 16 read the same within noise, and at 1,
-/// where every session pays a turn of its own, p99 read higher than at 4
-/// in 7 of 8 rounds.
+/// 1, 4, 8 and 16 run since a write arms its peer (CHANGES.md has it, with
+/// the change that made socket sessions run to completion): a session
+/// admitted in a batch now runs to `Done` before the next batch is
+/// paired, so the batch no longer moves p50: 4, 8 and 16 read the same
+/// within noise, and at 1, where every session pays a turn of its own,
+/// p99 read higher than at 4 in 7 of 8 rounds.
 const ADMIT_BATCH: usize = 4;
 
 /// Default consecutive-quiet time before a shard declares its live

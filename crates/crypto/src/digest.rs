@@ -35,12 +35,6 @@ impl Digest {
     pub fn short(&self) -> String {
         hex::encode(&self.0[..4])
     }
-
-    /// Truncates the digest to a `u64` (big-endian prefix). Handy for
-    /// deterministic seeds and hash-table style uses where 64 bits suffice.
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("8-byte prefix"))
-    }
 }
 
 impl core::fmt::Debug for Digest {
@@ -93,14 +87,6 @@ mod tests {
         let d = sha1(b"prefix");
         assert!(d.to_hex().starts_with(&d.short()));
         assert_eq!(d.short().len(), 8);
-    }
-
-    #[test]
-    fn prefix_u64_is_stable_and_distinct() {
-        let a = sha1(b"a").prefix_u64();
-        let b = sha1(b"b").prefix_u64();
-        assert_ne!(a, b);
-        assert_eq!(a, sha1(b"a").prefix_u64());
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod gzip;
 pub mod huffman;
 pub mod lz77;
 pub mod recipe;
-pub mod stats;
 pub mod traits;
 pub mod varyblock;
 

@@ -9,8 +9,8 @@
 //!   [`Histogram`]s with lock-free recording and
 //!   associative, deterministic snapshot merge;
 //! - [`registry`] — a sharded `&self` name→handle map, snapshots rendered
-//!   as a Prometheus text page (the bench crate builds its `BENCH_*.json`
-//!   members from the snapshot's public maps);
+//!   as a Prometheus text page (the bench crate builds its
+//!   `BENCH_scenarios.json` members from the snapshot's public maps);
 //! - [`journal`] — the flight recorder: per-shard bounded event rings
 //!   behind one lock, with a deterministic, associative snapshot merge
 //!   and a per-session `tail` query; a [`Telemetry`] bundle carries one

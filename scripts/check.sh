@@ -5,8 +5,8 @@
 # sending a change out for review; CI runs the same steps as named jobs.
 #
 #   scripts/check.sh          # fmt, scripts/audits.sh (every source audit
-#                             # and the one-git_sha check on the committed
-#                             # BENCH_*.json), clippy, rustdoc, tier-1 (cargo test -q:
+#                             # and EXPERIMENTS.md's quotes of the committed
+#                             # FIGURES.txt), clippy, rustdoc, tier-1 (cargo test -q:
 #                             # the whole workspace), the instance-recycling
 #                             # suite again in release, the machine's, the
 #                             # receive rule's, the ready queue's and the
@@ -23,7 +23,8 @@
 #
 # Rates and latencies are not gated here: benchmark/run.sh measures them and
 # scripts/bench_ab.sh <base-ref> compares two commits under the bounds of
-# BENCHMARK.json. scripts/regen.sh rewrites the committed BENCH_*.json.
+# BENCHMARK.json. scripts/regen.sh rewrites the committed
+# BENCH_scenarios.json, FIGURES.txt and EXPERIMENTS.md's quotes of it.
 #
 # On failure the script exits nonzero and names the step that failed, so a
 # red CI run points at the culprit without scrolling.
@@ -88,7 +89,8 @@ if [ "$QUICK" -eq 0 ]; then
 
     # DESIGN.md §5's mutation table, run: each mutation applied to a throwaway
     # worktree must turn the machine's suites, the core's transition matrix,
-    # the reactor's order tests or the decoders' allocation test red.
+    # the reactor's order tests, the decoders' allocation test or the
+    # renderer's identity tests red.
     step "machine, auditor, receive-rule, ready-queue, peer-hint and cursor mutations are killed (scripts/mutants.sh)"
     scripts/mutants.sh
 fi

@@ -31,7 +31,10 @@
 #     follows it in one list: "DESIGN.md §4.2 and §4.3") in the docs that
 #     describe the tree, the scripts, the workflows and the Rust sources,
 #     and every § in DESIGN.md itself but a "paper §N", must name a
-#     "## N." or "### N.M" heading of DESIGN.md. CHANGES.md and ROADMAP.md
+#     "## N." or "### N.M" heading of DESIGN.md. In the same files and in
+#     DESIGN.md, a citation of EXPERIMENTS.md followed by a comma and a
+#     title in double quotes must name a heading of EXPERIMENTS.md, word
+#     for word. CHANGES.md and ROADMAP.md
 #     are records of past trees and are not read.
 #
 # Other spans (metric paths with dots, command lines, mutation names) are
@@ -205,15 +208,20 @@ fi
 
 headings=$(sed -nE 's/^## ([0-9]+)\..*/\1/p; s/^### ([0-9]+\.[0-9]+)[ .].*/\1/p' "$doc")
 
+# Joins a file's lines, comment leaders dropped, so a citation may wrap.
+joined() {
+    LC_ALL=C awk '{ line = $0
+                    sub(/^[[:space:]]*(#+|\/\/[!\/]?|\*)?[[:space:]]*/, "", line)
+                    text = text " " line }
+                  END { print text }' "$1"
+}
+
 # Prints the sections one file cites: after "DESIGN.md" (or, in DESIGN.md,
 # anywhere but after "paper"), a § and every § chained to it by ",", "and"
-# or "or". Lines are joined first, comment leaders dropped, so a citation
-# may wrap.
+# or "or".
 cited() {
-    LC_ALL=C awk -v self="$2" '
-        { line = $0
-          sub(/^[[:space:]]*(#+|\/\/[!\/]?|\*)?[[:space:]]*/, "", line)
-          text = text " " line }
+    joined "$1" | LC_ALL=C awk -v self="$2" '
+        { text = $0 }
         END {
             sect = "§[0-9]+(\\.[0-9]+)*"
             while (match(text, sect)) {
@@ -230,7 +238,18 @@ cited() {
                 chain = take
                 text = substr(text, RSTART + RLENGTH)
             }
-        }' "$1"
+        }'
+}
+
+# Prints the EXPERIMENTS.md headings one file cites by title, one a line.
+titles() {
+    joined "$1" | LC_ALL=C awk '{
+        text = $0
+        while (match(text, /EXPERIMENTS\.md, "[^"]*"/)) {
+            print substr(text, RSTART + 17, RLENGTH - 18)
+            text = substr(text, RSTART + RLENGTH)
+        }
+    }'
 }
 
 missing=""
@@ -246,5 +265,17 @@ done
 
 if [ -n "$missing" ]; then
     echo "citations of $doc sections that have no heading there:$missing" >&2
+    exit 1
+fi
+
+experiments=$(sed -nE 's/^#+[[:space:]]+//p' EXPERIMENTS.md | tr -s ' ')
+missing=$(for file in $doc $files; do
+    titles "$file" | tr -s ' ' | sort -u | while IFS= read -r title; do
+        printf '%s\n' "$experiments" | grep -qxF -- "$title" || echo "  $file: \"$title\""
+    done
+done)
+if [ -n "$missing" ]; then
+    echo "citations of EXPERIMENTS.md headings that it does not have:" >&2
+    echo "$missing" >&2
     exit 1
 fi

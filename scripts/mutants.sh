@@ -5,21 +5,22 @@
 # for the instruction encoding, one for the counting sink, one for the
 # bytecode decoder's branch rule and two for session pricing, run rather
 # than stated, one for the per-call sandbox lease, one for the dead-store
-# lint, one for the server's shared republish and one for the checksum
-# kernel. Each mutation below is applied to a throwaway `git worktree` of
+# lint, one for the server's shared republish, one for the checksum
+# kernel and one for the page renderer's row buffer. Each mutation below is applied to a throwaway `git worktree` of
 # this tree under $TMPDIR, and the INP codec's, the session driver's, the
 # server's and the checksum's unit tests, the machine's unit tests (the
 # pinned encoding among them),
 # the suites that hold it to the reference interpreter, the lint tests, the
 # core's transition matrix, the reactor's order tests, the allocation
-# tests, the security suite and the priced-trace test
+# tests, the security suite, the render identity tests and the
+# priced-trace test
 #
 #   cargo test -q --release -p fractal-core -p fractal-crypto --lib -- \
 #       inp::tests session::tests server::tests checksum::tests
 #   cargo test -q --release -p fractal-vm --lib \
 #       -p fractal-vm-oracle --test differential --test audit --test lints
 #   cargo test -q --release -p fractal-core --test inp_session --test reactor_order
-#   cargo test -q --release -p fractal --test alloc --test security
+#   cargo test -q --release -p fractal --test alloc --test security --test render_identity
 #   cargo test -q --release -p fractal-bench --test priced_traces
 #
 # must FAIL there. The unmutated tree must pass them first, a mutation must
@@ -31,7 +32,7 @@
 # The worktree holds HEAD plus the tracked edits of this checkout (`git stash
 # create` snapshots them without touching any ref); `git add` a new file for
 # it to be included. It and its build directory are removed on exit.
-# 30 to 45 minutes on 2 vCPUs for the 23 mutations: one release build of
+# 30 to 45 minutes on 2 vCPUs for the 24 mutations: one release build of
 # the test targets, then one rebuild per mutation.
 set -eu
 
@@ -56,7 +57,7 @@ suite() {
         cargo test -q --release -p fractal-vm --lib \
         -p fractal-vm-oracle --test differential --test audit --test lints "$@" &&
         cargo test -q --release -p fractal-core --test inp_session --test reactor_order "$@" &&
-        cargo test -q --release -p fractal --test alloc --test security "$@" &&
+        cargo test -q --release -p fractal --test alloc --test security --test render_identity "$@" &&
         cargo test -q --release -p fractal-bench --test priced_traces "$@")
 }
 
@@ -97,7 +98,8 @@ suite >"$tmp/log" 2>&1 || { cat "$tmp/log" >&2; echo "mutants.sh: the unmutated 
 # read still returns equal bytes, so only the buffer's address can tell.
 # `lane-weight` weighs each lane of the checksum kernel one position late;
 # the reference interpreter calls the same kernel, so only the kernel's own
-# byte-at-a-time reference can see it.
+# byte-at-a-time reference can see it. `row-reset` never clears the
+# renderer's row buffer, so each row of an image adds onto the row above.
 mutations='tail-refund|crates/vm/src/machine.rs|fuel += $s.tail as u64;|
 starved-probe|crates/vm/src/machine.rs|if slot.tail > 0 && left >= through_main {|if false {
 callee-locals|crates/vm/src/machine.rs|regs[base + callee.n_args..base + callee.first_stack].fill(0);|
@@ -120,7 +122,8 @@ priced-as-traced|crates/bench/src/workbench.rs|(class.link(), class.env())|(clas
 lease-kept|crates/pads/src/runtime.rs|let mut machine = Machine::new_analyzed(Arc::clone(&self.analyzed))?;|static KEPT: std::sync::Mutex<std::collections::BTreeMap<usize, Machine>> = std::sync::Mutex::new(std::collections::BTreeMap::new()); struct Kept(usize, Option<Machine>); impl Drop for Kept { fn drop(&mut self) { if let Some(m) = self.1.take() { KEPT.lock().unwrap().insert(self.0, m); } } } let key = self as *const Self as usize; let kept = KEPT.lock().unwrap().remove(&key); let mut kept = Kept(key, Some(match kept { Some(m) => m, None => Machine::new_analyzed(Arc::clone(&self.analyzed))? })); let machine = kept.1.as_mut().unwrap();
 lint-blind|crates/vm-oracle/src/lint.rs|if !read[n as usize] {|if false {
 publish-copies|crates/core/src/server.rs|Some(latest) if *latest == bytes => latest.clone(),|Some(latest) if false => latest.clone(),
-lane-weight|crates/crypto/src/checksum.rs|(j as u32).wrapping_mul(sum)|(j as u32 + 1).wrapping_mul(sum)'
+lane-weight|crates/crypto/src/checksum.rs|(j as u32).wrapping_mul(sum)|(j as u32 + 1).wrapping_mul(sum)
+row-reset|crates/workload/src/image.rs|row.fill(0.0);|'
 
 # A failure inside the loop ends the pipeline nonzero, and `set -e` the
 # script.

@@ -1,25 +1,25 @@
 #!/usr/bin/env sh
-# Rewrites every committed BENCH_*.json from this checkout, in sequence,
-# so all of them carry one git_sha (scripts/check.sh fails on a mix), and
-# the committed figures:
+# Rewrites the committed results from this checkout, in sequence:
 #
 #   BENCH_scenarios.json    the seven adversity scenarios at full
 #                           population, each run twice under its seed
-#   BENCH_capacity.json     server-capacity knees per protocol
 #   FIGURES.txt             the stdout of `--bin all`, every figure and
 #                           table (scripts/figure_rows.sh holds it)
+#   EXPERIMENTS.md          its quotes of FIGURES.txt, one block per
+#                           section (scripts/experiments_figures.sh)
 #
-# Commit first, then regenerate and commit the three files: the stamp is
-# `git rev-parse HEAD`. Rates and latencies are not in these files — those
-# are benchmark/run.sh's, compared across commits by scripts/bench_ab.sh.
+# Commit first, then regenerate and commit: the scenario rows are stamped
+# with `git rev-parse HEAD`. Rates and latencies are not in these files —
+# those are benchmark/run.sh's, compared across commits by
+# scripts/bench_ab.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-cargo build --release -p fractal-bench --bin scenarios --bin capacity --bin all
-for bin in scenarios capacity; do
-    echo "==> $bin"
-    "./target/release/$bin"
-done
+cargo build --release -p fractal-bench --bin scenarios --bin all
+echo "==> scenarios"
+./target/release/scenarios
 echo "==> all > FIGURES.txt"
 ./target/release/all > FIGURES.txt
+echo "==> EXPERIMENTS.md quotes FIGURES.txt"
+scripts/experiments_figures.sh --write
